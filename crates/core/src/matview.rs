@@ -44,9 +44,10 @@
 //! [`prepare_maintenance`] / [`maintain`]): the committing thread first
 //! coalesces its delta chains and re-extracts affected keyed subtrees
 //! against its own snapshot — *outside* the maintenance lock, in parallel
-//! across root keys — then takes the lock only for the stamp-ordered apply.
-//! A per-view applied-key tracker ([`MaintTracker`]) detects precomputed
-//! keys invalidated by an interposed commit; those few are re-extracted
+//! across root keys — then takes the lock for the stamp-ordered apply,
+//! which for CO views is the whole structural diff (`splice`). A per-view
+//! applied-key tracker ([`MaintTracker`]) detects precomputed keys
+//! invalidated by an interposed commit; those few are re-extracted
 //! under the lock, so the apply is always equivalent to serial maintenance
 //! in commit-stamp order.
 //!
@@ -1351,6 +1352,9 @@ fn apply_grouped(
         .find(|(src, _)| src.is_none())
         .expect("grouped plans carry COUNT(*)")
         .1;
+    // Backing rows are frozen and deleted physically, so one snapshot sees
+    // this loop's own writes.
+    let snap = backing.txns().snapshot_latest();
     for d in delta.rows(table) {
         for (img, sign) in [(d.before(), -1i64), (d.after(), 1i64)] {
             let Some(t) = img else { continue };
@@ -1368,14 +1372,11 @@ fn apply_grouped(
             }
             // Locate the group's stored row (mv_key index on the first
             // grouping output).
-            let hit = backing
-                .find_by_value(probe_out, &row[probe_base])?
-                .into_iter()
-                .find(|(_, stored)| {
-                    groups
-                        .iter()
-                        .all(|(c, o)| stored.values[*o].total_cmp(&row[*c]).is_eq())
-                });
+            let hit = first_match(&backing, probe_out, &row[probe_base], &snap, |stored| {
+                Ok(groups
+                    .iter()
+                    .all(|(c, o)| stored.values[*o].total_cmp(&row[*c]).is_eq()))
+            })?;
             match hit {
                 Some((rid, stored)) => {
                     let mut vals = stored.values;
@@ -1748,12 +1749,17 @@ fn keys_from_parent_link(
 }
 
 /// Diff the re-extracted subtrees of the affected roots against the stored
-/// streams and apply only the differences. Membership (which stored nodes
-/// belong exclusively to the affected roots) follows the same cascade rule
-/// the old delete-then-rederive path used — a node belongs when its every
+/// streams and apply only the differences; all of it runs under the
+/// maintenance lock. Membership (which stored nodes belong exclusively to
+/// the affected roots) follows the same cascade rule the old
+/// delete-then-rederive path used — a node belongs when its every
 /// connection comes from a member parent — so nodes also reachable from
-/// unaffected roots are never touched. Each re-derived row is then matched
-/// to a member by value (kept exactly as stored), to any other stored node
+/// unaffected roots are never touched. The test costs one probe per
+/// candidate node, ending at the first connection from a non-member
+/// parent: a shared node never reads past its first foreign connection,
+/// whatever its fan-in, and an exclusive one reads only its own
+/// connections, which lie inside the affected subtree. Each re-derived row is then matched to a member by
+/// value (kept exactly as stored), to any other stored node
 /// (XNF object sharing), or written over a vanished member in place,
 /// keeping its surrogate ([`Table::update`] is atomic for readers); only
 /// genuinely new branches insert and only vanished ones delete. Connection
@@ -1776,15 +1782,19 @@ fn splice(
             .ok_or_else(|| XnfError::Api(format!("missing backing stream '{name}'")))
     };
     let ncomps = info.comps.len();
+    // Backing rows are frozen and deleted physically, so one snapshot sees
+    // every write this splice makes.
+    let snap = db.catalog().latest_snapshot();
 
     // Membership: surrogate → (rid, stored values sans surrogate), per
     // component. Phase A: root rows carrying an affected key.
     let mut members: Vec<HashMap<i64, (Rid, Row)>> = vec![HashMap::new(); ncomps];
     let root_t = stream(&info.comps[key.root])?;
     for k in keys {
-        for (rid, row) in root_t.find_by_value(1 + key.root_key_col, k)? {
+        root_t.scan_by_value(1 + key.root_key_col, k, &snap, |rid, row| {
             members[key.root].insert(row.values[0].as_int()?, (rid, row.values[1..].to_vec()));
-        }
+            Ok(true)
+        })?;
     }
 
     // Phase B: cascade in topological order — a node joins the membership
@@ -1803,9 +1813,10 @@ fn splice(
             }
             let conn_t = stream(&rel.name)?;
             for &ps in members[p].keys() {
-                for (_, crow) in conn_t.find_by_value(0, &Value::Int(ps))? {
+                conn_t.scan_by_value(0, &Value::Int(ps), &snap, |_, crow| {
                     candidates.insert(crow.values[1].as_int()?);
-                }
+                    Ok(true)
+                })?;
             }
         }
         let node_t = stream(&info.comps[c])?;
@@ -1813,21 +1824,26 @@ fn splice(
             if members[c].contains_key(&s) {
                 continue;
             }
+            // Shared iff some connection comes from a non-member parent:
+            // stop at the first one instead of reading the node's fan-in.
             let mut shared = false;
-            'rels: for (rel, _) in rels_with_child(info, c) {
+            for (rel, _) in rels_with_child(info, c) {
                 let Some(p) = info.comp_index(&rel.parent) else {
                     continue;
                 };
                 let conn_t = stream(&rel.name)?;
-                for (_, crow) in conn_t.find_by_value(1, &Value::Int(s))? {
-                    if !members[p].contains_key(&crow.values[0].as_int()?) {
-                        shared = true;
-                        break 'rels;
-                    }
+                let foreign = first_match(&conn_t, 1, &Value::Int(s), &snap, |crow| {
+                    Ok(!members[p].contains_key(&crow.values[0].as_int()?))
+                })?;
+                if foreign.is_some() {
+                    shared = true;
+                    break;
                 }
             }
             if !shared {
-                for (rid, t) in node_t.find_by_value(0, &Value::Int(s))? {
+                if let Some((rid, t)) =
+                    first_match(&node_t, 0, &Value::Int(s), &snap, |_| Ok(true))?
+                {
                     members[c].insert(s, (rid, t.values[1..].to_vec()));
                 }
             }
@@ -1863,7 +1879,7 @@ fn splice(
                 counters.nodes_reused += 1;
                 continue;
             }
-            if let Some(s) = find_node_by_value(&node_t, row)? {
+            if let Some(s) = find_node_by_value(&node_t, row, &snap)? {
                 if !member_surrs[c].contains(&s) {
                     // Object sharing with an unaffected subtree's node.
                     ids.push(s);
@@ -1926,9 +1942,10 @@ fn splice(
             .ok_or_else(|| XnfError::Api(format!("unknown child '{}'", rel.children[0])))?;
         let mut stored: HashMap<(i64, i64), Rid> = HashMap::new();
         for &ps in &member_surrs[p_idx] {
-            for (rid, crow) in conn_t.find_by_value(0, &Value::Int(ps))? {
+            conn_t.scan_by_value(0, &Value::Int(ps), &snap, |rid, crow| {
                 stored.insert((ps, crow.values[1].as_int()?), rid);
-            }
+                Ok(true)
+            })?;
         }
         let mut new_pairs: HashSet<(i64, i64)> = HashSet::new();
         for &(ppos, cpos) in &sub.conn_rows[ri] {
@@ -1975,11 +1992,10 @@ fn splice(
         let conn_t = stream(&rel.name)?;
         for (p, cs, may_exist) in conn_inserts[ri].drain(..) {
             if may_exist {
-                let exists = conn_t
-                    .find_by_value(0, &Value::Int(p))?
-                    .iter()
-                    .any(|(_, t)| t.values[1].as_int().ok() == Some(cs));
-                if exists {
+                let existing = first_match(&conn_t, 0, &Value::Int(p), &snap, |t| {
+                    Ok(t.values[1].as_int().ok() == Some(cs))
+                })?;
+                if existing.is_some() {
                     continue;
                 }
             }
@@ -2174,8 +2190,29 @@ fn rels_with_child(
         .filter(move |(r, _)| info.comp_index(&r.children[0]) == Some(child))
 }
 
+/// The first stored row of `t` with `col = v` that satisfies `pred`, read
+/// under `snap`. Postings resolve one at a time and the probe stops at its
+/// first hit, so it costs what it finds, not the key's whole fan-in.
+fn first_match(
+    t: &Table,
+    col: usize,
+    v: &Value,
+    snap: &Snapshot,
+    mut pred: impl FnMut(&Tuple) -> xnf_storage::Result<bool>,
+) -> Result<Option<(Rid, Tuple)>> {
+    let mut hit = None;
+    t.scan_by_value(col, v, snap, |rid, tuple| {
+        if pred(&tuple)? {
+            hit = Some((rid, tuple));
+            return Ok(false);
+        }
+        Ok(true)
+    })?;
+    Ok(hit)
+}
+
 /// Find a stored node row with exactly these values; returns its surrogate.
-fn find_node_by_value(node_t: &Arc<Table>, row: &Row) -> Result<Option<i64>> {
+fn find_node_by_value(node_t: &Table, row: &Row, snap: &Snapshot) -> Result<Option<i64>> {
     let full_match =
         |t: &Tuple| -> bool { t.values.len() == row.len() + 1 && rows_eq(&t.values[1..], row) };
     if row.is_empty() {
@@ -2184,7 +2221,7 @@ fn find_node_by_value(node_t: &Arc<Table>, row: &Row) -> Result<Option<i64>> {
     if row[0].is_null() {
         // NULL never matches through an index probe; fall back to a scan.
         let mut found = None;
-        node_t.for_each(|_, t| {
+        node_t.for_each_visible(snap, |_, t| {
             if full_match(&t) {
                 found = Some(t.values[0].as_int()?);
                 return Ok(false);
@@ -2193,12 +2230,10 @@ fn find_node_by_value(node_t: &Arc<Table>, row: &Row) -> Result<Option<i64>> {
         })?;
         return Ok(found);
     }
-    for (_, t) in node_t.find_by_value(1, &row[0])? {
-        if full_match(&t) {
-            return Ok(Some(t.values[0].as_int()?));
-        }
+    match first_match(node_t, 1, &row[0], snap, |t| Ok(full_match(t)))? {
+        Some((_, t)) => Ok(Some(t.values[0].as_int()?)),
+        None => Ok(None),
     }
-    Ok(None)
 }
 
 /// NULL-aware row equality (NULL equals NULL here: identity, not SQL
@@ -2210,18 +2245,20 @@ fn rows_eq(a: &[Value], b: &[Value]) -> bool {
 /// Remove one stored row equal to `row`; `probe_col` drives the index probe.
 /// Returns whether a row was found.
 fn remove_row_by_value(backing: &Arc<Table>, row: &Row, probe_col: usize) -> Result<bool> {
+    let snap = backing.txns().snapshot_latest();
     if !row.is_empty() && !row[probe_col].is_null() {
-        for (rid, t) in backing.find_by_value(probe_col, &row[probe_col])? {
-            if rows_eq(&t.values, row) {
-                backing.delete(rid)?;
-                return Ok(true);
-            }
+        let hit = first_match(backing, probe_col, &row[probe_col], &snap, |t| {
+            Ok(rows_eq(&t.values, row))
+        })?;
+        if let Some((rid, _)) = hit {
+            backing.delete(rid)?;
+            return Ok(true);
         }
         // Fall through to a scan: the probe may have missed only because
         // no index exists and sql_eq skipped NULLs elsewhere in the row.
     }
     let mut target = None;
-    backing.for_each(|rid, t| {
+    backing.for_each_visible(&snap, |rid, t| {
         if rows_eq(&t.values, row) {
             target = Some(rid);
             return Ok(false);

@@ -572,25 +572,44 @@ impl Table {
         value: &Value,
         snap: &Snapshot,
     ) -> Result<Vec<(Rid, Tuple)>> {
-        if let Some(def) = self.find_index(&[col]) {
-            let key = vec![value.clone()];
-            let rids = self.index_lookup(&def.name, &key)?;
-            let mut out = Vec::with_capacity(rids.len());
-            for rid in rids {
-                if let Some(t) = self.resolve_posting(rid, snap, &def, &key)? {
-                    out.push((rid, t));
-                }
-            }
-            return Ok(out);
-        }
         let mut out = Vec::new();
-        self.for_each_visible(snap, |rid, t| {
-            if t.values[col].sql_eq(value) == Some(true) {
-                out.push((rid, t));
-            }
+        self.scan_by_value(col, value, snap, |rid, t| {
+            out.push((rid, t));
             Ok(true)
         })?;
         Ok(out)
+    }
+
+    /// Visit the tuples visible to `snap` whose `col = value`, stopping as
+    /// soon as `f` returns `false` (the [`Table::for_each`] convention).
+    /// With a single-column index on `col` the postings are resolved one
+    /// at a time through [`Table::resolve_posting`], so a probe that stops
+    /// at its first hit fetches one tuple however long the key's posting
+    /// list is; without one it falls back to a visible scan.
+    pub fn scan_by_value(
+        &self,
+        col: usize,
+        value: &Value,
+        snap: &Snapshot,
+        mut f: impl FnMut(Rid, Tuple) -> Result<bool>,
+    ) -> Result<()> {
+        if let Some(def) = self.find_index(&[col]) {
+            let key = vec![value.clone()];
+            for rid in self.index_lookup(&def.name, &key)? {
+                if let Some(t) = self.resolve_posting(rid, snap, &def, &key)? {
+                    if !f(rid, t)? {
+                        break;
+                    }
+                }
+            }
+            return Ok(());
+        }
+        self.for_each_visible(snap, |rid, t| {
+            if t.values[col].sql_eq(value) == Some(true) {
+                return f(rid, t);
+            }
+            Ok(true)
+        })
     }
 
     // -- garbage collection -------------------------------------------------
@@ -1567,5 +1586,84 @@ mod tests {
         let mut expect = no_index;
         expect.sort_by_key(|(rid, _)| *rid);
         assert_eq!(with_index, expect);
+    }
+
+    /// Rows `scan_by_value` hands to its callback, sorted by rid.
+    fn scanned(t: &Table, col: usize, v: i64, snap: &Snapshot) -> Vec<(Rid, Tuple)> {
+        let mut out = Vec::new();
+        t.scan_by_value(col, &Value::Int(v), snap, |rid, tuple| {
+            out.push((rid, tuple));
+            Ok(true)
+        })
+        .unwrap();
+        out.sort_by_key(|(rid, _)| *rid);
+        out
+    }
+
+    #[test]
+    fn scan_by_value_stops_after_first_false() {
+        let c = catalog();
+        let t = c.create_table("EMP", emp_schema()).unwrap();
+        for i in 0..40 {
+            t.insert(&emp(i, i % 2)).unwrap();
+        }
+        let snap = c.latest_snapshot();
+        let calls_until = |stop_at: usize| -> usize {
+            let mut calls = 0;
+            t.scan_by_value(2, &Value::Int(1), &snap, |_, tuple| {
+                assert_eq!(tuple.values[2], Value::Int(1));
+                calls += 1;
+                Ok(calls < stop_at)
+            })
+            .unwrap();
+            calls
+        };
+        // The scan fallback (no index on `edno` yet) and the index path
+        // both stop at the first `false`.
+        assert_eq!(calls_until(1), 1);
+        assert_eq!(calls_until(3), 3);
+        assert_eq!(calls_until(usize::MAX), 20);
+        t.create_index("emp_edno", vec![2], false).unwrap();
+        assert_eq!(calls_until(1), 1);
+        assert_eq!(calls_until(3), 3);
+        assert_eq!(calls_until(usize::MAX), 20);
+    }
+
+    #[test]
+    fn scan_by_value_skips_versions_invisible_to_the_snapshot() {
+        let c = catalog();
+        let indexed = c.create_table("EMP", emp_schema()).unwrap();
+        indexed.create_index("emp_edno", vec![2], false).unwrap();
+        let plain = c.create_table("EMP2", emp_schema()).unwrap();
+        for t in [&indexed, &plain] {
+            let gone = t.insert(&emp(1, 7)).unwrap();
+            let kept = t.insert(&emp(2, 7)).unwrap();
+            t.insert(&emp(3, 8)).unwrap();
+            let before_delete = c.latest_snapshot();
+            // A committed delete…
+            let a = t.txns().allocate();
+            t.mark_delete_txn(gone, a).unwrap();
+            t.txns().commit(a);
+            // …and another transaction's uncommitted insert.
+            let b = t.txns().allocate();
+            let pending = t.insert_txn(&emp(4, 7), b).unwrap();
+
+            assert_eq!(
+                scanned(t, 2, 7, &before_delete),
+                vec![(gone, emp(1, 7)), (kept, emp(2, 7))],
+                "an older snapshot still sees the deleted version"
+            );
+            assert_eq!(
+                scanned(t, 2, 7, &c.latest_snapshot()),
+                vec![(kept, emp(2, 7))],
+                "deleted and uncommitted versions are skipped"
+            );
+            assert_eq!(
+                scanned(t, 2, 7, &t.txns().snapshot_for(b)),
+                vec![(kept, emp(2, 7)), (pending, emp(4, 7))],
+                "the inserting transaction sees its own row"
+            );
+            t.txns().commit(b);
+        }
     }
 }

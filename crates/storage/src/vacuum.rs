@@ -550,4 +550,58 @@ mod tests {
         t.insert(&row(2, 0)).unwrap();
         assert_eq!(t.row_count().unwrap(), 2);
     }
+
+    /// `find_by_value_visible` against what it computed before it became a
+    /// collecting wrapper over `scan_by_value` — every index posting
+    /// resolved under the snapshot, or a filtered visible scan for an
+    /// unindexed column — over version chains that vacuum has partly
+    /// reclaimed and whose slots fresh inserts reused.
+    #[test]
+    fn find_by_value_unchanged_over_updated_and_vacuumed_versions() {
+        let (c, t) = setup();
+        for id in 1..=6 {
+            t.insert(&row(id, 0)).unwrap();
+        }
+        for v in 1..=5 {
+            for id in (1..=6).filter(|id| (id + v) % 2 == 0) {
+                committed_update(&c, &t, id, v);
+            }
+        }
+        let pinned = c.latest_snapshot();
+        for v in 6..=9 {
+            committed_update(&c, &t, v % 6 + 1, v);
+        }
+        assert!(c.vacuum(None).unwrap().versions_reclaimed() > 0);
+        for id in 7..=9 {
+            t.insert(&row(id, 0)).unwrap();
+        }
+        let latest = c.latest_snapshot();
+        let def = t.find_index(&[0]).unwrap();
+        for snap in [&pinned, &latest] {
+            for id in 0..=10 {
+                let key = vec![Value::Int(id)];
+                let mut expect = Vec::new();
+                for rid in t.index_lookup(&def.name, &key).unwrap() {
+                    if let Some(tuple) = t.resolve_posting(rid, snap, &def, &key).unwrap() {
+                        expect.push((rid, tuple));
+                    }
+                }
+                assert_eq!(expect.len(), usize::from((1..=9).contains(&id)));
+                let found = t.find_by_value_visible(0, &Value::Int(id), snap).unwrap();
+                assert_eq!(found, expect, "indexed probe of id {id}");
+
+                let v = Value::Str(format!("v{id}"));
+                let mut scan = Vec::new();
+                t.for_each_visible(snap, |rid, tuple| {
+                    if tuple.values[1] == v {
+                        scan.push((rid, tuple));
+                    }
+                    Ok(true)
+                })
+                .unwrap();
+                let found = t.find_by_value_visible(1, &v, snap).unwrap();
+                assert_eq!(found, scan, "unindexed probe of v{id}");
+            }
+        }
+    }
 }

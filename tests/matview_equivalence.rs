@@ -23,6 +23,7 @@ use xnf_fixtures::{
     DEPS_ARC, OO1_CO,
 };
 use xnf_plan::PlanOptions;
+use xnf_storage::Tuple;
 
 const BATCH_SIZES: &[usize] = &[1, 7, 1024];
 
@@ -262,6 +263,126 @@ fn co_matview_point_fetch_serves_one_subtree() {
     let restricted = DEPS_ARC.replace("TAKE *", "TAKE * WHERE xdept.dno = 1");
     let fresh = db.fetch_co(&restricted).unwrap();
     assert_eq!(canon(&co), canon(&fresh));
+}
+
+// ---------------------------------------------------------------------------
+// shared-node fan-in: maintenance cost follows the CO, not the sharing
+// ---------------------------------------------------------------------------
+
+/// The skill department 0 shares with `fan_in` employees elsewhere.
+const SHARED_SKILL: i64 = 1000;
+/// First employee number of the foreign employees holding it.
+const FOREIGN_ENO: i64 = 10_000;
+
+/// A small paper database plus one SKILLS node linked from employee 0
+/// (department 0) and from `fan_in` employees spread over departments
+/// 1–3, under a keyed CO matview `fan_co` over every department. Returns
+/// the database and the view's definition.
+fn fan_in_db(fan_in: i64) -> (Database, String) {
+    let db = build_paper_db_with(
+        PaperScale {
+            departments: 4,
+            arc_fraction: 0.0,
+            employees_per_dept: 3,
+            projects_per_dept: 1,
+            skills: 10,
+            skills_per_employee: 1,
+            skills_per_project: 1,
+            seed: 5,
+        },
+        config_with_batch(1024),
+    );
+    let cat = db.catalog();
+    let (emp, es) = (cat.table("EMP").unwrap(), cat.table("EMPSKILLS").unwrap());
+    let link = |eno: i64| Tuple::new(vec![Value::Int(eno), Value::Int(SHARED_SKILL)]);
+    cat.table("SKILLS")
+        .unwrap()
+        .insert(&Tuple::new(vec![
+            Value::Int(SHARED_SKILL),
+            Value::Str("shared".into()),
+        ]))
+        .unwrap();
+    es.insert(&link(0)).unwrap();
+    for i in 0..fan_in {
+        let eno = FOREIGN_ENO + i;
+        emp.insert(&Tuple::new(vec![
+            Value::Int(eno),
+            Value::Str(format!("far-{eno}")),
+            Value::Int(1 + i % 3),
+            Value::Double(50.0),
+        ]))
+        .unwrap();
+        es.insert(&link(eno)).unwrap();
+    }
+    let def = DEPS_ARC.replace(" WHERE loc = 'ARC'", "");
+    db.execute(&format!("CREATE MATERIALIZED VIEW fan_co AS {def}"))
+        .unwrap();
+    (db, def)
+}
+
+/// Buffer-pool page accesses (hits + misses) one statement costs,
+/// commit-time maintenance included.
+fn page_accesses(db: &Database, stmt: &str) -> u64 {
+    let accesses = || {
+        let s = db.catalog().buffer_pool().stats();
+        s.hits + s.misses
+    };
+    let before = accesses();
+    db.execute(stmt).unwrap();
+    accesses() - before
+}
+
+/// Splicing department 0 after a one-row update must not read the shared
+/// skill's links from other departments: the membership test stops at the
+/// first foreign parent, so the commit costs the same page accesses at
+/// fan-in 10 and 1000. Then the shared node turns exclusive and vanishes,
+/// and incremental maintenance must track REFRESH through both steps.
+#[test]
+fn shared_node_fan_in_does_not_cost_maintenance() {
+    const UPDATE: &str = "UPDATE EMP SET sal = sal + 1 WHERE eno = 0";
+    let mut cost = Vec::new();
+    for fan_in in [10, 1000] {
+        let (db, def) = fan_in_db(fan_in);
+        let respliced = db.maint_stats().mv_roots_respliced;
+        cost.push(page_accesses(&db, UPDATE));
+        assert_eq!(
+            db.maint_stats().mv_roots_respliced,
+            respliced + 1,
+            "the update resplices department 0 alone"
+        );
+        assert_co_matches(&db, "fan_co", &def, &format!("fan-in {fan_in}: {UPDATE}"));
+        if fan_in > 10 {
+            continue;
+        }
+        let last = FOREIGN_ENO + fan_in - 1;
+        for stmt in [
+            format!("DELETE FROM EMPSKILLS WHERE eseno > {FOREIGN_ENO} AND eseno < {last}"),
+            format!("DELETE FROM EMPSKILLS WHERE eseno = {FOREIGN_ENO}"),
+            // The last foreign link: the skill is now department 0's alone.
+            format!("DELETE FROM EMPSKILLS WHERE eseno = {last}"),
+            // And department 0's link: the node vanishes.
+            format!("DELETE FROM EMPSKILLS WHERE eseno = 0 AND essno = {SHARED_SKILL}"),
+        ] {
+            db.execute(&stmt).unwrap();
+            assert_co_matches(&db, "fan_co", &def, &format!("fan-in {fan_in}: {stmt}"));
+        }
+        let stored = db.fetch_co("fan_co").unwrap();
+        assert!(
+            stored
+                .workspace
+                .independent("xskills")
+                .unwrap()
+                .all(|t| !format!("{:?}", t.values()).contains("shared")),
+            "the unlinked shared skill left the view"
+        );
+    }
+    assert!(
+        cost[1].abs_diff(cost[0]) <= 8,
+        "page accesses of one spliced update grew with the shared node's \
+         fan-in: {} at 10, {} at 1000",
+        cost[0],
+        cost[1]
+    );
 }
 
 // ---------------------------------------------------------------------------
