@@ -5,8 +5,7 @@
 //! the numbers against it: on a multi-core host dop N should approach N×
 //! on scan-heavy shapes up to the core count; on a single-core host every
 //! row clamps to serial, so dop > 1 must sit within noise of dop 1 (the
-//! knob degrades gracefully, it never oversubscribes). Record per-dop
-//! numbers in BENCH_7.json when the parallel executor changes.
+//! knob degrades gracefully, it never oversubscribes).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 

@@ -24,7 +24,7 @@
 //! buffer on vs. off. The delta is the write-amplification cost of
 //! writing every flushed image twice (DW append + fsync, then in place);
 //! the integrity counters printed after each config show how many DW
-//! batches the run actually paid for (BENCH_10.json records the verdict).
+//! batches the run actually paid for.
 
 use std::sync::Arc;
 use std::time::Duration;

@@ -32,7 +32,11 @@ impl CoCache {
     /// Drop local state and re-extract the CO from the database, using the
     /// parameter bindings of the original fetch.
     pub fn refresh(&mut self, db: &Database) -> Result<()> {
-        let result = db.run_xnf_params(&self.query, &self.params)?;
+        let result = db.run_query(
+            &Statement::Xnf(self.query.clone()),
+            self.params.clone(),
+            None,
+        )?;
         self.workspace = Workspace::from_result(&result)?;
         Ok(())
     }
@@ -62,12 +66,7 @@ impl Database {
         };
         let key = normalize_statement(&text);
         let (compiled, _) = self.compile_cached(&key)?;
-        if compiled.param_count() > 0 {
-            return Err(XnfError::Api(format!(
-                "statement has {} unbound parameter(s); use session().prepare(...).bind(...).fetch_co()",
-                compiled.param_count()
-            )));
-        }
+        compiled.require_bound(".fetch_co()")?;
         let query = match compiled.stmt() {
             Statement::Xnf(q) => q.clone(),
             Statement::CreateView {
@@ -84,9 +83,9 @@ impl Database {
             // The cached QEP covers the plain `OUT OF` form; the CREATE VIEW
             // wrapper compiles to a Statement body, so run its query direct.
             Statement::Xnf(_) => self
-                .execute_compiled(&compiled, xnf_exec::Params::default())?
+                .execute_compiled_scoped(&compiled, Params::default(), None)?
                 .try_rows()?,
-            _ => self.run_xnf(&query)?,
+            _ => self.run_query(&Statement::Xnf(query.clone()), Params::default(), None)?,
         };
         let workspace = Workspace::from_result(&result)?;
         let schema = derive_co_schema(self, &query)?;

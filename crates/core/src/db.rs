@@ -22,10 +22,10 @@ use xnf_exec::{
 };
 use xnf_plan::{plan_query, PhysExpr, PlanOptions, Qep};
 use xnf_qgm::{build_select_query, build_xnf_query, OutputKind, Qgm};
-use xnf_rewrite::{rewrite, RewriteOptions};
+use xnf_rewrite::{rewrite, RewriteError, RewriteOptions, RewriteReport};
 use xnf_sql::{
-    parse_statement, parse_statement_params, parse_statements, ColumnDef, Expr, Select, Statement,
-    TypeName, ViewBody, XnfQuery,
+    parse_statement, parse_statement_params, parse_statements, ColumnDef, Expr, Statement,
+    TypeName, ViewBody,
 };
 use xnf_storage::{
     recover, BufferPool, Catalog, CheckpointSnap, Column, DataType, DiskManager, DiskStats,
@@ -821,32 +821,10 @@ impl Database {
         Ok((compiled, false))
     }
 
-    /// Run the full front end (parse → QGM → rewrite → plan) on one
-    /// statement. Queries compile to a QEP; recursive COs and DDL/DML keep
-    /// their AST and are interpreted at execution time.
+    /// Parse one statement and compile it as far as its class allows.
     fn compile_statement(&self, text: &str, generation: u64) -> Result<CompiledStmt> {
         let (stmt, n_params) = parse_statement_params(text)?;
-        let body = match &stmt {
-            Statement::Select(s) => {
-                let mut qgm = build_select_query(&self.catalog, s)?;
-                rewrite(&mut qgm, self.config.rewrite)?;
-                CompiledBody::Query(Arc::new(plan_query(&self.catalog, &qgm, self.config.plan)?))
-            }
-            Statement::Xnf(q) => {
-                let mut qgm = build_xnf_query(&self.catalog, q)?;
-                match rewrite(&mut qgm, self.config.rewrite) {
-                    Ok(_) => CompiledBody::Query(Arc::new(plan_query(
-                        &self.catalog,
-                        &qgm,
-                        self.config.plan,
-                    )?)),
-                    // Cyclic schema graph: fixpoint evaluation path (Sect. 2).
-                    Err(xnf_rewrite::RewriteError::RecursiveCo) => CompiledBody::RecursiveCo,
-                    Err(e) => return Err(e.into()),
-                }
-            }
-            _ => CompiledBody::Statement,
-        };
+        let body = self.compile_body(&stmt)?;
         Ok(CompiledStmt {
             stmt,
             body,
@@ -855,13 +833,36 @@ impl Database {
         })
     }
 
-    /// Execute a compiled statement with parameter bindings (autocommit).
-    pub(crate) fn execute_compiled(
-        &self,
-        compiled: &CompiledStmt,
-        params: Params,
-    ) -> Result<ExecOutcome> {
-        self.execute_compiled_scoped(compiled, params, None)
+    /// The one front end below the parser: QGM → rewrite → plan. Queries
+    /// compile to a QEP; recursive COs (cyclic schema graph, Sect. 2) and
+    /// DDL/DML keep their AST and are interpreted at execution time.
+    fn compile_body(&self, stmt: &Statement) -> Result<CompiledBody> {
+        match self.rewritten_qgm(stmt) {
+            Ok(Some((qgm, _))) => Ok(CompiledBody::Query(Arc::new(plan_query(
+                &self.catalog,
+                &qgm,
+                self.config.plan,
+            )?))),
+            Ok(None) => Ok(CompiledBody::Statement),
+            Err(XnfError::Rewrite(RewriteError::RecursiveCo))
+                if matches!(stmt, Statement::Xnf(_)) =>
+            {
+                Ok(CompiledBody::RecursiveCo)
+            }
+            Err(e) => Err(e),
+        }
+    }
+
+    /// QGM → rewrite for a SELECT or XNF query; `None` for any other
+    /// statement.
+    fn rewritten_qgm(&self, stmt: &Statement) -> Result<Option<(Qgm, RewriteReport)>> {
+        let mut qgm = match stmt {
+            Statement::Select(s) => build_select_query(&self.catalog, s)?,
+            Statement::Xnf(q) => build_xnf_query(&self.catalog, q)?,
+            _ => return Ok(None),
+        };
+        let report = rewrite(&mut qgm, self.config.rewrite)?;
+        Ok(Some((qgm, report)))
     }
 
     /// Execute a compiled statement inside `scope`: reads run against the
@@ -873,28 +874,53 @@ impl Database {
         scope: Scope<'_>,
     ) -> Result<ExecOutcome> {
         match &compiled.body {
-            CompiledBody::Query(qep) => Ok(ExecOutcome::Rows(execute_qep_with_visibility(
-                &self.catalog,
-                qep,
+            CompiledBody::Statement => self.execute_stmt_scoped(&compiled.stmt, &params, scope),
+            body => Ok(ExecOutcome::Rows(self.run_body(
+                &compiled.stmt,
+                body,
                 params,
                 scope_visibility(scope),
             )?)),
-            CompiledBody::RecursiveCo => {
+        }
+    }
+
+    /// Compile (uncached) and run a SELECT or XNF statement under an
+    /// explicit visibility handle (`Some(snapshot)` pins reads to that
+    /// snapshot; `None` reads latest-committed).
+    pub(crate) fn run_query(
+        &self,
+        stmt: &Statement,
+        params: Params,
+        vis: Visibility,
+    ) -> Result<QueryResult> {
+        let body = self.compile_body(stmt)?;
+        self.run_body(stmt, &body, params, vis)
+    }
+
+    /// Run the query body compiled from `stmt`.
+    fn run_body(
+        &self,
+        stmt: &Statement,
+        body: &CompiledBody,
+        params: Params,
+        vis: Visibility,
+    ) -> Result<QueryResult> {
+        match (body, stmt) {
+            (CompiledBody::Query(qep), _) => Ok(execute_qep_with_visibility(
+                &self.catalog,
+                qep,
+                params,
+                vis,
+            )?),
+            (CompiledBody::RecursiveCo, Statement::Xnf(q)) => {
                 if !params.is_empty() {
                     return Err(XnfError::Api(
                         "parameters are not supported in recursive CO queries".to_string(),
                     ));
                 }
-                let Statement::Xnf(q) = &compiled.stmt else {
-                    unreachable!("RecursiveCo body on a non-XNF statement");
-                };
-                Ok(ExecOutcome::Rows(crate::recursion::evaluate_recursive(
-                    self,
-                    q,
-                    scope_visibility(scope),
-                )?))
+                crate::recursion::evaluate_recursive(self, q, vis)
             }
-            CompiledBody::Statement => self.execute_stmt_scoped(&compiled.stmt, &params, scope),
+            _ => Err(XnfError::Api("expected SELECT or OUT OF".to_string())),
         }
     }
 
@@ -905,13 +931,8 @@ impl Database {
     pub fn execute(&self, text: &str) -> Result<ExecOutcome> {
         let key = crate::session::normalize_statement(text);
         let (compiled, _) = self.compile_cached(&key)?;
-        if compiled.n_params > 0 {
-            return Err(XnfError::Api(format!(
-                "statement has {} unbound parameter(s); use session().prepare(...).bind(...)",
-                compiled.n_params
-            )));
-        }
-        self.execute_compiled(&compiled, Params::default())
+        compiled.require_bound("")?;
+        self.execute_compiled_scoped(&compiled, Params::default(), None)
     }
 
     /// Execute a batch of semicolon-separated statements; returns the last
@@ -938,14 +959,9 @@ impl Database {
         scope: Scope<'_>,
     ) -> Result<ExecOutcome> {
         match stmt {
-            Statement::Select(s) => Ok(ExecOutcome::Rows(self.run_select_vis(
-                s,
-                params,
-                scope_visibility(scope),
-            )?)),
-            Statement::Xnf(q) => Ok(ExecOutcome::Rows(self.run_xnf_vis(
-                q,
-                params,
+            Statement::Select(_) | Statement::Xnf(_) => Ok(ExecOutcome::Rows(self.run_query(
+                stmt,
+                params.clone(),
                 scope_visibility(scope),
             )?)),
             Statement::CreateTable { name, columns } => {
@@ -1072,12 +1088,7 @@ impl Database {
     pub fn query_parallel(&self, text: &str) -> Result<QueryResult> {
         let key = crate::session::normalize_statement(text);
         let (compiled, _) = self.compile_cached(&key)?;
-        if compiled.n_params > 0 {
-            return Err(XnfError::Api(format!(
-                "statement has {} unbound parameter(s); use session().prepare(...).bind(...)",
-                compiled.n_params
-            )));
-        }
+        compiled.require_bound("")?;
         match &compiled.body {
             CompiledBody::Query(qep) => Ok(execute_qep_parallel_with_visibility(
                 &self.catalog,
@@ -1086,10 +1097,7 @@ impl Database {
                 None,
             )?),
             CompiledBody::RecursiveCo => {
-                let Statement::Xnf(q) = &compiled.stmt else {
-                    unreachable!("RecursiveCo from a non-XNF statement");
-                };
-                crate::recursion::evaluate_recursive(self, q, None)
+                self.run_body(&compiled.stmt, &compiled.body, Params::default(), None)
             }
             CompiledBody::Statement => Err(XnfError::Api(
                 "query_parallel expects SELECT or OUT OF".to_string(),
@@ -1106,13 +1114,10 @@ impl Database {
             CompiledBody::Statement => Err(XnfError::Api(
                 "query() expects SELECT or OUT OF".to_string(),
             )),
-            _ if compiled.n_params > 0 => Err(XnfError::Api(format!(
-                "statement has {} unbound parameter(s); use session().prepare(...).bind(...)",
-                compiled.n_params
-            ))),
-            _ => self
-                .execute_compiled(&compiled, Params::default())?
-                .try_rows(),
+            body => {
+                compiled.require_bound("")?;
+                self.run_body(&compiled.stmt, body, Params::default(), None)
+            }
         }
     }
 
@@ -1124,19 +1129,9 @@ impl Database {
 
     /// Compile to rewritten QGM (exposed for experiments: op counting,
     /// EXPLAIN, figure dumps).
-    pub fn compile_to_qgm(&self, text: &str) -> Result<(Qgm, xnf_rewrite::RewriteReport)> {
-        let stmt = parse_statement(text)?;
-        let mut qgm = match &stmt {
-            Statement::Select(s) => build_select_query(&self.catalog, s)?,
-            Statement::Xnf(q) => build_xnf_query(&self.catalog, q)?,
-            _ => {
-                return Err(XnfError::Api(
-                    "compile() expects SELECT or OUT OF".to_string(),
-                ))
-            }
-        };
-        let report = rewrite(&mut qgm, self.config.rewrite)?;
-        Ok((qgm, report))
+    pub fn compile_to_qgm(&self, text: &str) -> Result<(Qgm, RewriteReport)> {
+        self.rewritten_qgm(&parse_statement(text)?)?
+            .ok_or_else(|| XnfError::Api("compile() expects SELECT or OUT OF".to_string()))
     }
 
     /// EXPLAIN: the physical plan as text, with this instance's durability
@@ -1189,70 +1184,6 @@ impl Database {
              stamp-ordered apply); mv_roots_respliced={} mv_nodes_reused={} mv_maint_us={}\n",
             s.mv_roots_respliced, s.mv_nodes_reused, s.mv_maint_us
         )
-    }
-
-    pub(crate) fn run_select(&self, s: &Select) -> Result<QueryResult> {
-        self.run_select_params(s, &Params::default())
-    }
-
-    pub(crate) fn run_select_params(&self, s: &Select, params: &Params) -> Result<QueryResult> {
-        self.run_select_vis(s, params, None)
-    }
-
-    /// Run a SELECT under an explicit visibility handle (`Some(snapshot)`
-    /// pins reads to that snapshot; `None` reads latest-committed).
-    pub(crate) fn run_select_vis(
-        &self,
-        s: &Select,
-        params: &Params,
-        vis: Visibility,
-    ) -> Result<QueryResult> {
-        let mut qgm = build_select_query(&self.catalog, s)?;
-        rewrite(&mut qgm, self.config.rewrite)?;
-        let qep = plan_query(&self.catalog, &qgm, self.config.plan)?;
-        Ok(execute_qep_with_visibility(
-            &self.catalog,
-            &qep,
-            params.clone(),
-            vis,
-        )?)
-    }
-
-    pub(crate) fn run_xnf(&self, q: &XnfQuery) -> Result<QueryResult> {
-        self.run_xnf_params(q, &Params::default())
-    }
-
-    pub(crate) fn run_xnf_params(&self, q: &XnfQuery, params: &Params) -> Result<QueryResult> {
-        self.run_xnf_vis(q, params, None)
-    }
-
-    pub(crate) fn run_xnf_vis(
-        &self,
-        q: &XnfQuery,
-        params: &Params,
-        vis: Visibility,
-    ) -> Result<QueryResult> {
-        let mut qgm = build_xnf_query(&self.catalog, q)?;
-        match rewrite(&mut qgm, self.config.rewrite) {
-            Ok(_) => {}
-            Err(xnf_rewrite::RewriteError::RecursiveCo) => {
-                // Cyclic schema graph: fixpoint evaluation path (Sect. 2).
-                if !params.is_empty() {
-                    return Err(XnfError::Api(
-                        "parameters are not supported in recursive CO queries".to_string(),
-                    ));
-                }
-                return crate::recursion::evaluate_recursive(self, q, vis);
-            }
-            Err(e) => return Err(e.into()),
-        }
-        let qep = plan_query(&self.catalog, &qgm, self.config.plan)?;
-        Ok(execute_qep_with_visibility(
-            &self.catalog,
-            &qep,
-            params.clone(),
-            vis,
-        )?)
     }
 
     // -- DML ---------------------------------------------------------------

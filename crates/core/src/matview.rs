@@ -41,12 +41,12 @@
 //!    `REFRESH MATERIALIZED VIEW` always does.
 //!
 //! Commit-time propagation runs as a two-phase pipeline (see
-//! [`prepare_maintenance`] / [`maintain`]): the committing thread first
+//! `prepare_maintenance` / `maintain`): the committing thread first
 //! coalesces its delta chains and re-extracts affected keyed subtrees
 //! against its own snapshot — *outside* the maintenance lock, in parallel
 //! across root keys — then takes the lock for the stamp-ordered apply,
 //! which for CO views is the whole structural diff (`splice`). A per-view
-//! applied-key tracker ([`MaintTracker`]) detects precomputed keys
+//! applied-key tracker (`MaintTracker`) detects precomputed keys
 //! invalidated by an interposed commit; those few are re-extracted
 //! under the lock, so the apply is always equivalent to serial maintenance
 //! in commit-stamp order.
@@ -58,7 +58,9 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use xnf_exec::{eval, truthy, ExecStats, OuterCtx, QueryResult, Row, StreamResult, Visibility};
+use xnf_exec::{
+    eval, truthy, ExecStats, OuterCtx, Params, QueryResult, Row, StreamResult, Visibility,
+};
 use xnf_qgm::OutputKind;
 use xnf_sql::{
     parse_statement, AggFunc, BinOp, Expr, Literal, Select, SelectItem, Statement, TableRef,
@@ -208,7 +210,7 @@ impl XnfInfo {
 pub(crate) fn create_materialized(db: &Database, name: &str, body: &ViewBody) -> Result<()> {
     match body {
         ViewBody::Select(s) => {
-            let result = db.run_select(s)?;
+            let result = db.run_query(&Statement::Select(s.clone()), Params::default(), None)?;
             let stream = result.try_table()?;
             let schema = any_schema(&stream.columns);
             db.catalog().create_materialized_view(
@@ -231,7 +233,7 @@ pub(crate) fn create_materialized(db: &Database, name: &str, body: &ViewBody) ->
                 take: q.take.clone(),
                 restriction: q.restriction.clone(),
             };
-            let result = db.run_xnf(&flat)?;
+            let result = db.run_query(&Statement::Xnf(flat.clone()), Params::default(), None)?;
             let mut streams = Vec::with_capacity(result.streams.len());
             for s in &result.streams {
                 let schema = match s.kind {
@@ -290,12 +292,14 @@ fn repopulate(db: &Database, plan: &MaintPlan) -> Result<()> {
     db.catalog().reset_matview_storage(&plan.name)?;
     match &plan.body {
         BodyPlan::Sql { select, .. } => {
-            let result = db.run_select(select)?;
+            let result =
+                db.run_query(&Statement::Select(select.clone()), Params::default(), None)?;
             let stream = result.try_table()?;
             fill_sql_backing(db, &plan.name, select, &stream.rows)?;
         }
         BodyPlan::Xnf(info) => {
-            let result = db.run_xnf(&info.flat)?;
+            let result =
+                db.run_query(&Statement::Xnf(info.flat.clone()), Params::default(), None)?;
             fill_xnf_backing(db, &plan.name, &info.flat, &result)?;
         }
     }
@@ -1463,7 +1467,7 @@ fn run_keyed_select(
         Some(w) => Expr::and(w, conjunct),
         None => conjunct,
     });
-    let result = db.run_select_vis(&restricted, &xnf_exec::Params::default(), vis)?;
+    let result = db.run_query(&Statement::Select(restricted), Params::default(), vis)?;
     Ok(result.try_table()?.rows.clone())
 }
 

@@ -15,7 +15,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use xnf_exec::{eval, ExecStats, OuterCtx, QueryResult, Row, StreamResult};
 use xnf_plan::PhysExpr;
 use xnf_qgm::OutputKind;
-use xnf_sql::{BinOp, Expr, XnfDef, XnfQuery, XnfRelationship, XnfTake};
+use xnf_sql::{BinOp, Expr, Statement, XnfDef, XnfQuery, XnfRelationship, XnfTake};
 use xnf_storage::Value;
 
 use crate::db::Database;
@@ -48,8 +48,11 @@ pub fn evaluate_recursive(
     for def in &defs {
         match def {
             XnfDef::Table { name, select, root } => {
-                let result =
-                    db.run_select_vis(select, &xnf_exec::Params::default(), Some(snap.clone()))?;
+                let result = db.run_query(
+                    &Statement::Select((**select).clone()),
+                    xnf_exec::Params::default(),
+                    Some(snap.clone()),
+                )?;
                 let stream = result.try_table()?;
                 node_idx.insert(name.to_ascii_lowercase(), nodes.len());
                 nodes.push(Node {

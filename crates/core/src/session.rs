@@ -158,6 +158,19 @@ impl CompiledStmt {
     pub(crate) fn stmt(&self) -> &Statement {
         &self.stmt
     }
+
+    /// The one-shot entry points run without bindings: refuse a statement
+    /// with `?` placeholders, naming the session call (`bind_then`
+    /// follows `bind(...)`) that would bind them.
+    pub(crate) fn require_bound(&self, bind_then: &str) -> Result<()> {
+        if self.n_params > 0 {
+            return Err(XnfError::Api(format!(
+                "statement has {} unbound parameter(s); use session().prepare(...).bind(...){bind_then}",
+                self.n_params
+            )));
+        }
+        Ok(())
+    }
 }
 
 /// Cumulative plan-cache counters (whole database, all sessions).

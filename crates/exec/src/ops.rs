@@ -247,26 +247,22 @@ pub fn build_operator(plan: &PhysPlan) -> Box<dyn Operator> {
             outer_keys,
             inner_keys,
             residual,
-            anti,
         } => Box::new(HashSemiJoinOp {
             outer: build_operator(outer),
             inner: build_operator(inner),
             outer_keys: outer_keys.clone(),
             inner_keys: inner_keys.clone(),
             residual: residual.clone(),
-            anti: *anti,
             table: None,
         }),
         PhysPlan::NlSemiJoin {
             outer,
             inner,
             preds,
-            anti,
         } => Box::new(NlSemiJoinOp {
             outer: build_operator(outer),
             inner: build_operator(inner),
             preds: preds.clone(),
-            anti: *anti,
             inner_buf: None,
         }),
         PhysPlan::SubqueryFilter {
@@ -758,7 +754,6 @@ struct HashSemiJoinOp {
     outer_keys: Vec<PhysExpr>,
     inner_keys: Vec<PhysExpr>,
     residual: Vec<PhysExpr>,
-    anti: bool,
     table: Option<JoinTable>,
 }
 
@@ -796,7 +791,7 @@ impl Operator for HashSemiJoinOp {
                         hit
                     }
                 };
-                keep.push(matched != self.anti);
+                keep.push(matched);
             }
             obatch.retain_indices(&keep);
             if !obatch.is_empty() {
@@ -811,7 +806,6 @@ struct NlSemiJoinOp {
     outer: Box<dyn Operator>,
     inner: Box<dyn Operator>,
     preds: Vec<PhysExpr>,
-    anti: bool,
     inner_buf: Option<Vec<Row>>,
 }
 
@@ -834,7 +828,7 @@ impl Operator for NlSemiJoinOp {
                         break;
                     }
                 }
-                keep.push(matched != self.anti);
+                keep.push(matched);
             }
             obatch.retain_indices(&keep);
             if !obatch.is_empty() {

@@ -180,25 +180,21 @@ fn go(cat: &Catalog, plan: PhysPlan, o: &PlanOptions) -> Lowered {
             outer_keys,
             inner_keys,
             residual,
-            anti,
         } => Lowered::Serial(PhysPlan::HashSemiJoin {
             outer: Box::new(close(go(cat, *outer, o), dop)),
             inner: Box::new(close(go(cat, *inner, o), dop)),
             outer_keys,
             inner_keys,
             residual,
-            anti,
         }),
         PhysPlan::NlSemiJoin {
             outer,
             inner,
             preds,
-            anti,
         } => Lowered::Serial(PhysPlan::NlSemiJoin {
             outer: Box::new(close(go(cat, *outer, o), dop)),
             inner: Box::new(close(go(cat, *inner, o), dop)),
             preds,
-            anti,
         }),
         PhysPlan::SubqueryFilter {
             input,

@@ -211,7 +211,7 @@ pub enum PhysPlan {
         right: Box<PhysPlan>,
         preds: Vec<PhysExpr>,
     },
-    /// Hash semijoin / antijoin: emits outer rows with (no) inner match.
+    /// Hash semijoin: emits outer rows with an inner match.
     HashSemiJoin {
         outer: Box<PhysPlan>,
         inner: Box<PhysPlan>,
@@ -220,14 +220,12 @@ pub enum PhysPlan {
         inner_keys: Vec<PhysExpr>,
         /// Residual over outer ++ inner (must hold for a match).
         residual: Vec<PhysExpr>,
-        anti: bool,
     },
     /// Nested-loops semijoin for non-equi conditions.
     NlSemiJoin {
         outer: Box<PhysPlan>,
         inner: Box<PhysPlan>,
         preds: Vec<PhysExpr>,
-        anti: bool,
     },
     /// Tuple-at-a-time correlated subquery evaluation: for every input row,
     /// execute `subplan` with the row's leg values bound in the context; the
@@ -393,12 +391,10 @@ impl PhysPlan {
                 outer_keys,
                 inner_keys,
                 residual,
-                anti,
             } => {
                 let _ = writeln!(
                     out,
-                    "{pad}Hash{}Join o={} i={} residual={}",
-                    if *anti { "Anti" } else { "Semi" },
+                    "{pad}HashSemiJoin o={} i={} residual={}",
                     fmt_exprs(outer_keys),
                     fmt_exprs(inner_keys),
                     fmt_preds(residual)
@@ -410,14 +406,8 @@ impl PhysPlan {
                 outer,
                 inner,
                 preds,
-                anti,
             } => {
-                let _ = writeln!(
-                    out,
-                    "{pad}Nl{}Join {}",
-                    if *anti { "Anti" } else { "Semi" },
-                    fmt_preds(preds)
-                );
+                let _ = writeln!(out, "{pad}NlSemiJoin {}", fmt_preds(preds));
                 outer.explain_into(depth + 1, out);
                 inner.explain_into(depth + 1, out);
             }

@@ -1160,7 +1160,6 @@ impl<'a> Planner<'a> {
                 outer: Box::new(outer),
                 inner: Box::new(inner_plan),
                 preds: residual,
-                anti: false,
             }
         } else {
             PhysPlan::HashSemiJoin {
@@ -1169,7 +1168,6 @@ impl<'a> Planner<'a> {
                 outer_keys,
                 inner_keys,
                 residual,
-                anti: false,
             }
         })
     }

@@ -245,7 +245,16 @@ fn dop_one_reproduces_serial_plans_exactly() {
         "SELECT e.ename, d.dname FROM EMP e, DEPT d WHERE e.edno = d.dno",
         "SELECT edno, COUNT(*) FROM EMP GROUP BY edno",
     ] {
-        let serial = plan_sql(&cat, sql, PlanOptions::default());
+        // The serial reference pins dop 1 with the default page gate: the
+        // default dop follows the host's core count.
+        let serial = plan_sql(
+            &cat,
+            sql,
+            PlanOptions {
+                dop: 1,
+                ..Default::default()
+            },
+        );
         let one = plan_sql(&cat, sql, parallel_opts(1));
         assert_eq!(serial.explain(), one.explain(), "{sql}");
         for word in ["Parallel", "Exchange", "Morsel"] {

@@ -5,57 +5,30 @@
 //!                [--dist uniform|zipfian[:THETA]] [--no-oracle] [--durable]
 //! workload tpcc  [--txns N] [--clients N] [--seed N] [--no-oracle]
 //!                [--durable]
-//! workload bench --pr N --title T [--out FILE] [--clients N] [--scale F]
-//!                [--durable] [--repeats N]
-//! workload gate  [--dir DIR]
-//! workload schema-check [--dir DIR]
 //! ```
 //!
 //! `ycsb` / `tpcc` run one driver and print the latency table; with the
-//! oracle on (default) a non-zero violation count exits 1. `bench` runs
-//! both drivers at the committed reference configuration and writes a
-//! `BENCH_<pr>.json`-shaped report. `gate` replays the perf-regression
-//! gate over every committed `BENCH_*.json`; `schema-check` just parses
-//! them. `--dop` is accepted as an alias of `--clients`. `--durable`
-//! runs against a WAL-backed on-disk database (fsync off) and reports
-//! under the distinct `ycsb_durable` / `tpcc_lite_durable` driver keys,
-//! so the gate compares durable runs only against durable baselines; for
-//! `bench` it *additionally* runs both durable variants and commits all
-//! four driver sections. `bench` runs each reference driver `--repeats`
-//! times (default 3, quiescing the host in between) and commits the
-//! highest-throughput repeat with each op class's tail taken from its
-//! own quietest repeat — on a small closed-loop host, single-run p99s
-//! for the low-count op classes are scheduler-luck draws that would make
-//! the 15% gate a coin flip, and the repeat that dodges the descheduling
-//! event differs per class; per-metric min-of-N recovers the engine's
-//! actual tails, the same way criterion reports minima. Oracle
-//! violations are summed over every repeat, never sampled away.
+//! oracle on (default) a non-zero violation count exits 1. `--dop` is
+//! accepted as an alias of `--clients`. `--durable` runs against a
+//! WAL-backed on-disk database (fsync off) and reports under the distinct
+//! `ycsb_durable` / `tpcc_lite_durable` driver keys. Performance numbers
+//! of record come from the repository's `benchmark/` package.
 
-use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::Arc;
-use std::time::Duration;
 
-use xnf_workload::json::Json;
 use xnf_workload::keys::KeyDist;
-use xnf_workload::{
-    gate_history, load_bench_dir, run_tpcc, run_ycsb, DriverMetrics, TpccConfig, Violations,
-    YcsbConfig,
-};
+use xnf_workload::{run_tpcc, run_ycsb, TpccConfig, YcsbConfig};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else {
-        eprintln!("usage: workload <ycsb|tpcc|bench|gate|schema-check> [flags]");
+        eprintln!("usage: workload <ycsb|tpcc> [flags]");
         return ExitCode::FAILURE;
     };
     let flags = Flags::parse(&args[1..]);
     match cmd.as_str() {
         "ycsb" => cmd_ycsb(&flags),
         "tpcc" => cmd_tpcc(&flags),
-        "bench" => cmd_bench(&flags),
-        "gate" => cmd_gate(&flags),
-        "schema-check" => cmd_schema_check(&flags),
         other => {
             eprintln!("unknown subcommand '{other}'");
             ExitCode::FAILURE
@@ -165,296 +138,4 @@ fn report_violations(
     }
     println!("{driver}: oracle clean ({} checks)", violations.checks());
     ExitCode::SUCCESS
-}
-
-/// The reference configuration committed in BENCH files. `scale`
-/// multiplies op counts (1.0 == the committed reference).
-fn reference_configs(clients: usize, scale: f64) -> (YcsbConfig, TpccConfig) {
-    let scaled = |n: u64| ((n as f64 * scale) as u64).max(1);
-    let ycsb = YcsbConfig {
-        records: 5_000,
-        ops: scaled(40_000),
-        clients,
-        ..YcsbConfig::default()
-    };
-    // TPC-C write commits carry matview maintenance, but the coalesced
-    // pre-lock pipeline keeps only the stamp-ordered apply serialized —
-    // 5k txns keeps the reference run (and the CI lane) fast while still
-    // generating real conflict-retry contention on the hot district rows.
-    let tpcc = TpccConfig {
-        txns: scaled(5_000),
-        clients,
-        ..TpccConfig::default()
-    };
-    (ycsb, tpcc)
-}
-
-fn cmd_bench(flags: &Flags) -> ExitCode {
-    let pr: u64 = flags.num("pr", 0);
-    if pr == 0 {
-        eprintln!("bench requires --pr <number>");
-        return ExitCode::FAILURE;
-    }
-    let title = flags
-        .get("title")
-        .unwrap_or("workload harness reference run")
-        .to_string();
-    let out_path: PathBuf = flags
-        .get("out")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from(format!("BENCH_{pr}.json")));
-    let clients = flags.clients(4);
-    let scale: f64 = flags.num("scale", 1.0);
-
-    let repeats: u32 = flags.num("repeats", 3);
-
-    let mut drivers = Vec::new();
-    let mut dirty: Vec<String> = Vec::new();
-    let (ycsb_cfg, tpcc_cfg) = reference_configs(clients, scale);
-    run_reference_pair(&ycsb_cfg, &tpcc_cfg, repeats, &mut drivers, &mut dirty);
-    if flags.has("durable") {
-        let (mut ycsb_cfg, mut tpcc_cfg) = reference_configs(clients, scale);
-        ycsb_cfg.durable = true;
-        tpcc_cfg.durable = true;
-        run_reference_pair(&ycsb_cfg, &tpcc_cfg, repeats, &mut drivers, &mut dirty);
-    }
-
-    let host = std::env::var("HOSTNAME")
-        .ok()
-        .filter(|h| !h.is_empty())
-        .or_else(hostname_cmd)
-        .unwrap_or_else(|| "unknown".to_string());
-    let date = flags
-        .get("date")
-        .map(str::to_string)
-        .or_else(date_cmd)
-        .unwrap_or_else(|| "unknown".to_string());
-
-    let doc = Json::obj(vec![
-        ("pr", Json::num(pr as f64)),
-        ("title", Json::str(&title)),
-        ("date", Json::str(&date)),
-        ("host", Json::str(&host)),
-        (
-            "workload",
-            Json::obj(vec![
-                ("schema_version", Json::num(1.0)),
-                (
-                    "gate",
-                    Json::obj(vec![("max_regression_pct", Json::num(15.0))]),
-                ),
-                ("drivers", Json::Arr(drivers)),
-            ]),
-        ),
-    ]);
-    if let Err(e) = std::fs::write(&out_path, doc.to_pretty()) {
-        eprintln!("writing {}: {e}", out_path.display());
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {}", out_path.display());
-    if !dirty.is_empty() {
-        for line in &dirty {
-            eprintln!("violations: {line}");
-        }
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
-}
-
-/// Tail score for choosing the reference run among repeats: the mean of
-/// `ln(p99)` across op classes (i.e. the log of the geometric-mean p99).
-/// On a small closed-loop host a single descheduling event among a
-/// class's few hundred samples swings its p99 by an order of magnitude,
-/// so the run with the lowest score is the one whose tail reflects the
-/// engine rather than scheduler luck.
-fn tail_score(m: &DriverMetrics) -> f64 {
-    let (mut sum, mut n) = (0.0f64, 0u32);
-    for (_, h) in m.class_entries() {
-        let (_, _, p99) = h.percentiles_us();
-        if p99 > 0.0 {
-            sum += p99.ln();
-            n += 1;
-        }
-    }
-    if n == 0 {
-        f64::INFINITY
-    } else {
-        sum / n as f64
-    }
-}
-
-/// Let the host settle between reference runs: flush pending filesystem
-/// writeback so a durable run's trailing I/O (journal flushes, page
-/// cache eviction of its just-deleted data directory) cannot pollute
-/// the next run's latency tail on a small host.
-fn quiesce() {
-    let _ = std::process::Command::new("sync").status();
-    std::thread::sleep(Duration::from_millis(300));
-}
-
-/// Run one reference driver `repeats` times (quiescing in between).
-/// The committed section is the highest-throughput repeat's run-level
-/// figures with each op class's histogram folded to its own quietest
-/// repeat ([`DriverMetrics::fold_min_tails`]) — per-metric min-of-N,
-/// the way criterion reports minima. Oracle violations are summed over
-/// *every* repeat: correctness is never sampled away, only noise.
-fn best_of(
-    repeats: u32,
-    dirty: &mut Vec<String>,
-    run: impl Fn() -> (DriverMetrics, Arc<Violations>),
-) -> (DriverMetrics, u64) {
-    let mut runs: Vec<DriverMetrics> = Vec::new();
-    let mut violations = 0u64;
-    for rep in 0..repeats.max(1) {
-        quiesce();
-        let (metrics, v) = run();
-        violations += v.count();
-        if v.count() > 0 {
-            dirty.push(format!(
-                "{} (repeat {}):\n  {}",
-                metrics.driver,
-                rep + 1,
-                v.samples().join("\n  ")
-            ));
-        }
-        eprintln!(
-            "  repeat {}/{}: {:.0} ops/s, geomean p99 {:.0} µs",
-            rep + 1,
-            repeats.max(1),
-            metrics.ops_per_sec(),
-            tail_score(&metrics).exp()
-        );
-        runs.push(metrics);
-    }
-    let base = runs
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.ops_per_sec().total_cmp(&b.1.ops_per_sec()))
-        .map(|(i, _)| i)
-        .expect("at least one repeat");
-    let mut best = runs.swap_remove(base);
-    for other in &runs {
-        best.fold_min_tails(other);
-    }
-    (best, violations)
-}
-
-/// Run the (ycsb, tpcc_lite) reference pair for one durability mode,
-/// appending each driver's best-of-`repeats` section and any oracle
-/// violations.
-fn run_reference_pair(
-    ycsb_cfg: &YcsbConfig,
-    tpcc_cfg: &TpccConfig,
-    repeats: u32,
-    drivers: &mut Vec<Json>,
-    dirty: &mut Vec<String>,
-) {
-    eprintln!(
-        "running {} reference ({} ops, {} clients, best of {})…",
-        if ycsb_cfg.durable {
-            "ycsb_durable"
-        } else {
-            "ycsb"
-        },
-        ycsb_cfg.ops,
-        ycsb_cfg.clients,
-        repeats.max(1),
-    );
-    let (metrics, violations) = best_of(repeats, dirty, || {
-        let r = run_ycsb(ycsb_cfg);
-        (r.metrics, r.violations)
-    });
-    eprint!("{}", metrics.render(violations));
-    drivers.push(metrics.to_json(ycsb_cfg.config_json(), ycsb_cfg.oracle, violations));
-
-    eprintln!(
-        "running {} reference ({} txns, {} clients, best of {})…",
-        if tpcc_cfg.durable {
-            "tpcc_lite_durable"
-        } else {
-            "tpcc_lite"
-        },
-        tpcc_cfg.txns,
-        tpcc_cfg.clients,
-        repeats.max(1),
-    );
-    let (metrics, violations) = best_of(repeats, dirty, || {
-        let r = run_tpcc(tpcc_cfg);
-        (r.metrics, r.violations)
-    });
-    eprint!("{}", metrics.render(violations));
-    drivers.push(metrics.to_json(tpcc_cfg.config_json(), tpcc_cfg.oracle, violations));
-}
-
-fn bench_dir(flags: &Flags) -> PathBuf {
-    flags
-        .get("dir")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("."))
-}
-
-fn cmd_gate(flags: &Flags) -> ExitCode {
-    let dir = bench_dir(flags);
-    let files = match load_bench_dir(&dir) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("gate: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let parsed: Vec<_> = files.iter().map(|(_, f)| f.clone()).collect();
-    let outcome = gate_history(&parsed);
-    for line in &outcome.comparisons {
-        println!("  {line}");
-    }
-    if outcome.passed() {
-        println!("gate: PASS ({} comparison(s))", outcome.comparisons.len());
-        ExitCode::SUCCESS
-    } else {
-        for f in &outcome.failures {
-            eprintln!("gate: FAIL — {f}");
-        }
-        ExitCode::FAILURE
-    }
-}
-
-fn cmd_schema_check(flags: &Flags) -> ExitCode {
-    let dir = bench_dir(flags);
-    match load_bench_dir(&dir) {
-        Ok(files) => {
-            for (path, f) in &files {
-                println!(
-                    "  {}: pr {} ({}){}",
-                    path.display(),
-                    f.pr,
-                    f.title,
-                    if f.workload.is_some() {
-                        " + workload section"
-                    } else {
-                        ""
-                    }
-                );
-            }
-            println!("schema-check: {} file(s) OK", files.len());
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("schema-check: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn hostname_cmd() -> Option<String> {
-    cmd_stdout("hostname", &[])
-}
-
-fn date_cmd() -> Option<String> {
-    cmd_stdout("date", &["+%Y-%m-%d"])
-}
-
-fn cmd_stdout(bin: &str, args: &[&str]) -> Option<String> {
-    let out = std::process::Command::new(bin).args(args).output().ok()?;
-    let s = String::from_utf8_lossy(&out.stdout).trim().to_string();
-    (!s.is_empty()).then_some(s)
 }

@@ -21,13 +21,6 @@ pub enum KeyDist {
 }
 
 impl KeyDist {
-    pub fn label(&self) -> String {
-        match self {
-            KeyDist::Uniform => "uniform".to_string(),
-            KeyDist::Zipfian(t) => format!("zipfian({t})"),
-        }
-    }
-
     pub fn parse(s: &str) -> Option<KeyDist> {
         match s {
             "uniform" => Some(KeyDist::Uniform),

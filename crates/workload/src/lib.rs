@@ -20,16 +20,14 @@
 //! table-by-table differential check at quiesce. See [`oracle`] for the
 //! shared machinery and the determinism-under-concurrency contract.
 //!
-//! [`metrics`] + [`hist`] collect per-op-class latency histograms;
-//! [`schema`] defines the committed `BENCH_*.json` workload section and
-//! the CI perf-regression gate over the repo's BENCH history.
+//! [`metrics`] + [`hist`] collect per-op-class latency histograms for the
+//! CLI's latency table. Performance of record is measured by the
+//! repository's `benchmark/` package, not here.
 
 pub mod hist;
-pub mod json;
 pub mod keys;
 pub mod metrics;
 pub mod oracle;
-pub mod schema;
 pub mod tpcc;
 pub mod ycsb;
 
@@ -37,6 +35,5 @@ pub use hist::Histogram;
 pub use keys::{KeyChooser, KeyDist};
 pub use metrics::{ClassRecorder, DriverMetrics};
 pub use oracle::Violations;
-pub use schema::{gate_history, load_bench_dir, parse_bench_file, BenchFile, GateOutcome};
 pub use tpcc::{run_tpcc, TpccConfig, TpccRun};
 pub use ycsb::{run_ycsb, YcsbConfig, YcsbRun};

@@ -1,16 +1,13 @@
-//! Per-op-class metrics collection and the machine-readable driver report.
+//! Per-op-class metrics collection and the driver's latency table.
 //!
 //! Each client thread records latencies into its own [`ClassRecorder`]
 //! (no shared state on the op path); at quiesce the per-thread recorders
-//! merge into one [`DriverMetrics`], which renders both a human summary and
-//! the `workload.drivers[]` JSON section of a `BENCH_*.json` file
-//! (see [`crate::schema`] for the committed shape).
+//! merge into one [`DriverMetrics`], which renders the human summary.
 
 use std::collections::BTreeMap;
 use std::time::Duration;
 
 use crate::hist::Histogram;
-use crate::json::Json;
 
 /// One thread's latency recorders, keyed by op class name.
 #[derive(Default)]
@@ -76,80 +73,6 @@ impl DriverMetrics {
         self.classes.get(name)
     }
 
-    /// Every class histogram, in class-name order — the bench reference
-    /// runner scores candidate runs by their tails via this.
-    pub fn class_entries(&self) -> impl Iterator<Item = (&'static str, &Histogram)> {
-        self.classes.iter().map(|(k, v)| (*k, v))
-    }
-
-    /// For each op class, keep whichever of the two histograms has the
-    /// lower p99 (criterion-style min-of-N, applied per metric). On a
-    /// small closed-loop host a single descheduling event among a
-    /// class's few hundred samples swings its p99 by an order of
-    /// magnitude, and the repeat that dodges it differs per class — so
-    /// the bench reference runner folds every repeat through this to
-    /// converge on the engine's tail instead of one run's scheduler
-    /// luck. Each class entry stays internally consistent (count and
-    /// percentiles from one actual run of that class).
-    pub fn fold_min_tails(&mut self, other: &DriverMetrics) {
-        for (class, theirs) in &other.classes {
-            match self.classes.get_mut(class) {
-                Some(ours) => {
-                    let (_, _, our_p99) = ours.percentiles_us();
-                    let (_, _, their_p99) = theirs.percentiles_us();
-                    if their_p99 < our_p99 {
-                        *ours = theirs.clone();
-                    }
-                }
-                None => {
-                    self.classes.insert(class, theirs.clone());
-                }
-            }
-        }
-    }
-
-    /// The `workload.drivers[]` entry for this run. `config` is the
-    /// driver's knob summary; `violations` the oracle's final count.
-    pub fn to_json(&self, config: Json, oracle: bool, violations: u64) -> Json {
-        let secs = self.elapsed.as_secs_f64();
-        let op_classes: Vec<Json> = self
-            .classes
-            .iter()
-            .map(|(class, h)| {
-                let (p50, p95, p99) = h.percentiles_us();
-                Json::obj(vec![
-                    ("class", Json::str(*class)),
-                    ("count", Json::num(h.count() as f64)),
-                    (
-                        "ops_per_sec",
-                        Json::num(round2(if secs == 0.0 {
-                            0.0
-                        } else {
-                            h.count() as f64 / secs
-                        })),
-                    ),
-                    ("mean_us", Json::num(round2(h.mean_ns() / 1_000.0))),
-                    ("p50_us", Json::num(round2(p50))),
-                    ("p95_us", Json::num(round2(p95))),
-                    ("p99_us", Json::num(round2(p99))),
-                    ("max_us", Json::num(round2(h.max_ns() as f64 / 1_000.0))),
-                ])
-            })
-            .collect();
-        Json::obj(vec![
-            ("driver", Json::str(self.driver)),
-            ("config", config),
-            ("oracle", Json::Bool(oracle)),
-            ("elapsed_ms", Json::num(round2(secs * 1_000.0))),
-            ("total_ops", Json::num(self.total_ops() as f64)),
-            ("ops_per_sec", Json::num(round2(self.ops_per_sec()))),
-            ("conflict_retries", Json::num(self.retries as f64)),
-            ("invariant_checks", Json::num(self.invariant_checks as f64)),
-            ("invariant_violations", Json::num(violations as f64)),
-            ("op_classes", Json::Arr(op_classes)),
-        ])
-    }
-
     /// Human-readable summary table (the CLI's per-run output).
     pub fn render(&self, violations: u64) -> String {
         use std::fmt::Write as _;
@@ -191,8 +114,4 @@ impl DriverMetrics {
         }
         out
     }
-}
-
-pub(crate) fn round2(v: f64) -> f64 {
-    (v * 100.0).round() / 100.0
 }

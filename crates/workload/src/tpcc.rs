@@ -29,7 +29,6 @@ use rand::{Rng, SeedableRng};
 use xnf_core::client_server::run_sessions;
 use xnf_core::{Database, DbConfig, Session, TempDir, Value, XnfError};
 
-use crate::json::Json;
 use crate::keys::{KeyChooser, KeyDist};
 use crate::metrics::{ClassRecorder, DriverMetrics};
 use crate::oracle::{abort_quietly, canon_co, retry_conflicts, rows_of, Violations};
@@ -86,8 +85,7 @@ pub struct TpccConfig {
     pub check_every: u64,
     /// Run against a WAL-backed on-disk database (group commit, fsync
     /// off) instead of in-memory, so durability costs show up in the
-    /// metrics. Reported under the distinct driver key
-    /// `tpcc_lite_durable` so the regression gate compares like-for-like.
+    /// metrics. Reported under the distinct driver key `tpcc_lite_durable`.
     pub durable: bool,
 }
 
@@ -117,30 +115,6 @@ impl TpccConfig {
 
     pub fn customers(&self) -> u64 {
         self.districts() * self.customers_per_d
-    }
-
-    pub fn config_json(&self) -> Json {
-        Json::obj(vec![
-            ("warehouses", Json::num(self.warehouses as f64)),
-            ("districts_per_w", Json::num(self.districts_per_w as f64)),
-            ("customers_per_d", Json::num(self.customers_per_d as f64)),
-            ("txns", Json::num(self.txns as f64)),
-            ("clients", Json::num(self.clients as f64)),
-            ("seed", Json::num(self.seed as f64)),
-            ("rollback_pct", Json::num(self.rollback_pct as f64)),
-            ("customer_dist", Json::str(self.customer_dist.label())),
-            ("durable", Json::Bool(self.durable)),
-            (
-                "mix",
-                Json::obj(vec![
-                    ("transfer", Json::num(self.mix.transfer as f64)),
-                    ("new_order", Json::num(self.mix.new_order as f64)),
-                    ("order_status", Json::num(self.mix.order_status as f64)),
-                    ("summary", Json::num(self.mix.summary as f64)),
-                    ("co_fetch", Json::num(self.mix.co_fetch as f64)),
-                ]),
-            ),
-        ])
     }
 }
 

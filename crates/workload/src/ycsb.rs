@@ -31,7 +31,6 @@ use xnf_core::client_server::run_sessions;
 use xnf_core::{Database, DbConfig, Session, TempDir, Value};
 use xnf_fixtures::{build_paper_db_with, PaperScale, DEPS_ARC};
 
-use crate::json::Json;
 use crate::keys::{KeyChooser, KeyDist};
 use crate::metrics::{ClassRecorder, DriverMetrics};
 use crate::oracle::{canon_co, retry_conflicts, rows_of, Violations};
@@ -83,8 +82,7 @@ pub struct YcsbConfig {
     pub paper_departments: usize,
     /// Run against a WAL-backed on-disk database (group commit, fsync
     /// off) instead of in-memory, so durability costs show up in the
-    /// metrics. Reported under the distinct driver key `ycsb_durable` so
-    /// the regression gate compares like-for-like.
+    /// metrics. Reported under the distinct driver key `ycsb_durable`.
     pub durable: bool,
 }
 
@@ -103,31 +101,6 @@ impl Default for YcsbConfig {
             paper_departments: 8,
             durable: false,
         }
-    }
-}
-
-impl YcsbConfig {
-    pub fn config_json(&self) -> Json {
-        Json::obj(vec![
-            ("records", Json::num(self.records as f64)),
-            ("ops", Json::num(self.ops as f64)),
-            ("clients", Json::num(self.clients as f64)),
-            ("seed", Json::num(self.seed as f64)),
-            ("distribution", Json::str(self.dist.label())),
-            ("scan_len", Json::num(self.scan_len as f64)),
-            ("durable", Json::Bool(self.durable)),
-            (
-                "mix",
-                Json::obj(vec![
-                    ("read", Json::num(self.mix.read as f64)),
-                    ("update", Json::num(self.mix.update as f64)),
-                    ("insert", Json::num(self.mix.insert as f64)),
-                    ("scan", Json::num(self.mix.scan as f64)),
-                    ("rmw_txn", Json::num(self.mix.rmw as f64)),
-                    ("co_fetch", Json::num(self.mix.co_fetch as f64)),
-                ]),
-            ),
-        ])
     }
 }
 

@@ -8,8 +8,8 @@
 
 pub use xnf_core::*;
 
-/// The oracle-checked workload harness (YCSB-style and TPC-C-lite drivers,
-/// latency histograms, the `BENCH_*.json` schema and perf-regression gate).
+/// The oracle-checked workload drivers (YCSB-style and TPC-C-lite
+/// correctness soaks with per-class latency histograms).
 pub use xnf_workload as workload;
 
 /// The layered crates, re-exported for direct access.
