@@ -42,6 +42,11 @@ pub fn census_plan(plan: &PhysPlan) -> OpCensus {
             PhysPlan::SeqScan { filter, .. } if !filter.is_empty()
         ) || matches!(p, PhysPlan::IndexEq { .. })
             || matches!(p, PhysPlan::Filter { .. })
+            || matches!(
+                p,
+                PhysPlan::IndexNlJoin { filter, .. } | PhysPlan::IndexSemiJoin { filter, .. }
+                    if !filter.is_empty()
+            )
     });
     let joins = plan.count_ops(&mut |p| {
         matches!(
@@ -50,6 +55,8 @@ pub fn census_plan(plan: &PhysPlan) -> OpCensus {
                 | PhysPlan::NlJoin { .. }
                 | PhysPlan::HashSemiJoin { .. }
                 | PhysPlan::NlSemiJoin { .. }
+                | PhysPlan::IndexNlJoin { .. }
+                | PhysPlan::IndexSemiJoin { .. }
                 | PhysPlan::SubqueryFilter { .. }
         )
     });
@@ -95,6 +102,8 @@ pub fn op_signatures(plan: &PhysPlan, out: &mut Vec<String>) {
                 | PhysPlan::NlJoin { .. }
                 | PhysPlan::HashSemiJoin { .. }
                 | PhysPlan::NlSemiJoin { .. }
+                | PhysPlan::IndexNlJoin { .. }
+                | PhysPlan::IndexSemiJoin { .. }
                 | PhysPlan::SubqueryFilter { .. }
         ) || matches!(p, PhysPlan::SeqScan { filter, .. } if !filter.is_empty())
             || matches!(p, PhysPlan::IndexEq { .. })
@@ -117,7 +126,9 @@ pub fn op_signatures(plan: &PhysPlan, out: &mut Vec<String>) {
         | PhysPlan::ExchangeGather { input, .. }
         | PhysPlan::ExchangeHashPartition { input, .. }
         | PhysPlan::HashAggregate { input, .. }
-        | PhysPlan::ParallelHashAggregate { input, .. } => op_signatures(input, out),
+        | PhysPlan::ParallelHashAggregate { input, .. }
+        | PhysPlan::IndexNlJoin { left: input, .. }
+        | PhysPlan::IndexSemiJoin { inner: input, .. } => op_signatures(input, out),
         PhysPlan::HashJoin { left, right, .. } | PhysPlan::NlJoin { left, right, .. } => {
             op_signatures(left, out);
             op_signatures(right, out);

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use xnf_plan::{AggSpec, PhysExpr, PhysPlan, DEFAULT_BATCH_SIZE};
 use xnf_sql::AggFunc;
-use xnf_storage::{Catalog, Table, Value};
+use xnf_storage::{Catalog, IndexDef, Rid, ScanOrder, Table, Value};
 
 use crate::batch::{BatchBuilder, RowBatch};
 use crate::error::{ExecError, Result};
@@ -203,8 +203,38 @@ pub fn build_operator(plan: &PhysPlan) -> Box<dyn Operator> {
             index: index.clone(),
             key: key.clone(),
             filter: filter.clone(),
-            rids: None,
-            pos: 0,
+            cursor: None,
+        }),
+        PhysPlan::IndexNlJoin {
+            left,
+            table,
+            index,
+            key,
+            filter,
+            residual,
+        } => Box::new(IndexNlJoinOp {
+            left: build_operator(left),
+            table: table.clone(),
+            index: index.clone(),
+            key: key.clone(),
+            filter: filter.clone(),
+            residual: residual.clone(),
+            probe: None,
+            current: None,
+        }),
+        PhysPlan::IndexSemiJoin {
+            table,
+            index,
+            filter,
+            inner,
+            inner_key,
+        } => Box::new(IndexSemiJoinOp {
+            table: table.clone(),
+            index: index.clone(),
+            filter: filter.clone(),
+            inner: build_operator(inner),
+            inner_key: inner_key.clone(),
+            cursor: None,
         }),
         PhysPlan::SharedScan { id } => Box::new(SharedScanOp {
             id: *id,
@@ -436,60 +466,220 @@ impl Operator for SeqScanOp {
     }
 }
 
+/// The one index-probe path, shared by [`IndexEqOp`], [`IndexNlJoinOp`]
+/// and [`IndexSemiJoinOp`]: an index of a table, opened once per operator,
+/// plus the order a scan of the table visits its rows.
+struct IndexProbe {
+    table: Arc<Table>,
+    def: IndexDef,
+    order: ScanOrder,
+}
+
+impl IndexProbe {
+    fn open(rt: &Runtime<'_>, table: &str, index: &str) -> Result<IndexProbe> {
+        let table = rt.catalog.table(table)?;
+        let def = table
+            .index_def(index)
+            .ok_or_else(|| ExecError::Type(format!("unknown index '{index}'")))?;
+        let order = table.scan_order();
+        Ok(IndexProbe { table, def, order })
+    }
+
+    /// The postings of `keys`, sorted into heap scan order. A key holding
+    /// a NULL matches nothing (SQL equality) and is not probed.
+    fn cursor(&self, mut keys: Vec<Vec<Value>>) -> Result<ProbeCursor> {
+        keys.retain(|k| !k.iter().any(Value::is_null));
+        let mut postings = Vec::new();
+        for (i, key) in keys.iter().enumerate() {
+            let rids = self.table.index_lookup(&self.def.name, key)?;
+            postings.extend(rids.into_iter().map(|rid| (rid, i)));
+        }
+        // Stable, so a RID posted under several keys (a stale posting
+        // beside the live one) keeps its entries together, in key order.
+        postings.sort_by_key(|&(rid, _)| self.order.key(rid));
+        Ok(ProbeCursor {
+            keys,
+            postings,
+            pos: 0,
+            last_hit: None,
+        })
+    }
+}
+
+/// One probe's postings, resolved in heap scan order on demand.
+struct ProbeCursor {
+    keys: Vec<Vec<Value>>,
+    /// `(rid, index into keys)`.
+    postings: Vec<(Rid, usize)>,
+    pos: usize,
+    /// The last RID that resolved to a row: a RID found under several keys
+    /// is emitted once.
+    last_hit: Option<Rid>,
+}
+
+impl ProbeCursor {
+    /// Resolve postings under the run's snapshot until `out` holds `limit`
+    /// rows or the postings run out. Postings cover every tuple version
+    /// (and may dangle after a concurrent rollback reclaims one); only
+    /// versions that are visible to the snapshot and still carry the
+    /// probed key count as scanned rows, the rest as skipped.
+    fn fill(
+        &mut self,
+        probe: &IndexProbe,
+        rt: &mut Runtime<'_>,
+        filter: &CompiledPreds<'_>,
+        limit: usize,
+        out: &mut Vec<Row>,
+    ) -> Result<()> {
+        while out.len() < limit && self.pos < self.postings.len() {
+            let (rid, k) = self.postings[self.pos];
+            self.pos += 1;
+            if self.last_hit == Some(rid) {
+                continue;
+            }
+            let Some(tuple) =
+                probe
+                    .table
+                    .resolve_posting(rid, &rt.snapshot, &probe.def, &self.keys[k])?
+            else {
+                rt.stats.rows_skipped_visibility += 1;
+                continue;
+            };
+            self.last_hit = Some(rid);
+            rt.stats.rows_scanned += 1;
+            if filter.is_empty() || filter.matches(&tuple.values, &rt.outer)? {
+                out.push(tuple.values);
+            }
+        }
+        Ok(())
+    }
+
+    /// The next batch of resolved rows, `None` once the postings run out.
+    fn next_batch(
+        &mut self,
+        probe: &IndexProbe,
+        rt: &mut Runtime<'_>,
+        filter: &[PhysExpr],
+    ) -> Result<Option<RowBatch>> {
+        let mut rows = Vec::new();
+        let limit = rt.batch_size;
+        self.fill(probe, rt, &CompiledPreds::compile(filter), limit, &mut rows)?;
+        Ok((!rows.is_empty()).then(|| RowBatch::from_rows(rows)))
+    }
+}
+
 struct IndexEqOp {
     table: String,
     index: String,
     key: Vec<PhysExpr>,
     filter: Vec<PhysExpr>,
-    /// Postings from the index probe (plus the probed key and index
-    /// definition for per-posting re-verification); streamed out in
-    /// batch-sized slices.
-    rids: Option<(Vec<xnf_storage::Rid>, Vec<Value>, xnf_storage::IndexDef)>,
-    pos: usize,
+    cursor: Option<(IndexProbe, ProbeCursor)>,
 }
 
 impl Operator for IndexEqOp {
     fn next_batch(&mut self, rt: &mut Runtime<'_>) -> Result<Option<RowBatch>> {
-        let t = rt.catalog.table(&self.table)?;
-        if self.rids.is_none() {
+        if self.cursor.is_none() {
             let mut key = Vec::with_capacity(self.key.len());
             for e in &self.key {
                 key.push(eval(e, &[], &rt.outer, &[])?);
             }
-            let def = t
-                .index_def(&self.index)
-                .ok_or_else(|| ExecError::Type(format!("unknown index '{}'", self.index)))?;
-            self.rids = Some((t.index_lookup(&self.index, &key)?, key, def));
+            let probe = IndexProbe::open(rt, &self.table, &self.index)?;
+            let cursor = probe.cursor(vec![key])?;
+            self.cursor = Some((probe, cursor));
         }
-        let (rids, key, def) = self.rids.as_ref().unwrap();
-        let compiled = CompiledPreds::compile(&self.filter);
+        let (probe, cursor) = self.cursor.as_mut().expect("probed above");
+        cursor.next_batch(probe, rt, &self.filter)
+    }
+}
+
+struct IndexNlJoinOp {
+    left: Box<dyn Operator>,
+    table: String,
+    index: String,
+    key: PhysExpr,
+    filter: Vec<PhysExpr>,
+    residual: Vec<PhysExpr>,
+    probe: Option<IndexProbe>,
+    /// Left batch still being expanded (and the next row to probe in it),
+    /// as in [`HashJoinOp`].
+    current: Option<(RowBatch, usize)>,
+}
+
+impl Operator for IndexNlJoinOp {
+    fn next_batch(&mut self, rt: &mut Runtime<'_>) -> Result<Option<RowBatch>> {
+        if self.probe.is_none() {
+            self.probe = Some(IndexProbe::open(rt, &self.table, &self.index)?);
+        }
+        let probe = self.probe.as_ref().expect("opened above");
+        let filter = CompiledPreds::compile(&self.filter);
+        let mut matches = Vec::new();
+        let mut out = RowBatch::with_capacity(0, rt.batch_size);
         loop {
-            if self.pos >= rids.len() {
-                return Ok(None);
-            }
-            let end = (self.pos + rt.batch_size).min(rids.len());
-            let chunk = &rids[self.pos..end];
-            self.pos = end;
-            let mut batch = RowBatch::with_capacity(0, chunk.len());
-            for rid in chunk {
-                // Postings cover every tuple version (and may dangle after
-                // a concurrent rollback reclaims one); only versions that
-                // are visible to this run's snapshot and still carry the
-                // probed key count as scanned rows.
-                let Some(tuple) = t.resolve_posting(*rid, &rt.snapshot, def, key)? else {
-                    rt.stats.rows_skipped_visibility += 1;
-                    continue;
-                };
-                rt.stats.rows_scanned += 1;
-                let values = tuple.values;
-                if compiled.is_empty() || compiled.matches(&values, &rt.outer)? {
-                    batch.push(values);
+            if self.current.is_none() {
+                match self.left.next_batch(rt)? {
+                    None => break,
+                    Some(lbatch) => self.current = Some((lbatch, 0)),
                 }
             }
-            if !batch.is_empty() {
-                return Ok(Some(batch));
+            let (lbatch, idx) = self.current.as_mut().expect("pulled above");
+            while *idx < lbatch.len() && out.len() < rt.batch_size {
+                let lrow = &lbatch[*idx];
+                *idx += 1;
+                let key = eval(&self.key, lrow, &rt.outer, &[])?;
+                let mut cursor = probe.cursor(vec![vec![key]])?;
+                cursor.fill(probe, rt, &filter, usize::MAX, &mut matches)?;
+                for rrow in matches.drain(..) {
+                    let mut combined = Vec::with_capacity(lrow.len() + rrow.len());
+                    combined.extend(lrow.iter().cloned());
+                    combined.extend(rrow);
+                    out.push(combined);
+                }
+            }
+            if *idx >= lbatch.len() {
+                self.current = None;
+            }
+            if out.len() >= rt.batch_size {
+                filter_batch(&self.residual, &mut out, &rt.outer)?;
+                if !out.is_empty() {
+                    return Ok(Some(out));
+                }
             }
         }
+        filter_batch(&self.residual, &mut out, &rt.outer)?;
+        Ok(if out.is_empty() { None } else { Some(out) })
+    }
+}
+
+struct IndexSemiJoinOp {
+    table: String,
+    index: String,
+    filter: Vec<PhysExpr>,
+    inner: Box<dyn Operator>,
+    inner_key: PhysExpr,
+    cursor: Option<(IndexProbe, ProbeCursor)>,
+}
+
+impl Operator for IndexSemiJoinOp {
+    fn next_batch(&mut self, rt: &mut Runtime<'_>) -> Result<Option<RowBatch>> {
+        if self.cursor.is_none() {
+            // Drain the inner side into its distinct keys, then probe once
+            // per key.
+            let mut seen = FxHashSet::default();
+            let mut keys = Vec::new();
+            while let Some(batch) = self.inner.next_batch(rt)? {
+                for row in batch.iter() {
+                    let key = eval(&self.inner_key, row, &rt.outer, &[])?;
+                    if seen.insert(key.clone()) {
+                        keys.push(vec![key]);
+                    }
+                }
+            }
+            let probe = IndexProbe::open(rt, &self.table, &self.index)?;
+            let cursor = probe.cursor(keys)?;
+            self.cursor = Some((probe, cursor));
+        }
+        let (probe, cursor) = self.cursor.as_mut().expect("probed above");
+        cursor.next_batch(probe, rt, &self.filter)
     }
 }
 

@@ -19,7 +19,11 @@
 //! - `SubqueryFilter` subplans — they re-instantiate per outer tuple;
 //! - `SharedScan` — common subexpressions are already materialised once
 //!   (their *producing* plans parallelize on their own);
-//! - `IndexEq` — point lookups have nothing to fan out.
+//! - `IndexEq` — point lookups have nothing to fan out;
+//! - `IndexNlJoin` and `IndexSemiJoin` — the planner picks them only when
+//!   their probes touch a small share of the indexed table, so there is no
+//!   scan to split; their driver side (left / inner) is closed with its
+//!   own gather if it parallelizes.
 
 use crate::physical::PhysPlan;
 use crate::planner::PlanOptions;
@@ -186,6 +190,34 @@ fn go(cat: &Catalog, plan: PhysPlan, o: &PlanOptions) -> Lowered {
             outer_keys,
             inner_keys,
             residual,
+        }),
+        PhysPlan::IndexNlJoin {
+            left,
+            table,
+            index,
+            key,
+            filter,
+            residual,
+        } => Lowered::Serial(PhysPlan::IndexNlJoin {
+            left: Box::new(close(go(cat, *left, o), dop)),
+            table,
+            index,
+            key,
+            filter,
+            residual,
+        }),
+        PhysPlan::IndexSemiJoin {
+            table,
+            index,
+            filter,
+            inner,
+            inner_key,
+        } => Lowered::Serial(PhysPlan::IndexSemiJoin {
+            table,
+            index,
+            filter,
+            inner: Box::new(close(go(cat, *inner, o), dop)),
+            inner_key,
         }),
         PhysPlan::NlSemiJoin {
             outer,

@@ -167,8 +167,11 @@ pub enum PhysPlan {
         table: String,
         filter: Vec<PhysExpr>,
     },
-    /// Equality index lookup: `key` expressions must be uncorrelated
-    /// constants at plan time (literal-only); residual filter applies after.
+    /// Equality index lookup: `key` expressions are execution-time
+    /// constants (literals or `?` parameters), evaluated once per run;
+    /// residual filter applies after. Rows come in heap scan order, so the
+    /// lookup returns what the filtered [`PhysPlan::SeqScan`] it replaces
+    /// would, in the same order.
     IndexEq {
         table: String,
         index: String,
@@ -211,6 +214,20 @@ pub enum PhysPlan {
         right: Box<PhysPlan>,
         preds: Vec<PhysExpr>,
     },
+    /// Index nested-loops equi-join; output row = left ++ right, like the
+    /// [`PhysPlan::HashJoin`] over a `SeqScan(table)` right leg it
+    /// replaces. For each left row, `key` (over the left row) probes the
+    /// single-column `index`; the matching table rows that pass `filter`
+    /// (over the table row) come in heap scan order, and `residual` applies
+    /// over the combined row.
+    IndexNlJoin {
+        left: Box<PhysPlan>,
+        table: String,
+        index: String,
+        key: PhysExpr,
+        filter: Vec<PhysExpr>,
+        residual: Vec<PhysExpr>,
+    },
     /// Hash semijoin: emits outer rows with an inner match.
     HashSemiJoin {
         outer: Box<PhysPlan>,
@@ -220,6 +237,19 @@ pub enum PhysPlan {
         inner_keys: Vec<PhysExpr>,
         /// Residual over outer ++ inner (must hold for a match).
         residual: Vec<PhysExpr>,
+    },
+    /// Index semijoin: emits the rows of `table` whose indexed column
+    /// equals some `inner_key` value of the inner rows, like the
+    /// [`PhysPlan::HashSemiJoin`] over a `SeqScan(table)` outer it
+    /// replaces. The inner side is drained into a distinct key set, the
+    /// single-column `index` is probed once per key, and the rows that pass
+    /// `filter` come in heap scan order.
+    IndexSemiJoin {
+        table: String,
+        index: String,
+        filter: Vec<PhysExpr>,
+        inner: Box<PhysPlan>,
+        inner_key: PhysExpr,
     },
     /// Nested-loops semijoin for non-equi conditions.
     NlSemiJoin {
@@ -385,6 +415,36 @@ impl PhysPlan {
                 left.explain_into(depth + 1, out);
                 right.explain_into(depth + 1, out);
             }
+            PhysPlan::IndexNlJoin {
+                left,
+                table,
+                index,
+                key,
+                filter,
+                residual,
+            } => {
+                let _ = writeln!(
+                    out,
+                    "{pad}IndexNlJoin({table}.{index}) l=[{key}] filter={} residual={}",
+                    fmt_preds(filter),
+                    fmt_preds(residual)
+                );
+                left.explain_into(depth + 1, out);
+            }
+            PhysPlan::IndexSemiJoin {
+                table,
+                index,
+                filter,
+                inner,
+                inner_key,
+            } => {
+                let _ = writeln!(
+                    out,
+                    "{pad}IndexSemiJoin({table}.{index}) i=[{inner_key}] filter={}",
+                    fmt_preds(filter)
+                );
+                inner.explain_into(depth + 1, out);
+            }
             PhysPlan::HashSemiJoin {
                 outer,
                 inner,
@@ -528,7 +588,9 @@ impl PhysPlan {
             | PhysPlan::HashAggregate { input, .. }
             | PhysPlan::ExchangeGather { input, .. }
             | PhysPlan::ExchangeHashPartition { input, .. }
-            | PhysPlan::ParallelHashAggregate { input, .. } => n += input.count_ops(pred),
+            | PhysPlan::ParallelHashAggregate { input, .. }
+            | PhysPlan::IndexNlJoin { left: input, .. }
+            | PhysPlan::IndexSemiJoin { inner: input, .. } => n += input.count_ops(pred),
             PhysPlan::HashJoin { left, right, .. } | PhysPlan::NlJoin { left, right, .. } => {
                 n += left.count_ops(pred) + right.count_ops(pred);
             }

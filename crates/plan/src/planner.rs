@@ -13,13 +13,20 @@
 //!   hash joins for equi-predicates and nested loops otherwise;
 //! - **set-oriented existential evaluation**: `Semi` quantifier groups plan
 //!   as hash semijoins; unconverted `E` quantifiers plan as per-tuple
-//!   correlated subquery filters (the naive strategy of Fig. 3a).
+//!   correlated subquery filters (the naive strategy of Fig. 3a);
+//! - **index joins**: a base-table leg with an index on its equi-join
+//!   column is driven from the small side by index probes — an index
+//!   nested-loops join, or an index semijoin for the child leg of a Fig. 5b
+//!   path box — when the probes are well below a scan of the leg
+//!   (`INDEX_PROBE_MARGIN`). The DP prices such a leg as its probes, so a
+//!   root-restricted CO extraction reads rows in proportion to its result.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use xnf_qgm::{BoxId, BoxKind, Qgm, QunId, QunKind, ScalarExpr, ROWID_COL};
 use xnf_sql::BinOp;
-use xnf_storage::Catalog;
+use xnf_storage::{Catalog, Table};
 
 use crate::error::{PlanError, Result};
 use crate::physical::{AggSpec, PhysExpr, PhysPlan, Qep, QepOutput, SharedId, SortSpec};
@@ -27,7 +34,12 @@ use crate::physical::{AggSpec, PhysExpr, PhysPlan, Qep, QepOutput, SharedId, Sor
 /// Planner knobs (used by the experiments for ablations).
 #[derive(Debug, Clone, Copy)]
 pub struct PlanOptions {
-    /// Use index access paths for constant equality predicates.
+    /// Use index access paths: `IndexEq` for constant equality predicates,
+    /// and index joins — `IndexNlJoin` / `IndexSemiJoin` — that drive an
+    /// indexed base-table leg from a small, already-computed side when the
+    /// probes are well below a scan of the leg. Cardinality estimates then
+    /// also draw on ANALYZE's distinct-value counts. `false` plans every
+    /// join as a hash (or nested-loops) join over full scans.
     pub use_indexes: bool,
     /// Use DP join ordering (false = FROM-clause order).
     pub optimize_join_order: bool,
@@ -750,13 +762,15 @@ impl<'a> Planner<'a> {
             leg_plans.push(self.plan_leg(q, filters)?);
         }
         // Choose an order.
+        let block = self.join_block(f_legs, &leg_plans, leg_filters, join_preds);
         let order: Vec<usize> = if f_legs.len() <= 1 || !self.options.optimize_join_order {
             (0..f_legs.len()).collect()
         } else if f_legs.len() <= 12 {
-            self.dp_order(f_legs, &leg_plans, join_preds)
+            self.dp_order(&block)
         } else {
-            self.greedy_order(f_legs, &leg_plans, join_preds)
+            self.greedy_order(f_legs, join_preds)
         };
+        let (probes, _) = self.replay(&block, &order);
 
         // Assemble left-deep join tree in `order`, computing leg offsets.
         let mut legs: HashMap<QunId, LegMap> = HashMap::new();
@@ -768,7 +782,7 @@ impl<'a> Planner<'a> {
         let mut used: Vec<QunId> = vec![f_legs[first]];
         let mut applied = vec![false; join_preds.len()];
 
-        for &idx in &order[1..] {
+        for (&idx, probe) in order[1..].iter().zip(&probes[1..]) {
             let q = f_legs[idx];
             let (leg_plan, mut lm) = (leg_plans[idx].0.clone(), leg_plans[idx].1);
             lm.offset = width;
@@ -777,7 +791,7 @@ impl<'a> Planner<'a> {
             width += lm.width;
 
             // Predicates now fully bound.
-            let mut keys: Vec<(PhysExpr, PhysExpr)> = Vec::new();
+            let mut keys: Vec<(PhysExpr, PhysExpr, usize)> = Vec::new();
             let mut residual: Vec<PhysExpr> = Vec::new();
             for (pi, p) in join_preds.iter().enumerate() {
                 if applied[pi] {
@@ -811,6 +825,7 @@ impl<'a> Planner<'a> {
                         keys.push((
                             self.lower(left, &legs)?,
                             self.lower_local(right, q, &leg_plans[idx].1)?,
+                            pi,
                         ));
                         continue;
                     }
@@ -818,27 +833,14 @@ impl<'a> Planner<'a> {
                         keys.push((
                             self.lower(right, &legs)?,
                             self.lower_local(left, q, &leg_plans[idx].1)?,
+                            pi,
                         ));
                         continue;
                     }
                 }
                 residual.push(self.lower(p, &legs)?);
             }
-            plan = if keys.is_empty() {
-                PhysPlan::NlJoin {
-                    left: Box::new(plan),
-                    right: Box::new(leg_plan),
-                    preds: residual,
-                }
-            } else {
-                PhysPlan::HashJoin {
-                    left: Box::new(plan),
-                    right: Box::new(leg_plan),
-                    left_keys: keys.iter().map(|(l, _)| l.clone()).collect(),
-                    right_keys: keys.iter().map(|(_, r)| r.clone()).collect(),
-                    residual,
-                }
-            };
+            plan = equi_join(plan, leg_plan, keys, residual, lm.offset, probe.as_ref());
         }
         // Any join predicate not yet applied (e.g. references a single leg
         // plus outer correlation) becomes a filter.
@@ -859,16 +861,10 @@ impl<'a> Planner<'a> {
 
     /// Greedy join order: start from the smallest leg, repeatedly add the
     /// leg with the lowest estimated joined cardinality.
-    fn greedy_order(
-        &mut self,
-        f_legs: &[QunId],
-        leg_plans: &[(PhysPlan, LegMap)],
-        join_preds: &[ScalarExpr],
-    ) -> Vec<usize> {
+    fn greedy_order(&mut self, f_legs: &[QunId], join_preds: &[ScalarExpr]) -> Vec<usize> {
         let cards: Vec<f64> = f_legs.iter().map(|&q| self.leg_card(q)).collect();
         let n = f_legs.len();
         let mut remaining: Vec<usize> = (0..n).collect();
-        let _ = leg_plans;
         remaining.sort_by(|&a, &b| cards[a].total_cmp(&cards[b]));
         let mut order = vec![remaining.remove(0)];
         while !remaining.is_empty() {
@@ -886,16 +882,117 @@ impl<'a> Planner<'a> {
         order
     }
 
-    /// System-R style DP over leg subsets (left-deep, hash-join aware).
-    fn dp_order(
+    /// The join problem over `legs` (planned as `plans`, with their
+    /// pushed-down `leg_filters`) under `preds`. With `use_indexes` a leg's
+    /// cardinality counts its filters, so a filtered leg can drive probes.
+    fn join_block(
         &mut self,
-        f_legs: &[QunId],
-        leg_plans: &[(PhysPlan, LegMap)],
-        join_preds: &[ScalarExpr],
-    ) -> Vec<usize> {
-        let n = f_legs.len();
-        let cards: Vec<f64> = f_legs.iter().map(|&q| self.leg_card(q)).collect();
-        let _ = leg_plans;
+        legs: &[QunId],
+        plans: &[(PhysPlan, LegMap)],
+        leg_filters: &HashMap<QunId, Vec<ScalarExpr>>,
+        preds: &[ScalarExpr],
+    ) -> JoinBlock {
+        let mut cards = Vec::with_capacity(legs.len());
+        for &q in legs {
+            let mut card = self.leg_card(q);
+            if self.options.use_indexes {
+                for p in leg_filters.get(&q).into_iter().flatten() {
+                    card *= self
+                        .const_eq_on(q, p)
+                        .and_then(|(col, _)| self.column_eq_selectivity(q, col))
+                        .unwrap_or_else(|| pred_selectivity(p));
+                }
+                card = card.max(1.0);
+            }
+            cards.push(card);
+        }
+        let pred_legs = preds
+            .iter()
+            .map(|p| {
+                p.quns()
+                    .iter()
+                    .filter_map(|x| legs.iter().position(|l| l == x))
+                    .collect()
+            })
+            .collect();
+        let probes = legs
+            .iter()
+            .zip(plans)
+            .map(|(&q, (plan, _))| self.probe_keys(q, plan, legs, preds))
+            .collect();
+        JoinBlock {
+            cards,
+            pred_legs,
+            probes,
+        }
+    }
+
+    /// The predicates a leg can be index-probed through: equalities
+    /// between a column of the leg — a plain base-table scan with a
+    /// single-column index on that column — and an expression over other
+    /// legs of the block. Empty unless `use_indexes` is on.
+    fn probe_keys(
+        &self,
+        q: QunId,
+        plan: &PhysPlan,
+        legs: &[QunId],
+        preds: &[ScalarExpr],
+    ) -> Vec<ProbeKey> {
+        let PhysPlan::SeqScan { table, .. } = plan else {
+            return Vec::new();
+        };
+        let mut keys = Vec::new();
+        for (pred, p) in preds.iter().enumerate() {
+            let ScalarExpr::Binary {
+                left,
+                op: BinOp::Eq,
+                right,
+            } = p
+            else {
+                continue;
+            };
+            let (col, other) = match (&**left, &**right) {
+                (ScalarExpr::Col { qun, col }, other) if *qun == q => (*col, other),
+                (other, ScalarExpr::Col { qun, col }) if *qun == q => (*col, other),
+                _ => continue,
+            };
+            let oq = other.quns();
+            if col == ROWID_COL || oq.is_empty() || oq.iter().any(|x| *x == q || !legs.contains(x))
+            {
+                continue;
+            }
+            if let Some(target) = self.probe_target(table, col) {
+                keys.push(ProbeKey { pred, target });
+            }
+        }
+        keys
+    }
+
+    /// The single-column index on `table.col`, priced for probing from
+    /// ANALYZE's statistics, when `use_indexes` is on. A never-analyzed
+    /// table is never probed: nothing is known of a key's fan-out.
+    fn probe_target(&self, table: &str, col: usize) -> Option<ProbeTarget> {
+        if !self.options.use_indexes {
+            return None;
+        }
+        let t = self.catalog.table(table).ok()?;
+        let stats = t.stats();
+        if stats.columns.is_empty() {
+            return None;
+        }
+        let def = t.find_index(&[col])?;
+        let scan_rows = stats.row_count as f64;
+        Some(ProbeTarget {
+            index: def.name,
+            per_key: scan_rows * stats.eq_selectivity(col),
+            scan_rows,
+        })
+    }
+
+    /// System-R style DP over leg subsets (left-deep, hash-join aware).
+    fn dp_order(&mut self, block: &JoinBlock) -> Vec<usize> {
+        let cards = &block.cards;
+        let n = cards.len();
         // best[mask] = (cost, card, order)
         let mut best: Vec<Option<(f64, f64, Vec<usize>)>> = vec![None; 1 << n];
         for i in 0..n {
@@ -905,31 +1002,13 @@ impl<'a> Planner<'a> {
             let Some((cost, card, order)) = best[mask].clone() else {
                 continue;
             };
-            for (add, &add_card) in cards.iter().enumerate() {
+            for add in 0..n {
                 if mask & (1 << add) != 0 {
                     continue;
                 }
                 let nm = mask | (1 << add);
-                // Selectivity of predicates bound by adding `add`.
-                let mut sel = 1.0;
-                let mut connected = false;
-                for p in join_preds {
-                    let quns = p.quns();
-                    let local: Vec<usize> = quns
-                        .iter()
-                        .filter_map(|x| f_legs.iter().position(|l| l == x))
-                        .collect();
-                    if local.contains(&add)
-                        && local.iter().all(|&l| l == add || mask & (1 << l) != 0)
-                    {
-                        sel *= 0.1;
-                        connected = true;
-                    }
-                }
-                // Discourage cartesian products.
-                let penalty = if connected || n == 1 { 1.0 } else { 10.0 };
-                let new_card = (card * add_card * sel).max(1.0);
-                let new_cost = cost + add_card + new_card * penalty;
+                let step = block.step(|l| mask & (1 << l) != 0, card, add);
+                let new_cost = cost + step.read_cost + step.card * step.penalty;
                 let mut new_order = order.clone();
                 new_order.push(add);
                 let better = match &best[nm] {
@@ -937,7 +1016,7 @@ impl<'a> Planner<'a> {
                     Some((c, _, _)) => new_cost < *c,
                 };
                 if better {
-                    best[nm] = Some((new_cost, new_card, new_order));
+                    best[nm] = Some((new_cost, step.card, new_order));
                 }
             }
         }
@@ -947,10 +1026,119 @@ impl<'a> Planner<'a> {
             .unwrap_or_else(|| (0..n).collect())
     }
 
+    /// Walk a chosen join order: the probe key of every step that reads
+    /// its leg by index probes (`None` for the first leg and for legs read
+    /// by a scan), and the estimated cardinality of the whole join.
+    fn replay(&self, block: &JoinBlock, order: &[usize]) -> (Vec<Option<ProbeKey>>, f64) {
+        let mut joined = vec![false; block.cards.len()];
+        joined[order[0]] = true;
+        let mut card = block.cards[order[0]];
+        let mut probes = vec![None];
+        for &add in &order[1..] {
+            let step = block.step(|l| joined[l], card, add);
+            probes.push(step.probe.cloned());
+            card = step.card;
+            joined[add] = true;
+        }
+        (probes, card)
+    }
+
     /// Rough cardinality of a leg (for ordering decisions only).
     fn leg_card(&mut self, q: QunId) -> f64 {
         let b = self.qgm.quns[q].ranges_over;
         self.box_card(b)
+    }
+
+    /// The base table and column a quantifier's column passes through to
+    /// unchanged (through Select heads), if any.
+    fn base_column(&self, q: QunId, col: usize) -> Option<(Arc<Table>, usize)> {
+        let bx = self.qgm.boxed(self.qgm.quns[q].ranges_over);
+        match &bx.kind {
+            BoxKind::BaseTable { table, .. } => Some((self.catalog.table(table).ok()?, col)),
+            BoxKind::Select(_) if col != ROWID_COL => match &bx.head.get(col)?.expr {
+                ScalarExpr::Col { qun, col }
+                    if bx.quns.contains(qun) && self.qgm.quns[*qun].kind == QunKind::Foreach =>
+                {
+                    self.base_column(*qun, *col)
+                }
+                _ => None,
+            },
+            _ => None,
+        }
+    }
+
+    /// ANALYZE's equality selectivity of a quantifier's column, when it is
+    /// an analyzed base-table column.
+    fn column_eq_selectivity(&self, q: QunId, col: usize) -> Option<f64> {
+        let (t, col) = self.base_column(q, col)?;
+        let stats = t.stats();
+        (!stats.columns.is_empty()).then(|| stats.eq_selectivity(col))
+    }
+
+    /// Selectivity of a Select box's predicates with ANALYZE's statistics:
+    /// `col = literal|?` takes the column's equality selectivity, and each
+    /// Semi leg joined by an equality to an F-leg column scales the box by
+    /// `min(1, card(semi) / ndv(col))` — a semijoin keeps at most the rows
+    /// whose key one of the semi side's rows carries. Other predicates keep
+    /// their shape-based estimate.
+    fn select_selectivity(&mut self, b: BoxId) -> f64 {
+        let qgm = self.qgm;
+        let mut sel = 1.0;
+        let mut credited = Vec::new();
+        for p in &qgm.boxed(b).preds {
+            sel *= self
+                .stats_selectivity(b, p, &mut credited)
+                .unwrap_or_else(|| pred_selectivity(p));
+        }
+        sel
+    }
+
+    /// [`Planner::select_selectivity`] of one predicate of box `b`; `None`
+    /// when statistics do not apply. `credited` lists the Semi legs that
+    /// already scaled the box.
+    fn stats_selectivity(
+        &mut self,
+        b: BoxId,
+        p: &ScalarExpr,
+        credited: &mut Vec<QunId>,
+    ) -> Option<f64> {
+        let qgm = self.qgm;
+        let bx = qgm.boxed(b);
+        let kind_in_box =
+            |q: QunId, kind: QunKind| bx.quns.contains(&q) && qgm.quns[q].kind == kind;
+        let ScalarExpr::Binary {
+            left,
+            op: BinOp::Eq,
+            right,
+        } = p
+        else {
+            return None;
+        };
+        for (a, other) in [(&**left, &**right), (&**right, &**left)] {
+            let ScalarExpr::Col { qun, col } = a else {
+                continue;
+            };
+            if !kind_in_box(*qun, QunKind::Foreach) {
+                continue;
+            }
+            let Some(eq_sel) = self.column_eq_selectivity(*qun, *col) else {
+                continue;
+            };
+            if matches!(other, ScalarExpr::Literal(_) | ScalarExpr::Param(_)) {
+                return Some(eq_sel);
+            }
+            if let [s] = other.quns()[..] {
+                if kind_in_box(s, QunKind::Semi) {
+                    if credited.contains(&s) {
+                        return Some(1.0);
+                    }
+                    credited.push(s);
+                    let semi_card = self.box_card(qgm.quns[s].ranges_over);
+                    return Some((semi_card * eq_sel).min(1.0));
+                }
+            }
+        }
+        None
     }
 
     fn box_card(&mut self, b: BoxId) -> f64 {
@@ -972,7 +1160,11 @@ impl<'a> Planner<'a> {
                         c *= self.box_card(self.qgm.quns[q].ranges_over);
                     }
                 }
-                let sel: f64 = bx.preds.iter().map(pred_selectivity).product();
+                let sel: f64 = if self.options.use_indexes {
+                    self.select_selectivity(b)
+                } else {
+                    bx.preds.iter().map(pred_selectivity).product()
+                };
                 (c * sel).max(1.0)
             }
             BoxKind::GroupBy(_) => {
@@ -1020,14 +1212,21 @@ impl<'a> Planner<'a> {
             }
         }
         // Join semi legs (greedy order: as listed, joined via internal preds).
+        let mut leg_plans = Vec::with_capacity(semi_legs.len());
+        for &q in semi_legs {
+            let empty = Vec::new();
+            let filters = leg_filters.get(&q).unwrap_or(&empty);
+            leg_plans.push(self.plan_leg(q, filters)?);
+        }
+        let block = self.join_block(semi_legs, &leg_plans, leg_filters, &internal);
+        let listed: Vec<usize> = (0..semi_legs.len()).collect();
+        let (probes, inner_card) = self.replay(&block, &listed);
         let mut inner_legs: HashMap<QunId, LegMap> = HashMap::new();
         let mut inner_plan: Option<PhysPlan> = None;
         let mut width = 0;
         let mut applied = vec![false; internal.len()];
-        for &q in semi_legs {
-            let empty = Vec::new();
-            let filters = leg_filters.get(&q).unwrap_or(&empty);
-            let (leg_plan, mut lm) = self.plan_leg(q, filters)?;
+        for ((&q, (leg_plan, lm)), probe) in semi_legs.iter().zip(leg_plans).zip(&probes) {
+            let mut lm = lm;
             lm.offset = width;
             inner_legs.insert(q, lm);
             width += lm.width;
@@ -1056,47 +1255,30 @@ impl<'a> Planner<'a> {
                             let rq = right.quns();
                             let l_new = !lq.is_empty() && lq.iter().all(|x| *x == q);
                             let r_new = !rq.is_empty() && rq.iter().all(|x| *x == q);
+                            // The new leg's side is lowered relative to the
+                            // leg itself: the join evaluates it over the
+                            // leg's own rows.
+                            let shift = -(lm.offset as isize);
                             if r_new && !l_new {
                                 keys.push((
                                     self.lower(left, &inner_legs)?,
-                                    self.lower_with_offset(right, &inner_legs, 0)?,
+                                    self.lower_with_offset(right, &inner_legs, shift)?,
+                                    pi,
                                 ));
                                 continue;
                             }
                             if l_new && !r_new {
                                 keys.push((
                                     self.lower(right, &inner_legs)?,
-                                    self.lower_with_offset(left, &inner_legs, 0)?,
+                                    self.lower_with_offset(left, &inner_legs, shift)?,
+                                    pi,
                                 ));
                                 continue;
                             }
                         }
                         residual.push(self.lower(p, &inner_legs)?);
                     }
-                    if keys.is_empty() {
-                        PhysPlan::NlJoin {
-                            left: Box::new(prev),
-                            right: Box::new(leg_plan),
-                            preds: residual,
-                        }
-                    } else {
-                        // Keys lowered against full inner mapping; since the
-                        // new leg's offset is already set, both sides use the
-                        // combined row coordinates. Hash join probes the
-                        // right side with right-relative keys, so re-lower
-                        // the new-leg side relative to the leg itself.
-                        let right_rel: Vec<PhysExpr> = keys
-                            .iter()
-                            .map(|(_, r)| shift_cols(r, -(inner_legs[&q].offset as isize)))
-                            .collect();
-                        PhysPlan::HashJoin {
-                            left: Box::new(prev),
-                            right: Box::new(leg_plan),
-                            left_keys: keys.iter().map(|(l, _)| l.clone()).collect(),
-                            right_keys: right_rel,
-                            residual,
-                        }
-                    }
+                    equi_join(prev, leg_plan, keys, residual, lm.offset, probe.as_ref())
                 }
             });
         }
@@ -1154,6 +1336,27 @@ impl<'a> Planner<'a> {
                 combined.insert(*q, m2);
             }
             residual.push(self.lower(p, &combined)?);
+        }
+        // A base-table outer keyed on one indexed column: probe it once per
+        // distinct inner key instead of scanning it, when that is cheap.
+        if let (PhysPlan::SeqScan { table, filter }, [PhysExpr::Col(col)], [inner_key], true) = (
+            &outer,
+            &outer_keys[..],
+            &inner_keys[..],
+            residual.is_empty(),
+        ) {
+            if let Some(target) = self
+                .probe_target(table, *col)
+                .filter(|t| t.affordable(inner_card))
+            {
+                return Ok(PhysPlan::IndexSemiJoin {
+                    table: table.clone(),
+                    index: target.index,
+                    filter: filter.clone(),
+                    inner: Box::new(inner_plan),
+                    inner_key: inner_key.clone(),
+                });
+            }
         }
         Ok(if outer_keys.is_empty() {
             PhysPlan::NlSemiJoin {
@@ -1266,6 +1469,163 @@ impl<'a> Planner<'a> {
         local.offset = 0;
         let legs = HashMap::from([(q, local)]);
         self.lower(e, &legs)
+    }
+}
+
+/// An index-probe plan must be this many times cheaper than the scan it
+/// replaces: estimated probes × (1 + postings per key) × margin ≤ rows the
+/// scan reads. The 1 prices the probe itself; the margin absorbs estimation
+/// error, since a misjudged probe plan reads rows one random fetch at a
+/// time.
+const INDEX_PROBE_MARGIN: f64 = 4.0;
+
+/// A single-column index of a base table, priced for probing.
+#[derive(Debug, Clone)]
+struct ProbeTarget {
+    index: String,
+    /// Estimated postings per probed key.
+    per_key: f64,
+    /// Estimated rows a scan of the table reads.
+    scan_rows: f64,
+}
+
+impl ProbeTarget {
+    /// Is probing the index `probes` times well below a scan of the table?
+    fn affordable(&self, probes: f64) -> bool {
+        probes * (1.0 + self.per_key) * INDEX_PROBE_MARGIN <= self.scan_rows
+    }
+}
+
+/// A left-deep join problem: the legs' cardinality estimates, the legs
+/// each predicate references, and how each leg could be index-probed.
+struct JoinBlock {
+    cards: Vec<f64>,
+    /// Per predicate, the legs (by position) it references.
+    pred_legs: Vec<Vec<usize>>,
+    /// Per leg, the predicates it can be index-probed through.
+    probes: Vec<Vec<ProbeKey>>,
+}
+
+/// An equality between an indexed column of a base-table leg and an
+/// expression over other legs of its join block.
+#[derive(Debug, Clone)]
+struct ProbeKey {
+    /// Position of the predicate in the block.
+    pred: usize,
+    target: ProbeTarget,
+}
+
+/// The price of adding one leg to a left-deep join prefix.
+struct Step<'b> {
+    /// Rows read to add the leg: its scan, or its index probes.
+    read_cost: f64,
+    /// Estimated cardinality of the extended prefix.
+    card: f64,
+    /// 10 for a cartesian product, else 1.
+    penalty: f64,
+    /// The probe key when the leg is read by index probes.
+    probe: Option<&'b ProbeKey>,
+}
+
+impl JoinBlock {
+    /// Price adding leg `add` to a prefix (the legs `in_prefix` holds for)
+    /// of estimated cardinality `card`. A leg with an index on a column
+    /// the prefix binds is read by probes — one per prefix row — when that
+    /// is [`ProbeTarget::affordable`]; otherwise it is scanned.
+    fn step(&self, in_prefix: impl Fn(usize) -> bool, card: f64, add: usize) -> Step<'_> {
+        let n = self.cards.len();
+        // Predicates bound by adding `add`.
+        let bound: Vec<usize> = (0..self.pred_legs.len())
+            .filter(|&p| {
+                let local = &self.pred_legs[p];
+                local.contains(&add) && local.iter().all(|&l| l == add || in_prefix(l))
+            })
+            .collect();
+        // Discourage cartesian products.
+        let penalty = if !bound.is_empty() || n == 1 {
+            1.0
+        } else {
+            10.0
+        };
+        let probe = self.probes[add]
+            .iter()
+            .filter(|k| bound.contains(&k.pred))
+            .filter(|k| k.target.affordable(card))
+            .min_by(|a, b| a.target.per_key.total_cmp(&b.target.per_key));
+        let mut sel = 1.0;
+        for &p in &bound {
+            if probe.map(|k| k.pred) != Some(p) {
+                sel *= 0.1;
+            }
+        }
+        match probe {
+            Some(k) => Step {
+                read_cost: card * (1.0 + k.target.per_key),
+                card: (card * k.target.per_key * sel).max(1.0),
+                penalty,
+                probe,
+            },
+            None => {
+                let add_card = self.cards[add];
+                Step {
+                    read_cost: add_card,
+                    card: (card * add_card * sel).max(1.0),
+                    penalty,
+                    probe,
+                }
+            }
+        }
+    }
+}
+
+/// Join leg plan `right`, whose columns start at slot `offset` of the
+/// combined row, onto `left` on the equi `keys` — `(left key, right key
+/// over the leg's own row, predicate)` — plus `residual` over the combined
+/// row. The leg is read by index probes when the planner picked `probe`
+/// for it (the other keys then join the residual); otherwise this is a
+/// hash join, or nested loops without keys.
+fn equi_join(
+    left: PhysPlan,
+    right: PhysPlan,
+    mut keys: Vec<(PhysExpr, PhysExpr, usize)>,
+    mut residual: Vec<PhysExpr>,
+    offset: usize,
+    probe: Option<&ProbeKey>,
+) -> PhysPlan {
+    if let (Some(probe), PhysPlan::SeqScan { table, filter }) = (probe, &right) {
+        if let Some(k) = keys.iter().position(|(_, _, p)| *p == probe.pred) {
+            let (key, _, _) = keys.remove(k);
+            for (l, r, _) in keys {
+                residual.push(PhysExpr::Binary {
+                    left: Box::new(l),
+                    op: BinOp::Eq,
+                    right: Box::new(shift_cols(&r, offset as isize)),
+                });
+            }
+            return PhysPlan::IndexNlJoin {
+                left: Box::new(left),
+                table: table.clone(),
+                index: probe.target.index.clone(),
+                key,
+                filter: filter.clone(),
+                residual,
+            };
+        }
+    }
+    if keys.is_empty() {
+        PhysPlan::NlJoin {
+            left: Box::new(left),
+            right: Box::new(right),
+            preds: residual,
+        }
+    } else {
+        PhysPlan::HashJoin {
+            left: Box::new(left),
+            right: Box::new(right),
+            left_keys: keys.iter().map(|(l, _, _)| l.clone()).collect(),
+            right_keys: keys.iter().map(|(_, r, _)| r.clone()).collect(),
+            residual,
+        }
     }
 }
 

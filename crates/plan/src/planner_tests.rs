@@ -374,3 +374,378 @@ fn limit_without_sort_stays_serial_for_early_out() {
     assert!(explain.contains("Limit 5"), "{explain}");
     assert!(explain.contains("ParallelSeqScan(EMP)"), "{explain}");
 }
+
+// ---------------------------------------------------------------------------
+// Plans where hash is right: an analytic-shaped star, pinned to goldens.
+// ---------------------------------------------------------------------------
+
+/// The six `analytic` benchmark templates (five relational, one bulk XNF).
+const STAR_TEMPLATES: [&str; 6] = [
+    "SELECT COUNT(*), SUM(amount) FROM SALES WHERE day >= ? AND day < ?",
+    "SELECT i.cat, COUNT(*), SUM(s.amount) FROM SALES s, ITEM i \
+     WHERE s.item = i.item AND s.day >= ? GROUP BY i.cat",
+    "SELECT c.region, i.cat, SUM(s.amount) FROM SALES s, ITEM i, CUST c \
+     WHERE s.item = i.item AND s.cust = c.cust AND s.day >= ? GROUP BY c.region, i.cat",
+    "SELECT cust, SUM(amount) AS total FROM SALES WHERE day >= ? \
+     GROUP BY cust ORDER BY total DESC, cust LIMIT 10",
+    "SELECT sale, amount FROM SALES WHERE day = ? ORDER BY sale",
+    "OUT OF xc AS (SELECT * FROM CUST WHERE region = ?),
+            xs AS SALES,
+            xi AS ITEM,
+            buys AS (RELATE xc VIA BUYS, xs WHERE xc.cust = xs.cust),
+            sold AS (RELATE xs VIA SOLD, xi WHERE xs.item = xi.item)
+     TAKE *",
+];
+
+/// A star built in the test: a fact table with `day` indexed and no index
+/// on `item`/`cust`, dimensions with unique key indexes, all ANALYZEd.
+fn star_catalog() -> Catalog {
+    use xnf_storage::{Tuple, Value};
+    let cat = Catalog::new(Arc::new(BufferPool::new(Arc::new(DiskManager::new()), 512)));
+    let sales = cat
+        .create_table(
+            "SALES",
+            Schema::from_pairs(&[
+                ("sale", DataType::Int),
+                ("day", DataType::Int),
+                ("item", DataType::Int),
+                ("cust", DataType::Int),
+                ("qty", DataType::Int),
+                ("amount", DataType::Int),
+                ("note", DataType::Str),
+            ]),
+        )
+        .unwrap();
+    let item = cat
+        .create_table(
+            "ITEM",
+            Schema::from_pairs(&[
+                ("item", DataType::Int),
+                ("cat", DataType::Int),
+                ("price", DataType::Int),
+            ]),
+        )
+        .unwrap();
+    let cust = cat
+        .create_table(
+            "CUST",
+            Schema::from_pairs(&[
+                ("cust", DataType::Int),
+                ("region", DataType::Int),
+                ("cname", DataType::Str),
+            ]),
+        )
+        .unwrap();
+    for k in 0..4000i64 {
+        sales
+            .insert(&Tuple::new(vec![
+                Value::Int(k),
+                Value::Int(k * 7 % 365),
+                Value::Int(k * 13 % 100),
+                Value::Int(k * 17 % 200),
+                Value::Int(1 + k % 9),
+                Value::Int(1 + k * 31 % 499),
+                Value::Str(format!("{k:0>100}")),
+            ]))
+            .unwrap();
+    }
+    for k in 0..100i64 {
+        item.insert(&Tuple::new(vec![
+            Value::Int(k),
+            Value::Int(k % 40),
+            Value::Int(1 + k % 97),
+        ]))
+        .unwrap();
+    }
+    for k in 0..200i64 {
+        cust.insert(&Tuple::new(vec![
+            Value::Int(k),
+            Value::Int(k % 25),
+            Value::Str(format!("cust-{k}")),
+        ]))
+        .unwrap();
+    }
+    sales.create_index("sales_day", vec![1], false).unwrap();
+    item.create_index("item_pk", vec![0], true).unwrap();
+    cust.create_index("cust_pk", vec![0], true).unwrap();
+    for t in [&sales, &item, &cust] {
+        t.analyze().unwrap();
+    }
+    cat
+}
+
+fn plan_any(cat: &Catalog, text: &str, opts: PlanOptions) -> crate::physical::Qep {
+    let mut g = if text.trim_start().starts_with("OUT OF") {
+        build_xnf_query(cat, &parse_xnf(text).unwrap()).unwrap()
+    } else {
+        build_select_query(cat, &parse_select(text).unwrap()).unwrap()
+    };
+    rewrite(&mut g, RewriteOptions::default()).unwrap();
+    plan_query(cat, &g, opts).unwrap()
+}
+
+/// Every template's EXPLAIN at dop 2, one after another.
+fn star_explains(opts: PlanOptions) -> String {
+    let cat = star_catalog();
+    let mut out = String::new();
+    for sql in STAR_TEMPLATES {
+        out.push_str(&plan_any(&cat, sql, opts).explain());
+    }
+    out
+}
+
+#[test]
+fn star_templates_keep_their_hash_plans() {
+    let opts = PlanOptions {
+        dop: 2,
+        allow_oversubscribe: true,
+        ..Default::default()
+    };
+    let got = star_explains(opts);
+    assert_eq!(
+        got,
+        include_str!("../testdata/star_plans_dop2.txt"),
+        "{got}"
+    );
+}
+
+/// The Fig. 1 schema with rows and join-column indexes: `depts`
+/// departments of 20 employees and 5 projects each, ANALYZEd if `analyze`.
+fn paper_co_catalog(depts: i64, analyze: bool) -> Catalog {
+    use xnf_storage::{Tuple, Value};
+    let cat = Catalog::new(Arc::new(BufferPool::new(Arc::new(DiskManager::new()), 512)));
+    let table = |name: &str, cols: &[(&str, DataType)]| {
+        cat.create_table(name, Schema::from_pairs(cols)).unwrap()
+    };
+    let dept = table(
+        "DEPT",
+        &[
+            ("dno", DataType::Int),
+            ("dname", DataType::Str),
+            ("loc", DataType::Str),
+        ],
+    );
+    let emp = table(
+        "EMP",
+        &[
+            ("eno", DataType::Int),
+            ("ename", DataType::Str),
+            ("edno", DataType::Int),
+            ("sal", DataType::Double),
+        ],
+    );
+    let proj = table(
+        "PROJ",
+        &[
+            ("pno", DataType::Int),
+            ("pname", DataType::Str),
+            ("pdno", DataType::Int),
+        ],
+    );
+    let skills = table(
+        "SKILLS",
+        &[("sno", DataType::Int), ("sname", DataType::Str)],
+    );
+    let es = table(
+        "EMPSKILLS",
+        &[("eseno", DataType::Int), ("essno", DataType::Int)],
+    );
+    let ps = table(
+        "PROJSKILLS",
+        &[("pspno", DataType::Int), ("pssno", DataType::Int)],
+    );
+    let row = |t: &Arc<xnf_storage::Table>, v: Vec<Value>| {
+        t.insert(&Tuple::new(v)).unwrap();
+    };
+    for d in 0..depts {
+        let loc = ["ARC", "HDC", "YKT", "SJC", "ALM"][d as usize % 5];
+        row(
+            &dept,
+            vec![
+                Value::Int(d),
+                Value::Str(format!("dept-{d}")),
+                Value::Str(loc.into()),
+            ],
+        );
+        for e in d * 20..(d + 1) * 20 {
+            row(
+                &emp,
+                vec![
+                    Value::Int(e),
+                    Value::Str(format!("emp-{e}")),
+                    Value::Int(d),
+                    Value::Double(40.0 + (e % 120) as f64),
+                ],
+            );
+            for k in 0..3 {
+                row(&es, vec![Value::Int(e), Value::Int((e * 7 + k * 61) % 200)]);
+            }
+        }
+        for p in d * 5..(d + 1) * 5 {
+            row(
+                &proj,
+                vec![
+                    Value::Int(p),
+                    Value::Str(format!("proj-{p}")),
+                    Value::Int(d),
+                ],
+            );
+            for k in 0..4 {
+                row(
+                    &ps,
+                    vec![Value::Int(p), Value::Int((p * 11 + k * 37) % 200)],
+                );
+            }
+        }
+    }
+    for s in 0..200 {
+        row(
+            &skills,
+            vec![Value::Int(s), Value::Str(format!("skill-{s}"))],
+        );
+    }
+    dept.create_index("dept_pk", vec![0], true).unwrap();
+    emp.create_index("emp_pk", vec![0], true).unwrap();
+    emp.create_index("emp_dno", vec![2], false).unwrap();
+    proj.create_index("proj_dno", vec![2], false).unwrap();
+    skills.create_index("skills_pk", vec![0], true).unwrap();
+    es.create_index("es_eno", vec![0], false).unwrap();
+    ps.create_index("ps_pno", vec![0], false).unwrap();
+    if analyze {
+        for t in [&dept, &emp, &proj, &skills, &es, &ps] {
+            t.analyze().unwrap();
+        }
+    }
+    cat
+}
+
+/// The Fig. 1 composite object; `restriction` is appended verbatim.
+fn paper_co(restriction: &str) -> String {
+    format!(
+        "OUT OF xdept AS (SELECT * FROM DEPT),
+                xemp AS EMP,
+                xproj AS PROJ,
+                xskills AS SKILLS,
+                employment AS (RELATE xdept VIA EMPLOYS, xemp WHERE xdept.dno = xemp.edno),
+                ownership AS (RELATE xdept VIA HAS, xproj WHERE xdept.dno = xproj.pdno),
+                empproperty AS (RELATE xemp VIA POSSESSES, xskills USING EMPSKILLS es
+                                WHERE xemp.eno = es.eseno AND es.essno = xskills.sno),
+                projproperty AS (RELATE xproj VIA NEEDS, xskills USING PROJSKILLS ps
+                                 WHERE xproj.pno = ps.pspno AND ps.pssno = xskills.sno)
+         TAKE * {restriction}"
+    )
+}
+
+/// Statements over the paper schema whose plans `use_indexes: false` pins.
+fn paper_statements() -> Vec<String> {
+    vec![
+        paper_co("WHERE xdept.dno = ?"),
+        paper_co("WHERE xdept.dno = 3"),
+        paper_co("WHERE xdept.loc = 'ARC'"),
+        paper_co(""),
+        "SELECT e.ename, d.dname FROM EMP e, DEPT d WHERE e.edno = d.dno AND d.dno = 3".into(),
+        "SELECT e.ename, s.essno FROM EMP e, EMPSKILLS s WHERE e.eno = s.eseno AND e.edno = ?"
+            .into(),
+        "SELECT * FROM EMP e WHERE EXISTS (SELECT 1 FROM DEPT d WHERE d.dno = e.edno AND d.dno = 3)"
+            .into(),
+    ]
+}
+
+/// Every paper statement's and star template's EXPLAIN under `opts`.
+fn pinned_explains(opts: PlanOptions) -> String {
+    let cat = paper_co_catalog(40, true);
+    let mut out = String::new();
+    for sql in paper_statements() {
+        out.push_str(&plan_any(&cat, &sql, opts).explain());
+    }
+    out.push_str(&star_explains(opts));
+    out
+}
+
+#[test]
+fn use_indexes_off_reproduces_hash_plans() {
+    for dop in [1, 2] {
+        let opts = PlanOptions {
+            use_indexes: false,
+            dop,
+            allow_oversubscribe: true,
+            ..Default::default()
+        };
+        let got = pinned_explains(opts);
+        let want = match dop {
+            1 => include_str!("../testdata/no_index_plans_dop1.txt"),
+            _ => include_str!("../testdata/no_index_plans_dop2.txt"),
+        };
+        assert_eq!(got, want, "dop {dop}:\n{got}");
+    }
+}
+
+fn index_join_count(qep: &crate::physical::Qep) -> usize {
+    let mut count = 0;
+    for plan in qep.shared.iter().chain(qep.outputs.iter().map(|o| &o.plan)) {
+        count += plan.count_ops(&mut |p| {
+            matches!(
+                p,
+                PhysPlan::IndexNlJoin { .. } | PhysPlan::IndexSemiJoin { .. }
+            )
+        });
+    }
+    count
+}
+
+#[test]
+fn root_restricted_co_plans_index_joins() {
+    let cat = paper_co_catalog(40, true);
+    let qep = plan_any(
+        &cat,
+        &paper_co("WHERE xdept.dno = ?"),
+        PlanOptions::default(),
+    );
+    let explain = qep.explain();
+    for op in [
+        "IndexSemiJoin(EMP.emp_dno)",
+        "IndexSemiJoin(PROJ.proj_dno)",
+        "IndexNlJoin(EMPSKILLS.es_eno)",
+        "IndexNlJoin(PROJSKILLS.ps_pno)",
+    ] {
+        assert!(explain.contains(op), "{op}:\n{explain}");
+    }
+    // Nothing below the root reads EMP, PROJ, EMPSKILLS or PROJSKILLS whole.
+    for table in ["EMP", "PROJ", "EMPSKILLS", "PROJSKILLS"] {
+        assert!(
+            !explain.contains(&format!("Scan({table})")),
+            "{table}:\n{explain}"
+        );
+    }
+    // The unrestricted CO reads everything anyway: hash joins stay.
+    let all = plan_any(&cat, &paper_co(""), PlanOptions::default());
+    assert_eq!(index_join_count(&all), 0, "{}", all.explain());
+}
+
+#[test]
+fn never_analyzed_tables_are_never_probed() {
+    let sql = paper_co("WHERE xdept.dno = 3");
+    // Without statistics nothing is known about a key's fan-out: no index
+    // joins at all, however big the tables.
+    for depts in [2, 200] {
+        let cat = paper_co_catalog(depts, false);
+        for text in [sql.clone(), paper_co("")] {
+            let qep = plan_any(&cat, &text, PlanOptions::default());
+            assert_eq!(index_join_count(&qep), 0, "{}", qep.explain());
+        }
+    }
+    // An analyzed root does not change that: one department would drive
+    // the probes, but the children it would probe have no statistics.
+    let cat = paper_co_catalog(200, false);
+    cat.table("DEPT").unwrap().analyze().unwrap();
+    let qep = plan_any(&cat, &sql, PlanOptions::default());
+    assert_eq!(index_join_count(&qep), 0, "{}", qep.explain());
+    // Once EMP is analyzed too, it is probed from the one department.
+    cat.table("EMP").unwrap().analyze().unwrap();
+    let qep = plan_any(&cat, &sql, PlanOptions::default());
+    assert!(
+        qep.explain().contains("IndexSemiJoin(EMP.emp_dno)"),
+        "{}",
+        qep.explain()
+    );
+}

@@ -15,6 +15,16 @@
 //! which is what makes the resolve-then-lock handoff safe. Eviction is
 //! shard-local (each shard owns `capacity / SHARDS` frames).
 //!
+//! Pin pressure: when every frame of a shard is pinned, a thread that
+//! holds no pin of its own waits on the shard's condvar until an unpin
+//! frees one. A pin is only ever held for the duration of one closure, and
+//! a pinless waiter blocks no closure, so every pin it waits on is released
+//! by a thread that is making progress: the wait cannot deadlock. A thread
+//! that already holds a pin (a nested access) must not wait — two such
+//! threads could wait on each other — so it gets
+//! [`StorageError::BufferPoolExhausted`]: the pool is smaller than one
+//! operation's simultaneous pins.
+//!
 //! Durability: when the pool carries a [`Wal`] handle, every write-back of
 //! a dirty page — eviction, [`BufferPool::flush_all`], or
 //! [`BufferPool::clear`] — first flushes the log up to the page's
@@ -23,9 +33,10 @@
 //! *inside* `with_page_mut` closures, while the frame is pinned — and
 //! pinned frames are never evicted, so the stamp cannot race the flush.
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
+use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use crate::disk::{DiskManager, PageId};
 use crate::error::{Result, StorageError};
@@ -60,6 +71,30 @@ struct Inner {
     page_table: HashMap<PageId, usize>,
     tick: u64,
     stats: BufferStats,
+    /// Threads waiting on [`Shard::unpinned`] for a frame to free up.
+    waiters: usize,
+}
+
+/// One map shard: its frames' metadata and the condvar pinless threads
+/// wait on while every frame of the shard is pinned. Both are `std::sync`
+/// types, so the condvar always accepts the mutex's guard.
+struct Shard {
+    inner: Mutex<Inner>,
+    unpinned: Condvar,
+}
+
+impl Shard {
+    /// Lock the shard's metadata; a poisoned lock is recovered, as the
+    /// workspace's other locks do.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
+thread_local! {
+    /// Frames this thread holds pinned, across every pool. Only a thread
+    /// holding none may wait for a frame (see the module docs).
+    static PINS_HELD: Cell<usize> = const { Cell::new(0) };
 }
 
 /// Maximum number of independent map shards.
@@ -72,7 +107,7 @@ pub struct BufferPool {
     capacity: usize,
     /// Per-shard frame capacity (`>= 1`).
     shard_capacity: usize,
-    shards: Vec<Mutex<Inner>>,
+    shards: Vec<Shard>,
 }
 
 impl BufferPool {
@@ -100,13 +135,15 @@ impl BufferPool {
             capacity,
             shard_capacity: (capacity / shard_count).max(1),
             shards: (0..shard_count)
-                .map(|_| {
-                    Mutex::new(Inner {
+                .map(|_| Shard {
+                    inner: Mutex::new(Inner {
                         slots: Vec::new(),
                         page_table: HashMap::new(),
                         tick: 0,
                         stats: BufferStats::default(),
-                    })
+                        waiters: 0,
+                    }),
+                    unpinned: Condvar::new(),
                 })
                 .collect(),
         }
@@ -143,7 +180,7 @@ impl BufferPool {
         &self.disk
     }
 
-    fn shard(&self, id: PageId) -> &Mutex<Inner> {
+    fn shard(&self, id: PageId) -> &Shard {
         &self.shards[(id as usize) % self.shards.len()]
     }
 
@@ -168,14 +205,63 @@ impl BufferPool {
     /// Resolve `id` to a pinned frame (loading from disk on a miss) and
     /// return its index + content lock.
     fn pin(&self, id: PageId) -> Result<(usize, Arc<RwLock<Frame>>)> {
-        let mut inner = self.shard(id).lock();
-        let idx = self.lookup_or_load(&mut inner, id)?;
+        let shard = self.shard(id);
+        let mut inner = shard.lock();
+        let idx = loop {
+            if let Some(idx) = Self::lookup(&mut inner, id) {
+                break idx;
+            }
+            if Self::has_free_frame(&inner, self.shard_capacity) {
+                inner.stats.misses += 1;
+                let page = self.disk.read(id)?;
+                break self.grab_frame(&mut inner, id, page)?;
+            }
+            // The page may have been loaded while this thread waited.
+            inner = Self::wait_for_unpin(shard, inner)?;
+        };
+        Ok(Self::pin_slot(&mut inner, idx))
+    }
+
+    /// Count a pin of slot `idx` against the slot and the calling thread.
+    fn pin_slot(inner: &mut Inner, idx: usize) -> (usize, Arc<RwLock<Frame>>) {
         inner.slots[idx].pin_count += 1;
-        Ok((idx, Arc::clone(&inner.slots[idx].frame)))
+        PINS_HELD.set(PINS_HELD.get() + 1);
+        (idx, Arc::clone(&inner.slots[idx].frame))
     }
 
     fn unpin(&self, id: PageId, idx: usize) {
-        self.shard(id).lock().slots[idx].pin_count -= 1;
+        PINS_HELD.set(PINS_HELD.get() - 1);
+        let shard = self.shard(id);
+        let mut inner = shard.lock();
+        let slot = &mut inner.slots[idx];
+        slot.pin_count -= 1;
+        if slot.pin_count == 0 && inner.waiters > 0 {
+            shard.unpinned.notify_all();
+        }
+    }
+
+    /// Can the shard take one more page: a frame still unallocated, or an
+    /// unpinned one to evict?
+    fn has_free_frame(inner: &Inner, capacity: usize) -> bool {
+        inner.slots.len() < capacity || inner.slots.iter().any(|s| s.pin_count == 0)
+    }
+
+    /// Every frame of the shard is pinned: wait for an unpin if this thread
+    /// holds no pin, else fail (see the module docs).
+    fn wait_for_unpin<'a>(
+        shard: &'a Shard,
+        mut inner: MutexGuard<'a, Inner>,
+    ) -> Result<MutexGuard<'a, Inner>> {
+        if PINS_HELD.get() > 0 {
+            return Err(StorageError::BufferPoolExhausted);
+        }
+        inner.waiters += 1;
+        let mut inner = shard
+            .unpinned
+            .wait(inner)
+            .unwrap_or_else(|e| e.into_inner());
+        inner.waiters -= 1;
+        Ok(inner)
     }
 
     /// Allocate a brand-new page (on disk and in the pool) and initialize it
@@ -185,10 +271,13 @@ impl BufferPool {
     pub fn new_page<R>(&self, init: impl FnOnce(PageId, &mut Page) -> R) -> Result<(PageId, R)> {
         let id = self.disk.allocate();
         let (idx, frame) = {
-            let mut inner = self.shard(id).lock();
+            let shard = self.shard(id);
+            let mut inner = shard.lock();
+            while !Self::has_free_frame(&inner, self.shard_capacity) {
+                inner = Self::wait_for_unpin(shard, inner)?;
+            }
             let idx = self.grab_frame(&mut inner, id, Page::new())?;
-            inner.slots[idx].pin_count += 1;
-            (idx, Arc::clone(&inner.slots[idx].frame))
+            Self::pin_slot(&mut inner, idx)
         };
         let r = {
             let mut guard = frame.write();
@@ -285,21 +374,18 @@ impl BufferPool {
         Ok(())
     }
 
-    fn lookup_or_load(&self, inner: &mut Inner, id: PageId) -> Result<usize> {
+    /// The slot caching `id`, if any (a hit).
+    fn lookup(inner: &mut Inner, id: PageId) -> Option<usize> {
         inner.tick += 1;
-        let tick = inner.tick;
-        if let Some(&idx) = inner.page_table.get(&id) {
-            inner.stats.hits += 1;
-            inner.slots[idx].last_used = tick;
-            return Ok(idx);
-        }
-        inner.stats.misses += 1;
-        let page = self.disk.read(id)?;
-        self.grab_frame(inner, id, page)
+        let idx = *inner.page_table.get(&id)?;
+        inner.stats.hits += 1;
+        inner.slots[idx].last_used = inner.tick;
+        Some(idx)
     }
 
     /// Find a slot for `page` (growing up to capacity, otherwise evicting
-    /// the least-recently-used unpinned frame) and install it.
+    /// the least-recently-used unpinned frame) and install it. Callers
+    /// check [`BufferPool::has_free_frame`] first.
     fn grab_frame(&self, inner: &mut Inner, id: PageId, page: Page) -> Result<usize> {
         let capacity = self.shard_capacity;
         inner.tick += 1;
@@ -396,6 +482,58 @@ mod tests {
         bp.with_page(id, |p| assert_eq!(p.get(0).unwrap(), b"a"))
             .unwrap();
         assert_eq!(bp.stats().misses, 1);
+    }
+
+    #[test]
+    fn pinless_request_waits_for_a_pinned_shard() {
+        // Two shards of one frame each; pages 0 and 2 share shard 0.
+        let bp = pool(2);
+        for i in 0..3u8 {
+            bp.new_page(|_, p| p.insert(&[i]).unwrap()).unwrap();
+        }
+        let (pinned_tx, pinned_rx) = std::sync::mpsc::channel();
+        let done = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                bp.with_page(0, |_| {
+                    pinned_tx.send(()).unwrap();
+                    // Hold the pin until the other thread waits for it (or
+                    // has given up).
+                    while bp.shards[0].lock().waiters == 0
+                        && !done.load(std::sync::atomic::Ordering::SeqCst)
+                    {
+                        std::thread::yield_now();
+                    }
+                })
+                .unwrap();
+            });
+            pinned_rx.recv().unwrap();
+            // Shard 0's only frame is pinned by the holder; this thread
+            // holds no pin, so it waits for the unpin instead of failing.
+            let got = bp.with_page(2, |p| p.get(0).unwrap().to_vec());
+            done.store(true, std::sync::atomic::Ordering::SeqCst);
+            assert_eq!(got.unwrap(), vec![2]);
+        });
+    }
+
+    #[test]
+    fn pin_holder_gets_exhausted_instead_of_waiting() {
+        let bp = pool(1);
+        let (a, _) = bp.new_page(|_, p| p.insert(b"a").unwrap()).unwrap();
+        let (b, _) = bp.new_page(|_, p| p.insert(b"b").unwrap()).unwrap();
+        // The only frame holds `a`, pinned by this very thread: waiting for
+        // it to free up would never end.
+        let nested = bp.with_page(a, |_| bp.with_page(b, |_| ())).unwrap();
+        let err = nested.unwrap_err();
+        assert!(matches!(err, StorageError::BufferPoolExhausted));
+        assert!(err
+            .to_string()
+            .contains("smaller than one operation's simultaneous pins"));
+        // The failed request left no pin behind.
+        assert_eq!(
+            bp.with_page(b, |p| p.get(0).unwrap().to_vec()).unwrap(),
+            b"b"
+        );
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub struct Table {
     /// order: `write_latch` → `indexes` → tree lock → heap pages.
     write_latch: Mutex<()>,
     indexes: RwLock<Vec<IndexEntry>>,
-    stats: RwLock<TableStats>,
+    stats: RwLock<Arc<TableStats>>,
     /// Garbage-collection state: reclaim pressure, unfrozen-header bound
     /// and the frozen-through stamp (see [`crate::vacuum`]).
     gc: TableGc,
@@ -98,7 +98,7 @@ impl Table {
             heap: HeapFile::create_logged(pool, txns, id, wal.clone()),
             write_latch: Mutex::new(()),
             indexes: RwLock::new(Vec::new()),
-            stats: RwLock::new(TableStats::default()),
+            stats: RwLock::new(Arc::default()),
             gc: TableGc::new(created_seq),
             wal,
         }
@@ -370,6 +370,12 @@ impl Table {
         self.heap.page_count()
     }
 
+    /// The order a full scan visits this table's RIDs; see
+    /// [`HeapFile::scan_order`].
+    pub fn scan_order(&self) -> crate::heap::ScanOrder {
+        self.heap.scan_order()
+    }
+
     /// Add a secondary index over `columns`, building it from current data
     /// (every stored version gets an entry; uniqueness is checked over the
     /// currently-live versions only).
@@ -507,7 +513,7 @@ impl Table {
 
     /// Point lookup through the named index. The postings cover every
     /// stored version; snapshot readers filter through
-    /// [`Table::get_snapshot`] (the executor's `IndexEq` does this).
+    /// [`Table::resolve_posting`] (the executor's index probes do this).
     pub fn index_lookup(&self, index_name: &str, key: &Key) -> Result<Vec<Rid>> {
         let indexes = self.indexes.read();
         let entry = indexes
@@ -543,13 +549,14 @@ impl Table {
             Ok(true)
         })?;
         let stats = b.finish(self.heap.page_count() as u64);
-        *self.stats.write() = stats.clone();
+        *self.stats.write() = Arc::new(stats.clone());
         Ok(stats)
     }
 
-    /// Current (possibly stale) statistics.
-    pub fn stats(&self) -> TableStats {
-        self.stats.read().clone()
+    /// Current (possibly stale) statistics; a shared handle, cheap enough
+    /// for the planner to ask per predicate.
+    pub fn stats(&self) -> Arc<TableStats> {
+        Arc::clone(&self.stats.read())
     }
 
     /// Ordinal of a named column, with a table-aware error.

@@ -14,7 +14,9 @@ pub enum StorageError {
     },
     /// A tuple was too large to fit in a page.
     TupleTooLarge(usize),
-    /// The buffer pool had no evictable frame (all pinned).
+    /// Every frame of a buffer-pool shard was pinned and the requesting
+    /// thread held a pin itself, so it could not wait for one to free up:
+    /// the pool is smaller than one operation's simultaneous pins.
     BufferPoolExhausted,
     /// Catalog name collisions / lookups.
     DuplicateTable(String),
@@ -66,7 +68,12 @@ impl fmt::Display for StorageError {
             }
             StorageError::TupleTooLarge(n) => write!(f, "tuple of {n} bytes exceeds page capacity"),
             StorageError::BufferPoolExhausted => {
-                write!(f, "buffer pool exhausted (all frames pinned)")
+                write!(
+                    f,
+                    "buffer pool exhausted: every frame of a shard is pinned and the \
+                     requesting thread holds a pin itself (the pool is smaller than one \
+                     operation's simultaneous pins)"
+                )
             }
             StorageError::DuplicateTable(t) => write!(f, "table '{t}' already exists"),
             StorageError::DuplicateIndex(i) => write!(f, "index '{i}' already exists"),

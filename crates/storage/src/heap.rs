@@ -24,6 +24,7 @@
 //! slot-tolerant for undo.
 
 use parking_lot::RwLock;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::buffer::BufferPool;
@@ -39,12 +40,65 @@ use crate::wal::{Wal, WalRecord};
 /// versions the visibility check skipped.
 pub type VisiblePage = (Vec<(Rid, Tuple)>, u64);
 
+/// The order a full scan visits RIDs: by the page's position in the heap's
+/// page list, then by slot. Index probes sort their postings with it, so a
+/// probe returns rows in the order the scan it replaces would.
+#[derive(Clone, Default)]
+pub struct ScanOrder {
+    /// Page id → position in the page list; `None` while page ids ascend
+    /// with position (the page list only ever grew by fresh allocations).
+    positions: Option<Arc<HashMap<PageId, usize>>>,
+}
+
+impl ScanOrder {
+    /// The order of the page list `pages`.
+    fn of(pages: &[PageId]) -> ScanOrder {
+        if pages.windows(2).all(|w| w[0] < w[1]) {
+            return ScanOrder { positions: None };
+        }
+        ScanOrder {
+            positions: Some(Arc::new(
+                pages.iter().enumerate().map(|(i, &p)| (p, i)).collect(),
+            )),
+        }
+    }
+
+    /// Follow `pages` having just grown by its last id. O(1), except once
+    /// when the ids stop ascending (a page id re-used after recovery).
+    fn pushed(&mut self, pages: &[PageId]) {
+        let Some((&last, rest)) = pages.split_last() else {
+            return;
+        };
+        match &mut self.positions {
+            Some(map) => {
+                Arc::make_mut(map).insert(last, rest.len());
+            }
+            None if rest.last().is_none_or(|&prev| prev < last) => {}
+            None => *self = ScanOrder::of(pages),
+        }
+    }
+
+    /// Sort key of `rid`. Pages missing from the list (allocated after the
+    /// order was taken) sort last.
+    pub fn key(&self, rid: Rid) -> (usize, PageId, u16) {
+        let pos = match &self.positions {
+            None => 0,
+            Some(p) => p.get(&rid.page).copied().unwrap_or(usize::MAX),
+        };
+        (pos, rid.page, rid.slot)
+    }
+}
+
 /// A heap file of encoded, versioned tuples.
 pub struct HeapFile {
     pool: Arc<BufferPool>,
     txns: Arc<TxnManager>,
     /// All pages of this heap, in allocation order.
     pages: RwLock<Vec<PageId>>,
+    /// The scan order of `pages`, kept current by every change to it
+    /// (always taken after `pages`' write lock), so a probe need not walk
+    /// the list.
+    order: RwLock<ScanOrder>,
     /// Approximate free bytes per page (parallel to `pages`).
     free: RwLock<Vec<u16>>,
     /// Identity of the owning table in WAL records.
@@ -88,6 +142,7 @@ impl HeapFile {
             pool,
             txns,
             pages: RwLock::new(Vec::new()),
+            order: RwLock::default(),
             free: RwLock::new(Vec::new()),
             table_id,
             wal,
@@ -112,6 +167,21 @@ impl HeapFile {
 
     pub fn pages(&self) -> Vec<PageId> {
         self.pages.read().clone()
+    }
+
+    /// The order a full scan visits this heap's RIDs right now (O(1)).
+    pub fn scan_order(&self) -> ScanOrder {
+        self.order.read().clone()
+    }
+
+    /// Append `pid` to the page list (and the free map, at `free`).
+    fn push_page(&self, pid: PageId, free: u16) {
+        {
+            let mut pages = self.pages.write();
+            pages.push(pid);
+            self.order.write().pushed(&pages);
+        }
+        self.free.write().push(free);
     }
 
     /// The transaction manager deciding visibility for this heap.
@@ -190,8 +260,7 @@ impl HeapFile {
         })?;
         let slot = slot?;
         let free_now = self.pool.with_page(pid, |p| p.free_space() as u16)?;
-        self.pages.write().push(pid);
-        self.free.write().push(free_now);
+        self.push_page(pid, free_now);
         Ok(Rid::new(pid, slot))
     }
 
@@ -522,6 +591,7 @@ impl HeapFile {
         let mut my_pages = self.pages.write();
         free.clear();
         free.resize(pages.len(), 0);
+        *self.order.write() = ScanOrder::of(&pages);
         *my_pages = pages;
     }
 
@@ -532,6 +602,7 @@ impl HeapFile {
         let mut pages = self.pages.write();
         if !pages.contains(&pid) {
             pages.push(pid);
+            self.order.write().pushed(&pages);
             self.free.write().push(0);
         }
         Ok(())
@@ -853,6 +924,64 @@ mod tests {
             assert_eq!(h.get(*rid).unwrap()[0], Value::Int(i as i64));
         }
         assert_eq!(h.count().unwrap(), 2000);
+    }
+
+    #[test]
+    fn scan_order_follows_the_page_list() {
+        let rid = Rid::new;
+        // Ascending ids need no position map, however the list grows.
+        let mut order = ScanOrder::of(&[1, 4, 9]);
+        order.pushed(&[1, 4, 9, 12]);
+        assert!(order.positions.is_none());
+        // A re-used id out of order switches to positions, which then
+        // follow further pushes.
+        order.pushed(&[1, 4, 9, 12, 2]);
+        order.pushed(&[1, 4, 9, 12, 2, 11]);
+        order.pushed(&[1, 4, 9, 12, 2, 11, 3]);
+        let mut rids = vec![
+            rid(3, 0),
+            rid(2, 1),
+            rid(11, 0),
+            rid(12, 0),
+            rid(1, 5),
+            rid(2, 0),
+        ];
+        rids.sort_by_key(|&r| order.key(r));
+        assert_eq!(
+            rids,
+            vec![
+                rid(1, 5),
+                rid(12, 0),
+                rid(2, 0),
+                rid(2, 1),
+                rid(11, 0),
+                rid(3, 0)
+            ]
+        );
+
+        // A heap whose restored page list runs backwards: its scan order is
+        // the list's, and a page it allocates afterwards sorts last.
+        let h = heap();
+        for i in 0..600 {
+            h.insert(&row(i)).unwrap();
+        }
+        let mut pages = h.pages();
+        assert!(pages.len() > 2, "600 rows should span pages");
+        pages.reverse();
+        h.restore_pages(pages.clone());
+        h.refresh_free_map().unwrap();
+        while h.page_count() == pages.len() {
+            h.insert(&row(-1)).unwrap();
+        }
+        let fresh = *h.pages().last().unwrap();
+        assert!(!pages.contains(&fresh));
+        let order = h.scan_order();
+        let mut firsts: Vec<Rid> = pages.iter().map(|&p| rid(p, 0)).collect();
+        firsts.push(rid(fresh, 0));
+        let mut sorted = firsts.clone();
+        sorted.reverse();
+        sorted.sort_by_key(|&r| order.key(r));
+        assert_eq!(sorted, firsts);
     }
 
     #[test]

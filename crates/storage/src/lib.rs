@@ -72,7 +72,7 @@ pub use catalog::{Catalog, IndexDef, MatView, MatViewStream, Table, TableId, Vie
 pub use delta::{DeltaBatch, DeltaRow};
 pub use disk::{DiskManager, DiskStats, FaultPlan, PageId};
 pub use error::{Result, StorageError};
-pub use heap::{HeapFile, VisiblePage};
+pub use heap::{HeapFile, ScanOrder, VisiblePage};
 pub use index::BTreeIndex;
 pub use morsel::MorselDispenser;
 pub use page::{stamp_trailer, trailer_matches, Page, PAGE_SIZE, PAGE_TRAILER};

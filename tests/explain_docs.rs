@@ -45,6 +45,15 @@ fn documented_operators() -> Vec<String> {
     ops
 }
 
+/// The Fig. 1 CO of one department: DEPS_ARC with the root restricted to
+/// `dno` instead of to a location.
+fn root_restricted_deps(dno: i64) -> String {
+    format!(
+        "{} WHERE xdept.dno = {dno}",
+        DEPS_ARC.replace(" WHERE loc = 'ARC'", "")
+    )
+}
+
 /// Statements that together exercise the whole operator vocabulary.
 fn explain_corpus(db: &Database) -> String {
     let mut out = String::new();
@@ -105,6 +114,21 @@ fn every_documented_operator_is_emitted() {
     .unwrap();
 
     let mut corpus = explain_corpus(&db);
+    // The E-to-F line keeps its hash semijoin: every DEPT row probes.
+    assert!(corpus.contains("HashSemiJoin"), "{corpus}");
+
+    // IndexSemiJoin + IndexNlJoin: the root-restricted CO drives its
+    // indexed child legs from the one root row.
+    let root_restricted = db
+        .explain(&root_restricted_deps(3))
+        .expect("root-restricted CO compiles");
+    for op in [
+        "IndexSemiJoin(EMP.emp_dno)",
+        "IndexNlJoin(EMPSKILLS.es_eno)",
+    ] {
+        assert!(root_restricted.contains(op), "{op}:\n{root_restricted}");
+    }
+    corpus.push_str(&root_restricted);
 
     // SubqueryFilter needs the naive (no E-to-F) configuration.
     let naive = build_paper_db_with(

@@ -8,7 +8,7 @@
 
 use std::path::Path;
 
-use xnf_core::{Database, DbConfig, TempDir, Value};
+use xnf_core::{Database, DbConfig, PlanOptions, TempDir, Value};
 use xnf_storage::PAGE_SIZE;
 
 /// Durable config with fsync off: commits still write the log to the OS
@@ -277,6 +277,37 @@ fn buffer_budget_evicts_under_pressure_and_loses_nothing() {
         int_rows(&db, "SELECT id FROM T WHERE id = 499"),
         vec![vec![499]]
     );
+}
+
+/// An 8-frame pool has one frame per shard, so two parallel-scan workers
+/// reading pages that hash to the same shard at the same moment find every
+/// frame of it pinned. Neither holds another pin, so the second must wait
+/// for the first's unpin rather than fail with `BufferPoolExhausted`.
+#[test]
+fn buffer_budget_parallel_scans_wait_for_pinned_frames() {
+    let db = Database::with_config(DbConfig {
+        buffer_budget: 8 * PAGE_SIZE,
+        plan: PlanOptions {
+            dop: 2,
+            allow_oversubscribe: true,
+            ..Default::default()
+        },
+        ..DbConfig::default()
+    });
+    db.execute("CREATE TABLE T (id INT NOT NULL, pad VARCHAR)")
+        .unwrap();
+    let fat = "x".repeat(400);
+    for i in 0..600 {
+        db.execute(&format!("INSERT INTO T VALUES ({i}, '{fat}')"))
+            .unwrap();
+    }
+    let pages = db.catalog().table("T").unwrap().page_count();
+    assert!(pages >= 24, "heap is only {pages} pages long");
+    let plan = db.explain("SELECT COUNT(*) FROM T").unwrap();
+    assert!(plan.contains("ParallelSeqScan(T)"), "{plan}");
+    for _ in 0..200 {
+        assert_eq!(count(&db, "T"), 600);
+    }
 }
 
 /// Flip one byte in every field the page trailer protects — header, header
