@@ -71,10 +71,7 @@ pub fn run_fig3(emp_counts: &[usize]) -> Vec<Fig3Point> {
         let naive_db = rebuild_with(
             scale,
             DbConfig {
-                rewrite: RewriteOptions {
-                    e_to_f: false,
-                    simplify: true,
-                },
+                rewrite: RewriteOptions { e_to_f: false },
                 plan: PlanOptions::default(),
                 ..Default::default()
             },

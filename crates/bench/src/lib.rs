@@ -4,9 +4,8 @@
 //! see EXPERIMENTS.md at the repository root for the experiment index and
 //! the paper-vs-measured record. The `experiments` binary runs each
 //! experiment and prints paper-style tables; the `benches/` directory
-//! holds the perf-trajectory criterion benches (`bench_scan_join`,
-//! `bench_prepared`, `bench_matview`, …) whose numbers are recorded in
-//! CHANGES.md.
+//! holds the criterion ablations the `benchmark/` package does not run yet
+//! (`bench_wal`, `bench_vacuum`, `bench_parallel`).
 //!
 //! Entry points: [`run_table1`] / [`render_table1`] for the Table 1
 //! reproduction, [`census_qep`] / [`op_signatures`] for plan-shape

@@ -17,8 +17,8 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use xnf_exec::{
-    eval, execute_qep_parallel_with_visibility, execute_qep_with_visibility, ExecStats, OuterCtx,
-    Params, QueryResult, StreamResult, Visibility,
+    eval, execute_qep_with_visibility, ExecStats, OuterCtx, Params, QueryResult, StreamResult,
+    Visibility,
 };
 use xnf_plan::{plan_query, PhysExpr, PlanOptions, Qep};
 use xnf_qgm::{build_select_query, build_xnf_query, OutputKind, Qgm};
@@ -30,7 +30,7 @@ use xnf_sql::{
 use xnf_storage::{
     recover, BufferPool, Catalog, CheckpointSnap, Column, DataType, DiskManager, DiskStats,
     GcStats, RecoveryReport, Schema, Snapshot, Tuple, TxnId, VacuumReport, Value, ViewKind, Wal,
-    WalStats, PAGE_SIZE,
+    WalStats,
 };
 
 use crate::error::{Result, XnfError};
@@ -194,17 +194,17 @@ impl<'a> WriteScope<'a> {
     }
 }
 
+/// The smallest buffer pool a database opens with: the working room a
+/// single scan needs.
+const MIN_BUFFER_PAGES: usize = 8;
+
 /// Configuration for a database instance.
 #[derive(Debug, Clone)]
 pub struct DbConfig {
-    /// Buffer pool capacity in pages (used when [`DbConfig::buffer_budget`]
-    /// is zero).
+    /// Buffer pool capacity in pages, never below 8. Pages beyond it are
+    /// evicted — written back through the WAL-before-data choke point —
+    /// and re-read on demand.
     pub buffer_pages: usize,
-    /// Buffer pool memory budget in **bytes**; when non-zero it overrides
-    /// `buffer_pages` (`budget / PAGE_SIZE` frames, minimum 8). Pages beyond
-    /// the budget are evicted — written back through the WAL-before-data
-    /// choke point — and re-read on demand.
-    pub buffer_budget: usize,
     /// Durable home of the database: `Some(dir)` opens (or creates)
     /// `pages.db` + `wal.log` in `dir` and replays the log on open; `None`
     /// keeps everything in memory with no logging.
@@ -245,7 +245,6 @@ impl Default for DbConfig {
     fn default() -> Self {
         DbConfig {
             buffer_pages: 1024,
-            buffer_budget: 0,
             data_dir: None,
             wal_fsync: true,
             checkpoint_interval: 4 << 20,
@@ -490,15 +489,9 @@ impl Database {
         Ok(db)
     }
 
-    /// Buffer-pool frame count from the config: an explicit byte budget
-    /// wins over the frame count (never below 8 frames — the pool needs
-    /// working room for a single scan).
+    /// Buffer-pool frame count from the config.
     fn frame_budget(config: &DbConfig) -> usize {
-        if config.buffer_budget > 0 {
-            (config.buffer_budget / PAGE_SIZE).max(8)
-        } else {
-            config.buffer_pages
-        }
+        config.buffer_pages.max(MIN_BUFFER_PAGES)
     }
 
     /// What restart recovery did when this database was opened from disk
@@ -1077,31 +1070,6 @@ impl Database {
                 params,
                 scope,
             )?)),
-        }
-    }
-
-    /// Like [`Database::query`] but delivering XNF output streams in
-    /// parallel (one thread per node/connection stream) after the shared
-    /// component derivations are materialised — the parallel-extraction
-    /// option the paper lists as the natural extension for set-oriented CO
-    /// queries (Sect. 6).
-    pub fn query_parallel(&self, text: &str) -> Result<QueryResult> {
-        let key = crate::session::normalize_statement(text);
-        let (compiled, _) = self.compile_cached(&key)?;
-        compiled.require_bound("")?;
-        match &compiled.body {
-            CompiledBody::Query(qep) => Ok(execute_qep_parallel_with_visibility(
-                &self.catalog,
-                qep,
-                Params::default(),
-                None,
-            )?),
-            CompiledBody::RecursiveCo => {
-                self.run_body(&compiled.stmt, &compiled.body, Params::default(), None)
-            }
-            CompiledBody::Statement => Err(XnfError::Api(
-                "query_parallel expects SELECT or OUT OF".to_string(),
-            )),
         }
     }
 

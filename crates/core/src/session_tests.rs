@@ -138,7 +138,7 @@ fn parameterized_co_cache_refreshes_under_its_bindings() {
     co.refresh(&db).unwrap();
     assert_eq!(co.workspace.component("xemp").unwrap().len(), 3);
 
-    // One-shot fetch_co / query_parallel refuse unbound parameters with an
+    // One-shot fetch_co / query refuse unbound parameters with an
     // API error instead of a deep runtime binding failure.
     let text = "OUT OF xemp AS (SELECT * FROM EMP) TAKE * WHERE xemp.edno = ?";
     let err = match db.fetch_co(text) {
@@ -146,7 +146,7 @@ fn parameterized_co_cache_refreshes_under_its_bindings() {
         Ok(_) => panic!("fetch_co with unbound parameter must fail"),
     };
     assert!(err.contains("unbound parameter"), "got: {err}");
-    let err = db.query_parallel(text).unwrap_err().to_string();
+    let err = db.query(text).unwrap_err().to_string();
     assert!(err.contains("unbound parameter"), "got: {err}");
 }
 

@@ -124,97 +124,3 @@ fn run_output(rt: &mut Runtime<'_>, out: &QepOutput) -> Result<StreamResult> {
         rows,
     })
 }
-
-/// Execute a QEP delivering the output streams **in parallel**, after
-/// sequentially materialising the shared subplans they all read. This is
-/// the parallelism opportunity the paper calls out for set-oriented CO
-/// extraction (Sect. 5.1 / Sect. 6 "parallelism technology … become\[s\]
-/// automatically available to XNF"): the heterogeneous output streams are
-/// independent once the common subexpressions exist. The streams are
-/// dispatched over a worker pool capped at the QEP's degree of
-/// parallelism ([`Qep::dop`]), so a CO view with dozens of streams no
-/// longer spawns dozens of threads on a small host.
-pub fn execute_qep_parallel(catalog: &Catalog, qep: &Qep) -> Result<QueryResult> {
-    execute_qep_parallel_with_params(catalog, qep, Params::default())
-}
-
-/// [`execute_qep_parallel`] with a parameter binding table shared across the
-/// stream threads.
-pub fn execute_qep_parallel_with_params(
-    catalog: &Catalog,
-    qep: &Qep,
-    params: Params,
-) -> Result<QueryResult> {
-    execute_qep_parallel_with_visibility(catalog, qep, params, None)
-}
-
-/// [`execute_qep_parallel_with_params`] under an explicit visibility
-/// handle. The snapshot resolved for the shared-subplan pass is pinned and
-/// handed to every stream thread, so all streams of one CO extraction read
-/// the same consistent state.
-pub fn execute_qep_parallel_with_visibility(
-    catalog: &Catalog,
-    qep: &Qep,
-    params: Params,
-    visibility: crate::eval::Visibility,
-) -> Result<QueryResult> {
-    let mut rt = Runtime::with_ctx(
-        catalog,
-        crate::eval::OuterCtx::with_params_and_visibility(params.clone(), visibility),
-    );
-    rt.batch_size = qep.batch_size.max(1);
-    materialize_shared(&mut rt, qep)?;
-    let shared = rt.shared.clone();
-    let base_stats = rt.stats;
-    let batch_size = rt.batch_size;
-    let snapshot = rt.snapshot.clone();
-
-    // Worker pool capped at the plan's degree of parallelism: workers
-    // claim stream indices from a shared counter, so a CO view with many
-    // streams runs at most `dop` of them concurrently.
-    let pool = qep.dop.max(1).min(qep.outputs.len().max(1));
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let mut joined: Vec<(usize, Result<(StreamResult, ExecStats)>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..pool)
-            .map(|_| {
-                let shared = shared.clone();
-                let params = params.clone();
-                let snapshot = snapshot.clone();
-                let next = &next;
-                scope.spawn(move || {
-                    let mut rt = Runtime::with_ctx(
-                        catalog,
-                        crate::eval::OuterCtx::with_params_and_visibility(params, Some(snapshot)),
-                    );
-                    rt.shared = shared;
-                    rt.batch_size = batch_size;
-                    let mut done: Vec<(usize, Result<(StreamResult, ExecStats)>)> = Vec::new();
-                    loop {
-                        let idx = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        let Some(out) = qep.outputs.get(idx) else {
-                            break;
-                        };
-                        rt.stats = ExecStats::default();
-                        let r = run_output(&mut rt, out).map(|sr| (sr, rt.stats));
-                        done.push((idx, r));
-                    }
-                    done
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("stream thread panicked"))
-            .collect()
-    });
-    joined.sort_by_key(|(idx, _)| *idx);
-
-    let mut streams = Vec::with_capacity(joined.len());
-    let mut stats = base_stats;
-    for (_, r) in joined {
-        let (sr, s) = r?;
-        stats.merge(&s);
-        streams.push(sr);
-    }
-    Ok(QueryResult { streams, stats })
-}

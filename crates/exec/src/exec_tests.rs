@@ -227,10 +227,7 @@ fn exists_rewritten_equals_naive() {
     let naive = run_sql_opts(
         &cat,
         sql,
-        RewriteOptions {
-            e_to_f: false,
-            simplify: true,
-        },
+        RewriteOptions { e_to_f: false },
         PlanOptions::default(),
     );
     assert_eq!(ints(&fast, 0), vec![1, 2, 3]);
@@ -636,9 +633,8 @@ fn big_db() -> Catalog {
 fn parallel_popts(dop: usize) -> PlanOptions {
     PlanOptions {
         dop,
+        // Parallelize even the small test tables.
         parallel_min_pages: 1,
-        // Exercise real dop-2/4 plans even on a single-core test host.
-        allow_oversubscribe: true,
         ..Default::default()
     }
 }

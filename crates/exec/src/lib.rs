@@ -44,12 +44,10 @@
 //! versions the checks hid.
 //!
 //! Entry points: [`execute_qep`] / [`execute_qep_with_params`] (all output
-//! streams of a QEP), [`execute_qep_with_visibility`] (pin a snapshot) and
-//! [`execute_qep_parallel`] (CO output streams dispatched across a worker
-//! pool capped at the QEP's degree of parallelism). Scans of
-//! materialized-view backing tables (`matview scan` nodes) execute exactly
-//! like base-table scans — the catalog resolves the view name to its
-//! backing storage.
+//! streams of a QEP) and [`execute_qep_with_visibility`] (pin a snapshot).
+//! Scans of materialized-view backing tables (`matview scan` nodes) execute
+//! exactly like base-table scans — the catalog resolves the view name to
+//! its backing storage.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -82,9 +80,7 @@ pub mod parallel;
 
 pub use batch::{BatchBuilder, RowBatch, DEFAULT_BATCH_SIZE};
 pub use engine::{
-    execute_qep, execute_qep_parallel, execute_qep_parallel_with_params,
-    execute_qep_parallel_with_visibility, execute_qep_with_params, execute_qep_with_visibility,
-    QueryResult, StreamResult,
+    execute_qep, execute_qep_with_params, execute_qep_with_visibility, QueryResult, StreamResult,
 };
 pub use error::{ExecError, Result};
 pub use eval::{

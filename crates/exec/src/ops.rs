@@ -85,7 +85,7 @@ impl ExecStats {
         self.peak_batch_rows = self.peak_batch_rows.max(rows as u64);
     }
 
-    /// Fold another run's counters into this one (parallel stream delivery).
+    /// Fold a parallel worker's counters into this one.
     pub fn merge(&mut self, other: &ExecStats) {
         self.rows_scanned += other.rows_scanned;
         self.subquery_invocations += other.subquery_invocations;

@@ -640,8 +640,8 @@ pub struct Qep {
     /// (and materialises table queues in).
     pub batch_size: usize,
     /// Degree of parallelism the plans were compiled for: worker count of
-    /// every parallel region and the cap on concurrent output-stream
-    /// delivery. 1 = fully serial plans (no parallel operators).
+    /// every parallel region. 1 = fully serial plans (no parallel
+    /// operators).
     pub dop: usize,
 }
 
@@ -662,8 +662,8 @@ impl Qep {
             "mode: batch pipeline (batch_size={})\n",
             self.batch_size
         ));
-        // Worker count of every parallel region below (and the cap on
-        // concurrent output-stream delivery); 1 = fully serial plans.
+        // Worker count of every parallel region below; 1 = fully serial
+        // plans.
         s.push_str(&format!("dop: {}\n", self.dop));
         // Every scan/index lookup of a run filters tuple versions against
         // one MVCC snapshot (the executor reports which via

@@ -37,35 +37,26 @@ pub struct PlanOptions {
     /// Use index access paths: `IndexEq` for constant equality predicates,
     /// and index joins — `IndexNlJoin` / `IndexSemiJoin` — that drive an
     /// indexed base-table leg from a small, already-computed side when the
-    /// probes are well below a scan of the leg. Cardinality estimates then
-    /// also draw on ANALYZE's distinct-value counts. `false` plans every
-    /// join as a hash (or nested-loops) join over full scans.
+    /// probes are well below a scan of the leg. `false` plans every join as
+    /// a hash (or nested-loops) join over full scans. Cardinality estimates
+    /// do not depend on it: they draw on ANALYZE's distinct-value counts
+    /// either way.
     pub use_indexes: bool,
-    /// Use DP join ordering (false = FROM-clause order).
-    pub optimize_join_order: bool,
     /// Materialise shared boxes once (false = re-plan per consumer; the
     /// "no common subexpression" ablation for Table 1 measurements).
     pub share_common_subexpressions: bool,
     /// Row capacity of the executor's streaming batches (clamped to ≥ 1).
     pub batch_size: usize,
-    /// Degree of parallelism: worker count of parallel regions and the cap
-    /// on concurrent output-stream delivery. Defaults to
-    /// `std::thread::available_parallelism()`; 1 compiles today's fully
-    /// serial plans (no parallel operators are ever introduced). Unless
-    /// [`PlanOptions::allow_oversubscribe`] is set, the effective dop is
-    /// clamped to the host's available parallelism — extra workers on an
-    /// already-saturated host only add scheduling overhead.
+    /// Degree of parallelism: the worker count of parallel regions,
+    /// clamped to ≥ 1. Defaults to `std::thread::available_parallelism()`;
+    /// 1 compiles fully serial plans (no parallel operators are ever
+    /// introduced).
     pub dop: usize,
     /// Minimum heap page count before a scan is worth parallelizing
     /// (morsel = one page, so tiny tables can't feed several workers).
     /// Clamped to ≥ 1; point lookups and small fixtures stay serial at the
     /// default of [`DEFAULT_PARALLEL_MIN_PAGES`].
     pub parallel_min_pages: usize,
-    /// Permit a `dop` above the host's `available_parallelism()`. Off by
-    /// default so a mis-sized knob degrades gracefully to the core count;
-    /// the equivalence suite turns it on to exercise genuinely parallel
-    /// plans (dop 2/4) even on a single-core host.
-    pub allow_oversubscribe: bool,
 }
 
 /// Default [`PlanOptions::parallel_min_pages`]: below this many heap pages
@@ -76,14 +67,12 @@ impl Default for PlanOptions {
     fn default() -> Self {
         PlanOptions {
             use_indexes: true,
-            optimize_join_order: true,
             share_common_subexpressions: true,
             batch_size: crate::physical::DEFAULT_BATCH_SIZE,
             dop: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
             parallel_min_pages: DEFAULT_PARALLEL_MIN_PAGES,
-            allow_oversubscribe: false,
         }
     }
 }
@@ -144,35 +133,19 @@ pub fn plan_query(catalog: &Catalog, qgm: &Qgm, options: PlanOptions) -> Result<
         });
     }
     let mut shared = p.shared_plans;
-    let mut dop = options.dop.max(1);
-    if !options.allow_oversubscribe {
-        // Clamp to the host: a dop above the core count cannot speed
-        // anything up, it only adds context-switch overhead, so a knob
-        // set for a bigger machine degrades gracefully here.
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        dop = dop.min(cores);
-    }
-    // Parallel plan selection runs as a separate bottom-up pass so that
-    // dop = 1 reproduces the serial plans exactly (the pass never runs).
-    if dop > 1 {
-        // The pass reads the dop out of the options it's handed, so feed
-        // it the clamped value.
-        let mut popts = options;
-        popts.dop = dop;
-        for plan in &mut shared {
-            crate::parallelize::parallelize(catalog, plan, &popts);
-        }
-        for o in &mut outputs {
-            crate::parallelize::parallelize(catalog, &mut o.plan, &popts);
-        }
+    // Parallel plan selection runs as a separate bottom-up pass, a no-op at
+    // dop 1, so that dop = 1 reproduces the serial plans exactly.
+    for plan in shared
+        .iter_mut()
+        .chain(outputs.iter_mut().map(|o| &mut o.plan))
+    {
+        crate::parallelize::parallelize(catalog, plan, &options);
     }
     Ok(Qep {
         shared,
         outputs,
         batch_size: options.batch_size.max(1),
-        dop,
+        dop: options.dop.max(1),
     })
 }
 
@@ -763,7 +736,7 @@ impl<'a> Planner<'a> {
         }
         // Choose an order.
         let block = self.join_block(f_legs, &leg_plans, leg_filters, join_preds);
-        let order: Vec<usize> = if f_legs.len() <= 1 || !self.options.optimize_join_order {
+        let order: Vec<usize> = if f_legs.len() <= 1 {
             (0..f_legs.len()).collect()
         } else if f_legs.len() <= 12 {
             self.dp_order(&block)
@@ -883,8 +856,8 @@ impl<'a> Planner<'a> {
     }
 
     /// The join problem over `legs` (planned as `plans`, with their
-    /// pushed-down `leg_filters`) under `preds`. With `use_indexes` a leg's
-    /// cardinality counts its filters, so a filtered leg can drive probes.
+    /// pushed-down `leg_filters`) under `preds`. A leg's cardinality counts
+    /// its filters, so a filtered leg can drive probes.
     fn join_block(
         &mut self,
         legs: &[QunId],
@@ -895,16 +868,13 @@ impl<'a> Planner<'a> {
         let mut cards = Vec::with_capacity(legs.len());
         for &q in legs {
             let mut card = self.leg_card(q);
-            if self.options.use_indexes {
-                for p in leg_filters.get(&q).into_iter().flatten() {
-                    card *= self
-                        .const_eq_on(q, p)
-                        .and_then(|(col, _)| self.column_eq_selectivity(q, col))
-                        .unwrap_or_else(|| pred_selectivity(p));
-                }
-                card = card.max(1.0);
+            for p in leg_filters.get(&q).into_iter().flatten() {
+                card *= self
+                    .const_eq_on(q, p)
+                    .and_then(|(col, _)| self.column_eq_selectivity(q, col))
+                    .unwrap_or_else(|| pred_selectivity(p));
             }
-            cards.push(card);
+            cards.push(card.max(1.0));
         }
         let pred_legs = preds
             .iter()
@@ -1160,12 +1130,7 @@ impl<'a> Planner<'a> {
                         c *= self.box_card(self.qgm.quns[q].ranges_over);
                     }
                 }
-                let sel: f64 = if self.options.use_indexes {
-                    self.select_selectivity(b)
-                } else {
-                    bx.preds.iter().map(pred_selectivity).product()
-                };
-                (c * sel).max(1.0)
+                (c * self.select_selectivity(b)).max(1.0)
             }
             BoxKind::GroupBy(_) => {
                 let input = bx
@@ -1678,7 +1643,8 @@ fn shift_cols(e: &PhysExpr, delta: isize) -> PhysExpr {
     }
 }
 
-/// Shape-based predicate selectivity (ordering heuristics only).
+/// Shape-based predicate selectivity: the estimate for a predicate that
+/// ANALYZE's statistics do not cover.
 fn pred_selectivity(p: &ScalarExpr) -> f64 {
     match p {
         ScalarExpr::Binary { op: BinOp::Eq, .. } => 0.1,

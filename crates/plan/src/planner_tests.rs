@@ -88,14 +88,7 @@ fn naive_mode_plans_subquery_filter() {
     )
     .unwrap();
     let mut g = build_select_query(&cat, &q).unwrap();
-    rewrite(
-        &mut g,
-        RewriteOptions {
-            e_to_f: false,
-            simplify: true,
-        },
-    )
-    .unwrap();
+    rewrite(&mut g, RewriteOptions { e_to_f: false }).unwrap();
     let qep = plan_query(&cat, &g, PlanOptions::default()).unwrap();
     let explain = qep.outputs[0].plan.explain();
     assert!(explain.contains("SubqueryFilter"), "{explain}");
@@ -230,9 +223,8 @@ fn populated_catalog() -> Catalog {
 fn parallel_opts(dop: usize) -> PlanOptions {
     PlanOptions {
         dop,
+        // Parallelize even the small test tables.
         parallel_min_pages: 1,
-        // Exercise real dop-2/4 plans even on a single-core test host.
-        allow_oversubscribe: true,
         ..Default::default()
     }
 }
@@ -325,7 +317,6 @@ fn small_tables_stay_serial() {
     let opts = PlanOptions {
         dop: 4,
         parallel_min_pages: 1_000_000,
-        allow_oversubscribe: true,
         ..Default::default()
     };
     let qep = plan_sql(&cat, "SELECT ename FROM EMP WHERE sal > 100", opts);
@@ -335,26 +326,16 @@ fn small_tables_stay_serial() {
 }
 
 #[test]
-fn dop_clamps_to_host_cores_unless_oversubscribed() {
+fn dop_is_taken_as_given_whatever_the_host() {
     let cat = populated_catalog();
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let opts = PlanOptions {
-        dop: 1024,
-        parallel_min_pages: 1,
-        ..Default::default()
-    };
-    let qep = plan_sql(&cat, "SELECT ename FROM EMP WHERE sal > 100", opts);
-    assert_eq!(qep.dop, cores, "{}", qep.explain());
-
-    // The escape hatch keeps the requested dop verbatim.
-    let qep = plan_sql(
-        &cat,
-        "SELECT ename FROM EMP WHERE sal > 100",
-        parallel_opts(1024),
-    );
-    assert_eq!(qep.dop, 1024, "{}", qep.explain());
+    for (dop, want) in [(0, 1), (1024, 1024)] {
+        let qep = plan_sql(
+            &cat,
+            "SELECT ename FROM EMP WHERE sal > 100",
+            parallel_opts(dop),
+        );
+        assert_eq!(qep.dop, want, "{}", qep.explain());
+    }
 }
 
 #[test]
@@ -498,7 +479,6 @@ fn star_explains(opts: PlanOptions) -> String {
 fn star_templates_keep_their_hash_plans() {
     let opts = PlanOptions {
         dop: 2,
-        allow_oversubscribe: true,
         ..Default::default()
     };
     let got = star_explains(opts);
@@ -636,7 +616,7 @@ fn paper_co(restriction: &str) -> String {
     )
 }
 
-/// Statements over the paper schema whose plans `use_indexes: false` pins.
+/// Statements over the paper schema whose plans the goldens pin.
 fn paper_statements() -> Vec<String> {
     vec![
         paper_co("WHERE xdept.dno = ?"),
@@ -651,15 +631,39 @@ fn paper_statements() -> Vec<String> {
     ]
 }
 
-/// Every paper statement's and star template's EXPLAIN under `opts`.
-fn pinned_explains(opts: PlanOptions) -> String {
+/// Every paper statement's EXPLAIN under `opts`.
+fn paper_explains(opts: PlanOptions) -> String {
     let cat = paper_co_catalog(40, true);
     let mut out = String::new();
     for sql in paper_statements() {
         out.push_str(&plan_any(&cat, &sql, opts).explain());
     }
+    out
+}
+
+/// Every paper statement's and star template's EXPLAIN under `opts`.
+fn pinned_explains(opts: PlanOptions) -> String {
+    let mut out = paper_explains(opts);
     out.push_str(&star_explains(opts));
     out
+}
+
+/// The default options are what the benchmark plans with: these goldens
+/// pin the root-restricted CO fetch and its neighbours to their index-join
+/// plans.
+#[test]
+fn default_options_keep_their_plans() {
+    for dop in [1, 2] {
+        let got = paper_explains(PlanOptions {
+            dop,
+            ..Default::default()
+        });
+        let want = match dop {
+            1 => include_str!("../testdata/default_plans_dop1.txt"),
+            _ => include_str!("../testdata/default_plans_dop2.txt"),
+        };
+        assert_eq!(got, want, "dop {dop}:\n{got}");
+    }
 }
 
 #[test]
@@ -668,7 +672,6 @@ fn use_indexes_off_reproduces_hash_plans() {
         let opts = PlanOptions {
             use_indexes: false,
             dop,
-            allow_oversubscribe: true,
             ..Default::default()
         };
         let got = pinned_explains(opts);
@@ -748,4 +751,40 @@ fn never_analyzed_tables_are_never_probed() {
         "{}",
         qep.explain()
     );
+}
+
+/// One estimator whatever the access paths: with or without `use_indexes`
+/// the leg filter `e.eno = 5` is priced from ANALYZE's distinct values (200
+/// employees, so one row), and the join starts from DEPT ⋈ that employee
+/// rather than from all of EMP ⋈ DEPT.
+#[test]
+fn use_indexes_leaves_the_estimates_alone() {
+    let cat = populated_catalog();
+    for t in ["DEPT", "EMP"] {
+        cat.table(t).unwrap().analyze().unwrap();
+    }
+    let sql = "SELECT m.ename, e.ename FROM EMP m, DEPT d, EMP e \
+               WHERE m.edno = d.dno AND d.dno = e.edno AND e.eno = 5";
+    for use_indexes in [true, false] {
+        let opts = PlanOptions {
+            use_indexes,
+            dop: 1,
+            ..Default::default()
+        };
+        let explain = plan_sql(&cat, sql, opts).outputs[0].plan.explain();
+        let scans: Vec<&str> = explain
+            .lines()
+            .map(str::trim)
+            .filter(|l| l.contains("Scan("))
+            .collect();
+        assert_eq!(
+            scans,
+            [
+                "SeqScan(DEPT) filter=[]",
+                "SeqScan(EMP) filter=[(#0 = 5)]",
+                "SeqScan(EMP) filter=[]"
+            ],
+            "use_indexes: {use_indexes}\n{explain}"
+        );
+    }
 }

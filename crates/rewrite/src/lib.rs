@@ -52,16 +52,11 @@ pub struct RewriteOptions {
     /// Apply the E-to-F (existential subquery → semijoin) conversion.
     /// Disabling this reproduces the naive execution strategy of Fig. 3.
     pub e_to_f: bool,
-    /// Apply SELECT merge and predicate pushdown.
-    pub simplify: bool,
 }
 
 impl Default for RewriteOptions {
     fn default() -> Self {
-        RewriteOptions {
-            e_to_f: true,
-            simplify: true,
-        }
+        RewriteOptions { e_to_f: true }
     }
 }
 
@@ -69,11 +64,10 @@ impl Default for RewriteOptions {
 /// present), then NF rules to fixpoint.
 pub fn rewrite(qgm: &mut Qgm, options: RewriteOptions) -> Result<RewriteReport> {
     xnf_semantic_rewrite(qgm)?;
-    let rules = match (options.e_to_f, options.simplify) {
-        (true, true) => nf_rules(),
-        (false, true) => nf_rules_no_etof(),
-        (true, false) => vec![Box::new(EToF) as Box<dyn Rule>, Box::new(RemoveUnusedBoxes)],
-        (false, false) => vec![Box::new(RemoveUnusedBoxes) as Box<dyn Rule>],
+    let rules = if options.e_to_f {
+        nf_rules()
+    } else {
+        nf_rules_no_etof()
     };
     let engine = RuleEngine::new(rules);
     engine.run(qgm)

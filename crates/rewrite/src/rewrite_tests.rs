@@ -121,14 +121,7 @@ fn fig3_naive_mode_keeps_existential() {
     )
     .unwrap();
     let mut g = build_select_query(&cat, &q).unwrap();
-    rewrite(
-        &mut g,
-        RewriteOptions {
-            e_to_f: false,
-            simplify: true,
-        },
-    )
-    .unwrap();
+    rewrite(&mut g, RewriteOptions { e_to_f: false }).unwrap();
     let has_existential = g.quns.iter().any(|q| q.kind == QunKind::Existential);
     assert!(
         has_existential,

@@ -152,7 +152,7 @@ fn prepared_params_identical_across_batch_sizes() {
 }
 
 // ---------------------------------------------------------------------------
-// paper fixture: CO extraction (multi-stream results) and parallel delivery
+// paper fixture: CO extraction (multi-stream results)
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -172,13 +172,6 @@ fn paper_co_streams_identical_across_batch_sizes() {
         let db = build_paper_db_with(scale, config_with_batch(bs));
         let got = db.query(DEPS_ARC).unwrap();
         assert_same_result(&reference, &got, &format!("batch_size={bs}: DEPS_ARC"));
-        // Parallel stream delivery chunks the same way.
-        let parallel = db.query_parallel(DEPS_ARC).unwrap();
-        assert_same_result(
-            &reference,
-            &parallel,
-            &format!("batch_size={bs}: DEPS_ARC (parallel)"),
-        );
     }
 }
 

@@ -138,10 +138,7 @@ fn every_documented_operator_is_emitted() {
             ..Default::default()
         },
         DbConfig {
-            rewrite: RewriteOptions {
-                e_to_f: false,
-                ..Default::default()
-            },
+            rewrite: RewriteOptions { e_to_f: false },
             ..Default::default()
         },
     );
@@ -165,7 +162,6 @@ fn every_documented_operator_is_emitted() {
             plan: PlanOptions {
                 dop: 4,
                 parallel_min_pages: 1,
-                allow_oversubscribe: true,
                 ..Default::default()
             },
             ..Default::default()

@@ -32,7 +32,6 @@ fn config(use_indexes: bool, dop: usize, batch_size: usize) -> DbConfig {
             use_indexes,
             dop,
             batch_size,
-            allow_oversubscribe: true,
             ..Default::default()
         },
         ..Default::default()

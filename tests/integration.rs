@@ -305,25 +305,3 @@ fn prepared_statements_work_across_the_fixture_db() {
         assert_eq!(a.rows, b.rows, "re-execution must be deterministic");
     }
 }
-
-#[test]
-fn parallel_extraction_matches_sequential() {
-    let db = build_paper_db(PaperScale {
-        departments: 20,
-        ..Default::default()
-    });
-    let seq = db.query(DEPS_ARC).unwrap();
-    let par = db.query_parallel(DEPS_ARC).unwrap();
-    assert_eq!(seq.streams.len(), par.streams.len());
-    for (a, b) in seq.streams.iter().zip(&par.streams) {
-        assert_eq!(a.name, b.name);
-        assert_eq!(
-            a.rows, b.rows,
-            "stream {} differs under parallel extraction",
-            a.name
-        );
-    }
-    // Plain SQL works through the parallel path too.
-    let r = db.query_parallel("SELECT COUNT(*) FROM EMP").unwrap();
-    assert!(r.try_table().unwrap().rows[0][0].as_int().unwrap() > 0);
-}

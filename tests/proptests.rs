@@ -198,10 +198,7 @@ fn rewrite_preserves_semantics() {
         let desc = random_graph_db(&mut rng);
         let fast = build(&desc);
         let naive = Database::with_config(DbConfig {
-            rewrite: RewriteOptions {
-                e_to_f: false,
-                simplify: true,
-            },
+            rewrite: RewriteOptions { e_to_f: false },
             plan: PlanOptions::default(),
             ..Default::default()
         });

@@ -249,11 +249,11 @@ fn reopening_twice_is_idempotent() {
 #[test]
 fn buffer_budget_evicts_under_pressure_and_loses_nothing() {
     let dir = TempDir::new("recovery-evict");
-    // 8 frames of budget vs. a heap dozens of pages long: inserts force
-    // evictions, each write-back passing the WAL-before-data debug assert
-    // in the buffer pool (this test runs in debug builds).
+    // 8 frames vs. a heap dozens of pages long: inserts force evictions,
+    // each write-back passing the WAL-before-data debug assert in the
+    // buffer pool (this test runs in debug builds).
     let tiny = DbConfig {
-        buffer_budget: 8 * PAGE_SIZE,
+        buffer_pages: 8,
         ..config(dir.path())
     };
     let fat = "x".repeat(400);
@@ -286,10 +286,9 @@ fn buffer_budget_evicts_under_pressure_and_loses_nothing() {
 #[test]
 fn buffer_budget_parallel_scans_wait_for_pinned_frames() {
     let db = Database::with_config(DbConfig {
-        buffer_budget: 8 * PAGE_SIZE,
+        buffer_pages: 8,
         plan: PlanOptions {
             dop: 2,
-            allow_oversubscribe: true,
             ..Default::default()
         },
         ..DbConfig::default()
@@ -307,6 +306,30 @@ fn buffer_budget_parallel_scans_wait_for_pinned_frames() {
     assert!(plan.contains("ParallelSeqScan(T)"), "{plan}");
     for _ in 0..200 {
         assert_eq!(count(&db, "T"), 600);
+    }
+}
+
+/// A pool of zero pages cannot hold the page a scan reads: both open paths
+/// floor `buffer_pages` at 8 frames instead of panicking.
+#[test]
+fn zero_buffer_pages_opens_an_eight_frame_pool() {
+    let dir = TempDir::new("recovery-zero-pool");
+    let durable = DbConfig {
+        buffer_pages: 0,
+        ..config(dir.path())
+    };
+    let in_memory = DbConfig {
+        buffer_pages: 0,
+        ..DbConfig::default()
+    };
+    for db in [
+        Database::open_with_config(durable).unwrap(),
+        Database::with_config(in_memory),
+    ] {
+        assert_eq!(db.catalog().buffer_pool().capacity(), 8);
+        db.execute("CREATE TABLE T (id INT NOT NULL)").unwrap();
+        db.execute("INSERT INTO T VALUES (1)").unwrap();
+        assert_eq!(count(&db, "T"), 1);
     }
 }
 
