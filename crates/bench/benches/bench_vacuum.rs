@@ -7,7 +7,7 @@
 //! as the run proceeds. With the opportunistic vacuum (default
 //! `DbConfig::auto_vacuum_threshold`) all three stay bounded and the
 //! throughput holds flat — the `size after` lines printed at the end show
-//! the resource gap directly (the CI `gc-soak` job asserts the bounds; this
+//! the resource gap directly (`tests/gc_soak.rs` asserts the bounds; this
 //! bench records the perf trajectory).
 
 use std::time::Duration;

@@ -30,7 +30,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use xnf_core::client_server::run_sessions;
+use xnf_core::run_sessions;
 use xnf_core::{Database, DbConfig, TempDir, Value};
 
 const OPS_PER_THREAD: usize = 32;

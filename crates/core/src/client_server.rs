@@ -16,20 +16,14 @@
 //!
 //! and the shipping *policies* of Sect. 5.3 quantify what a page server, an
 //! object server and a query (RDBMS) server move and expose for the same
-//! request.
-//!
-//! [`run_sessions`] is the in-process concurrent driver for the
-//! multi-client side of that model: one thread per session over one shared
-//! `Arc<Database>`, each session holding its own transactions.
-
-use std::sync::Arc;
+//! request. The multi-client side of that model is
+//! [`crate::session::run_sessions`].
 
 use xnf_exec::QueryResult;
 use xnf_storage::{Table, PAGE_SIZE};
 
 use crate::db::Database;
 use crate::error::Result;
-use crate::session::Session;
 
 /// Simulated network/IPC cost model.
 #[derive(Debug, Clone, Copy)]
@@ -300,59 +294,4 @@ pub fn navigational_extract(
 pub struct NavLevel {
     pub query_prefix: String,
     pub parent_key_col: usize,
-}
-
-// ---------------------------------------------------------------------------
-// in-process concurrent driver (Sect. 3's many-workstations model)
-// ---------------------------------------------------------------------------
-
-/// Drive `sessions` concurrent sessions against one shared database,
-/// thread-per-session: each thread opens its own [`Session`] (its own
-/// transaction slot) and runs `work(session_index, &session)`; results are
-/// returned in session order once every thread finishes.
-///
-/// This is the in-process stand-in for the paper's multi-workstation
-/// processing model: many clients with independent units of work against
-/// one shared RDBMS. Sessions see snapshot-isolated reads; concurrent
-/// writers of the same row get first-writer-wins `WriteConflict`s.
-///
-/// ```
-/// use std::sync::Arc;
-/// use xnf_core::{client_server::run_sessions, Database, Value};
-///
-/// let db = Arc::new(Database::new());
-/// db.execute("CREATE TABLE T (id INT, v INT)").unwrap();
-/// db.execute("INSERT INTO T VALUES (1, 10), (2, 20)").unwrap();
-/// let counts = run_sessions(&db, 4, |_, session| {
-///     session
-///         .query("SELECT COUNT(*) FROM T", &[])
-///         .unwrap()
-///         .try_table()
-///         .unwrap()
-///         .rows[0][0]
-///         .clone()
-/// });
-/// assert_eq!(counts, vec![Value::Int(2); 4]);
-/// ```
-pub fn run_sessions<R, F>(db: &Arc<Database>, sessions: usize, work: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize, &Session<'_>) -> R + Sync,
-{
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..sessions)
-            .map(|i| {
-                let db = Arc::clone(db);
-                let work = &work;
-                scope.spawn(move || {
-                    let session = db.session();
-                    work(i, &session)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("session thread panicked"))
-            .collect()
-    })
 }

@@ -4,11 +4,12 @@
 //! `Database` owns no transaction state of its own — transactions belong to
 //! [`Session`]s (one per client, per the paper's multi-workstation
 //! processing model), and `Database: Send + Sync` holds by construction so
-//! one instance can be shared across threads behind an `Arc`. Statements
-//! executed directly on the facade run in *autocommit*: each one gets a
-//! fresh latest-committed snapshot, and DML runs as a short transaction
-//! committed (with materialized-view maintenance) when the statement
-//! finishes.
+//! one instance can be shared across threads behind an `Arc`. The facade's
+//! statement calls (`execute`, `query`, `execute_batch`, `fetch_co`) are
+//! shorthands for the same call on a fresh [`Session`], so they run in
+//! *autocommit*: each statement gets a fresh latest-committed snapshot, and
+//! DML runs as a short transaction committed (with materialized-view
+//! maintenance) when the statement finishes.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -24,8 +25,7 @@ use xnf_plan::{plan_query, PhysExpr, PlanOptions, Qep};
 use xnf_qgm::{build_select_query, build_xnf_query, OutputKind, Qgm};
 use xnf_rewrite::{rewrite, RewriteError, RewriteOptions, RewriteReport};
 use xnf_sql::{
-    parse_statement, parse_statement_params, parse_statements, ColumnDef, Expr, Statement,
-    TypeName, ViewBody,
+    parse_statement, parse_statement_params, ColumnDef, Expr, Statement, TypeName, ViewBody,
 };
 use xnf_storage::{
     recover, BufferPool, Catalog, CheckpointSnap, Column, DataType, DiskManager, DiskStats,
@@ -38,15 +38,15 @@ use crate::matview::{MaintPlan, MaintTracker};
 use crate::session::{ActiveTxn, CompiledBody, CompiledStmt, PlanCache, PlanCacheStats, Session};
 
 /// The transaction scope a statement executes in: a session's transaction
-/// slot (the statement joins the open transaction, if any), or `None` for
-/// the facade's autocommit paths.
-pub(crate) type Scope<'a> = Option<&'a crate::session::TxnSlot>;
+/// slot. The statement joins the open transaction, if any, and otherwise
+/// runs in autocommit.
+pub(crate) type Scope<'a> = &'a crate::session::TxnSlot;
 
 /// The snapshot reads in `scope` should run against: the open
 /// transaction's begin-snapshot, else `None` (a fresh latest-committed
 /// snapshot, resolved by the executor per run).
 pub(crate) fn scope_visibility(scope: Scope<'_>) -> Visibility {
-    scope.and_then(|slot| slot.lock().as_ref().map(|a| a.snapshot.clone()))
+    scope.lock().as_ref().map(|a| a.snapshot.clone())
 }
 
 /// An open DML write scope: either the session's own transaction (held
@@ -72,20 +72,19 @@ enum ScopeInner<'a> {
 
 impl<'a> WriteScope<'a> {
     pub(crate) fn open(db: &'a Database, scope: Scope<'a>) -> WriteScope<'a> {
-        if let Some(slot) = scope {
-            let guard = slot.lock();
-            if guard.is_some() {
-                // Explicit transactions always capture deltas: whether
-                // maintenance is needed is decided at COMMIT, and a
-                // materialized view created between this statement and the
-                // commit must still see the transaction's earlier writes.
-                return WriteScope {
-                    db,
-                    track: true,
-                    inner: ScopeInner::Session(guard),
-                };
-            }
+        let guard = scope.lock();
+        if guard.is_some() {
+            // Explicit transactions always capture deltas: whether
+            // maintenance is needed is decided at COMMIT, and a
+            // materialized view created between this statement and the
+            // commit must still see the transaction's earlier writes.
+            return WriteScope {
+                db,
+                track: true,
+                inner: ScopeInner::Session(guard),
+            };
         }
+        drop(guard);
         // Autocommit consumes its delta at the end of this statement, so
         // the view-existence check now is exact.
         WriteScope {
@@ -230,8 +229,6 @@ pub struct DbConfig {
     pub rewrite: RewriteOptions,
     /// Planner options.
     pub plan: PlanOptions,
-    /// Capacity (statements) of the shared compiled-plan cache.
-    pub plan_cache_capacity: usize,
     /// Opportunistic-vacuum trigger: after a commit, any heap whose
     /// reclaim pressure (dead versions + tombstoned slots since its last
     /// vacuum) reaches this many rows is vacuumed on the committing
@@ -251,13 +248,12 @@ impl Default for DbConfig {
             doublewrite: true,
             rewrite: RewriteOptions::default(),
             plan: PlanOptions::default(),
-            plan_cache_capacity: 128,
             auto_vacuum_threshold: 512,
         }
     }
 }
 
-/// Result of [`Database::execute`].
+/// Result of [`Session::execute`] (and [`Database::execute`]).
 #[derive(Debug, Clone)]
 pub enum ExecOutcome {
     /// DDL executed.
@@ -391,7 +387,6 @@ impl Database {
         }
         let disk = Arc::new(DiskManager::new());
         let pool = Arc::new(BufferPool::new(disk, Self::frame_budget(&config)));
-        let plan_cache = Mutex::new(PlanCache::new(config.plan_cache_capacity));
         Database {
             catalog: Arc::new(Catalog::new(pool)),
             config,
@@ -401,7 +396,7 @@ impl Database {
             maint_roots: AtomicU64::new(0),
             maint_nodes_reused: AtomicU64::new(0),
             maint_us: AtomicU64::new(0),
-            plan_cache,
+            plan_cache: Mutex::default(),
             matview_plans: Mutex::new(None),
             recovery: None,
         }
@@ -446,7 +441,6 @@ impl Database {
             Arc::clone(&wal),
         ));
         let catalog = Arc::new(Catalog::new_logged(pool, Some(Arc::clone(&wal))));
-        let plan_cache = Mutex::new(PlanCache::new(config.plan_cache_capacity));
         let mut db = Database {
             catalog,
             config,
@@ -456,7 +450,7 @@ impl Database {
             maint_roots: AtomicU64::new(0),
             maint_nodes_reused: AtomicU64::new(0),
             maint_us: AtomicU64::new(0),
-            plan_cache,
+            plan_cache: Mutex::default(),
             matview_plans: Mutex::new(None),
             recovery: None,
         };
@@ -919,28 +913,22 @@ impl Database {
 
     // -- statement execution ----------------------------------------------
 
-    /// Execute one statement (SQL or XNF). Routed through the shared plan
-    /// cache, so repeated statements skip the compilation pipeline.
+    /// Execute one statement (SQL or XNF); [`Session::execute`] without
+    /// bindings.
     pub fn execute(&self, text: &str) -> Result<ExecOutcome> {
-        let key = crate::session::normalize_statement(text);
-        let (compiled, _) = self.compile_cached(&key)?;
-        compiled.require_bound("")?;
-        self.execute_compiled_scoped(&compiled, Params::default(), None)
+        self.session().execute(text, &[])
     }
 
-    /// Execute a batch of semicolon-separated statements; returns the last
-    /// outcome.
+    /// Execute a batch of semicolon-separated statements in one autocommit
+    /// session; returns the last outcome.
     pub fn execute_batch(&self, text: &str) -> Result<ExecOutcome> {
-        let stmts = parse_statements(text)?;
-        let mut last = ExecOutcome::Done;
-        for s in &stmts {
-            last = self.execute_stmt(s)?;
-        }
-        Ok(last)
+        self.session().execute_batch(text)
     }
 
-    pub fn execute_stmt(&self, stmt: &Statement) -> Result<ExecOutcome> {
-        self.execute_stmt_scoped(stmt, &Params::default(), None)
+    /// Run a SELECT, `OUT OF` or VACUUM and return its stream(s);
+    /// [`Session::query`] without bindings.
+    pub fn query(&self, sql: &str) -> Result<QueryResult> {
+        self.session().query(sql, &[])
     }
 
     /// Execute a parsed statement with parameter bindings inside `scope`
@@ -1070,22 +1058,6 @@ impl Database {
                 params,
                 scope,
             )?)),
-        }
-    }
-
-    /// Run a SELECT (or `OUT OF`) and return its stream(s). Routed through
-    /// the shared plan cache.
-    pub fn query(&self, sql: &str) -> Result<QueryResult> {
-        let key = crate::session::normalize_statement(sql);
-        let (compiled, _) = self.compile_cached(&key)?;
-        match &compiled.body {
-            CompiledBody::Statement => Err(XnfError::Api(
-                "query() expects SELECT or OUT OF".to_string(),
-            )),
-            body => {
-                compiled.require_bound("")?;
-                self.run_body(&compiled.stmt, body, Params::default(), None)
-            }
         }
     }
 

@@ -31,9 +31,12 @@
 //!   served from stored streams by [`Database::fetch_co`] and
 //!   [`Database::fetch_co_point`].
 //!
-//! One-shot calls ([`Database::execute`], [`Database::query`],
-//! [`Database::fetch_co`]) go through the same plan cache, so hot statement
-//! text is compiled once regardless of which API level issues it.
+//! The one-shot calls ([`Database::execute`], [`Database::query`],
+//! [`Database::execute_batch`], [`Database::fetch_co`]) are shorthands for
+//! the same call on a fresh autocommit [`Session`], not a path of their
+//! own: they share its plan cache, its errors and its rule on which
+//! statements return rows. [`run_sessions`] drives many sessions over one
+//! shared database, one thread each.
 //!
 //! ```
 //! use xnf_core::{Database, Value};
@@ -102,8 +105,8 @@ pub use co::CoCache;
 pub use db::{Database, DbConfig, ExecOutcome};
 pub use error::{Result, XnfError};
 pub use persist::{load_from_file, load_workspace, save_to_file, save_workspace};
-pub use session::{PlanCacheStats, Prepared, Session, SessionStats};
-pub use writeback::{derive_co_schema, write_back, BaseMap, CoSchema, CompMeta, RelMeta};
+pub use session::{run_sessions, PlanCacheStats, Prepared, Session, SessionStats};
+pub use writeback::{derive_co_schema, BaseMap, CoSchema, CompMeta, RelMeta};
 
 // Re-export the lower layers for power users and the bench harness.
 pub use xnf_exec::{ExecStats, QueryResult, RowBatch, StreamResult, DEFAULT_BATCH_SIZE};

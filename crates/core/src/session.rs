@@ -27,12 +27,12 @@ use parking_lot::Mutex;
 
 use xnf_exec::{Params, QueryResult};
 use xnf_plan::Qep;
-use xnf_sql::Statement;
-use xnf_storage::{DeltaBatch, Snapshot, Transaction, Value};
+use xnf_sql::{parse_statements, Statement};
+use xnf_storage::{DeltaBatch, Snapshot, Transaction, Value, ViewKind};
 
 use crate::cache::Workspace;
 use crate::co::CoCache;
-use crate::db::{Database, ExecOutcome};
+use crate::db::{scope_visibility, Database, ExecOutcome};
 use crate::error::{Result, XnfError};
 use crate::writeback::derive_co_schema;
 
@@ -155,21 +155,26 @@ impl CompiledStmt {
         self.n_params
     }
 
-    pub(crate) fn stmt(&self) -> &Statement {
-        &self.stmt
-    }
-
-    /// The one-shot entry points run without bindings: refuse a statement
-    /// with `?` placeholders, naming the session call (`bind_then`
-    /// follows `bind(...)`) that would bind them.
-    pub(crate) fn require_bound(&self, bind_then: &str) -> Result<()> {
-        if self.n_params > 0 {
+    /// The one unbound-parameter check on the execute path: refuse to run
+    /// when `bound` values leave some of the statement's `?` placeholders
+    /// unbound, naming the call that binds them.
+    pub(crate) fn require_bound(&self, bound: usize) -> Result<()> {
+        if bound < self.n_params {
             return Err(XnfError::Api(format!(
-                "statement has {} unbound parameter(s); use session().prepare(...).bind(...){bind_then}",
-                self.n_params
+                "statement has {} unbound parameter(s); use session().prepare(...).bind(...)",
+                self.n_params - bound
             )));
         }
         Ok(())
+    }
+
+    /// Does the statement return rows? SELECT, `OUT OF` and VACUUM (its
+    /// report stream) do; DDL, DML, ANALYZE and REFRESH do not.
+    fn returns_rows(&self) -> bool {
+        matches!(
+            self.stmt,
+            Statement::Select(_) | Statement::Xnf(_) | Statement::Vacuum { .. }
+        )
     }
 }
 
@@ -188,9 +193,12 @@ pub struct PlanCacheStats {
     pub evictions: u64,
 }
 
+/// Capacity (statements) of the shared compiled-plan cache.
+pub(crate) const PLAN_CACHE_CAPACITY: usize = 128;
+
 /// Shared LRU plan cache keyed by normalized statement text.
+#[derive(Default)]
 pub(crate) struct PlanCache {
-    capacity: usize,
     /// key → (compiled, last-used tick).
     entries: HashMap<String, (Arc<CompiledStmt>, u64)>,
     tick: u64,
@@ -198,15 +206,6 @@ pub(crate) struct PlanCache {
 }
 
 impl PlanCache {
-    pub fn new(capacity: usize) -> Self {
-        PlanCache {
-            capacity: capacity.max(1),
-            entries: HashMap::new(),
-            tick: 0,
-            stats: PlanCacheStats::default(),
-        }
-    }
-
     /// Look up `key`, treating entries from older catalog generations as
     /// absent (and dropping them).
     pub fn get(&mut self, key: &str, current_generation: u64) -> Option<Arc<CompiledStmt>> {
@@ -233,7 +232,7 @@ impl PlanCache {
     pub fn insert(&mut self, key: String, compiled: Arc<CompiledStmt>) {
         self.tick += 1;
         self.stats.compiles += 1;
-        if self.entries.len() >= self.capacity && !self.entries.contains_key(&key) {
+        if self.entries.len() >= PLAN_CACHE_CAPACITY && !self.entries.contains_key(&key) {
             // Evict the least-recently-used entry (linear scan: the cache is
             // small and eviction is off the hot path).
             if let Some(lru) = self
@@ -367,7 +366,7 @@ impl<'db> Session<'db> {
     /// transaction's begin-snapshot, or `None` (latest committed state) in
     /// autocommit.
     pub fn snapshot(&self) -> Option<Snapshot> {
-        self.txn.lock().as_ref().map(|a| a.snapshot.clone())
+        scope_visibility(&self.txn)
     }
 
     // -- statements -------------------------------------------------------
@@ -394,26 +393,75 @@ impl<'db> Session<'db> {
         })
     }
 
+    /// Prepare `text` and bind `params` (left unbound when empty, so the
+    /// execute path's unbound-parameter check reports a missing binding).
+    fn prepare_bound(&self, text: &str, params: &[Value]) -> Result<Prepared<'db>> {
+        let mut prepared = self.prepare(text)?;
+        if !params.is_empty() {
+            prepared.bind(params)?;
+        }
+        Ok(prepared)
+    }
+
     /// One-shot convenience: prepare (through the cache), bind, execute —
     /// inside this session's open transaction, if any.
     pub fn execute(&self, text: &str, params: &[Value]) -> Result<ExecOutcome> {
-        let mut prepared = self.prepare(text)?;
-        if !params.is_empty() || prepared.param_count() > 0 {
-            prepared.bind(params)?;
-        }
-        prepared.execute()
+        self.prepare_bound(text, params)?.execute()
     }
 
-    /// One-shot query convenience returning the result streams.
+    /// One-shot query convenience returning the result streams. Refuses a
+    /// statement that returns no rows (see [`Prepared::query`]) before
+    /// running it.
     pub fn query(&self, text: &str, params: &[Value]) -> Result<QueryResult> {
-        self.execute(text, params)?.try_rows()
+        self.prepare_bound(text, params)?.query()
+    }
+
+    /// Run semicolon-separated statements in order inside this session's
+    /// scope and return the last outcome (the body of
+    /// [`Database::execute_batch`]).
+    pub(crate) fn execute_batch(&self, text: &str) -> Result<ExecOutcome> {
+        let mut last = ExecOutcome::Done;
+        for stmt in parse_statements(text)? {
+            last = self
+                .db
+                .execute_stmt_scoped(&stmt, &Params::default(), &self.txn)?;
+        }
+        Ok(last)
+    }
+
+    /// Evaluate an XNF query (`OUT OF … TAKE …` text) or a stored XNF view
+    /// (by name) and load the result into a client-side CO cache.
+    /// Compilation goes through the shared plan cache, so repeated fetches
+    /// of the same CO skip the parse→QGM→rewrite→plan pipeline. Inside an
+    /// open transaction the extraction reads that transaction's snapshot,
+    /// its own uncommitted writes included.
+    ///
+    /// A **materialized** CO view loads straight from its backing streams —
+    /// no extraction pipeline at all. That load is *not* snapshot-scoped:
+    /// inside a transaction it still shows the view's latest maintained
+    /// contents, not the state as of `begin`.
+    pub fn fetch_co(&self, query_or_view: &str) -> Result<CoCache> {
+        let text = match self.db.catalog().view(query_or_view) {
+            Some(view) if view.kind != ViewKind::Xnf => {
+                return Err(XnfError::Api(format!(
+                    "'{query_or_view}' is a relational view, not a CO view"
+                )))
+            }
+            Some(view) if view.materialized => {
+                return crate::matview::fetch_co_materialized(self.db, query_or_view)
+            }
+            Some(view) => view.text,
+            None => query_or_view.to_string(),
+        };
+        self.prepare(&text)?.fetch_co()
     }
 
     /// Push a CO cache's pending changes back to the database inside this
-    /// session's transaction scope (the write-back joins an open
-    /// transaction, or runs as one autocommit transaction of its own).
+    /// session's transaction scope, atomically: the write-back joins an
+    /// open transaction, or runs as one autocommit transaction of its own.
+    /// Returns the number of base-table operations performed.
     pub fn write_back(&self, co: &mut CoCache) -> Result<usize> {
-        crate::writeback::write_back_scoped(self.db, Some(&self.txn), &mut co.workspace, &co.schema)
+        crate::writeback::write_back_scoped(self.db, &self.txn, &mut co.workspace, &co.schema)
     }
 
     /// This session's cache counters (prepare-time hits/misses).
@@ -472,15 +520,9 @@ impl<'db> Prepared<'db> {
     /// Re-validate against DDL and execute with the current bindings.
     pub fn execute(&mut self) -> Result<ExecOutcome> {
         self.revalidate()?;
-        if self.params.len() != self.compiled.n_params {
-            return Err(XnfError::Api(format!(
-                "statement takes {} parameter(s), {} bound — call bind() first",
-                self.compiled.n_params,
-                self.params.len()
-            )));
-        }
+        self.compiled.require_bound(self.params.len())?;
         self.db
-            .execute_compiled_scoped(&self.compiled, Arc::clone(&self.params), Some(&self.txn))
+            .execute_compiled_scoped(&self.compiled, Arc::clone(&self.params), &self.txn)
     }
 
     /// Bind and execute in one call.
@@ -489,24 +531,28 @@ impl<'db> Prepared<'db> {
         self.execute()
     }
 
-    /// Execute, expecting result rows (SELECT / `OUT OF`).
+    /// Execute, expecting result rows: SELECT, `OUT OF` or VACUUM (its
+    /// report stream). Any other statement is refused before it runs.
     pub fn query(&mut self) -> Result<QueryResult> {
+        if !self.compiled.returns_rows() {
+            return Err(XnfError::Api(
+                "query() expects SELECT or OUT OF".to_string(),
+            ));
+        }
         self.execute()?.try_rows()
     }
 
     /// For a prepared `OUT OF … TAKE …` query: execute and load the result
     /// into a client-side CO cache (the prepared counterpart of
-    /// [`Database::fetch_co`]).
+    /// [`Session::fetch_co`]).
     pub fn fetch_co(&mut self) -> Result<CoCache> {
-        let result = self.query()?;
-        let query = match &self.compiled.stmt {
-            Statement::Xnf(q) => q.clone(),
-            _ => {
-                return Err(XnfError::Api(
-                    "fetch_co() requires a prepared OUT OF query".to_string(),
-                ))
-            }
+        let Statement::Xnf(query) = &self.compiled.stmt else {
+            return Err(XnfError::Api(
+                "fetch_co() expects an OUT OF query or XNF view".to_string(),
+            ));
         };
+        let query = query.clone();
+        let result = self.query()?;
         let workspace = Workspace::from_result(&result)?;
         let schema = derive_co_schema(self.db, &query)?;
         Ok(CoCache {
@@ -530,6 +576,61 @@ impl<'db> Prepared<'db> {
         }
         Ok(())
     }
+}
+
+// ---------------------------------------------------------------------------
+// in-process concurrent driver (Sect. 3's many-workstations model)
+// ---------------------------------------------------------------------------
+
+/// Drive `sessions` concurrent sessions against one shared database,
+/// thread-per-session: each thread opens its own [`Session`] (its own
+/// transaction slot) and runs `work(session_index, &session)`; results are
+/// returned in session order once every thread finishes.
+///
+/// This is the in-process stand-in for the paper's multi-workstation
+/// processing model: many clients with independent units of work against
+/// one shared RDBMS. Sessions see snapshot-isolated reads; concurrent
+/// writers of the same row get first-writer-wins `WriteConflict`s.
+///
+/// ```
+/// use std::sync::Arc;
+/// use xnf_core::{run_sessions, Database, Value};
+///
+/// let db = Arc::new(Database::new());
+/// db.execute("CREATE TABLE T (id INT, v INT)").unwrap();
+/// db.execute("INSERT INTO T VALUES (1, 10), (2, 20)").unwrap();
+/// let counts = run_sessions(&db, 4, |_, session| {
+///     session
+///         .query("SELECT COUNT(*) FROM T", &[])
+///         .unwrap()
+///         .try_table()
+///         .unwrap()
+///         .rows[0][0]
+///         .clone()
+/// });
+/// assert_eq!(counts, vec![Value::Int(2); 4]);
+/// ```
+pub fn run_sessions<R, F>(db: &Arc<Database>, sessions: usize, work: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize, &Session<'_>) -> R + Sync,
+{
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..sessions)
+            .map(|i| {
+                let db = Arc::clone(db);
+                let work = &work;
+                scope.spawn(move || {
+                    let session = db.session();
+                    work(i, &session)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("session thread panicked"))
+            .collect()
+    })
 }
 
 #[cfg(test)]

@@ -3,7 +3,9 @@
 
 use xnf_storage::Value;
 
-use crate::db::{Database, DbConfig};
+use crate::co::CoCache;
+use crate::db::Database;
+use crate::session::PLAN_CACHE_CAPACITY;
 
 fn emp_db() -> Database {
     let db = Database::new();
@@ -268,16 +270,13 @@ fn bind_arity_is_checked() {
 
 #[test]
 fn lru_keeps_the_cache_bounded() {
-    let db = Database::with_config(DbConfig {
-        plan_cache_capacity: 4,
-        ..Default::default()
-    });
+    let db = Database::new();
     db.execute("CREATE TABLE T (a INT)").unwrap();
-    for i in 0..20 {
+    for i in 0..PLAN_CACHE_CAPACITY + 20 {
         db.query(&format!("SELECT a FROM T WHERE a = {i}")).unwrap();
     }
-    assert!(db.plan_cache_len() <= 4);
-    assert!(db.plan_cache_stats().evictions >= 16);
+    assert!(db.plan_cache_len() <= PLAN_CACHE_CAPACITY);
+    assert!(db.plan_cache_stats().evictions >= 20);
 }
 
 #[test]
@@ -364,6 +363,121 @@ fn vacuum_runs_inside_and_outside_transactions() {
         3,
         "one version per live EMP row after vacuum"
     );
+
+    // The one-shot query form returns the same report stream.
+    let report = db.query("VACUUM").unwrap();
+    assert_eq!(report.try_table().unwrap().columns[0], "table");
+}
+
+#[test]
+fn query_refuses_statements_without_rows_before_running_them() {
+    let db = Database::new();
+    db.execute_batch("CREATE TABLE T (a INT); INSERT INTO T VALUES (1), (2)")
+        .unwrap();
+    let session = db.session();
+    for text in [
+        "DELETE FROM T",
+        "UPDATE T SET a = 0",
+        "INSERT INTO T VALUES (3)",
+        "CREATE TABLE U (b INT)",
+        "DROP TABLE T",
+        "ANALYZE T",
+    ] {
+        let err = session.query(text, &[]).unwrap_err().to_string();
+        assert!(err.contains("expects SELECT or OUT OF"), "{text}: {err}");
+        let err = db.query(text).unwrap_err().to_string();
+        assert!(err.contains("expects SELECT or OUT OF"), "{text}: {err}");
+    }
+    let mut refresh = session.prepare("REFRESH MATERIALIZED VIEW T").unwrap();
+    assert!(refresh.query().is_err());
+
+    // Nothing ran: T keeps both rows and U was never created.
+    let rows = db
+        .query("SELECT a FROM T ORDER BY a")
+        .unwrap()
+        .try_table()
+        .unwrap()
+        .rows
+        .clone();
+    assert_eq!(rows, vec![vec![Value::Int(1)], vec![Value::Int(2)]]);
+    assert!(db.catalog().table("U").is_err());
+}
+
+#[test]
+fn unbound_parameters_get_one_message_on_every_execute_path() {
+    let db = emp_db();
+    let text = "DELETE FROM EMP WHERE eno = ?";
+    let session = db.session();
+    let one_shot = db.execute(text).unwrap_err().to_string();
+    let via_session = session.execute(text, &[]).unwrap_err().to_string();
+    let via_prepared = session
+        .prepare(text)
+        .unwrap()
+        .execute()
+        .unwrap_err()
+        .to_string();
+    assert!(
+        one_shot.contains("1 unbound parameter(s)"),
+        "got: {one_shot}"
+    );
+    assert_eq!(via_session, one_shot);
+    assert_eq!(via_prepared, one_shot);
+}
+
+const EMP_CO: &str = "OUT OF xdept AS (SELECT * FROM DEPT),
+                             xemp AS EMP,
+                             employment AS (RELATE xdept VIA EMPLOYS, xemp
+                                            WHERE xdept.dno = xemp.edno)
+                      TAKE *";
+
+/// The `eno`s of a fetched CO's `xemp` component, sorted.
+fn co_enos(co: &CoCache) -> Vec<i64> {
+    let mut enos: Vec<i64> = co
+        .workspace
+        .independent("xemp")
+        .unwrap()
+        .map(|e| e.get_int("eno").unwrap())
+        .collect();
+    enos.sort_unstable();
+    enos
+}
+
+#[test]
+fn session_fetch_co_reads_the_open_transaction_snapshot() {
+    let db = emp_db();
+    let session = db.session();
+    session.begin().unwrap();
+    session
+        .execute("INSERT INTO EMP VALUES (13, 'kim', 2)", &[])
+        .unwrap();
+    // Committed by another session after the begin: not in the snapshot.
+    db.execute("INSERT INTO EMP VALUES (14, 'lou', 1)").unwrap();
+
+    let inside = session.fetch_co(EMP_CO).unwrap();
+    assert_eq!(co_enos(&inside), vec![10, 11, 12, 13]);
+
+    session.rollback().unwrap();
+    let after = db.fetch_co(EMP_CO).unwrap();
+    assert_eq!(co_enos(&after), vec![10, 11, 12, 14]);
+}
+
+#[test]
+fn session_fetch_co_by_view_name_matches_the_one_shot_form() {
+    let db = emp_db();
+    db.execute(&format!("CREATE VIEW emp_co AS {EMP_CO}"))
+        .unwrap();
+    db.execute(&format!("CREATE MATERIALIZED VIEW emp_co_mv AS {EMP_CO}"))
+        .unwrap();
+    let session = db.session();
+    for name in ["emp_co", "emp_co_mv"] {
+        let via_session = session.fetch_co(name).unwrap();
+        assert_eq!(co_enos(&via_session), vec![10, 11, 12], "{name}");
+        assert_eq!(
+            via_session.workspace.to_text(),
+            db.fetch_co(name).unwrap().workspace.to_text(),
+            "{name}"
+        );
+    }
 }
 
 #[test]

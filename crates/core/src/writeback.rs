@@ -334,17 +334,11 @@ fn analyze_relationship(
     general
 }
 
-/// Apply the workspace's pending changes back to the database, atomically,
-/// as one autocommit transaction of its own. Returns the number of
-/// base-table operations performed. To join a session's open transaction,
-/// use [`crate::Session::write_back`].
-pub fn write_back(db: &Database, ws: &mut Workspace, schema: &CoSchema) -> Result<usize> {
-    write_back_scoped(db, None, ws, schema)
-}
-
-/// [`write_back`] inside a transaction scope: with an open session
-/// transaction the changes join it (isolated until the session commits,
-/// undone by its rollback); otherwise a dedicated transaction wraps the
+/// Apply the workspace's pending changes back to the database inside a
+/// session's transaction scope (the body of [`crate::Session::write_back`]).
+/// With an open session transaction the changes join it (isolated until
+/// the session commits, undone by its rollback); otherwise a dedicated
+/// transaction wraps the
 /// write-back and commits — its deltas flowing through the coalesced,
 /// off-critical-path materialized-view maintenance pipeline — on
 /// success, or rolls back cleanly on conflict/error.

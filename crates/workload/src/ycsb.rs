@@ -27,7 +27,7 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use xnf_core::client_server::run_sessions;
+use xnf_core::run_sessions;
 use xnf_core::{Database, DbConfig, Session, TempDir, Value};
 use xnf_fixtures::{build_paper_db_with, PaperScale, DEPS_ARC};
 

@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use xnf_core::client_server::run_sessions;
+use xnf_core::run_sessions;
 use xnf_core::{Database, Value};
 use xnf_fixtures::{build_paper_db, deps_arc_query, PaperScale};
 

@@ -3,7 +3,7 @@
 //! (live-transaction horizon + auto-vacuum threshold), not O(updates).
 //!
 //! This is the acceptance harness for the MVCC garbage-collection
-//! subsystem: the CI `gc-soak` job runs the release-gated tests below and
+//! subsystem: CI's release test run includes the release-gated tests below and
 //! fails if any resource grew past its ceiling. The default-profile tests
 //! keep the loops short so `cargo test` stays fast; the `soak_*` variants
 //! are `#[ignore]`d in debug builds and run in release CI.
@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use xnf_core::client_server::run_sessions;
+use xnf_core::run_sessions;
 use xnf_core::{Database, Value};
 
 /// Ceilings for the single-key update loop. The auto-vacuum threshold
@@ -91,7 +91,7 @@ fn single_key_update_loop_stays_bounded() {
 }
 
 /// The acceptance-criteria loop: ≥ 50k updates on one key. Release-only
-/// (CI `gc-soak` job); debug builds skip it.
+/// (CI's release test run); debug builds skip it.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "heavy soak: run in release CI")]
 fn soak_50k_single_key_updates_stay_bounded() {
@@ -249,7 +249,7 @@ fn storm_with_concurrent_vacuum_keeps_invariants() {
     run_vacuum_storm(2, 2, 60, 0xF00D);
 }
 
-/// Heavy variant for the CI `gc-soak` job.
+/// Heavy variant for CI's release test run.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "heavy soak: run in release CI")]
 fn soak_storm_with_concurrent_vacuum() {

@@ -493,7 +493,7 @@ fn random_fixture_randomized_stream_all_batch_sizes() {
 #[test]
 fn multi_statement_txns_under_concurrent_committers_match_refresh() {
     use std::sync::atomic::{AtomicU64, Ordering};
-    use xnf_core::client_server::run_sessions;
+    use xnf_core::run_sessions;
 
     let db = std::sync::Arc::new(paper_db(1024));
     for (name, def) in [

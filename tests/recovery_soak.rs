@@ -16,7 +16,7 @@ use std::process::{Command, Stdio};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use xnf_core::client_server::run_sessions;
+use xnf_core::run_sessions;
 use xnf_core::{Database, DbConfig, TempDir, Value, XnfError};
 
 const ACCOUNTS: i64 = 16;
