@@ -378,33 +378,37 @@ pub fn passes(preds: &[PhysExpr], row: &[Value], outer: &OuterCtx) -> Result<boo
 use crate::batch::RowBatch;
 
 /// One conjunct classified for batch evaluation. Comparisons of a row slot
-/// against a constant — the dominant shape of scan filters and join
-/// residuals — run as tight `sql_cmp` loops without re-entering the
-/// recursive interpreter for every row; everything else falls back to
-/// [`eval`]. Classification happens once per batch, so expression dispatch
-/// is paid per chunk, not per row.
-enum BatchPred<'a> {
-    /// `#col <op> literal` (or the flipped spelling).
+/// against a constant — a literal or a bound `?` parameter, the dominant
+/// shape of scan filters and join residuals — run as tight `sql_cmp` loops
+/// without re-entering the recursive interpreter for every row; everything
+/// else falls back to [`eval`].
+enum BatchPred {
+    /// `#col <op> constant` (or the flipped spelling).
     ColLit {
         col: usize,
         op: BinOp,
-        lit: &'a Value,
+        lit: Value,
     },
-    General(&'a PhysExpr),
+    General(PhysExpr),
 }
 
-/// A conjunction classified once and applied to many rows: the scan path
-/// compiles its residual filter per output batch, then tests each decoded
-/// tuple inline while streaming pages.
-pub struct CompiledPreds<'a> {
-    preds: Vec<BatchPred<'a>>,
+/// A conjunction classified once and applied to many rows. A scan or index
+/// probe compiles its filter once, on its first pull, and then tests every
+/// decoded tuple inline. `#col op ?n` takes the constant path with the
+/// parameter resolved at compile time, so compiling fails with
+/// [`ExecError::MissingBinding`] when `?n` is unbound, as evaluating it
+/// would.
+pub struct CompiledPreds {
+    preds: Vec<BatchPred>,
 }
 
-impl<'a> CompiledPreds<'a> {
-    pub fn compile(preds: &'a [PhysExpr]) -> CompiledPreds<'a> {
-        CompiledPreds {
-            preds: preds.iter().map(classify).collect(),
-        }
+impl CompiledPreds {
+    pub fn compile(preds: &[PhysExpr], outer: &OuterCtx) -> Result<CompiledPreds> {
+        let preds = preds
+            .iter()
+            .map(|p| classify(p, outer))
+            .collect::<Result<_>>()?;
+        Ok(CompiledPreds { preds })
     }
 
     pub fn is_empty(&self) -> bool {
@@ -436,40 +440,61 @@ impl<'a> CompiledPreds<'a> {
         }
         Ok(true)
     }
+
+    /// Retain only the rows of `batch` that satisfy every conjunct.
+    pub fn retain(&self, batch: &mut RowBatch, outer: &OuterCtx) -> Result<()> {
+        let mut keep = Vec::with_capacity(batch.len());
+        for row in batch.iter() {
+            keep.push(self.matches(row, outer)?);
+        }
+        batch.retain_indices(&keep);
+        Ok(())
+    }
 }
 
-fn classify(p: &PhysExpr) -> BatchPred<'_> {
+fn classify(p: &PhysExpr, outer: &OuterCtx) -> Result<BatchPred> {
     use BinOp::*;
+    let constant = |e: &PhysExpr| -> Result<Option<Value>> {
+        Ok(match e {
+            PhysExpr::Literal(v) => Some(v.clone()),
+            PhysExpr::Param(i) => Some(outer.param(*i)?.clone()),
+            _ => None,
+        })
+    };
     if let PhysExpr::Binary { left, op, right } = p {
         if matches!(op, Eq | NotEq | Lt | LtEq | Gt | GtEq) {
             match (&**left, &**right) {
-                (PhysExpr::Col(c), PhysExpr::Literal(v)) => {
-                    return BatchPred::ColLit {
-                        col: *c,
-                        op: *op,
-                        lit: v,
+                (PhysExpr::Col(c), k) => {
+                    if let Some(lit) = constant(k)? {
+                        return Ok(BatchPred::ColLit {
+                            col: *c,
+                            op: *op,
+                            lit,
+                        });
                     }
                 }
-                (PhysExpr::Literal(v), PhysExpr::Col(c)) => {
-                    // `lit op col` ≡ `col flip(op) lit`.
-                    let flipped = match op {
-                        Lt => Gt,
-                        LtEq => GtEq,
-                        Gt => Lt,
-                        GtEq => LtEq,
-                        other => *other,
-                    };
-                    return BatchPred::ColLit {
-                        col: *c,
-                        op: flipped,
-                        lit: v,
-                    };
+                (k, PhysExpr::Col(c)) => {
+                    if let Some(lit) = constant(k)? {
+                        // `constant op col` ≡ `col flip(op) constant`.
+                        let flipped = match op {
+                            Lt => Gt,
+                            LtEq => GtEq,
+                            Gt => Lt,
+                            GtEq => LtEq,
+                            other => *other,
+                        };
+                        return Ok(BatchPred::ColLit {
+                            col: *c,
+                            op: flipped,
+                            lit,
+                        });
+                    }
                 }
                 _ => {}
             }
         }
     }
-    BatchPred::General(p)
+    Ok(BatchPred::General(p.clone()))
 }
 
 fn cmp_matches(op: BinOp, ord: std::cmp::Ordering) -> bool {
@@ -484,27 +509,14 @@ fn cmp_matches(op: BinOp, ord: std::cmp::Ordering) -> bool {
     }
 }
 
-/// Evaluate a conjunction over every row of `batch`, returning the keep
-/// mask (`true` = row satisfies all predicates). Classifies the conjuncts
-/// once, then tests rows through [`CompiledPreds::matches`].
-pub fn passes_batch(preds: &[PhysExpr], batch: &RowBatch, outer: &OuterCtx) -> Result<Vec<bool>> {
-    let compiled = CompiledPreds::compile(preds);
-    let mut keep = Vec::with_capacity(batch.len());
-    for row in batch.iter() {
-        keep.push(compiled.matches(row, outer)?);
-    }
-    Ok(keep)
-}
-
-/// Retain only the rows of `batch` that satisfy every predicate in `preds`.
-/// A no-op (no mask allocation) for an empty conjunction.
+/// Retain only the rows of `batch` that satisfy every predicate in `preds`,
+/// compiling them for this one batch. A no-op (no mask allocation) for an
+/// empty conjunction.
 pub fn filter_batch(preds: &[PhysExpr], batch: &mut RowBatch, outer: &OuterCtx) -> Result<()> {
     if preds.is_empty() || batch.is_empty() {
         return Ok(());
     }
-    let keep = passes_batch(preds, batch, outer)?;
-    batch.retain_indices(&keep);
-    Ok(())
+    CompiledPreds::compile(preds, outer)?.retain(batch, outer)
 }
 
 /// Project every row of `batch` through `exprs` into a fresh batch.
@@ -656,6 +668,61 @@ mod tests {
         );
         assert!(matches!(
             eval(&PhysExpr::Param(2), &[], &ctx, &[]),
+            Err(ExecError::MissingBinding(_))
+        ));
+    }
+
+    /// `#col op ?` (and `? op #col`) through the compiled fast path agrees
+    /// with `eval` + `truthy` for every comparison, on NULL parameters,
+    /// mixed numeric types, cross-type rank order and NULL columns.
+    #[test]
+    fn param_comparisons_take_the_fast_path_with_eval_semantics() {
+        use std::sync::Arc;
+        let cases = [
+            (Value::Int(5), Value::Null),
+            (Value::Int(5), Value::Double(5.0)),
+            (Value::Int(5), Value::Double(4.5)),
+            (Value::Double(2.5), Value::Int(3)),
+            (Value::Str("a".into()), Value::Int(1)),
+            (Value::Int(1), Value::Str("a".into())),
+            (Value::Null, Value::Int(1)),
+        ];
+        let ops = [
+            BinOp::Eq,
+            BinOp::NotEq,
+            BinOp::Lt,
+            BinOp::LtEq,
+            BinOp::Gt,
+            BinOp::GtEq,
+        ];
+        for (col, param) in cases {
+            let ctx = OuterCtx::with_params(Arc::new(vec![param.clone()]));
+            let row = [Value::Int(0), col.clone()];
+            for op in ops {
+                for pred in [
+                    b(PhysExpr::Col(1), op, PhysExpr::Param(0)),
+                    b(PhysExpr::Param(0), op, PhysExpr::Col(1)),
+                ] {
+                    let compiled = CompiledPreds::compile(std::slice::from_ref(&pred), &ctx)
+                        .expect("the parameter is bound");
+                    assert!(
+                        matches!(compiled.preds[..], [BatchPred::ColLit { .. }]),
+                        "{pred} missed the fast path"
+                    );
+                    let want = truthy(&eval(&pred, &row, &ctx, &[]).unwrap());
+                    assert_eq!(
+                        compiled.matches(&row, &ctx).unwrap(),
+                        want,
+                        "{pred} with #1 = {col:?}, ?0 = {param:?}"
+                    );
+                }
+            }
+        }
+        // An unbound parameter fails as evaluating it would.
+        let pred = b(PhysExpr::Col(0), BinOp::Eq, PhysExpr::Param(1));
+        let ctx = OuterCtx::with_params(Arc::new(vec![Value::Int(1)]));
+        assert!(matches!(
+            CompiledPreds::compile(&[pred], &ctx),
             Err(ExecError::MissingBinding(_))
         ));
     }

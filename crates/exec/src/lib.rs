@@ -10,9 +10,10 @@
 //!   row-at-a-time `next()`; virtual dispatch, predicate/projection setup
 //!   and allocator traffic amortise over a whole chunk;
 //! - scans stream batches straight off heap pages
-//!   (`HeapFile::scan_page`) and index postings — a scan holds at most one
-//!   page of tuples, so `LIMIT`-style early termination stops reading the
-//!   base table instead of materialising it;
+//!   (`HeapFile::scan_page_snapshot`) and index postings — a scan holds at
+//!   most one page of tuples, so `LIMIT`-style early termination stops
+//!   reading the base table instead of materialising it, and it decodes
+//!   only the columns the plan reads (`cols` on the scan node);
 //! - shared subplans (the multi-query "table queues" of Fig. 6) are
 //!   materialised once as `Vec<RowBatch>` and re-streamed chunk-at-a-time
 //!   by every consumer;
@@ -84,8 +85,8 @@ pub use engine::{
 };
 pub use error::{ExecError, Result};
 pub use eval::{
-    eval, filter_batch, like_match, passes, passes_batch, project_batch, truthy, CompiledPreds,
-    OuterCtx, Params, Row, Visibility,
+    eval, filter_batch, like_match, passes, project_batch, truthy, CompiledPreds, OuterCtx, Params,
+    Row, Visibility,
 };
 pub use ops::{build_operator, drain, ExecStats, Operator, Runtime};
 

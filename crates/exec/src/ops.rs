@@ -175,20 +175,22 @@ pub fn build_operator(plan: &PhysPlan) -> Box<dyn Operator> {
             rows: rows.clone(),
             done: false,
         }),
-        PhysPlan::SeqScan { table, filter } => Box::new(SeqScanOp {
-            table: table.clone(),
-            filter: filter.clone(),
-            table_ref: None,
-            page_idx: 0,
-            pending: BatchBuilder::default(),
-            done: false,
-        }),
         // A matview scan is a seq scan of the view's backing table: the
         // catalog resolves the view name to its backing storage.
-        PhysPlan::MatViewScan { view, filter } => Box::new(SeqScanOp {
-            table: view.clone(),
+        PhysPlan::SeqScan {
+            table,
+            filter,
+            cols,
+        }
+        | PhysPlan::MatViewScan {
+            view: table,
+            filter,
+            cols,
+        } => Box::new(SeqScanOp {
+            table: table.clone(),
             filter: filter.clone(),
-            table_ref: None,
+            cols: cols.clone(),
+            open: None,
             page_idx: 0,
             pending: BatchBuilder::default(),
             done: false,
@@ -241,10 +243,9 @@ pub fn build_operator(plan: &PhysPlan) -> Box<dyn Operator> {
             batch_idx: 0,
             row_offset: 0,
         }),
-        PhysPlan::Filter { input, preds } => Box::new(FilterOp {
-            input: build_operator(input),
-            preds: preds.clone(),
-        }),
+        PhysPlan::Filter { input, preds } => {
+            Box::new(FilterOp::new(build_operator(input), preds.clone()))
+        }
         PhysPlan::Project { input, exprs } => Box::new(ProjectOp {
             input: build_operator(input),
             exprs: exprs.clone(),
@@ -421,7 +422,10 @@ impl Operator for ValuesOp {
 struct SeqScanOp {
     table: String,
     filter: Vec<PhysExpr>,
-    table_ref: Option<Arc<Table>>,
+    /// The columns to decode (`None` = all); see `PhysPlan::SeqScan`.
+    cols: Option<Vec<usize>>,
+    /// The table and the compiled filter, resolved on the first pull.
+    open: Option<(Arc<Table>, CompiledPreds)>,
     /// Next heap page to pull (scans stream page-at-a-time; the whole table
     /// is never buffered in the operator).
     page_idx: usize,
@@ -434,19 +438,17 @@ impl Operator for SeqScanOp {
         if self.done {
             return Ok(None);
         }
-        if self.table_ref.is_none() {
-            self.table_ref = Some(rt.catalog.table(&self.table)?);
+        if self.open.is_none() {
+            let table = rt.catalog.table(&self.table)?;
+            self.open = Some((table, CompiledPreds::compile(&self.filter, &rt.outer)?));
             self.pending = BatchBuilder::new(0, rt.batch_size);
         }
-        let t = self.table_ref.as_ref().unwrap().clone();
-        // Classify the residual filter once per emitted batch; each decoded
-        // tuple is then tested inline while pages stream through.
-        let compiled = CompiledPreds::compile(&self.filter);
+        let (t, filter) = self.open.as_ref().expect("opened above");
         loop {
             if let Some(full) = self.pending.take_full() {
                 return Ok(Some(full));
             }
-            match t.scan_page_snapshot(self.page_idx, &rt.snapshot)? {
+            match t.scan_page_snapshot(self.page_idx, &rt.snapshot, self.cols.as_deref())? {
                 None => {
                     self.done = true;
                     return Ok(self.pending.take_rest());
@@ -456,7 +458,7 @@ impl Operator for SeqScanOp {
                     rt.stats.rows_scanned += page.len() as u64;
                     rt.stats.rows_skipped_visibility += skipped;
                     for (_, tuple) in page {
-                        if compiled.is_empty() || compiled.matches(&tuple.values, &rt.outer)? {
+                        if filter.is_empty() || filter.matches(&tuple.values, &rt.outer)? {
                             self.pending.push(tuple.values);
                         }
                     }
@@ -467,22 +469,30 @@ impl Operator for SeqScanOp {
 }
 
 /// The one index-probe path, shared by [`IndexEqOp`], [`IndexNlJoinOp`]
-/// and [`IndexSemiJoinOp`]: an index of a table, opened once per operator,
-/// plus the order a scan of the table visits its rows.
+/// and [`IndexSemiJoinOp`]: an index of a table and the filter over its
+/// rows, opened once per operator, plus the order a scan of the table
+/// visits its rows.
 struct IndexProbe {
     table: Arc<Table>,
     def: IndexDef,
     order: ScanOrder,
+    filter: CompiledPreds,
 }
 
 impl IndexProbe {
-    fn open(rt: &Runtime<'_>, table: &str, index: &str) -> Result<IndexProbe> {
+    fn open(rt: &Runtime<'_>, table: &str, index: &str, filter: &[PhysExpr]) -> Result<IndexProbe> {
         let table = rt.catalog.table(table)?;
         let def = table
             .index_def(index)
             .ok_or_else(|| ExecError::Type(format!("unknown index '{index}'")))?;
         let order = table.scan_order();
-        Ok(IndexProbe { table, def, order })
+        let filter = CompiledPreds::compile(filter, &rt.outer)?;
+        Ok(IndexProbe {
+            table,
+            def,
+            order,
+            filter,
+        })
     }
 
     /// The postings of `keys`, sorted into heap scan order. A key holding
@@ -527,10 +537,10 @@ impl ProbeCursor {
         &mut self,
         probe: &IndexProbe,
         rt: &mut Runtime<'_>,
-        filter: &CompiledPreds<'_>,
         limit: usize,
         out: &mut Vec<Row>,
     ) -> Result<()> {
+        let filter = &probe.filter;
         while out.len() < limit && self.pos < self.postings.len() {
             let (rid, k) = self.postings[self.pos];
             self.pos += 1;
@@ -555,15 +565,10 @@ impl ProbeCursor {
     }
 
     /// The next batch of resolved rows, `None` once the postings run out.
-    fn next_batch(
-        &mut self,
-        probe: &IndexProbe,
-        rt: &mut Runtime<'_>,
-        filter: &[PhysExpr],
-    ) -> Result<Option<RowBatch>> {
+    fn next_batch(&mut self, probe: &IndexProbe, rt: &mut Runtime<'_>) -> Result<Option<RowBatch>> {
         let mut rows = Vec::new();
         let limit = rt.batch_size;
-        self.fill(probe, rt, &CompiledPreds::compile(filter), limit, &mut rows)?;
+        self.fill(probe, rt, limit, &mut rows)?;
         Ok((!rows.is_empty()).then(|| RowBatch::from_rows(rows)))
     }
 }
@@ -583,12 +588,12 @@ impl Operator for IndexEqOp {
             for e in &self.key {
                 key.push(eval(e, &[], &rt.outer, &[])?);
             }
-            let probe = IndexProbe::open(rt, &self.table, &self.index)?;
+            let probe = IndexProbe::open(rt, &self.table, &self.index, &self.filter)?;
             let cursor = probe.cursor(vec![key])?;
             self.cursor = Some((probe, cursor));
         }
         let (probe, cursor) = self.cursor.as_mut().expect("probed above");
-        cursor.next_batch(probe, rt, &self.filter)
+        cursor.next_batch(probe, rt)
     }
 }
 
@@ -608,10 +613,14 @@ struct IndexNlJoinOp {
 impl Operator for IndexNlJoinOp {
     fn next_batch(&mut self, rt: &mut Runtime<'_>) -> Result<Option<RowBatch>> {
         if self.probe.is_none() {
-            self.probe = Some(IndexProbe::open(rt, &self.table, &self.index)?);
+            self.probe = Some(IndexProbe::open(
+                rt,
+                &self.table,
+                &self.index,
+                &self.filter,
+            )?);
         }
         let probe = self.probe.as_ref().expect("opened above");
-        let filter = CompiledPreds::compile(&self.filter);
         let mut matches = Vec::new();
         let mut out = RowBatch::with_capacity(0, rt.batch_size);
         loop {
@@ -627,7 +636,7 @@ impl Operator for IndexNlJoinOp {
                 *idx += 1;
                 let key = eval(&self.key, lrow, &rt.outer, &[])?;
                 let mut cursor = probe.cursor(vec![vec![key]])?;
-                cursor.fill(probe, rt, &filter, usize::MAX, &mut matches)?;
+                cursor.fill(probe, rt, usize::MAX, &mut matches)?;
                 for rrow in matches.drain(..) {
                     let mut combined = Vec::with_capacity(lrow.len() + rrow.len());
                     combined.extend(lrow.iter().cloned());
@@ -674,12 +683,12 @@ impl Operator for IndexSemiJoinOp {
                     }
                 }
             }
-            let probe = IndexProbe::open(rt, &self.table, &self.index)?;
+            let probe = IndexProbe::open(rt, &self.table, &self.index, &self.filter)?;
             let cursor = probe.cursor(keys)?;
             self.cursor = Some((probe, cursor));
         }
         let (probe, cursor) = self.cursor.as_mut().expect("probed above");
-        cursor.next_batch(probe, rt, &self.filter)
+        cursor.next_batch(probe, rt)
     }
 }
 
@@ -717,14 +726,30 @@ impl Operator for SharedScanOp {
 }
 
 pub(crate) struct FilterOp {
-    pub(crate) input: Box<dyn Operator>,
-    pub(crate) preds: Vec<PhysExpr>,
+    input: Box<dyn Operator>,
+    preds: Vec<PhysExpr>,
+    /// `preds`, compiled on the first pull.
+    compiled: Option<CompiledPreds>,
+}
+
+impl FilterOp {
+    pub(crate) fn new(input: Box<dyn Operator>, preds: Vec<PhysExpr>) -> FilterOp {
+        FilterOp {
+            input,
+            preds,
+            compiled: None,
+        }
+    }
 }
 
 impl Operator for FilterOp {
     fn next_batch(&mut self, rt: &mut Runtime<'_>) -> Result<Option<RowBatch>> {
+        if self.compiled.is_none() {
+            self.compiled = Some(CompiledPreds::compile(&self.preds, &rt.outer)?);
+        }
+        let preds = self.compiled.as_ref().expect("compiled above");
         while let Some(mut batch) = self.input.next_batch(rt)? {
-            filter_batch(&self.preds, &mut batch, &rt.outer)?;
+            preds.retain(&mut batch, &rt.outer)?;
             if !batch.is_empty() {
                 return Ok(Some(batch));
             }
@@ -1339,18 +1364,21 @@ impl<'p> GroupAcc<'p> {
                 }
             }
         } else {
+            // Probe with one reused key buffer; only a new group keeps a
+            // copy of it.
+            let mut key = Vec::with_capacity(self.group.len());
             for row in batch.iter() {
-                let mut key = Vec::with_capacity(self.group.len());
+                key.clear();
                 for g in self.group {
                     key.push(eval(g, row, outer, &[])?);
                 }
-                let state = match self.groups.entry(key) {
-                    std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(fresh_state(self.aggs))
-                    }
-                };
-                update_state(state, self.aggs, row, outer)?;
+                if let Some(state) = self.groups.get_mut(&key) {
+                    update_state(state, self.aggs, row, outer)?;
+                } else {
+                    let mut state = fresh_state(self.aggs);
+                    update_state(&mut state, self.aggs, row, outer)?;
+                    self.groups.insert(key.clone(), state);
+                }
             }
         }
         Ok(())

@@ -212,23 +212,28 @@ struct WorkerCtx<'r> {
 /// Instantiate one worker's copy of a region pipeline.
 fn build_worker_pipeline(plan: &PhysPlan, ctx: &mut WorkerCtx<'_>) -> Result<Box<dyn Operator>> {
     match plan {
-        PhysPlan::ParallelSeqScan { table, filter } => {
+        PhysPlan::ParallelSeqScan {
+            table,
+            filter,
+            cols,
+        } => {
             let dispenser = Arc::clone(&ctx.res.dispensers[ctx.next_dispenser]);
             ctx.next_dispenser += 1;
             Ok(Box::new(ParallelSeqScanOp {
                 table: table.clone(),
                 filter: filter.clone(),
+                cols: cols.clone(),
                 dispenser,
                 morsel: Rc::clone(&ctx.morsel),
-                table_ref: None,
+                open: None,
                 queue: VecDeque::new(),
                 done: false,
             }))
         }
-        PhysPlan::Filter { input, preds } => Ok(Box::new(FilterOp {
-            input: build_worker_pipeline(input, ctx)?,
-            preds: preds.clone(),
-        })),
+        PhysPlan::Filter { input, preds } => Ok(Box::new(FilterOp::new(
+            build_worker_pipeline(input, ctx)?,
+            preds.clone(),
+        ))),
         PhysPlan::Project { input, exprs } => Ok(Box::new(ProjectOp {
             input: build_worker_pipeline(input, ctx)?,
             exprs: exprs.clone(),
@@ -265,9 +270,12 @@ fn build_worker_pipeline(plan: &PhysPlan, ctx: &mut WorkerCtx<'_>) -> Result<Box
 struct ParallelSeqScanOp {
     table: String,
     filter: Vec<PhysExpr>,
+    /// The columns to decode (`None` = all); see `PhysPlan::SeqScan`.
+    cols: Option<Vec<usize>>,
     dispenser: Arc<MorselDispenser>,
     morsel: Rc<Cell<u64>>,
-    table_ref: Option<Arc<Table>>,
+    /// The table and the compiled filter, resolved on the first pull.
+    open: Option<(Arc<Table>, CompiledPreds)>,
     queue: VecDeque<RowBatch>,
     done: bool,
 }
@@ -281,13 +289,13 @@ impl Operator for ParallelSeqScanOp {
             if self.done {
                 return Ok(None);
             }
-            if self.table_ref.is_none() {
-                self.table_ref = Some(rt.catalog.table(&self.table)?);
+            if self.open.is_none() {
+                let table = rt.catalog.table(&self.table)?;
+                self.open = Some((table, CompiledPreds::compile(&self.filter, &rt.outer)?));
             }
-            let t = self.table_ref.as_ref().unwrap().clone();
-            let compiled = CompiledPreds::compile(&self.filter);
+            let (t, filter) = self.open.as_ref().expect("opened above");
             let idx = self.dispenser.claim();
-            match t.scan_page_snapshot(idx, &rt.snapshot)? {
+            match t.scan_page_snapshot(idx, &rt.snapshot, self.cols.as_deref())? {
                 None => self.done = true,
                 Some((page, skipped)) => {
                     self.morsel.set(idx as u64);
@@ -296,7 +304,7 @@ impl Operator for ParallelSeqScanOp {
                     rt.stats.morsels_dispatched += 1;
                     let mut rows: Vec<Row> = Vec::with_capacity(page.len());
                     for (_, tuple) in page {
-                        if compiled.is_empty() || compiled.matches(&tuple.values, &rt.outer)? {
+                        if filter.is_empty() || filter.matches(&tuple.values, &rt.outer)? {
                             rows.push(tuple.values);
                         }
                     }

@@ -4,8 +4,9 @@
 //! Fig. 2): lowers rewritten (NF) QGM graphs into executable physical
 //! plans ([`physical::Qep`]) — shared-subexpression materialisation
 //! ("table queues", Fig. 6), access-path selection, DP join ordering,
-//! hash (semi)joins, aggregate lowering, and the tuple-at-a-time
-//! correlated-subquery operator kept for the naive baseline of Fig. 3.
+//! hash (semi)joins, aggregate lowering, the tuple-at-a-time
+//! correlated-subquery operator kept for the naive baseline of Fig. 3, and
+//! a last pass recording the columns each scan must decode.
 //! Materialized-view references plan as [`PhysPlan::MatViewScan`]
 //! (`matview scan` in EXPLAIN) or index lookups over backing storage.
 //!
@@ -35,6 +36,7 @@ pub mod error;
 mod parallelize;
 pub mod physical;
 pub mod planner;
+mod prune;
 
 pub use error::{PlanError, Result};
 pub use physical::{

@@ -71,13 +71,20 @@ fn scan_parallelizable(catalog: &Catalog, name: &str, options: &PlanOptions) -> 
 fn go(cat: &Catalog, plan: PhysPlan, o: &PlanOptions) -> Lowered {
     let dop = o.dop;
     match plan {
-        PhysPlan::SeqScan { table, filter } if scan_parallelizable(cat, &table, o) => {
-            Lowered::Pipeline(PhysPlan::ParallelSeqScan { table, filter })
-        }
-        PhysPlan::MatViewScan { view, filter } if scan_parallelizable(cat, &view, o) => {
+        PhysPlan::SeqScan {
+            table,
+            filter,
+            cols,
+        } if scan_parallelizable(cat, &table, o) => Lowered::Pipeline(PhysPlan::ParallelSeqScan {
+            table,
+            filter,
+            cols,
+        }),
+        PhysPlan::MatViewScan { view, filter, cols } if scan_parallelizable(cat, &view, o) => {
             Lowered::Pipeline(PhysPlan::ParallelSeqScan {
                 table: view,
                 filter,
+                cols,
             })
         }
         PhysPlan::Filter { input, preds } => match go(cat, *input, o) {

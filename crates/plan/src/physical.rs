@@ -162,10 +162,15 @@ pub enum PhysPlan {
     Values {
         rows: Vec<Vec<PhysExpr>>,
     },
-    /// Full scan of a base table with a residual filter.
+    /// Full scan of a base table with a residual filter. `cols` lists (in
+    /// ascending order) the only columns the filter and the scan's
+    /// consumers read, when those are fewer than the table has: the scan
+    /// decodes just those and leaves `NULL` in every other slot, so slot
+    /// numbers never change. `None` decodes every column.
     SeqScan {
         table: String,
         filter: Vec<PhysExpr>,
+        cols: Option<Vec<usize>>,
     },
     /// Equality index lookup: `key` expressions are execution-time
     /// constants (literals or `?` parameters), evaluated once per run;
@@ -186,10 +191,11 @@ pub enum PhysPlan {
     /// filter — same runtime behaviour as [`PhysPlan::SeqScan`] (the name
     /// resolves through the catalog's backing-table fallback), but labelled
     /// `matview scan` in EXPLAIN so plans show where stored view contents
-    /// are served from.
+    /// are served from. `cols` as for `SeqScan`.
     MatViewScan {
         view: String,
         filter: Vec<PhysExpr>,
+        cols: Option<Vec<usize>>,
     },
     Filter {
         input: Box<PhysPlan>,
@@ -299,9 +305,11 @@ pub enum PhysPlan {
     /// atomic dispenser and run their copy of the enclosing worker
     /// pipeline over them. Valid only inside a parallel region rooted at
     /// [`PhysPlan::ExchangeGather`] or [`PhysPlan::ParallelHashAggregate`].
+    /// `cols` as for `SeqScan`.
     ParallelSeqScan {
         table: String,
         filter: Vec<PhysExpr>,
+        cols: Option<Vec<usize>>,
     },
     /// Parallel-region root: runs `input` (a worker pipeline of parallel
     /// scans, filters, projections and parallel join probes) on `dop`
@@ -359,8 +367,17 @@ impl PhysPlan {
             PhysPlan::Values { rows } => {
                 let _ = writeln!(out, "{pad}Values({} rows)", rows.len());
             }
-            PhysPlan::SeqScan { table, filter } => {
-                let _ = writeln!(out, "{pad}SeqScan({table}) filter={}", fmt_preds(filter));
+            PhysPlan::SeqScan {
+                table,
+                filter,
+                cols,
+            } => {
+                let _ = writeln!(
+                    out,
+                    "{pad}SeqScan({table}) filter={}{}",
+                    fmt_preds(filter),
+                    fmt_cols(cols)
+                );
             }
             PhysPlan::IndexEq {
                 table,
@@ -378,11 +395,12 @@ impl PhysPlan {
             PhysPlan::SharedScan { id } => {
                 let _ = writeln!(out, "{pad}SharedScan(cse{id})");
             }
-            PhysPlan::MatViewScan { view, filter } => {
+            PhysPlan::MatViewScan { view, filter, cols } => {
                 let _ = writeln!(
                     out,
-                    "{pad}matview scan({view}) filter={}",
-                    fmt_preds(filter)
+                    "{pad}matview scan({view}) filter={}{}",
+                    fmt_preds(filter),
+                    fmt_cols(cols)
                 );
             }
             PhysPlan::Filter { input, preds } => {
@@ -518,11 +536,16 @@ impl PhysPlan {
                 let _ = writeln!(out, "{pad}Limit {n}");
                 input.explain_into(depth + 1, out);
             }
-            PhysPlan::ParallelSeqScan { table, filter } => {
+            PhysPlan::ParallelSeqScan {
+                table,
+                filter,
+                cols,
+            } => {
                 let _ = writeln!(
                     out,
-                    "{pad}ParallelSeqScan({table}) filter={}",
-                    fmt_preds(filter)
+                    "{pad}ParallelSeqScan({table}) filter={}{}",
+                    fmt_preds(filter),
+                    fmt_cols(cols)
                 );
             }
             PhysPlan::ExchangeGather { input, dop } => {
@@ -624,6 +647,14 @@ fn fmt_preds(es: &[PhysExpr]) -> String {
         "[]".to_string()
     } else {
         fmt_exprs(es)
+    }
+}
+
+/// A scan's ` cols=[…]` suffix; empty when it decodes every column.
+fn fmt_cols(cols: &Option<Vec<usize>>) -> String {
+    match cols {
+        Some(c) => format!(" cols={c:?}"),
+        None => String::new(),
     }
 }
 

@@ -141,6 +141,7 @@ pub fn plan_query(catalog: &Catalog, qgm: &Qgm, options: PlanOptions) -> Result<
     {
         crate::parallelize::parallelize(catalog, plan, &options);
     }
+    crate::prune::prune_scans(catalog, &mut shared, &mut outputs);
     Ok(Qep {
         shared,
         outputs,
@@ -285,9 +286,14 @@ impl<'a> Planner<'a> {
             PhysPlan::MatViewScan {
                 view: table,
                 filter,
+                cols: None,
             }
         } else {
-            PhysPlan::SeqScan { table, filter }
+            PhysPlan::SeqScan {
+                table,
+                filter,
+                cols: None,
+            }
         }
     }
 
@@ -1304,7 +1310,7 @@ impl<'a> Planner<'a> {
         }
         // A base-table outer keyed on one indexed column: probe it once per
         // distinct inner key instead of scanning it, when that is cheap.
-        if let (PhysPlan::SeqScan { table, filter }, [PhysExpr::Col(col)], [inner_key], true) = (
+        if let (PhysPlan::SeqScan { table, filter, .. }, [PhysExpr::Col(col)], [inner_key], true) = (
             &outer,
             &outer_keys[..],
             &inner_keys[..],
@@ -1557,7 +1563,7 @@ fn equi_join(
     offset: usize,
     probe: Option<&ProbeKey>,
 ) -> PhysPlan {
-    if let (Some(probe), PhysPlan::SeqScan { table, filter }) = (probe, &right) {
+    if let (Some(probe), PhysPlan::SeqScan { table, filter, .. }) = (probe, &right) {
         if let Some(k) = keys.iter().position(|(_, _, p)| *p == probe.pred) {
             let (key, _, _) = keys.remove(k);
             for (l, r, _) in keys {

@@ -780,9 +780,9 @@ fn use_indexes_leaves_the_estimates_alone() {
         assert_eq!(
             scans,
             [
-                "SeqScan(DEPT) filter=[]",
-                "SeqScan(EMP) filter=[(#0 = 5)]",
-                "SeqScan(EMP) filter=[]"
+                "SeqScan(DEPT) filter=[] cols=[0]",
+                "SeqScan(EMP) filter=[(#0 = 5)] cols=[0, 1, 2]",
+                "SeqScan(EMP) filter=[] cols=[1, 2]"
             ],
             "use_indexes: {use_indexes}\n{explain}"
         );

@@ -340,20 +340,16 @@ impl Table {
         self.heap.scan_all()
     }
 
-    /// Streaming scan unit (latest-committed visibility); see
-    /// [`HeapFile::scan_page`].
-    pub fn scan_page(&self, idx: usize) -> Result<Option<Vec<(Rid, Tuple)>>> {
-        self.heap.scan_page(idx)
-    }
-
-    /// Streaming scan unit under an explicit snapshot; also returns how
-    /// many versions the visibility check skipped.
+    /// Streaming scan unit under an explicit snapshot, materializing only
+    /// the columns `cols` keeps; also returns how many versions the
+    /// visibility check skipped. See [`HeapFile::scan_page_snapshot`].
     pub fn scan_page_snapshot(
         &self,
         idx: usize,
         snap: &Snapshot,
+        cols: Option<&[usize]>,
     ) -> Result<Option<crate::heap::VisiblePage>> {
-        self.heap.scan_page_snapshot(idx, snap)
+        self.heap.scan_page_snapshot(idx, snap, cols)
     }
 
     /// Number of rows visible to the latest-committed snapshot.

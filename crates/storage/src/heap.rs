@@ -115,11 +115,49 @@ fn encode_record(hdr: VersionHdr, tuple: &Tuple) -> Vec<u8> {
     out
 }
 
+/// Split one heap record into its version header and encoded tuple.
+fn split_record(bytes: &[u8]) -> Result<(VersionHdr, &[u8])> {
+    VersionHdr::decode(bytes).ok_or(StorageError::Corrupt("truncated version header"))
+}
+
 /// Decode one heap record into its header and tuple.
 fn decode_record(bytes: &[u8]) -> Result<(VersionHdr, Tuple)> {
-    let (hdr, rest) =
-        VersionHdr::decode(bytes).ok_or(StorageError::Corrupt("truncated version header"))?;
+    let (hdr, rest) = split_record(bytes)?;
     Ok((hdr, Tuple::decode(rest)?))
+}
+
+/// The last creator whose live version a page read asked `sees` about, and
+/// the answer. A live version (`xmax == 0`) is visible exactly when its
+/// creator is, so rows one transaction wrote in a run cost one stamp
+/// lookup between them. Valid for one page-latch hold only.
+type CreatorMemo = Option<(TxnId, bool)>;
+
+/// The one visible-read path: decode `bytes`' header, ask `snap` whether it
+/// sees the version, and only then decode the tuple, materializing the
+/// columns `cols` keeps (see [`Tuple::decode_cols`]). Must run under the
+/// page latch the record was read under (see
+/// [`HeapFile::scan_page_snapshot`]), with a `memo` that lives no longer.
+fn decode_visible(
+    bytes: &[u8],
+    snap: &Snapshot,
+    memo: &mut CreatorMemo,
+    cols: Option<&[usize]>,
+) -> Result<Option<Tuple>> {
+    let (hdr, rest) = split_record(bytes)?;
+    let visible = match *memo {
+        Some((xmin, seen)) if hdr.xmax == 0 && xmin == hdr.xmin => seen,
+        _ => {
+            let seen = snap.sees(&hdr);
+            if hdr.xmax == 0 {
+                *memo = Some((hdr.xmin, seen));
+            }
+            seen
+        }
+    };
+    if !visible {
+        return Ok(None);
+    }
+    Tuple::decode_cols(rest, cols).map(Some)
 }
 
 impl HeapFile {
@@ -297,8 +335,7 @@ impl HeapFile {
                 page: rid.page,
                 slot: rid.slot,
             })?;
-            let (hdr, tuple) = decode_record(bytes)?;
-            Ok(if snap.sees(&hdr) { Some(tuple) } else { None })
+            decode_visible(bytes, snap, &mut None, None)
         })?
     }
 
@@ -308,10 +345,7 @@ impl HeapFile {
     pub fn try_get_visible(&self, rid: Rid, snap: &Snapshot) -> Result<Option<Tuple>> {
         self.pool.with_page(rid.page, |p| match p.get(rid.slot) {
             None => Ok(None),
-            Some(bytes) => {
-                let (hdr, tuple) = decode_record(bytes)?;
-                Ok(if snap.sees(&hdr) { Some(tuple) } else { None })
-            }
+            Some(bytes) => decode_visible(bytes, snap, &mut None, None),
         })?
     }
 
@@ -467,7 +501,7 @@ impl HeapFile {
         mut f: impl FnMut(Rid, Tuple) -> Result<bool>,
     ) -> Result<()> {
         let mut idx = 0;
-        while let Some((batch, _skipped)) = self.scan_page_snapshot(idx, snap)? {
+        while let Some((batch, _skipped)) = self.scan_page_snapshot(idx, snap, None)? {
             for (rid, t) in batch {
                 if !f(rid, t)? {
                     return Ok(());
@@ -501,20 +535,19 @@ impl HeapFile {
         Ok(())
     }
 
-    /// Decode the `idx`-th page's tuples that are visible to the
-    /// latest-committed snapshot; see [`HeapFile::scan_page_snapshot`].
-    pub fn scan_page(&self, idx: usize) -> Result<Option<Vec<(Rid, Tuple)>>> {
-        Ok(self
-            .scan_page_snapshot(idx, &self.txns.snapshot_latest())?
-            .map(|(rows, _)| rows))
-    }
-
     /// Decode the live tuples of the `idx`-th page of this heap (by
     /// position in the allocation-ordered page list) that are visible to
     /// `snap`, plus the number of versions the visibility check skipped.
     /// Returns `None` once `idx` runs past the end. This is the streaming
     /// unit batch scans pull on demand, so a scan holds at most one page's
     /// tuples at a time.
+    ///
+    /// Each record's header is checked before its tuple is decoded, so an
+    /// invisible version costs no decode; a run of live versions from one
+    /// creator costs one `sees` call. Only the columns at the ascending
+    /// positions `cols` become values (`None` keeps all): every other
+    /// column reads as `NULL` in its own slot, and its bytes are still
+    /// validated.
     ///
     /// Visibility is checked *while the page latch is held*. That ordering
     /// is what makes GC freezing sound: vacuum rewrites a header to the
@@ -524,8 +557,14 @@ impl HeapFile {
     /// releasing the latch could race the freeze-then-prune sequence and
     /// wrongly read "uncommitted". Stamp-table lookups nest a read lock
     /// inside the page latch; nothing takes page latches while holding the
-    /// stamp lock, so the order is deadlock-free.
-    pub fn scan_page_snapshot(&self, idx: usize, snap: &Snapshot) -> Result<Option<VisiblePage>> {
+    /// stamp lock, so the order is deadlock-free. The creator memo is
+    /// dropped with the latch.
+    pub fn scan_page_snapshot(
+        &self,
+        idx: usize,
+        snap: &Snapshot,
+        cols: Option<&[usize]>,
+    ) -> Result<Option<VisiblePage>> {
         let pid = match self.pages.read().get(idx) {
             Some(pid) => *pid,
             None => return Ok(None),
@@ -533,12 +572,11 @@ impl HeapFile {
         let page: VisiblePage = self.pool.with_page(pid, |p| {
             let mut rows = Vec::with_capacity(p.live_records());
             let mut skipped = 0u64;
+            let mut memo = None;
             for (slot, rec) in p.iter() {
-                let (hdr, t) = decode_record(rec)?;
-                if snap.sees(&hdr) {
-                    rows.push((Rid::new(pid, slot), t));
-                } else {
-                    skipped += 1;
+                match decode_visible(rec, snap, &mut memo, cols)? {
+                    Some(t) => rows.push((Rid::new(pid, slot), t)),
+                    None => skipped += 1,
                 }
             }
             Ok::<VisiblePage, StorageError>((rows, skipped))
@@ -1054,16 +1092,54 @@ mod tests {
         for i in 0..2000 {
             h.insert(&row(i)).unwrap();
         }
+        let snap = h.txns().snapshot_latest();
         let mut total = 0;
         let mut idx = 0;
-        while let Some(batch) = h.scan_page(idx).unwrap() {
-            assert!(!batch.is_empty() || h.count().unwrap() == 0);
+        while let Some((batch, skipped)) = h.scan_page_snapshot(idx, &snap, None).unwrap() {
+            assert!(!batch.is_empty());
+            assert_eq!(skipped, 0);
             total += batch.len();
             idx += 1;
         }
         assert_eq!(idx, h.page_count());
         assert_eq!(total, 2000);
-        assert!(h.scan_page(idx).unwrap().is_none());
+        assert!(h.scan_page_snapshot(idx, &snap, None).unwrap().is_none());
+    }
+
+    #[test]
+    fn scan_page_checks_each_creator_run_and_decodes_kept_columns() {
+        let h = heap();
+        let txns = Arc::clone(h.txns());
+        // One page, versions from two creators: `a` (committed), `b` (in
+        // flight), `a` again, so the creator memo switches both ways, and
+        // last a version of `a` that a committed `c` deleted: the memo
+        // answers for live versions only.
+        let (a, b, c) = (txns.allocate(), txns.allocate(), txns.allocate());
+        h.insert_version(&row(1), a).unwrap();
+        txns.commit(a);
+        h.insert_version(&row(2), b).unwrap();
+        h.insert_version(&row(3), a).unwrap();
+        let gone = h.insert_version(&row(4), a).unwrap();
+        h.mark_delete(gone, c).unwrap();
+        txns.commit(c);
+        assert_eq!(h.page_count(), 1);
+
+        let latest = txns.snapshot_latest();
+        let (rows, skipped) = h.scan_page_snapshot(0, &latest, None).unwrap().unwrap();
+        assert_eq!(skipped, 2, "b's version and the deleted one are invisible");
+        let got: Vec<Tuple> = rows.into_iter().map(|(_, t)| t).collect();
+        assert_eq!(got, vec![row(1), row(3)]);
+
+        // b's own snapshot also sees its own version; with column 1 kept,
+        // column 0 reads NULL in place.
+        let own = txns.snapshot_for(b);
+        let (rows, skipped) = h.scan_page_snapshot(0, &own, Some(&[1])).unwrap().unwrap();
+        assert_eq!(skipped, 1);
+        let got: Vec<Vec<Value>> = rows.into_iter().map(|(_, t)| t.values).collect();
+        let want: Vec<Vec<Value>> = (1..=3)
+            .map(|i| vec![Value::Null, Value::Str(format!("name-{i}"))])
+            .collect();
+        assert_eq!(got, want);
     }
 
     #[test]

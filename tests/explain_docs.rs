@@ -202,6 +202,39 @@ fn every_documented_operator_is_emitted() {
     );
 }
 
+/// docs/EXPLAIN.md documents a scan's `cols=[…]`: the `analytic` top-N
+/// template reads `day` (its filter), `cust` (the group) and `amount` (the
+/// SUM argument) of SALES' seven columns, so its scan decodes just those.
+#[test]
+fn top_n_scan_decodes_only_the_columns_it_reads() {
+    let db = Database::with_config(DbConfig {
+        plan: PlanOptions {
+            dop: 1,
+            ..Default::default()
+        },
+        ..Default::default()
+    });
+    db.execute(
+        "CREATE TABLE SALES (sale INT, day INT, item INT, cust INT, qty INT, amount INT, \
+                             note VARCHAR(100))",
+    )
+    .unwrap();
+    let plan = db
+        .explain(
+            "SELECT cust, SUM(amount) AS total FROM SALES WHERE day >= ? \
+             GROUP BY cust ORDER BY total DESC, cust LIMIT 10",
+        )
+        .unwrap();
+    assert!(
+        plan.contains("SeqScan(SALES) filter=[(#1 >= ?0)] cols=[1, 3, 5]\n"),
+        "{plan}"
+    );
+    assert!(
+        EXPLAIN_MD.contains("cols=[1, 3, 5]"),
+        "docs/EXPLAIN.md should show the top-N scan's cols"
+    );
+}
+
 /// The `maintenance:` header's counters are real quantities: DML touching
 /// a composite-object matview re-splices the affected root subtrees and
 /// reuses the untouched stored nodes, and both the EXPLAIN header and
