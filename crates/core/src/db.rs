@@ -339,8 +339,8 @@ pub struct Database {
     config: DbConfig,
     /// Serializes the *apply* phase of materialized-view maintenance in
     /// commit-stamp order. The expensive re-extraction work runs before
-    /// this lock is taken (against the committing snapshot, in parallel
-    /// across root keys); the lock covers only stamp assignment plus the
+    /// this lock is taken (against the committing snapshot, one root key
+    /// after another); the lock covers only stamp assignment plus the
     /// stamp-ordered apply, so concurrent committers no longer serialize
     /// behind each other's view derivation work.
     maintenance: Mutex<()>,
@@ -584,7 +584,7 @@ impl Database {
     /// pipeline: the per-statement delta chains are coalesced to their net
     /// per-commit effect, the affected keyed subtrees are re-extracted
     /// against this transaction's snapshot *before* the maintenance lock
-    /// is taken (in parallel across root keys), and the lock is held only
+    /// is taken (serially, on the committing thread), and the lock is held only
     /// for stamp assignment plus the stamp-ordered apply — precomputations
     /// invalidated by an interposed commit are redone under the lock, so
     /// the result is always identical to serial commit-order maintenance.
@@ -1120,7 +1120,7 @@ impl Database {
     fn maintenance_line(&self) -> String {
         let s = self.maint_stats();
         format!(
-            "maintenance: incremental (coalesce, diff splice, parallel re-extract, \
+            "maintenance: incremental (coalesce, diff splice, pre-lock re-extract, \
              stamp-ordered apply); mv_roots_respliced={} mv_nodes_reused={} mv_maint_us={}\n",
             s.mv_roots_respliced, s.mv_nodes_reused, s.mv_maint_us
         )

@@ -43,8 +43,8 @@
 //! Commit-time propagation runs as a two-phase pipeline (see
 //! `prepare_maintenance` / `maintain`): the committing thread first
 //! coalesces its delta chains and re-extracts affected keyed subtrees
-//! against its own snapshot — *outside* the maintenance lock, in parallel
-//! across root keys — then takes the lock for the stamp-ordered apply,
+//! against its own snapshot — *outside* the maintenance lock, one root key
+//! after another — then takes the lock for the stamp-ordered apply,
 //! which for CO views is the whole structural diff (`splice`). A per-view
 //! applied-key tracker (`MaintTracker`) detects precomputed keys
 //! invalidated by an interposed commit; those few are re-extracted
@@ -1113,8 +1113,8 @@ pub(crate) struct PreMaint {
 
 /// Compute every keyed re-extraction `delta` will need, against the
 /// committing transaction's own snapshot (sees its uncommitted writes plus
-/// everything committed so far). Independent root keys re-extract in
-/// parallel on a dop-capped pool. Returns `None` when there is nothing to
+/// everything committed so far). Affected root keys re-extract one after
+/// another on the committing thread. Returns `None` when there is nothing to
 /// precompute — [`maintain`] then does all work under the lock, exactly as
 /// before. Any error here degrades to that same under-lock path.
 pub(crate) fn prepare_maintenance(db: &Database, delta: &DeltaBatch) -> Option<PreMaint> {
@@ -1125,7 +1125,6 @@ pub(crate) fn prepare_maintenance(db: &Database, delta: &DeltaBatch) -> Option<P
     }
     let snap = db.catalog().txns().snapshot_for(delta.txn());
     let base_seq = snap.seq;
-    let dop = db.config().plan.dop.max(1);
     let mut views = HashMap::new();
     for plan in plans.iter() {
         if !delta.touches_any(plan.deps.iter().map(|s| s.as_str())) {
@@ -1140,19 +1139,14 @@ pub(crate) fn prepare_maintenance(db: &Database, delta: &DeltaBatch) -> Option<P
                 if keys.is_empty() || keys.iter().any(|k| k.is_null()) {
                     continue;
                 }
-                let extract = |k: Value| -> Option<(Value, SubResult)> {
-                    extract_subtrees(db, info, std::slice::from_ref(&k), Some(&snap))
-                        .ok()
-                        .map(|sub| (k, sub))
-                };
-                let subs: Vec<(Value, SubResult)> = if keys.len() >= 2 && dop >= 2 {
-                    xnf_exec::parallel::scoped_fanout(keys, dop, extract)
-                        .into_iter()
-                        .flatten()
-                        .collect()
-                } else {
-                    keys.into_iter().filter_map(extract).collect()
-                };
+                let subs: Vec<(Value, SubResult)> = keys
+                    .into_iter()
+                    .filter_map(|k| {
+                        extract_subtrees(db, info, std::slice::from_ref(&k), Some(&snap))
+                            .ok()
+                            .map(|sub| (k, sub))
+                    })
+                    .collect();
                 if !subs.is_empty() {
                     views.insert(plan.name.clone(), ViewPre::Co(subs));
                 }

@@ -551,60 +551,6 @@ fn run_agg_region(
     Ok((groups, saw_input))
 }
 
-/// Generic dop-capped scoped fan-out for callers outside the operator tree
-/// (commit-time materialized-view maintenance re-extracts independent CO
-/// root keys on this). Items are dealt round-robin across
-/// `min(dop, items)` scoped worker threads and results come back in input
-/// order. Like a region's workers, the closure runs inside one
-/// [`std::thread::scope`], so it can borrow the catalog and pinned
-/// snapshots freely; unlike a region there is no streaming — the whole
-/// item list is processed to completion.
-pub fn scoped_fanout<I, R, F>(items: Vec<I>, dop: usize, f: F) -> Vec<R>
-where
-    I: Send,
-    R: Send,
-    F: Fn(I) -> R + Sync,
-{
-    let dop = dop.max(1).min(items.len());
-    if dop <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-    let n = items.len();
-    let mut chunks: Vec<Vec<(usize, I)>> = (0..dop).map(|_| Vec::new()).collect();
-    for (i, item) in items.into_iter().enumerate() {
-        chunks[i % dop].push((i, item));
-    }
-    let f = &f;
-    let parts: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|chunk| {
-                scope.spawn(move || {
-                    chunk
-                        .into_iter()
-                        .map(|(i, item)| (i, f(item)))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("fanout worker panicked"))
-            .collect()
-    });
-    let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
-    slots.resize_with(n, || None);
-    for part in parts {
-        for (i, r) in part {
-            slots[i] = Some(r);
-        }
-    }
-    slots
-        .into_iter()
-        .map(|r| r.expect("every fanout slot is filled"))
-        .collect()
-}
-
 /// Region root operator for gather regions: runs the region to completion
 /// on first pull and streams the merged batches.
 pub(crate) struct ExchangeGatherOp {

@@ -5,7 +5,9 @@
 //! - [`oo1`]: a Cattell OO1-style parts database (N parts, 3 connections
 //!   each, locality of references) for the cache-traversal experiment of
 //!   Sect. 5.2;
-//! - [`random`]: small random tables for property-based testing.
+//! - [`random`]: small random tables for property-based testing, and
+//!   seeded random queries over a wide pair of them;
+//! - [`star`]: the `analytic` benchmark's star schema at test scale.
 //!
 //! All generators are deterministic for a fixed seed, so equivalence
 //! suites can build identical databases under different engine
@@ -22,7 +24,12 @@
 pub mod oo1;
 pub mod paper;
 pub mod random;
+pub mod star;
 
 pub use oo1::{build_oo1_db, build_oo1_db_with, Oo1Config, OO1_CO};
-pub use paper::{build_paper_db, build_paper_db_with, deps_arc_query, PaperScale, DEPS_ARC};
-pub use random::{random_table, RandomTableConfig};
+pub use paper::{
+    build_paper_db, build_paper_db_with, build_uniform_paper_db_with, deps_arc_query, PaperScale,
+    DEPS_ARC,
+};
+pub use random::{random_table, random_wide_query, random_wide_tables, RandomTableConfig};
+pub use star::build_star_db_with;

@@ -57,31 +57,39 @@ pub fn deps_arc_query(loc: &str) -> String {
 
 const LOCATIONS: &[&str] = &["HDC", "YKT", "SJC", "ALM"];
 
+const SCHEMA: &str = "CREATE TABLE DEPT (dno INT NOT NULL, dname VARCHAR(30), loc VARCHAR(10));
+     CREATE TABLE EMP (eno INT NOT NULL, ename VARCHAR(30), edno INT, sal DOUBLE);
+     CREATE TABLE PROJ (pno INT NOT NULL, pname VARCHAR(30), pdno INT);
+     CREATE TABLE SKILLS (sno INT NOT NULL, sname VARCHAR(30));
+     CREATE TABLE EMPSKILLS (eseno INT, essno INT);
+     CREATE TABLE PROJSKILLS (pspno INT, pssno INT);";
+
+/// Indexes on the join columns, then ANALYZE.
+const INDEXES: &str = "CREATE UNIQUE INDEX dept_pk ON DEPT (dno);
+     CREATE UNIQUE INDEX emp_pk ON EMP (eno);
+     CREATE INDEX emp_dno ON EMP (edno);
+     CREATE INDEX proj_dno ON PROJ (pdno);
+     CREATE INDEX es_eno ON EMPSKILLS (eseno);
+     CREATE INDEX ps_pno ON PROJSKILLS (pspno);
+     ANALYZE;";
+
 /// Build the paper schema at the given scale; statistics are analyzed and
 /// indexes on the join columns are created.
 pub fn build_paper_db(scale: PaperScale) -> Database {
     build_paper_db_with(scale, DbConfig::default())
 }
 
-/// [`build_paper_db`] under a custom [`DbConfig`] (used by the batch-engine
-/// equivalence suite to sweep `PlanOptions::batch_size`, and by the bench
-/// ablations). Generation is deterministic for a fixed seed, so two
-/// databases built from the same scale hold identical data.
+/// [`build_paper_db`] under a custom [`DbConfig`] (used by the oracle
+/// suite and the bench ablations). Generation is deterministic for a
+/// fixed seed, so two databases built from the same scale hold identical
+/// data.
 pub fn build_paper_db_with(scale: PaperScale, config: DbConfig) -> Database {
     let db = if config.data_dir.is_some() {
         Database::open_with_config(config).expect("open durable paper fixture")
     } else {
         Database::with_config(config)
     };
-    db.execute_batch(
-        "CREATE TABLE DEPT (dno INT NOT NULL, dname VARCHAR(30), loc VARCHAR(10));
-         CREATE TABLE EMP (eno INT NOT NULL, ename VARCHAR(30), edno INT, sal DOUBLE);
-         CREATE TABLE PROJ (pno INT NOT NULL, pname VARCHAR(30), pdno INT);
-         CREATE TABLE SKILLS (sno INT NOT NULL, sname VARCHAR(30));
-         CREATE TABLE EMPSKILLS (eseno INT, essno INT);
-         CREATE TABLE PROJSKILLS (pspno INT, pssno INT);",
-    )
-    .expect("schema");
+    db.execute_batch(SCHEMA).expect("schema");
 
     let mut rng = StdRng::seed_from_u64(scale.seed);
     let cat = db.catalog();
@@ -154,16 +162,48 @@ pub fn build_paper_db_with(scale: PaperScale, config: DbConfig) -> Database {
             .unwrap();
     }
 
-    db.execute_batch(
-        "CREATE UNIQUE INDEX dept_pk ON DEPT (dno);
-         CREATE UNIQUE INDEX emp_pk ON EMP (eno);
-         CREATE INDEX emp_dno ON EMP (edno);
-         CREATE INDEX proj_dno ON PROJ (pdno);
-         CREATE INDEX es_eno ON EMPSKILLS (eseno);
-         CREATE INDEX ps_pno ON PROJSKILLS (pspno);
-         ANALYZE;",
-    )
-    .expect("indexes");
+    db.execute_batch(INDEXES).expect("indexes");
+    db
+}
+
+/// The Fig. 1 schema with `depts` departments whose contents are a pure
+/// function of the department (20 employees with 3 skills each, 5
+/// projects with 4 skills each, 200 skills), join-column indexes and
+/// ANALYZE. A department's CO is the same at every database size.
+pub fn build_uniform_paper_db_with(depts: i64, config: DbConfig) -> Database {
+    let db = Database::with_config(config);
+    db.execute_batch(SCHEMA).expect("schema");
+    let table = |name: &str| db.catalog().table(name).unwrap();
+    let insert = |t: &str, values: Vec<Value>| table(t).insert(&Tuple::new(values)).unwrap();
+    let named = |i: i64, prefix: &str| vec![Value::Int(i), Value::Str(format!("{prefix}-{i}"))];
+    for d in 0..depts {
+        let loc = Value::Str(["ARC", "HDC", "YKT", "SJC", "ALM"][d as usize % 5].into());
+        insert("DEPT", [named(d, "dept"), vec![loc]].concat());
+        for e in d * 20..(d + 1) * 20 {
+            let sal = Value::Double(40.0 + (e % 120) as f64);
+            insert("EMP", [named(e, "emp"), vec![Value::Int(d), sal]].concat());
+            for k in 0..3 {
+                insert(
+                    "EMPSKILLS",
+                    vec![Value::Int(e), Value::Int((e * 7 + k * 61) % 200)],
+                );
+            }
+        }
+        for p in d * 5..(d + 1) * 5 {
+            insert("PROJ", [named(p, "proj"), vec![Value::Int(d)]].concat());
+            for k in 0..4 {
+                insert(
+                    "PROJSKILLS",
+                    vec![Value::Int(p), Value::Int((p * 11 + k * 37) % 200)],
+                );
+            }
+        }
+    }
+    for s in 0..200 {
+        insert("SKILLS", named(s, "skill"));
+    }
+    let indexes = format!("CREATE UNIQUE INDEX skills_pk ON SKILLS (sno); {INDEXES}");
+    db.execute_batch(&indexes).expect("indexes");
     db
 }
 

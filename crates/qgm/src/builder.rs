@@ -66,9 +66,18 @@ fn resolve_order_by(qgm: &Qgm, body: BoxId, items: &[OrderItem]) -> Result<Vec<O
                 }
                 (i - 1) as usize
             }
-            Expr::Column { qualifier: _, name } => head
-                .iter()
-                .position(|h| h.name.eq_ignore_ascii_case(name))
+            // A qualified key picks its own binding's column when select
+            // items share a name (`SELECT r1.a, r2.a … ORDER BY r2.a`).
+            Expr::Column { qualifier, name } => qualifier
+                .as_deref()
+                .and_then(|q| {
+                    head.iter().position(|h| {
+                        h.name.eq_ignore_ascii_case(name)
+                            && matches!(&h.expr, ScalarExpr::Col { qun, .. }
+                                if qgm.quns[*qun].name.eq_ignore_ascii_case(q))
+                    })
+                })
+                .or_else(|| head.iter().position(|h| h.name.eq_ignore_ascii_case(name)))
                 .ok_or_else(|| {
                     QgmError::Unsupported(format!(
                         "ORDER BY column '{name}' must appear in the select list"

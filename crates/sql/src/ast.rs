@@ -510,6 +510,9 @@ impl fmt::Display for Select {
         if let Some(h) = &self.having {
             write!(f, " HAVING {h}")?;
         }
+        for (all, s) in &self.unions {
+            write!(f, " UNION {}{s}", if *all { "ALL " } else { "" })?;
+        }
         if !self.order_by.is_empty() {
             let o: Vec<String> = self
                 .order_by
@@ -520,9 +523,6 @@ impl fmt::Display for Select {
         }
         if let Some(l) = self.limit {
             write!(f, " LIMIT {l}")?;
-        }
-        for (all, s) in &self.unions {
-            write!(f, " UNION {}{s}", if *all { "ALL " } else { "" })?;
         }
         Ok(())
     }

@@ -488,6 +488,14 @@ impl Parser {
             let rhs = self.select_core()?;
             q.unions.push((all, rhs));
         }
+        // A trailing ORDER BY / LIMIT orders and cuts the whole union, not
+        // its last branch.
+        if let Some((_, last)) = q.unions.last_mut() {
+            if !last.order_by.is_empty() || last.limit.is_some() {
+                q.order_by = std::mem::take(&mut last.order_by);
+                q.limit = last.limit.take();
+            }
+        }
         Ok(q)
     }
 

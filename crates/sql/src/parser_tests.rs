@@ -117,6 +117,15 @@ fn parses_union() {
 }
 
 #[test]
+fn trailing_order_by_and_limit_apply_to_the_whole_union() {
+    let s = parse_select("SELECT a FROM t UNION SELECT a FROM u ORDER BY a LIMIT 3").unwrap();
+    assert_eq!(s.order_by.len(), 1);
+    assert_eq!(s.limit, Some(3));
+    assert!(s.unions[0].1.order_by.is_empty() && s.unions[0].1.limit.is_none());
+    assert_eq!(parse_select(&s.to_string()).unwrap(), s);
+}
+
+#[test]
 fn parses_ddl_and_dml() {
     let stmts = parse_statements(
         "CREATE TABLE DEPT (dno INT NOT NULL, dname VARCHAR(30), loc VARCHAR(20));

@@ -763,22 +763,25 @@ impl Wal {
     /// Group commit: make everything appended so far durable, batching the
     /// fsync with other sessions committing concurrently. The first caller
     /// in becomes the leader and flushes for everyone; later callers wait
-    /// and usually find their commit record already durable.
+    /// and usually find their commit record already durable. Every call
+    /// that returns `Ok` counts as one group-committed commit, whoever
+    /// flushed its record.
     pub fn flush_for_commit(&self) -> Result<()> {
         let target = self.last_lsn();
         let mut st = self.group.lock().unwrap();
         loop {
             if self.durable_lsn() >= target {
+                self.group_commits.fetch_add(1, Ordering::Relaxed);
                 return Ok(());
             }
             if !st.flushing {
                 st.flushing = true;
-                let followers = st.waiting;
                 drop(st);
                 let res = self.flush_to(self.last_lsn());
                 self.group_batches.fetch_add(1, Ordering::Relaxed);
-                self.group_commits
-                    .fetch_add(followers + 1, Ordering::Relaxed);
+                if res.is_ok() {
+                    self.group_commits.fetch_add(1, Ordering::Relaxed);
+                }
                 let mut st = self.group.lock().unwrap();
                 st.flushing = false;
                 self.group_cv.notify_all();
@@ -1079,11 +1082,27 @@ mod tests {
         }
         let s = wal.stats();
         assert_eq!(s.records, 160);
+        assert_eq!(s.group_commit_commits, 160);
         assert!(s.group_commit_commits >= s.group_commit_batches);
         assert_eq!(s.durable_lsn, s.last_lsn);
         // All records intact on disk.
         let (_, back) = Wal::open(&path, true).unwrap();
         assert_eq!(back.len(), 160);
+    }
+
+    /// A commit whose record an earlier flush already made durable still
+    /// counts: two commit records, two calls, one batch.
+    #[test]
+    fn group_commit_counts_commits_found_durable() {
+        let dir = TempDir::new("wal-group-count");
+        let (wal, _) = Wal::open(&dir.path().join("wal.log"), false).unwrap();
+        wal.append(&WalRecord::Commit { xid: 1, stamp: 1 });
+        wal.append(&WalRecord::Commit { xid: 2, stamp: 2 });
+        wal.flush_for_commit().unwrap();
+        wal.flush_for_commit().unwrap();
+        let s = wal.stats();
+        assert_eq!(s.group_commit_commits, 2);
+        assert_eq!(s.group_commit_batches, 1);
     }
 
     #[test]

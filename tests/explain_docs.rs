@@ -195,7 +195,7 @@ fn every_documented_operator_is_emitted() {
     assert!(corpus.contains("durability: none (in-memory)"));
     assert!(
         corpus.contains(
-            "maintenance: incremental (coalesce, diff splice, parallel re-extract, \
+            "maintenance: incremental (coalesce, diff splice, pre-lock re-extract, \
              stamp-ordered apply); mv_roots_respliced="
         ),
         "maintenance header missing"
