@@ -7,7 +7,8 @@
 //! of the final QEP. Row-level attribution differs slightly from the
 //! paper's table (they charge connection-output formation to relationship
 //! rows; we charge per-path SKILLS joins to xskills) but the totals and the
-//! XNF side reproduce exactly — see EXPERIMENTS.md.
+//! XNF side reproduce exactly — run `cargo run --release -p xnf-bench --bin
+//! experiments` and see the README.
 
 use xnf_plan::{PhysPlan, Qep};
 
@@ -34,13 +35,20 @@ impl std::ops::Add for OpCensus {
     }
 }
 
+/// A scan with a filter: a selection at any dop.
+fn is_filtered_scan(p: &PhysPlan) -> bool {
+    matches!(
+        p,
+        PhysPlan::SeqScan { filter, .. } | PhysPlan::ParallelSeqScan { filter, .. }
+            if !filter.is_empty()
+    )
+}
+
 /// Count σ and ⋈ operators in one plan tree.
 pub fn census_plan(plan: &PhysPlan) -> OpCensus {
     let selections = plan.count_ops(&mut |p| {
-        matches!(
-            p,
-            PhysPlan::SeqScan { filter, .. } if !filter.is_empty()
-        ) || matches!(p, PhysPlan::IndexEq { .. })
+        is_filtered_scan(p)
+            || matches!(p, PhysPlan::IndexEq { .. })
             || matches!(p, PhysPlan::Filter { .. })
             || matches!(
                 p,
@@ -105,7 +113,7 @@ pub fn op_signatures(plan: &PhysPlan, out: &mut Vec<String>) {
                 | PhysPlan::IndexNlJoin { .. }
                 | PhysPlan::IndexSemiJoin { .. }
                 | PhysPlan::SubqueryFilter { .. }
-        ) || matches!(p, PhysPlan::SeqScan { filter, .. } if !filter.is_empty())
+        ) || is_filtered_scan(p)
             || matches!(p, PhysPlan::IndexEq { .. })
     };
     if is_op(plan) || matches!(plan, PhysPlan::Filter { .. }) {
@@ -124,7 +132,6 @@ pub fn op_signatures(plan: &PhysPlan, out: &mut Vec<String>) {
         | PhysPlan::Sort { input, .. }
         | PhysPlan::Limit { input, .. }
         | PhysPlan::ExchangeGather { input, .. }
-        | PhysPlan::ExchangeHashPartition { input, .. }
         | PhysPlan::HashAggregate { input, .. }
         | PhysPlan::ParallelHashAggregate { input, .. }
         | PhysPlan::IndexNlJoin { left: input, .. }
@@ -132,10 +139,6 @@ pub fn op_signatures(plan: &PhysPlan, out: &mut Vec<String>) {
         PhysPlan::HashJoin { left, right, .. } | PhysPlan::NlJoin { left, right, .. } => {
             op_signatures(left, out);
             op_signatures(right, out);
-        }
-        PhysPlan::ParallelHashJoin { probe, build, .. } => {
-            op_signatures(probe, out);
-            op_signatures(build, out);
         }
         PhysPlan::HashSemiJoin { outer, inner, .. } | PhysPlan::NlSemiJoin { outer, inner, .. } => {
             op_signatures(outer, out);
@@ -156,20 +159,42 @@ pub fn op_signatures(plan: &PhysPlan, out: &mut Vec<String>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xnf_fixtures::{build_paper_db, PaperScale};
+    use xnf_core::{DbConfig, PlanOptions};
+    use xnf_fixtures::{build_paper_db, build_paper_db_with, PaperScale};
 
     #[test]
     fn census_counts_scan_filters_and_joins() {
-        let db = build_paper_db(PaperScale {
+        let scale = PaperScale {
             departments: 5,
             ..Default::default()
-        });
-        let qep = db
-            .compile("SELECT e.ename FROM EMP e, DEPT d WHERE e.edno = d.dno AND d.loc = 'ARC'")
-            .unwrap();
+        };
+        let sql = "SELECT e.ename FROM EMP e, DEPT d WHERE e.edno = d.dno AND d.loc = 'ARC'";
+        let qep = build_paper_db(scale).compile(sql).unwrap();
         let c = census_plan(&qep.outputs[0].plan);
         assert_eq!(c.joins, 1);
         assert_eq!(c.selections, 1);
+
+        // The census counts operations, not plan shapes: the same
+        // statement planned with parallel scans counts the same.
+        let parallel = build_paper_db_with(
+            scale,
+            DbConfig {
+                plan: PlanOptions {
+                    dop: 4,
+                    parallel_min_pages: 1,
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
+        );
+        let qep = parallel.compile(sql).unwrap();
+        let plan = &qep.outputs[0].plan;
+        assert!(
+            plan.explain().contains("ParallelSeqScan"),
+            "{}",
+            plan.explain()
+        );
+        assert_eq!(census_plan(plan), c, "{}", plan.explain());
     }
 
     #[test]

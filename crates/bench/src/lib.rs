@@ -1,11 +1,11 @@
 //! # xnf-bench — the evaluation harness
 //!
-//! Regenerates every table and figure of the paper's evaluation (Sect. 5);
-//! see EXPERIMENTS.md at the repository root for the experiment index and
-//! the paper-vs-measured record. The `experiments` binary runs each
-//! experiment and prints paper-style tables; the `benches/` directory
-//! holds the criterion ablations the `benchmark/` package does not run yet
-//! (`bench_wal`, `bench_vacuum`, `bench_parallel`).
+//! Regenerates every table and figure of the paper's evaluation (Sect. 5).
+//! The `experiments` binary (`cargo run --release -p xnf-bench --bin
+//! experiments`, listed in the README) runs each experiment and prints
+//! paper-style tables; the `benches/` directory holds the criterion
+//! ablations the `benchmark/` package does not run yet (`bench_wal`,
+//! `bench_vacuum`, `bench_parallel`).
 //!
 //! Entry points: [`run_table1`] / [`render_table1`] for the Table 1
 //! reproduction, [`census_qep`] / [`op_signatures`] for plan-shape

@@ -30,9 +30,10 @@
 //! (`PlanOptions::dop > 1`): plan subtrees rooted at `ExchangeGather` /
 //! `ParallelHashAggregate` nodes run as morsel-driven parallel regions —
 //! `dop` worker threads pull heap-page morsels from a shared dispenser,
-//! run their own copy of the worker pipeline over a cloned MVCC snapshot,
-//! and the coordinator merges their streams back into serial row order
-//! (see the [`parallel`] module docs). At `dop = 1` (the default on a
+//! run their own copy of the worker pipeline over a cloned MVCC snapshot
+//! (a hash join in it probes one table the coordinator built), and the
+//! coordinator merges their streams back into serial row order (see the
+//! [`parallel`] module docs). At `dop = 1` (the default on a
 //! single-core host) plans and execution are exactly the serial pipeline
 //! described above.
 //!

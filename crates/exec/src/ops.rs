@@ -258,7 +258,7 @@ pub fn build_operator(plan: &PhysPlan) -> Box<dyn Operator> {
             residual,
         } => Box::new(HashJoinOp {
             left: build_operator(left),
-            right: build_operator(right),
+            right: Some(build_operator(right)),
             left_keys: left_keys.clone(),
             right_keys: right_keys.clone(),
             residual: residual.clone(),
@@ -362,9 +362,7 @@ pub fn build_operator(plan: &PhysPlan) -> Box<dyn Operator> {
         // Worker-pipeline-only nodes: these execute inside a parallel
         // region (see `crate::parallel`); reaching one here means the
         // planner emitted a region body without its root.
-        PhysPlan::ParallelSeqScan { .. }
-        | PhysPlan::ExchangeHashPartition { .. }
-        | PhysPlan::ParallelHashJoin { .. } => Box::new(InvalidPlanOp {
+        PhysPlan::ParallelSeqScan { .. } => Box::new(InvalidPlanOp {
             msg: "parallel worker operator outside a parallel region",
         }),
     }
@@ -777,11 +775,7 @@ impl Operator for ProjectOp {
 }
 
 /// Join keys with SQL semantics: any NULL key never matches.
-pub(crate) fn key_of(
-    exprs: &[PhysExpr],
-    row: &[Value],
-    outer: &OuterCtx,
-) -> Result<Option<Vec<Value>>> {
+fn key_of(exprs: &[PhysExpr], row: &[Value], outer: &OuterCtx) -> Result<Option<Vec<Value>>> {
     let mut key = Vec::with_capacity(exprs.len());
     for e in exprs {
         let v = eval(e, row, outer, &[])?;
@@ -796,7 +790,7 @@ pub(crate) fn key_of(
 /// [`key_of`] into a reusable buffer (probe sides evaluate one key per
 /// input row; reusing the scratch vector avoids a heap allocation per
 /// probe). Returns `false` when any key value is NULL (no match).
-pub(crate) fn key_into(
+fn key_into(
     exprs: &[PhysExpr],
     row: &[Value],
     outer: &OuterCtx,
@@ -816,7 +810,7 @@ pub(crate) fn key_into(
 /// The build side shared by [`HashJoinOp`] and [`HashSemiJoinOp`]: a hash
 /// table from join-key values to the build rows (or to key presence only,
 /// when the consumer needs no row payload).
-struct JoinTable {
+pub(crate) struct JoinTable {
     map: FxHashMap<Vec<Value>, Vec<Row>>,
 }
 
@@ -824,7 +818,7 @@ impl JoinTable {
     /// Drain `input` batch-at-a-time and index its rows by `keys`. With
     /// `keep_rows == false` only key presence is recorded (residual-free
     /// semijoins never look at the matched rows).
-    fn build(
+    pub(crate) fn build(
         input: &mut dyn Operator,
         rt: &mut Runtime<'_>,
         keys: &[PhysExpr],
@@ -853,41 +847,48 @@ impl JoinTable {
     }
 }
 
-struct HashJoinOp {
-    left: Box<dyn Operator>,
-    right: Box<dyn Operator>,
-    left_keys: Vec<PhysExpr>,
-    right_keys: Vec<PhysExpr>,
-    residual: Vec<PhysExpr>,
-    /// Build side (right input), keyed.
-    table: Option<JoinTable>,
+/// Hash equi-join: `left` probes a table built from `right`. Output
+/// batches flush at `batch_size` and at the end of each probe batch, never
+/// across probe batches, so inside a parallel region every output batch
+/// derives from one morsel (the gather merges by morsel tag).
+pub(crate) struct HashJoinOp {
+    pub(crate) left: Box<dyn Operator>,
+    /// Build input, drained into `table` on the first pull. `None` in a
+    /// region worker, whose table the coordinator built.
+    pub(crate) right: Option<Box<dyn Operator>>,
+    pub(crate) left_keys: Vec<PhysExpr>,
+    pub(crate) right_keys: Vec<PhysExpr>,
+    pub(crate) residual: Vec<PhysExpr>,
+    /// Build side (right input), keyed; one table shared read-only by all
+    /// of a region's workers.
+    pub(crate) table: Option<Arc<JoinTable>>,
     /// Probe batch still being expanded (and the next row to probe in it),
     /// so high-fanout joins flush output near `batch_size` instead of
     /// materialising one input batch's full match set.
-    probe: Option<(RowBatch, usize)>,
+    pub(crate) probe: Option<(RowBatch, usize)>,
 }
 
 impl Operator for HashJoinOp {
     fn next_batch(&mut self, rt: &mut Runtime<'_>) -> Result<Option<RowBatch>> {
         if self.table.is_none() {
-            self.table = Some(JoinTable::build(
-                self.right.as_mut(),
-                rt,
-                &self.right_keys,
-                true,
-            )?);
+            let right = self
+                .right
+                .as_mut()
+                .expect("a join without a prebuilt table has its input");
+            let table = JoinTable::build(right.as_mut(), rt, &self.right_keys, true)?;
+            self.table = Some(Arc::new(table));
         }
+        let table = self.table.as_deref().expect("built above");
         let mut key = Vec::with_capacity(self.left_keys.len());
         let mut out = RowBatch::with_capacity(0, rt.batch_size);
         loop {
             if self.probe.is_none() {
                 match self.left.next_batch(rt)? {
-                    None => break,
+                    None => return Ok(None),
                     Some(lbatch) => self.probe = Some((lbatch, 0)),
                 }
             }
             let (lbatch, idx) = self.probe.as_mut().unwrap();
-            let table = self.table.as_ref().unwrap();
             while *idx < lbatch.len() && out.len() < rt.batch_size {
                 let lrow = &lbatch[*idx];
                 *idx += 1;
@@ -907,15 +908,11 @@ impl Operator for HashJoinOp {
             if *idx >= lbatch.len() {
                 self.probe = None;
             }
-            if out.len() >= rt.batch_size {
-                filter_batch(&self.residual, &mut out, &rt.outer)?;
-                if !out.is_empty() {
-                    return Ok(Some(out));
-                }
+            filter_batch(&self.residual, &mut out, &rt.outer)?;
+            if !out.is_empty() {
+                return Ok(Some(out));
             }
         }
-        filter_batch(&self.residual, &mut out, &rt.outer)?;
-        Ok(if out.is_empty() { None } else { Some(out) })
     }
 }
 

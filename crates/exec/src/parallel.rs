@@ -2,18 +2,17 @@
 //!
 //! A *parallel region* is the subtree under an `ExchangeGather` or
 //! `ParallelHashAggregate` plan node: a worker pipeline of parallel scans,
-//! fused filters/projections and partitioned join probes. Executing a
-//! region:
+//! fused filters/projections and hash-join probes. Executing a region:
 //!
 //! 1. **Prepare** (coordinator): walk the pipeline; give every
-//!    `ParallelSeqScan` a shared [`MorselDispenser`] and execute every
-//!    `ParallelHashJoin`'s build side — the coordinator drains the build
-//!    input *in serial row order* and routes each keyed row to one of
-//!    `dop` partition-builder threads (`PartitionedJoinTable`), so each
-//!    partition's bucket insertion order matches the serial build exactly.
+//!    `ParallelSeqScan` a shared [`MorselDispenser`] and build every
+//!    `HashJoin`'s table — the coordinator drains the join's right input
+//!    *in serial row order* into one ordinary `JoinTable`, so bucket match
+//!    order equals the serial build's.
 //! 2. **Run** (workers): `dop` threads each instantiate their own copy of
 //!    the pipeline over a cloned MVCC snapshot and pull page morsels from
-//!    the shared dispensers until the table is exhausted.
+//!    the shared dispensers until the table is exhausted. Every worker's
+//!    `HashJoinOp` probes the one shared table.
 //! 3. **Merge** (coordinator): gather regions tag every worker batch with
 //!    the page index it came from and K-way-merge the per-worker streams
 //!    by that tag — dispensers hand out pages in increasing order, so each
@@ -34,9 +33,8 @@
 
 use std::cell::Cell;
 use std::collections::VecDeque;
-use std::hash::{Hash, Hasher};
 use std::rc::Rc;
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::Arc;
 
 use xnf_plan::{AggSpec, PhysExpr, PhysPlan};
@@ -44,116 +42,23 @@ use xnf_storage::{MorselDispenser, Table, Value};
 
 use crate::batch::RowBatch;
 use crate::error::{ExecError, Result};
-use crate::eval::{filter_batch, CompiledPreds, Row};
-use crate::hash::{FxHashMap, FxHasher};
+use crate::eval::{CompiledPreds, Row};
+use crate::hash::FxHashMap;
 use crate::ops::{
-    build_operator, finalize_groups, key_into, key_of, merge_group_state, ExecStats, FilterOp,
-    GroupAcc, GroupState, Operator, ProjectOp, Runtime,
+    build_operator, finalize_groups, merge_group_state, ExecStats, FilterOp, GroupAcc, GroupState,
+    HashJoinOp, JoinTable, Operator, ProjectOp, Runtime,
 };
 
-/// Rows per chunk sent to a partition-builder thread.
-const PARTITION_CHUNK: usize = 256;
-/// Bounded channel depth (in batches/chunks) between threads.
+/// Bounded channel depth (in batches) between a worker and the gather.
 const CHANNEL_DEPTH: usize = 4;
 
-/// Route and probe with the same hash everywhere: `Vec<Value>` hashes like
-/// `[Value]`, so build-side routing and probe-side lookup always agree.
-fn hash_key(key: &[Value]) -> u64 {
-    let mut h = FxHasher::default();
-    key.hash(&mut h);
-    h.finish()
-}
-
-/// One partition's build map, and one keyed-row chunk in flight to it.
-type PartitionMap = FxHashMap<Vec<Value>, Vec<Row>>;
-type KeyedChunk = Vec<(Vec<Value>, Row)>;
-
-/// The build side of a parallel hash join: `dop` disjoint hash partitions,
-/// each an ordinary key → rows table. Shared read-only by all probe
-/// workers.
-pub(crate) struct PartitionedJoinTable {
-    parts: Vec<PartitionMap>,
-}
-
-impl PartitionedJoinTable {
-    fn get(&self, key: &[Value]) -> Option<&[Row]> {
-        let p = (hash_key(key) as usize) % self.parts.len();
-        self.parts[p].get(key).map(|v| v.as_slice())
-    }
-}
-
-/// Drain the build input on the coordinator (serial row order) and
-/// hash-partition its rows across `dop` builder threads. Each builder owns
-/// one partition map, so insertion order within every bucket equals the
-/// serial [`JoinTable`](crate::ops) build — join match order is preserved.
-fn build_partitioned(
-    rt: &mut Runtime<'_>,
-    input: &PhysPlan,
-    keys: &[PhysExpr],
-    dop: usize,
-) -> Result<PartitionedJoinTable> {
-    let nparts = dop.max(1);
-    let mut op = build_operator(input);
-    let mut feed_err: Option<ExecError> = None;
-    let parts: Vec<PartitionMap> = std::thread::scope(|scope| {
-        let mut txs: Vec<SyncSender<KeyedChunk>> = Vec::with_capacity(nparts);
-        let mut handles = Vec::with_capacity(nparts);
-        for _ in 0..nparts {
-            let (tx, rx) = sync_channel::<KeyedChunk>(CHANNEL_DEPTH);
-            txs.push(tx);
-            handles.push(scope.spawn(move || {
-                let mut map = PartitionMap::default();
-                while let Ok(chunk) = rx.recv() {
-                    for (key, row) in chunk {
-                        map.entry(key).or_default().push(row);
-                    }
-                }
-                map
-            }));
-        }
-        let mut bufs: Vec<KeyedChunk> = (0..nparts).map(|_| Vec::new()).collect();
-        let feed = (|| -> Result<()> {
-            while let Some(batch) = op.next_batch(rt)? {
-                for row in batch {
-                    // NULL keys never match: drop them here, exactly like
-                    // the serial build.
-                    let Some(key) = key_of(keys, &row, &rt.outer)? else {
-                        continue;
-                    };
-                    let p = (hash_key(&key) as usize) % nparts;
-                    bufs[p].push((key, row));
-                    if bufs[p].len() >= PARTITION_CHUNK {
-                        let _ = txs[p].send(std::mem::take(&mut bufs[p]));
-                    }
-                }
-            }
-            for (p, buf) in bufs.iter_mut().enumerate() {
-                if !buf.is_empty() {
-                    let _ = txs[p].send(std::mem::take(buf));
-                }
-            }
-            Ok(())
-        })();
-        feed_err = feed.err();
-        drop(txs);
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("partition builder panicked"))
-            .collect()
-    });
-    match feed_err {
-        Some(e) => Err(e),
-        None => Ok(PartitionedJoinTable { parts }),
-    }
-}
-
 /// Resources a region's workers share, collected by the coordinator before
-/// the workers spawn: one morsel dispenser per parallel scan and one
-/// partitioned build table per parallel join, in plan traversal order
-/// (workers rebuild the identical tree, so the orders agree).
+/// the workers spawn: one morsel dispenser per parallel scan and one build
+/// table per hash join, in plan traversal order (workers rebuild the
+/// identical tree, so the orders agree).
 struct RegionResources {
     dispensers: Vec<Arc<MorselDispenser>>,
-    tables: Vec<Arc<PartitionedJoinTable>>,
+    tables: Vec<Arc<JoinTable>>,
 }
 
 fn prepare_region(rt: &mut Runtime<'_>, pipeline: &PhysPlan) -> Result<RegionResources> {
@@ -178,15 +83,16 @@ fn collect_resources(
         PhysPlan::Filter { input, .. } | PhysPlan::Project { input, .. } => {
             collect_resources(rt, input, res)
         }
-        PhysPlan::ParallelHashJoin { probe, build, .. } => {
+        PhysPlan::HashJoin {
+            left,
+            right,
+            right_keys,
+            ..
+        } => {
             // Probe first: traversal order must match the worker builder.
-            collect_resources(rt, probe, res)?;
-            let PhysPlan::ExchangeHashPartition { input, keys, dop } = build.as_ref() else {
-                return Err(ExecError::Type(
-                    "ParallelHashJoin build side must be an ExchangeHashPartition".into(),
-                ));
-            };
-            let table = build_partitioned(rt, input, keys, *dop)?;
+            collect_resources(rt, left, res)?;
+            let mut build = build_operator(right);
+            let table = JoinTable::build(build.as_mut(), rt, right_keys, true)?;
             res.tables.push(Arc::new(table));
             Ok(())
         }
@@ -238,21 +144,24 @@ fn build_worker_pipeline(plan: &PhysPlan, ctx: &mut WorkerCtx<'_>) -> Result<Box
             input: build_worker_pipeline(input, ctx)?,
             exprs: exprs.clone(),
         })),
-        PhysPlan::ParallelHashJoin {
-            probe,
-            probe_keys,
+        PhysPlan::HashJoin {
+            left,
+            left_keys,
+            right_keys,
             residual,
             ..
         } => {
-            let probe_op = build_worker_pipeline(probe, ctx)?;
+            let left = build_worker_pipeline(left, ctx)?;
             let table = Arc::clone(&ctx.res.tables[ctx.next_table]);
             ctx.next_table += 1;
-            Ok(Box::new(ParallelProbeOp {
-                probe: probe_op,
-                keys: probe_keys.clone(),
+            Ok(Box::new(HashJoinOp {
+                left,
+                right: None,
+                left_keys: left_keys.clone(),
+                right_keys: right_keys.clone(),
                 residual: residual.clone(),
-                table,
-                queue: VecDeque::new(),
+                table: Some(table),
+                probe: None,
             }))
         }
         other => Err(ExecError::Type(format!(
@@ -317,58 +226,6 @@ impl Operator for ParallelSeqScanOp {
                         self.queue.push_back(RowBatch::from_rows(rows));
                     }
                 }
-            }
-        }
-    }
-}
-
-/// Worker-side probe of a [`PartitionedJoinTable`]: hashes each probe
-/// row's key to pick the partition and expands matches in build order.
-/// Output chunks are never coalesced across probe batches, preserving the
-/// batch↔morsel correspondence the gather merge orders by.
-struct ParallelProbeOp {
-    probe: Box<dyn Operator>,
-    keys: Vec<PhysExpr>,
-    residual: Vec<PhysExpr>,
-    table: Arc<PartitionedJoinTable>,
-    queue: VecDeque<RowBatch>,
-}
-
-impl Operator for ParallelProbeOp {
-    fn next_batch(&mut self, rt: &mut Runtime<'_>) -> Result<Option<RowBatch>> {
-        let mut key = Vec::with_capacity(self.keys.len());
-        loop {
-            if let Some(batch) = self.queue.pop_front() {
-                return Ok(Some(batch));
-            }
-            let Some(pbatch) = self.probe.next_batch(rt)? else {
-                return Ok(None);
-            };
-            let mut out = RowBatch::with_capacity(0, rt.batch_size);
-            for lrow in pbatch.iter() {
-                if !key_into(&self.keys, lrow, &rt.outer, &mut key)? {
-                    continue;
-                }
-                let Some(matches) = self.table.get(&key) else {
-                    continue;
-                };
-                for rrow in matches {
-                    let mut combined = Vec::with_capacity(lrow.len() + rrow.len());
-                    combined.extend(lrow.iter().cloned());
-                    combined.extend(rrow.iter().cloned());
-                    out.push(combined);
-                }
-                if out.len() >= rt.batch_size {
-                    filter_batch(&self.residual, &mut out, &rt.outer)?;
-                    if !out.is_empty() {
-                        self.queue.push_back(out);
-                    }
-                    out = RowBatch::with_capacity(0, rt.batch_size);
-                }
-            }
-            filter_batch(&self.residual, &mut out, &rt.outer)?;
-            if !out.is_empty() {
-                self.queue.push_back(out);
             }
         }
     }

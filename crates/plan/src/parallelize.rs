@@ -4,9 +4,10 @@
 //! The pass is bottom-up. A *worker pipeline* grows from a
 //! [`PhysPlan::ParallelSeqScan`] leaf (any base-table or matview scan over
 //! at least [`PlanOptions::parallel_min_pages`] heap pages): `Filter` and
-//! `Project` fuse straight into it, a `HashJoin` whose probe (left) side
-//! is a worker pipeline becomes a [`PhysPlan::ParallelHashJoin`] with its
-//! build side behind an [`PhysPlan::ExchangeHashPartition`], and a
+//! `Project` fuse straight into it, so does a `HashJoin` whose probe
+//! (left) side is a worker pipeline (its right input stays serial, closed
+//! with its own gather if it parallelizes: at run time the coordinator
+//! builds one table from it and every worker probes that table), and a
 //! `HashAggregate` over a worker pipeline becomes the region root
 //! [`PhysPlan::ParallelHashAggregate`] (partial→final aggregation). Every
 //! other operator is a serial boundary: an open worker pipeline below it
@@ -45,6 +46,16 @@ pub(crate) fn parallelize(catalog: &Catalog, plan: &mut PhysPlan, options: &Plan
 enum Lowered {
     Pipeline(PhysPlan),
     Serial(PhysPlan),
+}
+
+impl Lowered {
+    /// Wrap the subtree in `f`, keeping it open or finished as it was.
+    fn map(self, f: impl FnOnce(PhysPlan) -> PhysPlan) -> Lowered {
+        match self {
+            Lowered::Pipeline(p) => Lowered::Pipeline(f(p)),
+            Lowered::Serial(s) => Lowered::Serial(f(s)),
+        }
+    }
 }
 
 /// Close an open worker pipeline with its gather region root.
@@ -87,26 +98,14 @@ fn go(cat: &Catalog, plan: PhysPlan, o: &PlanOptions) -> Lowered {
                 cols,
             })
         }
-        PhysPlan::Filter { input, preds } => match go(cat, *input, o) {
-            Lowered::Pipeline(p) => Lowered::Pipeline(PhysPlan::Filter {
-                input: Box::new(p),
-                preds,
-            }),
-            Lowered::Serial(s) => Lowered::Serial(PhysPlan::Filter {
-                input: Box::new(s),
-                preds,
-            }),
-        },
-        PhysPlan::Project { input, exprs } => match go(cat, *input, o) {
-            Lowered::Pipeline(p) => Lowered::Pipeline(PhysPlan::Project {
-                input: Box::new(p),
-                exprs,
-            }),
-            Lowered::Serial(s) => Lowered::Serial(PhysPlan::Project {
-                input: Box::new(s),
-                exprs,
-            }),
-        },
+        PhysPlan::Filter { input, preds } => go(cat, *input, o).map(|p| PhysPlan::Filter {
+            input: Box::new(p),
+            preds,
+        }),
+        PhysPlan::Project { input, exprs } => go(cat, *input, o).map(|p| PhysPlan::Project {
+            input: Box::new(p),
+            exprs,
+        }),
         PhysPlan::HashJoin {
             left,
             right,
@@ -114,33 +113,14 @@ fn go(cat: &Catalog, plan: PhysPlan, o: &PlanOptions) -> Lowered {
             right_keys,
             residual,
         } => {
-            let build = Box::new(PhysPlan::ExchangeHashPartition {
-                input: Box::new(close(go(cat, *right, o), dop)),
-                keys: right_keys.clone(),
-                dop,
-            });
-            match go(cat, *left, o) {
-                Lowered::Pipeline(probe) => Lowered::Pipeline(PhysPlan::ParallelHashJoin {
-                    probe: Box::new(probe),
-                    build,
-                    probe_keys: left_keys,
-                    residual,
-                }),
-                Lowered::Serial(l) => {
-                    // Serial probe side: keep the serial join, but unwrap
-                    // the partition exchange we built speculatively.
-                    let PhysPlan::ExchangeHashPartition { input, .. } = *build else {
-                        unreachable!()
-                    };
-                    Lowered::Serial(PhysPlan::HashJoin {
-                        left: Box::new(l),
-                        right: input,
-                        left_keys,
-                        right_keys,
-                        residual,
-                    })
-                }
-            }
+            let right = Box::new(close(go(cat, *right, o), dop));
+            go(cat, *left, o).map(|p| PhysPlan::HashJoin {
+                left: Box::new(p),
+                right,
+                left_keys,
+                right_keys,
+                residual,
+            })
         }
         PhysPlan::HashAggregate {
             input,

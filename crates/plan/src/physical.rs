@@ -312,31 +312,12 @@ pub enum PhysPlan {
         cols: Option<Vec<usize>>,
     },
     /// Parallel-region root: runs `input` (a worker pipeline of parallel
-    /// scans, filters, projections and parallel join probes) on `dop`
+    /// scans, filters, projections and hash-join probes) on `dop`
     /// workers and merges their batch streams in morsel order, so the
     /// gathered output has exactly the serial plan's row order.
     ExchangeGather {
         input: Box<PhysPlan>,
         dop: usize,
-    },
-    /// Build-side exchange under [`PhysPlan::ParallelHashJoin`]: the
-    /// coordinator drains `input` once (in serial row order) and hash-
-    /// partitions its rows by `keys` into `dop` partition build tables,
-    /// each filled by its own builder thread.
-    ExchangeHashPartition {
-        input: Box<PhysPlan>,
-        keys: Vec<PhysExpr>,
-        dop: usize,
-    },
-    /// Partitioned parallel hash equi-join: the probe side runs inside the
-    /// worker pipeline; each probe row hashes its key to pick the build
-    /// partition. `build` must be an [`PhysPlan::ExchangeHashPartition`].
-    /// Output row = probe ++ build, like [`PhysPlan::HashJoin`].
-    ParallelHashJoin {
-        probe: Box<PhysPlan>,
-        build: Box<PhysPlan>,
-        probe_keys: Vec<PhysExpr>,
-        residual: Vec<PhysExpr>,
     },
     /// Parallel-region root for partial→final aggregation: `dop` workers
     /// fold their morsels into partial per-group accumulator tables; the
@@ -552,29 +533,6 @@ impl PhysPlan {
                 let _ = writeln!(out, "{pad}ExchangeGather(dop={dop}) merge=morsel-order");
                 input.explain_into(depth + 1, out);
             }
-            PhysPlan::ExchangeHashPartition { input, keys, dop } => {
-                let _ = writeln!(
-                    out,
-                    "{pad}ExchangeHashPartition(dop={dop}) keys={}",
-                    fmt_exprs(keys)
-                );
-                input.explain_into(depth + 1, out);
-            }
-            PhysPlan::ParallelHashJoin {
-                probe,
-                build,
-                probe_keys,
-                residual,
-            } => {
-                let _ = writeln!(
-                    out,
-                    "{pad}ParallelHashJoin p={} residual={}",
-                    fmt_exprs(probe_keys),
-                    fmt_preds(residual)
-                );
-                probe.explain_into(depth + 1, out);
-                build.explain_into(depth + 1, out);
-            }
             PhysPlan::ParallelHashAggregate {
                 input,
                 group,
@@ -610,15 +568,11 @@ impl PhysPlan {
             | PhysPlan::Limit { input, .. }
             | PhysPlan::HashAggregate { input, .. }
             | PhysPlan::ExchangeGather { input, .. }
-            | PhysPlan::ExchangeHashPartition { input, .. }
             | PhysPlan::ParallelHashAggregate { input, .. }
             | PhysPlan::IndexNlJoin { left: input, .. }
             | PhysPlan::IndexSemiJoin { inner: input, .. } => n += input.count_ops(pred),
             PhysPlan::HashJoin { left, right, .. } | PhysPlan::NlJoin { left, right, .. } => {
                 n += left.count_ops(pred) + right.count_ops(pred);
-            }
-            PhysPlan::ParallelHashJoin { probe, build, .. } => {
-                n += probe.count_ops(pred) + build.count_ops(pred);
             }
             PhysPlan::HashSemiJoin { outer, inner, .. }
             | PhysPlan::NlSemiJoin { outer, inner, .. } => {

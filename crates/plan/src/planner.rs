@@ -42,8 +42,9 @@ pub struct PlanOptions {
     /// do not depend on it: they draw on ANALYZE's distinct-value counts
     /// either way.
     pub use_indexes: bool,
-    /// Materialise shared boxes once (false = re-plan per consumer; the
-    /// "no common subexpression" ablation for Table 1 measurements).
+    /// Materialise shared boxes once (false = re-plan per consumer). Kept
+    /// for the Table 1 "no common subexpression" ablation and the oracle's
+    /// cse axis.
     pub share_common_subexpressions: bool,
     /// Row capacity of the executor's streaming batches (clamped to ≥ 1).
     pub batch_size: usize,
@@ -55,7 +56,9 @@ pub struct PlanOptions {
     /// Minimum heap page count before a scan is worth parallelizing
     /// (morsel = one page, so tiny tables can't feed several workers).
     /// Clamped to ≥ 1; point lookups and small fixtures stay serial at the
-    /// default of [`DEFAULT_PARALLEL_MIN_PAGES`].
+    /// default of [`DEFAULT_PARALLEL_MIN_PAGES`]. Kept because the oracle
+    /// and EXPLAIN fixtures are smaller than 8 pages and still need
+    /// parallel plans.
     pub parallel_min_pages: usize,
 }
 

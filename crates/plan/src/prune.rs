@@ -134,19 +134,14 @@ impl Pruner<'_> {
             | PhysPlan::Limit { input, .. }
             | PhysPlan::SubqueryFilter { input, .. }
             | PhysPlan::ExchangeGather { input, .. }
-            | PhysPlan::ExchangeHashPartition { input, .. }
             | PhysPlan::HashSemiJoin { outer: input, .. }
             | PhysPlan::NlSemiJoin { outer: input, .. } => self.width(input),
             PhysPlan::Project { exprs, .. } => Some(exprs.len()),
             PhysPlan::HashAggregate { output, .. }
             | PhysPlan::ParallelHashAggregate { output, .. } => Some(output.len()),
-            PhysPlan::HashJoin { left, right, .. }
-            | PhysPlan::NlJoin { left, right, .. }
-            | PhysPlan::ParallelHashJoin {
-                probe: left,
-                build: right,
-                ..
-            } => Some(self.width(left)? + self.width(right)?),
+            PhysPlan::HashJoin { left, right, .. } | PhysPlan::NlJoin { left, right, .. } => {
+                Some(self.width(left)? + self.width(right)?)
+            }
             PhysPlan::IndexNlJoin { left, table, .. } => {
                 Some(self.width(left)? + self.table_width(table)?)
             }
@@ -196,9 +191,6 @@ impl Pruner<'_> {
                 });
                 self.prune(input, need);
             }
-            PhysPlan::ExchangeHashPartition { input, keys, .. } => {
-                self.prune(input, with_cols(need, keys.iter()))
-            }
             PhysPlan::HashAggregate {
                 input, group, aggs, ..
             }
@@ -218,17 +210,6 @@ impl Pruner<'_> {
                 let (l, r) = split(with_cols(need, residual.iter()), self.width(left));
                 self.prune(left, with_cols(l, left_keys.iter()));
                 self.prune(right, with_cols(r, right_keys.iter()));
-            }
-            PhysPlan::ParallelHashJoin {
-                probe,
-                build,
-                probe_keys,
-                residual,
-            } => {
-                // The build's own keys are the ExchangeHashPartition's.
-                let (p, b) = split(with_cols(need, residual.iter()), self.width(probe));
-                self.prune(probe, with_cols(p, probe_keys.iter()));
-                self.prune(build, b);
             }
             PhysPlan::IndexNlJoin {
                 left,

@@ -50,7 +50,7 @@ use xnf_qgm::Qgm;
 #[derive(Debug, Clone, Copy)]
 pub struct RewriteOptions {
     /// Apply the E-to-F (existential subquery → semijoin) conversion.
-    /// Disabling this reproduces the naive execution strategy of Fig. 3.
+    /// Kept because disabling it reproduces Fig. 3's naive baseline.
     pub e_to_f: bool,
 }
 

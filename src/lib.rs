@@ -3,8 +3,9 @@
 //! Südkamp & Lindsay, Information Systems 19(1), 1994)
 //!
 //! This is the umbrella crate: it re-exports the public API of the
-//! workspace crates. See the README for the architecture overview and
-//! EXPERIMENTS.md for the paper-vs-measured record.
+//! workspace crates. See the README for the architecture overview; `cargo
+//! run --release -p xnf-bench --bin experiments` reproduces the paper's
+//! tables and figures.
 
 pub use xnf_core::*;
 

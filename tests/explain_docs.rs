@@ -170,7 +170,7 @@ fn every_documented_operator_is_emitted() {
     for text in [
         // ExchangeGather + ParallelSeqScan.
         "SELECT ename FROM EMP WHERE sal > 100",
-        // ParallelHashAggregate + ParallelHashJoin + ExchangeHashPartition.
+        // ParallelHashAggregate over a HashJoin that probes inside the region.
         "SELECT edno, COUNT(*) FROM EMP, DEPT WHERE edno = dno GROUP BY edno",
     ] {
         let plan = parallel.explain(text).unwrap();

@@ -16,9 +16,8 @@ use xnf_fixtures::{build_paper_db_with, build_uniform_paper_db_with, PaperScale}
 
 /// Every operator the planner emits for SQL and XNF statements.
 const OPERATORS: &str = "SeqScan ParallelSeqScan MatViewScan IndexEq Values SharedScan Filter \
-    Project HashDistinct Sort Limit HashAggregate ParallelHashAggregate ExchangeGather \
-    ExchangeHashPartition HashJoin ParallelHashJoin NlJoin IndexNlJoin HashSemiJoin NlSemiJoin \
-    IndexSemiJoin SubqueryFilter UnionAll";
+    Project HashDistinct Sort Limit HashAggregate ParallelHashAggregate ExchangeGather HashJoin \
+    NlJoin IndexNlJoin HashSemiJoin NlSemiJoin IndexSemiJoin SubqueryFilter UnionAll";
 
 #[test]
 fn single_axis_flips_match_the_reference() {
@@ -32,7 +31,8 @@ fn full_product_matches_the_reference() {
 }
 
 /// Run the whole corpus in `cells`: every axis flipped must change some
-/// plan, and every operator must be planned.
+/// plan, every operator must be planned, and some `HashJoin` must probe
+/// inside a parallel region.
 fn run_corpus(cells: impl Iterator<Item = Cell>) {
     let cells: Vec<Cell> = cells.collect();
     let seen = run(&CORPORA, &cells);
@@ -40,6 +40,10 @@ fn run_corpus(cells: impl Iterator<Item = Cell>) {
     assert_eq!(seen.0, axes, "axes that changed no plan");
     let ops: BTreeSet<_> = OPERATORS.split_whitespace().map(String::from).collect();
     assert_eq!(seen.1, ops, "operators no cell planned");
+    assert!(
+        seen.2,
+        "no cell planned a HashJoin over a ParallelSeqScan inside a region"
+    );
 }
 
 fn config_with_batch(batch_size: usize) -> DbConfig {

@@ -86,8 +86,9 @@ pub const CORPORA: [Corpus; 9] = [
     wv,
 ];
 
-/// The axes that changed some plan, and the operators planned.
-pub type Seen = (BTreeSet<&'static str>, BTreeSet<String>);
+/// The axes that changed some plan, the operators planned, and whether a
+/// `HashJoin` probed a morsel scan inside a parallel region.
+pub type Seen = (BTreeSet<&'static str>, BTreeSet<String>, bool);
 
 /// Run every statement of `corpora` in `cells`, building each fixture once.
 pub fn run(corpora: &[Corpus], cells: &[Cell]) -> Seen {
@@ -133,16 +134,10 @@ fn for_each_op(qep: &mut Qep, f: &mut dyn FnMut(&mut PhysPlan)) {
             | PhysPlan::HashAggregate { input, .. }
             | PhysPlan::ParallelHashAggregate { input, .. }
             | PhysPlan::ExchangeGather { input, .. }
-            | PhysPlan::ExchangeHashPartition { input, .. }
             | PhysPlan::IndexNlJoin { left: input, .. }
             | PhysPlan::IndexSemiJoin { inner: input, .. } => walk(input, f),
             PhysPlan::HashJoin { left, right, .. }
             | PhysPlan::NlJoin { left, right, .. }
-            | PhysPlan::ParallelHashJoin {
-                probe: left,
-                build: right,
-                ..
-            }
             | PhysPlan::HashSemiJoin {
                 outer: left,
                 inner: right,
@@ -168,6 +163,18 @@ fn for_each_op(qep: &mut Qep, f: &mut dyn FnMut(&mut PhysPlan)) {
     plans.chain(&mut qep.shared).for_each(|p| walk(p, f));
 }
 
+/// Is `plan` a worker pipeline: filters, projections and hash-join probes
+/// over a `ParallelSeqScan`, with no region root in between?
+fn is_worker_pipeline(plan: &PhysPlan) -> bool {
+    match plan {
+        PhysPlan::ParallelSeqScan { .. } => true,
+        PhysPlan::Filter { input, .. }
+        | PhysPlan::Project { input, .. }
+        | PhysPlan::HashJoin { left: input, .. } => is_worker_pipeline(input),
+        _ => false,
+    }
+}
+
 /// Check `sql` against the reference in the default cell, then every cell
 /// against the default cell and its pruning twin; `seen` collects the
 /// axes that changed the plan and the operators planned.
@@ -186,6 +193,9 @@ fn check(db: &Database, sql: &str, params: &[Value], cells: &[Cell], seen: &mut 
             let name = format!("{op:?}");
             seen.1
                 .insert(name[..name.find([' ', '(']).unwrap_or(name.len())].into());
+            if let PhysPlan::HashJoin { left, .. } = op {
+                seen.2 |= is_worker_pipeline(left);
+            }
             if let PhysPlan::SeqScan { cols, .. } | PhysPlan::ParallelSeqScan { cols, .. } = op {
                 cols.take_if(|_| !cell.4);
             }
