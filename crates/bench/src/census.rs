@@ -160,7 +160,7 @@ pub fn op_signatures(plan: &PhysPlan, out: &mut Vec<String>) {
 mod tests {
     use super::*;
     use xnf_core::{DbConfig, PlanOptions};
-    use xnf_fixtures::{build_paper_db, build_paper_db_with, PaperScale};
+    use xnf_fixtures::{build_paper_db, build_paper_db_with, PaperScale, DEPS_ARC};
 
     #[test]
     fn census_counts_scan_filters_and_joins() {
@@ -195,6 +195,27 @@ mod tests {
             plan.explain()
         );
         assert_eq!(census_plan(plan), c, "{}", plan.explain());
+
+        // So does an XNF derivation whose semijoin probes inside a region.
+        let dop1 = DbConfig {
+            plan: PlanOptions {
+                dop: 1,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let serial = build_paper_db_with(scale, dop1).compile(DEPS_ARC).unwrap();
+        let qep = parallel.compile(DEPS_ARC).unwrap();
+        let in_region = qep.shared.iter().any(|p| {
+            p.count_ops(&mut |p| {
+                matches!(p, PhysPlan::ExchangeGather { input, .. }
+                    if matches!(input.as_ref(), PhysPlan::HashSemiJoin { .. }))
+            }) > 0
+        });
+        assert!(in_region, "{}", qep.explain());
+        let (a, b) = (census_qep(&serial), census_qep(&qep));
+        assert_eq!(a.derivation, b.derivation, "{}", qep.explain());
+        assert_eq!(a.connections, b.connections, "{}", qep.explain());
     }
 
     #[test]

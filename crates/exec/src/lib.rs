@@ -31,9 +31,9 @@
 //! `ParallelHashAggregate` nodes run as morsel-driven parallel regions —
 //! `dop` worker threads pull heap-page morsels from a shared dispenser,
 //! run their own copy of the worker pipeline over a cloned MVCC snapshot
-//! (a hash join in it probes one table the coordinator built), and the
-//! coordinator merges their streams back into serial row order (see the
-//! [`parallel`] module docs). At `dop = 1` (the default on a
+//! (a hash join or semijoin in it probes one table the coordinator
+//! built), and the coordinator merges their streams back into serial row
+//! order (see the [`parallel`] module docs). At `dop = 1` (the default on a
 //! single-core host) plans and execution are exactly the serial pipeline
 //! described above.
 //!

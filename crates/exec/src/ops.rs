@@ -59,6 +59,9 @@ pub struct ExecStats {
     /// Page morsels parallel scans claimed and processed (past-the-end
     /// probes excluded).
     pub morsels_dispatched: u64,
+    /// Rows `ExchangeGather` regions passed from their workers to the
+    /// coordinator (aggregate regions gather group tables, not rows).
+    pub rows_gathered: u64,
     /// Composite-object root keys re-extracted by materialized-view
     /// maintenance (one per root subtree spliced into a view's streams).
     pub mv_roots_respliced: u64,
@@ -102,6 +105,7 @@ impl ExecStats {
         self.parallel_regions += other.parallel_regions;
         self.parallel_workers += other.parallel_workers;
         self.morsels_dispatched += other.morsels_dispatched;
+        self.rows_gathered += other.rows_gathered;
         self.mv_roots_respliced += other.mv_roots_respliced;
         self.mv_nodes_reused += other.mv_nodes_reused;
         self.mv_maint_us += other.mv_maint_us;
@@ -280,7 +284,7 @@ pub fn build_operator(plan: &PhysPlan) -> Box<dyn Operator> {
             residual,
         } => Box::new(HashSemiJoinOp {
             outer: build_operator(outer),
-            inner: build_operator(inner),
+            inner: Some(build_operator(inner)),
             outer_keys: outer_keys.clone(),
             inner_keys: inner_keys.clone(),
             residual: residual.clone(),
@@ -960,30 +964,45 @@ impl Operator for NlJoinOp {
     }
 }
 
-struct HashSemiJoinOp {
-    outer: Box<dyn Operator>,
-    inner: Box<dyn Operator>,
-    outer_keys: Vec<PhysExpr>,
-    inner_keys: Vec<PhysExpr>,
-    residual: Vec<PhysExpr>,
-    table: Option<JoinTable>,
+/// Hash semijoin: keeps the `outer` rows whose key (and residual) finds a
+/// match in a table built from `inner`. Emits one batch per non-empty
+/// input batch and never merges batches, so inside a parallel region every
+/// output batch derives from one morsel (the gather merges by morsel tag).
+pub(crate) struct HashSemiJoinOp {
+    pub(crate) outer: Box<dyn Operator>,
+    /// Build input, drained into `table` on the first pull. `None` in a
+    /// region worker, whose table the coordinator built.
+    pub(crate) inner: Option<Box<dyn Operator>>,
+    pub(crate) outer_keys: Vec<PhysExpr>,
+    pub(crate) inner_keys: Vec<PhysExpr>,
+    pub(crate) residual: Vec<PhysExpr>,
+    /// Build side (inner input), keyed; one table shared read-only by all
+    /// of a region's workers.
+    pub(crate) table: Option<Arc<JoinTable>>,
+}
+
+impl HashSemiJoinOp {
+    /// Does the build table need its rows? Residual-free semijoins only
+    /// need key presence.
+    pub(crate) fn keep_rows(residual: &[PhysExpr]) -> bool {
+        !residual.is_empty()
+    }
 }
 
 impl Operator for HashSemiJoinOp {
     fn next_batch(&mut self, rt: &mut Runtime<'_>) -> Result<Option<RowBatch>> {
         if self.table.is_none() {
-            // Residual-free semijoins only need key presence.
-            let keep_rows = !self.residual.is_empty();
-            self.table = Some(JoinTable::build(
-                self.inner.as_mut(),
-                rt,
-                &self.inner_keys,
-                keep_rows,
-            )?);
+            let inner = self
+                .inner
+                .as_mut()
+                .expect("a semijoin without a prebuilt table has its input");
+            let keep_rows = HashSemiJoinOp::keep_rows(&self.residual);
+            let table = JoinTable::build(inner.as_mut(), rt, &self.inner_keys, keep_rows)?;
+            self.table = Some(Arc::new(table));
         }
+        let table = self.table.as_deref().expect("built above");
         let mut key = Vec::with_capacity(self.outer_keys.len());
         while let Some(mut obatch) = self.outer.next_batch(rt)? {
-            let table = self.table.as_ref().unwrap();
             let mut keep = Vec::with_capacity(obatch.len());
             for orow in obatch.iter() {
                 let matched = match key_into(&self.outer_keys, orow, &rt.outer, &mut key)? {

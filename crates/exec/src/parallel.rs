@@ -2,17 +2,20 @@
 //!
 //! A *parallel region* is the subtree under an `ExchangeGather` or
 //! `ParallelHashAggregate` plan node: a worker pipeline of parallel scans,
-//! fused filters/projections and hash-join probes. Executing a region:
+//! fused filters/projections and hash-join and hash-semijoin probes.
+//! Executing a region:
 //!
 //! 1. **Prepare** (coordinator): walk the pipeline; give every
 //!    `ParallelSeqScan` a shared [`MorselDispenser`] and build every
-//!    `HashJoin`'s table — the coordinator drains the join's right input
-//!    *in serial row order* into one ordinary `JoinTable`, so bucket match
-//!    order equals the serial build's.
+//!    `HashJoin`'s and `HashSemiJoin`'s table — the coordinator drains the
+//!    build input (the join's right, the semijoin's inner) *in serial row
+//!    order* into one ordinary `JoinTable`, with rows kept exactly when the
+//!    serial operator keeps them, so bucket match order equals the serial
+//!    build's.
 //! 2. **Run** (workers): `dop` threads each instantiate their own copy of
 //!    the pipeline over a cloned MVCC snapshot and pull page morsels from
 //!    the shared dispensers until the table is exhausted. Every worker's
-//!    `HashJoinOp` probes the one shared table.
+//!    `HashJoinOp` / `HashSemiJoinOp` probes its one shared table.
 //! 3. **Merge** (coordinator): gather regions tag every worker batch with
 //!    the page index it came from and K-way-merge the per-worker streams
 //!    by that tag — dispensers hand out pages in increasing order, so each
@@ -46,7 +49,7 @@ use crate::eval::{CompiledPreds, Row};
 use crate::hash::FxHashMap;
 use crate::ops::{
     build_operator, finalize_groups, merge_group_state, ExecStats, FilterOp, GroupAcc, GroupState,
-    HashJoinOp, JoinTable, Operator, ProjectOp, Runtime,
+    HashJoinOp, HashSemiJoinOp, JoinTable, Operator, ProjectOp, Runtime,
 };
 
 /// Bounded channel depth (in batches) between a worker and the gather.
@@ -54,8 +57,8 @@ const CHANNEL_DEPTH: usize = 4;
 
 /// Resources a region's workers share, collected by the coordinator before
 /// the workers spawn: one morsel dispenser per parallel scan and one build
-/// table per hash join, in plan traversal order (workers rebuild the
-/// identical tree, so the orders agree).
+/// table per hash join or semijoin, in plan traversal order (workers
+/// rebuild the identical tree, so the orders agree).
 struct RegionResources {
     dispensers: Vec<Arc<MorselDispenser>>,
     tables: Vec<Arc<JoinTable>>,
@@ -91,16 +94,40 @@ fn collect_resources(
         } => {
             // Probe first: traversal order must match the worker builder.
             collect_resources(rt, left, res)?;
-            let mut build = build_operator(right);
-            let table = JoinTable::build(build.as_mut(), rt, right_keys, true)?;
-            res.tables.push(Arc::new(table));
-            Ok(())
+            build_table(rt, right, right_keys, true, res)
+        }
+        PhysPlan::HashSemiJoin {
+            outer,
+            inner,
+            inner_keys,
+            residual,
+            ..
+        } => {
+            // Outer first, as for the join's probe side.
+            collect_resources(rt, outer, res)?;
+            let keep_rows = HashSemiJoinOp::keep_rows(residual);
+            build_table(rt, inner, inner_keys, keep_rows, res)
         }
         other => Err(ExecError::Type(format!(
             "unexpected operator in parallel worker pipeline: {}",
             other.explain().lines().next().unwrap_or("?")
         ))),
     }
+}
+
+/// Drain a join's build input on the coordinator, in serial row order, into
+/// the region's next shared table.
+fn build_table(
+    rt: &mut Runtime<'_>,
+    input: &PhysPlan,
+    keys: &[PhysExpr],
+    keep_rows: bool,
+    res: &mut RegionResources,
+) -> Result<()> {
+    let mut build = build_operator(input);
+    let table = JoinTable::build(build.as_mut(), rt, keys, keep_rows)?;
+    res.tables.push(Arc::new(table));
+    Ok(())
 }
 
 /// Per-worker state threaded through [`build_worker_pipeline`].
@@ -113,6 +140,15 @@ struct WorkerCtx<'r> {
     /// the batch for the ordered merge. `Rc` because the whole pipeline
     /// lives on one worker thread.
     morsel: Rc<Cell<u64>>,
+}
+
+impl WorkerCtx<'_> {
+    /// The next join table in traversal order.
+    fn next_table(&mut self) -> Arc<JoinTable> {
+        let table = Arc::clone(&self.res.tables[self.next_table]);
+        self.next_table += 1;
+        table
+    }
 }
 
 /// Instantiate one worker's copy of a region pipeline.
@@ -152,16 +188,31 @@ fn build_worker_pipeline(plan: &PhysPlan, ctx: &mut WorkerCtx<'_>) -> Result<Box
             ..
         } => {
             let left = build_worker_pipeline(left, ctx)?;
-            let table = Arc::clone(&ctx.res.tables[ctx.next_table]);
-            ctx.next_table += 1;
             Ok(Box::new(HashJoinOp {
                 left,
                 right: None,
                 left_keys: left_keys.clone(),
                 right_keys: right_keys.clone(),
                 residual: residual.clone(),
-                table: Some(table),
+                table: Some(ctx.next_table()),
                 probe: None,
+            }))
+        }
+        PhysPlan::HashSemiJoin {
+            outer,
+            outer_keys,
+            inner_keys,
+            residual,
+            ..
+        } => {
+            let outer = build_worker_pipeline(outer, ctx)?;
+            Ok(Box::new(HashSemiJoinOp {
+                outer,
+                inner: None,
+                outer_keys: outer_keys.clone(),
+                inner_keys: inner_keys.clone(),
+                residual: residual.clone(),
+                table: Some(ctx.next_table()),
             }))
         }
         other => Err(ExecError::Type(format!(
@@ -332,6 +383,7 @@ pub(crate) fn run_gather_region(
                 .min();
             let Some((_, w)) = min else { break };
             let (_, batch) = heads[w].take().unwrap();
+            rt.stats.rows_gathered += batch.len() as u64;
             merged.push(batch);
             heads[w] = recv_next(&rxs[w], &mut folded, &mut first_err);
         }

@@ -4,15 +4,17 @@
 //! The pass is bottom-up. A *worker pipeline* grows from a
 //! [`PhysPlan::ParallelSeqScan`] leaf (any base-table or matview scan over
 //! at least [`PlanOptions::parallel_min_pages`] heap pages): `Filter` and
-//! `Project` fuse straight into it, so does a `HashJoin` whose probe
-//! (left) side is a worker pipeline (its right input stays serial, closed
-//! with its own gather if it parallelizes: at run time the coordinator
-//! builds one table from it and every worker probes that table), and a
-//! `HashAggregate` over a worker pipeline becomes the region root
-//! [`PhysPlan::ParallelHashAggregate`] (partial→final aggregation). Every
-//! other operator is a serial boundary: an open worker pipeline below it
-//! is closed with an [`PhysPlan::ExchangeGather`], whose morsel-order
-//! merge keeps the gathered row order identical to the serial plan's.
+//! `Project` fuse straight into it, and so do a `HashJoin` whose probe
+//! (left) side is a worker pipeline and a `HashSemiJoin` whose outer side
+//! is one. Their build input (the join's right, the semijoin's inner)
+//! stays serial, closed with its own gather if it parallelizes: at run
+//! time the coordinator builds one table from it and every worker probes
+//! that table. A `HashAggregate` over a worker pipeline becomes the region
+//! root [`PhysPlan::ParallelHashAggregate`] (partial→final aggregation).
+//! Every other operator is a serial boundary: an open worker pipeline
+//! below it is closed with an [`PhysPlan::ExchangeGather`], whose
+//! morsel-order merge keeps the gathered row order identical to the
+//! serial plan's.
 //!
 //! Deliberately serial:
 //! - `Limit` without a blocking `Sort` below it — the serial scan's
@@ -171,13 +173,16 @@ fn go(cat: &Catalog, plan: PhysPlan, o: &PlanOptions) -> Lowered {
             outer_keys,
             inner_keys,
             residual,
-        } => Lowered::Serial(PhysPlan::HashSemiJoin {
-            outer: Box::new(close(go(cat, *outer, o), dop)),
-            inner: Box::new(close(go(cat, *inner, o), dop)),
-            outer_keys,
-            inner_keys,
-            residual,
-        }),
+        } => {
+            let inner = Box::new(close(go(cat, *inner, o), dop));
+            go(cat, *outer, o).map(|p| PhysPlan::HashSemiJoin {
+                outer: Box::new(p),
+                inner,
+                outer_keys,
+                inner_keys,
+                residual,
+            })
+        }
         PhysPlan::IndexNlJoin {
             left,
             table,

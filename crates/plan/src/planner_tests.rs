@@ -311,6 +311,41 @@ fn parallel_join_plan_shape() {
 }
 
 #[test]
+fn parallel_semijoin_plan_shape() {
+    let cat = populated_catalog();
+    let qep = plan_sql(
+        &cat,
+        "SELECT e.ename FROM EMP e WHERE EXISTS \
+         (SELECT 1 FROM DEPT d WHERE d.loc = 'ARC' AND d.dno = e.edno)",
+        parallel_opts(4),
+    );
+    let plan = &qep.outputs[0].plan;
+    let explain = plan.explain();
+    // The gather sits directly above the semijoin ...
+    let PhysPlan::ExchangeGather { input, dop: 4 } = plan else {
+        panic!("{explain}")
+    };
+    let mut node = input.as_ref();
+    while let PhysPlan::Project { input, .. } = node {
+        node = input;
+    }
+    let PhysPlan::HashSemiJoin { outer, inner, .. } = node else {
+        panic!("{explain}")
+    };
+    // ... which probes the morsel scan directly, with no gather in between.
+    assert!(
+        matches!(outer.as_ref(), PhysPlan::ParallelSeqScan { table, .. } if table == "EMP"),
+        "{explain}"
+    );
+    // The inner side stays serial: it is a finished plan (its DEPT scan
+    // gathered on its own), never part of the workers' pipeline.
+    assert!(
+        matches!(inner.as_ref(), PhysPlan::ExchangeGather { .. }),
+        "{explain}"
+    );
+}
+
+#[test]
 fn parallel_aggregate_plan_shape() {
     let cat = populated_catalog();
     let qep = plan_sql(

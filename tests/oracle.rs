@@ -31,18 +31,27 @@ fn full_product_matches_the_reference() {
 }
 
 /// Run the whole corpus in `cells`: every axis flipped must change some
-/// plan, every operator must be planned, and some `HashJoin` must probe
-/// inside a parallel region.
+/// plan, every operator must be planned, and some `HashJoin` and some
+/// `HashSemiJoin`, one of them with a residual, must probe inside a
+/// parallel region.
 fn run_corpus(cells: impl Iterator<Item = Cell>) {
     let cells: Vec<Cell> = cells.collect();
     let seen = run(&CORPORA, &cells);
     let axes: BTreeSet<_> = cells.iter().flat_map(|c| c.flips()).collect();
-    assert_eq!(seen.0, axes, "axes that changed no plan");
+    assert_eq!(seen.axes, axes, "axes that changed no plan");
     let ops: BTreeSet<_> = OPERATORS.split_whitespace().map(String::from).collect();
-    assert_eq!(seen.1, ops, "operators no cell planned");
+    assert_eq!(seen.ops, ops, "operators no cell planned");
     assert!(
-        seen.2,
+        seen.join_in_region,
         "no cell planned a HashJoin over a ParallelSeqScan inside a region"
+    );
+    assert!(
+        seen.semijoin_in_region,
+        "no cell planned a HashSemiJoin over a ParallelSeqScan inside a region"
+    );
+    assert!(
+        seen.residual_semijoin_in_region,
+        "no cell planned a HashSemiJoin with a residual inside a region"
     );
 }
 

@@ -86,9 +86,20 @@ pub const CORPORA: [Corpus; 9] = [
     wv,
 ];
 
-/// The axes that changed some plan, the operators planned, and whether a
-/// `HashJoin` probed a morsel scan inside a parallel region.
-pub type Seen = (BTreeSet<&'static str>, BTreeSet<String>, bool);
+/// What the cells planned, across the corpus.
+#[derive(Default)]
+pub struct Seen {
+    /// The axes that changed some plan.
+    pub axes: BTreeSet<&'static str>,
+    /// The operators planned.
+    pub ops: BTreeSet<String>,
+    /// A `HashJoin` probed a worker pipeline inside a parallel region.
+    pub join_in_region: bool,
+    /// A `HashSemiJoin` probed a worker pipeline inside a parallel region.
+    pub semijoin_in_region: bool,
+    /// ... and one of them had a residual, so its table kept its rows.
+    pub residual_semijoin_in_region: bool,
+}
 
 /// Run every statement of `corpora` in `cells`, building each fixture once.
 pub fn run(corpora: &[Corpus], cells: &[Cell]) -> Seen {
@@ -163,14 +174,16 @@ fn for_each_op(qep: &mut Qep, f: &mut dyn FnMut(&mut PhysPlan)) {
     plans.chain(&mut qep.shared).for_each(|p| walk(p, f));
 }
 
-/// Is `plan` a worker pipeline: filters, projections and hash-join probes
-/// over a `ParallelSeqScan`, with no region root in between?
+/// Is `plan` a worker pipeline: filters, projections and hash-join and
+/// hash-semijoin probes over a `ParallelSeqScan`, with no region root in
+/// between?
 fn is_worker_pipeline(plan: &PhysPlan) -> bool {
     match plan {
         PhysPlan::ParallelSeqScan { .. } => true,
         PhysPlan::Filter { input, .. }
         | PhysPlan::Project { input, .. }
-        | PhysPlan::HashJoin { left: input, .. } => is_worker_pipeline(input),
+        | PhysPlan::HashJoin { left: input, .. }
+        | PhysPlan::HashSemiJoin { outer: input, .. } => is_worker_pipeline(input),
         _ => false,
     }
 }
@@ -191,10 +204,17 @@ fn check(db: &Database, sql: &str, params: &[Value], cells: &[Cell], seen: &mut 
         let mut qep = plan_query(db.catalog(), &qgm, cell.options()).unwrap();
         for_each_op(&mut qep, &mut |op| {
             let name = format!("{op:?}");
-            seen.1
+            seen.ops
                 .insert(name[..name.find([' ', '(']).unwrap_or(name.len())].into());
-            if let PhysPlan::HashJoin { left, .. } = op {
-                seen.2 |= is_worker_pipeline(left);
+            match op {
+                PhysPlan::HashJoin { left, .. } => seen.join_in_region |= is_worker_pipeline(left),
+                PhysPlan::HashSemiJoin {
+                    outer, residual, ..
+                } if is_worker_pipeline(outer) => {
+                    seen.semijoin_in_region = true;
+                    seen.residual_semijoin_in_region |= !residual.is_empty();
+                }
+                _ => {}
             }
             if let PhysPlan::SeqScan { cols, .. } | PhysPlan::ParallelSeqScan { cols, .. } = op {
                 cols.take_if(|_| !cell.4);
@@ -211,7 +231,7 @@ fn check(db: &Database, sql: &str, params: &[Value], cells: &[Cell], seen: &mut 
         let context = format!("{cell:?}: {sql} {params:?}");
         let qep = plan(cell);
         if cell.flips().len() == 1 && format!("{qep:?}") != default_plan {
-            seen.0.extend(cell.flips());
+            seen.axes.extend(cell.flips());
         }
         let params = Arc::new(params.to_vec());
         let got = xnf_exec::execute_qep_with_params(db.catalog(), &qep, params).unwrap();
@@ -411,6 +431,14 @@ pub fn index_joins() -> (Database, Vec<Step>) {
     (index_join_db(), steps)
 }
 
+/// The `analytic` bulk CO extraction: one region's customers, their sales
+/// and the items sold.
+pub const STAR_CO_BULK: &str = "OUT OF xc AS (SELECT * FROM CUST WHERE region = ?), xs AS SALES,
+        xi AS ITEM,
+        buys AS (RELATE xc VIA BUYS, xs WHERE xc.cust = xs.cust),
+        sold AS (RELATE xs VIA SOLD, xi WHERE xs.item = xi.item)
+    TAKE *";
+
 /// The six `analytic` templates, one binding each.
 pub fn star() -> (Database, Vec<Step>) {
     let (days, from_200) = ([Value::Int(100), Value::Int(140)], [Value::Int(200)]);
@@ -438,13 +466,7 @@ pub fn star() -> (Database, Vec<Step>) {
             "SELECT sale, amount FROM SALES WHERE day = ? ORDER BY sale",
             &[Value::Int(7)],
         ),
-        q(
-            "OUT OF xc AS (SELECT * FROM CUST WHERE region = ?), xs AS SALES, xi AS ITEM,
-                    buys AS (RELATE xc VIA BUYS, xs WHERE xc.cust = xs.cust),
-                    sold AS (RELATE xs VIA SOLD, xi WHERE xs.item = xi.item)
-             TAKE *",
-            &[Value::Int(3)],
-        ),
+        q(STAR_CO_BULK, &[Value::Int(3)]),
     ];
     (build_star_db_with(3000, config(true, 1, 1024)), steps)
 }
@@ -502,6 +524,8 @@ pub fn rs() -> (Database, Vec<Step>) {
         "SELECT a FROM R WHERE a IN (SELECT a FROM S WHERE b > 5) ORDER BY a",
         "SELECT a FROM R WHERE EXISTS (SELECT 1 FROM S WHERE S.a = R.a AND S.b > 10) ORDER BY a",
         "SELECT a FROM R WHERE NOT EXISTS (SELECT 1 FROM S WHERE S.a = R.a) ORDER BY a",
+        // An equi key plus a residual: the semijoin's table keeps its rows.
+        "SELECT a, b FROM R WHERE EXISTS (SELECT 1 FROM S WHERE S.a = R.a AND S.b > R.b)",
         "SELECT r1.a, r2.a FROM R r1, R r2 WHERE r1.b = r2.b AND r1.a < r2.a",
         "SELECT r1.a, r2.a FROM R r1, R r2 WHERE r1.b = r2.b AND r1.a < r2.a ORDER BY r1.a, r2.a",
         "SELECT a FROM R UNION SELECT a FROM S ORDER BY a",
