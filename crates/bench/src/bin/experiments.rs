@@ -105,7 +105,7 @@ fn main() {
     }
 
     if want("recursion") {
-        section("E9 — recursive CO fixpoint");
+        section("E9 — recursive CO closure");
         let sweep: &[(usize, usize)] = if quick {
             &[(4, 10), (6, 20)]
         } else {

@@ -1,5 +1,5 @@
 //! Core API tests: Database facade, CO cache, cursors, write-back,
-//! recursion, persistence and the shipping simulation.
+//! recursive COs, persistence and the shipping simulation.
 
 use xnf_storage::Value;
 
@@ -573,6 +573,8 @@ fn recursive_bom_fixpoint() {
     // Edges within the closure: 2->3, 2->4, 3->4 (not 5->4).
     let sub = r.stream("sub_uses").unwrap();
     assert_eq!(sub.rows.len(), 3);
+    // The closure ran through the executor's scans.
+    assert!(r.stats.rows_scanned > 0, "{:?}", r.stats);
 
     // Build a cache over the recursive CO and navigate it.
     let ws = Workspace::from_result(&r).unwrap();
@@ -602,6 +604,42 @@ fn recursive_cycle_terminates() {
     assert_eq!(ids, vec![2, 3, 4], "fixpoint terminates despite the cycle");
     let sub = r.stream("sub_uses").unwrap();
     assert_eq!(sub.rows.len(), 4, "cycle edge 4->2 included");
+}
+
+/// TAKE projects a recursive CO's columns and streams, while reachability
+/// still follows the relationships TAKE leaves out.
+#[test]
+fn recursive_take_projects_and_reaches_through_untaken_relationships() {
+    let db = bom_db();
+    let r = db
+        .query(&BOM_CO.replace("TAKE *", "TAKE asm, part(pid)"))
+        .unwrap();
+    let names: Vec<&str> = r.streams.iter().map(|s| s.name.as_str()).collect();
+    assert_eq!(names, ["asm", "part"]);
+    let part = r.stream("part").unwrap();
+    assert_eq!(part.columns, ["pid"]);
+    let mut ids: Vec<i64> = part.rows.iter().map(|r| r[0].as_int().unwrap()).collect();
+    ids.sort();
+    assert_eq!(ids, vec![2, 3, 4]);
+    assert_eq!(r.stream("asm").unwrap().columns.len(), 2);
+}
+
+/// A recursive CO prepares once and binds its `?` per execution.
+#[test]
+fn prepared_recursive_co_binds_parameters() {
+    let db = bom_db();
+    let session = db.session();
+    let mut stmt = session
+        .prepare(&BOM_CO.replace("pid = 1", "pid = ?"))
+        .unwrap();
+    for (root, want) in [(1, vec![2, 3, 4]), (5, vec![4]), (4, vec![])] {
+        stmt.bind(&[Value::Int(root)]).unwrap();
+        let r = stmt.query().unwrap();
+        let part = r.stream("part").unwrap();
+        let mut ids: Vec<i64> = part.rows.iter().map(|r| r[0].as_int().unwrap()).collect();
+        ids.sort();
+        assert_eq!(ids, want, "root {root}");
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ use xnf_exec::{
 };
 use xnf_plan::{plan_query, PhysExpr, PlanOptions, Qep};
 use xnf_qgm::{build_select_query, build_xnf_query, OutputKind, Qgm};
-use xnf_rewrite::{rewrite, RewriteError, RewriteOptions, RewriteReport};
+use xnf_rewrite::{rewrite, RewriteOptions, RewriteReport};
 use xnf_sql::{
     parse_statement, parse_statement_params, ColumnDef, Expr, Statement, TypeName, ViewBody,
 };
@@ -820,24 +820,16 @@ impl Database {
         })
     }
 
-    /// The one front end below the parser: QGM → rewrite → plan. Queries
-    /// compile to a QEP; recursive COs (cyclic schema graph, Sect. 2) and
-    /// DDL/DML keep their AST and are interpreted at execution time.
+    /// The one front end below the parser: QGM → rewrite → plan. Queries,
+    /// recursive COs included, compile to a QEP; DDL/DML keep their AST
+    /// and are interpreted at execution time.
     fn compile_body(&self, stmt: &Statement) -> Result<CompiledBody> {
-        match self.rewritten_qgm(stmt) {
-            Ok(Some((qgm, _))) => Ok(CompiledBody::Query(Arc::new(plan_query(
-                &self.catalog,
-                &qgm,
-                self.config.plan,
-            )?))),
-            Ok(None) => Ok(CompiledBody::Statement),
-            Err(XnfError::Rewrite(RewriteError::RecursiveCo))
-                if matches!(stmt, Statement::Xnf(_)) =>
-            {
-                Ok(CompiledBody::RecursiveCo)
+        Ok(match self.rewritten_qgm(stmt)? {
+            Some((qgm, _)) => {
+                CompiledBody::Query(Arc::new(plan_query(&self.catalog, &qgm, self.config.plan)?))
             }
-            Err(e) => Err(e),
-        }
+            None => CompiledBody::Statement,
+        })
     }
 
     /// QGM → rewrite for a SELECT or XNF query; `None` for any other
@@ -863,7 +855,6 @@ impl Database {
         match &compiled.body {
             CompiledBody::Statement => self.execute_stmt_scoped(&compiled.stmt, &params, scope),
             body => Ok(ExecOutcome::Rows(self.run_body(
-                &compiled.stmt,
                 body,
                 params,
                 scope_visibility(scope),
@@ -881,33 +872,24 @@ impl Database {
         vis: Visibility,
     ) -> Result<QueryResult> {
         let body = self.compile_body(stmt)?;
-        self.run_body(stmt, &body, params, vis)
+        self.run_body(&body, params, vis)
     }
 
-    /// Run the query body compiled from `stmt`.
+    /// Run a compiled query body.
     fn run_body(
         &self,
-        stmt: &Statement,
         body: &CompiledBody,
         params: Params,
         vis: Visibility,
     ) -> Result<QueryResult> {
-        match (body, stmt) {
-            (CompiledBody::Query(qep), _) => Ok(execute_qep_with_visibility(
+        match body {
+            CompiledBody::Query(qep) => Ok(execute_qep_with_visibility(
                 &self.catalog,
                 qep,
                 params,
                 vis,
             )?),
-            (CompiledBody::RecursiveCo, Statement::Xnf(q)) => {
-                if !params.is_empty() {
-                    return Err(XnfError::Api(
-                        "parameters are not supported in recursive CO queries".to_string(),
-                    ));
-                }
-                crate::recursion::evaluate_recursive(self, q, vis)
-            }
-            _ => Err(XnfError::Api("expected SELECT or OUT OF".to_string())),
+            CompiledBody::Statement => Err(XnfError::Api("expected SELECT or OUT OF".to_string())),
         }
     }
 
@@ -1392,15 +1374,6 @@ pub(crate) fn table_expr(schema: &Schema, table: &str, e: &Expr) -> Result<PhysE
             .map(PhysExpr::Col)
             .ok_or_else(|| XnfError::Api(format!("unknown column '{name}' in '{table}'")))
     })
-}
-
-/// Lower an AST expression with a custom column resolver (used by the
-/// recursive-CO evaluator).
-pub(crate) fn lower_expr_with(
-    e: &Expr,
-    col: &mut impl FnMut(Option<&str>, &str) -> Result<PhysExpr>,
-) -> Result<PhysExpr> {
-    lower_expr(e, col)
 }
 
 fn lower_expr(

@@ -6,7 +6,8 @@
 //!
 //! - [`Database`] — an embedded Starburst-style RDBMS with the XNF
 //!   extension: SQL and `OUT OF … TAKE …` composite-object queries share
-//!   one compilation pipeline (parser → QGM → rewrite → plan → QES);
+//!   one compilation pipeline (parser → QGM → rewrite → plan → QES),
+//!   recursive COs (cyclic schema graphs, Sect. 2) included;
 //! - [`Session`] / [`Prepared`] — prepared statements with `?` parameter
 //!   binding over a shared, DDL-aware LRU plan cache: compile once, bind
 //!   and execute many times (SQL and CO queries alike). Sessions are also
@@ -22,7 +23,6 @@
 //! - [`client_server`] — the workstation/server shipping simulation used by
 //!   the evaluation (crossings, bytes, exposure; page vs object vs query
 //!   shipping);
-//! - [`recursion`] — fixpoint evaluation for recursive COs;
 //! - [`matview`] — `CREATE MATERIALIZED VIEW` (SQL and XNF bodies) with
 //!   incremental delta maintenance: DML produces per-table delta batches
 //!   that are applied directly (selection/projection views), by keyed
@@ -89,7 +89,6 @@ pub mod db;
 pub mod error;
 pub mod matview;
 pub mod persist;
-pub mod recursion;
 pub mod session;
 pub mod writeback;
 

@@ -2316,10 +2316,9 @@ fn fetch_from_storage(db: &Database, name: &str, point_key: Option<&Value>) -> R
         unreachable!("load_streams returns CO plans only");
     };
     let workspace = Workspace::from_result(&result)?;
-    let schema = derive_co_schema(db, &info.flat)?;
     Ok(CoCache {
         workspace,
-        schema,
+        schema: info.co.clone(),
         query: info.flat.clone(),
         params: xnf_exec::Params::default(),
     })

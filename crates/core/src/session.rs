@@ -130,11 +130,8 @@ pub fn normalize_statement(text: &str) -> String {
 /// How a compiled statement executes.
 #[derive(Debug)]
 pub(crate) enum CompiledBody {
-    /// SELECT or non-recursive XNF query lowered to an executable QEP.
+    /// SELECT or XNF query lowered to an executable QEP.
     Query(Arc<Qep>),
-    /// Recursive CO (cyclic schema graph): fixpoint evaluation re-derives
-    /// from the AST each run; there is no cacheable QEP.
-    RecursiveCo,
     /// DDL/DML: executed by interpreting the parsed statement (the parse is
     /// still cached, which matters for hot parameterized DML).
     Statement,

@@ -1,5 +1,7 @@
 //! # xnf-fixtures — workload generators for tests, examples and benchmarks
 //!
+//! - [`bom`]: a layered bill-of-materials parts graph and its recursive
+//!   CO (Sect. 2);
 //! - [`paper`]: the Fig. 1 DEPT/EMP/PROJ/SKILLS schema at arbitrary scale
 //!   factors (the paper's running example, grown to measurable sizes);
 //! - [`oo1`]: a Cattell OO1-style parts database (N parts, 3 connections
@@ -21,11 +23,13 @@
 //! assert!(co.workspace.component("xdept").unwrap().len() > 0);
 //! ```
 
+pub mod bom;
 pub mod oo1;
 pub mod paper;
 pub mod random;
 pub mod star;
 
+pub use bom::{bom_co, build_bom, build_bom_with};
 pub use oo1::{build_oo1_db, build_oo1_db_with, Oo1Config, OO1_CO};
 pub use paper::{
     build_paper_db, build_paper_db_with, build_uniform_paper_db_with, deps_arc_query, PaperScale,

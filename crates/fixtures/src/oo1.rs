@@ -39,8 +39,8 @@ impl Default for Oo1Config {
 }
 
 /// The XNF CO over the OO1 schema: all parts plus the connection
-/// relationship (a recursive CO — parts connect to parts — evaluated by the
-/// fixpoint path; with every part a root, the full graph materialises).
+/// relationship (a recursive CO — parts connect to parts; with every part a
+/// root, the full graph materialises).
 pub const OO1_CO: &str = "\
 OUT OF ROOT part AS (SELECT * FROM OO1PARTS),
        conn AS (RELATE part VIA connects, part USING OO1CONN c

@@ -628,6 +628,9 @@ pub struct Qep {
     /// every parallel region. 1 = fully serial plans (no parallel
     /// operators).
     pub dop: usize,
+    /// A recursive CO's reachability, applied by the executor once the
+    /// outputs ran (copied from [`xnf_qgm::Qgm::reach`]).
+    pub reach: Option<xnf_qgm::Reach>,
 }
 
 /// One output stream of a QEP.
@@ -654,6 +657,14 @@ impl Qep {
         // one MVCC snapshot (the executor reports which via
         // `ExecStats::snapshot_seq` / `rows_skipped_visibility`).
         s.push_str("visibility: snapshot (MVCC begin/end stamps)\n");
+        // A recursive CO: the executor keeps what the roots reach.
+        if let Some(r) = &self.reach {
+            s.push_str(&format!(
+                "reach: roots=[{}] hidden=[{}]\n",
+                r.roots.join(", "),
+                r.hidden.join(", ")
+            ));
+        }
         for (i, p) in self.shared.iter().enumerate() {
             s.push_str(&format!("shared cse{i}:\n"));
             s.push_str(&p.explain());

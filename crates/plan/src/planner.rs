@@ -150,6 +150,7 @@ pub fn plan_query(catalog: &Catalog, qgm: &Qgm, options: PlanOptions) -> Result<
         outputs,
         batch_size: options.batch_size.max(1),
         dop: options.dop.max(1),
+        reach: qgm.reach.clone(),
     })
 }
 

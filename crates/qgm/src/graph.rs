@@ -148,6 +148,19 @@ pub struct OutputDesc {
     pub kind: OutputKind,
 }
 
+/// Reachability of a recursive CO (a cyclic schema graph, Sect. 2), which
+/// the NF operators cannot express: every component is delivered as a
+/// stream of candidates, and the executor keeps the node rows reachable
+/// from the `roots` along connections whose parent is kept.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Reach {
+    /// Output names of the root node streams: all their rows are reached.
+    pub roots: Vec<String>,
+    /// Output names of the streams TAKE leaves out: reachability follows
+    /// them, then they are dropped.
+    pub hidden: Vec<String>,
+}
+
 /// Box kinds.
 #[derive(Debug, Clone)]
 pub enum BoxKind {
@@ -232,6 +245,8 @@ pub struct Qgm {
     pub order_by: Vec<OrderSpec>,
     /// LIMIT on the (single) relational output.
     pub limit: Option<u64>,
+    /// Set by the XNF lowering of a recursive CO.
+    pub reach: Option<Reach>,
 }
 
 impl Qgm {

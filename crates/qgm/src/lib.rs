@@ -45,7 +45,8 @@ pub use error::{QgmError, Result};
 pub use expr::{QunId, ScalarExpr};
 pub use graph::{
     BoxId, BoxKind, GroupByBox, HeadColumn, OrderSpec, OutputDesc, OutputKind, Qgm, QgmBox,
-    Quantifier, QunKind, SelectBox, UnionBox, XnfBox, XnfComponent, XnfComponentKind, ROWID_COL,
+    Quantifier, QunKind, Reach, SelectBox, UnionBox, XnfBox, XnfComponent, XnfComponentKind,
+    ROWID_COL,
 };
 pub use xnf_builder::{build_xnf_query, schema_graph_has_cycle};
 

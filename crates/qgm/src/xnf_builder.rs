@@ -502,8 +502,8 @@ fn collect_qualifiers(e: &Expr, out: &mut Vec<String>) {
 }
 
 /// Detect cycles in an XNF box's schema graph (parent → child edges).
-/// Recursive COs are legal XNF (Sect. 2) but take the fixpoint evaluation
-/// path in `xnf-core` instead of the standard rewrite.
+/// Recursive COs are legal XNF (Sect. 2); the XNF lowering leaves their
+/// reachability to the executor (see [`crate::Reach`]).
 pub fn schema_graph_has_cycle(xnf: &XnfBox) -> bool {
     // Build adjacency among node components.
     let mut idx: HashMap<String, usize> = HashMap::new();

@@ -9,9 +9,6 @@ use xnf_qgm::QgmError;
 pub enum RewriteError {
     /// Structural invariant violated mid-rewrite (a bug, surfaced loudly).
     Corrupt(String),
-    /// The query needs the recursive-CO evaluation path (cyclic schema
-    /// graph) and cannot be lowered by the standard rewrite.
-    RecursiveCo,
     /// Underlying semantic error.
     Qgm(QgmError),
 }
@@ -20,12 +17,6 @@ impl fmt::Display for RewriteError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RewriteError::Corrupt(m) => write!(f, "rewrite invariant violated: {m}"),
-            RewriteError::RecursiveCo => {
-                write!(
-                    f,
-                    "recursive composite object: use the fixpoint evaluation path"
-                )
-            }
             RewriteError::Qgm(e) => write!(f, "{e}"),
         }
     }

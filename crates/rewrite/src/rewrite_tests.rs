@@ -6,7 +6,7 @@ use xnf_qgm::{build_select_query, build_xnf_query, display, OutputKind, QunKind}
 use xnf_sql::{parse_select, parse_xnf};
 use xnf_storage::{BufferPool, Catalog, DataType, DiskManager, Schema};
 
-use crate::{rewrite, RewriteError, RewriteOptions};
+use crate::{rewrite, RewriteOptions};
 
 fn paper_catalog() -> Catalog {
     let cat = Catalog::new(Arc::new(BufferPool::new(Arc::new(DiskManager::new()), 256)));
@@ -224,10 +224,11 @@ fn fig5_child_shape() {
     );
 }
 
-/// Recursive schema graphs are rejected by the standard rewrite (they take
-/// the fixpoint path).
+/// A recursive schema graph lowers without path boxes: every node is its
+/// own body, every relationship (taken or not) a connection stream, and
+/// the graph names the roots and the streams TAKE leaves out.
 #[test]
-fn recursive_co_rejected() {
+fn recursive_co_lowers_to_candidates_and_reach() {
     let cat = paper_catalog();
     cat.create_table(
         "PARTS",
@@ -240,17 +241,39 @@ fn recursive_co_rejected() {
     )
     .unwrap();
     let q = parse_xnf(
-        "OUT OF ROOT part AS (SELECT * FROM PARTS WHERE pid = 1),
-                uses AS (RELATE part VIA sub, part USING BOM b
-                         WHERE part.pid = b.parent AND b.child = sub.pid)
-         TAKE *",
+        "OUT OF ROOT asm AS (SELECT * FROM PARTS WHERE pid = 1),
+                part AS PARTS,
+                top_uses AS (RELATE asm VIA uses, part USING BOM b
+                             WHERE asm.pid = b.parent AND b.child = part.pid),
+                sub_uses AS (RELATE part VIA uses, part USING BOM b2
+                             WHERE part.pid = b2.parent AND b2.child = uses.pid)
+         TAKE asm, part(pid)",
     )
     .unwrap();
     let mut g = build_xnf_query(&cat, &q).unwrap();
-    assert!(matches!(
-        rewrite(&mut g, RewriteOptions::default()),
-        Err(RewriteError::RecursiveCo)
-    ));
+    rewrite(&mut g, RewriteOptions::default()).unwrap();
+    let reach = g
+        .reach
+        .clone()
+        .expect("a recursive CO carries its reachability");
+    assert_eq!(reach.roots, ["asm"]);
+    assert_eq!(reach.hidden, ["top_uses", "sub_uses"]);
+    let outputs: Vec<&str> = g.outputs.iter().map(|o| o.name.as_str()).collect();
+    assert_eq!(outputs, ["asm", "part", "top_uses", "sub_uses"]);
+    assert_eq!(g.count_kind("XNF"), 0);
+    assert_eq!(g.count_kind("Union"), 0, "no per-path union");
+    let reachable = g.reachable_boxes();
+    assert!(
+        !g.boxes
+            .iter()
+            .any(|b| reachable[b.id] && b.label.contains("_via_")),
+        "no path boxes:\n{}",
+        display::render(&g)
+    );
+    // TAKE part(pid) projects through the order-preserving output box.
+    let part = g.quns[g.outputs[1].qun].ranges_over;
+    assert_eq!(g.boxed(part).label, "part_out");
+    assert_eq!(g.boxed(part).head.len(), 1);
 }
 
 /// Predicate pushdown moves a derived-table filter into the derivation.

@@ -17,26 +17,33 @@
 //! Connection (relationship) streams are Select boxes joining the final
 //! partner derivations and projecting the partners' ROWID pseudo-columns;
 //! the CO cache uses those ids to swizzle pointers (Sect. 5).
+//!
+//! A recursive CO (Sect. 2: a cycle in the schema graph) iterates to a
+//! fixed point, which no finite stack of semijoins expresses. Its nodes
+//! stay their own derivations (restrictions attached), every relationship,
+//! taken or not, gets its connection box over those candidates, and every
+//! component becomes an output. The graph carries a [`Reach`] naming the
+//! root streams and the ones TAKE leaves out; the executor applies it once
+//! to the delivered streams.
 
 use std::collections::HashMap;
 
 use xnf_qgm::{
     schema_graph_has_cycle, BoxId, BoxKind, HeadColumn, OutputDesc, OutputKind, Qgm, QunId,
-    QunKind, ScalarExpr, SelectBox, UnionBox, XnfBox, XnfComponent, XnfComponentKind, ROWID_COL,
+    QunKind, Reach, ScalarExpr, SelectBox, UnionBox, XnfBox, XnfComponent, XnfComponentKind,
+    ROWID_COL,
 };
 
 use crate::error::{Result, RewriteError};
 
 /// Apply the XNF semantic rewrite in place. No-op for graphs without an XNF
-/// operator. Fails with [`RewriteError::RecursiveCo`] for cyclic schema
-/// graphs (those take the fixpoint evaluation path in `xnf-core`).
+/// operator. A recursive CO delivers every component as candidates and
+/// sets [`Qgm::reach`] (see the module docs).
 pub fn xnf_semantic_rewrite(qgm: &mut Qgm) -> Result<()> {
     let Some((xnf_id, xnf)) = find_xnf(qgm) else {
         return Ok(());
     };
-    if schema_graph_has_cycle(&xnf) {
-        return Err(RewriteError::RecursiveCo);
-    }
+    let cyclic = schema_graph_has_cycle(&xnf);
     let components = xnf.components;
 
     // Index components and collect relationships per child.
@@ -50,8 +57,15 @@ pub fn xnf_semantic_rewrite(qgm: &mut Qgm) -> Result<()> {
         .filter(|(_, c)| matches!(c.kind, XnfComponentKind::Relationship { .. }))
         .collect();
 
-    // Topological order over nodes (parents before children).
-    let order = topo_nodes(&components, &by_name)?;
+    // Topological order over nodes (parents before children). A recursive
+    // CO has none: its nodes stay their own bodies.
+    let order = if cyclic {
+        let nodes = components.iter().enumerate();
+        let nodes = nodes.filter(|(_, c)| matches!(c.kind, XnfComponentKind::Node { .. }));
+        nodes.map(|(i, _)| i).collect()
+    } else {
+        topo_nodes(&components, &by_name)?
+    };
 
     // Derive final boxes per node.
     let mut final_box: HashMap<String, BoxId> = HashMap::new();
@@ -61,7 +75,7 @@ pub fn xnf_semantic_rewrite(qgm: &mut Qgm) -> Result<()> {
             XnfComponentKind::Node { root, reachable } => (root, reachable),
             _ => unreachable!("order contains nodes only"),
         };
-        if root {
+        if root || cyclic {
             final_box.insert(node.name.to_ascii_lowercase(), node.body);
             continue;
         }
@@ -127,10 +141,11 @@ pub fn xnf_semantic_rewrite(qgm: &mut Qgm) -> Result<()> {
         final_box.insert(node_name.to_ascii_lowercase(), fin);
     }
 
-    // Connection boxes for taken relationships.
+    // Connection boxes for taken relationships; a recursive CO's
+    // reachability follows the untaken ones too.
     let mut conn_box: HashMap<String, BoxId> = HashMap::new();
     for (_, rel) in &rels {
-        if !rel.taken {
+        if !rel.taken && !cyclic {
             continue;
         }
         let cb = build_connection_box(qgm, &final_box, rel)?;
@@ -144,7 +159,7 @@ pub fn xnf_semantic_rewrite(qgm: &mut Qgm) -> Result<()> {
     qgm.boxes[top].quns.clear();
     qgm.outputs.clear();
     for c in &components {
-        if !c.taken {
+        if !c.taken && !cyclic {
             continue;
         }
         match &c.kind {
@@ -200,6 +215,17 @@ pub fn xnf_semantic_rewrite(qgm: &mut Qgm) -> Result<()> {
                 });
             }
         }
+    }
+
+    if cyclic {
+        let roots = components
+            .iter()
+            .filter(|c| matches!(c.kind, XnfComponentKind::Node { root: true, .. }));
+        let hidden = components.iter().filter(|c| !c.taken);
+        qgm.reach = Some(Reach {
+            roots: roots.map(|c| c.name.clone()).collect(),
+            hidden: hidden.map(|c| c.name.clone()).collect(),
+        });
     }
 
     // The XNF operator box is now unreferenced; physically remove it.
@@ -260,7 +286,7 @@ fn topo_nodes(components: &[XnfComponent], by_name: &HashMap<String, usize>) -> 
         }
     }
     if order.len() != node_ids.len() {
-        return Err(RewriteError::RecursiveCo);
+        return Err(RewriteError::Corrupt("cyclic schema graph".into()));
     }
     Ok(order)
 }

@@ -1,5 +1,6 @@
-//! Recursive composite objects (Sect. 2): a bill-of-materials closure
-//! derived by the fixpoint path, then navigated in the cache.
+//! Recursive composite objects (Sect. 2): a bill-of-materials closure,
+//! compiled through the same pipeline as every CO (the executor applies
+//! reachability to the candidate streams), then navigated in the cache.
 //!
 //! Run with: `cargo run --example recursive_bom`
 

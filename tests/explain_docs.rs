@@ -4,7 +4,7 @@
 //! documentation follows.
 
 use xnf_core::{Database, DbConfig, RewriteOptions, TempDir};
-use xnf_fixtures::{build_paper_db_with, PaperScale, DEPS_ARC};
+use xnf_fixtures::{bom_co, build_bom, build_paper_db_with, PaperScale, DEPS_ARC};
 use xnf_plan::PlanOptions;
 
 const EXPLAIN_MD: &str = include_str!("../docs/EXPLAIN.md");
@@ -405,6 +405,30 @@ fn exec_stats_surface_parallel_region_counters() {
     assert_eq!(stats.morsels_dispatched, pages, "{stats:?}");
     assert_eq!(stats.rows_gathered, kept, "{stats:?}");
     assert!(kept > 0 && kept < stats.rows_scanned, "{stats:?}");
+}
+
+/// The `reach:` header of a recursive CO names its root streams and the
+/// streams TAKE leaves out, after the instance headers and before the
+/// plans; `rows_emitted` counts the candidates the outputs produced, hidden
+/// streams included, not the rows the reachability pass kept.
+#[test]
+fn recursive_co_reports_its_reach_header() {
+    assert!(EXPLAIN_MD.contains("- `reach: roots=[…] hidden=[…]`"));
+    // Three layers of four parts; part 0's closure is parts 4, 5, 8, 9, 10.
+    let db = build_bom(3, 4);
+    let sql = bom_co("pid = 0").replace("TAKE *", "TAKE asm, part");
+    let plan = db.explain(&sql).unwrap();
+    let reach = plan
+        .find("\nreach: roots=[asm] hidden=[top_uses, sub_uses]\n")
+        .unwrap_or_else(|| panic!("reach header missing:\n{plan}"));
+    assert!(plan.find("\nmaintenance: ").unwrap() < reach, "{plan}");
+    assert!(reach < plan.find("\nshared cse0:").unwrap(), "{plan}");
+
+    let result = db.query(&sql).unwrap();
+    let delivered: Vec<usize> = result.streams.iter().map(|s| s.rows.len()).collect();
+    assert_eq!(delivered, [1, 5]);
+    // asm 1 + part 12 + top_uses 2 + sub_uses 16 candidates.
+    assert_eq!(result.stats.rows_emitted, 1 + 12 + 2 + 16);
 }
 
 /// docs/EXPLAIN.md § VACUUM documents the report stream's columns; the

@@ -227,6 +227,14 @@ fn experiment_entry_points_run() {
     let ship = xnf_bench::experiments::shipping::run_shipping(10);
     assert_eq!(ship.len(), 3);
     assert!(ship[2].report.bytes <= ship[1].report.bytes);
+
+    // E9's quick sweep: parts reached, edges and rows scanned per point.
+    let e9 = xnf_bench::experiments::recursion_exp::run_recursion(&[(4, 10), (6, 20)]);
+    let counts: Vec<_> = e9
+        .iter()
+        .map(|p| (p.reached_parts, p.edges, p.rows_scanned))
+        .collect();
+    assert_eq!(counts, [(9, 10, 362), (20, 28, 1122)]);
 }
 
 #[test]

@@ -31,9 +31,9 @@ fn full_product_matches_the_reference() {
 }
 
 /// Run the whole corpus in `cells`: every axis flipped must change some
-/// plan, every operator must be planned, and some `HashJoin` and some
+/// plan, every operator must be planned, some `HashJoin` and some
 /// `HashSemiJoin`, one of them with a residual, must probe inside a
-/// parallel region.
+/// parallel region, and some recursive CO must plan its reachability.
 fn run_corpus(cells: impl Iterator<Item = Cell>) {
     let cells: Vec<Cell> = cells.collect();
     let seen = run(&CORPORA, &cells);
@@ -53,6 +53,7 @@ fn run_corpus(cells: impl Iterator<Item = Cell>) {
         seen.residual_semijoin_in_region,
         "no cell planned a HashSemiJoin with a residual inside a region"
     );
+    assert!(seen.reach, "no cell planned a recursive CO's reachability");
 }
 
 fn config_with_batch(batch_size: usize) -> DbConfig {

@@ -464,7 +464,13 @@ impl<'a> Reference<'a> {
                 let children: Vec<usize> = r.children.iter().map(|c| node(c).unwrap()).collect();
                 let mut from = vec![(*parent, &rel.cols[..], std::slice::from_ref(&rel.rows[i]))];
                 from.extend(using.iter().map(|(b, u)| u.source(b)));
-                from.extend(children.iter().map(|&c| nodes[c].1.source(nodes[c].0)));
+                // A child that is the parent's own component binds under
+                // the role name.
+                for &c in &children {
+                    let (name, candidates, _) = &nodes[c];
+                    let own = name.eq_ignore_ascii_case(parent);
+                    from.push(candidates.source(if own { &r.role } else { name }));
+                }
                 let mut found: Vec<Vec<Bound<'_>>> = Vec::new();
                 self.nested_loop(&from, &r.predicate.conjuncts(), None, &mut |b| {
                     // The partners: the parent and the children, not USING.

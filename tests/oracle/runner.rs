@@ -25,9 +25,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use reference::{Reference, Stream};
 use xnf_core::{Database, DbConfig, PlanOptions, QueryResult, Value};
-use xnf_fixtures::{build_oo1_db_with, build_paper_db_with, build_star_db_with, random_table};
-use xnf_fixtures::{random_wide_query, random_wide_tables};
-use xnf_fixtures::{Oo1Config, PaperScale, RandomTableConfig, DEPS_ARC};
+use xnf_fixtures::{bom_co, build_bom_with, build_oo1_db_with, build_paper_db_with};
+use xnf_fixtures::{build_star_db_with, random_table, random_wide_query, random_wide_tables};
+use xnf_fixtures::{Oo1Config, PaperScale, RandomTableConfig, DEPS_ARC, OO1_CO};
 use xnf_plan::{plan_query, PhysPlan, Qep};
 use xnf_qgm::OutputKind;
 
@@ -74,13 +74,14 @@ pub fn all_cells() -> impl Iterator<Item = Cell> {
 pub type Corpus = fn() -> (Database, Vec<Step>);
 
 /// The whole corpus.
-pub const CORPORA: [Corpus; 9] = [
+pub const CORPORA: [Corpus; 10] = [
     paper,
     paper_matview,
     root_fetches,
     index_joins,
     star,
     oo1,
+    bom,
     rs,
     rs_prepared,
     wv,
@@ -99,6 +100,8 @@ pub struct Seen {
     pub semijoin_in_region: bool,
     /// ... and one of them had a residual, so its table kept its rows.
     pub residual_semijoin_in_region: bool,
+    /// A recursive CO planned a QEP whose executor applies reachability.
+    pub reach: bool,
 }
 
 /// Run every statement of `corpora` in `cells`, building each fixture once.
@@ -202,6 +205,7 @@ fn check(db: &Database, sql: &str, params: &[Value], cells: &[Cell], seen: &mut 
     // The cell's plan, noting the operators it holds.
     let mut plan = |cell: Cell| {
         let mut qep = plan_query(db.catalog(), &qgm, cell.options()).unwrap();
+        seen.reach |= qep.reach.is_some();
         for_each_op(&mut qep, &mut |op| {
             let name = format!("{op:?}");
             seen.ops
@@ -471,7 +475,8 @@ pub fn star() -> (Database, Vec<Step>) {
     (build_star_db_with(3000, config(true, 1, 1024)), steps)
 }
 
-/// Scans and aggregation over the OO1 parts graph.
+/// Scans and aggregation over the OO1 parts graph, and its recursive CO
+/// over the parts a restriction keeps.
 pub fn oo1() -> (Database, Vec<Step>) {
     let steps = [
         "SELECT COUNT(*) FROM OO1PARTS",
@@ -485,7 +490,27 @@ pub fn oo1() -> (Database, Vec<Step>) {
         ..Default::default()
     };
     let db = build_oo1_db_with(parts, config(true, 1, 1024));
-    (db, steps.map(|s| q(s, &[])).into())
+    let mut steps: Vec<Step> = steps.map(|s| q(s, &[])).into();
+    steps.push(q(
+        format!("{OO1_CO} WHERE part.x < ?"),
+        &[Value::Int(30_000)],
+    ));
+    (db, steps)
+}
+
+/// Recursive COs over a four-layer BOM of six parts a layer (pids 0-23),
+/// with one edge entered twice and a back-edge 20 -> 1 that closes a
+/// cycle through the second root-layer part: the closure of two roots,
+/// of one root by `?`, and of both without part 13.
+pub fn bom() -> (Database, Vec<Step>) {
+    let co = bom_co("pid = 0 OR pid = 3");
+    let steps = vec![
+        Step::Execute("INSERT INTO BOM VALUES (0, 6); INSERT INTO BOM VALUES (20, 1);"),
+        q(&co, &[]),
+        q(format!("{co} WHERE asm.pid = ?"), &[Value::Int(0)]),
+        q(format!("{co} WHERE part.pid <> ?"), &[Value::Int(13)]),
+    ];
+    (build_bom_with(4, 6, config(true, 1, 1024)), steps)
 }
 
 /// Two random tables `R(a, b, c)` and `S(a, b, c)` with NULLs in `b`.
