@@ -242,8 +242,9 @@ pub fn build_operator(plan: &PhysPlan) -> Box<dyn Operator> {
             inner_key: inner_key.clone(),
             cursor: None,
         }),
-        PhysPlan::SharedScan { id } => Box::new(SharedScanOp {
+        PhysPlan::SharedScan { id, cols } => Box::new(SharedScanOp {
             id: *id,
+            cols: cols.clone(),
             batch_idx: 0,
             row_offset: 0,
         }),
@@ -696,6 +697,8 @@ impl Operator for IndexSemiJoinOp {
 
 struct SharedScanOp {
     id: usize,
+    /// The only slots to fill (slot 0 = rowid); `None` fills every slot.
+    cols: Option<Vec<usize>>,
     batch_idx: usize,
     /// Running rowid of the first tuple of the next batch.
     row_offset: usize,
@@ -714,12 +717,29 @@ impl Operator for SharedScanOp {
         self.batch_idx += 1;
         rt.stats.rows_scanned += src.len() as u64;
         // Emit [rowid, cols...] — the system-generated identifier CO
-        // connection streams project (Sect. 5.0).
+        // connection streams project (Sect. 5.0). Slots outside `cols` stay
+        // NULL: only what the consumer reads is cloned.
         let mut out = RowBatch::with_capacity(src.columns() + 1, src.len());
         for (i, row) in src.iter().enumerate() {
-            let mut with_id = Vec::with_capacity(row.len() + 1);
-            with_id.push(Value::Int((self.row_offset + i) as i64));
-            with_id.extend(row.iter().cloned());
+            let rowid = Value::Int((self.row_offset + i) as i64);
+            let with_id = match &self.cols {
+                None => {
+                    let mut with_id = Vec::with_capacity(row.len() + 1);
+                    with_id.push(rowid);
+                    with_id.extend(row.iter().cloned());
+                    with_id
+                }
+                Some(cols) => {
+                    let mut with_id = vec![Value::Null; row.len() + 1];
+                    for &c in cols {
+                        with_id[c] = match c {
+                            0 => rowid.clone(),
+                            _ => row[c - 1].clone(),
+                        };
+                    }
+                    with_id
+                }
+            };
             out.push(with_id);
         }
         self.row_offset += src.len();

@@ -184,8 +184,13 @@ pub enum PhysPlan {
         filter: Vec<PhysExpr>,
     },
     /// Scan of a materialised shared subplan. Emits `[rowid, cols...]`.
+    /// `cols` lists (in ascending order) the only slots its consumers read,
+    /// slot 0 being the rowid, when they skip some column of the shared
+    /// result: the scan copies just those and leaves `NULL` in every other
+    /// slot, so slot numbers never change. `None` copies every slot.
     SharedScan {
         id: SharedId,
+        cols: Option<Vec<usize>>,
     },
     /// Full scan of a materialized view's backing table with a residual
     /// filter — same runtime behaviour as [`PhysPlan::SeqScan`] (the name
@@ -373,8 +378,8 @@ impl PhysPlan {
                     fmt_preds(filter)
                 );
             }
-            PhysPlan::SharedScan { id } => {
-                let _ = writeln!(out, "{pad}SharedScan(cse{id})");
+            PhysPlan::SharedScan { id, cols } => {
+                let _ = writeln!(out, "{pad}SharedScan(cse{id}){}", fmt_cols(cols));
             }
             PhysPlan::MatViewScan { view, filter, cols } => {
                 let _ = writeln!(

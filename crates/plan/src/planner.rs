@@ -5,12 +5,15 @@
 //!
 //! - **common subexpressions**: boxes referenced more than once (the XNF
 //!   component derivations) are materialised once as shared "table queues"
-//!   and scanned by all consumers — the multi-query optimization of Fig. 6;
+//!   and scanned by all consumers — the multi-query optimization of Fig. 6.
+//!   A box that only passes a base table through is not shared: each
+//!   consumer plans the table itself, access paths included;
 //! - **access-path selection**: base-table legs with constant equality
 //!   predicates use B-tree indexes when available;
 //! - **join-order optimization**: System-R style dynamic programming over
 //!   the ForEach legs of a box (greedy fallback beyond 12 legs), choosing
-//!   hash joins for equi-predicates and nested loops otherwise;
+//!   hash joins for equi-predicates and nested loops otherwise; a
+//!   connection stream's join starts from its parent;
 //! - **set-oriented existential evaluation**: `Semi` quantifier groups plan
 //!   as hash semijoins; unconverted `E` quantifiers plan as per-tuple
 //!   correlated subquery filters (the naive strategy of Fig. 3a);
@@ -91,6 +94,7 @@ pub fn plan_query(catalog: &Catalog, qgm: &Qgm, options: PlanOptions) -> Result<
         catalog,
         qgm,
         options,
+        shared: Vec::new(),
         shared_ids: HashMap::new(),
         shared_plans: Vec::new(),
         card_memo: HashMap::new(),
@@ -169,6 +173,8 @@ struct Planner<'a> {
     catalog: &'a Catalog,
     qgm: &'a Qgm,
     options: PlanOptions,
+    /// The boxes materialised once, by box id (see `assign_shared`).
+    shared: Vec<bool>,
     shared_ids: HashMap<BoxId, SharedId>,
     shared_plans: Vec<PhysPlan>,
     card_memo: HashMap<BoxId, f64>,
@@ -179,8 +185,11 @@ impl<'a> Planner<'a> {
     // shared subexpressions
     // ---------------------------------------------------------------
 
-    /// Decide which boxes to materialise and build their plans in
-    /// dependency order.
+    /// Decide once which boxes to materialise and build their plans in
+    /// dependency order. A box is shared when its rowid pseudo-column is
+    /// observed, or when the cse rule is on and more than one quantifier
+    /// ranges over it, unless it only passes a base table through: each
+    /// consumer then plans the table itself, access paths included.
     fn assign_shared(&mut self) -> Result<()> {
         let reachable = self.qgm.reachable_boxes();
         let refs = self.qgm.ref_counts();
@@ -204,24 +213,42 @@ impl<'a> Planner<'a> {
                 mark(p);
             }
         }
-        let mut candidates: Vec<BoxId> = self
-            .qgm
-            .boxes
-            .iter()
-            .filter(|b| {
+        let cse = self.options.share_common_subexpressions;
+        self.shared = (self.qgm.boxes.iter())
+            .map(|b| {
                 reachable[b.id]
                     && !matches!(b.kind, BoxKind::BaseTable { .. } | BoxKind::Top)
                     && (rowid_needed[b.id]
-                        || (self.options.share_common_subexpressions && refs[b.id] > 1))
+                        || (cse && refs[b.id] > 1 && self.pass_through(b.id).is_none()))
             })
-            .map(|b| b.id)
             .collect();
-        candidates.sort();
         // Build plans depth-first so dependencies get lower ids.
-        for b in candidates {
-            self.ensure_shared(b)?;
+        for b in 0..self.shared.len() {
+            if self.shared[b] {
+                self.ensure_shared(b)?;
+            }
         }
         Ok(())
+    }
+
+    /// The base-table box `b` passes through unchanged, if `b` is a Select
+    /// box with one `Foreach` quantifier over a base table, no predicates,
+    /// no DISTINCT and an identity head.
+    fn pass_through(&self, b: BoxId) -> Option<BoxId> {
+        let bx = self.qgm.boxed(b);
+        let (BoxKind::Select(s), [q]) = (&bx.kind, &bx.quns[..]) else {
+            return None;
+        };
+        let qun = &self.qgm.quns[*q];
+        let BoxKind::BaseTable { schema, .. } = &self.qgm.boxed(qun.ranges_over).kind else {
+            return None;
+        };
+        let identity = bx.head.len() == schema.len()
+            && (bx.head.iter().enumerate()).all(
+                |(i, h)| matches!(h.expr, ScalarExpr::Col { qun, col } if qun == *q && col == i),
+            );
+        (identity && !s.distinct && bx.preds.is_empty() && qun.kind == QunKind::Foreach)
+            .then_some(qun.ranges_over)
     }
 
     fn ensure_shared(&mut self, b: BoxId) -> Result<SharedId> {
@@ -244,26 +271,16 @@ impl<'a> Planner<'a> {
     /// Plan a consumer's view of a box: a shared box becomes a SharedScan
     /// with the rowid column projected away; anything else plans inline.
     fn consumer_plan(&mut self, b: BoxId) -> Result<PhysPlan> {
-        if self.shared_ids.contains_key(&b) || self.should_share(b) {
+        if self.shared[b] {
             let id = self.ensure_shared(b)?;
             let arity = self.qgm.boxed(b).head.len();
             let exprs = (0..arity).map(|i| PhysExpr::Col(i + 1)).collect();
             return Ok(PhysPlan::Project {
-                input: Box::new(PhysPlan::SharedScan { id }),
+                input: Box::new(PhysPlan::SharedScan { id, cols: None }),
                 exprs,
             });
         }
         self.plan_box(b)
-    }
-
-    fn should_share(&self, b: BoxId) -> bool {
-        if matches!(
-            self.qgm.boxed(b).kind,
-            BoxKind::BaseTable { .. } | BoxKind::Top
-        ) {
-            return false;
-        }
-        self.options.share_common_subexpressions && self.qgm.ref_counts()[b] > 1
     }
 
     // ---------------------------------------------------------------
@@ -516,7 +533,8 @@ impl<'a> Planner<'a> {
         let (mut plan, legs) = if f_legs.is_empty() {
             (PhysPlan::Values { rows: vec![vec![]] }, HashMap::new())
         } else {
-            self.plan_join(&f_legs, &leg_filters, &join_preds)?
+            let lead = self.is_connection(b);
+            self.plan_join(&f_legs, &leg_filters, &join_preds, lead)?
         };
 
         // Semi block.
@@ -590,18 +608,17 @@ impl<'a> Planner<'a> {
     /// plan and the leg's LegMap *relative to offset 0*.
     fn plan_leg(&mut self, q: QunId, filters: &[ScalarExpr]) -> Result<(PhysPlan, LegMap)> {
         let target = self.qgm.quns[q].ranges_over;
-        let target_box = self.qgm.boxed(target);
         // Shared target: SharedScan with leading rowid.
-        if self.shared_ids.contains_key(&target) || self.should_share(target) {
+        if self.shared[target] {
             let id = self.ensure_shared(target)?;
-            let width = target_box.head.len() + 1;
+            let width = self.qgm.boxed(target).head.len() + 1;
             let map = LegMap {
                 offset: 0,
                 col_base: 1,
                 width,
                 has_rowid: true,
             };
-            let mut plan = PhysPlan::SharedScan { id };
+            let mut plan = PhysPlan::SharedScan { id, cols: None };
             if !filters.is_empty() {
                 let legs = HashMap::from([(q, map)]);
                 let preds = filters
@@ -615,7 +632,8 @@ impl<'a> Planner<'a> {
             }
             return Ok((plan, map));
         }
-        // Base table: access-path selection.
+        // Base table, or a box passing one through: access-path selection.
+        let target_box = self.qgm.boxed(self.pass_through(target).unwrap_or(target));
         if let BoxKind::BaseTable { table, schema } = &target_box.kind {
             let table = table.clone();
             let width = schema.len();
@@ -729,13 +747,27 @@ impl<'a> Planner<'a> {
         }
     }
 
+    /// Is `b` the body of a connection stream? Its first quantifier ranges
+    /// over the parent component.
+    fn is_connection(&self, b: BoxId) -> bool {
+        (self.qgm.outputs.iter()).any(|o| {
+            matches!(o.kind, xnf_qgm::OutputKind::Connection { .. })
+                && self.qgm.quns[o.qun].ranges_over == b
+        })
+    }
+
     /// Join the F legs with DP ordering; returns the combined plan and the
-    /// final LegMap per quantifier.
+    /// final LegMap per quantifier. With `lead`, the first leg starts the
+    /// join and each next leg is one a predicate connects: a left-deep join
+    /// emits rows in its first leg's order, so a connection stream comes
+    /// out in its parent's order whatever the access paths, and never
+    /// through a cross product a poor estimate made look cheap.
     fn plan_join(
         &mut self,
         f_legs: &[QunId],
         leg_filters: &HashMap<QunId, Vec<ScalarExpr>>,
         join_preds: &[ScalarExpr],
+        lead: bool,
     ) -> Result<(PhysPlan, HashMap<QunId, LegMap>)> {
         // Plan each leg.
         let mut leg_plans = Vec::with_capacity(f_legs.len());
@@ -748,10 +780,10 @@ impl<'a> Planner<'a> {
         let block = self.join_block(f_legs, &leg_plans, leg_filters, join_preds);
         let order: Vec<usize> = if f_legs.len() <= 1 {
             (0..f_legs.len()).collect()
-        } else if f_legs.len() <= 12 {
+        } else if f_legs.len() <= 12 && !lead {
             self.dp_order(&block)
         } else {
-            self.greedy_order(f_legs, join_preds)
+            self.greedy_order(f_legs, join_preds, lead)
         };
         let (probes, _) = self.replay(&block, &order);
 
@@ -842,14 +874,25 @@ impl<'a> Planner<'a> {
         Ok((plan, legs))
     }
 
-    /// Greedy join order: start from the smallest leg, repeatedly add the
-    /// leg with the lowest estimated joined cardinality.
-    fn greedy_order(&mut self, f_legs: &[QunId], join_preds: &[ScalarExpr]) -> Vec<usize> {
+    /// Greedy join order: start from the smallest leg (the first, with
+    /// `lead`), repeatedly add the leg with the lowest estimated joined
+    /// cardinality.
+    fn greedy_order(
+        &mut self,
+        f_legs: &[QunId],
+        join_preds: &[ScalarExpr],
+        lead: bool,
+    ) -> Vec<usize> {
         let cards: Vec<f64> = f_legs.iter().map(|&q| self.leg_card(q)).collect();
         let n = f_legs.len();
         let mut remaining: Vec<usize> = (0..n).collect();
         remaining.sort_by(|&a, &b| cards[a].total_cmp(&cards[b]));
-        let mut order = vec![remaining.remove(0)];
+        let start = if lead {
+            remaining.iter().position(|&i| i == 0).unwrap()
+        } else {
+            0
+        };
+        let mut order = vec![remaining.remove(start)];
         while !remaining.is_empty() {
             // Prefer legs connected by a predicate to the current set.
             let connected_pos = remaining.iter().position(|&idx| {

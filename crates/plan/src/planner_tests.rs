@@ -840,3 +840,151 @@ fn use_indexes_leaves_the_estimates_alone() {
         );
     }
 }
+
+/// The bare `SeqScan`s among a QEP's shared plans.
+fn shared_scans(qep: &crate::physical::Qep) -> Vec<String> {
+    let scans = qep.shared.iter().map(PhysPlan::explain);
+    scans.filter(|e| e.starts_with("SeqScan(")).collect()
+}
+
+/// `xskills AS SKILLS` only passes SKILLS through, and both skill paths
+/// read it. Each path plans SKILLS itself, so the restricted fetch probes
+/// it by key rather than re-streaming a shared full scan.
+#[test]
+fn twice_referenced_pass_through_box_plans_inline() {
+    let cat = paper_co_catalog(40, true);
+    let qep = plan_any(
+        &cat,
+        &paper_co("WHERE xdept.dno = ?"),
+        PlanOptions::default(),
+    );
+    assert_eq!(
+        shared_scans(&qep),
+        Vec::<String>::new(),
+        "{}",
+        qep.explain()
+    );
+    assert!(
+        qep.explain().contains("IndexSemiJoin(SKILLS.skills_pk)"),
+        "{}",
+        qep.explain()
+    );
+}
+
+/// A restricted box read by both skill paths is shared under the cse rule,
+/// and planned per path without it.
+#[test]
+fn restricted_box_is_still_shared() {
+    let cat = paper_co_catalog(40, true);
+    let sql = paper_co("WHERE xdept.dno = ?").replace(
+        "xskills AS SKILLS",
+        "xskills AS (SELECT * FROM SKILLS WHERE sno < 150)",
+    );
+    let scan = "SeqScan(SKILLS) filter=[(#0 < 150)]\n";
+    for cse in [true, false] {
+        let opts = PlanOptions {
+            share_common_subexpressions: cse,
+            ..Default::default()
+        };
+        let qep = plan_any(&cat, &sql, opts);
+        let want = if cse { vec![scan.to_string()] } else { vec![] };
+        assert_eq!(shared_scans(&qep), want, "cse {cse}:\n{}", qep.explain());
+    }
+}
+
+/// The root `xdept AS DEPT` passes DEPT through, but the connection reads
+/// its rowids: it stays materialized, with or without the cse rule.
+#[test]
+fn pass_through_box_with_observed_rowid_stays_materialized() {
+    let cat = paper_co_catalog(40, true);
+    let sql = "OUT OF xdept AS DEPT, xemp AS EMP,
+                      employment AS (RELATE xdept VIA EMPLOYS, xemp WHERE xdept.dno = xemp.edno)
+               TAKE *";
+    for cse in [true, false] {
+        let opts = PlanOptions {
+            share_common_subexpressions: cse,
+            ..Default::default()
+        };
+        let qep = plan_any(&cat, sql, opts);
+        assert_eq!(
+            shared_scans(&qep),
+            ["SeqScan(DEPT) filter=[]\n"],
+            "cse {cse}:\n{}",
+            qep.explain()
+        );
+    }
+}
+
+/// A connection stream reads only its partners' rowids and join keys from
+/// their shared results: slot 0 and the key, here `xdept.dno` and
+/// `xemp.edno`.
+#[test]
+fn connection_shared_scans_copy_only_rowids_and_keys() {
+    let cat = paper_co_catalog(40, true);
+    let qep = plan_any(
+        &cat,
+        &paper_co("WHERE xdept.dno = ?"),
+        PlanOptions::default(),
+    );
+    let conn = qep.outputs.iter().find(|o| o.name == "employment").unwrap();
+    let scans: Vec<_> = conn
+        .plan
+        .explain()
+        .lines()
+        .map(str::trim)
+        .filter(|l| l.starts_with("SharedScan"))
+        .map(String::from)
+        .collect();
+    assert_eq!(
+        scans,
+        [
+            "SharedScan(cse0) cols=[0, 1]",
+            "SharedScan(cse2) cols=[0, 3]"
+        ],
+        "{}",
+        qep.explain()
+    );
+}
+
+/// The shared plan a connection plan's leftmost leaf scans.
+fn leftmost_shared(plan: &PhysPlan) -> Option<usize> {
+    match plan {
+        PhysPlan::SharedScan { id, .. } => Some(*id),
+        PhysPlan::Project { input: left, .. }
+        | PhysPlan::Filter { input: left, .. }
+        | PhysPlan::HashJoin { left, .. }
+        | PhysPlan::NlJoin { left, .. }
+        | PhysPlan::IndexNlJoin { left, .. } => leftmost_shared(left),
+        _ => None,
+    }
+}
+
+/// A connection stream's join starts from its parent's shared result and
+/// then adds the legs a predicate connects, so its rows come out in the
+/// parent's order under either access-path setting. Unpinned, the join
+/// order followed the estimates: at 400 departments the unrestricted CO
+/// started `empproperty` from `xskills`.
+#[test]
+fn connection_joins_start_from_the_parent() {
+    let cat = paper_co_catalog(400, true);
+    for use_indexes in [true, false] {
+        let opts = PlanOptions {
+            use_indexes,
+            dop: 1,
+            ..Default::default()
+        };
+        let qep = plan_any(&cat, &paper_co(""), opts);
+        let node = |name: &str| {
+            let out = qep.outputs.iter().find(|o| o.name == name).unwrap();
+            leftmost_shared(&out.plan).unwrap()
+        };
+        for out in &qep.outputs {
+            let xnf_qgm::OutputKind::Connection { parent, .. } = &out.kind else {
+                continue;
+            };
+            let explain = out.plan.explain();
+            assert_eq!(leftmost_shared(&out.plan), Some(node(parent)), "{explain}");
+            assert!(!explain.contains("NlJoin ["), "{explain}");
+        }
+    }
+}

@@ -1,5 +1,6 @@
 //! Scan column pruning: record on every full scan the columns its plan
-//! reads, so the heap decodes only those.
+//! reads, so the heap decodes only those, and on every `SharedScan` the
+//! slots its consumers read, so it clones only those.
 //!
 //! The pass is top-down and runs last, after parallel plan selection. Each
 //! node learns which of its output slots its consumers read and passes on
@@ -11,8 +12,10 @@
 //! `SubqueryFilter` (its input and its subplan) — read every column, and so
 //! does every plan root: the output streams and the shared (cse) producers.
 //! A scan records its set as `cols` only when it is strictly narrower than
-//! the table; a skipped column reads as `NULL` in its own slot, so no `#n`
-//! anywhere in the plan changes.
+//! the table, and a `SharedScan` (slot 0 = rowid) only when it skips some
+//! column of the shared result; a skipped slot reads as `NULL`, so no `#n`
+//! anywhere in the plan changes. A shared producer still computes every
+//! column, whatever its consumers read.
 
 use std::collections::BTreeSet;
 
@@ -113,6 +116,12 @@ impl Pruner<'_> {
         self.catalog.table(name).ok().map(|t| t.schema.len())
     }
 
+    /// Output row width of a `SharedScan` of shared plan `id`: its rowid
+    /// and the shared plan's columns.
+    fn shared_scan_width(&self, id: usize) -> Option<usize> {
+        self.shared_widths.get(id).copied().flatten().map(|w| w + 1)
+    }
+
     /// Output row width of `plan`, if known.
     fn width(&self, plan: &PhysPlan) -> Option<usize> {
         match plan {
@@ -122,12 +131,7 @@ impl Pruner<'_> {
             | PhysPlan::MatViewScan { view: table, .. }
             | PhysPlan::IndexEq { table, .. }
             | PhysPlan::IndexSemiJoin { table, .. } => self.table_width(table),
-            PhysPlan::SharedScan { id } => self
-                .shared_widths
-                .get(*id)
-                .copied()
-                .flatten()
-                .map(|w| w + 1),
+            PhysPlan::SharedScan { id, .. } => self.shared_scan_width(*id),
             PhysPlan::Filter { input, .. }
             | PhysPlan::HashDistinct { input }
             | PhysPlan::Sort { input, .. }
@@ -172,7 +176,15 @@ impl Pruner<'_> {
                     .filter(|set| width.is_some_and(|w| set.len() < w))
                     .map(|set| set.into_iter().collect());
             }
-            PhysPlan::Values { .. } | PhysPlan::IndexEq { .. } | PhysPlan::SharedScan { .. } => {}
+            PhysPlan::SharedScan { id, cols } => {
+                // Recorded only when some column of the shared result goes
+                // unread: the rowid alone is not worth a `cols`.
+                let width = self.shared_scan_width(*id);
+                *cols = need
+                    .filter(|set| width.is_some_and(|w| (1..w).any(|c| !set.contains(&c))))
+                    .map(|set| set.into_iter().collect());
+            }
+            PhysPlan::Values { .. } | PhysPlan::IndexEq { .. } => {}
             PhysPlan::Filter { input, preds } => self.prune(input, with_cols(need, preds.iter())),
             PhysPlan::Project { input, exprs } => {
                 let read = match need {

@@ -4,7 +4,8 @@
 //! documentation follows.
 
 use xnf_core::{Database, DbConfig, RewriteOptions, TempDir};
-use xnf_fixtures::{bom_co, build_bom, build_paper_db_with, PaperScale, DEPS_ARC};
+use xnf_fixtures::{bom_co, build_bom, build_paper_db_with, build_uniform_paper_db_with};
+use xnf_fixtures::{PaperScale, DEPS_ARC};
 use xnf_plan::PlanOptions;
 
 const EXPLAIN_MD: &str = include_str!("../docs/EXPLAIN.md");
@@ -455,4 +456,43 @@ fn vacuum_report_columns_match_docs() {
         result.stats.gc_stamps_pruned >= 1,
         "the update's commit stamp should have been pruned"
     );
+}
+
+/// The SQL and the EXPLAIN output of the captured example under the
+/// `### {heading}` of docs/EXPLAIN.md: its first `sql` and `text` blocks.
+fn captured_example(heading: &str) -> (String, String) {
+    let at = EXPLAIN_MD
+        .find(&format!("### {heading}"))
+        .unwrap_or_else(|| panic!("docs/EXPLAIN.md lost the example '{heading}'"));
+    let section = &EXPLAIN_MD[at..];
+    let block = |lang: &str| {
+        let fence = format!("```{lang}\n");
+        let start = section.find(&fence).expect("example code block") + fence.len();
+        let len = section[start..].find("```").expect("closed code block");
+        section[start..start + len].to_string()
+    };
+    (block("sql"), block("text"))
+}
+
+/// The captured XNF examples are what `Database::explain` prints for their
+/// statements, byte for byte, on the uniform Fig. 1 fixture of 40
+/// departments at dop 1.
+#[test]
+fn captured_xnf_examples_match_explain() {
+    let config = DbConfig {
+        plan: PlanOptions {
+            dop: 1,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let db = build_uniform_paper_db_with(40, config);
+    for heading in ["XNF composite-object query", "Root-restricted XNF query"] {
+        let (sql, want) = captured_example(heading);
+        let got = db.explain(&sql).unwrap();
+        assert_eq!(
+            got, want,
+            "docs/EXPLAIN.md '{heading}' is stale; EXPLAIN prints:\n{got}"
+        );
+    }
 }

@@ -313,3 +313,33 @@ fn prepared_statements_work_across_the_fixture_db() {
         assert_eq!(a.rows, b.rows, "re-execution must be deterministic");
     }
 }
+
+/// The root-restricted Fig. 1 fetch, prepared as `co_serve` runs it, reads
+/// an exact number of rows on the uniform paper fixture. The count moves
+/// whenever the plan reads more or less: a plan that shares the
+/// pass-through box `xskills AS SKILLS` scans SKILLS once, re-streams it
+/// to both skill paths and cannot probe its key, and reads 1113 rows.
+#[test]
+fn root_restricted_fetch_scans_an_exact_row_count() {
+    use xnf_core::{DbConfig, PlanOptions};
+    let config = DbConfig {
+        plan: PlanOptions {
+            dop: 1,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let db = xnf_fixtures::build_uniform_paper_db_with(40, config);
+    let all = DEPS_ARC.replace(" WHERE loc = 'ARC'", "");
+    let session = db.session();
+    let mut fetch = session
+        .prepare(&format!("{all} WHERE xdept.dno = ?"))
+        .unwrap();
+    fetch.bind(&[Value::Int(3)]).unwrap();
+    let stats = fetch.query().unwrap().stats;
+    assert_eq!(
+        (stats.rows_scanned, stats.rows_emitted),
+        (733, 205),
+        "{stats:?}"
+    );
+}

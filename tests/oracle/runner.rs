@@ -223,7 +223,7 @@ fn check(db: &Database, sql: &str, params: &[Value], cells: &[Cell], seen: &mut 
             if let PhysPlan::SeqScan { cols, .. } | PhysPlan::ParallelSeqScan { cols, .. } = op {
                 cols.take_if(|_| !cell.4);
             }
-            if let PhysPlan::MatViewScan { cols, .. } = op {
+            if let PhysPlan::MatViewScan { cols, .. } | PhysPlan::SharedScan { cols, .. } = op {
                 cols.take_if(|_| !cell.4);
             }
         });
@@ -335,13 +335,20 @@ fn paper_db() -> Database {
     build_paper_db_with(scale, config(true, 1, 1024))
 }
 
-/// DEPS_ARC and the statements the plan goldens pin.
+/// DEPS_ARC and the statements the plan goldens pin, and a root fetch
+/// that keeps half the skills: both skill paths read that box, so only the
+/// cse rule shares it (a box that passes SKILLS through plans inline).
 pub fn paper() -> (Database, Vec<Step>) {
     let three = [Value::Int(3)];
+    let few_skills = co("xdept.dno = ?").replace(
+        "xskills AS SKILLS",
+        "xskills AS (SELECT * FROM SKILLS WHERE sno < 20)",
+    );
     let steps =
         vec![
         q(DEPS_ARC, &[]),
         q(co("xdept.dno = ?"), &three),
+        q(few_skills, &three),
         q(co("xdept.dno = 3"), &[]),
         q(co("xdept.loc = 'ARC'"), &[]),
         q(DEPS_ARC.replace(" WHERE loc = 'ARC'", ""), &[]),
