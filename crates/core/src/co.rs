@@ -1,8 +1,9 @@
 //! `CoCache`: the client-side composite object — workspace + updatability
 //! metadata + the query it came from (Fig. 7's picture in one type).
 
+use std::sync::Arc;
+
 use xnf_exec::Params;
-use xnf_sql::{Statement, XnfQuery};
 
 use crate::cache::Workspace;
 use crate::db::Database;
@@ -12,9 +13,11 @@ use crate::writeback::CoSchema;
 /// A cached composite object with write-back support.
 pub struct CoCache {
     pub workspace: Workspace,
-    pub schema: CoSchema,
-    /// The originating XNF query (for re-fetch).
-    pub query: XnfQuery,
+    /// Updatability metadata, shared with the compiled statement (or the
+    /// materialized view's maintenance plan) the CO came from.
+    pub schema: Arc<CoSchema>,
+    /// The originating `OUT OF` query text (for re-fetch).
+    pub query: Arc<str>,
     /// Parameter bindings the CO was extracted with (empty for one-shot
     /// fetches); `refresh` re-executes under the same bindings.
     pub params: Params,
@@ -28,15 +31,15 @@ impl CoCache {
         db.session().write_back(self)
     }
 
-    /// Drop local state and re-extract the CO from the database, using the
-    /// parameter bindings of the original fetch.
+    /// Drop local state and re-extract the CO from the database through the
+    /// plan cache, using the parameter bindings of the original fetch.
     pub fn refresh(&mut self, db: &Database) -> Result<()> {
-        let result = db.run_query(
-            &Statement::Xnf(self.query.clone()),
-            self.params.clone(),
-            None,
-        )?;
-        self.workspace = Workspace::from_result(&result)?;
+        let fresh = db
+            .session()
+            .prepare_bound(&self.query, &self.params)?
+            .fetch_co()?;
+        self.workspace = fresh.workspace;
+        self.schema = fresh.schema;
         Ok(())
     }
 }

@@ -36,6 +36,7 @@ use xnf_storage::{
 use crate::error::{Result, XnfError};
 use crate::matview::{MaintPlan, MaintTracker};
 use crate::session::{ActiveTxn, CompiledBody, CompiledStmt, PlanCache, PlanCacheStats, Session};
+use crate::writeback::derive_co_schema;
 
 /// The transaction scope a statement executes in: a session's transaction
 /// slot. The statement joins the open transaction, if any, and otherwise
@@ -812,9 +813,14 @@ impl Database {
     fn compile_statement(&self, text: &str, generation: u64) -> Result<CompiledStmt> {
         let (stmt, n_params) = parse_statement_params(text)?;
         let body = self.compile_body(&stmt)?;
+        let co_schema = match &stmt {
+            Statement::Xnf(q) => Some(Arc::new(derive_co_schema(self, q)?)),
+            _ => None,
+        };
         Ok(CompiledStmt {
             stmt,
             body,
+            co_schema,
             n_params,
             generation,
         })
@@ -976,22 +982,12 @@ impl Database {
                 Ok(ExecOutcome::Done)
             }
             Statement::DropTable { name } => {
-                // RESTRICT semantics against materialized views: dropping a
-                // base table out from under one would leave it serving
-                // stale contents with maintenance silently disabled.
-                for plan in self.matview_plans()?.iter() {
-                    if plan.deps.contains(&name.to_ascii_uppercase()) {
-                        return Err(XnfError::Api(format!(
-                            "cannot drop table '{name}': materialized view '{}' \
-                             depends on it; drop the view first",
-                            plan.name
-                        )));
-                    }
-                }
+                self.restrict_drop("table", name)?;
                 self.catalog.drop_table(name)?;
                 Ok(ExecOutcome::Done)
             }
             Statement::DropView { name } => {
+                self.restrict_drop("view", name)?;
                 self.catalog.drop_view(name)?;
                 Ok(ExecOutcome::Done)
             }
@@ -1041,6 +1037,23 @@ impl Database {
                 scope,
             )?)),
         }
+    }
+
+    /// RESTRICT semantics against materialized views: dropping a base table
+    /// or a view out from under one would leave it serving stale contents
+    /// with maintenance silently disabled.
+    fn restrict_drop(&self, what: &str, name: &str) -> Result<()> {
+        let key = name.to_ascii_uppercase();
+        for plan in self.matview_plans()?.iter() {
+            if plan.deps.contains(&key) || plan.views.contains(&key) {
+                return Err(XnfError::Api(format!(
+                    "cannot drop {what} '{name}': materialized view '{}' \
+                     depends on it; drop the view first",
+                    plan.name
+                )));
+            }
+        }
+        Ok(())
     }
 
     /// Compile a SELECT or XNF query down to a QEP without running it.

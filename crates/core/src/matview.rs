@@ -61,10 +61,10 @@ use parking_lot::Mutex;
 use xnf_exec::{
     eval, truthy, ExecStats, OuterCtx, Params, QueryResult, Row, StreamResult, Visibility,
 };
-use xnf_qgm::OutputKind;
+use xnf_qgm::{inline_xnf_views, view_body, OutputKind};
 use xnf_sql::{
-    parse_statement, AggFunc, BinOp, Expr, Literal, Select, SelectItem, Statement, TableRef,
-    ViewBody, XnfDef, XnfQuery, XnfRelationship, XnfTake,
+    AggFunc, BinOp, Expr, Literal, Select, SelectItem, Statement, TableRef, ViewBody, XnfDef,
+    XnfQuery, XnfRelationship, XnfTake,
 };
 use xnf_storage::{
     Column, DataType, DeltaBatch, MatView, Rid, Schema, Snapshot, Table, Tuple, Value, ViewKind,
@@ -74,7 +74,7 @@ use crate::cache::Workspace;
 use crate::co::CoCache;
 use crate::db::Database;
 use crate::error::{Result, XnfError};
-use crate::writeback::{analyze_simple_view, derive_co_schema, flatten_defs, CoSchema, RelMeta};
+use crate::writeback::{analyze_simple_view, derive_co_schema, CoSchema, RelMeta};
 
 /// Name of the surrogate column leading every materialized node stream.
 pub const SURROGATE_COL: &str = "__coid";
@@ -89,6 +89,9 @@ pub(crate) struct MaintPlan {
     pub name: String,
     /// Base tables (normalized names) whose deltas can change this view.
     pub deps: HashSet<String>,
+    /// Views (normalized names) the definition expands; dropping one is
+    /// refused while this view exists.
+    pub views: HashSet<String>,
     /// Nesting depth over other views (maintenance runs shallow-first, so a
     /// view over another materialized view sees fresh contents).
     pub depth: u32,
@@ -145,8 +148,12 @@ pub(crate) enum SqlStrategy {
 pub(crate) struct XnfInfo {
     /// Definition with XNF view references inlined.
     pub flat: XnfQuery,
-    /// Updatability metadata (component base maps, relationship classes).
-    pub co: CoSchema,
+    /// `flat` as text: the stored definition, and the query a CO served
+    /// from storage re-fetches.
+    pub text: Arc<str>,
+    /// Updatability metadata (component base maps, relationship classes),
+    /// shared with the COs served from storage.
+    pub co: Arc<CoSchema>,
     /// Component names in stream order.
     pub comps: Vec<String>,
     /// Relationship definitions in stream order.
@@ -210,6 +217,7 @@ impl XnfInfo {
 pub(crate) fn create_materialized(db: &Database, name: &str, body: &ViewBody) -> Result<()> {
     match body {
         ViewBody::Select(s) => {
+            let strategy = analyze_sql_strategy(db, s);
             let result = db.run_query(&Statement::Select(s.clone()), Params::default(), None)?;
             let stream = result.try_table()?;
             let schema = any_schema(&stream.columns);
@@ -219,21 +227,16 @@ pub(crate) fn create_materialized(db: &Database, name: &str, body: &ViewBody) ->
                 &s.to_string(),
                 vec![(name.to_string(), schema)],
             )?;
-            if let Err(e) = fill_sql_backing(db, name, s, &stream.rows) {
+            if let Err(e) = fill_sql_backing(db, name, &strategy, &stream.rows) {
                 let _ = db.catalog().drop_view(name);
                 return Err(e);
             }
             Ok(())
         }
         ViewBody::Xnf(q) => {
-            let mut flat_defs = Vec::new();
-            flatten_defs(db, &q.defs, &mut flat_defs, 0)?;
-            let flat = XnfQuery {
-                defs: flat_defs,
-                take: q.take.clone(),
-                restriction: q.restriction.clone(),
-            };
-            let result = db.run_query(&Statement::Xnf(flat.clone()), Params::default(), None)?;
+            let info = analyze_xnf(db, q)?;
+            let result =
+                db.run_query(&Statement::Xnf(info.flat.clone()), Params::default(), None)?;
             let mut streams = Vec::with_capacity(result.streams.len());
             for s in &result.streams {
                 let schema = match s.kind {
@@ -250,13 +253,9 @@ pub(crate) fn create_materialized(db: &Database, name: &str, body: &ViewBody) ->
                 };
                 streams.push((s.name.clone(), schema));
             }
-            db.catalog().create_materialized_view(
-                name,
-                ViewKind::Xnf,
-                &flat.to_string(),
-                streams,
-            )?;
-            if let Err(e) = fill_xnf_backing(db, name, &flat, &result) {
+            db.catalog()
+                .create_materialized_view(name, ViewKind::Xnf, &info.text, streams)?;
+            if let Err(e) = fill_xnf_backing(db, name, &info, &result) {
                 let _ = db.catalog().drop_view(name);
                 return Err(e);
             }
@@ -291,16 +290,16 @@ pub(crate) fn refresh(db: &Database, name: &str) -> Result<()> {
 fn repopulate(db: &Database, plan: &MaintPlan) -> Result<()> {
     db.catalog().reset_matview_storage(&plan.name)?;
     match &plan.body {
-        BodyPlan::Sql { select, .. } => {
+        BodyPlan::Sql { select, strategy } => {
             let result =
                 db.run_query(&Statement::Select(select.clone()), Params::default(), None)?;
             let stream = result.try_table()?;
-            fill_sql_backing(db, &plan.name, select, &stream.rows)?;
+            fill_sql_backing(db, &plan.name, strategy, &stream.rows)?;
         }
         BodyPlan::Xnf(info) => {
             let result =
                 db.run_query(&Statement::Xnf(info.flat.clone()), Params::default(), None)?;
-            fill_xnf_backing(db, &plan.name, &info.flat, &result)?;
+            fill_xnf_backing(db, &plan.name, info, &result)?;
         }
     }
     let mv = expect_matview(db, &plan.name)?;
@@ -325,9 +324,9 @@ fn any_schema(columns: &[String]) -> Schema {
     )
 }
 
-/// Populate a relational view's backing table and create its maintenance
-/// index (when the keyed strategy applies).
-fn fill_sql_backing(db: &Database, name: &str, select: &Select, rows: &[Row]) -> Result<()> {
+/// Populate a relational view's backing table and create the maintenance
+/// index its strategy needs.
+fn fill_sql_backing(db: &Database, name: &str, strategy: &SqlStrategy, rows: &[Row]) -> Result<()> {
     let mv = expect_matview(db, name)?;
     let backing = mv
         .stream(name)
@@ -335,8 +334,8 @@ fn fill_sql_backing(db: &Database, name: &str, select: &Select, rows: &[Row]) ->
     for row in rows {
         backing.insert(&Tuple::new(row.clone()))?;
     }
-    match analyze_sql_strategy(db, select) {
-        SqlStrategy::Keyed { key_out, .. } => ensure_index(&backing, "mv_key", key_out, false)?,
+    match strategy {
+        SqlStrategy::Keyed { key_out, .. } => ensure_index(&backing, "mv_key", *key_out, false)?,
         // Group rows are located through their first grouping output.
         SqlStrategy::GroupedAgg { groups, .. } => {
             ensure_index(&backing, "mv_key", groups[0].1, false)?
@@ -350,12 +349,7 @@ fn fill_sql_backing(db: &Database, name: &str, select: &Select, rows: &[Row]) ->
 /// Populate a CO view's backing streams (node rows get fresh surrogates,
 /// connection rows translate stream positions to surrogates) and create
 /// the maintenance indexes.
-fn fill_xnf_backing(
-    db: &Database,
-    name: &str,
-    flat: &XnfQuery,
-    result: &QueryResult,
-) -> Result<()> {
+fn fill_xnf_backing(db: &Database, name: &str, info: &XnfInfo, result: &QueryResult) -> Result<()> {
     let mv = expect_matview(db, name)?;
     // Pass 1: node streams, recording position → surrogate.
     let mut surr: HashMap<String, Vec<i64>> = HashMap::new();
@@ -413,12 +407,9 @@ fn fill_xnf_backing(
         backing.analyze()?;
     }
     // Root-key index for keyed maintenance and point fetches.
-    if let Ok(info) = analyze_xnf(db, flat) {
-        if let Some(key) = &info.key {
-            let root_name = &info.comps[key.root];
-            if let Some(backing) = mv.stream(root_name) {
-                ensure_index(&backing, "mv_rootkey", 1 + key.root_key_col, false)?;
-            }
+    if let Some(key) = &info.key {
+        if let Some(backing) = mv.stream(&info.comps[key.root]) {
+            ensure_index(&backing, "mv_rootkey", 1 + key.root_key_col, false)?;
         }
     }
     Ok(())
@@ -448,20 +439,11 @@ pub(crate) fn build_plans(db: &Database) -> Result<Vec<Arc<MaintPlan>>> {
         if !view.materialized {
             continue;
         }
-        let stmt = parse_statement(&view.text)?;
-        let body = match stmt {
-            Statement::Select(s) => ViewBody::Select(s),
-            Statement::Xnf(q) => ViewBody::Xnf(q),
-            Statement::CreateView { body, .. } => body,
-            _ => {
-                return Err(XnfError::Api(format!(
-                    "stored definition of '{name}' is not a query"
-                )))
-            }
-        };
-        let (deps, depth) = match &body {
-            ViewBody::Select(s) => collect_select_deps(db, s, 0)?,
-            ViewBody::Xnf(q) => collect_xnf_deps(db, q)?,
+        let body = view_body(&view)?;
+        let mut reads = Reads::default();
+        let depth = match &body {
+            ViewBody::Select(s) => collect_select_deps(db, s, &mut reads, 0)?,
+            ViewBody::Xnf(q) => collect_xnf_deps(db, q, &mut reads)?,
         };
         let body_plan = match body {
             ViewBody::Select(s) => {
@@ -475,7 +457,8 @@ pub(crate) fn build_plans(db: &Database) -> Result<Vec<Arc<MaintPlan>>> {
         };
         plans.push(Arc::new(MaintPlan {
             name: view.name.clone(),
-            deps,
+            deps: reads.tables,
+            views: reads.views,
             depth,
             body: body_plan,
         }));
@@ -484,90 +467,79 @@ pub(crate) fn build_plans(db: &Database) -> Result<Vec<Arc<MaintPlan>>> {
     Ok(plans)
 }
 
-/// Base-table dependencies of a SELECT (views expanded, subqueries walked),
-/// plus its view-nesting depth.
+/// What a view definition reads: base tables and expanded views
+/// (normalized names).
+#[derive(Default)]
+struct Reads {
+    tables: HashSet<String>,
+    views: HashSet<String>,
+}
+
+/// Collect what a SELECT reads (views expanded, subqueries walked) into
+/// `reads`; returns its view-nesting depth.
 fn collect_select_deps(
     db: &Database,
     select: &Select,
+    reads: &mut Reads,
     depth: u32,
-) -> Result<(HashSet<String>, u32)> {
+) -> Result<u32> {
     if depth > 16 {
         return Err(XnfError::Api("view nesting too deep".to_string()));
     }
-    let mut deps = HashSet::new();
-    let mut max_depth = 0;
-    let visit_select =
-        |s: &Select| -> Result<(HashSet<String>, u32)> { collect_select_deps(db, s, depth + 1) };
+    let mut nesting = 0;
     let mut table_refs: Vec<&TableRef> = select.from.iter().collect();
     table_refs.extend(select.joins.iter().map(|j| &j.table));
     for tref in table_refs {
         match tref {
             TableRef::Named { name, .. } => {
                 if db.catalog().has_table(name) {
-                    deps.insert(name.to_ascii_uppercase());
+                    reads.tables.insert(name.to_ascii_uppercase());
                 } else if let Some(view) = db.catalog().view(name) {
-                    let stmt = parse_statement(&view.text)?;
-                    let inner = match stmt {
-                        Statement::Select(s) => s,
-                        Statement::CreateView {
-                            body: ViewBody::Select(s),
-                            ..
-                        } => s,
-                        _ => return Err(XnfError::Api(format!("view '{name}' is not relational"))),
+                    let ViewBody::Select(inner) = view_body(&view)? else {
+                        return Err(XnfError::Api(format!("view '{name}' is not relational")));
                     };
-                    let (d, vd) = visit_select(&inner)?;
-                    deps.extend(d);
-                    max_depth = max_depth.max(vd + 1);
+                    reads.views.insert(name.to_ascii_uppercase());
+                    let vd = collect_select_deps(db, &inner, reads, depth + 1)?;
+                    nesting = nesting.max(vd + 1);
                 }
             }
             TableRef::Derived { select, .. } => {
-                let (d, vd) = visit_select(select)?;
-                deps.extend(d);
-                max_depth = max_depth.max(vd);
+                nesting = nesting.max(collect_select_deps(db, select, reads, depth + 1)?);
             }
         }
     }
-    let mut exprs: Vec<&Expr> = Vec::new();
-    exprs.extend(select.where_clause.as_ref());
-    exprs.extend(select.having.as_ref());
-    for e in exprs {
-        for sub in subselects(e) {
-            let (d, vd) = collect_select_deps(db, sub, depth + 1)?;
-            deps.extend(d);
-            max_depth = max_depth.max(vd);
-        }
+    let mut subs: Vec<&Select> = Vec::new();
+    for e in select.where_clause.iter().chain(&select.having) {
+        subs.extend(subselects(e));
     }
-    for (_, u) in &select.unions {
-        let (d, vd) = collect_select_deps(db, u, depth + 1)?;
-        deps.extend(d);
-        max_depth = max_depth.max(vd);
+    subs.extend(select.unions.iter().map(|(_, u)| u));
+    for sub in subs {
+        nesting = nesting.max(collect_select_deps(db, sub, reads, depth + 1)?);
     }
-    Ok((deps, max_depth))
+    Ok(nesting)
 }
 
-fn collect_xnf_deps(db: &Database, q: &XnfQuery) -> Result<(HashSet<String>, u32)> {
-    let mut flat = Vec::new();
-    flatten_defs(db, &q.defs, &mut flat, 0)?;
-    let mut deps = HashSet::new();
-    let mut max_depth = 0;
-    for def in &flat {
+/// Collect what an `OUT OF` query reads into `reads`; returns its
+/// view-nesting depth.
+fn collect_xnf_deps(db: &Database, q: &XnfQuery, reads: &mut Reads) -> Result<u32> {
+    let flat = inline_xnf_views(db.catalog(), q)?;
+    let mut nesting = 0;
+    for def in &flat.defs {
         match def {
             XnfDef::Table { select, .. } => {
-                let (d, vd) = collect_select_deps(db, select, 0)?;
-                deps.extend(d);
-                max_depth = max_depth.max(vd);
+                nesting = nesting.max(collect_select_deps(db, select, reads, 0)?);
             }
             XnfDef::Relationship(r) => {
                 for (t, _) in &r.using {
                     if db.catalog().has_table(t) {
-                        deps.insert(t.to_ascii_uppercase());
+                        reads.tables.insert(t.to_ascii_uppercase());
                     }
                 }
             }
-            XnfDef::ViewRef { .. } => {}
+            XnfDef::ViewRef { .. } => unreachable!("inlined"),
         }
     }
-    Ok((deps, max_depth))
+    Ok(nesting)
 }
 
 /// Subqueries appearing in an expression.
@@ -901,14 +873,8 @@ fn analyze_grouped_agg(db: &Database, select: &Select) -> Option<SqlStrategy> {
 /// (binary FK/connect-table relationships over simple components with a
 /// consistent root key, `TAKE *`).
 fn analyze_xnf(db: &Database, q: &XnfQuery) -> Result<XnfInfo> {
-    let mut flat_defs = Vec::new();
-    flatten_defs(db, &q.defs, &mut flat_defs, 0)?;
-    let flat = XnfQuery {
-        defs: flat_defs,
-        take: q.take.clone(),
-        restriction: q.restriction.clone(),
-    };
-    let co = derive_co_schema(db, &flat)?;
+    let flat = inline_xnf_views(db.catalog(), q)?.into_owned();
+    let co = Arc::new(derive_co_schema(db, &flat)?);
     let comps: Vec<String> = flat
         .defs
         .iter()
@@ -927,6 +893,7 @@ fn analyze_xnf(db: &Database, q: &XnfQuery) -> Result<XnfInfo> {
         .collect();
 
     let mut info = XnfInfo {
+        text: flat.to_string().into(),
         flat,
         co,
         comps,
@@ -2039,7 +2006,7 @@ fn extract_subtrees(
             .as_ref()
             .expect("keyed components are base-mapped");
         let table = db.catalog().table(&base.table)?;
-        let filter = component_filter(db, info, c, &table)?;
+        let filter = component_filter(info, c, &table)?;
         bases.push((table, base.columns.clone(), filter));
     }
     let outer = OuterCtx::new();
@@ -2147,12 +2114,10 @@ fn extract_subtrees(
 
 /// Compile one component's selection predicate against its base schema.
 fn component_filter(
-    db: &Database,
     info: &XnfInfo,
     comp: usize,
     table: &Arc<Table>,
 ) -> Result<Option<xnf_plan::PhysExpr>> {
-    let _ = db;
     let name = &info.comps[comp];
     let def = info.flat.defs.iter().find_map(|d| match d {
         XnfDef::Table {
@@ -2318,8 +2283,8 @@ fn fetch_from_storage(db: &Database, name: &str, point_key: Option<&Value>) -> R
     let workspace = Workspace::from_result(&result)?;
     Ok(CoCache {
         workspace,
-        schema: info.co.clone(),
-        query: info.flat.clone(),
+        schema: Arc::clone(&info.co),
+        query: Arc::clone(&info.text),
         params: xnf_exec::Params::default(),
     })
 }

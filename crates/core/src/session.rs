@@ -34,7 +34,7 @@ use crate::cache::Workspace;
 use crate::co::CoCache;
 use crate::db::{scope_visibility, Database, ExecOutcome};
 use crate::error::{Result, XnfError};
-use crate::writeback::derive_co_schema;
+use crate::writeback::CoSchema;
 
 // ---------------------------------------------------------------------------
 // transaction state
@@ -143,6 +143,9 @@ pub(crate) enum CompiledBody {
 pub struct CompiledStmt {
     pub(crate) stmt: Statement,
     pub(crate) body: CompiledBody,
+    /// An `OUT OF` query's updatability metadata, derived with its plan and
+    /// shared by every CO fetched through it.
+    pub(crate) co_schema: Option<Arc<CoSchema>>,
     pub(crate) n_params: usize,
     pub(crate) generation: u64,
 }
@@ -150,6 +153,13 @@ pub struct CompiledStmt {
 impl CompiledStmt {
     pub fn param_count(&self) -> usize {
         self.n_params
+    }
+
+    /// The compiled CO metadata; refuses a statement that is not `OUT OF`.
+    fn co_schema(&self) -> Result<Arc<CoSchema>> {
+        self.co_schema.clone().ok_or_else(|| {
+            XnfError::Api("fetch_co() expects an OUT OF query or XNF view".to_string())
+        })
     }
 
     /// The one unbound-parameter check on the execute path: refuse to run
@@ -374,7 +384,7 @@ impl<'db> Session<'db> {
     /// Executions of the handle join whatever transaction is open on this
     /// session at execution time.
     pub fn prepare(&self, text: &str) -> Result<Prepared<'db>> {
-        let key = normalize_statement(text);
+        let key: Arc<str> = normalize_statement(text).into();
         let (compiled, hit) = self.db.compile_cached(&key)?;
         if hit {
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -392,7 +402,7 @@ impl<'db> Session<'db> {
 
     /// Prepare `text` and bind `params` (left unbound when empty, so the
     /// execute path's unbound-parameter check reports a missing binding).
-    fn prepare_bound(&self, text: &str, params: &[Value]) -> Result<Prepared<'db>> {
+    pub(crate) fn prepare_bound(&self, text: &str, params: &[Value]) -> Result<Prepared<'db>> {
         let mut prepared = self.prepare(text)?;
         if !params.is_empty() {
             prepared.bind(params)?;
@@ -482,7 +492,7 @@ impl<'db> Session<'db> {
 pub struct Prepared<'db> {
     db: &'db Database,
     /// Normalized statement text (the plan-cache key).
-    key: String,
+    key: Arc<str>,
     compiled: Arc<CompiledStmt>,
     /// Current bindings, shared with the executor without re-copying.
     params: Params,
@@ -543,19 +553,13 @@ impl<'db> Prepared<'db> {
     /// into a client-side CO cache (the prepared counterpart of
     /// [`Session::fetch_co`]).
     pub fn fetch_co(&mut self) -> Result<CoCache> {
-        let Statement::Xnf(query) = &self.compiled.stmt else {
-            return Err(XnfError::Api(
-                "fetch_co() expects an OUT OF query or XNF view".to_string(),
-            ));
-        };
-        let query = query.clone();
+        // Refuse a statement that is not `OUT OF` before running it.
+        self.compiled.co_schema()?;
         let result = self.query()?;
-        let workspace = Workspace::from_result(&result)?;
-        let schema = derive_co_schema(self.db, &query)?;
         Ok(CoCache {
-            workspace,
-            schema,
-            query,
+            workspace: Workspace::from_result(&result)?,
+            schema: self.compiled.co_schema()?,
+            query: Arc::clone(&self.key),
             params: Arc::clone(&self.params),
         })
     }

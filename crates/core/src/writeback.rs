@@ -14,11 +14,9 @@
 
 use std::collections::HashMap;
 
-use xnf_sql::{
-    parse_statement, BinOp, Expr, SelectItem, Statement, TableRef, ViewBody, XnfDef, XnfQuery,
-    XnfRelationship,
-};
-use xnf_storage::{Tuple, Value, ViewKind};
+use xnf_qgm::inline_xnf_views;
+use xnf_sql::{BinOp, Expr, SelectItem, TableRef, XnfDef, XnfQuery, XnfRelationship};
+use xnf_storage::{Tuple, Value};
 
 use crate::cache::{Change, TupleId, Workspace};
 use crate::db::Database;
@@ -38,6 +36,9 @@ pub struct BaseMap {
     pub table: String,
     /// For each cache column: the base-table column ordinal.
     pub columns: Vec<usize>,
+    /// For each cache column: its name, as the QGM heads the component
+    /// (the alias, else the base column name).
+    pub names: Vec<String>,
 }
 
 /// How a relationship maps back to base data.
@@ -101,11 +102,10 @@ impl CoSchema {
 /// Derive updatability metadata from an XNF query against a database's
 /// catalog, inlining referenced XNF views.
 pub fn derive_co_schema(db: &Database, q: &XnfQuery) -> Result<CoSchema> {
+    let q = inline_xnf_views(db.catalog(), q)?;
     let mut schema = CoSchema::default();
-    let mut defs = Vec::new();
-    flatten_defs(db, &q.defs, &mut defs, 0)?;
     let mut comp_by_name: HashMap<String, usize> = HashMap::new();
-    for def in &defs {
+    for def in &q.defs {
         match def {
             XnfDef::Table { name, select, .. } => {
                 let base = analyze_simple_view(db, select);
@@ -120,50 +120,10 @@ pub fn derive_co_schema(db: &Database, q: &XnfQuery) -> Result<CoSchema> {
                     .relationships
                     .push(analyze_relationship(db, rel, &schema, &comp_by_name));
             }
-            XnfDef::ViewRef { .. } => unreachable!("flattened"),
+            XnfDef::ViewRef { .. } => unreachable!("inlined"),
         }
     }
     Ok(schema)
-}
-
-pub(crate) fn flatten_defs(
-    db: &Database,
-    defs: &[XnfDef],
-    out: &mut Vec<XnfDef>,
-    depth: u32,
-) -> Result<()> {
-    if depth > 16 {
-        return Err(XnfError::Api("XNF view inlining too deep".to_string()));
-    }
-    for def in defs {
-        match def {
-            XnfDef::ViewRef { name } => {
-                let view = db
-                    .catalog()
-                    .view(name)
-                    .ok_or_else(|| XnfError::Api(format!("unknown XNF view '{name}'")))?;
-                if view.kind != ViewKind::Xnf {
-                    return Err(XnfError::Api(format!("'{name}' is not an XNF view")));
-                }
-                let stmt = parse_statement(&view.text)?;
-                let inner = match stmt {
-                    Statement::Xnf(q) => q,
-                    Statement::CreateView {
-                        body: ViewBody::Xnf(q),
-                        ..
-                    } => q,
-                    _ => {
-                        return Err(XnfError::Api(format!(
-                            "view '{name}' is not an OUT OF query"
-                        )))
-                    }
-                };
-                flatten_defs(db, &inner.defs, out, depth + 1)?;
-            }
-            other => out.push(other.clone()),
-        }
-    }
-    Ok(())
 }
 
 /// A component is updatable iff it is `SELECT [*|cols] FROM one_base_table
@@ -189,16 +149,19 @@ pub(crate) fn analyze_simple_view(db: &Database, select: &xnf_sql::Select) -> Op
     }
     let table = db.catalog().table(name).ok()?;
     let mut columns = Vec::new();
+    let mut names = Vec::new();
     for item in &select.items {
         match item {
             SelectItem::Wildcard | SelectItem::QualifiedWildcard(_) => {
                 columns.extend(0..table.schema.len());
+                names.extend(table.schema.columns().iter().map(|c| c.name.clone()));
             }
             SelectItem::Expr {
                 expr: Expr::Column { name: c, .. },
-                ..
+                alias,
             } => {
                 columns.push(table.schema.index_of(c)?);
+                names.push(alias.clone().unwrap_or_else(|| c.clone()));
             }
             _ => return None,
         }
@@ -206,6 +169,7 @@ pub(crate) fn analyze_simple_view(db: &Database, select: &xnf_sql::Select) -> Op
     Some(BaseMap {
         table: table.name.clone(),
         columns,
+        names,
     })
 }
 
@@ -262,16 +226,12 @@ fn analyze_relationship(
         }
     };
 
-    // Cache column index lookup via the component's base map or columns.
+    // Cache column of a base-mapped component, resolved against its output
+    // names exactly as the QGM resolves `component.column`.
     let comp_col = |comp: &str, col: &str| -> Option<usize> {
         let idx = comp_by_name.get(&comp.to_ascii_lowercase())?;
-        let meta = &schema.components[*idx];
-        // Columns of the cache are the select list; with a base map the
-        // positions align with `columns`. Resolve through the base table.
-        let base = meta.base.as_ref()?;
-        let table = db.catalog().table(&base.table).ok()?;
-        let base_ord = table.schema.index_of(col)?;
-        base.columns.iter().position(|&b| b == base_ord)
+        let base = schema.components[*idx].base.as_ref()?;
+        base.names.iter().position(|n| n.eq_ignore_ascii_case(col))
     };
 
     if rel.using.is_empty() && conjuncts.len() == 1 {

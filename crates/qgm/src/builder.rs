@@ -11,11 +11,8 @@
 
 use std::collections::HashMap;
 
-use xnf_sql::{
-    parse_statement, BinOp, Expr, Literal, OrderItem, Select, SelectItem, Statement, TableRef,
-    UnaryOp, ViewBody,
-};
-use xnf_storage::{Catalog, Value, ViewKind};
+use xnf_sql::{BinOp, Expr, Literal, OrderItem, Select, SelectItem, TableRef, UnaryOp, ViewBody};
+use xnf_storage::{Catalog, Value, ViewDef, ViewKind};
 
 use crate::error::{QgmError, Result};
 use crate::expr::{QunId, ScalarExpr};
@@ -23,6 +20,7 @@ use crate::graph::{
     BoxId, BoxKind, GroupByBox, HeadColumn, OrderSpec, OutputDesc, OutputKind, Qgm, QunKind,
     SelectBox, UnionBox,
 };
+use crate::views::view_body;
 
 /// Maximum view-expansion depth (guards against self-referential views).
 const MAX_VIEW_DEPTH: u32 = 32;
@@ -391,7 +389,7 @@ impl<'a> Builder<'a> {
                         // contents — `matview scan` in EXPLAIN.
                         self.base_table_box(name)?
                     } else {
-                        self.expand_sql_view(&view.text)?
+                        self.expand_sql_view(&view)?
                     }
                 } else {
                     return Err(QgmError::UnknownTable(name.clone()));
@@ -412,29 +410,20 @@ impl<'a> Builder<'a> {
     }
 
     /// Expand a stored SQL view into a box.
-    fn expand_sql_view(&mut self, text: &str) -> Result<BoxId> {
+    fn expand_sql_view(&mut self, view: &ViewDef) -> Result<BoxId> {
         if self.view_depth >= MAX_VIEW_DEPTH {
             return Err(QgmError::Unsupported(
                 "view expansion too deep (cycle?)".to_string(),
             ));
         }
         self.view_depth += 1;
-        let result = (|| {
-            let stmt = parse_statement(text)?;
-            let select = match stmt {
-                Statement::Select(s) => s,
-                Statement::CreateView {
-                    body: ViewBody::Select(s),
-                    ..
-                } => s,
-                _ => {
-                    return Err(QgmError::Unsupported(
-                        "stored view text is not a SELECT".to_string(),
-                    ))
-                }
-            };
-            self.select_to_box(&select, &Scope::root())
-        })();
+        let result = match view_body(view) {
+            Ok(ViewBody::Select(select)) => self.select_to_box(&select, &Scope::root()),
+            Ok(ViewBody::Xnf(_)) => Err(QgmError::Unsupported(
+                "stored view text is not a SELECT".to_string(),
+            )),
+            Err(e) => Err(e),
+        };
         self.view_depth -= 1;
         result
     }

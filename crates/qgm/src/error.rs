@@ -21,7 +21,7 @@ pub enum QgmError {
     Xnf(String),
     /// Generic unsupported-construct error.
     Unsupported(String),
-    /// Underlying parse error (view expansion re-parses stored text).
+    /// Underlying parse error (the view reader parses stored text).
     Parse(ParseError),
     /// Underlying storage/catalog error.
     Storage(StorageError),

@@ -10,6 +10,8 @@
 //! - [`builder`]: SQL semantic routines (AST → NF QGM), with view expansion,
 //!   correlation, EXISTS/IN quantifier construction and OR-to-UNION;
 //! - [`xnf_builder`]: the XNF semantic routines (phases 0–3 of Sect. 4.1);
+//! - [`views`]: the one reader of stored view text and the one XNF-view
+//!   inliner, shared with write-back and materialized-view maintenance;
 //! - [`display`]: ASCII dumps used to reproduce the paper's QGM figures.
 //!
 //! Entry points: [`build_select_query`] (SQL AST → QGM, with view
@@ -38,6 +40,7 @@ pub mod display;
 pub mod error;
 pub mod expr;
 pub mod graph;
+pub mod views;
 pub mod xnf_builder;
 
 pub use builder::{attach_top, build_select_query, literal_value, Builder, Scope};
@@ -48,6 +51,7 @@ pub use graph::{
     Quantifier, QunKind, Reach, SelectBox, UnionBox, XnfBox, XnfComponent, XnfComponentKind,
     ROWID_COL,
 };
+pub use views::{inline_xnf_views, view_body};
 pub use xnf_builder::{build_xnf_query, schema_graph_has_cycle};
 
 #[cfg(test)]

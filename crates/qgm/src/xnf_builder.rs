@@ -18,16 +18,19 @@
 
 use std::collections::{HashMap, HashSet};
 
-use xnf_sql::{parse_statement, Expr, Statement, ViewBody, XnfDef, XnfQuery, XnfTake};
-use xnf_storage::{Catalog, ViewKind};
+use xnf_sql::{Expr, XnfDef, XnfQuery, XnfTake};
+use xnf_storage::Catalog;
 
 use crate::builder::{Builder, Scope};
 use crate::error::{QgmError, Result};
 use crate::expr::ScalarExpr;
 use crate::graph::{BoxId, BoxKind, Qgm, QunKind, XnfBox, XnfComponent, XnfComponentKind};
+use crate::views::inline_xnf_views;
 
-/// Build the XNF QGM graph for an XNF query.
+/// Build the XNF QGM graph for an XNF query, inlining the XNF views it
+/// references.
 pub fn build_xnf_query(catalog: &Catalog, q: &XnfQuery) -> Result<Qgm> {
+    let q = inline_xnf_views(catalog, q)?;
     let mut b = Builder::new(catalog);
 
     // Phase 0: the XNF operator box and the Top box.
@@ -44,7 +47,7 @@ pub fn build_xnf_query(catalog: &Catalog, q: &XnfQuery) -> Result<Qgm> {
     // Phase 1: component derivations.
     let mut components: Vec<XnfComponent> = Vec::new();
     let mut by_name: HashMap<String, usize> = HashMap::new();
-    collect_defs(catalog, &mut b, &q.defs, &mut components, &mut by_name, 0)?;
+    collect_defs(&mut b, &q.defs, &mut components, &mut by_name)?;
 
     // Phase 2a: restriction predicates.
     if let Some(r) = &q.restriction {
@@ -169,20 +172,13 @@ pub fn build_xnf_query(catalog: &Catalog, q: &XnfQuery) -> Result<Qgm> {
     Ok(b.finish())
 }
 
-/// Recursively collect OUT OF definitions, inlining referenced XNF views.
+/// Collect the OUT OF definitions of an inlined query.
 fn collect_defs(
-    catalog: &Catalog,
     b: &mut Builder<'_>,
     defs: &[XnfDef],
     components: &mut Vec<XnfComponent>,
     by_name: &mut HashMap<String, usize>,
-    depth: u32,
 ) -> Result<()> {
-    if depth > 16 {
-        return Err(QgmError::Xnf(
-            "XNF view inlining too deep (cycle?)".to_string(),
-        ));
-    }
     for def in defs {
         match def {
             XnfDef::Table { name, select, root } => {
@@ -308,30 +304,7 @@ fn collect_defs(
                     },
                 )?;
             }
-            XnfDef::ViewRef { name } => {
-                let view = catalog
-                    .view(name)
-                    .ok_or_else(|| QgmError::UnknownTable(name.clone()))?;
-                if view.kind != ViewKind::Xnf {
-                    return Err(QgmError::Xnf(format!(
-                        "'{name}' is a relational view; XNF queries inline only XNF views"
-                    )));
-                }
-                let stmt = parse_statement(&view.text)?;
-                let inner = match stmt {
-                    Statement::Xnf(q) => q,
-                    Statement::CreateView {
-                        body: ViewBody::Xnf(q),
-                        ..
-                    } => q,
-                    _ => {
-                        return Err(QgmError::Xnf(format!(
-                            "stored text of XNF view '{name}' is not an OUT OF query"
-                        )))
-                    }
-                };
-                collect_defs(catalog, b, &inner.defs, components, by_name, depth + 1)?;
-            }
+            XnfDef::ViewRef { .. } => unreachable!("build_xnf_query inlines view references"),
         }
     }
     Ok(())
