@@ -358,6 +358,7 @@ pub struct Database {
     /// Cumulative maintenance counters (see [`Database::maint_stats`]).
     maint_roots: AtomicU64,
     maint_nodes_reused: AtomicU64,
+    maint_nodes_rewritten: AtomicU64,
     maint_us: AtomicU64,
     /// Shared compiled-plan cache (all sessions), keyed by normalized
     /// statement text, invalidated via the catalog's DDL generation.
@@ -396,6 +397,7 @@ impl Database {
             maint_tracker: MaintTracker::default(),
             maint_roots: AtomicU64::new(0),
             maint_nodes_reused: AtomicU64::new(0),
+            maint_nodes_rewritten: AtomicU64::new(0),
             maint_us: AtomicU64::new(0),
             plan_cache: Mutex::default(),
             matview_plans: Mutex::new(None),
@@ -450,6 +452,7 @@ impl Database {
             maint_tracker: MaintTracker::default(),
             maint_roots: AtomicU64::new(0),
             maint_nodes_reused: AtomicU64::new(0),
+            maint_nodes_rewritten: AtomicU64::new(0),
             maint_us: AtomicU64::new(0),
             plan_cache: Mutex::default(),
             matview_plans: Mutex::new(None),
@@ -572,6 +575,7 @@ impl Database {
         ExecStats {
             mv_roots_respliced: self.maint_roots.load(Ordering::Relaxed),
             mv_nodes_reused: self.maint_nodes_reused.load(Ordering::Relaxed),
+            mv_nodes_rewritten: self.maint_nodes_rewritten.load(Ordering::Relaxed),
             mv_maint_us: self.maint_us.load(Ordering::Relaxed),
             ..ExecStats::default()
         }
@@ -613,6 +617,8 @@ impl Database {
                         .fetch_add(c.roots_respliced, Ordering::Relaxed);
                     self.maint_nodes_reused
                         .fetch_add(c.nodes_reused, Ordering::Relaxed);
+                    self.maint_nodes_rewritten
+                        .fetch_add(c.nodes_rewritten, Ordering::Relaxed);
                     self.maint_us
                         .fetch_add(start.elapsed().as_micros() as u64, Ordering::Relaxed);
                 })
@@ -1115,9 +1121,10 @@ impl Database {
     fn maintenance_line(&self) -> String {
         let s = self.maint_stats();
         format!(
-            "maintenance: incremental (coalesce, diff splice, pre-lock re-extract, \
-             stamp-ordered apply); mv_roots_respliced={} mv_nodes_reused={} mv_maint_us={}\n",
-            s.mv_roots_respliced, s.mv_nodes_reused, s.mv_maint_us
+            "maintenance: incremental (coalesce, in-place rewrite, diff splice, pre-lock \
+             re-extract, stamp-ordered apply); mv_roots_respliced={} mv_nodes_reused={} \
+             mv_nodes_rewritten={} mv_maint_us={}\n",
+            s.mv_roots_respliced, s.mv_nodes_reused, s.mv_nodes_rewritten, s.mv_maint_us
         )
     }
 

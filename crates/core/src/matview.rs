@@ -36,7 +36,12 @@
 //!    kept (XNF's union-distinct object sharing), changed nodes are updated
 //!    in place preserving their surrogate, and only genuinely new or
 //!    vanished branches are written;
-//! 4. **full recompute** — the fallback for everything else (non-groupable
+//! 4. **in-place node rewrite** — the value-only case of 3: when every delta
+//!    row is an update that keeps its component's node key (a unique NOT
+//!    NULL index the component projects), every column a relationship reads
+//!    and its WHERE answer, no connection can move, so the one stored node
+//!    with that key is overwritten in place and nothing is re-extracted;
+//! 5. **full recompute** — the fallback for everything else (non-groupable
 //!    aggregation, DISTINCT, nested views, recursive COs), and what
 //!    `REFRESH MATERIALIZED VIEW` always does.
 //!
@@ -67,14 +72,15 @@ use xnf_sql::{
     XnfQuery, XnfRelationship, XnfTake,
 };
 use xnf_storage::{
-    Column, DataType, DeltaBatch, MatView, Rid, Schema, Snapshot, Table, Tuple, Value, ViewKind,
+    Column, DataType, DeltaBatch, DeltaRow, MatView, Rid, Schema, Snapshot, Table, Tuple, Value,
+    ViewKind,
 };
 
 use crate::cache::Workspace;
 use crate::co::CoCache;
 use crate::db::Database;
 use crate::error::{Result, XnfError};
-use crate::writeback::{analyze_simple_view, derive_co_schema, CoSchema, RelMeta};
+use crate::writeback::{analyze_simple_view, derive_co_schema, BaseMap, CoSchema, RelMeta};
 
 /// Name of the surrogate column leading every materialized node stream.
 pub const SURROGATE_COL: &str = "__coid";
@@ -160,6 +166,22 @@ pub(crate) struct XnfInfo {
     pub rels: Vec<XnfRelationship>,
     /// Present when the view supports keyed (incremental) maintenance.
     pub key: Option<CoKey>,
+    /// Per component, in stream order, when `key` is present (else empty).
+    pub nodes: Vec<NodeFacts>,
+}
+
+/// What keyed maintenance knows about one component's stored nodes.
+pub(crate) struct NodeFacts {
+    /// Cache columns of the component's node key: a unique index on its
+    /// base table whose columns are all NOT NULL and all projected, so at
+    /// most one stored node carries each key value. `None` when the base
+    /// table has no such index; its updates then always splice.
+    pub key: Option<Vec<usize>>,
+    /// Base columns whose change can move a connection: the columns any
+    /// relationship reads, plus the root key column on the root.
+    pub links: Vec<usize>,
+    /// Selection predicate, compiled against the base table.
+    pub filter: Option<xnf_plan::PhysExpr>,
 }
 
 /// Root-partitioning of a keyed CO view.
@@ -410,6 +432,12 @@ fn fill_xnf_backing(db: &Database, name: &str, info: &XnfInfo, result: &QueryRes
     if let Some(key) = &info.key {
         if let Some(backing) = mv.stream(&info.comps[key.root]) {
             ensure_index(&backing, "mv_rootkey", 1 + key.root_key_col, false)?;
+        }
+    }
+    // Node-key index for in-place rewrites (usually `mv_v0` already is one).
+    for (comp, facts) in info.comps.iter().zip(&info.nodes) {
+        if let (Some(key), Some(backing)) = (&facts.key, mv.stream(comp)) {
+            ensure_index(&backing, "mv_nodekey", 1 + key[0], false)?;
         }
     }
     Ok(())
@@ -899,9 +927,69 @@ fn analyze_xnf(db: &Database, q: &XnfQuery) -> Result<XnfInfo> {
         comps,
         rels,
         key: None,
+        nodes: Vec::new(),
     };
     info.key = derive_co_key(&info);
+    if info.key.is_some() {
+        info.nodes = derive_node_facts(db, &info)?;
+    }
     Ok(info)
+}
+
+/// Node key, link columns and compiled filter of every component of a
+/// keyed CO view.
+fn derive_node_facts(db: &Database, info: &XnfInfo) -> Result<Vec<NodeFacts>> {
+    let key = info.key.as_ref().expect("keyed plan");
+    let mut nodes = Vec::with_capacity(info.comps.len());
+    for (c, comp) in info.co.components.iter().enumerate() {
+        let base = comp
+            .base
+            .as_ref()
+            .expect("keyed components are base-mapped");
+        let table = db.catalog().table(&base.table)?;
+        let cache_col = |b: usize| base.columns.iter().position(|&x| x == b);
+        let node_key = table
+            .index_defs()
+            .into_iter()
+            .filter(|ix| ix.unique && ix.columns.iter().all(|&b| !table.schema.column(b).nullable))
+            .filter_map(|ix| ix.columns.iter().map(|&b| cache_col(b)).collect())
+            .min_by_key(|cols: &Vec<usize>| cols.len());
+        let mut links: Vec<usize> = Vec::new();
+        if c == key.root {
+            links.push(base.columns[key.root_key_col]);
+        }
+        for (rel, meta) in info.rels.iter().zip(&info.co.relationships) {
+            let (parent_col, child_col) = match meta {
+                RelMeta::ForeignKey {
+                    parent_col,
+                    child_col,
+                    ..
+                }
+                | RelMeta::ConnectTable {
+                    parent_col,
+                    child_col,
+                    ..
+                } => (*parent_col, *child_col),
+                RelMeta::General { .. } => {
+                    unreachable!("keyed plans exclude general relationships")
+                }
+            };
+            if info.comp_index(&rel.parent) == Some(c) {
+                links.push(base.columns[parent_col]);
+            }
+            if info.comp_index(&rel.children[0]) == Some(c) {
+                links.push(base.columns[child_col]);
+            }
+        }
+        links.sort_unstable();
+        links.dedup();
+        nodes.push(NodeFacts {
+            key: node_key,
+            links,
+            filter: component_filter(info, c, &table)?,
+        });
+    }
+    Ok(nodes)
 }
 
 fn derive_co_key(info: &XnfInfo) -> Option<CoKey> {
@@ -994,6 +1082,8 @@ pub(crate) struct MaintCounters {
     /// an in-place update preserving the surrogate — instead of being
     /// deleted and re-inserted.
     pub nodes_reused: u64,
+    /// Stored nodes a value-only delta overwrote by key, without a splice.
+    pub nodes_rewritten: u64,
 }
 
 /// Per-view record of which keys (and full recomputes) were applied at
@@ -1099,6 +1189,12 @@ pub(crate) fn prepare_maintenance(db: &Database, delta: &DeltaBatch) -> Option<P
         }
         match &plan.body {
             BodyPlan::Xnf(info) if info.key.is_some() => {
+                // A value-only delta rewrites nodes in place under the lock
+                // and needs no extraction (nor does one that fails to
+                // classify: `maintain` reports that error).
+                if !matches!(value_only_rewrites(plan, info, delta), Ok(None)) {
+                    continue;
+                }
                 let Ok(keys) = co_root_keys(db, info, delta, Some(&snap)) else {
                     continue;
                 };
@@ -1508,6 +1604,9 @@ fn apply_co_keyed(
     watermark: u64,
     counters: &mut MaintCounters,
 ) -> Result<()> {
+    if let Some(rewrites) = value_only_rewrites(plan, info, delta)? {
+        return rewrite_nodes(db, plan, info, delta, rewrites, stamp, watermark, counters);
+    }
     let keys = dedup_values(co_root_keys(db, info, delta, None)?);
     if keys.is_empty() {
         return Ok(());
@@ -1539,6 +1638,118 @@ fn apply_co_keyed(
         let sub = extract_subtrees(db, info, &fresh_keys, None)?;
         splice(db, plan, info, &fresh_keys, &sub, counters)?;
     }
+    db.maint_tracker()
+        .record_keys(&plan.name, &keys, stamp, watermark);
+    Ok(())
+}
+
+/// The stored-node rewrites a value-only delta implies for a keyed CO view,
+/// as `(component, new projected row)`, or `None` when the view must splice.
+/// A delta is value-only when every row on the view's tables is an update
+/// of a component base table and, for every component over that table, the
+/// two images agree on the node key and on the link columns and get the
+/// same WHERE answer. Such a delta moves no connection, so it changes only
+/// the stored nodes its images project to. Rows the WHERE rejects, or whose
+/// projection did not change, need no rewrite.
+fn value_only_rewrites(
+    plan: &MaintPlan,
+    info: &XnfInfo,
+    delta: &DeltaBatch,
+) -> Result<Option<Vec<(usize, Row)>>> {
+    let outer = OuterCtx::new();
+    let mut rewrites = Vec::new();
+    for table in &plan.deps {
+        let rows = delta.rows(table);
+        if rows.is_empty() {
+            continue;
+        }
+        let comps: Vec<(usize, &BaseMap)> = info
+            .co
+            .components
+            .iter()
+            .enumerate()
+            .filter_map(|(c, comp)| comp.base.as_ref().map(|b| (c, b)))
+            .filter(|(_, b)| b.table.eq_ignore_ascii_case(table))
+            .collect();
+        let connects = info.co.relationships.iter().any(|r| {
+            matches!(r, RelMeta::ConnectTable { table: t, .. } if t.eq_ignore_ascii_case(table))
+        });
+        if comps.is_empty() || connects {
+            // A connect table's rows are connections.
+            return Ok(None);
+        }
+        for d in rows {
+            let DeltaRow::Update { old, new } = d else {
+                return Ok(None);
+            };
+            let same = |b: &usize| old.values[*b].total_cmp(&new.values[*b]).is_eq();
+            for &(c, base) in &comps {
+                let facts = &info.nodes[c];
+                let Some(key) = &facts.key else {
+                    return Ok(None);
+                };
+                if !key.iter().all(|&k| same(&base.columns[k])) || !facts.links.iter().all(same) {
+                    return Ok(None);
+                }
+                let passes = passes_filter(&facts.filter, &old.values, &outer)?;
+                if passes != passes_filter(&facts.filter, &new.values, &outer)? {
+                    return Ok(None);
+                }
+                if passes && !base.columns.iter().all(same) {
+                    let row = base
+                        .columns
+                        .iter()
+                        .map(|&b| new.values[b].clone())
+                        .collect();
+                    rewrites.push((c, row));
+                }
+            }
+        }
+    }
+    Ok(Some(rewrites))
+}
+
+/// Apply a value-only delta in place: each rewrite overwrites the one stored
+/// node whose key columns match, keeping its surrogate ([`Table::update`] is
+/// atomic for readers). A row no root reaches has no stored node and writes
+/// nothing. The images' root keys are still recorded, so that a pre-lock
+/// extraction of those roots taken before this commit is redone instead of
+/// writing the old values back.
+#[allow(clippy::too_many_arguments)]
+fn rewrite_nodes(
+    db: &Database,
+    plan: &MaintPlan,
+    info: &XnfInfo,
+    delta: &DeltaBatch,
+    rewrites: Vec<(usize, Row)>,
+    stamp: u64,
+    watermark: u64,
+    counters: &mut MaintCounters,
+) -> Result<()> {
+    let mv = expect_matview(db, &plan.name)?;
+    let snap = db.catalog().latest_snapshot();
+    for (c, row) in rewrites {
+        let key = info.nodes[c]
+            .key
+            .as_ref()
+            .expect("value-only rewrites are keyed");
+        let node_t = mv
+            .stream(&info.comps[c])
+            .ok_or_else(|| XnfError::Api(format!("missing backing stream '{}'", info.comps[c])))?;
+        let hit = first_match(&node_t, 1 + key[0], &row[key[0]], &snap, |t| {
+            Ok(key
+                .iter()
+                .all(|&k| t.values[1 + k].total_cmp(&row[k]).is_eq()))
+        })?;
+        let Some((rid, stored)) = hit else { continue };
+        let mut values = Vec::with_capacity(row.len() + 1);
+        values.push(stored.values[0].clone());
+        values.extend(row);
+        node_t.update(rid, &Tuple::new(values))?;
+        counters.nodes_rewritten += 1;
+    }
+    let mut keys = dedup_values(co_root_keys(db, info, delta, None)?);
+    keys.retain(|k| !k.is_null());
     db.maint_tracker()
         .record_keys(&plan.name, &keys, stamp, watermark);
     Ok(())
@@ -2000,14 +2211,13 @@ fn extract_subtrees(
     };
     // Per-component: base table, projection, compiled selection predicate.
     let mut bases = Vec::with_capacity(ncomps);
-    for (c, comp) in info.co.components.iter().enumerate() {
+    for (comp, facts) in info.co.components.iter().zip(&info.nodes) {
         let base = comp
             .base
             .as_ref()
             .expect("keyed components are base-mapped");
         let table = db.catalog().table(&base.table)?;
-        let filter = component_filter(info, c, &table)?;
-        bases.push((table, base.columns.clone(), filter));
+        bases.push((table, &base.columns, &facts.filter));
     }
     let outer = OuterCtx::new();
     // Value-identity dedup per component (hashed — Value's Hash/Eq follow

@@ -1,7 +1,7 @@
 //! Unit tests for relational materialized views: DDL, planner
 //! substitution, direct / keyed / full maintenance, refresh, guards.
 //! (CO matview tests live in `tests/matview_equivalence.rs`, which can use
-//! the fixture crate.)
+//! the fixture crate; only the one that must step inside a commit is here.)
 
 use crate::db::Database;
 
@@ -309,5 +309,85 @@ fn failed_multi_row_dml_still_maintains_applied_prefix() {
         rows_of(&db, "SELECT * FROM small"),
         rows_of(&db, "SELECT id, val FROM ITEMS WHERE val < 20"),
         "view tracks the partially applied statement"
+    );
+}
+
+/// A pre-lock re-extraction outrun by an in-place rewrite must be redone.
+/// Transaction B moves employee 1 into department 1 and prepares its
+/// maintenance (department 1's subtree, salaries as of then). Before B
+/// takes the maintenance lock, an autocommit raises employee 2 of the same
+/// department, which rewrites that stored node in place. B's apply must see
+/// department 1 as stale and re-extract it; applying the prepared subtree
+/// would write the old salary back.
+#[test]
+fn in_place_rewrite_invalidates_a_pending_pre_lock_extraction() {
+    use std::sync::Arc;
+
+    use parking_lot::Mutex;
+    use xnf_exec::Params;
+
+    use crate::matview::{maintain, prepare_maintenance};
+    use crate::session::ActiveTxn;
+
+    let db = Database::new();
+    db.execute_batch(
+        "CREATE TABLE DEPT (dno INT NOT NULL, dname VARCHAR(20));
+         CREATE TABLE EMP (eno INT NOT NULL, ename VARCHAR(20), edno INT, sal INT);
+         CREATE UNIQUE INDEX dept_pk ON DEPT (dno);
+         CREATE UNIQUE INDEX emp_pk ON EMP (eno);
+         CREATE INDEX emp_dno ON EMP (edno);
+         INSERT INTO DEPT VALUES (0, 'tools'), (1, 'apps');
+         INSERT INTO EMP VALUES (1, 'mia', 0, 100), (2, 'ben', 1, 200), (3, 'ana', 1, 300);
+         CREATE MATERIALIZED VIEW deps AS
+           OUT OF xdept AS DEPT, xemp AS EMP,
+                  employment AS (RELATE xdept VIA EMPLOYS, xemp WHERE xdept.dno = xemp.edno)
+           TAKE *",
+    )
+    .unwrap();
+    let stored_emps = |db: &Database| -> Vec<String> {
+        let co = db.fetch_co("deps").unwrap();
+        let mut rows: Vec<String> = co
+            .workspace
+            .independent("xemp")
+            .unwrap()
+            .map(|t| format!("{:?}", t.values()))
+            .collect();
+        rows.sort();
+        rows
+    };
+
+    // B's statement, then the pre-lock half of B's commit.
+    let slot = Arc::new(Mutex::new(Some(ActiveTxn::begin(&db))));
+    let stmt = &xnf_sql::parse_statements("UPDATE EMP SET edno = 1 WHERE eno = 1").unwrap()[0];
+    db.execute_stmt_scoped(stmt, &Params::default(), &slot)
+        .unwrap();
+    let active = slot.lock().take().unwrap();
+    let delta = active.delta.coalesce();
+    let pre = prepare_maintenance(&db, &delta);
+    assert!(pre.is_some(), "the move needs a pre-lock extraction");
+
+    // The interposed commit: a value-only raise in department 1.
+    let rewritten = db.maint_stats().mv_nodes_rewritten;
+    db.execute("UPDATE EMP SET sal = sal + 5 WHERE eno = 2")
+        .unwrap();
+    assert_eq!(db.maint_stats().mv_nodes_rewritten, rewritten + 1);
+
+    // The locked half of B's commit.
+    {
+        let _m = db.maintenance_lock().lock();
+        let stamp = active.txn.commit();
+        maintain(&db, &delta, pre.as_ref(), stamp).unwrap();
+    }
+
+    let incremental = stored_emps(&db);
+    db.execute("REFRESH MATERIALIZED VIEW deps").unwrap();
+    assert_eq!(
+        incremental,
+        stored_emps(&db),
+        "stored CO diverged from REFRESH"
+    );
+    assert!(
+        incremental.iter().any(|r| r.contains("205")),
+        "{incremental:?}"
     );
 }

@@ -69,6 +69,9 @@ pub struct ExecStats {
     /// to (or in-place updatable into) the re-extracted result, instead of
     /// being deleted and re-derived.
     pub mv_nodes_reused: u64,
+    /// Stored view nodes maintenance overwrote by key for a value-only
+    /// update, without re-extracting or splicing any subtree.
+    pub mv_nodes_rewritten: u64,
     /// Wall-clock microseconds spent in commit-time view maintenance
     /// (precompute + stamp-ordered apply).
     pub mv_maint_us: u64,
@@ -108,6 +111,7 @@ impl ExecStats {
         self.rows_gathered += other.rows_gathered;
         self.mv_roots_respliced += other.mv_roots_respliced;
         self.mv_nodes_reused += other.mv_nodes_reused;
+        self.mv_nodes_rewritten += other.mv_nodes_rewritten;
         self.mv_maint_us += other.mv_maint_us;
         self.pages_verified += other.pages_verified;
         self.torn_pages_repaired += other.torn_pages_repaired;

@@ -196,8 +196,8 @@ fn every_documented_operator_is_emitted() {
     assert!(corpus.contains("durability: none (in-memory)"));
     assert!(
         corpus.contains(
-            "maintenance: incremental (coalesce, diff splice, pre-lock re-extract, \
-             stamp-ordered apply); mv_roots_respliced="
+            "maintenance: incremental (coalesce, in-place rewrite, diff splice, pre-lock \
+             re-extract, stamp-ordered apply); mv_roots_respliced="
         ),
         "maintenance header missing"
     );
@@ -236,9 +236,10 @@ fn top_n_scan_decodes_only_the_columns_it_reads() {
     );
 }
 
-/// The `maintenance:` header's counters are real quantities: DML touching
-/// a composite-object matview re-splices the affected root subtrees and
-/// reuses the untouched stored nodes, and both the EXPLAIN header and
+/// The `maintenance:` header's counters are real quantities: a value-only
+/// update of a composite-object matview rewrites its one stored node in
+/// place, DML that moves a connection re-splices the affected root subtree
+/// and reuses the untouched stored nodes, and both the EXPLAIN header and
 /// `Database::maint_stats()` must move with it.
 #[test]
 fn maintenance_counters_move_with_co_view_dml() {
@@ -258,21 +259,35 @@ fn maintenance_counters_move_with_co_view_dml() {
     ))
     .unwrap();
 
-    // Pin a department into the view, then touch one of its employees:
-    // the commit re-splices that department's subtree, reusing every node
-    // the rename did not change.
+    // Pin a department into the view, then rename one of its employees
+    // (eno 3): the commit rewrites that one stored node and splices
+    // nothing.
     db.execute("UPDATE DEPT SET loc = 'ARC' WHERE dno = 1")
         .unwrap();
     let before = db.maint_stats();
-    db.execute("UPDATE EMP SET ename = 'renamed' WHERE edno = 1")
+    db.execute("UPDATE EMP SET ename = 'renamed' WHERE eno = 3")
         .unwrap();
+    let renamed = db.maint_stats();
+    assert_eq!(
+        renamed.mv_nodes_rewritten,
+        before.mv_nodes_rewritten + 1,
+        "the rename must rewrite the employee's stored node in place"
+    );
+    assert_eq!(
+        renamed.mv_roots_respliced, before.mv_roots_respliced,
+        "a value-only update must not re-splice"
+    );
+
+    // A new skill link moves a connection: the commit re-splices the
+    // department's subtree, reusing every node the link did not change.
+    db.execute("INSERT INTO EMPSKILLS VALUES (3, 5)").unwrap();
     let after = db.maint_stats();
     assert!(
-        after.mv_roots_respliced > before.mv_roots_respliced,
-        "the employee update must re-splice its department's root subtree"
+        after.mv_roots_respliced > renamed.mv_roots_respliced,
+        "the skill link must re-splice its department's root subtree"
     );
     assert!(
-        after.mv_nodes_reused > before.mv_nodes_reused,
+        after.mv_nodes_reused > renamed.mv_nodes_reused,
         "the diff splice must reuse the subtree's unchanged nodes"
     );
     assert!(after.mv_maint_us > 0, "maintenance time must be accounted");
@@ -281,8 +296,8 @@ fn maintenance_counters_move_with_co_view_dml() {
     let plan = db.explain("SELECT 1").unwrap();
     assert!(
         plan.contains(&format!(
-            "mv_roots_respliced={} mv_nodes_reused={} mv_maint_us=",
-            after.mv_roots_respliced, after.mv_nodes_reused
+            "mv_roots_respliced={} mv_nodes_reused={} mv_nodes_rewritten={} mv_maint_us=",
+            after.mv_roots_respliced, after.mv_nodes_reused, after.mv_nodes_rewritten
         )),
         "EXPLAIN maintenance header diverged from maint_stats():\n{plan}"
     );

@@ -201,8 +201,25 @@ fn paper_fixture_randomized_stream_all_batch_sizes() {
                 assert_sql_matches(&db, "arc_people", PAPER_SQL_VIEW, &ctx);
                 assert_sql_matches(&db, "top_emps", PAPER_DIRECT_VIEW, &ctx);
                 assert_sql_matches(&db, "head_count", PAPER_AGG_VIEW, &ctx);
+                // Then raise every employee (a value-only update of many
+                // stored nodes at once) and check all four views again.
+                db.execute("UPDATE EMP SET sal = sal + 1").unwrap();
+                let ctx = format!("{ctx} and a raise of every employee");
+                assert_co_matches(&db, "hot_deps", DEPS_ARC, &ctx);
+                assert_sql_matches(&db, "arc_people", PAPER_SQL_VIEW, &ctx);
+                assert_sql_matches(&db, "top_emps", PAPER_DIRECT_VIEW, &ctx);
+                assert_sql_matches(&db, "head_count", PAPER_AGG_VIEW, &ctx);
             }
         }
+        // The stream must exercise both CO maintenance paths, so that a
+        // classifier routing every delta one way fails here.
+        let stats = db.maint_stats();
+        assert!(
+            stats.mv_nodes_rewritten > 0 && stats.mv_roots_respliced > 0,
+            "batch_size={bs}: stream rewrote {} nodes in place and respliced {} roots",
+            stats.mv_nodes_rewritten,
+            stats.mv_roots_respliced
+        );
     }
 }
 
@@ -263,6 +280,154 @@ fn co_matview_point_fetch_serves_one_subtree() {
     let restricted = DEPS_ARC.replace("TAKE *", "TAKE * WHERE xdept.dno = 1");
     let fresh = db.fetch_co(&restricted).unwrap();
     assert_eq!(canon(&co), canon(&fresh));
+}
+
+// ---------------------------------------------------------------------------
+// delta classification: in-place rewrite, no write, or splice
+// ---------------------------------------------------------------------------
+
+/// DEPS_ARC with projections that leave EMP's key last and drop `sal` and
+/// `loc`, so the node key is not the stream's first column.
+const SLIM_ARC: &str = "\
+OUT OF xdept AS (SELECT dno, dname FROM DEPT WHERE loc = 'ARC'),
+       xemp AS (SELECT ename, edno, eno FROM EMP),
+       employment AS (RELATE xdept VIA EMPLOYS, xemp WHERE xdept.dno = xemp.edno)
+TAKE *";
+
+/// Which maintenance path one commit took.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Path {
+    /// One stored node overwritten by key (`mv_nodes_rewritten` +1).
+    InPlace,
+    /// A value-only delta whose node is not stored or did not change.
+    NoWrite,
+    /// Re-extraction and diff splice (`mv_roots_respliced` moves).
+    Splice,
+}
+
+/// Each delta class takes its path, and the stored CO still equals a fresh
+/// extraction and a REFRESH. In the paper fixture departments 0–2 are
+/// 'ARC' (employees 0–11), EMP and DEPT have unique NOT NULL keys, and
+/// SKILLS has no unique index.
+#[test]
+fn value_only_updates_rewrite_in_place_and_the_rest_splice() {
+    // A skill employee 0 holds, so that renaming it reaches a stored root.
+    let skill = paper_db(1024)
+        .query("SELECT essno FROM EMPSKILLS WHERE eseno = 0")
+        .unwrap()
+        .try_table()
+        .unwrap()
+        .rows[0][0]
+        .as_int()
+        .unwrap();
+    let skill_rename = format!("UPDATE SKILLS SET sname = 'rare' WHERE sno = {skill}");
+    let cases: Vec<(&str, &str, Vec<&str>, Path)> = vec![
+        (
+            "sal",
+            DEPS_ARC,
+            vec!["UPDATE EMP SET sal = sal + 7 WHERE eno = 1"],
+            Path::InPlace,
+        ),
+        (
+            "ename",
+            DEPS_ARC,
+            vec!["UPDATE EMP SET ename = 'x' WHERE eno = 2"],
+            Path::InPlace,
+        ),
+        (
+            "root dname",
+            DEPS_ARC,
+            vec!["UPDATE DEPT SET dname = 'd' WHERE dno = 1"],
+            Path::InPlace,
+        ),
+        (
+            "ename, key last",
+            SLIM_ARC,
+            vec!["UPDATE EMP SET ename = 'x' WHERE eno = 2"],
+            Path::InPlace,
+        ),
+        (
+            "unprojected sal",
+            SLIM_ARC,
+            vec!["UPDATE EMP SET sal = 1.5 WHERE eno = 1"],
+            Path::NoWrite,
+        ),
+        (
+            "non-ARC employee",
+            DEPS_ARC,
+            vec!["UPDATE EMP SET sal = 1.5 WHERE eno = 40"],
+            Path::NoWrite,
+        ),
+        (
+            "key eno",
+            DEPS_ARC,
+            vec!["UPDATE EMP SET eno = 700 WHERE eno = 2"],
+            Path::Splice,
+        ),
+        (
+            "link edno",
+            DEPS_ARC,
+            vec!["UPDATE EMP SET edno = 1 WHERE eno = 0"],
+            Path::Splice,
+        ),
+        (
+            "filter loc",
+            DEPS_ARC,
+            vec!["UPDATE DEPT SET loc = 'HDC' WHERE dno = 1"],
+            Path::Splice,
+        ),
+        (
+            "no unique index",
+            DEPS_ARC,
+            vec![skill_rename.as_str()],
+            Path::Splice,
+        ),
+        (
+            "connect table",
+            DEPS_ARC,
+            vec!["INSERT INTO EMPSKILLS VALUES (0, 14)"],
+            Path::Splice,
+        ),
+        (
+            "mixed transaction",
+            DEPS_ARC,
+            vec![
+                "UPDATE EMP SET sal = sal + 7 WHERE eno = 1",
+                "UPDATE EMP SET edno = 2 WHERE eno = 5",
+            ],
+            Path::Splice,
+        ),
+    ];
+    for (label, def, stmts, path) in cases {
+        let db = paper_db(1024);
+        db.execute(&format!("CREATE MATERIALIZED VIEW cv AS {def}"))
+            .unwrap();
+        let before = db.maint_stats();
+        let session = db.session();
+        session.begin().unwrap();
+        for stmt in &stmts {
+            session.execute(stmt, &[]).unwrap();
+        }
+        session.commit().unwrap();
+        let after = db.maint_stats();
+        let rewritten = after.mv_nodes_rewritten - before.mv_nodes_rewritten;
+        let respliced = after.mv_roots_respliced - before.mv_roots_respliced;
+        let took = match (rewritten, respliced) {
+            (1, 0) => Path::InPlace,
+            (0, 0) => Path::NoWrite,
+            (0, _) => Path::Splice,
+            _ => panic!("{label}: rewrote {rewritten} nodes and respliced {respliced} roots"),
+        };
+        assert_eq!(took, path, "{label}: {stmts:?}");
+        assert_co_matches(&db, "cv", def, label);
+        let stored = canon(&db.fetch_co("cv").unwrap());
+        db.execute("REFRESH MATERIALIZED VIEW cv").unwrap();
+        assert_eq!(
+            stored,
+            canon(&db.fetch_co("cv").unwrap()),
+            "{label}: incremental maintenance diverged from REFRESH"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -332,25 +497,40 @@ fn page_accesses(db: &Database, stmt: &str) -> u64 {
     accesses() - before
 }
 
-/// Splicing department 0 after a one-row update must not read the shared
-/// skill's links from other departments: the membership test stops at the
-/// first foreign parent, so the commit costs the same page accesses at
-/// fan-in 10 and 1000. Then the shared node turns exclusive and vanishes,
-/// and incremental maintenance must track REFRESH through both steps.
+/// Splicing department 0 after a new skill link of employee 0 must not
+/// read the shared skill's links from other departments: the membership
+/// test stops at the first foreign parent, so the commit costs the same
+/// page accesses at fan-in 10 and 1000. A salary raise of the same
+/// employee is value-only and rewrites its stored node without a splice.
+/// Then the shared node turns exclusive and vanishes, and incremental
+/// maintenance must track REFRESH through every step.
 #[test]
 fn shared_node_fan_in_does_not_cost_maintenance() {
-    const UPDATE: &str = "UPDATE EMP SET sal = sal + 1 WHERE eno = 0";
+    const RAISE: &str = "UPDATE EMP SET sal = sal + 1 WHERE eno = 0";
+    const LINK: &str = "INSERT INTO EMPSKILLS VALUES (0, 1)";
     let mut cost = Vec::new();
     for fan_in in [10, 1000] {
         let (db, def) = fan_in_db(fan_in);
-        let respliced = db.maint_stats().mv_roots_respliced;
-        cost.push(page_accesses(&db, UPDATE));
+        let before = db.maint_stats();
+        db.execute(RAISE).unwrap();
+        let raised = db.maint_stats();
+        assert_eq!(
+            raised.mv_nodes_rewritten,
+            before.mv_nodes_rewritten + 1,
+            "the raise rewrites employee 0's stored node in place"
+        );
+        assert_eq!(
+            raised.mv_roots_respliced, before.mv_roots_respliced,
+            "the raise splices nothing"
+        );
+        assert_co_matches(&db, "fan_co", &def, &format!("fan-in {fan_in}: {RAISE}"));
+        cost.push(page_accesses(&db, LINK));
         assert_eq!(
             db.maint_stats().mv_roots_respliced,
-            respliced + 1,
-            "the update resplices department 0 alone"
+            raised.mv_roots_respliced + 1,
+            "the link resplices department 0 alone"
         );
-        assert_co_matches(&db, "fan_co", &def, &format!("fan-in {fan_in}: {UPDATE}"));
+        assert_co_matches(&db, "fan_co", &def, &format!("fan-in {fan_in}: {LINK}"));
         if fan_in > 10 {
             continue;
         }
@@ -378,7 +558,7 @@ fn shared_node_fan_in_does_not_cost_maintenance() {
     }
     assert!(
         cost[1].abs_diff(cost[0]) <= 8,
-        "page accesses of one spliced update grew with the shared node's \
+        "page accesses of one spliced link grew with the shared node's \
          fan-in: {} at 10, {} at 1000",
         cost[0],
         cost[1]
