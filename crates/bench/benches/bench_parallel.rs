@@ -30,7 +30,8 @@ fn config(dop: usize) -> DbConfig {
 /// ITEMS(id, grp, val) with 100k rows joined against GROUPS(gid, flag).
 fn build_scan_db(dop: usize) -> Database {
     let db = Database::with_config(config(dop));
-    db.execute_batch(
+    let s = db.session();
+    s.execute_batch(
         "CREATE TABLE ITEMS (id INT NOT NULL, grp INT, val INT);
          CREATE TABLE GROUPS (gid INT NOT NULL, flag INT);",
     )
@@ -54,7 +55,7 @@ fn build_scan_db(dop: usize) -> Database {
             ]))
             .unwrap();
     }
-    db.execute_batch("ANALYZE;").unwrap();
+    s.execute_batch("ANALYZE;").unwrap();
     db
 }
 
@@ -121,7 +122,7 @@ fn bench_parallel(c: &mut Criterion) {
         );
         c.bench_function(&format!("par_co_extraction_dop{dop}"), |b| {
             b.iter(|| {
-                let r = db.query(DEPS_ARC).unwrap();
+                let r = db.session().query(DEPS_ARC, &[]).unwrap();
                 black_box(r.streams.len());
             })
         });

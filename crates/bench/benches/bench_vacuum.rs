@@ -22,11 +22,12 @@ fn setup(auto_vacuum_threshold: u64) -> Database {
         auto_vacuum_threshold,
         ..DbConfig::default()
     });
-    db.execute("CREATE TABLE ACCT (id INT NOT NULL, bal INT)")
+    let s = db.session();
+    s.execute("CREATE TABLE ACCT (id INT NOT NULL, bal INT)", &[])
         .unwrap();
-    db.execute("CREATE UNIQUE INDEX acct_pk ON ACCT (id)")
+    s.execute("CREATE UNIQUE INDEX acct_pk ON ACCT (id)", &[])
         .unwrap();
-    db.execute("INSERT INTO ACCT VALUES (1, 0)").unwrap();
+    s.execute("INSERT INTO ACCT VALUES (1, 0)", &[]).unwrap();
     db
 }
 

@@ -56,11 +56,12 @@ fn durable_db_cfg(
         ..DbConfig::default()
     })
     .unwrap();
-    db.execute("CREATE TABLE ACCT (id INT NOT NULL, bal INT)")
+    let s = db.session();
+    s.execute("CREATE TABLE ACCT (id INT NOT NULL, bal INT)", &[])
         .unwrap();
-    db.execute("CREATE INDEX acct_id ON ACCT (id)").unwrap();
+    s.execute("CREATE INDEX acct_id ON ACCT (id)", &[]).unwrap();
     for i in 0..(MAX_THREADS as i64 * PER_THREAD_ROWS) {
-        db.execute(&format!("INSERT INTO ACCT VALUES ({i}, 100)"))
+        s.execute(&format!("INSERT INTO ACCT VALUES ({i}, 100)"), &[])
             .unwrap();
     }
     Arc::new(db)

@@ -37,7 +37,7 @@ pub fn traverse_server(db: &Database, start: i64, depth: u32) -> u64 {
         }
         let q =
             format!("SELECT p.id FROM OO1PARTS p, OO1CONN c WHERE c.src = {id} AND c.dst = p.id");
-        let children = db.query(&q).unwrap();
+        let children = db.session().query(&q, &[]).unwrap();
         for row in &children.try_table().unwrap().rows {
             rec(db, row[0].as_int().unwrap(), depth - 1, touched);
         }
@@ -65,7 +65,7 @@ pub fn run_cache(parts: usize, traversals: usize, depth: u32) -> CachePoint {
         parts,
         ..Default::default()
     });
-    let co: CoCache = db.fetch_co(OO1_CO).unwrap();
+    let co: CoCache = db.session().fetch_co(OO1_CO).unwrap();
     let ws = &co.workspace;
     let n = ws.component("part").unwrap().len() as u32;
 

@@ -78,11 +78,11 @@ pub fn run_fig3(emp_counts: &[usize]) -> Vec<Fig3Point> {
         );
 
         let t0 = Instant::now();
-        let fast = db.query(FIG3_QUERY).unwrap();
+        let fast = db.session().query(FIG3_QUERY, &[]).unwrap();
         let rewritten = t0.elapsed();
 
         let t0 = Instant::now();
-        let slow = naive_db.query(FIG3_QUERY).unwrap();
+        let slow = naive_db.session().query(FIG3_QUERY, &[]).unwrap();
         let naive = t0.elapsed();
 
         assert_eq!(

@@ -37,19 +37,20 @@ pub fn run_fig56(dept_counts: &[usize]) -> Vec<Fig56Point> {
             ..Default::default()
         };
         let db = super::fig3::rebuild_with(scale, DbConfig::default());
+        let s = db.session();
 
         // Eight separate queries.
         let t0 = Instant::now();
         let mut sql_scanned = 0;
         for (_, sql) in COMPONENT_QUERIES {
-            let r = db.query(sql).unwrap();
+            let r = s.query(sql, &[]).unwrap();
             sql_scanned += r.stats.rows_scanned;
         }
         let sql_time = t0.elapsed();
 
         // One XNF query.
         let t0 = Instant::now();
-        let r = db.query(DEPS_ARC).unwrap();
+        let r = s.query(DEPS_ARC, &[]).unwrap();
         let xnf_time = t0.elapsed();
         let xnf_scanned = r.stats.rows_scanned;
         let xnf_batches = r.stats.batches_emitted;
@@ -67,7 +68,7 @@ pub fn run_fig56(dept_counts: &[usize]) -> Vec<Fig56Point> {
             },
         );
         let t0 = Instant::now();
-        let _ = no_cse_db.query(DEPS_ARC).unwrap();
+        let _ = no_cse_db.session().query(DEPS_ARC, &[]).unwrap();
         let no_cse_time = t0.elapsed();
 
         out.push(Fig56Point {
@@ -130,12 +131,13 @@ pub fn render_fig56(points: &[Fig56Point]) -> String {
 /// Correctness guard used by tests and the harness: the two derivations
 /// agree on every component's key set.
 pub fn verify_equivalence(db: &Database) {
-    let co = db.query(DEPS_ARC).unwrap();
+    let s = db.session();
+    let co = s.query(DEPS_ARC, &[]).unwrap();
     for (name, sql) in COMPONENT_QUERIES {
         let Some(stream) = co.stream(name) else {
             continue;
         };
-        let direct = db.query(sql).unwrap();
+        let direct = s.query(sql, &[]).unwrap();
         // Compare on the first column (component key).
         let mut a: Vec<String> = stream.rows.iter().map(|r| r[0].to_string()).collect();
         let mut b: Vec<String> = direct

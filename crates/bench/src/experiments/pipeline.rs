@@ -27,7 +27,7 @@ pub fn run_pipeline(departments: usize) -> PipelinePoint {
 
     // Extract: run the XNF query (server side).
     let t0 = Instant::now();
-    let result = db.query(DEPS_ARC).unwrap();
+    let result = db.session().query(DEPS_ARC, &[]).unwrap();
     let extract = t0.elapsed();
 
     // Convert + swizzle: build the workspace.

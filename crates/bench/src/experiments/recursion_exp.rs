@@ -22,7 +22,7 @@ pub fn run_recursion(points: &[(usize, usize)]) -> Vec<RecursionPoint> {
     for &(layers, width) in points {
         let db = build_bom(layers, width);
         let t0 = Instant::now();
-        let r = db.query(&bom_co("pid = 0")).unwrap();
+        let r = db.session().query(&bom_co("pid = 0"), &[]).unwrap();
         let time = t0.elapsed();
         out.push(RecursionPoint {
             layers,

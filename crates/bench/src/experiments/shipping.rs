@@ -26,7 +26,8 @@ pub fn run_shipping(departments: usize) -> Vec<ShippingRow> {
     // Request: employees of ARC departments (edno < #ARC by generator
     // construction), projected to (eno, ename).
     let arc: Vec<i64> = db
-        .query("SELECT dno FROM DEPT WHERE loc = 'ARC'")
+        .session()
+        .query("SELECT dno FROM DEPT WHERE loc = 'ARC'", &[])
         .unwrap()
         .try_table()
         .unwrap()

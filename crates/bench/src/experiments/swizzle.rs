@@ -24,7 +24,7 @@ pub fn run_swizzle(parts: usize, lookups: usize) -> SwizzlePoint {
         parts,
         ..Default::default()
     });
-    let co = db.fetch_co(OO1_CO).unwrap();
+    let co = db.session().fetch_co(OO1_CO).unwrap();
     let ws: &Workspace = &co.workspace;
     let n = ws.component("part").unwrap().len() as u32;
 

@@ -23,7 +23,8 @@ pub fn run_updates(departments: usize) -> UpdatePoint {
 
     // Cache-side: update every cached employee's salary, then save once.
     let db = build_paper_db(scale);
-    let mut co = db.fetch_co(DEPS_ARC).unwrap();
+    let session = db.session();
+    let mut co = session.fetch_co(DEPS_ARC).unwrap();
     let ids: Vec<u32> = co
         .workspace
         .independent("xemp")
@@ -36,43 +37,49 @@ pub fn run_updates(departments: usize) -> UpdatePoint {
         let new = Value::Double(old.as_double().unwrap() + 1.0);
         co.workspace.update_value("xemp", id, "sal", new).unwrap();
     }
-    let ops = co.save(&db).unwrap();
+    let ops = session.write_back(&mut co).unwrap();
     let cache_time = t0.elapsed();
     assert_eq!(ops, ids.len());
 
     // Direct SQL: the same logical change in one set-oriented statement.
     let db2 = build_paper_db(scale);
+    let session2 = db2.session();
     let t0 = Instant::now();
-    db2.execute(
-        "UPDATE EMP SET sal = sal + 1.0 WHERE edno IN (SELECT dno FROM DEPT WHERE loc = 'ARC')",
-    )
-    .unwrap_or_else(|_| {
-        // The dialect's UPDATE filter is table-local; fall back to a
-        // two-step touch of the same rows.
-        let arc: Vec<i64> = db2
-            .query("SELECT dno FROM DEPT WHERE loc = 'ARC'")
-            .unwrap()
-            .try_table()
-            .unwrap()
-            .rows
-            .iter()
-            .map(|r| r[0].as_int().unwrap())
-            .collect();
-        let list = arc
-            .iter()
-            .map(|d| d.to_string())
-            .collect::<Vec<_>>()
-            .join(", ");
-        db2.execute(&format!(
-            "UPDATE EMP SET sal = sal + 1.0 WHERE edno IN ({list})"
-        ))
-        .unwrap()
-    });
+    session2
+        .execute(
+            "UPDATE EMP SET sal = sal + 1.0 WHERE edno IN (SELECT dno FROM DEPT WHERE loc = 'ARC')",
+            &[],
+        )
+        .unwrap_or_else(|_| {
+            // The dialect's UPDATE filter is table-local; fall back to a
+            // two-step touch of the same rows.
+            let arc: Vec<i64> = session2
+                .query("SELECT dno FROM DEPT WHERE loc = 'ARC'", &[])
+                .unwrap()
+                .try_table()
+                .unwrap()
+                .rows
+                .iter()
+                .map(|r| r[0].as_int().unwrap())
+                .collect();
+            let list = arc
+                .iter()
+                .map(|d| d.to_string())
+                .collect::<Vec<_>>()
+                .join(", ");
+            session2
+                .execute(
+                    &format!("UPDATE EMP SET sal = sal + 1.0 WHERE edno IN ({list})"),
+                    &[],
+                )
+                .unwrap()
+        });
     let direct_time = t0.elapsed();
 
     // Connect/disconnect: rewire 20 employees to the first ARC department.
     let db3 = build_paper_db(scale);
-    let mut co3 = db3.fetch_co(DEPS_ARC).unwrap();
+    let session3 = db3.session();
+    let mut co3 = session3.fetch_co(DEPS_ARC).unwrap();
     let moves: Vec<(u32, u32, u32)> = {
         let ws = &co3.workspace;
         let mut v = Vec::new();
@@ -97,7 +104,7 @@ pub fn run_updates(departments: usize) -> UpdatePoint {
             .connect("employment", &[*new_parent, *emp])
             .unwrap();
     }
-    co3.save(&db3).unwrap();
+    session3.write_back(&mut co3).unwrap();
     let connect_time = t0.elapsed();
 
     UpdatePoint {

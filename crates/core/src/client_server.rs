@@ -100,7 +100,7 @@ impl Server {
         stats: &mut TransportStats,
     ) -> Result<QueryResult> {
         stats.record(query.len());
-        let result = self.db.query(query)?;
+        let result = self.db.session().query(query, &[])?;
         for stream in &result.streams {
             let tuple_sizes: Vec<usize> = stream
                 .rows

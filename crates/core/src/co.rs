@@ -8,6 +8,7 @@ use xnf_exec::Params;
 use crate::cache::Workspace;
 use crate::db::Database;
 use crate::error::Result;
+use crate::session::Session;
 use crate::writeback::CoSchema;
 
 /// A cached composite object with write-back support.
@@ -24,18 +25,11 @@ pub struct CoCache {
 }
 
 impl CoCache {
-    /// Push pending workspace changes back to the database (atomically);
-    /// [`crate::Session::write_back`] on a fresh autocommit session.
-    /// Returns the number of base-table operations performed.
-    pub fn save(&mut self, db: &Database) -> Result<usize> {
-        db.session().write_back(self)
-    }
-
-    /// Drop local state and re-extract the CO from the database through the
-    /// plan cache, using the parameter bindings of the original fetch.
-    pub fn refresh(&mut self, db: &Database) -> Result<()> {
-        let fresh = db
-            .session()
+    /// Drop local state and re-extract the CO through `session` (and the
+    /// plan cache), using the parameter bindings of the original fetch.
+    /// Inside an open transaction the re-extraction reads its snapshot.
+    pub fn refresh(&mut self, session: &Session<'_>) -> Result<()> {
+        let fresh = session
             .prepare_bound(&self.query, &self.params)?
             .fetch_co()?;
         self.workspace = fresh.workspace;
@@ -45,13 +39,6 @@ impl CoCache {
 }
 
 impl Database {
-    /// Evaluate an XNF query or a stored XNF view (by name) into a
-    /// client-side CO cache; [`crate::Session::fetch_co`] on a fresh
-    /// autocommit session.
-    pub fn fetch_co(&self, query_or_view: &str) -> Result<CoCache> {
-        self.session().fetch_co(query_or_view)
-    }
-
     /// Serve one composite object from a **materialized** CO view: the root
     /// tuples whose partition key equals `key`, plus everything reachable
     /// from them, read from the stored streams via index walks (no

@@ -14,7 +14,7 @@ use crate::writeback::RelMeta;
 
 fn fig1_db() -> Database {
     let db = Database::new();
-    db.execute_batch(
+    db.session().execute_batch(
         "CREATE TABLE DEPT (dno INT NOT NULL, dname VARCHAR(30), loc VARCHAR(10));
          CREATE TABLE EMP (eno INT NOT NULL, ename VARCHAR(30), edno INT, sal DOUBLE);
          CREATE TABLE PROJ (pno INT NOT NULL, pname VARCHAR(30), pdno INT);
@@ -53,29 +53,31 @@ TAKE *";
 #[test]
 fn ddl_dml_roundtrip() {
     let db = fig1_db();
-    let r = db.query("SELECT COUNT(*) FROM EMP").unwrap();
+    let s = db.session();
+    let r = s.query("SELECT COUNT(*) FROM EMP", &[]).unwrap();
     assert_eq!(r.try_table().unwrap().rows[0][0], Value::Int(4));
 
-    let n = db
-        .execute("UPDATE EMP SET sal = sal + 10 WHERE edno = 1")
+    let n = s
+        .execute("UPDATE EMP SET sal = sal + 10 WHERE edno = 1", &[])
         .unwrap()
         .affected();
     assert_eq!(n, 2);
-    let r = db.query("SELECT MAX(sal) FROM EMP").unwrap();
+    let r = s.query("SELECT MAX(sal) FROM EMP", &[]).unwrap();
     assert_eq!(r.try_table().unwrap().rows[0][0], Value::Double(130.0));
 
-    let n = db
-        .execute("DELETE FROM EMP WHERE eno = 4")
+    let n = s
+        .execute("DELETE FROM EMP WHERE eno = 4", &[])
         .unwrap()
         .affected();
     assert_eq!(n, 1);
-    let r = db.query("SELECT COUNT(*) FROM EMP").unwrap();
+    let r = s.query("SELECT COUNT(*) FROM EMP", &[]).unwrap();
     assert_eq!(r.try_table().unwrap().rows[0][0], Value::Int(3));
 }
 
 #[test]
 fn transactions_rollback_dml() {
     let db = fig1_db();
+    let s = db.session();
     let session = db.session();
     session.begin().unwrap();
     session
@@ -89,7 +91,7 @@ fn transactions_rollback_dml() {
         .unwrap();
     session.rollback().unwrap();
 
-    let r = db.query("SELECT COUNT(*), MAX(sal) FROM EMP").unwrap();
+    let r = s.query("SELECT COUNT(*), MAX(sal) FROM EMP", &[]).unwrap();
     assert_eq!(r.try_table().unwrap().rows[0][0], Value::Int(4));
     assert_eq!(r.try_table().unwrap().rows[0][1], Value::Double(120.0));
 
@@ -98,7 +100,7 @@ fn transactions_rollback_dml() {
         .execute("DELETE FROM EMP WHERE eno = 4", &[])
         .unwrap();
     session.commit().unwrap();
-    let r = db.query("SELECT COUNT(*) FROM EMP").unwrap();
+    let r = s.query("SELECT COUNT(*) FROM EMP", &[]).unwrap();
     assert_eq!(r.try_table().unwrap().rows[0][0], Value::Int(3));
 }
 
@@ -141,7 +143,10 @@ fn two_sessions_hold_independent_isolated_transactions() {
     s2.commit().unwrap();
 
     // With both committed, a fresh read sees everything.
-    let r = db.query("SELECT COUNT(*), MAX(sal) FROM EMP").unwrap();
+    let r = db
+        .session()
+        .query("SELECT COUNT(*), MAX(sal) FROM EMP", &[])
+        .unwrap();
     assert_eq!(r.try_table().unwrap().rows[0][0], Value::Int(5));
     assert_eq!(r.try_table().unwrap().rows[0][1], Value::Double(500.0));
 }
@@ -165,20 +170,30 @@ fn write_write_conflict_is_first_writer_wins() {
     // The conflicting session can roll back and the winner's value lands.
     s2.rollback().unwrap();
     s1.commit().unwrap();
-    let r = db.query("SELECT sal FROM EMP WHERE eno = 1").unwrap();
+    let r = db
+        .session()
+        .query("SELECT sal FROM EMP WHERE eno = 1", &[])
+        .unwrap();
     assert_eq!(r.try_table().unwrap().rows[0][0], Value::Double(1.0));
 }
 
 #[test]
 fn sql_views_expand_in_from() {
     let db = fig1_db();
-    db.execute("CREATE VIEW arc_depts AS SELECT dno, dname FROM DEPT WHERE loc = 'ARC'")
-        .unwrap();
-    let r = db.query("SELECT COUNT(*) FROM arc_depts").unwrap();
+    let s = db.session();
+    s.execute(
+        "CREATE VIEW arc_depts AS SELECT dno, dname FROM DEPT WHERE loc = 'ARC'",
+        &[],
+    )
+    .unwrap();
+    let r = s.query("SELECT COUNT(*) FROM arc_depts", &[]).unwrap();
     assert_eq!(r.try_table().unwrap().rows[0][0], Value::Int(2));
     // Join a view with a base table.
-    let r = db
-        .query("SELECT e.ename FROM arc_depts d, EMP e WHERE e.edno = d.dno ORDER BY ename")
+    let r = s
+        .query(
+            "SELECT e.ename FROM arc_depts d, EMP e WHERE e.edno = d.dno ORDER BY ename",
+            &[],
+        )
         .unwrap();
     assert_eq!(r.try_table().unwrap().rows.len(), 3);
 }
@@ -186,15 +201,16 @@ fn sql_views_expand_in_from() {
 #[test]
 fn xnf_views_are_stored_and_fetchable() {
     let db = fig1_db();
-    db.execute(&format!("CREATE VIEW deps_ARC AS {DEPS_ARC}"))
+    let s = db.session();
+    s.execute(&format!("CREATE VIEW deps_ARC AS {DEPS_ARC}"), &[])
         .unwrap();
-    let co = db.fetch_co("deps_ARC").unwrap();
+    let co = s.fetch_co("deps_ARC").unwrap();
     assert_eq!(co.workspace.components.len(), 4);
     assert_eq!(co.workspace.relationships.len(), 4);
 
     // Inline the view in another XNF query (closure under composition).
-    let r = db
-        .query("OUT OF deps_ARC TAKE xdept, employment, xemp")
+    let r = s
+        .query("OUT OF deps_ARC TAKE xdept, employment, xemp", &[])
         .unwrap();
     assert_eq!(r.streams.len(), 3);
 }
@@ -214,15 +230,18 @@ fn explain_produces_plan_text() {
 #[test]
 fn errors_are_reported() {
     let db = fig1_db();
+    let s = db.session();
     assert!(matches!(
-        db.execute("SELECT * FROM NOPE"),
+        s.execute("SELECT * FROM NOPE", &[]),
         Err(XnfError::Semantic(_))
     ));
     assert!(matches!(
-        db.execute("SELEC broken"),
+        s.execute("SELEC broken", &[]),
         Err(XnfError::Parse(_))
     ));
-    assert!(db.execute("INSERT INTO DEPT (dno) VALUES (1, 2)").is_err());
+    assert!(s
+        .execute("INSERT INTO DEPT (dno) VALUES (1, 2)", &[])
+        .is_err());
 }
 
 // ---------------------------------------------------------------------------
@@ -232,7 +251,7 @@ fn errors_are_reported() {
 #[test]
 fn cache_navigation_with_cursors() {
     let db = fig1_db();
-    let co = db.fetch_co(DEPS_ARC).unwrap();
+    let co = db.session().fetch_co(DEPS_ARC).unwrap();
     let ws = &co.workspace;
 
     assert_eq!(ws.tuple_count(), 2 + 3 + 2 + 4);
@@ -286,7 +305,7 @@ fn cache_navigation_with_cursors() {
 #[test]
 fn path_expressions() {
     let db = fig1_db();
-    let co = db.fetch_co(DEPS_ARC).unwrap();
+    let co = db.session().fetch_co(DEPS_ARC).unwrap();
     let ws = &co.workspace;
 
     // All skills reachable from departments through employees.
@@ -325,7 +344,8 @@ fn path_expressions() {
 #[test]
 fn update_writes_back_to_base_table() {
     let db = fig1_db();
-    let mut co = db.fetch_co(DEPS_ARC).unwrap();
+    let s = db.session();
+    let mut co = s.fetch_co(DEPS_ARC).unwrap();
     let e1 = co
         .workspace
         .independent("xemp")
@@ -337,18 +357,19 @@ fn update_writes_back_to_base_table() {
         .update_value("xemp", e1, "sal", Value::Double(200.0))
         .unwrap();
     assert_eq!(co.workspace.pending_changes().len(), 1);
-    let ops = co.save(&db).unwrap();
+    let ops = s.write_back(&mut co).unwrap();
     assert_eq!(ops, 1);
     assert!(co.workspace.pending_changes().is_empty());
 
-    let r = db.query("SELECT sal FROM EMP WHERE eno = 1").unwrap();
+    let r = s.query("SELECT sal FROM EMP WHERE eno = 1", &[]).unwrap();
     assert_eq!(r.try_table().unwrap().rows[0][0], Value::Double(200.0));
 }
 
 #[test]
 fn insert_delete_write_back() {
     let db = fig1_db();
-    let mut co = db.fetch_co(DEPS_ARC).unwrap();
+    let s = db.session();
+    let mut co = s.fetch_co(DEPS_ARC).unwrap();
     co.workspace
         .insert_row(
             "xemp",
@@ -368,9 +389,9 @@ fn insert_delete_write_back() {
         .unwrap()
         .id();
     co.workspace.delete_row("xemp", e3).unwrap();
-    co.save(&db).unwrap();
+    s.write_back(&mut co).unwrap();
 
-    let r = db.query("SELECT eno FROM EMP ORDER BY eno").unwrap();
+    let r = s.query("SELECT eno FROM EMP ORDER BY eno", &[]).unwrap();
     let ids: Vec<i64> = r
         .try_table()
         .unwrap()
@@ -384,7 +405,8 @@ fn insert_delete_write_back() {
 #[test]
 fn fk_connect_disconnect_write_back() {
     let db = fig1_db();
-    let mut co = db.fetch_co(DEPS_ARC).unwrap();
+    let s = db.session();
+    let mut co = s.fetch_co(DEPS_ARC).unwrap();
 
     // employment is FK-based (xdept.dno = xemp.edno).
     assert!(matches!(
@@ -404,9 +426,9 @@ fn fk_connect_disconnect_write_back() {
         .id();
     ws.disconnect("employment", &[d2, e3]).unwrap();
     ws.connect("employment", &[d1, e3]).unwrap();
-    co.save(&db).unwrap();
+    s.write_back(&mut co).unwrap();
 
-    let r = db.query("SELECT edno FROM EMP WHERE eno = 3").unwrap();
+    let r = s.query("SELECT edno FROM EMP WHERE eno = 3", &[]).unwrap();
     assert_eq!(
         r.try_table().unwrap().rows[0][0],
         Value::Int(1),
@@ -417,7 +439,8 @@ fn fk_connect_disconnect_write_back() {
 #[test]
 fn connect_table_write_back() {
     let db = fig1_db();
-    let mut co = db.fetch_co(DEPS_ARC).unwrap();
+    let session = db.session();
+    let mut co = session.fetch_co(DEPS_ARC).unwrap();
     assert!(matches!(
         co.schema.relationship("empproperty"),
         Some(RelMeta::ConnectTable { .. })
@@ -438,10 +461,10 @@ fn connect_table_write_back() {
         .unwrap()
         .id();
     ws.connect("empproperty", &[e1, s3]).unwrap();
-    co.save(&db).unwrap();
+    session.write_back(&mut co).unwrap();
 
-    let r = db
-        .query("SELECT COUNT(*) FROM EMPSKILLS WHERE eseno = 1")
+    let r = session
+        .query("SELECT COUNT(*) FROM EMPSKILLS WHERE eseno = 1", &[])
         .unwrap();
     assert_eq!(
         r.try_table().unwrap().rows[0][0],
@@ -450,7 +473,7 @@ fn connect_table_write_back() {
     );
 
     // And take it away again.
-    let mut co = db.fetch_co(DEPS_ARC).unwrap();
+    let mut co = session.fetch_co(DEPS_ARC).unwrap();
     let ws = &mut co.workspace;
     let e1 = ws
         .independent("xemp")
@@ -465,9 +488,9 @@ fn connect_table_write_back() {
         .unwrap()
         .id();
     ws.disconnect("empproperty", &[e1, s3]).unwrap();
-    co.save(&db).unwrap();
-    let r = db
-        .query("SELECT COUNT(*) FROM EMPSKILLS WHERE eseno = 1")
+    session.write_back(&mut co).unwrap();
+    let r = session
+        .query("SELECT COUNT(*) FROM EMPSKILLS WHERE eseno = 1", &[])
         .unwrap();
     assert_eq!(r.try_table().unwrap().rows[0][0], Value::Int(1));
 }
@@ -475,8 +498,9 @@ fn connect_table_write_back() {
 #[test]
 fn non_updatable_components_are_rejected() {
     let db = fig1_db();
+    let s = db.session();
     // A joined component is not updatable.
-    let mut co = db
+    let mut co = s
         .fetch_co(
             "OUT OF rich AS (SELECT e.eno, d.dname FROM EMP e, DEPT d WHERE e.edno = d.dno),
                     xemp AS EMP,
@@ -488,7 +512,7 @@ fn non_updatable_components_are_rejected() {
     co.workspace
         .update_value("rich", 0, "dname", "X".into())
         .unwrap();
-    let err = co.save(&db).unwrap_err();
+    let err = s.write_back(&mut co).unwrap_err();
     assert!(matches!(err, XnfError::Api(m) if m.contains("not updatable")));
     // The failed save keeps the change pending for retry.
     assert_eq!(co.workspace.pending_changes().len(), 1);
@@ -497,7 +521,8 @@ fn non_updatable_components_are_rejected() {
 #[test]
 fn write_back_is_atomic_on_conflict() {
     let db = fig1_db();
-    let mut co = db.fetch_co(DEPS_ARC).unwrap();
+    let session = db.session();
+    let mut co = session.fetch_co(DEPS_ARC).unwrap();
     let e1 = co
         .workspace
         .independent("xemp")
@@ -521,13 +546,16 @@ fn write_back_is_atomic_on_conflict() {
         .update_value("xemp", e2, "sal", Value::Double(222.0))
         .unwrap();
     // Sabotage: change e2's base row so the optimistic match fails.
-    db.execute("UPDATE EMP SET ename = 'changed' WHERE eno = 2")
+    session
+        .execute("UPDATE EMP SET ename = 'changed' WHERE eno = 2", &[])
         .unwrap();
 
-    let err = co.save(&db).unwrap_err();
+    let err = session.write_back(&mut co).unwrap_err();
     assert!(matches!(err, XnfError::Api(m) if m.contains("conflict")));
     // Atomicity: e1's update must have been rolled back.
-    let r = db.query("SELECT sal FROM EMP WHERE eno = 1").unwrap();
+    let r = session
+        .query("SELECT sal FROM EMP WHERE eno = 1", &[])
+        .unwrap();
     assert_eq!(r.try_table().unwrap().rows[0][0], Value::Double(100.0));
 }
 
@@ -537,7 +565,7 @@ fn write_back_is_atomic_on_conflict() {
 
 fn bom_db() -> Database {
     let db = Database::new();
-    db.execute_batch(
+    db.session().execute_batch(
         "CREATE TABLE PARTS (pid INT NOT NULL, pname VARCHAR(20));
          CREATE TABLE BOM (parent INT, child INT);
          INSERT INTO PARTS VALUES (1, 'engine'), (2, 'piston'), (3, 'ring'), (4, 'bolt'), (5, 'wheel');
@@ -559,7 +587,7 @@ TAKE *";
 #[test]
 fn recursive_bom_fixpoint() {
     let db = bom_db();
-    let r = db.query(BOM_CO).unwrap();
+    let r = db.session().query(BOM_CO, &[]).unwrap();
     // Reached parts: engine's transitive closure = piston, ring, bolt.
     // The wheel (5) and its BOM edge must NOT appear.
     let part = r.stream("part").unwrap();
@@ -595,9 +623,10 @@ fn recursive_bom_fixpoint() {
 #[test]
 fn recursive_cycle_terminates() {
     let db = bom_db();
+    let s = db.session();
     // Introduce a cycle: bolt contains piston.
-    db.execute("INSERT INTO BOM VALUES (4, 2)").unwrap();
-    let r = db.query(BOM_CO).unwrap();
+    s.execute("INSERT INTO BOM VALUES (4, 2)", &[]).unwrap();
+    let r = s.query(BOM_CO, &[]).unwrap();
     let part = r.stream("part").unwrap();
     let mut ids: Vec<i64> = part.rows.iter().map(|r| r[0].as_int().unwrap()).collect();
     ids.sort();
@@ -612,7 +641,8 @@ fn recursive_cycle_terminates() {
 fn recursive_take_projects_and_reaches_through_untaken_relationships() {
     let db = bom_db();
     let r = db
-        .query(&BOM_CO.replace("TAKE *", "TAKE asm, part(pid)"))
+        .session()
+        .query(&BOM_CO.replace("TAKE *", "TAKE asm, part(pid)"), &[])
         .unwrap();
     let names: Vec<&str> = r.streams.iter().map(|s| s.name.as_str()).collect();
     assert_eq!(names, ["asm", "part"]);
@@ -649,7 +679,7 @@ fn prepared_recursive_co_binds_parameters() {
 #[test]
 fn workspace_persistence_roundtrip() {
     let db = fig1_db();
-    let co = db.fetch_co(DEPS_ARC).unwrap();
+    let co = db.session().fetch_co(DEPS_ARC).unwrap();
     let mut buf = Vec::new();
     save_workspace(&co.workspace, &mut buf).unwrap();
     let loaded = load_workspace(&mut &buf[..]).unwrap();
@@ -756,20 +786,31 @@ fn shipping_policies_trade_off_exposure() {
 fn doc_example_smoke() {
     // Mirrors the crate-level doc example.
     let db = Database::new();
-    db.execute("CREATE TABLE DEPT (dno INT, dname VARCHAR(20), loc VARCHAR(10))")
+    let s = db.session();
+    s.execute(
+        "CREATE TABLE DEPT (dno INT, dname VARCHAR(20), loc VARCHAR(10))",
+        &[],
+    )
+    .unwrap();
+    s.execute(
+        "CREATE TABLE EMP (eno INT, ename VARCHAR(20), edno INT)",
+        &[],
+    )
+    .unwrap();
+    s.execute(
+        "INSERT INTO DEPT VALUES (1, 'tools', 'ARC'), (2, 'apps', 'HDC')",
+        &[],
+    )
+    .unwrap();
+    s.execute("INSERT INTO EMP VALUES (10, 'mia', 1), (11, 'ben', 2)", &[])
         .unwrap();
-    db.execute("CREATE TABLE EMP (eno INT, ename VARCHAR(20), edno INT)")
-        .unwrap();
-    db.execute("INSERT INTO DEPT VALUES (1, 'tools', 'ARC'), (2, 'apps', 'HDC')")
-        .unwrap();
-    db.execute("INSERT INTO EMP VALUES (10, 'mia', 1), (11, 'ben', 2)")
-        .unwrap();
-    let outcome = db
+    let outcome = s
         .execute(
             "OUT OF xdept AS (SELECT * FROM DEPT WHERE loc = 'ARC'),
                     xemp AS EMP,
                     employment AS (RELATE xdept VIA EMPLOYS, xemp WHERE xdept.dno = xemp.edno)
              TAKE *",
+            &[],
         )
         .unwrap();
     let ExecOutcome::Rows(r) = outcome else {

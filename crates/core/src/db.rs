@@ -4,12 +4,11 @@
 //! `Database` owns no transaction state of its own — transactions belong to
 //! [`Session`]s (one per client, per the paper's multi-workstation
 //! processing model), and `Database: Send + Sync` holds by construction so
-//! one instance can be shared across threads behind an `Arc`. The facade's
-//! statement calls (`execute`, `query`, `execute_batch`, `fetch_co`) are
-//! shorthands for the same call on a fresh [`Session`], so they run in
-//! *autocommit*: each statement gets a fresh latest-committed snapshot, and
-//! DML runs as a short transaction committed (with materialized-view
-//! maintenance) when the statement finishes.
+//! one instance can be shared across threads behind an `Arc`. Statements
+//! run through a [`Session`] ([`Database::session`]); outside `begin` a
+//! session runs in *autocommit*: each statement gets a fresh
+//! latest-committed snapshot, and DML runs as a short transaction committed
+//! (with materialized-view maintenance) when the statement finishes.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -254,7 +253,7 @@ impl Default for DbConfig {
     }
 }
 
-/// Result of [`Session::execute`] (and [`Database::execute`]).
+/// Result of [`Session::execute`].
 #[derive(Debug, Clone)]
 pub enum ExecOutcome {
     /// DDL executed.
@@ -906,24 +905,6 @@ impl Database {
     }
 
     // -- statement execution ----------------------------------------------
-
-    /// Execute one statement (SQL or XNF); [`Session::execute`] without
-    /// bindings.
-    pub fn execute(&self, text: &str) -> Result<ExecOutcome> {
-        self.session().execute(text, &[])
-    }
-
-    /// Execute a batch of semicolon-separated statements in one autocommit
-    /// session; returns the last outcome.
-    pub fn execute_batch(&self, text: &str) -> Result<ExecOutcome> {
-        self.session().execute_batch(text)
-    }
-
-    /// Run a SELECT, `OUT OF` or VACUUM and return its stream(s);
-    /// [`Session::query`] without bindings.
-    pub fn query(&self, sql: &str) -> Result<QueryResult> {
-        self.session().query(sql, &[])
-    }
 
     /// Execute a parsed statement with parameter bindings inside `scope`
     /// (the interpreted path for DDL/DML and for uncached queries).

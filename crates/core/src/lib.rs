@@ -28,28 +28,31 @@
 //!   that are applied directly (selection/projection views), by keyed
 //!   re-extraction (join and CO views, via base-table indexes), or by full
 //!   recompute (`REFRESH MATERIALIZED VIEW` / everything else). Hot COs are
-//!   served from stored streams by [`Database::fetch_co`] and
+//!   served from stored streams by [`Session::fetch_co`] and
 //!   [`Database::fetch_co_point`].
 //!
-//! The one-shot calls ([`Database::execute`], [`Database::query`],
-//! [`Database::execute_batch`], [`Database::fetch_co`]) are shorthands for
-//! the same call on a fresh autocommit [`Session`], not a path of their
-//! own: they share its plan cache, its errors and its rule on which
-//! statements return rows. [`run_sessions`] drives many sessions over one
-//! shared database, one thread each.
+//! A [`Session`] is the one way to run a statement: [`Session::execute`],
+//! [`Session::query`], [`Session::execute_batch`], [`Session::fetch_co`]
+//! and [`Session::write_back`] run in autocommit until [`Session::begin`].
+//! [`run_sessions`] drives many sessions over one shared database, one
+//! thread each.
 //!
 //! ```
 //! use xnf_core::{Database, Value};
 //!
 //! let db = Database::new();
-//! db.execute("CREATE TABLE DEPT (dno INT, dname VARCHAR(20), loc VARCHAR(10))").unwrap();
-//! db.execute("CREATE TABLE EMP (eno INT, ename VARCHAR(20), edno INT)").unwrap();
-//! db.execute("INSERT INTO DEPT VALUES (1, 'tools', 'ARC'), (2, 'apps', 'HDC')").unwrap();
-//! db.execute("INSERT INTO EMP VALUES (10, 'mia', 1), (11, 'ben', 2)").unwrap();
+//! let session = db.session();
+//! session
+//!     .execute_batch(
+//!         "CREATE TABLE DEPT (dno INT, dname VARCHAR(20), loc VARCHAR(10));
+//!          CREATE TABLE EMP (eno INT, ename VARCHAR(20), edno INT);
+//!          INSERT INTO DEPT VALUES (1, 'tools', 'ARC'), (2, 'apps', 'HDC');
+//!          INSERT INTO EMP VALUES (10, 'mia', 1), (11, 'ben', 2)",
+//!     )
+//!     .unwrap();
 //!
 //! // Prepare once: the parameterized point query compiles to a plan held
 //! // in the shared cache; each execute just binds and runs.
-//! let session = db.session();
 //! let mut by_eno = session.prepare("SELECT ename FROM EMP WHERE eno = ?").unwrap();
 //! by_eno.bind(&[Value::Int(10)]).unwrap();
 //! let r = by_eno.query().unwrap();

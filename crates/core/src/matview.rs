@@ -10,8 +10,9 @@
 //! - **composite-object (XNF) views** materialize every node and
 //!   connection stream. Node rows carry a stable `__coid` surrogate;
 //!   connection rows store surrogate pairs, so stored streams survive
-//!   incremental splicing (heap positions do not). [`Database::fetch_co`]
-//!   loads the workspace straight from storage, and
+//!   incremental splicing (heap positions do not).
+//!   [`Session::fetch_co`](crate::Session::fetch_co) loads the workspace
+//!   straight from storage, and
 //!   [`Database::fetch_co_point`] serves a single CO subtree via index
 //!   walks — the "hot CO from stored state" serving path.
 //!

@@ -7,7 +7,8 @@ use crate::db::Database;
 
 fn items_db() -> Database {
     let db = Database::new();
-    db.execute_batch(
+    let s = db.session();
+    s.execute_batch(
         "CREATE TABLE ITEMS (id INT NOT NULL, grp INT, val INT);
          CREATE TABLE GROUPS (gid INT NOT NULL, flag INT);
          CREATE UNIQUE INDEX items_id ON ITEMS (id);
@@ -16,25 +17,25 @@ fn items_db() -> Database {
     )
     .unwrap();
     for g in 0..10 {
-        db.execute(&format!("INSERT INTO GROUPS VALUES ({g}, {})", g % 2))
+        s.execute(&format!("INSERT INTO GROUPS VALUES ({g}, {})", g % 2), &[])
             .unwrap();
     }
     for i in 0..100 {
-        db.execute(&format!(
-            "INSERT INTO ITEMS VALUES ({i}, {}, {})",
-            i % 10,
-            i * 7 % 50
-        ))
+        s.execute(
+            &format!("INSERT INTO ITEMS VALUES ({i}, {}, {})", i % 10, i * 7 % 50),
+            &[],
+        )
         .unwrap();
     }
-    db.execute("ANALYZE").unwrap();
+    s.execute("ANALYZE", &[]).unwrap();
     db
 }
 
 /// Sorted bag of a query's rows (for content comparison).
 fn rows_of(db: &Database, sql: &str) -> Vec<Vec<String>> {
     let mut rows: Vec<Vec<String>> = db
-        .query(sql)
+        .session()
+        .query(sql, &[])
         .unwrap()
         .try_table()
         .unwrap()
@@ -49,21 +50,25 @@ fn rows_of(db: &Database, sql: &str) -> Vec<Vec<String>> {
 #[test]
 fn direct_matview_tracks_dml() {
     let db = items_db();
-    db.execute("CREATE MATERIALIZED VIEW small AS SELECT id, val FROM ITEMS WHERE val < 20")
-        .unwrap();
+    let s = db.session();
+    s.execute(
+        "CREATE MATERIALIZED VIEW small AS SELECT id, val FROM ITEMS WHERE val < 20",
+        &[],
+    )
+    .unwrap();
     let fresh = "SELECT id, val FROM ITEMS WHERE val < 20";
     assert_eq!(rows_of(&db, "SELECT * FROM small"), rows_of(&db, fresh));
 
     // Inserts in and out of the selection.
-    db.execute("INSERT INTO ITEMS VALUES (200, 1, 5), (201, 1, 45)")
+    s.execute("INSERT INTO ITEMS VALUES (200, 1, 5), (201, 1, 45)", &[])
         .unwrap();
     // Update moving a row across the predicate boundary both ways.
-    db.execute("UPDATE ITEMS SET val = 49 WHERE id = 200")
+    s.execute("UPDATE ITEMS SET val = 49 WHERE id = 200", &[])
         .unwrap();
-    db.execute("UPDATE ITEMS SET val = 3 WHERE id = 201")
+    s.execute("UPDATE ITEMS SET val = 3 WHERE id = 201", &[])
         .unwrap();
     // Delete.
-    db.execute("DELETE FROM ITEMS WHERE id = 201").unwrap();
+    s.execute("DELETE FROM ITEMS WHERE id = 201", &[]).unwrap();
     assert_eq!(rows_of(&db, "SELECT * FROM small"), rows_of(&db, fresh));
 
     let epoch = db.catalog().matview("small").unwrap().epoch();
@@ -73,11 +78,13 @@ fn direct_matview_tracks_dml() {
 #[test]
 fn matview_scan_appears_in_explain_and_uses_indexes() {
     let db = items_db();
-    db.execute(
-        "CREATE MATERIALIZED VIEW by_grp AS \
+    db.session()
+        .execute(
+            "CREATE MATERIALIZED VIEW by_grp AS \
          SELECT i.grp, i.id, i.val, g.flag FROM ITEMS i, GROUPS g WHERE i.grp = g.gid",
-    )
-    .unwrap();
+            &[],
+        )
+        .unwrap();
     let plan = db.explain("SELECT * FROM by_grp WHERE val > 10").unwrap();
     assert!(plan.contains("matview scan(by_grp)"), "got plan:\n{plan}");
 
@@ -92,34 +99,39 @@ fn matview_scan_appears_in_explain_and_uses_indexes() {
 #[test]
 fn keyed_join_matview_tracks_dml_on_both_legs() {
     let db = items_db();
-    db.execute(
+    let s = db.session();
+    s.execute(
         "CREATE MATERIALIZED VIEW by_grp AS \
          SELECT i.grp, i.id, i.val, g.flag FROM ITEMS i, GROUPS g WHERE i.grp = g.gid",
+        &[],
     )
     .unwrap();
     let fresh = "SELECT i.grp, i.id, i.val, g.flag FROM ITEMS i, GROUPS g WHERE i.grp = g.gid";
     assert_eq!(rows_of(&db, "SELECT * FROM by_grp"), rows_of(&db, fresh));
 
     // Fact-side churn.
-    db.execute("INSERT INTO ITEMS VALUES (300, 4, 9)").unwrap();
-    db.execute("UPDATE ITEMS SET grp = 5 WHERE id = 300")
+    s.execute("INSERT INTO ITEMS VALUES (300, 4, 9)", &[])
         .unwrap();
-    db.execute("DELETE FROM ITEMS WHERE id = 17").unwrap();
+    s.execute("UPDATE ITEMS SET grp = 5 WHERE id = 300", &[])
+        .unwrap();
+    s.execute("DELETE FROM ITEMS WHERE id = 17", &[]).unwrap();
     assert_eq!(rows_of(&db, "SELECT * FROM by_grp"), rows_of(&db, fresh));
 
     // Dimension-side churn (affects every row of the group).
-    db.execute("UPDATE GROUPS SET flag = 7 WHERE gid = 3")
+    s.execute("UPDATE GROUPS SET flag = 7 WHERE gid = 3", &[])
         .unwrap();
-    db.execute("DELETE FROM GROUPS WHERE gid = 9").unwrap();
+    s.execute("DELETE FROM GROUPS WHERE gid = 9", &[]).unwrap();
     assert_eq!(rows_of(&db, "SELECT * FROM by_grp"), rows_of(&db, fresh));
 }
 
 #[test]
 fn aggregate_matview_falls_back_to_full_recompute() {
     let db = items_db();
-    db.execute(
+    let s = db.session();
+    s.execute(
         "CREATE MATERIALIZED VIEW grp_counts AS \
          SELECT grp, COUNT(*) AS n FROM ITEMS GROUP BY grp",
+        &[],
     )
     .unwrap();
     let fresh = "SELECT grp, COUNT(*) AS n FROM ITEMS GROUP BY grp";
@@ -127,8 +139,9 @@ fn aggregate_matview_falls_back_to_full_recompute() {
         rows_of(&db, "SELECT * FROM grp_counts"),
         rows_of(&db, fresh)
     );
-    db.execute("INSERT INTO ITEMS VALUES (400, 2, 1)").unwrap();
-    db.execute("DELETE FROM ITEMS WHERE grp = 7").unwrap();
+    s.execute("INSERT INTO ITEMS VALUES (400, 2, 1)", &[])
+        .unwrap();
+    s.execute("DELETE FROM ITEMS WHERE grp = 7", &[]).unwrap();
     assert_eq!(
         rows_of(&db, "SELECT * FROM grp_counts"),
         rows_of(&db, fresh)
@@ -138,32 +151,40 @@ fn aggregate_matview_falls_back_to_full_recompute() {
 #[test]
 fn refresh_and_drop_matview() {
     let db = items_db();
-    db.execute("CREATE MATERIALIZED VIEW small AS SELECT id FROM ITEMS WHERE val < 10")
-        .unwrap();
+    let s = db.session();
+    s.execute(
+        "CREATE MATERIALIZED VIEW small AS SELECT id FROM ITEMS WHERE val < 10",
+        &[],
+    )
+    .unwrap();
     let before = db.catalog().matview("small").unwrap().epoch();
-    db.execute("REFRESH MATERIALIZED VIEW small").unwrap();
+    s.execute("REFRESH MATERIALIZED VIEW small", &[]).unwrap();
     assert!(db.catalog().matview("small").unwrap().epoch() > before);
     assert_eq!(
         rows_of(&db, "SELECT * FROM small"),
         rows_of(&db, "SELECT id FROM ITEMS WHERE val < 10")
     );
-    db.execute("DROP MATERIALIZED VIEW small").unwrap();
+    s.execute("DROP MATERIALIZED VIEW small", &[]).unwrap();
     assert!(db.catalog().matview("small").is_none());
-    assert!(db.query("SELECT * FROM small").is_err());
-    assert!(db.execute("REFRESH MATERIALIZED VIEW small").is_err());
+    assert!(s.query("SELECT * FROM small", &[]).is_err());
+    assert!(s.execute("REFRESH MATERIALIZED VIEW small", &[]).is_err());
 }
 
 #[test]
 fn dml_against_matview_is_rejected() {
     let db = items_db();
-    db.execute("CREATE MATERIALIZED VIEW small AS SELECT id FROM ITEMS WHERE val < 10")
-        .unwrap();
+    let s = db.session();
+    s.execute(
+        "CREATE MATERIALIZED VIEW small AS SELECT id FROM ITEMS WHERE val < 10",
+        &[],
+    )
+    .unwrap();
     for stmt in [
         "INSERT INTO small VALUES (1)",
         "UPDATE small SET id = 2",
         "DELETE FROM small",
     ] {
-        let err = db.execute(stmt).unwrap_err().to_string();
+        let err = s.execute(stmt, &[]).unwrap_err().to_string();
         assert!(err.contains("cannot run DML against view"), "{stmt}: {err}");
     }
 }
@@ -175,7 +196,11 @@ fn create_matview_invalidates_cached_plans() {
     let mut q = session.prepare("SELECT COUNT(*) FROM ITEMS").unwrap();
     q.query().unwrap();
     let gen_before = db.catalog().generation();
-    db.execute("CREATE MATERIALIZED VIEW small AS SELECT id FROM ITEMS WHERE val < 10")
+    session
+        .execute(
+            "CREATE MATERIALIZED VIEW small AS SELECT id FROM ITEMS WHERE val < 10",
+            &[],
+        )
         .unwrap();
     assert!(db.catalog().generation() > gen_before);
     // Re-executing revalidates against the new generation without error.
@@ -185,8 +210,12 @@ fn create_matview_invalidates_cached_plans() {
 #[test]
 fn matviews_maintain_from_committed_deltas_only() {
     let db = items_db();
-    db.execute("CREATE MATERIALIZED VIEW small AS SELECT id, val FROM ITEMS WHERE val < 20")
-        .unwrap();
+    let s = db.session();
+    s.execute(
+        "CREATE MATERIALIZED VIEW small AS SELECT id, val FROM ITEMS WHERE val < 20",
+        &[],
+    )
+    .unwrap();
     let before = rows_of(&db, "SELECT * FROM small");
 
     // Uncommitted DML must not reach the view: maintenance runs at COMMIT.
@@ -217,7 +246,7 @@ fn matviews_maintain_from_committed_deltas_only() {
     session.commit().unwrap();
     let incremental = rows_of(&db, "SELECT * FROM small");
     assert_ne!(incremental, before);
-    db.execute("REFRESH MATERIALIZED VIEW small").unwrap();
+    s.execute("REFRESH MATERIALIZED VIEW small", &[]).unwrap();
     assert_eq!(rows_of(&db, "SELECT * FROM small"), incremental);
 }
 
@@ -227,13 +256,17 @@ fn matview_created_mid_transaction_sees_the_commit() {
     // population cannot see them (they are uncommitted), but the deltas
     // captured before the view existed must still maintain it at COMMIT.
     let db = items_db();
+    let s = db.session();
     let session = db.session();
     session.begin().unwrap();
     session
         .execute("INSERT INTO ITEMS VALUES (600, 0, 1)", &[])
         .unwrap();
-    db.execute("CREATE MATERIALIZED VIEW small AS SELECT id, val FROM ITEMS WHERE val < 20")
-        .unwrap();
+    s.execute(
+        "CREATE MATERIALIZED VIEW small AS SELECT id, val FROM ITEMS WHERE val < 20",
+        &[],
+    )
+    .unwrap();
     let new_row = vec!["Int(600)".to_string(), "Int(1)".to_string()];
     assert!(
         !rows_of(&db, "SELECT * FROM small").contains(&new_row),
@@ -245,48 +278,56 @@ fn matview_created_mid_transaction_sees_the_commit() {
         committed.contains(&new_row),
         "commit-time maintenance must cover writes made before the view existed"
     );
-    db.execute("REFRESH MATERIALIZED VIEW small").unwrap();
+    s.execute("REFRESH MATERIALIZED VIEW small", &[]).unwrap();
     assert_eq!(rows_of(&db, "SELECT * FROM small"), committed);
 }
 
 #[test]
 fn drop_table_with_dependent_matview_is_rejected() {
     let db = items_db();
-    db.execute("CREATE MATERIALIZED VIEW small AS SELECT id FROM ITEMS WHERE val < 10")
-        .unwrap();
-    let err = db.execute("DROP TABLE ITEMS").unwrap_err().to_string();
+    let s = db.session();
+    s.execute(
+        "CREATE MATERIALIZED VIEW small AS SELECT id FROM ITEMS WHERE val < 10",
+        &[],
+    )
+    .unwrap();
+    let err = s.execute("DROP TABLE ITEMS", &[]).unwrap_err().to_string();
     assert!(
         err.contains("materialized view 'small' depends on it"),
         "{err}"
     );
     // GROUPS is not a dependency; dropping it is fine.
-    db.execute("DROP TABLE GROUPS").unwrap();
+    s.execute("DROP TABLE GROUPS", &[]).unwrap();
     // After dropping the view the table goes too.
-    db.execute("DROP MATERIALIZED VIEW small").unwrap();
-    db.execute("DROP TABLE ITEMS").unwrap();
+    s.execute("DROP MATERIALIZED VIEW small", &[]).unwrap();
+    s.execute("DROP TABLE ITEMS", &[]).unwrap();
 }
 
 #[test]
 fn dml_equality_with_null_matches_nothing_even_with_index() {
     let db = items_db();
-    db.execute("INSERT INTO ITEMS (id, val) VALUES (700, 1)")
+    let session = db.session();
+    session
+        .execute("INSERT INTO ITEMS (id, val) VALUES (700, 1)", &[])
         .unwrap();
     // grp is NULL for row 700 and ITEMS.grp is indexed: `grp = NULL` must
     // not take the index's NULL postings (three-valued logic).
     assert_eq!(
-        db.execute("UPDATE ITEMS SET val = 9 WHERE grp = NULL")
+        session
+            .execute("UPDATE ITEMS SET val = 9 WHERE grp = NULL", &[])
             .unwrap()
             .affected(),
         0
     );
     assert_eq!(
-        db.execute("DELETE FROM ITEMS WHERE grp = NULL")
+        session
+            .execute("DELETE FROM ITEMS WHERE grp = NULL", &[])
             .unwrap()
             .affected(),
         0
     );
-    let n = db
-        .query("SELECT COUNT(*) FROM ITEMS WHERE id = 700")
+    let n = session
+        .query("SELECT COUNT(*) FROM ITEMS WHERE id = 700", &[])
         .unwrap()
         .try_table()
         .unwrap()
@@ -299,11 +340,15 @@ fn dml_equality_with_null_matches_nothing_even_with_index() {
 #[test]
 fn failed_multi_row_dml_still_maintains_applied_prefix() {
     let db = items_db();
-    db.execute("CREATE MATERIALIZED VIEW small AS SELECT id, val FROM ITEMS WHERE val < 20")
-        .unwrap();
+    let s = db.session();
+    s.execute(
+        "CREATE MATERIALIZED VIEW small AS SELECT id, val FROM ITEMS WHERE val < 20",
+        &[],
+    )
+    .unwrap();
     // Second row violates the unique index on id: the first row applies,
     // the statement errors, and the view must still reflect the first row.
-    let err = db.execute("INSERT INTO ITEMS VALUES (800, 1, 5), (800, 1, 6)");
+    let err = s.execute("INSERT INTO ITEMS VALUES (800, 1, 5), (800, 1, 6)", &[]);
     assert!(err.is_err());
     assert_eq!(
         rows_of(&db, "SELECT * FROM small"),
@@ -330,8 +375,10 @@ fn in_place_rewrite_invalidates_a_pending_pre_lock_extraction() {
     use crate::session::ActiveTxn;
 
     let db = Database::new();
-    db.execute_batch(
-        "CREATE TABLE DEPT (dno INT NOT NULL, dname VARCHAR(20));
+    let autocommit = db.session();
+    autocommit
+        .execute_batch(
+            "CREATE TABLE DEPT (dno INT NOT NULL, dname VARCHAR(20));
          CREATE TABLE EMP (eno INT NOT NULL, ename VARCHAR(20), edno INT, sal INT);
          CREATE UNIQUE INDEX dept_pk ON DEPT (dno);
          CREATE UNIQUE INDEX emp_pk ON EMP (eno);
@@ -342,10 +389,10 @@ fn in_place_rewrite_invalidates_a_pending_pre_lock_extraction() {
            OUT OF xdept AS DEPT, xemp AS EMP,
                   employment AS (RELATE xdept VIA EMPLOYS, xemp WHERE xdept.dno = xemp.edno)
            TAKE *",
-    )
-    .unwrap();
+        )
+        .unwrap();
     let stored_emps = |db: &Database| -> Vec<String> {
-        let co = db.fetch_co("deps").unwrap();
+        let co = db.session().fetch_co("deps").unwrap();
         let mut rows: Vec<String> = co
             .workspace
             .independent("xemp")
@@ -368,7 +415,8 @@ fn in_place_rewrite_invalidates_a_pending_pre_lock_extraction() {
 
     // The interposed commit: a value-only raise in department 1.
     let rewritten = db.maint_stats().mv_nodes_rewritten;
-    db.execute("UPDATE EMP SET sal = sal + 5 WHERE eno = 2")
+    autocommit
+        .execute("UPDATE EMP SET sal = sal + 5 WHERE eno = 2", &[])
         .unwrap();
     assert_eq!(db.maint_stats().mv_nodes_rewritten, rewritten + 1);
 
@@ -380,7 +428,9 @@ fn in_place_rewrite_invalidates_a_pending_pre_lock_extraction() {
     }
 
     let incremental = stored_emps(&db);
-    db.execute("REFRESH MATERIALIZED VIEW deps").unwrap();
+    autocommit
+        .execute("REFRESH MATERIALIZED VIEW deps", &[])
+        .unwrap();
     assert_eq!(
         incremental,
         stored_emps(&db),

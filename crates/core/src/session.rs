@@ -150,6 +150,18 @@ pub struct CompiledStmt {
     pub(crate) generation: u64,
 }
 
+/// Refuse to run a statement with `n_params` placeholders when only
+/// `bound` values are bound, naming the call that binds them.
+fn require_bound(n_params: usize, bound: usize) -> Result<()> {
+    if bound < n_params {
+        return Err(XnfError::Api(format!(
+            "statement has {} unbound parameter(s); use session().prepare(...).bind(...)",
+            n_params - bound
+        )));
+    }
+    Ok(())
+}
+
 impl CompiledStmt {
     pub fn param_count(&self) -> usize {
         self.n_params
@@ -166,13 +178,7 @@ impl CompiledStmt {
     /// when `bound` values leave some of the statement's `?` placeholders
     /// unbound, naming the call that binds them.
     pub(crate) fn require_bound(&self, bound: usize) -> Result<()> {
-        if bound < self.n_params {
-            return Err(XnfError::Api(format!(
-                "statement has {} unbound parameter(s); use session().prepare(...).bind(...)",
-                self.n_params - bound
-            )));
-        }
-        Ok(())
+        require_bound(self.n_params, bound)
     }
 
     /// Does the statement return rows? SELECT, `OUT OF` and VACUUM (its
@@ -423,10 +429,23 @@ impl<'db> Session<'db> {
         self.prepare_bound(text, params)?.query()
     }
 
-    /// Run semicolon-separated statements in order inside this session's
-    /// scope and return the last outcome (the body of
-    /// [`Database::execute_batch`]).
-    pub(crate) fn execute_batch(&self, text: &str) -> Result<ExecOutcome> {
+    /// Run semicolon-separated statements in order and return the last
+    /// outcome. The statements bypass the plan cache and take no bindings:
+    /// a batch containing a `?` placeholder is refused, with the same
+    /// unbound-parameter error as [`Session::execute`], before any
+    /// statement runs.
+    ///
+    /// Each statement runs in this session's transaction scope: inside
+    /// [`Session::begin`] the whole batch joins the open transaction (so
+    /// [`Session::rollback`] undoes all of it); in autocommit every
+    /// statement commits on its own, so when a statement fails, the ones
+    /// before it stay applied and the ones after it do not run.
+    pub fn execute_batch(&self, text: &str) -> Result<ExecOutcome> {
+        let placeholders = xnf_sql::lexer::lex(text)?
+            .iter()
+            .filter(|t| t.kind == xnf_sql::token::TokenKind::Placeholder)
+            .count();
+        require_bound(placeholders, 0)?;
         let mut last = ExecOutcome::Done;
         for stmt in parse_statements(text)? {
             last = self
@@ -598,8 +617,9 @@ impl<'db> Prepared<'db> {
 /// use xnf_core::{run_sessions, Database, Value};
 ///
 /// let db = Arc::new(Database::new());
-/// db.execute("CREATE TABLE T (id INT, v INT)").unwrap();
-/// db.execute("INSERT INTO T VALUES (1, 10), (2, 20)").unwrap();
+/// db.session()
+///     .execute_batch("CREATE TABLE T (id INT, v INT); INSERT INTO T VALUES (1, 10), (2, 20)")
+///     .unwrap();
 /// let counts = run_sessions(&db, 4, |_, session| {
 ///     session
 ///         .query("SELECT COUNT(*) FROM T", &[])

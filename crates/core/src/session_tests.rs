@@ -9,13 +9,14 @@ use crate::session::PLAN_CACHE_CAPACITY;
 
 fn emp_db() -> Database {
     let db = Database::new();
-    db.execute_batch(
-        "CREATE TABLE DEPT (dno INT, dname VARCHAR(20), loc VARCHAR(10));
+    db.session()
+        .execute_batch(
+            "CREATE TABLE DEPT (dno INT, dname VARCHAR(20), loc VARCHAR(10));
          CREATE TABLE EMP (eno INT, ename VARCHAR(20), edno INT);
          INSERT INTO DEPT VALUES (1, 'tools', 'ARC'), (2, 'apps', 'HDC');
          INSERT INTO EMP VALUES (10, 'mia', 1), (11, 'ben', 2), (12, 'ana', 1)",
-    )
-    .unwrap();
+        )
+        .unwrap();
     db
 }
 
@@ -61,7 +62,9 @@ fn prepared_select_executes_many_without_recompiling() {
 #[test]
 fn prepared_point_query_uses_an_index() {
     let db = emp_db();
-    db.execute("CREATE INDEX emp_eno ON EMP (eno)").unwrap();
+    db.session()
+        .execute("CREATE INDEX emp_eno ON EMP (eno)", &[])
+        .unwrap();
     let plan = db.explain("SELECT * FROM EMP WHERE eno = ?").unwrap();
     assert!(
         plan.contains("IndexEq"),
@@ -136,19 +139,21 @@ fn parameterized_co_cache_refreshes_under_its_bindings() {
     assert_eq!(co.workspace.component("xemp").unwrap().len(), 2);
 
     // New data arrives; refresh must re-execute under the ARC binding.
-    db.execute("INSERT INTO EMP VALUES (15, 'joy', 1)").unwrap();
-    co.refresh(&db).unwrap();
+    session
+        .execute("INSERT INTO EMP VALUES (15, 'joy', 1)", &[])
+        .unwrap();
+    co.refresh(&session).unwrap();
     assert_eq!(co.workspace.component("xemp").unwrap().len(), 3);
 
-    // One-shot fetch_co / query refuse unbound parameters with an
+    // Session's one-shot fetch_co / query refuse unbound parameters with an
     // API error instead of a deep runtime binding failure.
     let text = "OUT OF xemp AS (SELECT * FROM EMP) TAKE * WHERE xemp.edno = ?";
-    let err = match db.fetch_co(text) {
+    let err = match session.fetch_co(text) {
         Err(e) => e.to_string(),
         Ok(_) => panic!("fetch_co with unbound parameter must fail"),
     };
     assert!(err.contains("unbound parameter"), "got: {err}");
-    let err = db.query(text).unwrap_err().to_string();
+    let err = session.query(text, &[]).unwrap_err().to_string();
     assert!(err.contains("unbound parameter"), "got: {err}");
 }
 
@@ -166,10 +171,15 @@ fn plan_cache_invalidates_on_ddl() {
 
     // Drop and recreate EMP with a different schema: the prepared handle
     // must recompile, not replay the stale 3-column plan.
-    db.execute("DROP TABLE EMP").unwrap();
-    db.execute("CREATE TABLE EMP (eno INT, ename VARCHAR(20), sal DOUBLE, active BOOLEAN)")
+    session.execute("DROP TABLE EMP", &[]).unwrap();
+    session
+        .execute(
+            "CREATE TABLE EMP (eno INT, ename VARCHAR(20), sal DOUBLE, active BOOLEAN)",
+            &[],
+        )
         .unwrap();
-    db.execute("INSERT INTO EMP VALUES (20, 'zoe', 95.5, TRUE)")
+    session
+        .execute("INSERT INTO EMP VALUES (20, 'zoe', 95.5, TRUE)", &[])
         .unwrap();
 
     let invalidations_before = db.plan_cache_stats().invalidations;
@@ -189,9 +199,10 @@ fn plan_cache_invalidates_on_ddl() {
     );
     assert!(db.plan_cache_stats().invalidations > invalidations_before);
 
-    // One-shot calls see the new schema through the cache as well.
+    // Session's one-shot query sees the new schema through the cache as well.
     assert_eq!(
-        db.query("SELECT * FROM EMP")
+        session
+            .query("SELECT * FROM EMP", &[])
             .unwrap()
             .try_table()
             .unwrap()
@@ -205,9 +216,12 @@ fn plan_cache_invalidates_on_ddl() {
 fn one_shot_calls_share_the_plan_cache() {
     let db = emp_db();
     let h0 = db.plan_cache_stats().hits;
-    db.query("SELECT COUNT(*) FROM EMP").unwrap();
-    db.query("SELECT  COUNT(*)  FROM EMP").unwrap(); // same key after normalization
-    db.query("SELECT COUNT(*) FROM EMP").unwrap();
+    // Each call runs in its own fresh session: the hits cross sessions.
+    db.session().query("SELECT COUNT(*) FROM EMP", &[]).unwrap();
+    db.session()
+        .query("SELECT  COUNT(*)  FROM EMP", &[])
+        .unwrap(); // same key after normalization
+    db.session().query("SELECT COUNT(*) FROM EMP", &[]).unwrap();
     assert!(db.plan_cache_stats().hits >= h0 + 2);
 }
 
@@ -238,8 +252,8 @@ fn parameterized_dml_round_trips() {
     let mut del = session.prepare("DELETE FROM EMP WHERE edno = ?").unwrap();
     assert_eq!(del.execute_with(&[Value::Int(2)]).unwrap().affected(), 3);
 
-    let left: Vec<i64> = db
-        .query("SELECT eno FROM EMP ORDER BY eno")
+    let left: Vec<i64> = session
+        .query("SELECT eno FROM EMP ORDER BY eno", &[])
         .unwrap()
         .try_table()
         .unwrap()
@@ -263,17 +277,24 @@ fn bind_arity_is_checked() {
     p.bind(&[Value::Int(10), Value::Int(1)]).unwrap();
     assert_eq!(p.query().unwrap().try_table().unwrap().rows.len(), 1);
 
-    // One-shot APIs refuse unbound parameters instead of mis-executing.
-    assert!(db.query("SELECT * FROM EMP WHERE eno = ?").is_err());
-    assert!(db.execute("DELETE FROM EMP WHERE eno = ?").is_err());
+    // Session's one-shot query / execute refuse unbound parameters instead
+    // of mis-executing.
+    assert!(session
+        .query("SELECT * FROM EMP WHERE eno = ?", &[])
+        .is_err());
+    assert!(session
+        .execute("DELETE FROM EMP WHERE eno = ?", &[])
+        .is_err());
 }
 
 #[test]
 fn lru_keeps_the_cache_bounded() {
     let db = Database::new();
-    db.execute("CREATE TABLE T (a INT)").unwrap();
+    let s = db.session();
+    s.execute("CREATE TABLE T (a INT)", &[]).unwrap();
     for i in 0..PLAN_CACHE_CAPACITY + 20 {
-        db.query(&format!("SELECT a FROM T WHERE a = {i}")).unwrap();
+        s.query(&format!("SELECT a FROM T WHERE a = {i}"), &[])
+            .unwrap();
     }
     assert!(db.plan_cache_len() <= PLAN_CACHE_CAPACITY);
     assert!(db.plan_cache_stats().evictions >= 20);
@@ -282,21 +303,24 @@ fn lru_keeps_the_cache_bounded() {
 #[test]
 fn try_rows_reports_non_query_outcomes() {
     let db = Database::new();
-    let out = db.execute("CREATE TABLE T (a INT)").unwrap();
+    let s = db.session();
+    let out = s.execute("CREATE TABLE T (a INT)", &[]).unwrap();
     assert!(out.try_rows().is_err());
-    let out = db.execute("INSERT INTO T VALUES (1)").unwrap();
+    let out = s.execute("INSERT INTO T VALUES (1)", &[]).unwrap();
     assert!(out.try_rows().is_err());
-    let out = db.execute("SELECT * FROM T").unwrap();
+    let out = s.execute("SELECT * FROM T", &[]).unwrap();
     assert_eq!(out.try_rows().unwrap().try_table().unwrap().rows.len(), 1);
 }
 
 #[test]
 fn typed_tuple_accessors_strip_quoting() {
     let db = emp_db();
-    db.execute("CREATE TABLE SAL (eno INT, amount DOUBLE)")
+    let s = db.session();
+    s.execute("CREATE TABLE SAL (eno INT, amount DOUBLE)", &[])
         .unwrap();
-    db.execute("INSERT INTO SAL VALUES (10, 101.5)").unwrap();
-    let co = db
+    s.execute("INSERT INTO SAL VALUES (10, 101.5)", &[])
+        .unwrap();
+    let co = s
         .fetch_co(
             "OUT OF xemp AS EMP, xsal AS SAL,
                     pay AS (RELATE xemp VIA EARNS, xsal WHERE xemp.eno = xsal.eno)
@@ -316,8 +340,13 @@ fn typed_tuple_accessors_strip_quoting() {
 #[test]
 fn vacuum_runs_inside_and_outside_transactions() {
     let db = emp_db();
+    let autocommit = db.session();
     for i in 0..10 {
-        db.execute(&format!("UPDATE EMP SET ename = 'x{i}' WHERE eno = 10"))
+        autocommit
+            .execute(
+                &format!("UPDATE EMP SET ename = 'x{i}' WHERE eno = 10"),
+                &[],
+            )
             .unwrap();
     }
 
@@ -333,7 +362,8 @@ fn vacuum_runs_inside_and_outside_transactions() {
         .unwrap()
         .rows
         .clone();
-    db.execute("UPDATE EMP SET ename = 'later' WHERE eno = 10")
+    autocommit
+        .execute("UPDATE EMP SET ename = 'later' WHERE eno = 10", &[])
         .unwrap();
     let report = session.query("VACUUM", &[]).unwrap();
     assert_eq!(
@@ -355,7 +385,11 @@ fn vacuum_runs_inside_and_outside_transactions() {
     session.commit().unwrap();
 
     // Outside any transaction the backlog fully reclaims.
-    let result = db.execute("VACUUM EMP").unwrap().try_rows().unwrap();
+    let result = autocommit
+        .execute("VACUUM EMP", &[])
+        .unwrap()
+        .try_rows()
+        .unwrap();
     assert!(result.stats.gc_versions_reclaimed > 0);
     let t = db.catalog().table("EMP").unwrap();
     assert_eq!(
@@ -364,17 +398,18 @@ fn vacuum_runs_inside_and_outside_transactions() {
         "one version per live EMP row after vacuum"
     );
 
-    // The one-shot query form returns the same report stream.
-    let report = db.query("VACUUM").unwrap();
+    // Session's one-shot query returns the same report stream.
+    let report = autocommit.query("VACUUM", &[]).unwrap();
     assert_eq!(report.try_table().unwrap().columns[0], "table");
 }
 
 #[test]
 fn query_refuses_statements_without_rows_before_running_them() {
     let db = Database::new();
-    db.execute_batch("CREATE TABLE T (a INT); INSERT INTO T VALUES (1), (2)")
-        .unwrap();
     let session = db.session();
+    session
+        .execute_batch("CREATE TABLE T (a INT); INSERT INTO T VALUES (1), (2)")
+        .unwrap();
     for text in [
         "DELETE FROM T",
         "UPDATE T SET a = 0",
@@ -385,15 +420,13 @@ fn query_refuses_statements_without_rows_before_running_them() {
     ] {
         let err = session.query(text, &[]).unwrap_err().to_string();
         assert!(err.contains("expects SELECT or OUT OF"), "{text}: {err}");
-        let err = db.query(text).unwrap_err().to_string();
-        assert!(err.contains("expects SELECT or OUT OF"), "{text}: {err}");
     }
     let mut refresh = session.prepare("REFRESH MATERIALIZED VIEW T").unwrap();
     assert!(refresh.query().is_err());
 
     // Nothing ran: T keeps both rows and U was never created.
-    let rows = db
-        .query("SELECT a FROM T ORDER BY a")
+    let rows = session
+        .query("SELECT a FROM T ORDER BY a", &[])
         .unwrap()
         .try_table()
         .unwrap()
@@ -408,7 +441,6 @@ fn unbound_parameters_get_one_message_on_every_execute_path() {
     let db = emp_db();
     let text = "DELETE FROM EMP WHERE eno = ?";
     let session = db.session();
-    let one_shot = db.execute(text).unwrap_err().to_string();
     let via_session = session.execute(text, &[]).unwrap_err().to_string();
     let via_prepared = session
         .prepare(text)
@@ -417,11 +449,21 @@ fn unbound_parameters_get_one_message_on_every_execute_path() {
         .unwrap_err()
         .to_string();
     assert!(
-        one_shot.contains("1 unbound parameter(s)"),
-        "got: {one_shot}"
+        via_session.contains("1 unbound parameter(s)"),
+        "got: {via_session}"
     );
-    assert_eq!(via_session, one_shot);
-    assert_eq!(via_prepared, one_shot);
+    assert_eq!(via_prepared, via_session);
+    // A batch holding a placeholder is refused the same way, before any of
+    // its statements runs.
+    let via_batch = session
+        .execute_batch(&format!("INSERT INTO EMP VALUES (13, 'kim', 2); {text}"))
+        .unwrap_err()
+        .to_string();
+    assert_eq!(via_batch, via_session);
+    assert_eq!(
+        co_enos(&session.fetch_co(EMP_CO).unwrap()),
+        vec![10, 11, 12]
+    );
 }
 
 const EMP_CO: &str = "OUT OF xdept AS (SELECT * FROM DEPT),
@@ -445,56 +487,106 @@ fn co_enos(co: &CoCache) -> Vec<i64> {
 #[test]
 fn session_fetch_co_reads_the_open_transaction_snapshot() {
     let db = emp_db();
+    let s = db.session();
     let session = db.session();
     session.begin().unwrap();
     session
         .execute("INSERT INTO EMP VALUES (13, 'kim', 2)", &[])
         .unwrap();
     // Committed by another session after the begin: not in the snapshot.
-    db.execute("INSERT INTO EMP VALUES (14, 'lou', 1)").unwrap();
+    s.execute("INSERT INTO EMP VALUES (14, 'lou', 1)", &[])
+        .unwrap();
 
     let inside = session.fetch_co(EMP_CO).unwrap();
     assert_eq!(co_enos(&inside), vec![10, 11, 12, 13]);
 
     session.rollback().unwrap();
-    let after = db.fetch_co(EMP_CO).unwrap();
+    let after = s.fetch_co(EMP_CO).unwrap();
     assert_eq!(co_enos(&after), vec![10, 11, 12, 14]);
 }
 
 #[test]
-fn session_fetch_co_by_view_name_matches_the_one_shot_form() {
+fn session_fetch_co_by_view_name_serves_plain_and_materialized_views() {
     let db = emp_db();
-    db.execute(&format!("CREATE VIEW emp_co AS {EMP_CO}"))
-        .unwrap();
-    db.execute(&format!("CREATE MATERIALIZED VIEW emp_co_mv AS {EMP_CO}"))
-        .unwrap();
     let session = db.session();
+    session
+        .execute_batch(&format!(
+            "CREATE VIEW emp_co AS {EMP_CO}; CREATE MATERIALIZED VIEW emp_co_mv AS {EMP_CO}"
+        ))
+        .unwrap();
     for name in ["emp_co", "emp_co_mv"] {
-        let via_session = session.fetch_co(name).unwrap();
-        assert_eq!(co_enos(&via_session), vec![10, 11, 12], "{name}");
-        assert_eq!(
-            via_session.workspace.to_text(),
-            db.fetch_co(name).unwrap().workspace.to_text(),
-            "{name}"
-        );
+        let co = session.fetch_co(name).unwrap();
+        assert_eq!(co_enos(&co), vec![10, 11, 12], "{name}");
     }
+}
+
+#[test]
+fn execute_batch_joins_an_open_transaction() {
+    let db = emp_db();
+    let session = db.session();
+    session.begin().unwrap();
+    session
+        .execute_batch(
+            "INSERT INTO EMP VALUES (13, 'kim', 2);
+             UPDATE EMP SET ename = 'max' WHERE eno = 10;
+             DELETE FROM EMP WHERE eno = 11",
+        )
+        .unwrap();
+    // The batch's writes are the transaction's: visible inside it...
+    let inside = session.fetch_co(EMP_CO).unwrap();
+    assert_eq!(co_enos(&inside), vec![10, 12, 13]);
+    // ...and undone, all three, by one rollback.
+    session.rollback().unwrap();
+    let after = session.fetch_co(EMP_CO).unwrap();
+    assert_eq!(co_enos(&after), vec![10, 11, 12]);
+    let name = session
+        .query("SELECT ename FROM EMP WHERE eno = 10", &[])
+        .unwrap();
+    assert_eq!(
+        name.try_table().unwrap().rows,
+        vec![vec![Value::Str("mia".into())]]
+    );
+}
+
+#[test]
+fn execute_batch_in_autocommit_commits_each_statement() {
+    let db = emp_db();
+    let session = db.session();
+    let err = session
+        .execute_batch(
+            "INSERT INTO EMP VALUES (13, 'kim', 2);
+             DELETE FROM EMP WHERE eno = 11;
+             INSERT INTO NOPE VALUES (1);
+             INSERT INTO EMP VALUES (14, 'lou', 1)",
+        )
+        .unwrap_err();
+    assert!(err.to_string().contains("NOPE"), "got: {err}");
+    // The first two statements committed on their own; the fourth never ran.
+    assert!(!session.in_transaction());
+    let co = db.session().fetch_co(EMP_CO).unwrap();
+    assert_eq!(co_enos(&co), vec![10, 12, 13]);
 }
 
 #[test]
 fn stale_plan_never_served_across_view_ddl() {
     let db = emp_db();
-    db.execute(
+    let s = db.session();
+    s.execute(
         "CREATE VIEW arc_emps AS SELECT e.eno FROM EMP e, DEPT d \
                 WHERE e.edno = d.dno AND d.loc = 'ARC'",
+        &[],
     )
     .unwrap();
     let session = db.session();
     let mut p = session.prepare("SELECT * FROM arc_emps").unwrap();
     assert_eq!(p.query().unwrap().try_table().unwrap().rows.len(), 2);
 
-    db.execute("DROP VIEW arc_emps").unwrap();
-    db.execute("CREATE VIEW arc_emps AS SELECT e.eno FROM EMP e WHERE e.edno = 2")
-        .unwrap();
+    s.execute("DROP VIEW arc_emps", &[]).unwrap();
+    s.execute(
+        "CREATE VIEW arc_emps AS SELECT e.eno FROM EMP e WHERE e.edno = 2",
+        &[],
+    )
+    .unwrap();
     let r = p.query().unwrap();
     assert_eq!(r.try_table().unwrap().rows, vec![vec![Value::Int(11)]]);
 }

@@ -16,7 +16,8 @@ pub fn build_bom(layers: usize, width: usize) -> Database {
 /// [`build_bom`] under a custom [`DbConfig`].
 pub fn build_bom_with(layers: usize, width: usize, config: DbConfig) -> Database {
     let db = Database::with_config(config);
-    db.execute_batch(
+    let s = db.session();
+    s.execute_batch(
         "CREATE TABLE PARTS (pid INT NOT NULL, pname VARCHAR(20));
          CREATE TABLE BOM (parent INT, child INT);",
     )
@@ -43,7 +44,7 @@ pub fn build_bom_with(layers: usize, width: usize, config: DbConfig) -> Database
             }
         }
     }
-    db.execute("ANALYZE").unwrap();
+    s.execute("ANALYZE", &[]).unwrap();
     db
 }
 

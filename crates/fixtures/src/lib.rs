@@ -19,7 +19,7 @@
 //! use xnf_fixtures::{build_paper_db, PaperScale, DEPS_ARC};
 //!
 //! let db = build_paper_db(PaperScale { departments: 10, ..Default::default() });
-//! let co = db.fetch_co(DEPS_ARC).unwrap();
+//! let co = db.session().fetch_co(DEPS_ARC).unwrap();
 //! assert!(co.workspace.component("xdept").unwrap().len() > 0);
 //! ```
 

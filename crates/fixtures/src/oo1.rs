@@ -57,7 +57,8 @@ pub fn build_oo1_db(cfg: Oo1Config) -> Database {
 /// seed.
 pub fn build_oo1_db_with(cfg: Oo1Config, config: DbConfig) -> Database {
     let db = Database::with_config(config);
-    db.execute_batch(
+    let s = db.session();
+    s.execute_batch(
         "CREATE TABLE OO1PARTS (id INT NOT NULL, ptype VARCHAR(10), x INT, y INT);
          CREATE TABLE OO1CONN (src INT, dst INT, ctype VARCHAR(10), length INT);",
     )
@@ -105,7 +106,7 @@ pub fn build_oo1_db_with(cfg: Oo1Config, config: DbConfig) -> Database {
                 .unwrap();
         }
     }
-    db.execute_batch(
+    s.execute_batch(
         "CREATE UNIQUE INDEX oo1_pk ON OO1PARTS (id);
          CREATE INDEX oo1_src ON OO1CONN (src);
          ANALYZE;",
@@ -124,10 +125,14 @@ mod tests {
             parts: 200,
             ..Default::default()
         });
-        let r = db.query("SELECT COUNT(*) FROM OO1CONN").unwrap();
+        let s = db.session();
+        let r = s.query("SELECT COUNT(*) FROM OO1CONN", &[]).unwrap();
         assert_eq!(r.try_table().unwrap().rows[0][0], Value::Int(600));
-        let r = db
-            .query("SELECT src, COUNT(*) AS n FROM OO1CONN GROUP BY src HAVING COUNT(*) <> 3")
+        let r = s
+            .query(
+                "SELECT src, COUNT(*) AS n FROM OO1CONN GROUP BY src HAVING COUNT(*) <> 3",
+                &[],
+            )
             .unwrap();
         assert!(
             r.try_table().unwrap().rows.is_empty(),
@@ -141,7 +146,7 @@ mod tests {
             parts: 150,
             ..Default::default()
         });
-        let co = db.fetch_co(OO1_CO).unwrap();
+        let co = db.session().fetch_co(OO1_CO).unwrap();
         assert_eq!(co.workspace.component("part").unwrap().len(), 150);
         assert_eq!(
             co.workspace

@@ -89,7 +89,8 @@ pub fn build_paper_db_with(scale: PaperScale, config: DbConfig) -> Database {
     } else {
         Database::with_config(config)
     };
-    db.execute_batch(SCHEMA).expect("schema");
+    let session = db.session();
+    session.execute_batch(SCHEMA).expect("schema");
 
     let mut rng = StdRng::seed_from_u64(scale.seed);
     let cat = db.catalog();
@@ -162,7 +163,7 @@ pub fn build_paper_db_with(scale: PaperScale, config: DbConfig) -> Database {
             .unwrap();
     }
 
-    db.execute_batch(INDEXES).expect("indexes");
+    session.execute_batch(INDEXES).expect("indexes");
     db
 }
 
@@ -172,7 +173,8 @@ pub fn build_paper_db_with(scale: PaperScale, config: DbConfig) -> Database {
 /// ANALYZE. A department's CO is the same at every database size.
 pub fn build_uniform_paper_db_with(depts: i64, config: DbConfig) -> Database {
     let db = Database::with_config(config);
-    db.execute_batch(SCHEMA).expect("schema");
+    let session = db.session();
+    session.execute_batch(SCHEMA).expect("schema");
     let table = |name: &str| db.catalog().table(name).unwrap();
     let insert = |t: &str, values: Vec<Value>| table(t).insert(&Tuple::new(values)).unwrap();
     let named = |i: i64, prefix: &str| vec![Value::Int(i), Value::Str(format!("{prefix}-{i}"))];
@@ -203,7 +205,7 @@ pub fn build_uniform_paper_db_with(depts: i64, config: DbConfig) -> Database {
         insert("SKILLS", named(s, "skill"));
     }
     let indexes = format!("CREATE UNIQUE INDEX skills_pk ON SKILLS (sno); {INDEXES}");
-    db.execute_batch(&indexes).expect("indexes");
+    session.execute_batch(&indexes).expect("indexes");
     db
 }
 
@@ -225,7 +227,12 @@ mod tests {
         };
         let db = build_paper_db(scale);
         let count = |sql: &str| -> i64 {
-            db.query(sql).unwrap().try_table().unwrap().rows[0][0]
+            db.session()
+                .query(sql, &[])
+                .unwrap()
+                .try_table()
+                .unwrap()
+                .rows[0][0]
                 .as_int()
                 .unwrap()
         };
@@ -243,9 +250,10 @@ mod tests {
             employees_per_dept: 5,
             ..Default::default()
         });
-        let co = db.fetch_co(DEPS_ARC).unwrap();
-        let n_arc = db
-            .query("SELECT COUNT(*) FROM DEPT WHERE loc = 'ARC'")
+        let session = db.session();
+        let co = session.fetch_co(DEPS_ARC).unwrap();
+        let n_arc = session
+            .query("SELECT COUNT(*) FROM DEPT WHERE loc = 'ARC'", &[])
             .unwrap()
             .try_table()
             .unwrap()
@@ -267,8 +275,8 @@ mod tests {
         let b = build_paper_db(PaperScale::default());
         let q = "SELECT SUM(eno) FROM EMP";
         assert_eq!(
-            a.query(q).unwrap().try_table().unwrap().rows[0][0],
-            b.query(q).unwrap().try_table().unwrap().rows[0][0]
+            a.session().query(q, &[]).unwrap().try_table().unwrap().rows[0][0],
+            b.session().query(q, &[]).unwrap().try_table().unwrap().rows[0][0]
         );
     }
 }

@@ -32,10 +32,12 @@ impl Default for RandomTableConfig {
 /// Create table `name(a INT, b INT, c VARCHAR)` in `db` filled with random
 /// data; returns the rows inserted.
 pub fn random_table(db: &Database, name: &str, cfg: RandomTableConfig) -> Vec<Vec<Value>> {
-    db.execute(&format!(
-        "CREATE TABLE {name} (a INT, b INT, c VARCHAR(16))"
-    ))
-    .expect("create random table");
+    db.session()
+        .execute(
+            &format!("CREATE TABLE {name} (a INT, b INT, c VARCHAR(16))"),
+            &[],
+        )
+        .expect("create random table");
     let table = db.catalog().table(name).unwrap();
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut rows = Vec::with_capacity(cfg.rows);
@@ -82,11 +84,13 @@ fn random_value(rng: &mut StdRng, kind: char, null_p: f64) -> Value {
 /// Create and fill `W` (`w_rows`) and `V` (`v_rows`), then ANALYZE: the
 /// tables [`random_wide_query`] reads.
 pub fn random_wide_tables(db: &Database, w_rows: i64, v_rows: i64, seed: u64) {
-    db.execute_batch(
-        "CREATE TABLE W (k INT, a INT, b INT, d DOUBLE, s VARCHAR(30), t VARCHAR(30), u INT);
+    let session = db.session();
+    session
+        .execute_batch(
+            "CREATE TABLE W (k INT, a INT, b INT, d DOUBLE, s VARCHAR(30), t VARCHAR(30), u INT);
          CREATE TABLE V (id INT, a INT, name VARCHAR(30), w DOUBLE);",
-    )
-    .expect("create wide tables");
+        )
+        .expect("create wide tables");
     let mut rng = StdRng::seed_from_u64(seed);
     for (name, cols, rows) in [("W", &W[..], w_rows), ("V", &V[..], v_rows)] {
         let table = db.catalog().table(name).unwrap();
@@ -96,7 +100,7 @@ pub fn random_wide_tables(db: &Database, w_rows: i64, v_rows: i64, seed: u64) {
             table.insert(&Tuple::new(row)).unwrap();
         }
     }
-    db.execute("ANALYZE").expect("analyze");
+    session.execute("ANALYZE", &[]).expect("analyze");
 }
 
 /// A comparison of `alias.col` with a constant of its kind: a literal, or
@@ -196,7 +200,7 @@ mod tests {
         let db = Database::new();
         let rows = random_table(&db, "R", RandomTableConfig::default());
         assert_eq!(rows.len(), 100);
-        let r = db.query("SELECT COUNT(*) FROM R").unwrap();
+        let r = db.session().query("SELECT COUNT(*) FROM R", &[]).unwrap();
         assert_eq!(r.try_table().unwrap().rows[0][0], Value::Int(100));
     }
 }

@@ -10,7 +10,8 @@ use xnf_storage::{Tuple, Value};
 /// `CUST(cust, region, cname)` with 200; deterministic.
 pub fn build_star_db_with(sales: i64, config: DbConfig) -> Database {
     let db = Database::with_config(config);
-    db.execute_batch(
+    let s = db.session();
+    s.execute_batch(
         "CREATE TABLE SALES (sale INT, day INT, item INT, cust INT, qty INT, amount INT, \
                              note VARCHAR(100));
          CREATE TABLE ITEM (item INT, cat INT, price INT);
@@ -38,7 +39,7 @@ pub fn build_star_db_with(sales: i64, config: DbConfig) -> Database {
         row.push(Value::Str(format!("cust-{k}")));
         row
     });
-    db.execute_batch(
+    s.execute_batch(
         "CREATE INDEX sales_day ON SALES (day);
          CREATE UNIQUE INDEX item_pk ON ITEM (item);
          CREATE UNIQUE INDEX cust_pk ON CUST (cust);

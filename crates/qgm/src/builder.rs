@@ -447,20 +447,20 @@ impl<'a> Builder<'a> {
                 self.qgm.add_qun(owner, kind, sub, "sq");
                 Ok(())
             }
+            // A WHERE conjunct only filters, so `NOT (x IN …)` keeps the
+            // same rows as `x NOT IN …`; likewise for EXISTS and for the
+            // negated forms.
             Expr::Unary {
                 op: UnaryOp::Not,
                 expr,
-            } if matches!(**expr, Expr::Exists { .. }) => {
-                if let Expr::Exists { subquery, negated } = &**expr {
-                    let sub = self.select_to_box(subquery, scope)?;
-                    let kind = if *negated {
-                        QunKind::Existential
-                    } else {
-                        QunKind::Anti
-                    };
-                    self.qgm.add_qun(owner, kind, sub, "sq");
+            } if matches!(**expr, Expr::Exists { .. } | Expr::InSubquery { .. }) => {
+                let mut flipped = (**expr).clone();
+                if let Expr::Exists { negated, .. } | Expr::InSubquery { negated, .. } =
+                    &mut flipped
+                {
+                    *negated = !*negated;
                 }
-                Ok(())
+                self.add_predicate(owner, &flipped, scope)
             }
             Expr::InSubquery {
                 expr,
@@ -478,14 +478,22 @@ impl<'a> Builder<'a> {
                 // expressed over its own head expression (correlation to the
                 // outer expression).
                 let head_expr = self.qgm.boxed(sub).head[0].expr.clone();
-                self.qgm.boxes[sub]
-                    .preds
-                    .push(ScalarExpr::eq(head_expr, outer_e));
-                let kind = if *negated {
-                    QunKind::Anti
+                let eq = ScalarExpr::eq(head_expr.clone(), outer_e.clone());
+                let (pred, kind) = if *negated {
+                    // `x NOT IN (S)` holds only if `x = y` is false for every
+                    // y in S: a NULL on either side makes the comparison
+                    // unknown, which disqualifies x just like a match does.
+                    let is_null = |e: ScalarExpr| ScalarExpr::IsNull {
+                        expr: Box::new(e),
+                        negated: false,
+                    };
+                    let pred =
+                        ScalarExpr::or(ScalarExpr::or(eq, is_null(head_expr)), is_null(outer_e));
+                    (pred, QunKind::Anti)
                 } else {
-                    QunKind::Existential
+                    (eq, QunKind::Existential)
                 };
+                self.qgm.boxes[sub].preds.push(pred);
                 self.qgm.add_qun(owner, kind, sub, "sq");
                 Ok(())
             }

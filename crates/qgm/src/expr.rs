@@ -82,6 +82,14 @@ impl ScalarExpr {
         }
     }
 
+    pub fn or(left: ScalarExpr, right: ScalarExpr) -> ScalarExpr {
+        ScalarExpr::Binary {
+            left: Box::new(left),
+            op: BinOp::Or,
+            right: Box::new(right),
+        }
+    }
+
     /// All quantifiers referenced by this expression.
     pub fn referenced_quns(&self, out: &mut Vec<QunId>) {
         match self {

@@ -131,7 +131,8 @@ pub fn abort_quietly(session: &Session<'_>) {
 /// relation state).
 pub fn rows_of(db: &Database, sql: &str) -> Vec<Vec<String>> {
     let mut rows: Vec<Vec<String>> = db
-        .query(sql)
+        .session()
+        .query(sql, &[])
         .expect("oracle read failed")
         .try_table()
         .expect("oracle read expects one stream")

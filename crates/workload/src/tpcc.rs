@@ -307,8 +307,10 @@ pub fn build_tpcc_db(cfg: &TpccConfig) -> (Database, Option<TempDir>) {
     } else {
         (Database::new(), None)
     };
-    db.execute_batch(
-        "CREATE TABLE WAREHOUSE (w_id INT NOT NULL, w_name VARCHAR(16));
+    let session = db.session();
+    session
+        .execute_batch(
+            "CREATE TABLE WAREHOUSE (w_id INT NOT NULL, w_name VARCHAR(16));
          CREATE TABLE DISTRICT (d_id INT NOT NULL, d_w_id INT, d_ytd INT, d_next_o_id INT);
          CREATE TABLE CUSTOMER (c_id INT NOT NULL, c_d_id INT, c_w_id INT, c_balance INT);
          CREATE TABLE ORDERS (o_id INT NOT NULL, o_c_id INT, o_d_id INT, o_w_id INT, o_amount INT);
@@ -318,10 +320,9 @@ pub fn build_tpcc_db(cfg: &TpccConfig) -> (Database, Option<TempDir>) {
          CREATE INDEX orders_id ON ORDERS (o_id);
          CREATE INDEX orders_customer ON ORDERS (o_c_id);
          CREATE INDEX orders_district ON ORDERS (o_d_id);",
-    )
-    .expect("tpcc schema");
+        )
+        .expect("tpcc schema");
 
-    let session = db.session();
     session.begin().expect("begin load");
     for w in 0..cfg.warehouses as i64 {
         session
@@ -362,12 +363,18 @@ pub fn build_tpcc_db(cfg: &TpccConfig) -> (Database, Option<TempDir>) {
 
     // Matview-backed order summaries + the materialized CO view, created
     // post-load and incrementally maintained under the storm.
-    db.execute(
-        "CREATE MATERIALIZED VIEW ord_sum AS \
+    session
+        .execute(
+            "CREATE MATERIALIZED VIEW ord_sum AS \
          SELECT o_d_id AS d, COUNT(*) AS n, SUM(o_amount) AS total FROM ORDERS GROUP BY o_d_id",
-    )
-    .expect("ord_sum");
-    db.execute(&format!("CREATE MATERIALIZED VIEW dist_co AS {DIST_CO}"))
+            &[],
+        )
+        .expect("ord_sum");
+    session
+        .execute(
+            &format!("CREATE MATERIALIZED VIEW dist_co AS {DIST_CO}"),
+            &[],
+        )
         .expect("dist_co");
     (db, guard)
 }
@@ -762,6 +769,7 @@ fn query_opt_pair(session: &Session<'_>, sql: &str, param: i64) -> Option<(i64, 
 /// both the model and a full REFRESH), the conserved total, and the
 /// materialized CO view against on-demand extraction.
 fn quiesce_check(db: &Database, cfg: &TpccConfig, model: &TpccModel, v: &Violations) {
+    let s = db.session();
     let engine = rows_of(db, "SELECT c_id, c_balance FROM CUSTOMER ORDER BY c_id");
     let mut expect: Vec<Vec<String>> = model
         .balances
@@ -849,15 +857,15 @@ fn quiesce_check(db: &Database, cfg: &TpccConfig, model: &TpccModel, v: &Violati
     v.check_eq(incremental.clone(), expect, || {
         "quiesce: ord_sum matview diverged from the model".to_string()
     });
-    db.execute("REFRESH MATERIALIZED VIEW ord_sum")
+    s.execute("REFRESH MATERIALIZED VIEW ord_sum", &[])
         .expect("refresh");
     v.check_eq(incremental, rows_of(db, "SELECT * FROM ord_sum"), || {
         "quiesce: incremental ord_sum != REFRESH recompute".to_string()
     });
 
     // Materialized CO view == on-demand extraction.
-    let stored = db.fetch_co("dist_co").expect("stored co");
-    let fresh = db.fetch_co(DIST_CO).expect("on-demand co");
+    let stored = s.fetch_co("dist_co").expect("stored co");
+    let fresh = s.fetch_co(DIST_CO).expect("on-demand co");
     v.check_eq(canon_co(&stored), canon_co(&fresh), || {
         "quiesce: dist_co CO matview != on-demand extraction".to_string()
     });

@@ -310,9 +310,13 @@ pub fn build_ycsb_db(cfg: &YcsbConfig) -> (Database, Option<TempDir>) {
         },
         db_cfg,
     );
-    db.execute("CREATE TABLE USERTABLE (yk INT NOT NULL, f0 INT, f1 INT, payload VARCHAR(64))")
-        .expect("usertable");
-    db.execute("CREATE INDEX usertable_yk ON USERTABLE (yk)")
+    let s = db.session();
+    s.execute(
+        "CREATE TABLE USERTABLE (yk INT NOT NULL, f0 INT, f1 INT, payload VARCHAR(64))",
+        &[],
+    )
+    .expect("usertable");
+    s.execute("CREATE INDEX usertable_yk ON USERTABLE (yk)", &[])
         .expect("usertable index");
 
     // Bulk-load in transactional batches (one commit per 1000 rows).
@@ -338,12 +342,15 @@ pub fn build_ycsb_db(cfg: &YcsbConfig) -> (Database, Option<TempDir>) {
 
     // Created after the bulk load so population is one pass, then
     // incrementally maintained under the storm.
-    db.execute(&format!(
+    s.execute(&format!(
         "CREATE MATERIALIZED VIEW rich_users AS SELECT yk, f0 FROM USERTABLE WHERE f0 > {RICH_THRESHOLD}"
-    ))
+    ), &[])
     .expect("rich_users");
-    db.execute(&format!("CREATE MATERIALIZED VIEW hot_deps AS {DEPS_ARC}"))
-        .expect("hot_deps");
+    s.execute(
+        &format!("CREATE MATERIALIZED VIEW hot_deps AS {DEPS_ARC}"),
+        &[],
+    )
+    .expect("hot_deps");
     (db, guard)
 }
 
@@ -545,7 +552,7 @@ impl YcsbWorker<'_, '_> {
                     // static under this workload, so this is exact).
                     let restricted =
                         DEPS_ARC.replace("TAKE *", &format!("TAKE * WHERE xdept.dno = {dept}"));
-                    let fresh = session.database().fetch_co(&restricted).expect("on-demand");
+                    let fresh = session.fetch_co(&restricted).expect("on-demand");
                     v.check_eq(canon_co(&co), canon_co(&fresh), || {
                         format!("co_fetch({dept}): materialized != on-demand extraction")
                     });
@@ -574,6 +581,7 @@ fn read_f0(session: &Session<'_>, key: i64) -> Result<Option<i64>, xnf_core::Xnf
 
 /// Quiesced differential check: engine state must equal the model exactly.
 fn quiesce_check(db: &Database, cfg: &YcsbConfig, model: &YcsbModel, v: &Violations) {
+    let s = db.session();
     let _ = cfg;
     // Full-table differential comparison.
     let engine = rows_of(db, "SELECT yk, f0, f1, payload FROM USERTABLE ORDER BY yk");
@@ -586,15 +594,15 @@ fn quiesce_check(db: &Database, cfg: &YcsbConfig, model: &YcsbModel, v: &Violati
     v.check_eq(incremental.clone(), model.canonical_rich(), || {
         "quiesce: rich_users matview diverged from the model".to_string()
     });
-    db.execute("REFRESH MATERIALIZED VIEW rich_users")
+    s.execute("REFRESH MATERIALIZED VIEW rich_users", &[])
         .expect("refresh");
     v.check_eq(incremental, rows_of(db, "SELECT * FROM rich_users"), || {
         "quiesce: incremental rich_users != REFRESH recompute".to_string()
     });
 
     // Materialized CO view == on-demand extraction.
-    let stored = db.fetch_co("hot_deps").expect("stored co");
-    let fresh = db.fetch_co(DEPS_ARC).expect("on-demand co");
+    let stored = s.fetch_co("hot_deps").expect("stored co");
+    let fresh = s.fetch_co(DEPS_ARC).expect("on-demand co");
     v.check_eq(canon_co(&stored), canon_co(&fresh), || {
         "quiesce: hot_deps CO matview != on-demand extraction".to_string()
     });

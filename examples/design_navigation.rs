@@ -21,7 +21,7 @@ fn main() {
     let db: Database = build_oo1_db(cfg);
 
     let t0 = Instant::now();
-    let co = db.fetch_co(OO1_CO).expect("extract CO");
+    let co = db.session().fetch_co(OO1_CO).expect("extract CO");
     println!(
         "extracted + swizzled in {:.1} ms",
         t0.elapsed().as_secs_f64() * 1e3

@@ -30,16 +30,18 @@ impl Employee {
 
 fn main() {
     let db = Database::new();
-    db.execute_batch(
-        "CREATE TABLE DEPT (dno INT NOT NULL, dname VARCHAR(30), loc VARCHAR(10));
+    let session = db.session();
+    session
+        .execute_batch(
+            "CREATE TABLE DEPT (dno INT NOT NULL, dname VARCHAR(30), loc VARCHAR(10));
          CREATE TABLE EMP (eno INT NOT NULL, ename VARCHAR(30), edno INT, sal DOUBLE);
          INSERT INTO DEPT VALUES (1, 'tools', 'ARC'), (2, 'db', 'ARC'), (3, 'apps', 'HDC');
          INSERT INTO EMP VALUES (1, 'mia', 1, 100.0), (2, 'ben', 1, 120.0),
                                 (3, 'liv', 2, 90.0), (4, 'tom', 3, 80.0);",
-    )
-    .expect("schema+data");
+        )
+        .expect("schema+data");
 
-    let mut co = db
+    let mut co = session
         .fetch_co(
             "OUT OF xdept AS (SELECT * FROM DEPT WHERE loc = 'ARC'),
                     xemp AS EMP,
@@ -74,10 +76,12 @@ fn main() {
     co.workspace
         .update_value("xemp", raise.id, "sal", Value::Double(raise.salary * 1.1))
         .unwrap();
-    let ops = co.save(&db).expect("write-back");
+    let ops = session.write_back(&mut co).expect("write-back");
     println!("\nwrite-back applied {ops} base-table operation(s)");
 
-    let check = db.query("SELECT sal FROM EMP WHERE eno = 1").unwrap();
+    let check = session
+        .query("SELECT sal FROM EMP WHERE eno = 1", &[])
+        .unwrap();
     println!(
         "mia's salary in EMP is now {}",
         check.try_table().unwrap().rows[0][0]
@@ -96,8 +100,10 @@ fn main() {
         .disconnect("employment", &[old_dept, liv.id])
         .unwrap();
     co.workspace.connect("employment", &[0, liv.id]).unwrap();
-    co.save(&db).expect("connect write-back");
-    let check = db.query("SELECT edno FROM EMP WHERE eno = 3").unwrap();
+    session.write_back(&mut co).expect("connect write-back");
+    let check = session
+        .query("SELECT edno FROM EMP WHERE eno = 3", &[])
+        .unwrap();
     println!(
         "liv's department FK is now {}",
         check.try_table().unwrap().rows[0][0]

@@ -16,20 +16,23 @@ fn main() {
         skills_per_project: 2,
         ..Default::default()
     });
+    let session = db.session();
 
     // Store the full CO view once.
-    db.execute(&format!(
-        "CREATE VIEW deps_ARC AS {}",
-        xnf_fixtures::DEPS_ARC
-    ))
-    .expect("view");
+    session
+        .execute(
+            &format!("CREATE VIEW deps_ARC AS {}", xnf_fixtures::DEPS_ARC),
+            &[],
+        )
+        .expect("view");
 
     // Projection: take only the employment subtree, with column projection
     // on the nodes.
-    let slim = db
+    let slim = session
         .query(
             "OUT OF deps_ARC
              TAKE xdept(dno, dname), employment, xemp(eno, ename)",
+            &[],
         )
         .expect("projection");
     println!("projected CO streams:");
@@ -43,8 +46,11 @@ fn main() {
     }
 
     // Restriction: the same CO limited to well-paid employees.
-    let rich = db
-        .query("OUT OF deps_ARC TAKE xdept, employment, xemp WHERE xemp.sal > 120.0")
+    let rich = session
+        .query(
+            "OUT OF deps_ARC TAKE xdept, employment, xemp WHERE xemp.sal > 120.0",
+            &[],
+        )
         .expect("restriction");
     println!(
         "\nrestricted CO: {} well-paid employees (of {})",
@@ -53,7 +59,7 @@ fn main() {
     );
 
     // Path expressions over the cache.
-    let co = db.fetch_co("deps_ARC").expect("fetch");
+    let co = session.fetch_co("deps_ARC").expect("fetch");
     let ws = &co.workspace;
     let via_emp = ws
         .path("xdept.employment.xemp.empproperty.xskills")

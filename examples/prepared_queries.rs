@@ -7,15 +7,16 @@ use composite_views::{Database, Value};
 
 fn main() {
     let db = Database::new();
-    db.execute_batch(
-        "CREATE TABLE DEPT (dno INT NOT NULL, dname VARCHAR(30), loc VARCHAR(10));
+    db.session()
+        .execute_batch(
+            "CREATE TABLE DEPT (dno INT NOT NULL, dname VARCHAR(30), loc VARCHAR(10));
          CREATE TABLE EMP (eno INT NOT NULL, ename VARCHAR(30), edno INT, sal DOUBLE);
          CREATE INDEX emp_eno ON EMP (eno);
          INSERT INTO DEPT VALUES (1, 'tools', 'ARC'), (2, 'db', 'ARC'), (3, 'apps', 'HDC');
          INSERT INTO EMP VALUES (1, 'e1', 1, 100.0), (2, 'e2', 1, 120.0),
                                 (3, 'e3', 2, 90.0), (4, 'e4', 3, 80.0);",
-    )
-    .expect("schema + data");
+        )
+        .expect("schema + data");
 
     let session = db.session();
 

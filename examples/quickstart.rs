@@ -10,7 +10,8 @@ use composite_views::{CoCache, Database};
 
 fn main() {
     let db = Database::new();
-    db.execute_batch(
+    let s = db.session();
+    s.execute_batch(
         "CREATE TABLE DEPT (dno INT NOT NULL, dname VARCHAR(30), loc VARCHAR(10));
          CREATE TABLE EMP (eno INT NOT NULL, ename VARCHAR(30), edno INT, sal DOUBLE);
          CREATE TABLE PROJ (pno INT NOT NULL, pname VARCHAR(30), pdno INT);
@@ -22,7 +23,7 @@ fn main() {
 
     // The Fig. 1 instance: d1/d2 at ARC, employees e1..e4, skill s2 held
     // only by the non-ARC employee e4 (hence unreachable from the CO).
-    db.execute_batch(
+    s.execute_batch(
         "INSERT INTO DEPT VALUES (1, 'tools', 'ARC'), (2, 'db', 'ARC'), (3, 'apps', 'HDC');
          INSERT INTO EMP VALUES (1, 'e1', 1, 100.0), (2, 'e2', 1, 120.0),
                                 (3, 'e3', 2, 90.0), (4, 'e4', 3, 80.0);
@@ -34,7 +35,7 @@ fn main() {
     .expect("data");
 
     // The XNF view of Fig. 1, stored in the catalog.
-    db.execute(
+    s.execute(
         "CREATE VIEW deps_ARC AS
          OUT OF xdept AS (SELECT * FROM DEPT WHERE loc = 'ARC'),
                 xemp AS EMP,
@@ -47,11 +48,12 @@ fn main() {
                 projproperty AS (RELATE xproj VIA NEEDS, xskills USING PROJSKILLS ps
                                  WHERE xproj.pno = ps.pspno AND ps.pssno = xskills.sno)
          TAKE *",
+        &[],
     )
     .expect("view");
 
     // Extract the CO into the client cache and browse it with cursors.
-    let co: CoCache = db.fetch_co("deps_ARC").expect("fetch");
+    let co: CoCache = s.fetch_co("deps_ARC").expect("fetch");
     let ws = &co.workspace;
     println!("deps_ARC instance graphs (Fig. 1, right):\n");
     for dept in ws.independent("xdept").expect("xdept") {

@@ -8,17 +8,19 @@ use composite_views::{Database, Workspace};
 
 fn main() {
     let db = Database::new();
-    db.execute_batch(
-        "CREATE TABLE PARTS (pid INT NOT NULL, pname VARCHAR(20));
+    let session = db.session();
+    session
+        .execute_batch(
+            "CREATE TABLE PARTS (pid INT NOT NULL, pname VARCHAR(20));
          CREATE TABLE BOM (parent INT, child INT);
          INSERT INTO PARTS VALUES (1, 'engine'), (2, 'piston'), (3, 'ring'),
                                   (4, 'bolt'), (5, 'wheel'), (6, 'rim');
          INSERT INTO BOM VALUES (1, 2), (2, 3), (2, 4), (3, 4), (5, 6), (6, 4);",
-    )
-    .expect("schema+data");
+        )
+        .expect("schema+data");
 
     // The engine's transitive closure; the wheel/rim subtree is outside it.
-    let result = db
+    let result = session
         .query(
             "OUT OF ROOT asm AS (SELECT * FROM PARTS WHERE pid = 1),
                     part AS PARTS,
@@ -27,6 +29,7 @@ fn main() {
                     sub_uses AS (RELATE part VIA uses, part USING BOM b2
                                  WHERE part.pid = b2.parent AND b2.child = uses.pid)
              TAKE *",
+            &[],
         )
         .expect("recursive CO");
 

@@ -10,7 +10,7 @@
 
 use std::io::{BufRead, Write};
 
-use composite_views::{Database, ExecOutcome, QueryResult};
+use composite_views::{Database, ExecOutcome, QueryResult, Session};
 
 fn main() {
     let db = match std::env::args().nth(1) {
@@ -32,6 +32,7 @@ fn main() {
         },
         None => Database::new(),
     };
+    let session = db.session();
     println!("xnf shell — composite-object views over relational data");
     println!("type .help for commands; statements end with ';'\n");
 
@@ -45,7 +46,7 @@ fn main() {
         };
         let trimmed = line.trim();
         if buffer.is_empty() && trimmed.starts_with('.') {
-            if !dot_command(&db, trimmed) {
+            if !dot_command(&session, trimmed) {
                 break;
             }
             print_prompt(true);
@@ -56,7 +57,7 @@ fn main() {
         if trimmed.ends_with(';') {
             let stmt = buffer.trim().trim_end_matches(';').to_string();
             buffer.clear();
-            run_statement(&db, &stmt);
+            run_statement(&session, &stmt);
         }
         print_prompt(buffer.is_empty());
     }
@@ -68,7 +69,8 @@ fn print_prompt(fresh: bool) {
 }
 
 /// Returns false when the shell should exit.
-fn dot_command(db: &Database, cmd: &str) -> bool {
+fn dot_command(session: &Session<'_>, cmd: &str) -> bool {
+    let db = session.database();
     let mut parts = cmd.splitn(2, ' ');
     match parts.next().unwrap_or("") {
         ".quit" | ".exit" => return false,
@@ -175,7 +177,7 @@ fn dot_command(db: &Database, cmd: &str) -> bool {
             Err(e) => println!("error: {e}"),
         },
         ".co" => match parts.next() {
-            Some(q) => match db.fetch_co(q.trim().trim_end_matches(';')) {
+            Some(q) => match session.fetch_co(q.trim().trim_end_matches(';')) {
                 Ok(co) => print!("{}", co.workspace.to_text()),
                 Err(e) => println!("error: {e}"),
             },
@@ -186,11 +188,11 @@ fn dot_command(db: &Database, cmd: &str) -> bool {
     true
 }
 
-fn run_statement(db: &Database, stmt: &str) {
+fn run_statement(session: &Session<'_>, stmt: &str) {
     if stmt.is_empty() {
         return;
     }
-    match db.execute(stmt) {
+    match session.execute(stmt, &[]) {
         Ok(ExecOutcome::Done) => println!("ok"),
         Ok(ExecOutcome::Affected(n)) => println!("{n} row(s) affected"),
         Ok(ExecOutcome::Rows(result)) => print_result(&result),

@@ -39,12 +39,16 @@ fn transfer_db() -> Arc<Database> {
         skills: 8,
         ..Default::default()
     });
-    db.execute("CREATE TABLE ACCT (id INT NOT NULL, bal INT)")
+    let s = db.session();
+    s.execute("CREATE TABLE ACCT (id INT NOT NULL, bal INT)", &[])
         .unwrap();
-    db.execute("CREATE INDEX acct_id ON ACCT (id)").unwrap();
+    s.execute("CREATE INDEX acct_id ON ACCT (id)", &[]).unwrap();
     for i in 0..ACCOUNTS {
-        db.execute(&format!("INSERT INTO ACCT VALUES ({i}, {INITIAL_BALANCE})"))
-            .unwrap();
+        s.execute(
+            &format!("INSERT INTO ACCT VALUES ({i}, {INITIAL_BALANCE})"),
+            &[],
+        )
+        .unwrap();
     }
     Arc::new(db)
 }
@@ -141,7 +145,7 @@ fn run_storm(db: &Arc<Database>, writers: usize, readers: usize, iters: usize, s
                 // CO fetch over the paper fixture exercises the shared-
                 // derivation + multi-stream path under concurrency.
                 if n % 11 == 0 {
-                    let co = session.database().fetch_co(&co_query).unwrap();
+                    let co = session.fetch_co(&co_query).unwrap();
                     assert!(!co.workspace.components.is_empty());
                 }
 
@@ -172,21 +176,25 @@ fn stress_snapshot_invariants_under_concurrent_sessions() {
 #[test]
 fn stress_matview_matches_full_refresh_after_storm() {
     let db = transfer_db();
-    db.execute("CREATE MATERIALIZED VIEW rich AS SELECT id, bal FROM ACCT WHERE bal > 50")
-        .unwrap();
+    let s = db.session();
+    s.execute(
+        "CREATE MATERIALIZED VIEW rich AS SELECT id, bal FROM ACCT WHERE bal > 50",
+        &[],
+    )
+    .unwrap();
     run_storm(&db, 3, 2, 30, 0xBEEF);
 
     // Incrementally-maintained contents == full recompute.
-    let mut incremental = db
-        .query("SELECT * FROM rich")
+    let mut incremental = s
+        .query("SELECT * FROM rich", &[])
         .unwrap()
         .try_table()
         .unwrap()
         .rows
         .clone();
-    db.execute("REFRESH MATERIALIZED VIEW rich").unwrap();
-    let mut refreshed = db
-        .query("SELECT * FROM rich")
+    s.execute("REFRESH MATERIALIZED VIEW rich", &[]).unwrap();
+    let mut refreshed = s
+        .query("SELECT * FROM rich", &[])
         .unwrap()
         .try_table()
         .unwrap()
@@ -207,24 +215,28 @@ fn stress_matview_matches_full_refresh_after_storm() {
 #[cfg_attr(debug_assertions, ignore = "heavy stress: run in release CI")]
 fn stress_heavy_release_storm() {
     let db = transfer_db();
-    db.execute("CREATE MATERIALIZED VIEW rich AS SELECT id, bal FROM ACCT WHERE bal > 50")
-        .unwrap();
+    let s = db.session();
+    s.execute(
+        "CREATE MATERIALIZED VIEW rich AS SELECT id, bal FROM ACCT WHERE bal > 50",
+        &[],
+    )
+    .unwrap();
     run_storm(&db, 6, 6, 300, 0xDEAD_BEEF);
 
     let session = db.session();
     let (_, total) = read_total(&session);
     assert_eq!(total, ACCOUNTS * INITIAL_BALANCE);
 
-    let mut incremental = db
-        .query("SELECT * FROM rich")
+    let mut incremental = s
+        .query("SELECT * FROM rich", &[])
         .unwrap()
         .try_table()
         .unwrap()
         .rows
         .clone();
-    db.execute("REFRESH MATERIALIZED VIEW rich").unwrap();
-    let mut refreshed = db
-        .query("SELECT * FROM rich")
+    s.execute("REFRESH MATERIALIZED VIEW rich", &[]).unwrap();
+    let mut refreshed = s
+        .query("SELECT * FROM rich", &[])
         .unwrap()
         .try_table()
         .unwrap()

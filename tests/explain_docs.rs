@@ -107,12 +107,14 @@ fn every_documented_operator_is_emitted() {
         },
         DbConfig::default(),
     );
-    db.execute(
-        "CREATE MATERIALIZED VIEW arc_demo AS \
+    db.session()
+        .execute(
+            "CREATE MATERIALIZED VIEW arc_demo AS \
          SELECT d.dno, e.eno, e.ename, e.sal FROM DEPT d, EMP e \
          WHERE d.dno = e.edno AND d.loc = 'ARC'",
-    )
-    .unwrap();
+            &[],
+        )
+        .unwrap();
 
     let mut corpus = explain_corpus(&db);
     // The E-to-F line keeps its hash semijoin: every DEPT row probes.
@@ -215,11 +217,13 @@ fn top_n_scan_decodes_only_the_columns_it_reads() {
         },
         ..Default::default()
     });
-    db.execute(
-        "CREATE TABLE SALES (sale INT, day INT, item INT, cust INT, qty INT, amount INT, \
+    db.session()
+        .execute(
+            "CREATE TABLE SALES (sale INT, day INT, item INT, cust INT, qty INT, amount INT, \
                              note VARCHAR(100))",
-    )
-    .unwrap();
+            &[],
+        )
+        .unwrap();
     let plan = db
         .explain(
             "SELECT cust, SUM(amount) AS total FROM SALES WHERE day >= ? \
@@ -253,19 +257,26 @@ fn maintenance_counters_move_with_co_view_dml() {
         },
         DbConfig::default(),
     );
-    db.execute(&format!(
-        "CREATE MATERIALIZED VIEW hot_deps AS {}",
-        xnf_fixtures::DEPS_ARC
-    ))
-    .unwrap();
+    let session = db.session();
+    session
+        .execute(
+            &format!(
+                "CREATE MATERIALIZED VIEW hot_deps AS {}",
+                xnf_fixtures::DEPS_ARC
+            ),
+            &[],
+        )
+        .unwrap();
 
     // Pin a department into the view, then rename one of its employees
     // (eno 3): the commit rewrites that one stored node and splices
     // nothing.
-    db.execute("UPDATE DEPT SET loc = 'ARC' WHERE dno = 1")
+    session
+        .execute("UPDATE DEPT SET loc = 'ARC' WHERE dno = 1", &[])
         .unwrap();
     let before = db.maint_stats();
-    db.execute("UPDATE EMP SET ename = 'renamed' WHERE eno = 3")
+    session
+        .execute("UPDATE EMP SET ename = 'renamed' WHERE eno = 3", &[])
         .unwrap();
     let renamed = db.maint_stats();
     assert_eq!(
@@ -280,7 +291,9 @@ fn maintenance_counters_move_with_co_view_dml() {
 
     // A new skill link moves a connection: the commit re-splices the
     // department's subtree, reusing every node the link did not change.
-    db.execute("INSERT INTO EMPSKILLS VALUES (3, 5)").unwrap();
+    session
+        .execute("INSERT INTO EMPSKILLS VALUES (3, 5)", &[])
+        .unwrap();
     let after = db.maint_stats();
     assert!(
         after.mv_roots_respliced > renamed.mv_roots_respliced,
@@ -315,7 +328,8 @@ fn durable_database_reports_wal_durability_header() {
         ..DbConfig::default()
     })
     .unwrap();
-    db.execute("CREATE TABLE T (id INT)").unwrap();
+    let s = db.session();
+    s.execute("CREATE TABLE T (id INT)", &[]).unwrap();
     let plan = db.explain("SELECT * FROM T").unwrap();
     assert!(
         plan.contains("durability: wal (group commit, fsync=off, doublewrite=on)"),
@@ -342,9 +356,9 @@ fn durable_database_reports_wal_durability_header() {
 
     // And the documented VACUUM-side stats are real: a pass with work to
     // do logs its reclaims, so `wal_bytes_logged` is nonzero here.
-    db.execute("INSERT INTO T VALUES (1)").unwrap();
-    db.execute("UPDATE T SET id = 2 WHERE id = 1").unwrap();
-    let result = db.execute("VACUUM").unwrap().try_rows().unwrap();
+    s.execute("INSERT INTO T VALUES (1)", &[]).unwrap();
+    s.execute("UPDATE T SET id = 2 WHERE id = 1", &[]).unwrap();
+    let result = s.execute("VACUUM", &[]).unwrap().try_rows().unwrap();
     assert!(
         result.stats.wal_bytes_logged > 0,
         "vacuum on a durable database must report its WAL traffic"
@@ -357,14 +371,15 @@ fn durable_database_reports_wal_durability_header() {
 #[test]
 fn exec_stats_surface_snapshot_and_visibility_skips() {
     let db = build_paper_db_with(PaperScale::default(), DbConfig::default());
-    let before = db.query("SELECT COUNT(*) FROM EMP").unwrap();
+    let s = db.session();
+    let before = s.query("SELECT COUNT(*) FROM EMP", &[]).unwrap();
 
     // Burn a few commits: the snapshot sequence must advance with them.
-    db.execute("INSERT INTO EMP VALUES (9001, 'x', 1, 1.0)")
+    s.execute("INSERT INTO EMP VALUES (9001, 'x', 1, 1.0)", &[])
         .unwrap();
-    db.execute("UPDATE EMP SET sal = 2.0 WHERE eno = 9001")
+    s.execute("UPDATE EMP SET sal = 2.0 WHERE eno = 9001", &[])
         .unwrap();
-    let after = db.query("SELECT COUNT(*) FROM EMP").unwrap();
+    let after = s.query("SELECT COUNT(*) FROM EMP", &[]).unwrap();
     assert!(
         after.stats.snapshot_seq > before.stats.snapshot_seq,
         "snapshot_seq must advance with commits: {} -> {}",
@@ -412,7 +427,7 @@ fn exec_stats_surface_parallel_region_counters() {
     );
     let sql = "SELECT ename FROM EMP WHERE sal > 100";
     assert!(db.explain(sql).unwrap().contains("ExchangeGather(dop=4)"));
-    let result = db.query(sql).unwrap();
+    let result = db.session().query(sql, &[]).unwrap();
     let stats = &result.stats;
     let kept = result.try_table().unwrap().rows.len() as u64;
     assert_eq!(stats.parallel_regions, 1, "{stats:?}");
@@ -440,7 +455,7 @@ fn recursive_co_reports_its_reach_header() {
     assert!(plan.find("\nmaintenance: ").unwrap() < reach, "{plan}");
     assert!(reach < plan.find("\nshared cse0:").unwrap(), "{plan}");
 
-    let result = db.query(&sql).unwrap();
+    let result = db.session().query(&sql, &[]).unwrap();
     let delivered: Vec<usize> = result.streams.iter().map(|s| s.rows.len()).collect();
     assert_eq!(delivered, [1, 5]);
     // asm 1 + part 12 + top_uses 2 + sub_uses 16 candidates.
@@ -455,9 +470,11 @@ fn vacuum_report_columns_match_docs() {
     let documented = documented_table_names("VACUUM");
 
     let db = build_paper_db_with(PaperScale::default(), DbConfig::default());
-    db.execute("UPDATE EMP SET sal = sal + 1.0 WHERE eno = 1")
+    let session = db.session();
+    session
+        .execute("UPDATE EMP SET sal = sal + 1.0 WHERE eno = 1", &[])
         .unwrap();
-    let result = db.execute("VACUUM").unwrap().try_rows().unwrap();
+    let result = session.execute("VACUUM", &[]).unwrap().try_rows().unwrap();
     let stream = result.try_table().unwrap();
     assert_eq!(
         stream.columns, documented,

@@ -25,11 +25,12 @@ const STAMP_CEILING: usize = 1200;
 
 fn single_table_db() -> Database {
     let db = Database::new();
-    db.execute("CREATE TABLE ACCT (id INT NOT NULL, bal INT)")
+    let s = db.session();
+    s.execute("CREATE TABLE ACCT (id INT NOT NULL, bal INT)", &[])
         .unwrap();
-    db.execute("CREATE UNIQUE INDEX acct_pk ON ACCT (id)")
+    s.execute("CREATE UNIQUE INDEX acct_pk ON ACCT (id)", &[])
         .unwrap();
-    db.execute("INSERT INTO ACCT VALUES (1, 0)").unwrap();
+    s.execute("INSERT INTO ACCT VALUES (1, 0)", &[]).unwrap();
     db
 }
 
@@ -78,7 +79,7 @@ fn run_single_key_loop(updates: usize) {
         Value::Int(updates as i64 - 1)
     );
     // …and an explicit VACUUM drains what the opportunistic trigger left.
-    db.execute("VACUUM").unwrap();
+    session.execute("VACUUM", &[]).unwrap();
     let census = table.version_census().unwrap();
     assert_eq!(census.total_versions, 1, "exactly the live row remains");
     assert!(db.catalog().txns().stamp_count() <= 1);
@@ -106,17 +107,22 @@ fn run_vacuum_storm(writers: usize, readers: usize, iters: usize, seed: u64) {
     const INITIAL: i64 = 100;
 
     let db = Database::new();
-    db.execute("CREATE TABLE ACCT (id INT NOT NULL, bal INT)")
+    let s = db.session();
+    s.execute("CREATE TABLE ACCT (id INT NOT NULL, bal INT)", &[])
         .unwrap();
-    db.execute("CREATE UNIQUE INDEX acct_pk ON ACCT (id)")
+    s.execute("CREATE UNIQUE INDEX acct_pk ON ACCT (id)", &[])
         .unwrap();
     for i in 0..ACCOUNTS {
-        db.execute(&format!("INSERT INTO ACCT VALUES ({i}, {INITIAL})"))
+        s.execute(&format!("INSERT INTO ACCT VALUES ({i}, {INITIAL})"), &[])
             .unwrap();
     }
-    db.execute("CREATE MATERIALIZED VIEW rich AS SELECT id, bal FROM ACCT WHERE bal > 50")
-        .unwrap();
+    s.execute(
+        "CREATE MATERIALIZED VIEW rich AS SELECT id, bal FROM ACCT WHERE bal > 50",
+        &[],
+    )
+    .unwrap();
     let db = Arc::new(db);
+    let s = db.session();
 
     let stop = AtomicBool::new(false);
     let vacuums = AtomicU64::new(0);
@@ -204,8 +210,8 @@ fn run_vacuum_storm(writers: usize, readers: usize, iters: usize, seed: u64) {
     );
 
     // Quiesced: invariants and bounds.
-    let total = db
-        .query("SELECT SUM(bal) FROM ACCT")
+    let total = s
+        .query("SELECT SUM(bal) FROM ACCT", &[])
         .unwrap()
         .try_table()
         .unwrap()
@@ -214,16 +220,16 @@ fn run_vacuum_storm(writers: usize, readers: usize, iters: usize, seed: u64) {
     assert_eq!(total, Value::Int(ACCOUNTS * INITIAL));
 
     // Matview maintained incrementally under vacuum == full recompute.
-    let mut incremental = db
-        .query("SELECT * FROM rich")
+    let mut incremental = s
+        .query("SELECT * FROM rich", &[])
         .unwrap()
         .try_table()
         .unwrap()
         .rows
         .clone();
-    db.execute("REFRESH MATERIALIZED VIEW rich").unwrap();
-    let mut refreshed = db
-        .query("SELECT * FROM rich")
+    s.execute("REFRESH MATERIALIZED VIEW rich", &[]).unwrap();
+    let mut refreshed = s
+        .query("SELECT * FROM rich", &[])
         .unwrap()
         .try_table()
         .unwrap()
@@ -233,7 +239,7 @@ fn run_vacuum_storm(writers: usize, readers: usize, iters: usize, seed: u64) {
     refreshed.sort();
     assert_eq!(incremental, refreshed, "maintenance diverged under vacuum");
 
-    db.execute("VACUUM").unwrap();
+    s.execute("VACUUM", &[]).unwrap();
     let table = db.catalog().table("ACCT").unwrap();
     let census = table.version_census().unwrap();
     assert_eq!(
@@ -262,7 +268,10 @@ fn soak_storm_with_concurrent_vacuum() {
 #[test]
 fn open_transaction_reads_stably_across_vacuum() {
     let db = Arc::new(single_table_db());
-    db.execute("UPDATE ACCT SET bal = 41 WHERE id = 1").unwrap();
+    let autocommit = db.session();
+    autocommit
+        .execute("UPDATE ACCT SET bal = 41 WHERE id = 1", &[])
+        .unwrap();
 
     let reader = db.session();
     reader.begin().unwrap();
@@ -300,7 +309,7 @@ fn open_transaction_reads_stably_across_vacuum() {
     reader.commit().unwrap();
 
     // With the transaction gone the backlog reclaims down to one version.
-    db.execute("VACUUM ACCT").unwrap();
+    autocommit.execute("VACUUM ACCT", &[]).unwrap();
     let table = db.catalog().table("ACCT").unwrap();
     assert_eq!(table.version_census().unwrap().total_versions, 1);
 }
@@ -310,11 +319,12 @@ fn open_transaction_reads_stably_across_vacuum() {
 #[test]
 fn vacuum_statement_reports_reclaim_counters() {
     let db = single_table_db();
+    let s = db.session();
     for v in 0..20 {
-        db.execute(&format!("UPDATE ACCT SET bal = {v} WHERE id = 1"))
+        s.execute(&format!("UPDATE ACCT SET bal = {v} WHERE id = 1"), &[])
             .unwrap();
     }
-    let result = db.execute("VACUUM").unwrap().try_rows().unwrap();
+    let result = s.execute("VACUUM", &[]).unwrap().try_rows().unwrap();
     let stream = result.try_table().unwrap();
     assert_eq!(
         stream.columns,
@@ -336,6 +346,6 @@ fn vacuum_statement_reports_reclaim_counters() {
     assert!(result.stats.gc_stamps_pruned >= 19);
 
     // A second pass finds nothing: clean tables are skipped entirely.
-    let again = db.execute("VACUUM").unwrap().try_rows().unwrap();
+    let again = s.execute("VACUUM", &[]).unwrap().try_rows().unwrap();
     assert!(again.try_table().unwrap().rows.is_empty());
 }

@@ -17,7 +17,8 @@ fn deps_arc_full_pipeline_at_scale() {
         seed: 99,
     };
     let db = build_paper_db(scale);
-    let co = db.fetch_co(DEPS_ARC).unwrap();
+    let session = db.session();
+    let co = session.fetch_co(DEPS_ARC).unwrap();
     let ws = &co.workspace;
 
     // Cardinalities: 6 ARC departments, each with its employees/projects.
@@ -27,11 +28,12 @@ fn deps_arc_full_pipeline_at_scale() {
 
     // Reachability: every cached skill is reachable through some employee
     // or project; every EMPSKILLS edge of a cached employee is present.
-    let expected_edges: i64 = db
+    let expected_edges: i64 = session
         .query(
             "SELECT COUNT(*) FROM EMPSKILLS es WHERE es.eseno IN \
              (SELECT e.eno FROM EMP e WHERE e.edno IN \
               (SELECT d.dno FROM DEPT d WHERE d.loc = 'ARC'))",
+            &[],
         )
         .unwrap()
         .try_table()
@@ -67,11 +69,13 @@ fn xnf_equals_sql_derivation_everywhere() {
             skills_per_project: 1,
             seed,
         });
-        let co = db.query(DEPS_ARC).unwrap();
-        let sql_xemp = db
+        let s = db.session();
+        let co = s.query(DEPS_ARC, &[]).unwrap();
+        let sql_xemp = s
             .query(
                 "SELECT e.eno FROM EMP e WHERE EXISTS \
                  (SELECT 1 FROM DEPT d WHERE d.loc = 'ARC' AND d.dno = e.edno) ORDER BY eno",
+                &[],
             )
             .unwrap();
         let mut co_xemp: Vec<i64> = co
@@ -99,7 +103,7 @@ fn oo1_cache_round_trips_through_persistence() {
         parts: 300,
         ..Default::default()
     });
-    let co = db.fetch_co(OO1_CO).unwrap();
+    let co = db.session().fetch_co(OO1_CO).unwrap();
     let dir = std::env::temp_dir().join("xnf_oo1_cache.bin");
     composite_views::save_to_file(&co.workspace, &dir).unwrap();
     let loaded = composite_views::load_from_file(&dir).unwrap();
@@ -162,7 +166,8 @@ fn updates_survive_round_trip_through_base_tables() {
         departments: 6,
         ..Default::default()
     });
-    let mut co = db.fetch_co(DEPS_ARC).unwrap();
+    let s = db.session();
+    let mut co = s.fetch_co(DEPS_ARC).unwrap();
     // Raise every cached employee by 5.0 and write back.
     let ids: Vec<u32> = co
         .workspace
@@ -186,10 +191,10 @@ fn updates_survive_round_trip_through_base_tables() {
             .update_value("xemp", id, "sal", Value::Double(old + 5.0))
             .unwrap();
     }
-    co.save(&db).unwrap();
+    s.write_back(&mut co).unwrap();
 
     // Re-extract: the new CO must reflect the raises.
-    let co2 = db.fetch_co(DEPS_ARC).unwrap();
+    let co2 = s.fetch_co(DEPS_ARC).unwrap();
     let after: Vec<f64> = co2
         .workspace
         .independent("xemp")
@@ -245,8 +250,9 @@ fn multiple_cos_share_one_database() {
         departments: 10,
         ..Default::default()
     });
-    let co_full = db.fetch_co(DEPS_ARC).unwrap();
-    let co_slim = db
+    let s = db.session();
+    let co_full = s.fetch_co(DEPS_ARC).unwrap();
+    let co_slim = s
         .fetch_co(
             "OUT OF xdept AS (SELECT * FROM DEPT WHERE loc = 'ARC'),
                     xemp AS EMP,
@@ -259,7 +265,7 @@ fn multiple_cos_share_one_database() {
         co_slim.workspace.component("xdept").unwrap().len()
     );
     // Plain SQL continues to work over the same data (upward compatibility).
-    let r = db.query("SELECT COUNT(*) FROM EMP").unwrap();
+    let r = s.query("SELECT COUNT(*) FROM EMP", &[]).unwrap();
     assert!(r.try_table().unwrap().rows[0][0].as_int().unwrap() > 0);
 }
 
@@ -286,8 +292,8 @@ fn prepared_statements_work_across_the_fixture_db() {
     }
     assert_eq!(db.plan_cache_stats().compiles, compiles_before + 1);
 
-    let all: i64 = db
-        .query("SELECT COUNT(*) FROM EMP")
+    let all: i64 = session
+        .query("SELECT COUNT(*) FROM EMP", &[])
         .unwrap()
         .try_table()
         .unwrap()

@@ -40,7 +40,8 @@ fn config_with_batch(batch_size: usize) -> DbConfig {
 /// Sorted bag of a query's rows.
 fn rows_of(db: &Database, sql: &str) -> Vec<Vec<String>> {
     let mut rows: Vec<Vec<String>> = db
-        .query(sql)
+        .session()
+        .query(sql, &[])
         .unwrap()
         .try_table()
         .unwrap()
@@ -99,8 +100,9 @@ fn canon(co: &CoCache) -> (NamedSets, NamedSets) {
 }
 
 fn assert_co_matches(db: &Database, view: &str, definition: &str, ctx: &str) {
-    let stored = db.fetch_co(view).unwrap();
-    let fresh = db.fetch_co(definition).unwrap();
+    let s = db.session();
+    let stored = s.fetch_co(view).unwrap();
+    let fresh = s.fetch_co(definition).unwrap();
     assert_eq!(canon(&stored), canon(&fresh), "CO view diverged: {ctx}");
 }
 
@@ -175,25 +177,32 @@ fn paper_dml(rng: &mut StdRng) -> String {
 fn paper_fixture_randomized_stream_all_batch_sizes() {
     for &bs in BATCH_SIZES {
         let db = paper_db(bs);
-        db.execute(&format!("CREATE MATERIALIZED VIEW hot_deps AS {DEPS_ARC}"))
-            .unwrap();
-        db.execute(&format!(
-            "CREATE MATERIALIZED VIEW arc_people AS {PAPER_SQL_VIEW}"
-        ))
+        let s = db.session();
+        s.execute(
+            &format!("CREATE MATERIALIZED VIEW hot_deps AS {DEPS_ARC}"),
+            &[],
+        )
         .unwrap();
-        db.execute(&format!(
-            "CREATE MATERIALIZED VIEW top_emps AS {PAPER_DIRECT_VIEW}"
-        ))
+        s.execute(
+            &format!("CREATE MATERIALIZED VIEW arc_people AS {PAPER_SQL_VIEW}"),
+            &[],
+        )
         .unwrap();
-        db.execute(&format!(
-            "CREATE MATERIALIZED VIEW head_count AS {PAPER_AGG_VIEW}"
-        ))
+        s.execute(
+            &format!("CREATE MATERIALIZED VIEW top_emps AS {PAPER_DIRECT_VIEW}"),
+            &[],
+        )
+        .unwrap();
+        s.execute(
+            &format!("CREATE MATERIALIZED VIEW head_count AS {PAPER_AGG_VIEW}"),
+            &[],
+        )
         .unwrap();
 
         let mut rng = StdRng::seed_from_u64(4242 + bs as u64);
         for step in 0..40 {
             let stmt = paper_dml(&mut rng);
-            db.execute(&stmt).unwrap();
+            s.execute(&stmt, &[]).unwrap();
             // Full comparison is expensive; check at a cadence plus the end.
             if step % 8 == 7 || step == 39 {
                 let ctx = format!("batch_size={bs} step={step} after `{stmt}`");
@@ -203,7 +212,7 @@ fn paper_fixture_randomized_stream_all_batch_sizes() {
                 assert_sql_matches(&db, "head_count", PAPER_AGG_VIEW, &ctx);
                 // Then raise every employee (a value-only update of many
                 // stored nodes at once) and check all four views again.
-                db.execute("UPDATE EMP SET sal = sal + 1").unwrap();
+                s.execute("UPDATE EMP SET sal = sal + 1", &[]).unwrap();
                 let ctx = format!("{ctx} and a raise of every employee");
                 assert_co_matches(&db, "hot_deps", DEPS_ARC, &ctx);
                 assert_sql_matches(&db, "arc_people", PAPER_SQL_VIEW, &ctx);
@@ -226,7 +235,11 @@ fn paper_fixture_randomized_stream_all_batch_sizes() {
 #[test]
 fn co_matview_matches_on_demand_extraction() {
     let db = paper_db(1024);
-    db.execute(&format!("CREATE MATERIALIZED VIEW hot_deps AS {DEPS_ARC}"))
+    db.session()
+        .execute(
+            &format!("CREATE MATERIALIZED VIEW hot_deps AS {DEPS_ARC}"),
+            &[],
+        )
         .unwrap();
     assert_co_matches(&db, "hot_deps", DEPS_ARC, "freshly populated");
 }
@@ -234,8 +247,12 @@ fn co_matview_matches_on_demand_extraction() {
 #[test]
 fn co_matview_incremental_maintenance_matches_reextraction() {
     let db = paper_db(1024);
-    db.execute(&format!("CREATE MATERIALIZED VIEW hot_deps AS {DEPS_ARC}"))
-        .unwrap();
+    let s = db.session();
+    s.execute(
+        &format!("CREATE MATERIALIZED VIEW hot_deps AS {DEPS_ARC}"),
+        &[],
+    )
+    .unwrap();
 
     // A mix of deltas touching every level of the CO: the root table, the
     // child tables, a connect table, and rows moving in/out of 'ARC'.
@@ -250,7 +267,7 @@ fn co_matview_incremental_maintenance_matches_reextraction() {
         "DELETE FROM PROJ WHERE pno = 3",
         "UPDATE SKILLS SET sname = 'rare' WHERE sno = 3",
     ] {
-        db.execute(stmt).unwrap();
+        s.execute(stmt, &[]).unwrap();
     }
     assert_co_matches(&db, "hot_deps", DEPS_ARC, "after mixed DML");
     assert!(db.catalog().matview("hot_deps").unwrap().epoch() >= 9);
@@ -259,7 +276,12 @@ fn co_matview_incremental_maintenance_matches_reextraction() {
 #[test]
 fn co_matview_point_fetch_serves_one_subtree() {
     let db = paper_db(1024);
-    db.execute(&format!("CREATE MATERIALIZED VIEW hot_deps AS {DEPS_ARC}"))
+    let session = db.session();
+    session
+        .execute(
+            &format!("CREATE MATERIALIZED VIEW hot_deps AS {DEPS_ARC}"),
+            &[],
+        )
         .unwrap();
     // Department 1 is in the ARC fraction (first 3 of 12 at 0.25).
     let co = db.fetch_co_point("hot_deps", &Value::Int(1)).unwrap();
@@ -278,7 +300,7 @@ fn co_matview_point_fetch_serves_one_subtree() {
 
     // The point subtree agrees with a restricted on-demand extraction.
     let restricted = DEPS_ARC.replace("TAKE *", "TAKE * WHERE xdept.dno = 1");
-    let fresh = db.fetch_co(&restricted).unwrap();
+    let fresh = session.fetch_co(&restricted).unwrap();
     assert_eq!(canon(&co), canon(&fresh));
 }
 
@@ -313,7 +335,8 @@ enum Path {
 fn value_only_updates_rewrite_in_place_and_the_rest_splice() {
     // A skill employee 0 holds, so that renaming it reaches a stored root.
     let skill = paper_db(1024)
-        .query("SELECT essno FROM EMPSKILLS WHERE eseno = 0")
+        .session()
+        .query("SELECT essno FROM EMPSKILLS WHERE eseno = 0", &[])
         .unwrap()
         .try_table()
         .unwrap()
@@ -400,7 +423,8 @@ fn value_only_updates_rewrite_in_place_and_the_rest_splice() {
     ];
     for (label, def, stmts, path) in cases {
         let db = paper_db(1024);
-        db.execute(&format!("CREATE MATERIALIZED VIEW cv AS {def}"))
+        let s = db.session();
+        s.execute(&format!("CREATE MATERIALIZED VIEW cv AS {def}"), &[])
             .unwrap();
         let before = db.maint_stats();
         let session = db.session();
@@ -420,11 +444,11 @@ fn value_only_updates_rewrite_in_place_and_the_rest_splice() {
         };
         assert_eq!(took, path, "{label}: {stmts:?}");
         assert_co_matches(&db, "cv", def, label);
-        let stored = canon(&db.fetch_co("cv").unwrap());
-        db.execute("REFRESH MATERIALIZED VIEW cv").unwrap();
+        let stored = canon(&s.fetch_co("cv").unwrap());
+        s.execute("REFRESH MATERIALIZED VIEW cv", &[]).unwrap();
         assert_eq!(
             stored,
-            canon(&db.fetch_co("cv").unwrap()),
+            canon(&s.fetch_co("cv").unwrap()),
             "{label}: incremental maintenance diverged from REFRESH"
         );
     }
@@ -480,7 +504,8 @@ fn fan_in_db(fan_in: i64) -> (Database, String) {
         es.insert(&link(eno)).unwrap();
     }
     let def = DEPS_ARC.replace(" WHERE loc = 'ARC'", "");
-    db.execute(&format!("CREATE MATERIALIZED VIEW fan_co AS {def}"))
+    db.session()
+        .execute(&format!("CREATE MATERIALIZED VIEW fan_co AS {def}"), &[])
         .unwrap();
     (db, def)
 }
@@ -493,7 +518,7 @@ fn page_accesses(db: &Database, stmt: &str) -> u64 {
         s.hits + s.misses
     };
     let before = accesses();
-    db.execute(stmt).unwrap();
+    db.session().execute(stmt, &[]).unwrap();
     accesses() - before
 }
 
@@ -511,8 +536,9 @@ fn shared_node_fan_in_does_not_cost_maintenance() {
     let mut cost = Vec::new();
     for fan_in in [10, 1000] {
         let (db, def) = fan_in_db(fan_in);
+        let s = db.session();
         let before = db.maint_stats();
-        db.execute(RAISE).unwrap();
+        s.execute(RAISE, &[]).unwrap();
         let raised = db.maint_stats();
         assert_eq!(
             raised.mv_nodes_rewritten,
@@ -543,10 +569,10 @@ fn shared_node_fan_in_does_not_cost_maintenance() {
             // And department 0's link: the node vanishes.
             format!("DELETE FROM EMPSKILLS WHERE eseno = 0 AND essno = {SHARED_SKILL}"),
         ] {
-            db.execute(&stmt).unwrap();
+            s.execute(&stmt, &[]).unwrap();
             assert_co_matches(&db, "fan_co", &def, &format!("fan-in {fan_in}: {stmt}"));
         }
-        let stored = db.fetch_co("fan_co").unwrap();
+        let stored = s.fetch_co("fan_co").unwrap();
         assert!(
             stored
                 .workspace
@@ -579,14 +605,18 @@ fn oo1_recursive_co_matview_full_recompute_path() {
     };
     for &bs in BATCH_SIZES {
         let db = build_oo1_db_with(cfg, config_with_batch(bs));
-        db.execute(&format!("CREATE MATERIALIZED VIEW parts_co AS {OO1_CO}"))
-            .unwrap();
+        let s = db.session();
+        s.execute(
+            &format!("CREATE MATERIALIZED VIEW parts_co AS {OO1_CO}"),
+            &[],
+        )
+        .unwrap();
         assert_co_matches(&db, "parts_co", OO1_CO, "populated (recursive)");
         // Recursive COs maintain by full recompute; contents still track.
-        db.execute("UPDATE OO1PARTS SET ptype = 'hot' WHERE id = 5")
+        s.execute("UPDATE OO1PARTS SET ptype = 'hot' WHERE id = 5", &[])
             .unwrap();
-        db.execute("DELETE FROM OO1CONN WHERE src = 7").unwrap();
-        db.execute("INSERT INTO OO1CONN VALUES (5, 9, 'new', 1)")
+        s.execute("DELETE FROM OO1CONN WHERE src = 7", &[]).unwrap();
+        s.execute("INSERT INTO OO1CONN VALUES (5, 9, 'new', 1)", &[])
             .unwrap();
         let ctx = format!("batch_size={bs} after oo1 DML");
         assert_co_matches(&db, "parts_co", OO1_CO, &ctx);
@@ -603,6 +633,7 @@ fn random_fixture_randomized_stream_all_batch_sizes() {
     const KEYED: &str = "SELECT r.a, r.c, s.c AS c2 FROM R r, S s WHERE r.a = s.a";
     for &bs in BATCH_SIZES {
         let db = Database::with_config(config_with_batch(bs));
+        let session = db.session();
         random_table(
             &db,
             "R",
@@ -623,11 +654,17 @@ fn random_fixture_randomized_stream_all_batch_sizes() {
                 seed: 22,
             },
         );
-        db.execute_batch("CREATE INDEX r_a ON R (a); CREATE INDEX s_a ON S (a);")
+        session
+            .execute_batch("CREATE INDEX r_a ON R (a); CREATE INDEX s_a ON S (a);")
             .unwrap();
-        db.execute(&format!("CREATE MATERIALIZED VIEW direct_r AS {DIRECT}"))
+        session
+            .execute(
+                &format!("CREATE MATERIALIZED VIEW direct_r AS {DIRECT}"),
+                &[],
+            )
             .unwrap();
-        db.execute(&format!("CREATE MATERIALIZED VIEW joined AS {KEYED}"))
+        session
+            .execute(&format!("CREATE MATERIALIZED VIEW joined AS {KEYED}"), &[])
             .unwrap();
 
         let mut rng = StdRng::seed_from_u64(777 + bs as u64);
@@ -647,7 +684,7 @@ fn random_fixture_randomized_stream_all_batch_sizes() {
                 ),
                 _ => format!("DELETE FROM {table} WHERE a = {a}"),
             };
-            db.execute(&stmt).unwrap();
+            session.execute(&stmt, &[]).unwrap();
             if step % 10 == 9 {
                 let ctx = format!("batch_size={bs} step={step} after `{stmt}`");
                 assert_sql_matches(&db, "direct_r", DIRECT, &ctx);
@@ -676,13 +713,15 @@ fn multi_statement_txns_under_concurrent_committers_match_refresh() {
     use xnf_core::run_sessions;
 
     let db = std::sync::Arc::new(paper_db(1024));
+    let autocommit = db.session();
     for (name, def) in [
         ("hot_deps", DEPS_ARC),
         ("arc_people", PAPER_SQL_VIEW),
         ("top_emps", PAPER_DIRECT_VIEW),
         ("head_count", PAPER_AGG_VIEW),
     ] {
-        db.execute(&format!("CREATE MATERIALIZED VIEW {name} AS {def}"))
+        autocommit
+            .execute(&format!("CREATE MATERIALIZED VIEW {name} AS {def}"), &[])
             .unwrap();
     }
 
@@ -729,7 +768,8 @@ fn multi_statement_txns_under_concurrent_committers_match_refresh() {
         ("head_count", PAPER_AGG_VIEW),
     ] {
         let incremental = rows_of(&db, &format!("SELECT * FROM {name}"));
-        db.execute(&format!("REFRESH MATERIALIZED VIEW {name}"))
+        autocommit
+            .execute(&format!("REFRESH MATERIALIZED VIEW {name}"), &[])
             .unwrap();
         assert_eq!(
             incremental,
@@ -738,11 +778,13 @@ fn multi_statement_txns_under_concurrent_committers_match_refresh() {
         );
         assert_sql_matches(&db, name, def, "post-REFRESH");
     }
-    let stored = canon(&db.fetch_co("hot_deps").unwrap());
-    db.execute("REFRESH MATERIALIZED VIEW hot_deps").unwrap();
+    let stored = canon(&autocommit.fetch_co("hot_deps").unwrap());
+    autocommit
+        .execute("REFRESH MATERIALIZED VIEW hot_deps", &[])
+        .unwrap();
     assert_eq!(
         stored,
-        canon(&db.fetch_co("hot_deps").unwrap()),
+        canon(&autocommit.fetch_co("hot_deps").unwrap()),
         "hot_deps: incremental maintenance diverged from REFRESH ({ctx})"
     );
 }

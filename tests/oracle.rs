@@ -73,7 +73,8 @@ fn stream_len(r: &QueryResult, name: &str) -> usize {
 #[test]
 fn limit_query_stops_scanning_early() {
     let db = Database::new();
-    db.execute("CREATE TABLE BIG (id INT NOT NULL, payload INT)")
+    let s = db.session();
+    s.execute("CREATE TABLE BIG (id INT NOT NULL, payload INT)", &[])
         .unwrap();
     let table = db.catalog().table("BIG").unwrap();
     const N: usize = 20_000;
@@ -85,12 +86,12 @@ fn limit_query_stops_scanning_early() {
             ]))
             .unwrap();
     }
-    db.execute("ANALYZE").unwrap();
+    s.execute("ANALYZE", &[]).unwrap();
 
     // Early LIMIT: the scan streams pages until one batch fills; it must
     // not touch anywhere near the whole table (the row engine it replaced
     // buffered all N rows before the limit applied).
-    let r = db.query("SELECT id FROM BIG LIMIT 5").unwrap();
+    let r = s.query("SELECT id FROM BIG LIMIT 5", &[]).unwrap();
     assert_eq!(r.try_table().unwrap().rows.len(), 5);
     assert!(
         r.stats.rows_scanned < (N / 4) as u64,
@@ -101,7 +102,7 @@ fn limit_query_stops_scanning_early() {
     assert!(r.stats.peak_batch_rows <= 1024);
 
     // Contrast: a full aggregate really does scan everything.
-    let full = db.query("SELECT COUNT(*) FROM BIG").unwrap();
+    let full = s.query("SELECT COUNT(*) FROM BIG", &[]).unwrap();
     assert_eq!(full.try_table().unwrap().rows[0][0], Value::Int(N as i64));
     assert_eq!(full.stats.rows_scanned, N as u64);
 }
@@ -109,14 +110,15 @@ fn limit_query_stops_scanning_early() {
 #[test]
 fn batch_size_knob_caps_scan_batches() {
     let db = Database::with_config(config_with_batch(10));
-    db.execute("CREATE TABLE T (v INT)").unwrap();
+    let s = db.session();
+    s.execute("CREATE TABLE T (v INT)", &[]).unwrap();
     let table = db.catalog().table("T").unwrap();
     for i in 0..100 {
         table
             .insert(&xnf_storage::Tuple::new(vec![Value::Int(i)]))
             .unwrap();
     }
-    let r = db.query("SELECT v FROM T").unwrap();
+    let r = s.query("SELECT v FROM T", &[]).unwrap();
     assert_eq!(r.try_table().unwrap().rows.len(), 100);
     assert!(
         r.stats.peak_batch_rows <= 10,
@@ -129,7 +131,7 @@ fn batch_size_knob_caps_scan_batches() {
 #[test]
 fn explain_reports_batch_mode() {
     let db = Database::with_config(config_with_batch(256));
-    db.execute("CREATE TABLE T (v INT)").unwrap();
+    db.session().execute("CREATE TABLE T (v INT)", &[]).unwrap();
     let explain = db.explain("SELECT v FROM T").unwrap();
     assert!(
         explain.contains("batch pipeline (batch_size=256)"),
@@ -144,7 +146,12 @@ fn explain_reports_batch_mode() {
 #[test]
 fn parallel_reads_are_snapshot_stable_under_concurrent_writers() {
     let db = Database::with_config(config(true, 4, 1024));
-    db.execute("CREATE TABLE T (id INT NOT NULL, grp INT, payload INT)")
+    let autocommit = db.session();
+    autocommit
+        .execute(
+            "CREATE TABLE T (id INT NOT NULL, grp INT, payload INT)",
+            &[],
+        )
         .unwrap();
     let table = db.catalog().table("T").unwrap();
     for i in 0..2000i64 {
@@ -210,7 +217,7 @@ fn parallel_reads_are_snapshot_stable_under_concurrent_writers() {
     reader.commit().unwrap();
 
     // A fresh autocommit parallel read sees all 1000 committed inserts.
-    let after = db.query("SELECT COUNT(*) FROM T").unwrap();
+    let after = autocommit.query("SELECT COUNT(*) FROM T", &[]).unwrap();
     assert_eq!(
         after.try_table().unwrap().rows,
         vec![vec![Value::Int(3000)]]
@@ -227,22 +234,26 @@ fn index_probes_read_under_the_statement_snapshot() {
             },
             config(use_indexes, 1, 1024),
         );
+        let autocommit = db.session();
         let sql = co("xdept.dno = 3");
         let reader = db.session();
         reader.begin().unwrap();
         let before = reader.query(&sql, &[]).unwrap();
         // Committed after the reader's snapshot: a new employee and a
         // move out of the department, both invisible to the reader.
-        db.execute("INSERT INTO EMP VALUES (9000, 'late', 3, 50.0)")
+        autocommit
+            .execute("INSERT INTO EMP VALUES (9000, 'late', 3, 50.0)", &[])
             .unwrap();
-        db.execute("INSERT INTO EMPSKILLS VALUES (9000, 1)")
+        autocommit
+            .execute("INSERT INTO EMPSKILLS VALUES (9000, 1)", &[])
             .unwrap();
-        db.execute("UPDATE EMP SET edno = 4 WHERE eno = 60")
+        autocommit
+            .execute("UPDATE EMP SET edno = 4 WHERE eno = 60", &[])
             .unwrap();
         let during = reader.query(&sql, &[]).unwrap();
         assert_same_result(&before, &during, &format!("use_indexes={use_indexes}"));
         reader.commit().unwrap();
-        let after = db.query(&sql).unwrap();
+        let after = autocommit.query(&sql, &[]).unwrap();
         assert_eq!(
             stream_len(&after, "xemp"),
             stream_len(&before, "xemp"),

@@ -113,7 +113,7 @@ pub fn run(corpora: &[Corpus], cells: &[Cell]) -> Seen {
             match step {
                 Step::Query(sql, params) => check(&db, &sql, &params, cells, &mut seen),
                 Step::Execute(sql) => {
-                    db.execute_batch(sql).unwrap();
+                    db.session().execute_batch(sql).unwrap();
                 }
             }
         }
@@ -391,12 +391,13 @@ fn index_join_db() -> Database {
         ..Default::default()
     };
     let db = build_paper_db_with(scale, config(true, 1, 1024));
-    db.execute_batch(
-        "INSERT INTO DEPT VALUES (777, 'empty', 'ARC');
+    db.session()
+        .execute_batch(
+            "INSERT INTO DEPT VALUES (777, 'empty', 'ARC');
          INSERT INTO EMPSKILLS VALUES (61, 7);
          INSERT INTO EMPSKILLS VALUES (61, 7);",
-    )
-    .unwrap();
+        )
+        .unwrap();
     db
 }
 
@@ -564,6 +565,11 @@ pub fn rs() -> (Database, Vec<Step>) {
         "SELECT a, b FROM R ORDER BY b DESC, a LIMIT 7",
         "SELECT r.a, s.a FROM R r, S s WHERE r.b < s.b AND s.a = 3 AND r.a = 4",
         "SELECT a FROM R WHERE EXISTS (SELECT 1 FROM S WHERE S.b > R.b AND S.a = 3)",
+        // NOT IN under NULLs: S.b holds NULLs, so no R row qualifies; with
+        // them filtered out, R's own NULL b still never qualifies.
+        "SELECT a FROM R WHERE b NOT IN (SELECT b FROM S)",
+        "SELECT a, b FROM R WHERE b NOT IN (SELECT b FROM S WHERE b IS NOT NULL AND a = 3)",
+        "SELECT a, b FROM R WHERE NOT (b IN (SELECT b FROM S WHERE b IS NOT NULL AND a = 3))",
         "SELECT 1",
     ];
     (rs_db(), steps.map(|s| q(s, &[])).into())

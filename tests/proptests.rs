@@ -76,13 +76,14 @@ fn random_graph_db(rng: &mut StdRng) -> GraphDb {
 
 fn build(db: &GraphDb) -> Database {
     let d = Database::new();
-    d.execute_batch(
-        "CREATE TABLE P (pk INT, sel INT);
+    d.session()
+        .execute_batch(
+            "CREATE TABLE P (pk INT, sel INT);
          CREATE TABLE C (ck INT, fk INT);
          CREATE TABLE M (mc INT, ml INT);
          CREATE TABLE L (lk INT)",
-    )
-    .unwrap();
+        )
+        .unwrap();
     let p = d.catalog().table("P").unwrap();
     for (k, s) in &db.parents {
         p.insert(&Tuple::new(vec![Value::Int(*k), Value::Int(i64::from(*s))]))
@@ -158,7 +159,7 @@ fn reachability_matches_reference() {
     for case in 0..CASES {
         let desc = random_graph_db(&mut rng);
         let db = build(&desc);
-        let result = db.query(GRAPH_CO).unwrap();
+        let result = db.session().query(GRAPH_CO, &[]).unwrap();
         let ws = Workspace::from_result(&result).unwrap();
 
         let (ref_roots, ref_children, ref_leaves) = reference_reachable(&desc);
@@ -202,8 +203,9 @@ fn rewrite_preserves_semantics() {
             plan: PlanOptions::default(),
             ..Default::default()
         });
+        let naive_s = naive.session();
         // Same content.
-        naive
+        naive_s
             .execute_batch(
                 "CREATE TABLE P (pk INT, sel INT);
                  CREATE TABLE C (ck INT, fk INT);
@@ -226,7 +228,8 @@ fn rewrite_preserves_semantics() {
             "SELECT l.lk FROM L l WHERE l.lk IN (SELECT m.ml FROM M m)",
         ] {
             let mut a: Vec<i64> = fast
-                .query(sql)
+                .session()
+                .query(sql, &[])
                 .unwrap()
                 .try_table()
                 .unwrap()
@@ -234,8 +237,8 @@ fn rewrite_preserves_semantics() {
                 .iter()
                 .map(|r| r[0].as_int().unwrap())
                 .collect();
-            let mut b: Vec<i64> = naive
-                .query(sql)
+            let mut b: Vec<i64> = naive_s
+                .query(sql, &[])
                 .unwrap()
                 .try_table()
                 .unwrap()
@@ -258,7 +261,7 @@ fn cache_pointers_match_connections() {
     for _ in 0..CASES {
         let desc = random_graph_db(&mut rng);
         let db = build(&desc);
-        let result = db.query(GRAPH_CO).unwrap();
+        let result = db.session().query(GRAPH_CO, &[]).unwrap();
         let ws = Workspace::from_result(&result).unwrap();
         for rel in ["pc", "cl"] {
             let r = ws.relationship(rel).unwrap();
@@ -289,7 +292,11 @@ fn aggregates_match_reference() {
         let desc = random_graph_db(&mut rng);
         let db = build(&desc);
         let r = db
-            .query("SELECT fk, COUNT(*) AS n FROM C GROUP BY fk ORDER BY fk")
+            .session()
+            .query(
+                "SELECT fk, COUNT(*) AS n FROM C GROUP BY fk ORDER BY fk",
+                &[],
+            )
             .unwrap();
         let mut expect: std::collections::BTreeMap<i64, i64> = Default::default();
         for (_, fk) in &desc.children {

@@ -28,7 +28,8 @@ fn open(dir: &Path) -> Database {
 
 fn int_rows(db: &Database, sql: &str) -> Vec<Vec<i64>> {
     let mut rows: Vec<Vec<i64>> = db
-        .query(sql)
+        .session()
+        .query(sql, &[])
         .unwrap()
         .try_table()
         .unwrap()
@@ -41,7 +42,8 @@ fn int_rows(db: &Database, sql: &str) -> Vec<Vec<i64>> {
 }
 
 fn count(db: &Database, table: &str) -> i64 {
-    db.query(&format!("SELECT COUNT(*) FROM {table}"))
+    db.session()
+        .query(&format!("SELECT COUNT(*) FROM {table}"), &[])
         .unwrap()
         .try_table()
         .unwrap()
@@ -55,30 +57,35 @@ fn reopen_restores_tables_indexes_and_views() {
     let dir = TempDir::new("recovery-basic");
     {
         let db = open(dir.path());
-        db.execute("CREATE TABLE T (id INT NOT NULL, v VARCHAR)")
+        let s = db.session();
+        s.execute("CREATE TABLE T (id INT NOT NULL, v VARCHAR)", &[])
             .unwrap();
-        db.execute("CREATE INDEX t_id ON T (id)").unwrap();
+        s.execute("CREATE INDEX t_id ON T (id)", &[]).unwrap();
         for i in 0..50 {
-            db.execute(&format!("INSERT INTO T VALUES ({i}, 'v{i}')"))
+            s.execute(&format!("INSERT INTO T VALUES ({i}, 'v{i}')"), &[])
                 .unwrap();
         }
-        db.execute("UPDATE T SET v = 'updated' WHERE id = 7")
+        s.execute("UPDATE T SET v = 'updated' WHERE id = 7", &[])
             .unwrap();
-        db.execute("DELETE FROM T WHERE id = 9").unwrap();
-        db.execute("CREATE VIEW small AS SELECT id FROM T WHERE id < 5")
+        s.execute("DELETE FROM T WHERE id = 9", &[]).unwrap();
+        s.execute("CREATE VIEW small AS SELECT id FROM T WHERE id < 5", &[])
             .unwrap();
-        db.execute("CREATE MATERIALIZED VIEW evens AS SELECT id, v FROM T WHERE id % 2 = 0")
-            .unwrap();
+        s.execute(
+            "CREATE MATERIALIZED VIEW evens AS SELECT id, v FROM T WHERE id % 2 = 0",
+            &[],
+        )
+        .unwrap();
     }
 
     let db = open(dir.path());
+    let s = db.session();
     let report = db.recovery_report().expect("durable open recovers");
     assert!(report.records_scanned > 0, "log was empty on reopen");
 
     // Base contents: 50 inserts − 1 delete, with the update visible.
     assert_eq!(count(&db, "T"), 49);
-    let r = db
-        .query("SELECT v FROM T WHERE id = 7")
+    let r = s
+        .query("SELECT v FROM T WHERE id = 7", &[])
         .unwrap()
         .try_table()
         .unwrap()
@@ -107,11 +114,11 @@ fn reopen_restores_tables_indexes_and_views() {
         25,
         "evens: every even id 0..50 (the delete hit an odd id)"
     );
-    db.execute("REFRESH MATERIALIZED VIEW evens").unwrap();
+    s.execute("REFRESH MATERIALIZED VIEW evens", &[]).unwrap();
     assert_eq!(before, int_rows(&db, "SELECT id FROM evens"));
 
     // The recovered database accepts and persists new work.
-    db.execute("INSERT INTO T VALUES (100, 'new')").unwrap();
+    s.execute("INSERT INTO T VALUES (100, 'new')", &[]).unwrap();
     assert_eq!(count(&db, "T"), 50);
 }
 
@@ -121,9 +128,11 @@ fn torn_log_tail_recovers_a_committed_prefix_at_every_offset() {
     const N: i64 = 12;
     {
         let db = open(base.path());
-        db.execute("CREATE TABLE T (id INT NOT NULL)").unwrap();
+        let s = db.session();
+        s.execute("CREATE TABLE T (id INT NOT NULL)", &[]).unwrap();
         for i in 0..N {
-            db.execute(&format!("INSERT INTO T VALUES ({i})")).unwrap();
+            s.execute(&format!("INSERT INTO T VALUES ({i})"), &[])
+                .unwrap();
         }
     }
     let wal = std::fs::read(base.path().join("wal.log")).unwrap();
@@ -157,9 +166,13 @@ fn loser_transaction_is_rolled_back_on_restart() {
     let dir = TempDir::new("recovery-loser");
     {
         let db = open(dir.path());
-        db.execute("CREATE TABLE T (id INT NOT NULL, v INT)")
+        let autocommit = db.session();
+        autocommit
+            .execute("CREATE TABLE T (id INT NOT NULL, v INT)", &[])
             .unwrap();
-        db.execute("INSERT INTO T VALUES (1, 10)").unwrap();
+        autocommit
+            .execute("INSERT INTO T VALUES (1, 10)", &[])
+            .unwrap();
 
         let session = db.session();
         session.begin().unwrap();
@@ -175,7 +188,9 @@ fn loser_transaction_is_rolled_back_on_restart() {
 
         // An unrelated commit pushes the log — including the leaked
         // transaction's records — out to the file.
-        db.execute("INSERT INTO T VALUES (3, 30)").unwrap();
+        autocommit
+            .execute("INSERT INTO T VALUES (3, 30)", &[])
+            .unwrap();
     }
 
     let db = open(dir.path());
@@ -186,7 +201,9 @@ fn loser_transaction_is_rolled_back_on_restart() {
         vec![vec![1, 10], vec![3, 30]]
     );
     // The undone write mark is fully cleared: row 1 is writable again.
-    db.execute("UPDATE T SET v = 11 WHERE id = 1").unwrap();
+    db.session()
+        .execute("UPDATE T SET v = 11 WHERE id = 1", &[])
+        .unwrap();
     assert_eq!(
         int_rows(&db, "SELECT v FROM T WHERE id = 1"),
         vec![vec![11]]
@@ -198,17 +215,18 @@ fn committed_but_unvacuumed_version_chain_recovers_to_latest() {
     let dir = TempDir::new("recovery-chain");
     {
         let db = open(dir.path());
-        db.execute("CREATE TABLE T (id INT NOT NULL, v INT)")
+        let s = db.session();
+        s.execute("CREATE TABLE T (id INT NOT NULL, v INT)", &[])
             .unwrap();
-        db.execute("INSERT INTO T VALUES (1, 0)").unwrap();
-        db.execute("INSERT INTO T VALUES (2, 0)").unwrap();
+        s.execute("INSERT INTO T VALUES (1, 0)", &[]).unwrap();
+        s.execute("INSERT INTO T VALUES (2, 0)", &[]).unwrap();
         // Pile up dead predecessor versions — never vacuumed, so the log
         // (and the heap) still carry the whole chain at "crash" time.
         for n in 1..=5 {
-            db.execute(&format!("UPDATE T SET v = {n} WHERE id = 1"))
+            s.execute(&format!("UPDATE T SET v = {n} WHERE id = 1"), &[])
                 .unwrap();
         }
-        db.execute("DELETE FROM T WHERE id = 2").unwrap();
+        s.execute("DELETE FROM T WHERE id = 2", &[]).unwrap();
     }
 
     let db = open(dir.path());
@@ -216,7 +234,7 @@ fn committed_but_unvacuumed_version_chain_recovers_to_latest() {
     assert_eq!(int_rows(&db, "SELECT id, v FROM T"), vec![vec![1, 5]]);
     // Vacuum reclaims the recovered dead versions without disturbing them,
     // and the result survives another restart.
-    db.execute("VACUUM T").unwrap();
+    db.session().execute("VACUUM T", &[]).unwrap();
     assert_eq!(int_rows(&db, "SELECT id, v FROM T"), vec![vec![1, 5]]);
     drop(db);
     let db = open(dir.path());
@@ -228,10 +246,11 @@ fn reopening_twice_is_idempotent() {
     let dir = TempDir::new("recovery-idem");
     {
         let db = open(dir.path());
-        db.execute("CREATE TABLE T (id INT NOT NULL, v VARCHAR)")
+        let s = db.session();
+        s.execute("CREATE TABLE T (id INT NOT NULL, v VARCHAR)", &[])
             .unwrap();
         for i in 0..20 {
-            db.execute(&format!("INSERT INTO T VALUES ({i}, 'x{i}')"))
+            s.execute(&format!("INSERT INTO T VALUES ({i}, 'x{i}')"), &[])
                 .unwrap();
         }
     }
@@ -259,10 +278,11 @@ fn buffer_budget_evicts_under_pressure_and_loses_nothing() {
     let fat = "x".repeat(400);
     {
         let db = Database::open_with_config(tiny.clone()).unwrap();
-        db.execute("CREATE TABLE T (id INT NOT NULL, pad VARCHAR)")
+        let s = db.session();
+        s.execute("CREATE TABLE T (id INT NOT NULL, pad VARCHAR)", &[])
             .unwrap();
         for i in 0..500 {
-            db.execute(&format!("INSERT INTO T VALUES ({i}, '{fat}')"))
+            s.execute(&format!("INSERT INTO T VALUES ({i}, '{fat}')"), &[])
                 .unwrap();
         }
         let stats = db.catalog().buffer_pool().stats();
@@ -293,11 +313,12 @@ fn buffer_budget_parallel_scans_wait_for_pinned_frames() {
         },
         ..DbConfig::default()
     });
-    db.execute("CREATE TABLE T (id INT NOT NULL, pad VARCHAR)")
+    let s = db.session();
+    s.execute("CREATE TABLE T (id INT NOT NULL, pad VARCHAR)", &[])
         .unwrap();
     let fat = "x".repeat(400);
     for i in 0..600 {
-        db.execute(&format!("INSERT INTO T VALUES ({i}, '{fat}')"))
+        s.execute(&format!("INSERT INTO T VALUES ({i}, '{fat}')"), &[])
             .unwrap();
     }
     let pages = db.catalog().table("T").unwrap().page_count();
@@ -327,8 +348,9 @@ fn zero_buffer_pages_opens_an_eight_frame_pool() {
         Database::with_config(in_memory),
     ] {
         assert_eq!(db.catalog().buffer_pool().capacity(), 8);
-        db.execute("CREATE TABLE T (id INT NOT NULL)").unwrap();
-        db.execute("INSERT INTO T VALUES (1)").unwrap();
+        let s = db.session();
+        s.execute("CREATE TABLE T (id INT NOT NULL)", &[]).unwrap();
+        s.execute("INSERT INTO T VALUES (1)", &[]).unwrap();
         assert_eq!(count(&db, "T"), 1);
     }
 }
@@ -343,9 +365,11 @@ fn flipped_byte_in_any_trailer_field_fails_loudly_without_a_dw_copy() {
     let base = TempDir::new("recovery-flip-base");
     {
         let db = open(base.path());
-        db.execute("CREATE TABLE T (id INT NOT NULL)").unwrap();
+        let s = db.session();
+        s.execute("CREATE TABLE T (id INT NOT NULL)", &[]).unwrap();
         for i in 0..8 {
-            db.execute(&format!("INSERT INTO T VALUES ({i})")).unwrap();
+            s.execute(&format!("INSERT INTO T VALUES ({i})"), &[])
+                .unwrap();
         }
         db.checkpoint().unwrap(); // stamped images on disk, DW truncated
     }
@@ -386,9 +410,11 @@ fn hand_built_dw_entry_repairs_corruption_and_reopen_is_idempotent() {
     let dir = TempDir::new("recovery-dw-repair");
     {
         let db = open(dir.path());
-        db.execute("CREATE TABLE T (id INT NOT NULL)").unwrap();
+        let s = db.session();
+        s.execute("CREATE TABLE T (id INT NOT NULL)", &[]).unwrap();
         for i in 0..8 {
-            db.execute(&format!("INSERT INTO T VALUES ({i})")).unwrap();
+            s.execute(&format!("INSERT INTO T VALUES ({i})"), &[])
+                .unwrap();
         }
         db.checkpoint().unwrap();
     }
@@ -444,8 +470,9 @@ fn stranded_pages_are_reclaimed_and_reused_after_recovery() {
     let dir = TempDir::new("recovery-stranded");
     {
         let db = open(dir.path());
-        db.execute("CREATE TABLE T (id INT NOT NULL)").unwrap();
-        db.execute("INSERT INTO T VALUES (0)").unwrap();
+        let s = db.session();
+        s.execute("CREATE TABLE T (id INT NOT NULL)", &[]).unwrap();
+        s.execute("INSERT INTO T VALUES (0)", &[]).unwrap();
         db.checkpoint().unwrap();
     }
     // Model the crash: the file grew by two pages the log never heard of
@@ -471,7 +498,9 @@ fn stranded_pages_are_reclaimed_and_reused_after_recovery() {
     // Enough inserts to force heap growth: the new heap pages must come
     // from the reclaimed strays, not extend the file.
     for i in 1..=600 {
-        db.execute(&format!("INSERT INTO T VALUES ({i})")).unwrap();
+        db.session()
+            .execute(&format!("INSERT INTO T VALUES ({i})"), &[])
+            .unwrap();
     }
     assert_eq!(count(&db, "T"), 601);
     assert!(
@@ -486,7 +515,9 @@ fn wal_stats_and_explain_report_durability() {
     // In-memory: no log, and EXPLAIN says so.
     let mem = Database::new();
     assert!(mem.wal_stats().is_none());
-    mem.execute("CREATE TABLE T (id INT)").unwrap();
+    mem.session()
+        .execute("CREATE TABLE T (id INT)", &[])
+        .unwrap();
     assert!(mem
         .explain("SELECT * FROM T")
         .unwrap()
@@ -495,8 +526,9 @@ fn wal_stats_and_explain_report_durability() {
     // Durable: commits append and flush; EXPLAIN reports the fsync mode.
     let dir = TempDir::new("recovery-stats");
     let db = open(dir.path());
-    db.execute("CREATE TABLE T (id INT)").unwrap();
-    db.execute("INSERT INTO T VALUES (1)").unwrap();
+    let s = db.session();
+    s.execute("CREATE TABLE T (id INT)", &[]).unwrap();
+    s.execute("INSERT INTO T VALUES (1)", &[]).unwrap();
     let stats = db.wal_stats().unwrap();
     assert!(stats.records > 0);
     assert!(stats.bytes_logged > 0);

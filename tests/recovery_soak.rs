@@ -49,19 +49,25 @@ fn storm_child() {
     };
     let dir = std::path::PathBuf::from(dir);
     let db = std::sync::Arc::new(Database::open_with_config(soak_config(&dir)).unwrap());
+    let s = db.session();
 
     // First round creates the schema; later rounds inherit it (recovered).
-    if db
-        .execute("CREATE TABLE ACCT (id INT NOT NULL, bal INT)")
+    if s.execute("CREATE TABLE ACCT (id INT NOT NULL, bal INT)", &[])
         .is_ok()
     {
-        db.execute("CREATE INDEX acct_id ON ACCT (id)").unwrap();
+        s.execute("CREATE INDEX acct_id ON ACCT (id)", &[]).unwrap();
         for i in 0..ACCOUNTS {
-            db.execute(&format!("INSERT INTO ACCT VALUES ({i}, {INITIAL_BALANCE})"))
-                .unwrap();
-        }
-        db.execute("CREATE MATERIALIZED VIEW rich AS SELECT id, bal FROM ACCT WHERE bal > 50")
+            s.execute(
+                &format!("INSERT INTO ACCT VALUES ({i}, {INITIAL_BALANCE})"),
+                &[],
+            )
             .unwrap();
+        }
+        s.execute(
+            "CREATE MATERIALIZED VIEW rich AS SELECT id, bal FROM ACCT WHERE bal > 50",
+            &[],
+        )
+        .unwrap();
     }
     // Parent kills us any time after this marker appears.
     std::fs::write(dir.join("READY"), b"ready").unwrap();
@@ -125,11 +131,12 @@ fn kill_and_recover(dir: &Path, run_ms: u64) {
     // Restart. Committed transfers conserve the total; the loser caught
     // mid-transfer is rolled back rather than leaking half a transfer.
     let db = Database::open_with_config(soak_config(dir)).unwrap();
+    let s = db.session();
     let report = db.recovery_report().expect("soak db recovers");
     assert!(report.records_scanned > 0, "kill landed on an empty log");
 
-    let r = db
-        .query("SELECT COUNT(*), SUM(bal) FROM ACCT")
+    let r = s
+        .query("SELECT COUNT(*), SUM(bal) FROM ACCT", &[])
         .unwrap()
         .try_table()
         .unwrap()
@@ -149,7 +156,8 @@ fn kill_and_recover(dir: &Path, run_ms: u64) {
     // Materialized view contents equal a full recompute.
     let sorted = |db: &Database| {
         let mut rows = db
-            .query("SELECT * FROM rich")
+            .session()
+            .query("SELECT * FROM rich", &[])
             .unwrap()
             .try_table()
             .unwrap()
@@ -159,7 +167,7 @@ fn kill_and_recover(dir: &Path, run_ms: u64) {
         rows
     };
     let recovered = sorted(&db);
-    db.execute("REFRESH MATERIALIZED VIEW rich").unwrap();
+    s.execute("REFRESH MATERIALIZED VIEW rich", &[]).unwrap();
     assert_eq!(
         recovered,
         sorted(&db),
@@ -167,17 +175,17 @@ fn kill_and_recover(dir: &Path, run_ms: u64) {
     );
 
     // The survivor keeps working: one more conserving transfer round-trips.
-    db.execute_batch(
+    s.execute_batch(
         "UPDATE ACCT SET bal = bal - 5 WHERE id = 0; UPDATE ACCT SET bal = bal + 5 WHERE id = 1",
     )
     .unwrap();
-    let r = db.query("SELECT SUM(bal) FROM ACCT").unwrap();
+    let r = s.query("SELECT SUM(bal) FROM ACCT", &[]).unwrap();
     assert_eq!(
         r.try_table().unwrap().rows[0][0].as_int().unwrap(),
         ACCOUNTS * INITIAL_BALANCE
     );
     // Put the money back so later rounds assert against the same total.
-    db.execute_batch(
+    s.execute_batch(
         "UPDATE ACCT SET bal = bal + 5 WHERE id = 0; UPDATE ACCT SET bal = bal - 5 WHERE id = 1",
     )
     .unwrap();

@@ -28,7 +28,8 @@ fn open(dir: &Path) -> Database {
 
 /// The single stored value (account 0's balance).
 fn balance(db: &Database) -> i64 {
-    db.query("SELECT bal FROM ACCT WHERE id = 0")
+    db.session()
+        .query("SELECT bal FROM ACCT WHERE id = 0", &[])
         .unwrap()
         .try_table()
         .unwrap()
@@ -45,19 +46,19 @@ fn update_and_faulted_checkpoint(
     plan: FaultPlan,
 ) -> Result<(), xnf_core::XnfError> {
     let db = open(dir);
-    let _ = db.execute("CREATE TABLE ACCT (id INT, bal INT)");
-    if db
-        .query("SELECT id FROM ACCT")
+    let s = db.session();
+    let _ = s.execute("CREATE TABLE ACCT (id INT, bal INT)", &[]);
+    if s.query("SELECT id FROM ACCT", &[])
         .unwrap()
         .try_table()
         .unwrap()
         .rows
         .is_empty()
     {
-        db.execute("INSERT INTO ACCT VALUES (0, -1)").unwrap();
+        s.execute("INSERT INTO ACCT VALUES (0, -1)", &[]).unwrap();
         db.checkpoint().unwrap(); // first in-place image on disk
     }
-    db.execute(&format!("UPDATE ACCT SET bal = {bal} WHERE id = 0"))
+    s.execute(&format!("UPDATE ACCT SET bal = {bal} WHERE id = 0"), &[])
         .unwrap();
     db.catalog().buffer_pool().disk().set_fault_plan(plan);
     db.checkpoint()
@@ -195,12 +196,15 @@ fn doublewrite_off_detects_but_cannot_repair() {
     };
     {
         let db = Database::open_with_config(cfg.clone()).unwrap();
-        db.execute("CREATE TABLE ACCT (id INT, bal INT)").unwrap();
-        db.execute("INSERT INTO ACCT VALUES (0, 7)").unwrap();
+        let s = db.session();
+        s.execute("CREATE TABLE ACCT (id INT, bal INT)", &[])
+            .unwrap();
+        s.execute("INSERT INTO ACCT VALUES (0, 7)", &[]).unwrap();
         db.checkpoint().unwrap();
         // Tear the next in-place write: no DW, so image write 0 is the
         // in-place one.
-        db.execute("UPDATE ACCT SET bal = 8 WHERE id = 0").unwrap();
+        s.execute("UPDATE ACCT SET bal = 8 WHERE id = 0", &[])
+            .unwrap();
         db.catalog().buffer_pool().disk().set_fault_plan(FaultPlan {
             tear_write: Some((0, 2048)),
             drop_fsync: None,

@@ -48,7 +48,8 @@ fn canon(co: &CoCache) -> Vec<(String, Vec<String>)> {
 
 fn ints(db: &Database, sql: &str) -> Vec<i64> {
     let mut v: Vec<i64> = db
-        .query(sql)
+        .session()
+        .query(sql, &[])
         .unwrap()
         .try_table()
         .unwrap()
@@ -64,53 +65,56 @@ fn ints(db: &Database, sql: &str) -> Vec<i64> {
 /// name a department.
 fn dept_emp_db() -> Database {
     let db = Database::new();
-    db.execute_batch(
-        "CREATE TABLE D (dno INT NOT NULL, dname VARCHAR(10));
+    db.session()
+        .execute_batch(
+            "CREATE TABLE D (dno INT NOT NULL, dname VARCHAR(10));
          CREATE TABLE E (eno INT NOT NULL, edno INT, boss INT);
          INSERT INTO D VALUES (1, 'd1'), (2, 'd2'), (3, 'd3');
          INSERT INTO E VALUES (10, 1, 2), (11, 2, 1), (12, 3, 3);",
-    )
-    .unwrap();
+        )
+        .unwrap();
     db
 }
 
 #[test]
 fn drop_view_with_dependent_matview_is_rejected() {
     let db = Database::new();
-    db.execute_batch(
+    let s = db.session();
+    s.execute_batch(
         "CREATE TABLE T (id INT, v INT);
          INSERT INTO T VALUES (1, 10), (2, 20);
          CREATE VIEW small AS SELECT id, v FROM T WHERE v < 100;
          CREATE MATERIALIZED VIEW m AS SELECT id, v FROM small;",
     )
     .unwrap();
-    let err = db.execute("DROP VIEW small").unwrap_err().to_string();
+    let err = s.execute("DROP VIEW small", &[]).unwrap_err().to_string();
     assert!(
         err.contains("cannot drop view 'small': materialized view 'm' depends on it"),
         "{err}"
     );
     // The view survived, so maintenance still reaches m through it.
-    db.execute("INSERT INTO T VALUES (3, 30)").unwrap();
+    s.execute("INSERT INTO T VALUES (3, 30)", &[]).unwrap();
     assert_eq!(ints(&db, "SELECT id FROM m"), vec![1, 2, 3]);
-    db.execute("REFRESH MATERIALIZED VIEW m").unwrap();
+    s.execute("REFRESH MATERIALIZED VIEW m", &[]).unwrap();
     // The base table under the view is a dependency too.
-    let err = db.execute("DROP TABLE T").unwrap_err().to_string();
+    let err = s.execute("DROP TABLE T", &[]).unwrap_err().to_string();
     assert!(err.contains("materialized view 'm' depends on it"), "{err}");
     // Dropping in dependency order works.
-    db.execute("DROP MATERIALIZED VIEW m").unwrap();
-    db.execute("DROP VIEW small").unwrap();
-    db.execute("DROP TABLE T").unwrap();
+    s.execute("DROP MATERIALIZED VIEW m", &[]).unwrap();
+    s.execute("DROP VIEW small", &[]).unwrap();
+    s.execute("DROP TABLE T", &[]).unwrap();
 }
 
 #[test]
 fn swapped_aliases_map_relationship_columns_by_output_name() {
     let db = dept_emp_db();
+    let s = db.session();
     // `xe.edno` is the alias of base column `boss`.
     let co_query = "OUT OF xd AS (SELECT * FROM D),
                            xe AS (SELECT eno, boss AS edno, edno AS boss FROM E),
                            r AS (RELATE xd VIA HAS, xe WHERE xd.dno = xe.edno)
                     TAKE *";
-    let co = db.fetch_co(co_query).unwrap();
+    let co = s.fetch_co(co_query).unwrap();
     assert!(
         matches!(
             co.schema.relationship("r"),
@@ -119,12 +123,13 @@ fn swapped_aliases_map_relationship_columns_by_output_name() {
         "{:?}",
         co.schema.relationship("r")
     );
-    db.execute(&format!("CREATE MATERIALIZED VIEW mv AS {co_query}"))
+    s.execute(&format!("CREATE MATERIALIZED VIEW mv AS {co_query}"), &[])
         .unwrap();
-    db.execute("UPDATE E SET boss = 3 WHERE eno = 10").unwrap();
+    s.execute("UPDATE E SET boss = 3 WHERE eno = 10", &[])
+        .unwrap();
     assert_eq!(
-        canon(&db.fetch_co("mv").unwrap()),
-        canon(&db.fetch_co(co_query).unwrap()),
+        canon(&s.fetch_co("mv").unwrap()),
+        canon(&s.fetch_co(co_query).unwrap()),
         "maintained CO diverged from a fresh fetch"
     );
 }
@@ -132,7 +137,8 @@ fn swapped_aliases_map_relationship_columns_by_output_name() {
 #[test]
 fn plain_alias_relationship_is_foreign_key_and_connects() {
     let db = dept_emp_db();
-    let mut co = db
+    let s = db.session();
+    let mut co = s
         .fetch_co(
             "OUT OF xd AS (SELECT * FROM D),
                     xe AS (SELECT eno, edno AS dept FROM E),
@@ -168,26 +174,28 @@ fn plain_alias_relationship_is_foreign_key_and_connects() {
     );
     ws.disconnect("r", &[d1, e10]).unwrap();
     ws.connect("r", &[d3, e10]).unwrap();
-    co.save(&db).unwrap();
+    s.write_back(&mut co).unwrap();
     assert_eq!(ints(&db, "SELECT edno FROM E WHERE eno = 10"), vec![3]);
 }
 
 #[test]
 fn co_matview_over_an_xnf_view_matches_a_fresh_fetch() {
     let db = build_uniform_paper_db_with(40, Default::default());
-    db.execute(&format!("CREATE VIEW deps AS {DEPS_ARC}"))
+    let s = db.session();
+    s.execute(&format!("CREATE VIEW deps AS {DEPS_ARC}"), &[])
         .unwrap();
-    db.execute("CREATE MATERIALIZED VIEW m AS OUT OF deps TAKE *")
+    s.execute("CREATE MATERIALIZED VIEW m AS OUT OF deps TAKE *", &[])
         .unwrap();
     let fresh = "OUT OF deps TAKE *";
     assert_eq!(
-        canon(&db.fetch_co("m").unwrap()),
-        canon(&db.fetch_co(fresh).unwrap())
+        canon(&s.fetch_co("m").unwrap()),
+        canon(&s.fetch_co(fresh).unwrap())
     );
-    db.execute("UPDATE EMP SET edno = 2 WHERE eno = 3").unwrap();
-    let stored = db.fetch_co("m").unwrap();
+    s.execute("UPDATE EMP SET edno = 2 WHERE eno = 3", &[])
+        .unwrap();
+    let stored = s.fetch_co("m").unwrap();
     assert_eq!(stored.workspace.tuple_count(), 375);
-    assert_eq!(canon(&stored), canon(&db.fetch_co(fresh).unwrap()));
+    assert_eq!(canon(&stored), canon(&s.fetch_co(fresh).unwrap()));
 }
 
 #[test]
@@ -204,12 +212,13 @@ fn compiled_co_schema_follows_a_recreated_table() {
         .unwrap();
     fetch.fetch_co().unwrap();
     // Same columns, another order: every base ordinal moves.
-    db.execute_batch(
-        "DROP TABLE E;
+    session
+        .execute_batch(
+            "DROP TABLE E;
          CREATE TABLE E (boss INT, edno INT, eno INT NOT NULL);
          INSERT INTO E VALUES (2, 1, 10), (1, 2, 11), (3, 3, 12);",
-    )
-    .unwrap();
+        )
+        .unwrap();
     let mut co = fetch.fetch_co().unwrap();
     let ws = &mut co.workspace;
     let e10 = ws
