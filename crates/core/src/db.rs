@@ -260,8 +260,9 @@ pub enum ExecOutcome {
     Done,
     /// Rows affected by DML.
     Affected(usize),
-    /// A query result (SQL table or XNF CO streams).
-    Rows(QueryResult),
+    /// A query result (SQL table or XNF CO streams), boxed so that the
+    /// other outcomes stay small.
+    Rows(Box<QueryResult>),
 }
 
 impl ExecOutcome {
@@ -269,7 +270,7 @@ impl ExecOutcome {
     /// (DDL/DML).
     pub fn try_rows(self) -> Result<QueryResult> {
         match self {
-            ExecOutcome::Rows(r) => Ok(r),
+            ExecOutcome::Rows(r) => Ok(*r),
             other => Err(XnfError::Api(format!(
                 "expected a query result, got {other:?}"
             ))),
@@ -358,6 +359,7 @@ pub struct Database {
     maint_roots: AtomicU64,
     maint_nodes_reused: AtomicU64,
     maint_nodes_rewritten: AtomicU64,
+    maint_links_edited: AtomicU64,
     maint_us: AtomicU64,
     /// Shared compiled-plan cache (all sessions), keyed by normalized
     /// statement text, invalidated via the catalog's DDL generation.
@@ -397,6 +399,7 @@ impl Database {
             maint_roots: AtomicU64::new(0),
             maint_nodes_reused: AtomicU64::new(0),
             maint_nodes_rewritten: AtomicU64::new(0),
+            maint_links_edited: AtomicU64::new(0),
             maint_us: AtomicU64::new(0),
             plan_cache: Mutex::default(),
             matview_plans: Mutex::new(None),
@@ -452,6 +455,7 @@ impl Database {
             maint_roots: AtomicU64::new(0),
             maint_nodes_reused: AtomicU64::new(0),
             maint_nodes_rewritten: AtomicU64::new(0),
+            maint_links_edited: AtomicU64::new(0),
             maint_us: AtomicU64::new(0),
             plan_cache: Mutex::default(),
             matview_plans: Mutex::new(None),
@@ -575,6 +579,7 @@ impl Database {
             mv_roots_respliced: self.maint_roots.load(Ordering::Relaxed),
             mv_nodes_reused: self.maint_nodes_reused.load(Ordering::Relaxed),
             mv_nodes_rewritten: self.maint_nodes_rewritten.load(Ordering::Relaxed),
+            mv_links_edited: self.maint_links_edited.load(Ordering::Relaxed),
             mv_maint_us: self.maint_us.load(Ordering::Relaxed),
             ..ExecStats::default()
         }
@@ -618,6 +623,8 @@ impl Database {
                         .fetch_add(c.nodes_reused, Ordering::Relaxed);
                     self.maint_nodes_rewritten
                         .fetch_add(c.nodes_rewritten, Ordering::Relaxed);
+                    self.maint_links_edited
+                        .fetch_add(c.links_edited, Ordering::Relaxed);
                     self.maint_us
                         .fetch_add(start.elapsed().as_micros() as u64, Ordering::Relaxed);
                 })
@@ -865,11 +872,11 @@ impl Database {
     ) -> Result<ExecOutcome> {
         match &compiled.body {
             CompiledBody::Statement => self.execute_stmt_scoped(&compiled.stmt, &params, scope),
-            body => Ok(ExecOutcome::Rows(self.run_body(
+            body => Ok(ExecOutcome::Rows(Box::new(self.run_body(
                 body,
                 params,
                 scope_visibility(scope),
-            )?)),
+            )?))),
         }
     }
 
@@ -915,11 +922,9 @@ impl Database {
         scope: Scope<'_>,
     ) -> Result<ExecOutcome> {
         match stmt {
-            Statement::Select(_) | Statement::Xnf(_) => Ok(ExecOutcome::Rows(self.run_query(
-                stmt,
-                params.clone(),
-                scope_visibility(scope),
-            )?)),
+            Statement::Select(_) | Statement::Xnf(_) => Ok(ExecOutcome::Rows(Box::new(
+                self.run_query(stmt, params.clone(), scope_visibility(scope))?,
+            ))),
             Statement::CreateTable { name, columns } => {
                 let schema = Schema::new(columns.iter().map(column_def).collect());
                 self.catalog.create_table(name, schema)?;
@@ -978,9 +983,9 @@ impl Database {
                 self.catalog.drop_view(name)?;
                 Ok(ExecOutcome::Done)
             }
-            Statement::Vacuum { table } => {
-                Ok(ExecOutcome::Rows(self.run_vacuum(table.as_deref())?))
-            }
+            Statement::Vacuum { table } => Ok(ExecOutcome::Rows(Box::new(
+                self.run_vacuum(table.as_deref())?,
+            ))),
             Statement::Analyze { table } => {
                 match table {
                     Some(t) => {
@@ -1102,10 +1107,14 @@ impl Database {
     fn maintenance_line(&self) -> String {
         let s = self.maint_stats();
         format!(
-            "maintenance: incremental (coalesce, in-place rewrite, diff splice, pre-lock \
+            "maintenance: incremental (coalesce, in-place edit, diff splice, pre-lock \
              re-extract, stamp-ordered apply); mv_roots_respliced={} mv_nodes_reused={} \
-             mv_nodes_rewritten={} mv_maint_us={}\n",
-            s.mv_roots_respliced, s.mv_nodes_reused, s.mv_nodes_rewritten, s.mv_maint_us
+             mv_nodes_rewritten={} mv_links_edited={} mv_maint_us={}\n",
+            s.mv_roots_respliced,
+            s.mv_nodes_reused,
+            s.mv_nodes_rewritten,
+            s.mv_links_edited,
+            s.mv_maint_us
         )
     }
 

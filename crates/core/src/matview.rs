@@ -37,11 +37,16 @@
 //!    kept (XNF's union-distinct object sharing), changed nodes are updated
 //!    in place preserving their surrogate, and only genuinely new or
 //!    vanished branches are written;
-//! 4. **in-place node rewrite** — the value-only case of 3: when every delta
-//!    row is an update that keeps its component's node key (a unique NOT
-//!    NULL index the component projects), every column a relationship reads
-//!    and its WHERE answer, no connection can move, so the one stored node
-//!    with that key is overwritten in place and nothing is re-extracted;
+//! 4. **in-place edits** — the O(1) cases of 3, for components with a node
+//!    key (a unique NOT NULL index the component projects): a value-only
+//!    update rewrites the one stored node with that key; an inserted
+//!    component row whose parents are stored (found by their node keys)
+//!    inserts one node and its connections; an inserted connect-table row
+//!    between two stored nodes inserts one connection; and an update that
+//!    moves a row to another stored parent through a foreign key rewrites
+//!    the node and swaps its one connection. Nothing is re-extracted.
+//!    Any other delta row (a delete, a root insert, a row that would make
+//!    an older subtree reachable) sends the whole commit to 3;
 //! 5. **full recompute** — the fallback for everything else (non-groupable
 //!    aggregation, DISTINCT, nested views, recursive COs), and what
 //!    `REFRESH MATERIALIZED VIEW` always does.
@@ -51,7 +56,8 @@
 //! coalesces its delta chains and re-extracts affected keyed subtrees
 //! against its own snapshot — *outside* the maintenance lock, one root key
 //! after another — then takes the lock for the stamp-ordered apply,
-//! which for CO views is the whole structural diff (`splice`). A per-view
+//! which for CO views is the whole structural diff (`splice`), or the
+//! in-place edits of strategy 4 (which need no pre-lock phase). A per-view
 //! applied-key tracker (`MaintTracker`) detects precomputed keys
 //! invalidated by an interposed commit; those few are re-extracted
 //! under the lock, so the apply is always equivalent to serial maintenance
@@ -178,9 +184,14 @@ pub(crate) struct NodeFacts {
     /// most one stored node carries each key value. `None` when the base
     /// table has no such index; its updates then always splice.
     pub key: Option<Vec<usize>>,
-    /// Base columns whose change can move a connection: the columns any
-    /// relationship reads, plus the root key column on the root.
-    pub links: Vec<usize>,
+    /// Base columns whose change can move a connection, once per use: the
+    /// columns any relationship reads, plus the root key column on the
+    /// root. A use is `Some((rel, parent))` when it is the child column of
+    /// the incoming foreign-key relationship `rel` whose parent component's
+    /// node key is that relationship's parent column alone, so that a
+    /// change of it moves the node to the one stored parent with the new
+    /// value; any other use is `None`.
+    pub links: Vec<(usize, Option<(usize, usize)>)>,
     /// Selection predicate, compiled against the base table.
     pub filter: Option<xnf_plan::PhysExpr>,
 }
@@ -196,6 +207,32 @@ pub(crate) struct CoKey {
 impl XnfInfo {
     fn comp_index(&self, name: &str) -> Option<usize> {
         self.comps.iter().position(|c| c.eq_ignore_ascii_case(name))
+    }
+
+    /// Base mapping of component `c` of a keyed view.
+    fn base(&self, c: usize) -> &BaseMap {
+        self.co.components[c]
+            .base
+            .as_ref()
+            .expect("keyed components are base-mapped")
+    }
+
+    /// `(relationship, parent component, child component, metadata)` of
+    /// every relationship whose endpoints resolve, in stream order.
+    fn edges(&self) -> impl Iterator<Item = (usize, usize, usize, &RelMeta)> + '_ {
+        self.rels
+            .iter()
+            .zip(&self.co.relationships)
+            .enumerate()
+            .filter_map(|(ri, (rel, meta))| {
+                let p = self.comp_index(&rel.parent)?;
+                Some((ri, p, self.comp_index(&rel.children[0])?, meta))
+            })
+    }
+
+    /// Is cache column `col` alone the node key of component `c`?
+    fn keyed_by(&self, c: usize, col: usize) -> bool {
+        self.nodes[c].key.as_deref() == Some(&[col][..])
     }
 
     /// Topological order of components (parents before children).
@@ -330,6 +367,12 @@ fn repopulate(db: &Database, plan: &MaintPlan) -> Result<()> {
     Ok(())
 }
 
+/// Backing stream `name` of materialized view `mv`.
+fn backing_stream(mv: &MatView, name: &str) -> Result<Arc<Table>> {
+    mv.stream(name)
+        .ok_or_else(|| XnfError::Api(format!("missing backing stream '{name}'")))
+}
+
 fn expect_matview(db: &Database, name: &str) -> Result<Arc<MatView>> {
     db.catalog()
         .matview(name)
@@ -380,9 +423,7 @@ fn fill_xnf_backing(db: &Database, name: &str, info: &XnfInfo, result: &QueryRes
         if matches!(s.kind, OutputKind::Connection { .. }) {
             continue;
         }
-        let backing = mv
-            .stream(&s.name)
-            .ok_or_else(|| XnfError::Api(format!("missing backing stream '{}'", s.name)))?;
+        let backing = backing_stream(&mv, &s.name)?;
         let start = mv.alloc_surrogates(s.rows.len() as i64);
         let mut ids = Vec::with_capacity(s.rows.len());
         for (pos, row) in s.rows.iter().enumerate() {
@@ -408,9 +449,7 @@ fn fill_xnf_backing(db: &Database, name: &str, info: &XnfInfo, result: &QueryRes
         else {
             continue;
         };
-        let backing = mv
-            .stream(&s.name)
-            .ok_or_else(|| XnfError::Api(format!("missing backing stream '{}'", s.name)))?;
+        let backing = backing_stream(&mv, &s.name)?;
         let pids = &surr[&parent.to_ascii_lowercase()];
         let cids: Vec<&Vec<i64>> = children
             .iter()
@@ -941,56 +980,67 @@ fn analyze_xnf(db: &Database, q: &XnfQuery) -> Result<XnfInfo> {
 /// keyed CO view.
 fn derive_node_facts(db: &Database, info: &XnfInfo) -> Result<Vec<NodeFacts>> {
     let key = info.key.as_ref().expect("keyed plan");
-    let mut nodes = Vec::with_capacity(info.comps.len());
-    for (c, comp) in info.co.components.iter().enumerate() {
-        let base = comp
-            .base
-            .as_ref()
-            .expect("keyed components are base-mapped");
+    let mut tables = Vec::with_capacity(info.comps.len());
+    let mut keys = Vec::with_capacity(info.comps.len());
+    for c in 0..info.comps.len() {
+        let base = info.base(c);
         let table = db.catalog().table(&base.table)?;
         let cache_col = |b: usize| base.columns.iter().position(|&x| x == b);
-        let node_key = table
-            .index_defs()
-            .into_iter()
-            .filter(|ix| ix.unique && ix.columns.iter().all(|&b| !table.schema.column(b).nullable))
-            .filter_map(|ix| ix.columns.iter().map(|&b| cache_col(b)).collect())
-            .min_by_key(|cols: &Vec<usize>| cols.len());
-        let mut links: Vec<usize> = Vec::new();
+        keys.push(
+            table
+                .index_defs()
+                .into_iter()
+                .filter(|ix| {
+                    ix.unique && ix.columns.iter().all(|&b| !table.schema.column(b).nullable)
+                })
+                .filter_map(|ix| ix.columns.iter().map(|&b| cache_col(b)).collect())
+                .min_by_key(|cols: &Vec<usize>| cols.len()),
+        );
+        tables.push(table);
+    }
+    let mut nodes = Vec::with_capacity(info.comps.len());
+    for (c, (table, node_key)) in tables.iter().zip(&keys).enumerate() {
+        let base = info.base(c);
+        let mut links = Vec::new();
         if c == key.root {
-            links.push(base.columns[key.root_key_col]);
+            links.push((base.columns[key.root_key_col], None));
         }
-        for (rel, meta) in info.rels.iter().zip(&info.co.relationships) {
-            let (parent_col, child_col) = match meta {
-                RelMeta::ForeignKey {
-                    parent_col,
-                    child_col,
-                    ..
-                }
-                | RelMeta::ConnectTable {
-                    parent_col,
-                    child_col,
-                    ..
-                } => (*parent_col, *child_col),
-                RelMeta::General { .. } => {
-                    unreachable!("keyed plans exclude general relationships")
-                }
-            };
-            if info.comp_index(&rel.parent) == Some(c) {
-                links.push(base.columns[parent_col]);
+        for (ri, p, child, meta) in info.edges() {
+            let (parent_col, child_col) = link_cols(meta);
+            if p == c {
+                links.push((base.columns[parent_col], None));
             }
-            if info.comp_index(&rel.children[0]) == Some(c) {
-                links.push(base.columns[child_col]);
+            if child == c {
+                let fk = matches!(meta, RelMeta::ForeignKey { .. });
+                let moves = fk && keys[p].as_deref() == Some(&[parent_col][..]);
+                links.push((base.columns[child_col], moves.then_some((ri, p))));
             }
         }
-        links.sort_unstable();
-        links.dedup();
         nodes.push(NodeFacts {
-            key: node_key,
+            key: node_key.clone(),
             links,
-            filter: component_filter(info, c, &table)?,
+            filter: component_filter(info, c, table)?,
         });
     }
     Ok(nodes)
+}
+
+/// `(parent column, child column)` of a keyed view's relationship: the
+/// cache columns its predicate equates, through a connect table or not.
+fn link_cols(meta: &RelMeta) -> (usize, usize) {
+    match meta {
+        RelMeta::ForeignKey {
+            parent_col,
+            child_col,
+            ..
+        }
+        | RelMeta::ConnectTable {
+            parent_col,
+            child_col,
+            ..
+        } => (*parent_col, *child_col),
+        RelMeta::General { .. } => unreachable!("keyed plans exclude general relationships"),
+    }
 }
 
 fn derive_co_key(info: &XnfInfo) -> Option<CoKey> {
@@ -1083,8 +1133,11 @@ pub(crate) struct MaintCounters {
     /// an in-place update preserving the surrogate — instead of being
     /// deleted and re-inserted.
     pub nodes_reused: u64,
-    /// Stored nodes a value-only delta overwrote by key, without a splice.
+    /// Stored nodes written in place (overwritten by key or inserted),
+    /// without a splice.
     pub nodes_rewritten: u64,
+    /// Stored connections inserted or deleted in place, without a splice.
+    pub links_edited: u64,
 }
 
 /// Per-view record of which keys (and full recomputes) were applied at
@@ -1190,10 +1243,10 @@ pub(crate) fn prepare_maintenance(db: &Database, delta: &DeltaBatch) -> Option<P
         }
         match &plan.body {
             BodyPlan::Xnf(info) if info.key.is_some() => {
-                // A value-only delta rewrites nodes in place under the lock
+                // A delta with in-place edits writes them under the lock
                 // and needs no extraction (nor does one that fails to
                 // classify: `maintain` reports that error).
-                if !matches!(value_only_rewrites(plan, info, delta), Ok(None)) {
+                if !matches!(in_place_edits(db, plan, info, delta, Some(&snap)), Ok(None)) {
                     continue;
                 }
                 let Ok(keys) = co_root_keys(db, info, delta, Some(&snap)) else {
@@ -1605,8 +1658,8 @@ fn apply_co_keyed(
     watermark: u64,
     counters: &mut MaintCounters,
 ) -> Result<()> {
-    if let Some(rewrites) = value_only_rewrites(plan, info, delta)? {
-        return rewrite_nodes(db, plan, info, delta, rewrites, stamp, watermark, counters);
+    if let Some(edits) = in_place_edits(db, plan, info, delta, None)? {
+        return apply_in_place(db, plan, info, delta, edits, stamp, watermark, counters);
     }
     let keys = dedup_values(co_root_keys(db, info, delta, None)?);
     if keys.is_empty() {
@@ -1644,110 +1697,422 @@ fn apply_co_keyed(
     Ok(())
 }
 
-/// The stored-node rewrites a value-only delta implies for a keyed CO view,
-/// as `(component, new projected row)`, or `None` when the view must splice.
-/// A delta is value-only when every row on the view's tables is an update
-/// of a component base table and, for every component over that table, the
-/// two images agree on the node key and on the link columns and get the
-/// same WHERE answer. Such a delta moves no connection, so it changes only
-/// the stored nodes its images project to. Rows the WHERE rejects, or whose
-/// projection did not change, need no rewrite.
-fn value_only_rewrites(
-    plan: &MaintPlan,
-    info: &XnfInfo,
-    delta: &DeltaBatch,
-) -> Result<Option<Vec<(usize, Row)>>> {
-    let outer = OuterCtx::new();
-    let mut rewrites = Vec::new();
-    for table in &plan.deps {
-        let rows = delta.rows(table);
-        if rows.is_empty() {
-            continue;
-        }
-        let comps: Vec<(usize, &BaseMap)> = info
-            .co
-            .components
-            .iter()
-            .enumerate()
-            .filter_map(|(c, comp)| comp.base.as_ref().map(|b| (c, b)))
-            .filter(|(_, b)| b.table.eq_ignore_ascii_case(table))
-            .collect();
-        let connects = info.co.relationships.iter().any(|r| {
-            matches!(r, RelMeta::ConnectTable { table: t, .. } if t.eq_ignore_ascii_case(table))
-        });
-        if comps.is_empty() || connects {
-            // A connect table's rows are connections.
-            return Ok(None);
-        }
-        for d in rows {
-            let DeltaRow::Update { old, new } = d else {
-                return Ok(None);
-            };
-            let same = |b: &usize| old.values[*b].total_cmp(&new.values[*b]).is_eq();
-            for &(c, base) in &comps {
-                let facts = &info.nodes[c];
-                let Some(key) = &facts.key else {
-                    return Ok(None);
-                };
-                if !key.iter().all(|&k| same(&base.columns[k])) || !facts.links.iter().all(same) {
-                    return Ok(None);
-                }
-                let passes = passes_filter(&facts.filter, &old.values, &outer)?;
-                if passes != passes_filter(&facts.filter, &new.values, &outer)? {
-                    return Ok(None);
-                }
-                if passes && !base.columns.iter().all(same) {
-                    let row = base
-                        .columns
-                        .iter()
-                        .map(|&b| new.values[b].clone())
-                        .collect();
-                    rewrites.push((c, row));
-                }
-            }
-        }
-    }
-    Ok(Some(rewrites))
+/// One write to a keyed CO view's stored streams that a commit implies
+/// without a splice.
+enum CoEdit {
+    /// Overwrite stored node `rid` of component `comp`; `node` keeps the
+    /// stored surrogate.
+    Rewrite { comp: usize, rid: Rid, node: Tuple },
+    /// Insert a node of component `comp`; its surrogate is drawn when the
+    /// edits apply.
+    Insert { comp: usize, row: Row },
+    /// Insert the connection `parent → child` of relationship `rel`.
+    Link {
+        rel: usize,
+        parent: Node,
+        child: Node,
+    },
+    /// Delete stored connection `rid` of relationship `rel`.
+    Unlink { rel: usize, rid: Rid },
 }
 
-/// Apply a value-only delta in place: each rewrite overwrites the one stored
-/// node whose key columns match, keeping its surrogate ([`Table::update`] is
-/// atomic for readers). A row no root reaches has no stored node and writes
-/// nothing. The images' root keys are still recorded, so that a pre-lock
-/// extraction of those roots taken before this commit is redone instead of
-/// writing the old values back.
-#[allow(clippy::too_many_arguments)]
-fn rewrite_nodes(
+/// A node a connection edit names: a stored node by its surrogate, or one
+/// the same commit inserts by its position among the `Insert` edits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Node {
+    Stored(i64),
+    New(usize),
+}
+
+/// The in-place edits a commit's delta implies for a keyed CO view, or
+/// `None` when the view must splice. Every delta row must be one of:
+///
+/// - an update of a component row that keeps the node key and the WHERE
+///   answer, and whose changed link columns are all foreign keys to
+///   parents with that column as node key: the stored node is rewritten,
+///   and a moved node (it must be stored, and so must its new parent)
+///   trades its old connection for one to the new parent;
+/// - an insert of a non-root component row with a node key: if it passes
+///   the WHERE and a parent is stored (or inserted by this commit), one
+///   node and its connections are inserted. Every row of a child or
+///   connect table that links to it must come from this commit, so that no
+///   older row becomes reachable without its subtree;
+/// - an insert into a connect table whose parent and child are keyed by
+///   the linked columns: a stored parent and a stored child get the
+///   connection, unless it is stored already. A child with no stored node
+///   would become reachable, so that row splices.
+///
+/// Deletes, root inserts and anything else splice. A row no stored parent
+/// reaches, or that the WHERE rejects, writes nothing. `vis` pins the
+/// base-table probes (the pre-lock pass passes the committing snapshot);
+/// stored streams are always read latest-committed.
+fn in_place_edits(
     db: &Database,
     plan: &MaintPlan,
     info: &XnfInfo,
     delta: &DeltaBatch,
-    rewrites: Vec<(usize, Row)>,
+    vis: Option<&Snapshot>,
+) -> Result<Option<Vec<CoEdit>>> {
+    // Every table the delta touches is a component table or a connect
+    // table, not both: a connect table's rows are connections.
+    for table in &plan.deps {
+        if delta.rows(table).is_empty() {
+            continue;
+        }
+        let comp = (0..info.comps.len()).any(|c| info.base(c).table.eq_ignore_ascii_case(table));
+        let connects = info.co.relationships.iter().any(|r| {
+            matches!(r, RelMeta::ConnectTable { table: t, .. } if t.eq_ignore_ascii_case(table))
+        });
+        if comp == connects {
+            return Ok(None);
+        }
+    }
+    // Parents before children, so that a child finds a parent the same
+    // commit inserts. A cyclic graph has no such order.
+    let order = info.topo();
+    if order.len() < info.comps.len() {
+        return Ok(None);
+    }
+    let mut ed = Editor {
+        db,
+        info,
+        delta,
+        vis,
+        mv: expect_matview(db, &plan.name)?,
+        snap: db.catalog().latest_snapshot(),
+        outer: OuterCtx::new(),
+        edits: Vec::new(),
+        new_nodes: 0,
+        inserted: HashMap::new(),
+        linked: HashSet::new(),
+    };
+    for c in order {
+        for d in delta.rows(&info.base(c).table) {
+            let in_place = match d {
+                DeltaRow::Update { old, new } => ed.update(c, &old.values, &new.values)?,
+                DeltaRow::Insert(new) => ed.insert(c, &new.values)?,
+                DeltaRow::Delete(_) => false,
+            };
+            if !in_place {
+                return Ok(None);
+            }
+        }
+    }
+    for (ri, p, c, meta) in info.edges() {
+        let RelMeta::ConnectTable { table, .. } = meta else {
+            continue;
+        };
+        for d in delta.rows(table) {
+            let DeltaRow::Insert(m) = d else {
+                return Ok(None);
+            };
+            if !ed.connect(ri, p, c, meta, &m.values)? {
+                return Ok(None);
+            }
+        }
+    }
+    Ok(Some(ed.edits))
+}
+
+/// The state of one [`in_place_edits`] pass. Each method classifies one
+/// delta row, pushes its edits and returns `false` when the commit must
+/// splice instead.
+struct Editor<'a> {
+    db: &'a Database,
+    info: &'a XnfInfo,
+    delta: &'a DeltaBatch,
+    vis: Option<&'a Snapshot>,
+    mv: Arc<MatView>,
+    snap: Snapshot,
+    outer: OuterCtx,
+    edits: Vec<CoEdit>,
+    /// `Insert` edits pushed so far.
+    new_nodes: usize,
+    /// `(component, node key)` → position of a node this commit inserts.
+    inserted: HashMap<(usize, Value), usize>,
+    /// Connections already pushed, each pushed once.
+    linked: HashSet<(usize, Node, Node)>,
+}
+
+impl Editor<'_> {
+    /// An updated component row: a value-only rewrite, or a move.
+    fn update(&mut self, c: usize, old: &[Value], new: &[Value]) -> Result<bool> {
+        let info = self.info;
+        let (facts, base) = (&info.nodes[c], info.base(c));
+        let same = |b: usize| old[b].total_cmp(&new[b]).is_eq();
+        let Some(key) = &facts.key else {
+            return Ok(false);
+        };
+        if !key.iter().all(|&k| same(base.columns[k])) {
+            return Ok(false);
+        }
+        let mut moves = Vec::new();
+        for &(b, rel) in &facts.links {
+            match rel {
+                _ if same(b) => {}
+                Some((ri, p)) => moves.push((ri, p, b)),
+                None => return Ok(false),
+            }
+        }
+        let passes = passes_filter(&facts.filter, old, &self.outer)?;
+        if passes != passes_filter(&facts.filter, new, &self.outer)? {
+            return Ok(false);
+        }
+        if !passes || base.columns.iter().all(|&b| same(b)) {
+            return Ok(true);
+        }
+        let row: Row = base.columns.iter().map(|&b| new[b].clone()).collect();
+        let node_t = backing_stream(&self.mv, &info.comps[c])?;
+        let hit = first_match(&node_t, 1 + key[0], &row[key[0]], &self.snap, |t| {
+            Ok(key
+                .iter()
+                .all(|&k| t.values[1 + k].total_cmp(&row[k]).is_eq()))
+        })?;
+        let Some((rid, stored)) = hit else {
+            // No root reaches the node; a move would make it reachable.
+            return Ok(moves.is_empty());
+        };
+        let surrogate = stored.values[0].as_int()?;
+        for (ri, p, b) in moves {
+            let Some(to) = self.node(p, &new[b])? else {
+                return Ok(false);
+            };
+            if let Some(Node::Stored(from)) = self.node(p, &old[b])? {
+                let conn_t = backing_stream(&self.mv, &info.rels[ri].name)?;
+                let pair = first_match(&conn_t, 1, &Value::Int(surrogate), &self.snap, |t| {
+                    Ok(t.values[0].as_int()? == from)
+                })?;
+                if let Some((rid, _)) = pair {
+                    self.edits.push(CoEdit::Unlink { rel: ri, rid });
+                }
+            }
+            self.link(ri, to, Node::Stored(surrogate))?;
+        }
+        let mut values = Vec::with_capacity(row.len() + 1);
+        values.push(Value::Int(surrogate));
+        values.extend(row);
+        self.edits.push(CoEdit::Rewrite {
+            comp: c,
+            rid,
+            node: Tuple::new(values),
+        });
+        Ok(true)
+    }
+
+    /// An inserted component row.
+    fn insert(&mut self, c: usize, new: &[Value]) -> Result<bool> {
+        let info = self.info;
+        let (facts, base) = (&info.nodes[c], info.base(c));
+        let is_root = info.key.as_ref().is_some_and(|k| k.root == c);
+        let Some(key) = facts.key.as_ref().filter(|_| !is_root) else {
+            return Ok(false);
+        };
+        if !passes_filter(&facts.filter, new, &self.outer)? {
+            return Ok(true);
+        }
+        let mut parents = Vec::new();
+        for (ri, p, child, meta) in info.edges() {
+            let (parent_col, child_col) = link_cols(meta);
+            // The rows that would link the new node to children or
+            // parents: `(table, column, the node's cache column)`.
+            let linking = match meta {
+                RelMeta::ConnectTable {
+                    table,
+                    m_parent_col,
+                    m_child_col,
+                    ..
+                } => [
+                    (p == c).then_some((table, *m_parent_col, parent_col)),
+                    (child == c).then_some((table, *m_child_col, child_col)),
+                ],
+                _ => {
+                    let cbase = info.base(child);
+                    let fk = (&cbase.table, cbase.columns[child_col], parent_col);
+                    [(p == c).then_some(fk), None]
+                }
+            };
+            for (table, col, own) in linking.into_iter().flatten() {
+                if !self.only_new_rows(table, col, &new[base.columns[own]])? {
+                    return Ok(false);
+                }
+            }
+            if child == c && matches!(meta, RelMeta::ForeignKey { .. }) {
+                if !info.keyed_by(p, parent_col) {
+                    return Ok(false);
+                }
+                if let Some(parent) = self.node(p, &new[base.columns[child_col]])? {
+                    parents.push((ri, parent));
+                }
+            }
+        }
+        if parents.is_empty() {
+            return Ok(true);
+        }
+        let row: Row = base.columns.iter().map(|&b| new[b].clone()).collect();
+        let at = self.new_nodes;
+        self.new_nodes += 1;
+        if let [k] = key[..] {
+            self.inserted.insert((c, row[k].clone()), at);
+        }
+        self.edits.push(CoEdit::Insert { comp: c, row });
+        for (ri, parent) in parents {
+            self.link(ri, parent, Node::New(at))?;
+        }
+        Ok(true)
+    }
+
+    /// An inserted connect-table row of relationship `ri` (`p` → `c`).
+    fn connect(
+        &mut self,
+        ri: usize,
+        p: usize,
+        c: usize,
+        meta: &RelMeta,
+        m: &[Value],
+    ) -> Result<bool> {
+        let RelMeta::ConnectTable {
+            parent_col,
+            child_col,
+            m_parent_col,
+            m_child_col,
+            ..
+        } = meta
+        else {
+            unreachable!("called for connect tables")
+        };
+        if !self.info.keyed_by(p, *parent_col) || !self.info.keyed_by(c, *child_col) {
+            return Ok(false);
+        }
+        let Some(parent) = self.node(p, &m[*m_parent_col])? else {
+            return Ok(true);
+        };
+        let cv = &m[*m_child_col];
+        if cv.is_null() {
+            return Ok(true);
+        }
+        let Some(child) = self.node(c, cv)? else {
+            return Ok(false);
+        };
+        self.link(ri, parent, child)?;
+        Ok(true)
+    }
+
+    /// The node of component `c` whose single-column node key is `v`:
+    /// inserted by this commit, or stored.
+    fn node(&self, c: usize, v: &Value) -> Result<Option<Node>> {
+        if v.is_null() {
+            return Ok(None);
+        }
+        if let Some(&at) = self.inserted.get(&(c, v.clone())) {
+            return Ok(Some(Node::New(at)));
+        }
+        let key = self.info.nodes[c].key.as_ref().expect("keyed component");
+        let node_t = backing_stream(&self.mv, &self.info.comps[c])?;
+        match first_match(&node_t, 1 + key[0], v, &self.snap, |_| Ok(true))? {
+            Some((_, t)) => Ok(Some(Node::Stored(t.values[0].as_int()?))),
+            None => Ok(None),
+        }
+    }
+
+    /// Push connection `parent → child` of relationship `rel` unless it is
+    /// pushed or stored already. A stored pair is probed from its child
+    /// through a foreign key (one parent) and from its parent through a
+    /// connect table (its links).
+    fn link(&mut self, rel: usize, parent: Node, child: Node) -> Result<()> {
+        if !self.linked.insert((rel, parent, child)) {
+            return Ok(());
+        }
+        if let (Node::Stored(p), Node::Stored(c)) = (parent, child) {
+            let fk = matches!(self.info.co.relationships[rel], RelMeta::ForeignKey { .. });
+            let (from, want, other) = if fk { (1, p, c) } else { (0, c, p) };
+            let conn_t = backing_stream(&self.mv, &self.info.rels[rel].name)?;
+            let stored = first_match(&conn_t, from, &Value::Int(other), &self.snap, |t| {
+                Ok(t.values[1 - from].as_int()? == want)
+            })?;
+            if stored.is_some() {
+                return Ok(());
+            }
+        }
+        self.edits.push(CoEdit::Link { rel, parent, child });
+        Ok(())
+    }
+
+    /// Are the rows of `table` with `col = v` all inserted by this commit?
+    fn only_new_rows(&self, table: &str, col: usize, v: &Value) -> Result<bool> {
+        if v.is_null() {
+            return Ok(true);
+        }
+        let t = self.db.catalog().table(table)?;
+        let inserted = self
+            .delta
+            .rows(table)
+            .iter()
+            .filter(|d| matches!(d, DeltaRow::Insert(r) if r.values[col].total_cmp(v).is_eq()))
+            .count();
+        Ok(probe(&t, col, v, self.vis)?.len() <= inserted)
+    }
+}
+
+/// Write a commit's in-place edits in splice's order — connection deletes,
+/// node rewrites, node inserts, connection inserts — so that a concurrent
+/// reader's walk never reaches a subtree larger than its final shape.
+/// The images' root keys are recorded, so that a pre-lock extraction of
+/// those roots taken before this commit is redone instead of writing the
+/// old subtree back.
+#[allow(clippy::too_many_arguments)]
+fn apply_in_place(
+    db: &Database,
+    plan: &MaintPlan,
+    info: &XnfInfo,
+    delta: &DeltaBatch,
+    edits: Vec<CoEdit>,
     stamp: u64,
     watermark: u64,
     counters: &mut MaintCounters,
 ) -> Result<()> {
     let mv = expect_matview(db, &plan.name)?;
-    let snap = db.catalog().latest_snapshot();
-    for (c, row) in rewrites {
-        let key = info.nodes[c]
-            .key
-            .as_ref()
-            .expect("value-only rewrites are keyed");
-        let node_t = mv
-            .stream(&info.comps[c])
-            .ok_or_else(|| XnfError::Api(format!("missing backing stream '{}'", info.comps[c])))?;
-        let hit = first_match(&node_t, 1 + key[0], &row[key[0]], &snap, |t| {
-            Ok(key
-                .iter()
-                .all(|&k| t.values[1 + k].total_cmp(&row[k]).is_eq()))
-        })?;
-        let Some((rid, stored)) = hit else { continue };
+    let stream = |name: &str| backing_stream(&mv, name);
+    let inserts = edits
+        .iter()
+        .filter(|e| matches!(e, CoEdit::Insert { .. }))
+        .count();
+    let first = mv.alloc_surrogates(inserts as i64);
+    let surrogate = |n: Node| match n {
+        Node::Stored(s) => s,
+        Node::New(at) => first + at as i64,
+    };
+    for e in &edits {
+        if let CoEdit::Unlink { rel, rid } = e {
+            stream(&info.rels[*rel].name)?.delete(*rid)?;
+            counters.links_edited += 1;
+        }
+    }
+    for e in &edits {
+        if let CoEdit::Rewrite { comp, rid, node } = e {
+            stream(&info.comps[*comp])?.update(*rid, node)?;
+            counters.nodes_rewritten += 1;
+        }
+    }
+    let new_rows = edits.iter().filter_map(|e| match e {
+        CoEdit::Insert { comp, row } => Some((comp, row)),
+        _ => None,
+    });
+    for (at, (comp, row)) in new_rows.enumerate() {
         let mut values = Vec::with_capacity(row.len() + 1);
-        values.push(stored.values[0].clone());
-        values.extend(row);
-        node_t.update(rid, &Tuple::new(values))?;
+        values.push(Value::Int(surrogate(Node::New(at))));
+        values.extend(row.iter().cloned());
+        stream(&info.comps[*comp])?.insert(&Tuple::new(values))?;
         counters.nodes_rewritten += 1;
+    }
+    for e in &edits {
+        if let CoEdit::Link { rel, parent, child } = e {
+            let pair = vec![
+                Value::Int(surrogate(*parent)),
+                Value::Int(surrogate(*child)),
+            ];
+            stream(&info.rels[*rel].name)?.insert(&Tuple::new(pair))?;
+            counters.links_edited += 1;
+        }
     }
     let mut keys = dedup_values(co_root_keys(db, info, delta, None)?);
     keys.retain(|k| !k.is_null());
@@ -1837,10 +2202,7 @@ fn keys_from_comp_row(
     if depth as usize > info.comps.len() + 2 {
         return Ok(());
     }
-    let base = info.co.components[comp]
-        .base
-        .as_ref()
-        .expect("keyed components are base-mapped");
+    let base = info.base(comp);
     if comp == key.root {
         out.push(row[base.columns[key.root_key_col]].clone());
         return Ok(());
@@ -1914,10 +2276,7 @@ fn keys_from_parent_link(
         out.push(v);
         return Ok(());
     }
-    let pbase = info.co.components[parent]
-        .base
-        .as_ref()
-        .expect("keyed components are base-mapped");
+    let pbase = info.base(parent);
     let pt = db.catalog().table(&pbase.table)?;
     for (_, prow) in probe(&pt, pbase.columns[parent_col], &v, vis)? {
         keys_from_comp_row(db, info, parent, &prow.values, vis, out, depth + 1)?;
@@ -1954,10 +2313,7 @@ fn splice(
 ) -> Result<()> {
     let key = info.key.as_ref().expect("keyed plan");
     let mv = expect_matview(db, &plan.name)?;
-    let stream = |name: &str| -> Result<Arc<Table>> {
-        mv.stream(name)
-            .ok_or_else(|| XnfError::Api(format!("missing backing stream '{name}'")))
-    };
+    let stream = |name: &str| backing_stream(&mv, name);
     let ncomps = info.comps.len();
     // Backing rows are frozen and deleted physically, so one snapshot sees
     // every write this splice makes.
@@ -2212,11 +2568,8 @@ fn extract_subtrees(
     };
     // Per-component: base table, projection, compiled selection predicate.
     let mut bases = Vec::with_capacity(ncomps);
-    for (comp, facts) in info.co.components.iter().zip(&info.nodes) {
-        let base = comp
-            .base
-            .as_ref()
-            .expect("keyed components are base-mapped");
+    for (c, facts) in info.nodes.iter().enumerate() {
+        let base = info.base(c);
         let table = db.catalog().table(&base.table)?;
         bases.push((table, &base.columns, &facts.filter));
     }
@@ -2528,10 +2881,7 @@ fn load_streams(
         return Err(XnfError::Api(format!("'{name}' is not a CO view")));
     };
     let mv = expect_matview(db, &plan.name)?;
-    let stream = |n: &str| -> Result<Arc<Table>> {
-        mv.stream(n)
-            .ok_or_else(|| XnfError::Api(format!("missing backing stream '{n}'")))
-    };
+    let stream = |name: &str| backing_stream(&mv, name);
 
     // Which surrogates to include, per component (None = all).
     let selected: Option<Vec<HashSet<i64>>> = match point_key {

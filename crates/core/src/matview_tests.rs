@@ -357,26 +357,12 @@ fn failed_multi_row_dml_still_maintains_applied_prefix() {
     );
 }
 
-/// A pre-lock re-extraction outrun by an in-place rewrite must be redone.
-/// Transaction B moves employee 1 into department 1 and prepares its
-/// maintenance (department 1's subtree, salaries as of then). Before B
-/// takes the maintenance lock, an autocommit raises employee 2 of the same
-/// department, which rewrites that stored node in place. B's apply must see
-/// department 1 as stale and re-extract it; applying the prepared subtree
-/// would write the old salary back.
-#[test]
-fn in_place_rewrite_invalidates_a_pending_pre_lock_extraction() {
-    use std::sync::Arc;
-
-    use parking_lot::Mutex;
-    use xnf_exec::Params;
-
-    use crate::matview::{maintain, prepare_maintenance};
-    use crate::session::ActiveTxn;
-
+/// The Fig. 1 departments and employees under a materialized CO view
+/// `deps` (DEPT 0 with employee 1, DEPT 1 with employees 2 and 3), and a
+/// reader of its stored employee rows.
+fn deps_db() -> Database {
     let db = Database::new();
-    let autocommit = db.session();
-    autocommit
+    db.session()
         .execute_batch(
             "CREATE TABLE DEPT (dno INT NOT NULL, dname VARCHAR(20));
          CREATE TABLE EMP (eno INT NOT NULL, ename VARCHAR(20), edno INT, sal INT);
@@ -391,53 +377,128 @@ fn in_place_rewrite_invalidates_a_pending_pre_lock_extraction() {
            TAKE *",
         )
         .unwrap();
-    let stored_emps = |db: &Database| -> Vec<String> {
-        let co = db.session().fetch_co("deps").unwrap();
-        let mut rows: Vec<String> = co
-            .workspace
-            .independent("xemp")
-            .unwrap()
-            .map(|t| format!("{:?}", t.values()))
-            .collect();
-        rows.sort();
-        rows
-    };
+    db
+}
 
-    // B's statement, then the pre-lock half of B's commit.
-    let slot = Arc::new(Mutex::new(Some(ActiveTxn::begin(&db))));
-    let stmt = &xnf_sql::parse_statements("UPDATE EMP SET edno = 1 WHERE eno = 1").unwrap()[0];
+/// Sorted `(dname, employee row)` pairs of the stored `deps` view.
+fn stored_emps(db: &Database) -> Vec<String> {
+    let co = db.session().fetch_co("deps").unwrap();
+    let mut rows: Vec<String> = co
+        .workspace
+        .independent("xemp")
+        .unwrap()
+        .map(|t| {
+            let dept: Vec<String> = t
+                .parents("employment")
+                .unwrap()
+                .map(|d| format!("{:?}", d.values()[1]))
+                .collect();
+            format!("{dept:?} {:?}", t.values())
+        })
+        .collect();
+    rows.sort();
+    rows
+}
+
+/// Run `pending` up to the end of its pre-lock maintenance, then
+/// `interposed` in autocommit, then the locked half of `pending`'s commit.
+/// The pending commit must have prepared an extraction, the interposed one
+/// must have written in place (`mv_nodes_rewritten` +1), and the stored
+/// view must then equal a REFRESH. Returns the stored employee rows.
+fn pending_extraction_outrun_by(db: &Database, pending: &str, interposed: &str) -> Vec<String> {
+    use std::sync::Arc;
+
+    use parking_lot::Mutex;
+    use xnf_exec::Params;
+
+    use crate::matview::{maintain, prepare_maintenance};
+    use crate::session::ActiveTxn;
+
+    let autocommit = db.session();
+    // The pending statement, then the pre-lock half of its commit.
+    let slot = Arc::new(Mutex::new(Some(ActiveTxn::begin(db))));
+    let stmt = &xnf_sql::parse_statements(pending).unwrap()[0];
     db.execute_stmt_scoped(stmt, &Params::default(), &slot)
         .unwrap();
     let active = slot.lock().take().unwrap();
     let delta = active.delta.coalesce();
-    let pre = prepare_maintenance(&db, &delta);
-    assert!(pre.is_some(), "the move needs a pre-lock extraction");
+    let pre = prepare_maintenance(db, &delta);
+    assert!(pre.is_some(), "`{pending}` needs a pre-lock extraction");
 
-    // The interposed commit: a value-only raise in department 1.
     let rewritten = db.maint_stats().mv_nodes_rewritten;
-    autocommit
-        .execute("UPDATE EMP SET sal = sal + 5 WHERE eno = 2", &[])
-        .unwrap();
-    assert_eq!(db.maint_stats().mv_nodes_rewritten, rewritten + 1);
+    autocommit.execute(interposed, &[]).unwrap();
+    assert_eq!(
+        db.maint_stats().mv_nodes_rewritten,
+        rewritten + 1,
+        "`{interposed}` writes one node in place"
+    );
 
-    // The locked half of B's commit.
+    // The locked half of the pending commit.
     {
         let _m = db.maintenance_lock().lock();
         let stamp = active.txn.commit();
-        maintain(&db, &delta, pre.as_ref(), stamp).unwrap();
+        maintain(db, &delta, pre.as_ref(), stamp).unwrap();
     }
 
-    let incremental = stored_emps(&db);
+    let incremental = stored_emps(db);
     autocommit
         .execute("REFRESH MATERIALIZED VIEW deps", &[])
         .unwrap();
     assert_eq!(
         incremental,
-        stored_emps(&db),
-        "stored CO diverged from REFRESH"
+        stored_emps(db),
+        "`{interposed}` under pending `{pending}`: stored CO diverged from REFRESH"
+    );
+    incremental
+}
+
+/// A pre-lock re-extraction outrun by an in-place rewrite must be redone.
+/// Transaction B deletes employee 3 of department 1 and prepares its
+/// maintenance (department 1's subtree, salaries as of then). Before B
+/// takes the maintenance lock, an autocommit raises employee 2 of the same
+/// department, which rewrites that stored node in place. B's apply must see
+/// department 1 as stale and re-extract it; applying the prepared subtree
+/// would write the old salary back.
+#[test]
+fn in_place_rewrite_invalidates_a_pending_pre_lock_extraction() {
+    let db = deps_db();
+    let incremental = pending_extraction_outrun_by(
+        &db,
+        "DELETE FROM EMP WHERE eno = 3",
+        "UPDATE EMP SET sal = sal + 5 WHERE eno = 2",
     );
     assert!(
         incremental.iter().any(|r| r.contains("205")),
         "{incremental:?}"
+    );
+}
+
+/// An in-place hire, and then an in-place move, each invalidate a pending
+/// extraction of the department they touch: applying the prepared subtree
+/// of department 1 would delete the hired or moved employee's node.
+#[test]
+fn in_place_hire_and_move_invalidate_a_pending_pre_lock_extraction() {
+    let db = deps_db();
+    let hired = pending_extraction_outrun_by(
+        &db,
+        "DELETE FROM EMP WHERE eno = 3",
+        "INSERT INTO EMP VALUES (4, 'zoe', 1, 400)",
+    );
+    assert!(
+        hired
+            .iter()
+            .any(|r| r.contains("zoe") && r.contains("apps")),
+        "{hired:?}"
+    );
+    let moved = pending_extraction_outrun_by(
+        &db,
+        "DELETE FROM EMP WHERE eno = 2",
+        "UPDATE EMP SET edno = 1 WHERE eno = 1",
+    );
+    assert!(
+        moved
+            .iter()
+            .any(|r| r.contains("mia") && r.contains("apps")),
+        "{moved:?}"
     );
 }

@@ -69,9 +69,12 @@ pub struct ExecStats {
     /// to (or in-place updatable into) the re-extracted result, instead of
     /// being deleted and re-derived.
     pub mv_nodes_reused: u64,
-    /// Stored view nodes maintenance overwrote by key for a value-only
-    /// update, without re-extracting or splicing any subtree.
+    /// Stored view nodes maintenance wrote in place (overwritten by key or
+    /// inserted), without re-extracting or splicing any subtree.
     pub mv_nodes_rewritten: u64,
+    /// Stored view connections maintenance inserted or deleted in place,
+    /// without re-extracting or splicing any subtree.
+    pub mv_links_edited: u64,
     /// Wall-clock microseconds spent in commit-time view maintenance
     /// (precompute + stamp-ordered apply).
     pub mv_maint_us: u64,
@@ -112,6 +115,7 @@ impl ExecStats {
         self.mv_roots_respliced += other.mv_roots_respliced;
         self.mv_nodes_reused += other.mv_nodes_reused;
         self.mv_nodes_rewritten += other.mv_nodes_rewritten;
+        self.mv_links_edited += other.mv_links_edited;
         self.mv_maint_us += other.mv_maint_us;
         self.pages_verified += other.pages_verified;
         self.torn_pages_repaired += other.torn_pages_repaired;

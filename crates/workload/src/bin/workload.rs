@@ -117,6 +117,10 @@ fn cmd_tpcc(flags: &Flags) -> ExitCode {
     cfg.durable = flags.has("durable");
     let run = run_tpcc(&cfg);
     print!("{}", run.metrics.render(run.violations.count()));
+    println!(
+        "  maintenance: mv_roots_respliced={} mv_nodes_rewritten={} mv_links_edited={}",
+        run.maint.mv_roots_respliced, run.maint.mv_nodes_rewritten, run.maint.mv_links_edited
+    );
     report_violations(run.metrics.driver, &run.violations, cfg.oracle)
 }
 

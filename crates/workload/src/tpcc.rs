@@ -27,7 +27,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use xnf_core::run_sessions;
-use xnf_core::{Database, DbConfig, Session, TempDir, Value, XnfError};
+use xnf_core::{Database, DbConfig, ExecStats, Session, TempDir, Value, XnfError};
 
 use crate::keys::{KeyChooser, KeyDist};
 use crate::metrics::{ClassRecorder, DriverMetrics};
@@ -293,7 +293,10 @@ impl TpccModel {
 
 /// Build and load the TPC-C-lite database. In durable mode the database
 /// lives in a fresh temp data directory (WAL + group commit, fsync off);
-/// the returned guard deletes it when dropped.
+/// the returned guard deletes it when dropped. District, customer and
+/// order ids are globally unique, so each is declared a unique key: every
+/// `dist_co` component then has a node key, and balance updates and new
+/// orders edit the stored CO in place instead of re-splicing a district.
 pub fn build_tpcc_db(cfg: &TpccConfig) -> (Database, Option<TempDir>) {
     let (db, guard) = if cfg.durable {
         let dir = TempDir::new("tpcc-durable");
@@ -314,10 +317,10 @@ pub fn build_tpcc_db(cfg: &TpccConfig) -> (Database, Option<TempDir>) {
          CREATE TABLE DISTRICT (d_id INT NOT NULL, d_w_id INT, d_ytd INT, d_next_o_id INT);
          CREATE TABLE CUSTOMER (c_id INT NOT NULL, c_d_id INT, c_w_id INT, c_balance INT);
          CREATE TABLE ORDERS (o_id INT NOT NULL, o_c_id INT, o_d_id INT, o_w_id INT, o_amount INT);
-         CREATE INDEX district_id ON DISTRICT (d_id);
-         CREATE INDEX customer_id ON CUSTOMER (c_id);
+         CREATE UNIQUE INDEX district_id ON DISTRICT (d_id);
+         CREATE UNIQUE INDEX customer_id ON CUSTOMER (c_id);
          CREATE INDEX customer_district ON CUSTOMER (c_d_id);
-         CREATE INDEX orders_id ON ORDERS (o_id);
+         CREATE UNIQUE INDEX orders_id ON ORDERS (o_id);
          CREATE INDEX orders_customer ON ORDERS (o_c_id);
          CREATE INDEX orders_district ON ORDERS (o_d_id);",
         )
@@ -383,6 +386,8 @@ pub struct TpccRun {
     pub metrics: DriverMetrics,
     pub violations: Arc<Violations>,
     pub model: TpccModel,
+    /// The database's cumulative view-maintenance counters at quiesce.
+    pub maint: ExecStats,
 }
 
 pub fn run_tpcc(cfg: &TpccConfig) -> TpccRun {
@@ -449,6 +454,7 @@ pub fn run_tpcc(cfg: &TpccConfig) -> TpccRun {
         metrics,
         violations,
         model,
+        maint: db.maint_stats(),
     }
 }
 

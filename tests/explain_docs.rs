@@ -198,7 +198,7 @@ fn every_documented_operator_is_emitted() {
     assert!(corpus.contains("durability: none (in-memory)"));
     assert!(
         corpus.contains(
-            "maintenance: incremental (coalesce, in-place rewrite, diff splice, pre-lock \
+            "maintenance: incremental (coalesce, in-place edit, diff splice, pre-lock \
              re-extract, stamp-ordered apply); mv_roots_respliced="
         ),
         "maintenance header missing"
@@ -242,8 +242,9 @@ fn top_n_scan_decodes_only_the_columns_it_reads() {
 
 /// The `maintenance:` header's counters are real quantities: a value-only
 /// update of a composite-object matview rewrites its one stored node in
-/// place, DML that moves a connection re-splices the affected root subtree
-/// and reuses the untouched stored nodes, and both the EXPLAIN header and
+/// place, a hire inserts its node and connection in place, a link to an
+/// unkeyed skill re-splices the affected root subtree and reuses the
+/// untouched stored nodes, and both the EXPLAIN header and
 /// `Database::maint_stats()` must move with it.
 #[test]
 fn maintenance_counters_move_with_co_view_dml() {
@@ -289,8 +290,24 @@ fn maintenance_counters_move_with_co_view_dml() {
         "a value-only update must not re-splice"
     );
 
-    // A new skill link moves a connection: the commit re-splices the
-    // department's subtree, reusing every node the link did not change.
+    // A hire into the department inserts its node and its connection.
+    session
+        .execute("INSERT INTO EMP VALUES (900, 'hired', 1, 50.0)", &[])
+        .unwrap();
+    let hired = db.maint_stats();
+    assert_eq!(
+        (hired.mv_nodes_rewritten, hired.mv_links_edited),
+        (renamed.mv_nodes_rewritten + 1, renamed.mv_links_edited + 1),
+        "the hire must insert one node and one connection in place"
+    );
+    assert_eq!(
+        hired.mv_roots_respliced, renamed.mv_roots_respliced,
+        "an in-place hire must not re-splice"
+    );
+
+    // A new link to a skill (SKILLS has no unique index here, so no node
+    // key) re-splices the department's subtree, reusing every node the
+    // link did not change.
     session
         .execute("INSERT INTO EMPSKILLS VALUES (3, 5)", &[])
         .unwrap();
@@ -309,8 +326,12 @@ fn maintenance_counters_move_with_co_view_dml() {
     let plan = db.explain("SELECT 1").unwrap();
     assert!(
         plan.contains(&format!(
-            "mv_roots_respliced={} mv_nodes_reused={} mv_nodes_rewritten={} mv_maint_us=",
-            after.mv_roots_respliced, after.mv_nodes_reused, after.mv_nodes_rewritten
+            "mv_roots_respliced={} mv_nodes_reused={} mv_nodes_rewritten={} \
+             mv_links_edited={} mv_maint_us=",
+            after.mv_roots_respliced,
+            after.mv_nodes_reused,
+            after.mv_nodes_rewritten,
+            after.mv_links_edited
         )),
         "EXPLAIN maintenance header diverged from maint_stats():\n{plan}"
     );

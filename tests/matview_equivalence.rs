@@ -19,8 +19,8 @@ use rand::{Rng, SeedableRng};
 
 use xnf_core::{CoCache, Database, DbConfig, Value};
 use xnf_fixtures::{
-    build_oo1_db_with, build_paper_db_with, random_table, Oo1Config, PaperScale, RandomTableConfig,
-    DEPS_ARC, OO1_CO,
+    build_oo1_db_with, build_paper_db_with, build_uniform_paper_db_with, random_table, Oo1Config,
+    PaperScale, RandomTableConfig, DEPS_ARC, OO1_CO,
 };
 use xnf_plan::PlanOptions;
 use xnf_storage::Tuple;
@@ -173,53 +173,87 @@ fn paper_dml(rng: &mut StdRng) -> String {
     }
 }
 
+/// `paper_db` whose SKILLS table has a unique NOT NULL key, so that
+/// connect-table links to stored skills can be edited in place.
+fn paper_db_with_keyed_skills(batch_size: usize) -> Database {
+    let db = paper_db(batch_size);
+    db.session()
+        .execute("CREATE UNIQUE INDEX skills_pk ON SKILLS (sno)", &[])
+        .unwrap();
+    db
+}
+
+/// Four views over `db`, a seeded random DML stream, and a check of every
+/// view against its definition at a cadence and at the end. With `hires`,
+/// each check is followed by a hire with one skill link and a third check.
+fn run_paper_stream(db: &Database, bs: usize, hires: bool) {
+    let s = db.session();
+    s.execute(
+        &format!("CREATE MATERIALIZED VIEW hot_deps AS {DEPS_ARC}"),
+        &[],
+    )
+    .unwrap();
+    s.execute(
+        &format!("CREATE MATERIALIZED VIEW arc_people AS {PAPER_SQL_VIEW}"),
+        &[],
+    )
+    .unwrap();
+    s.execute(
+        &format!("CREATE MATERIALIZED VIEW top_emps AS {PAPER_DIRECT_VIEW}"),
+        &[],
+    )
+    .unwrap();
+    s.execute(
+        &format!("CREATE MATERIALIZED VIEW head_count AS {PAPER_AGG_VIEW}"),
+        &[],
+    )
+    .unwrap();
+
+    let mut rng = StdRng::seed_from_u64(4242 + bs as u64);
+    for step in 0..40 {
+        let stmt = paper_dml(&mut rng);
+        s.execute(&stmt, &[]).unwrap();
+        // Full comparison is expensive; check at a cadence plus the end.
+        if step % 8 == 7 || step == 39 {
+            let ctx = format!("batch_size={bs} step={step} after `{stmt}`");
+            assert_co_matches(db, "hot_deps", DEPS_ARC, &ctx);
+            assert_sql_matches(db, "arc_people", PAPER_SQL_VIEW, &ctx);
+            assert_sql_matches(db, "top_emps", PAPER_DIRECT_VIEW, &ctx);
+            assert_sql_matches(db, "head_count", PAPER_AGG_VIEW, &ctx);
+            // Then raise every employee (a value-only update of many
+            // stored nodes at once) and check all four views again.
+            s.execute("UPDATE EMP SET sal = sal + 1", &[]).unwrap();
+            let ctx = format!("{ctx} and a raise of every employee");
+            assert_co_matches(db, "hot_deps", DEPS_ARC, &ctx);
+            assert_sql_matches(db, "arc_people", PAPER_SQL_VIEW, &ctx);
+            assert_sql_matches(db, "top_emps", PAPER_DIRECT_VIEW, &ctx);
+            assert_sql_matches(db, "head_count", PAPER_AGG_VIEW, &ctx);
+            if hires {
+                let eno = 700 + step;
+                s.begin().unwrap();
+                s.execute_batch(&format!(
+                    "INSERT INTO EMP VALUES ({eno}, 'hire-{eno}', {}, 100.5); \
+                     INSERT INTO EMPSKILLS VALUES ({eno}, {});",
+                    step % 3,
+                    step % 15
+                ))
+                .unwrap();
+                s.commit().unwrap();
+                let ctx = format!("{ctx} and hire {eno}");
+                assert_co_matches(db, "hot_deps", DEPS_ARC, &ctx);
+                assert_sql_matches(db, "arc_people", PAPER_SQL_VIEW, &ctx);
+                assert_sql_matches(db, "top_emps", PAPER_DIRECT_VIEW, &ctx);
+                assert_sql_matches(db, "head_count", PAPER_AGG_VIEW, &ctx);
+            }
+        }
+    }
+}
+
 #[test]
 fn paper_fixture_randomized_stream_all_batch_sizes() {
     for &bs in BATCH_SIZES {
         let db = paper_db(bs);
-        let s = db.session();
-        s.execute(
-            &format!("CREATE MATERIALIZED VIEW hot_deps AS {DEPS_ARC}"),
-            &[],
-        )
-        .unwrap();
-        s.execute(
-            &format!("CREATE MATERIALIZED VIEW arc_people AS {PAPER_SQL_VIEW}"),
-            &[],
-        )
-        .unwrap();
-        s.execute(
-            &format!("CREATE MATERIALIZED VIEW top_emps AS {PAPER_DIRECT_VIEW}"),
-            &[],
-        )
-        .unwrap();
-        s.execute(
-            &format!("CREATE MATERIALIZED VIEW head_count AS {PAPER_AGG_VIEW}"),
-            &[],
-        )
-        .unwrap();
-
-        let mut rng = StdRng::seed_from_u64(4242 + bs as u64);
-        for step in 0..40 {
-            let stmt = paper_dml(&mut rng);
-            s.execute(&stmt, &[]).unwrap();
-            // Full comparison is expensive; check at a cadence plus the end.
-            if step % 8 == 7 || step == 39 {
-                let ctx = format!("batch_size={bs} step={step} after `{stmt}`");
-                assert_co_matches(&db, "hot_deps", DEPS_ARC, &ctx);
-                assert_sql_matches(&db, "arc_people", PAPER_SQL_VIEW, &ctx);
-                assert_sql_matches(&db, "top_emps", PAPER_DIRECT_VIEW, &ctx);
-                assert_sql_matches(&db, "head_count", PAPER_AGG_VIEW, &ctx);
-                // Then raise every employee (a value-only update of many
-                // stored nodes at once) and check all four views again.
-                s.execute("UPDATE EMP SET sal = sal + 1", &[]).unwrap();
-                let ctx = format!("{ctx} and a raise of every employee");
-                assert_co_matches(&db, "hot_deps", DEPS_ARC, &ctx);
-                assert_sql_matches(&db, "arc_people", PAPER_SQL_VIEW, &ctx);
-                assert_sql_matches(&db, "top_emps", PAPER_DIRECT_VIEW, &ctx);
-                assert_sql_matches(&db, "head_count", PAPER_AGG_VIEW, &ctx);
-            }
-        }
+        run_paper_stream(&db, bs, false);
         // The stream must exercise both CO maintenance paths, so that a
         // classifier routing every delta one way fails here.
         let stats = db.maint_stats();
@@ -227,6 +261,28 @@ fn paper_fixture_randomized_stream_all_batch_sizes() {
             stats.mv_nodes_rewritten > 0 && stats.mv_roots_respliced > 0,
             "batch_size={bs}: stream rewrote {} nodes in place and respliced {} roots",
             stats.mv_nodes_rewritten,
+            stats.mv_roots_respliced
+        );
+    }
+}
+
+/// The same stream with keyed SKILLS, and a hire after each check: skill
+/// links, hires and moves now take the in-place path too, and the rest
+/// still splices.
+#[test]
+fn paper_fixture_randomized_stream_with_keyed_skills() {
+    for &bs in BATCH_SIZES {
+        let db = paper_db_with_keyed_skills(bs);
+        run_paper_stream(&db, bs, true);
+        let stats = db.maint_stats();
+        assert!(
+            stats.mv_nodes_rewritten > 0
+                && stats.mv_links_edited > 0
+                && stats.mv_roots_respliced > 0,
+            "batch_size={bs}: stream wrote {} nodes and {} connections in place and \
+             respliced {} roots",
+            stats.mv_nodes_rewritten,
+            stats.mv_links_edited,
             stats.mv_roots_respliced
         );
     }
@@ -319,12 +375,53 @@ TAKE *";
 /// Which maintenance path one commit took.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Path {
-    /// One stored node overwritten by key (`mv_nodes_rewritten` +1).
-    InPlace,
-    /// A value-only delta whose node is not stored or did not change.
+    /// Stored nodes (`mv_nodes_rewritten`) and connections
+    /// (`mv_links_edited`) written in place, nothing respliced.
+    InPlace { nodes: u64, links: u64 },
+    /// Nothing written: no stored node is reached, or none changed.
     NoWrite,
     /// Re-extraction and diff splice (`mv_roots_respliced` moves).
     Splice,
+}
+
+/// Create `cv AS def` on `db`, run `setup` in autocommit, then `stmts` in
+/// one transaction: the commit must take `path`, and the stored CO must
+/// equal a fresh extraction and a REFRESH.
+fn assert_path(db: &Database, def: &str, setup: &[&str], stmts: &[&str], path: Path, label: &str) {
+    let s = db.session();
+    s.execute(&format!("CREATE MATERIALIZED VIEW cv AS {def}"), &[])
+        .unwrap();
+    for stmt in setup {
+        s.execute(stmt, &[]).unwrap();
+    }
+    let before = db.maint_stats();
+    let session = db.session();
+    session.begin().unwrap();
+    for stmt in stmts {
+        session.execute(stmt, &[]).unwrap();
+    }
+    session.commit().unwrap();
+    let after = db.maint_stats();
+    let nodes = after.mv_nodes_rewritten - before.mv_nodes_rewritten;
+    let links = after.mv_links_edited - before.mv_links_edited;
+    let respliced = after.mv_roots_respliced - before.mv_roots_respliced;
+    let took = match (nodes + links, respliced) {
+        (0, 0) => Path::NoWrite,
+        (_, 0) => Path::InPlace { nodes, links },
+        (0, _) => Path::Splice,
+        _ => panic!(
+            "{label}: wrote {nodes} nodes and {links} connections and respliced {respliced} roots"
+        ),
+    };
+    assert_eq!(took, path, "{label}: {stmts:?}");
+    assert_co_matches(db, "cv", def, label);
+    let stored = canon(&s.fetch_co("cv").unwrap());
+    s.execute("REFRESH MATERIALIZED VIEW cv", &[]).unwrap();
+    assert_eq!(
+        stored,
+        canon(&s.fetch_co("cv").unwrap()),
+        "{label}: incremental maintenance diverged from REFRESH"
+    );
 }
 
 /// Each delta class takes its path, and the stored CO still equals a fresh
@@ -344,30 +441,31 @@ fn value_only_updates_rewrite_in_place_and_the_rest_splice() {
         .as_int()
         .unwrap();
     let skill_rename = format!("UPDATE SKILLS SET sname = 'rare' WHERE sno = {skill}");
+    let rewrite = Path::InPlace { nodes: 1, links: 0 };
     let cases: Vec<(&str, &str, Vec<&str>, Path)> = vec![
         (
             "sal",
             DEPS_ARC,
             vec!["UPDATE EMP SET sal = sal + 7 WHERE eno = 1"],
-            Path::InPlace,
+            rewrite,
         ),
         (
             "ename",
             DEPS_ARC,
             vec!["UPDATE EMP SET ename = 'x' WHERE eno = 2"],
-            Path::InPlace,
+            rewrite,
         ),
         (
             "root dname",
             DEPS_ARC,
             vec!["UPDATE DEPT SET dname = 'd' WHERE dno = 1"],
-            Path::InPlace,
+            rewrite,
         ),
         (
             "ename, key last",
             SLIM_ARC,
             vec!["UPDATE EMP SET ename = 'x' WHERE eno = 2"],
-            Path::InPlace,
+            rewrite,
         ),
         (
             "unprojected sal",
@@ -388,9 +486,16 @@ fn value_only_updates_rewrite_in_place_and_the_rest_splice() {
             Path::Splice,
         ),
         (
+            // A move between two stored departments.
             "link edno",
             DEPS_ARC,
             vec!["UPDATE EMP SET edno = 1 WHERE eno = 0"],
+            Path::InPlace { nodes: 1, links: 2 },
+        ),
+        (
+            "move out of the view",
+            DEPS_ARC,
+            vec!["UPDATE EMP SET edno = 5 WHERE eno = 0"],
             Path::Splice,
         ),
         (
@@ -418,39 +523,114 @@ fn value_only_updates_rewrite_in_place_and_the_rest_splice() {
                 "UPDATE EMP SET sal = sal + 7 WHERE eno = 1",
                 "UPDATE EMP SET edno = 2 WHERE eno = 5",
             ],
-            Path::Splice,
+            Path::InPlace { nodes: 2, links: 2 },
         ),
     ];
     for (label, def, stmts, path) in cases {
-        let db = paper_db(1024);
-        let s = db.session();
-        s.execute(&format!("CREATE MATERIALIZED VIEW cv AS {def}"), &[])
-            .unwrap();
-        let before = db.maint_stats();
-        let session = db.session();
-        session.begin().unwrap();
-        for stmt in &stmts {
-            session.execute(stmt, &[]).unwrap();
-        }
-        session.commit().unwrap();
-        let after = db.maint_stats();
-        let rewritten = after.mv_nodes_rewritten - before.mv_nodes_rewritten;
-        let respliced = after.mv_roots_respliced - before.mv_roots_respliced;
-        let took = match (rewritten, respliced) {
-            (1, 0) => Path::InPlace,
-            (0, 0) => Path::NoWrite,
-            (0, _) => Path::Splice,
-            _ => panic!("{label}: rewrote {rewritten} nodes and respliced {respliced} roots"),
-        };
-        assert_eq!(took, path, "{label}: {stmts:?}");
-        assert_co_matches(&db, "cv", def, label);
-        let stored = canon(&s.fetch_co("cv").unwrap());
-        s.execute("REFRESH MATERIALIZED VIEW cv", &[]).unwrap();
-        assert_eq!(
-            stored,
-            canon(&s.fetch_co("cv").unwrap()),
-            "{label}: incremental maintenance diverged from REFRESH"
-        );
+        assert_path(&paper_db(1024), def, &[], &stmts, path, label);
+    }
+}
+
+/// Hires, skill links and moves edit the stored CO in place; everything
+/// that could make an older subtree reachable, and every delete, splices.
+/// In the uniform fixture over 10 departments, departments 0 and 5 are
+/// 'ARC' (employees 0–19 and 100–119), employee `e` holds skills
+/// `(7e + 61k) % 200` for k < 3, and SKILLS is keyed by `sno`. Skills 0,
+/// 61 and 122 (employee 0's) are stored; skill 1 is held only outside
+/// 'ARC'.
+#[test]
+fn inserts_and_moves_edit_in_place_and_the_rest_splice() {
+    const HIRE: &str = "INSERT INTO EMP VALUES (1000, 'new', 0, 50.0)";
+    const SKILLED: &str = "INSERT INTO EMPSKILLS VALUES (1000, 0), (1000, 61), (1000, 122)";
+    let cases: Vec<(&str, Vec<&str>, Vec<&str>, Path)> = vec![
+        (
+            "hire with three skill links",
+            vec![],
+            vec![HIRE, SKILLED],
+            Path::InPlace { nodes: 1, links: 4 },
+        ),
+        (
+            "skill link of stored nodes",
+            vec![],
+            vec!["INSERT INTO EMPSKILLS VALUES (1, 0)"],
+            Path::InPlace { nodes: 0, links: 1 },
+        ),
+        (
+            "move between ARC departments",
+            vec![],
+            vec!["UPDATE EMP SET edno = 5 WHERE eno = 3"],
+            Path::InPlace { nodes: 1, links: 2 },
+        ),
+        (
+            "hire outside ARC",
+            vec![],
+            vec!["INSERT INTO EMP VALUES (1000, 'new', 1, 50.0)", SKILLED],
+            Path::NoWrite,
+        ),
+        (
+            "move out of ARC",
+            vec![],
+            vec!["UPDATE EMP SET edno = 1 WHERE eno = 3"],
+            Path::Splice,
+        ),
+        (
+            "root insert",
+            vec![],
+            vec!["INSERT INTO DEPT VALUES (10, 'new', 'ARC')"],
+            Path::Splice,
+        ),
+        (
+            "link to a skill stored nowhere",
+            vec![],
+            vec!["INSERT INTO EMPSKILLS VALUES (1, 1)"],
+            Path::Splice,
+        ),
+        (
+            "hire after its skill link",
+            vec!["INSERT INTO EMPSKILLS VALUES (1000, 0)"],
+            vec![HIRE],
+            Path::Splice,
+        ),
+        (
+            "delete EMP",
+            vec![],
+            vec!["DELETE FROM EMP WHERE eno = 3"],
+            Path::Splice,
+        ),
+        (
+            "delete DEPT",
+            vec![],
+            vec!["DELETE FROM DEPT WHERE dno = 5"],
+            Path::Splice,
+        ),
+        (
+            "delete PROJ",
+            vec![],
+            vec!["DELETE FROM PROJ WHERE pno = 2"],
+            Path::Splice,
+        ),
+        (
+            "delete SKILLS",
+            vec![],
+            vec!["DELETE FROM SKILLS WHERE sno = 0"],
+            Path::Splice,
+        ),
+        (
+            "delete EMPSKILLS",
+            vec![],
+            vec!["DELETE FROM EMPSKILLS WHERE eseno = 3"],
+            Path::Splice,
+        ),
+        (
+            "delete PROJSKILLS",
+            vec![],
+            vec!["DELETE FROM PROJSKILLS WHERE pspno = 2"],
+            Path::Splice,
+        ),
+    ];
+    for (label, setup, stmts, path) in cases {
+        let db = build_uniform_paper_db_with(10, config_with_batch(1024));
+        assert_path(&db, DEPS_ARC, &setup, &stmts, path, label);
     }
 }
 
@@ -706,13 +886,14 @@ fn random_fixture_randomized_stream_all_batch_sizes() {
 /// interleave so the pre-lock re-extraction phase regularly runs against a
 /// snapshot that other committers have already outrun. Quiesced, every
 /// view — CO keyed splice, SQL keyed, direct, grouped aggregate — must
-/// equal both its definition and a full REFRESH recompute.
-#[test]
-fn multi_statement_txns_under_concurrent_committers_match_refresh() {
+/// equal both its definition and a full REFRESH recompute. With `hires`,
+/// every other transaction of a session is instead a hire with one skill
+/// link plus a move of one of the session's own employees.
+fn concurrent_storm_matches_refresh(db: Database, hires: bool) -> Database {
     use std::sync::atomic::{AtomicU64, Ordering};
     use xnf_core::run_sessions;
 
-    let db = std::sync::Arc::new(paper_db(1024));
+    let db = std::sync::Arc::new(db);
     let autocommit = db.session();
     for (name, def) in [
         ("hot_deps", DEPS_ARC),
@@ -728,10 +909,22 @@ fn multi_statement_txns_under_concurrent_committers_match_refresh() {
     let commits = AtomicU64::new(0);
     run_sessions(&db, 4, |i, session| {
         let mut rng = StdRng::seed_from_u64(0xD1CE ^ (i as u64).wrapping_mul(7919));
-        for _ in 0..12 {
-            let stmts: Vec<String> = (0..rng.gen_range(2..=5))
-                .map(|_| paper_dml(&mut rng))
-                .collect();
+        for round in 0..12 {
+            let stmts: Vec<String> = if hires && round % 2 == 0 {
+                let eno = 800 + 100 * i + round;
+                vec![
+                    format!(
+                        "INSERT INTO EMP VALUES ({eno}, 'hire-{eno}', {}, 90.5)",
+                        round % 3
+                    ),
+                    format!("INSERT INTO EMPSKILLS VALUES ({eno}, {})", round % 15),
+                    format!("UPDATE EMP SET edno = {} WHERE eno = {i}", (i + round) % 3),
+                ]
+            } else {
+                (0..rng.gen_range(2..=5))
+                    .map(|_| paper_dml(&mut rng))
+                    .collect()
+            };
             session.begin().unwrap();
             let ran: Result<(), xnf_core::XnfError> = stmts
                 .iter()
@@ -786,5 +979,27 @@ fn multi_statement_txns_under_concurrent_committers_match_refresh() {
         stored,
         canon(&autocommit.fetch_co("hot_deps").unwrap()),
         "hot_deps: incremental maintenance diverged from REFRESH ({ctx})"
+    );
+    drop(autocommit);
+    std::sync::Arc::into_inner(db).expect("sessions ended")
+}
+
+#[test]
+fn multi_statement_txns_under_concurrent_committers_match_refresh() {
+    concurrent_storm_matches_refresh(paper_db(1024), false);
+}
+
+/// The same storm with keyed SKILLS and hires, so that in-place hires,
+/// links and moves race with splices and with their pre-lock extractions.
+#[test]
+fn multi_statement_txns_with_keyed_skills_under_concurrent_committers_match_refresh() {
+    let db = concurrent_storm_matches_refresh(paper_db_with_keyed_skills(1024), true);
+    let stats = db.maint_stats();
+    assert!(
+        stats.mv_nodes_rewritten > 0 && stats.mv_links_edited > 0 && stats.mv_roots_respliced > 0,
+        "storm wrote {} nodes and {} connections in place and respliced {} roots",
+        stats.mv_nodes_rewritten,
+        stats.mv_links_edited,
+        stats.mv_roots_respliced
     );
 }
