@@ -33,7 +33,7 @@ use xnf_storage::{
 };
 
 use crate::error::{Result, XnfError};
-use crate::matview::{MaintPlan, MaintTracker};
+use crate::matview::MaintPlan;
 use crate::session::{ActiveTxn, CompiledBody, CompiledStmt, PlanCache, PlanCacheStats, Session};
 use crate::writeback::derive_co_schema;
 
@@ -285,76 +285,17 @@ impl ExecOutcome {
     }
 }
 
-/// Counting semaphore sized to the machine: hands out at most
-/// `available_parallelism()` permits. Commit-time matview maintenance
-/// acquires one for its CPU-bound phase so concurrent committers never
-/// oversubscribe the cores with derivation work (see
-/// [`Database::commit_active`]).
-pub(crate) struct MaintGate {
-    slots: std::sync::Mutex<usize>,
-    available: std::sync::Condvar,
-}
-
-impl MaintGate {
-    fn sized_to_hardware() -> Self {
-        let permits = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        MaintGate {
-            slots: std::sync::Mutex::new(permits.max(1)),
-            available: std::sync::Condvar::new(),
-        }
-    }
-
-    pub(crate) fn acquire(&self) -> MaintPermit<'_> {
-        let mut slots = self.slots.lock().unwrap_or_else(|e| e.into_inner());
-        while *slots == 0 {
-            slots = self
-                .available
-                .wait(slots)
-                .unwrap_or_else(|e| e.into_inner());
-        }
-        *slots -= 1;
-        MaintPermit { gate: self }
-    }
-}
-
-/// RAII permit from [`MaintGate::acquire`]; returns the slot on drop.
-pub(crate) struct MaintPermit<'a> {
-    gate: &'a MaintGate,
-}
-
-impl Drop for MaintPermit<'_> {
-    fn drop(&mut self) {
-        let mut slots = self.gate.slots.lock().unwrap_or_else(|e| e.into_inner());
-        *slots += 1;
-        drop(slots);
-        self.gate.available.notify_one();
-    }
-}
-
 /// An embedded XNF database instance. Shareable across threads
 /// (`Send + Sync`): transaction state lives on [`Session`]s, not here.
 pub struct Database {
     catalog: Arc<Catalog>,
     config: DbConfig,
-    /// Serializes the *apply* phase of materialized-view maintenance in
-    /// commit-stamp order. The expensive re-extraction work runs before
-    /// this lock is taken (against the committing snapshot, one root key
-    /// after another); the lock covers only stamp assignment plus the
-    /// stamp-ordered apply, so concurrent committers no longer serialize
-    /// behind each other's view derivation work.
+    /// Serializes materialized-view maintenance in commit-stamp order:
+    /// held across a committing transaction's stamp assignment and the
+    /// whole of its maintenance (in-place edits, keyed re-extraction and
+    /// splice), so each commit's maintenance reads every earlier commit's
+    /// base rows and view writes.
     maintenance: Mutex<()>,
-    /// Admission control for the pre-lock maintenance phase: at most
-    /// `available_parallelism()` committers run CPU-bound re-extraction
-    /// concurrently. Running more buys no throughput — the cores are
-    /// already saturated — and deepens the run queue, inflating the tail
-    /// latency of unrelated readers (acute on small machines, where four
-    /// busy committers can turn a 30 µs point read into a 4 ms one).
-    maint_gate: MaintGate,
-    /// Which view keys were applied at which commit stamp — how the apply
-    /// phase detects precomputations invalidated by an interposed commit.
-    maint_tracker: MaintTracker,
     /// Cumulative maintenance counters (see [`Database::maint_stats`]).
     maint_roots: AtomicU64,
     maint_nodes_reused: AtomicU64,
@@ -394,8 +335,6 @@ impl Database {
             catalog: Arc::new(Catalog::new(pool)),
             config,
             maintenance: Mutex::new(()),
-            maint_gate: MaintGate::sized_to_hardware(),
-            maint_tracker: MaintTracker::default(),
             maint_roots: AtomicU64::new(0),
             maint_nodes_reused: AtomicU64::new(0),
             maint_nodes_rewritten: AtomicU64::new(0),
@@ -450,8 +389,6 @@ impl Database {
             catalog,
             config,
             maintenance: Mutex::new(()),
-            maint_gate: MaintGate::sized_to_hardware(),
-            maint_tracker: MaintTracker::default(),
             maint_roots: AtomicU64::new(0),
             maint_nodes_reused: AtomicU64::new(0),
             maint_nodes_rewritten: AtomicU64::new(0),
@@ -560,15 +497,10 @@ impl Database {
         &self.config
     }
 
-    /// The lock serializing the apply phase of view maintenance (and
-    /// REFRESH / checkpoints) in commit-stamp order.
+    /// The lock serializing view maintenance (and REFRESH / checkpoints)
+    /// in commit-stamp order.
     pub(crate) fn maintenance_lock(&self) -> &Mutex<()> {
         &self.maintenance
-    }
-
-    /// Applied-key tracker for the two-phase maintenance pipeline.
-    pub(crate) fn maint_tracker(&self) -> &MaintTracker {
-        &self.maint_tracker
     }
 
     /// Cumulative materialized-view maintenance counters, reported in the
@@ -589,14 +521,11 @@ impl Database {
 
     /// Commit an open transaction: assign its commit stamp and — when it
     /// produced base-table deltas and materialized views exist — propagate
-    /// the deltas to dependent views. Maintenance runs as a two-phase
-    /// pipeline: the per-statement delta chains are coalesced to their net
-    /// per-commit effect, the affected keyed subtrees are re-extracted
-    /// against this transaction's snapshot *before* the maintenance lock
-    /// is taken (serially, on the committing thread), and the lock is held only
-    /// for stamp assignment plus the stamp-ordered apply — precomputations
-    /// invalidated by an interposed commit are redone under the lock, so
-    /// the result is always identical to serial commit-order maintenance.
+    /// the deltas to dependent views. The per-statement delta chains are
+    /// coalesced to their net per-commit effect; then, under the
+    /// maintenance lock, the transaction commits and its delta is applied,
+    /// reading latest-committed data. The result is serial maintenance in
+    /// commit-stamp order.
     pub(crate) fn commit_active(&self, active: ActiveTxn) -> Result<()> {
         let ActiveTxn { txn, delta, .. } = active;
         let maintained = if !delta.is_empty() && self.catalog.has_matviews() {
@@ -607,14 +536,9 @@ impl Database {
                 txn.commit();
                 Ok(())
             } else {
-                // The permit bounds how many committers run the CPU-bound
-                // phases at once to the core count; the mutex below then
-                // serializes only stamp assignment + the apply.
-                let _permit = self.maint_gate.acquire();
-                let pre = crate::matview::prepare_maintenance(self, &delta);
                 let _m = self.maintenance.lock();
-                let stamp = txn.commit();
-                let res = crate::matview::maintain(self, &delta, pre.as_ref(), stamp);
+                txn.commit();
+                let res = crate::matview::maintain(self, &delta);
                 drop(_m);
                 res.map(|c| {
                     self.maint_roots
@@ -1107,8 +1031,8 @@ impl Database {
     fn maintenance_line(&self) -> String {
         let s = self.maint_stats();
         format!(
-            "maintenance: incremental (coalesce, in-place edit, diff splice, pre-lock \
-             re-extract, stamp-ordered apply); mv_roots_respliced={} mv_nodes_reused={} \
+            "maintenance: incremental (coalesce, in-place edit, diff splice, \
+             stamp-ordered apply); mv_roots_respliced={} mv_nodes_reused={} \
              mv_nodes_rewritten={} mv_links_edited={} mv_maint_us={}\n",
             s.mv_roots_respliced,
             s.mv_nodes_reused,

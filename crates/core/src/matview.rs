@@ -51,28 +51,21 @@
 //!    aggregation, DISTINCT, nested views, recursive COs), and what
 //!    `REFRESH MATERIALIZED VIEW` always does.
 //!
-//! Commit-time propagation runs as a two-phase pipeline (see
-//! `prepare_maintenance` / `maintain`): the committing thread first
-//! coalesces its delta chains and re-extracts affected keyed subtrees
-//! against its own snapshot — *outside* the maintenance lock, one root key
-//! after another — then takes the lock for the stamp-ordered apply,
-//! which for CO views is the whole structural diff (`splice`), or the
-//! in-place edits of strategy 4 (which need no pre-lock phase). A per-view
-//! applied-key tracker (`MaintTracker`) detects precomputed keys
-//! invalidated by an interposed commit; those few are re-extracted
-//! under the lock, so the apply is always equivalent to serial maintenance
-//! in commit-stamp order.
+//! Commit-time propagation runs in one phase (see `maintain`): the
+//! committing thread coalesces its delta chains, takes the maintenance
+//! lock, commits, and applies the delta to every dependent view — the
+//! in-place edits of strategy 4, or the keyed re-extraction and structural
+//! diff (`splice`) of strategy 3. Every read reaches latest-committed
+//! data, so commits apply one after another in commit-stamp order and the
+//! result is serial maintenance in that order.
 //!
 //! All strategies bump the view's freshness epoch
 //! ([`xnf_storage::MatView::epoch`]).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-use xnf_exec::{
-    eval, truthy, ExecStats, OuterCtx, Params, QueryResult, Row, StreamResult, Visibility,
-};
+use xnf_exec::{eval, truthy, ExecStats, OuterCtx, Params, QueryResult, Row, StreamResult};
 use xnf_qgm::{inline_xnf_views, view_body, OutputKind};
 use xnf_sql::{
     AggFunc, BinOp, Expr, Literal, Select, SelectItem, Statement, TableRef, ViewBody, XnfDef,
@@ -338,11 +331,7 @@ pub(crate) fn refresh(db: &Database, name: &str) -> Result<()> {
         .find(|p| p.name.eq_ignore_ascii_case(&view.name))
         .ok_or_else(|| XnfError::Api(format!("no maintenance plan for '{name}'")))?;
     let _m = db.maintenance_lock().lock();
-    repopulate(db, plan)?;
-    // Invalidate any keyed re-extraction computed before this refresh.
-    db.maint_tracker()
-        .record_full(&plan.name, db.catalog().txns().current_seq());
-    Ok(())
+    repopulate(db, plan)
 }
 
 /// Full recompute: fresh backing tables, re-run the definition, rebuild the
@@ -1140,195 +1129,21 @@ pub(crate) struct MaintCounters {
     pub links_edited: u64,
 }
 
-/// Per-view record of which keys (and full recomputes) were applied at
-/// which commit stamp. [`prepare_maintenance`] runs against the committing
-/// transaction's snapshot *before* the maintenance lock; under the lock,
-/// [`maintain`] consults this tracker to detect precomputed keys
-/// invalidated by a commit that interposed between snapshot registration
-/// and lock acquisition, and re-extracts just those.
-#[derive(Default)]
-pub(crate) struct MaintTracker {
-    views: Mutex<HashMap<String, ViewApplied>>,
-}
-
-#[derive(Default)]
-struct ViewApplied {
-    /// Stamp of the last full recompute (REFRESH or fallback repopulate).
-    last_full: u64,
-    /// Key → stamp of the last commit that re-applied it.
-    keys: HashMap<Value, u64>,
-}
-
-/// Tracked keys per view before pruning against the oldest live snapshot
-/// (a stamp at or below every live snapshot's horizon can never mark a
-/// pending precomputation stale — pending preparations hold their
-/// snapshot registration until applied).
-const MAX_TRACKED_KEYS: usize = 4096;
-
-impl MaintTracker {
-    /// Was `key` (or the whole view) re-applied after `base_seq`, making a
-    /// precomputation pinned to a `base_seq` snapshot stale?
-    fn is_stale(&self, view: &str, key: &Value, base_seq: u64) -> bool {
-        let views = self.views.lock();
-        match views.get(view) {
-            None => false,
-            Some(v) => v.last_full > base_seq || v.keys.get(key).is_some_and(|&s| s > base_seq),
-        }
-    }
-
-    fn record_keys(&self, view: &str, keys: &[Value], stamp: u64, watermark: u64) {
-        let mut views = self.views.lock();
-        let v = views.entry(view.to_string()).or_default();
-        for k in keys {
-            v.keys.insert(k.clone(), stamp);
-        }
-        if v.keys.len() > MAX_TRACKED_KEYS {
-            v.keys.retain(|_, s| *s > watermark);
-        }
-    }
-
-    fn record_full(&self, view: &str, stamp: u64) {
-        let mut views = self.views.lock();
-        let v = views.entry(view.to_string()).or_default();
-        v.last_full = v.last_full.max(stamp);
-        // The full stamp covers every key (per-key stamps are ≤ it: both
-        // are recorded under the maintenance lock).
-        v.keys.clear();
-    }
-}
-
-/// One view's precomputed keyed re-extraction.
-enum ViewPre {
-    /// CO view: per affected root key, the re-derived subtree.
-    Co(Vec<(Value, SubResult)>),
-    /// Relational keyed view: per affected key, the re-derived rows.
-    Sql(Vec<(Value, Vec<Row>)>),
-}
-
-/// Keyed re-extractions computed against the committing transaction's
-/// snapshot before the maintenance lock is taken — the expensive part of
-/// maintenance, moved off the serialized critical path.
-pub(crate) struct PreMaint {
-    /// Catalog generation the plans were built against; DDL in between
-    /// invalidates everything.
-    generation: u64,
-    /// Commit horizon of the snapshot: precomputations are valid unless a
-    /// later-stamped commit re-applied one of their keys.
-    base_seq: u64,
-    /// Held so the snapshot registration (and with it the tracker's prune
-    /// watermark) cannot pass `base_seq` while this precomputation is
-    /// pending.
-    _snap: Snapshot,
-    views: HashMap<String, ViewPre>,
-}
-
-/// Compute every keyed re-extraction `delta` will need, against the
-/// committing transaction's own snapshot (sees its uncommitted writes plus
-/// everything committed so far). Affected root keys re-extract one after
-/// another on the committing thread. Returns `None` when there is nothing to
-/// precompute — [`maintain`] then does all work under the lock, exactly as
-/// before. Any error here degrades to that same under-lock path.
-pub(crate) fn prepare_maintenance(db: &Database, delta: &DeltaBatch) -> Option<PreMaint> {
-    let generation = db.catalog().generation();
-    let plans = db.matview_plans().ok()?;
-    if db.catalog().generation() != generation {
-        return None;
-    }
-    let snap = db.catalog().txns().snapshot_for(delta.txn());
-    let base_seq = snap.seq;
-    let mut views = HashMap::new();
-    for plan in plans.iter() {
-        if !delta.touches_any(plan.deps.iter().map(|s| s.as_str())) {
-            continue;
-        }
-        match &plan.body {
-            BodyPlan::Xnf(info) if info.key.is_some() => {
-                // A delta with in-place edits writes them under the lock
-                // and needs no extraction (nor does one that fails to
-                // classify: `maintain` reports that error).
-                if !matches!(in_place_edits(db, plan, info, delta, Some(&snap)), Ok(None)) {
-                    continue;
-                }
-                let Ok(keys) = co_root_keys(db, info, delta, Some(&snap)) else {
-                    continue;
-                };
-                let keys = dedup_values(keys);
-                if keys.is_empty() || keys.iter().any(|k| k.is_null()) {
-                    continue;
-                }
-                let subs: Vec<(Value, SubResult)> = keys
-                    .into_iter()
-                    .filter_map(|k| {
-                        extract_subtrees(db, info, std::slice::from_ref(&k), Some(&snap))
-                            .ok()
-                            .map(|sub| (k, sub))
-                    })
-                    .collect();
-                if !subs.is_empty() {
-                    views.insert(plan.name.clone(), ViewPre::Co(subs));
-                }
-            }
-            BodyPlan::Sql {
-                select,
-                strategy:
-                    SqlStrategy::Keyed {
-                        sources, key_expr, ..
-                    },
-            } => {
-                let keys = dedup_values(sql_keyed_keys(sources, delta));
-                let mut pre = Vec::with_capacity(keys.len());
-                let mut ok = true;
-                for k in keys {
-                    match run_keyed_select(db, select, key_expr, &k, Some(snap.clone())) {
-                        Ok(rows) => pre.push((k, rows)),
-                        Err(_) => {
-                            ok = false;
-                            break;
-                        }
-                    }
-                }
-                if ok && !pre.is_empty() {
-                    views.insert(plan.name.clone(), ViewPre::Sql(pre));
-                }
-            }
-            _ => {}
-        }
-    }
-    if views.is_empty() {
-        return None;
-    }
-    Some(PreMaint {
-        generation,
-        base_seq,
-        _snap: snap,
-        views,
-    })
-}
-
 /// Propagate one commit's (coalesced) delta batch through every dependent
-/// materialized view, stamp-ordered under the maintenance lock. `pre`
-/// carries keyed re-extractions computed against the committing snapshot;
-/// entries invalidated by an interposed commit (per the [`MaintTracker`])
-/// or by DDL are recomputed here, so the apply is always equivalent to
-/// serial maintenance in commit-stamp order.
-pub(crate) fn maintain(
-    db: &Database,
-    delta: &DeltaBatch,
-    pre: Option<&PreMaint>,
-    stamp: u64,
-) -> Result<MaintCounters> {
+/// materialized view. The caller holds the maintenance lock and has
+/// committed, so every read here sees latest-committed data, this commit
+/// included, and commits apply one after another in stamp order — the
+/// result is serial maintenance in commit-stamp order.
+pub(crate) fn maintain(db: &Database, delta: &DeltaBatch) -> Result<MaintCounters> {
     let mut counters = MaintCounters::default();
     if delta.is_empty() {
         return Ok(counters);
     }
     let plans = db.matview_plans()?;
-    let pre = pre.filter(|p| p.generation == db.catalog().generation());
-    let watermark = db.catalog().txns().oldest_visible_stamp();
     for plan in plans.iter() {
         if !delta.touches_any(plan.deps.iter().map(|s| s.as_str())) {
             continue;
         }
-        let pre_view = pre.and_then(|p| p.views.get(&plan.name).map(|v| (v, p.base_seq)));
         match &plan.body {
             BodyPlan::Sql {
                 strategy:
@@ -1357,19 +1172,10 @@ pub(crate) fn maintain(
                         key_expr,
                         key_out,
                     },
-            } => apply_sql_keyed(
-                db, plan, select, sources, key_expr, *key_out, delta, pre_view, stamp, watermark,
-            )?,
-            BodyPlan::Xnf(info) if info.key.is_some() => apply_co_keyed(
-                db,
-                plan,
-                info,
-                delta,
-                pre_view,
-                stamp,
-                watermark,
-                &mut counters,
-            )?,
+            } => apply_sql_keyed(db, plan, select, sources, key_expr, *key_out, delta)?,
+            BodyPlan::Xnf(info) if info.key.is_some() => {
+                apply_co_keyed(db, plan, info, delta, &mut counters)?
+            }
             _ => repopulate(db, plan)?,
         }
         expect_matview(db, &plan.name)?.bump_epoch();
@@ -1563,14 +1369,12 @@ fn sql_keyed_keys(sources: &[(String, usize)], delta: &DeltaBatch) -> Vec<Value>
 }
 
 /// Re-run a keyed view's definition restricted to one key value (the
-/// equality lets the planner use base-table indexes), under the given
-/// visibility.
+/// equality lets the planner use base-table indexes).
 fn run_keyed_select(
     db: &Database,
     select: &Select,
     key_expr: &Expr,
     k: &Value,
-    vis: Visibility,
 ) -> Result<Vec<Row>> {
     let mut restricted = select.clone();
     let conjunct = Expr::eq(key_expr.clone(), Expr::Literal(value_literal(k)));
@@ -1578,14 +1382,12 @@ fn run_keyed_select(
         Some(w) => Expr::and(w, conjunct),
         None => conjunct,
     });
-    let result = db.run_query(&Statement::Select(restricted), Params::default(), vis)?;
+    let result = db.run_query(&Statement::Select(restricted), Params::default(), None)?;
     Ok(result.try_table()?.rows.clone())
 }
 
 /// Keyed maintenance of a relational join view: delete stored rows carrying
-/// the affected keys, then insert each key's re-derived rows — precomputed
-/// against the committing snapshot when still valid, re-run here otherwise.
-#[allow(clippy::too_many_arguments)]
+/// the affected keys, then insert each key's re-derived rows.
 fn apply_sql_keyed(
     db: &Database,
     plan: &MaintPlan,
@@ -1594,22 +1396,8 @@ fn apply_sql_keyed(
     key_expr: &Expr,
     key_out: usize,
     delta: &DeltaBatch,
-    pre: Option<(&ViewPre, u64)>,
-    stamp: u64,
-    watermark: u64,
 ) -> Result<()> {
     let keys = dedup_values(sql_keyed_keys(sources, delta));
-    if keys.is_empty() {
-        return Ok(());
-    }
-    let pre_rows: HashMap<&Value, &Vec<Row>> = match pre {
-        Some((ViewPre::Sql(entries), base_seq)) => entries
-            .iter()
-            .filter(|(k, _)| !db.maint_tracker().is_stale(&plan.name, k, base_seq))
-            .map(|(k, rows)| (k, rows))
-            .collect(),
-        _ => HashMap::new(),
-    };
     let mv = expect_matview(db, &plan.name)?;
     let backing = mv
         .stream(&plan.name)
@@ -1624,77 +1412,38 @@ fn apply_sql_keyed(
         for rid in stale {
             backing.delete(rid)?;
         }
-        let recomputed;
-        let rows: &Vec<Row> = match pre_rows.get(k) {
-            Some(rows) => rows,
-            None => {
-                recomputed = run_keyed_select(db, select, key_expr, k, None)?;
-                &recomputed
-            }
-        };
-        for row in rows {
-            backing.insert(&Tuple::new(row.clone()))?;
+        for row in run_keyed_select(db, select, key_expr, k)? {
+            backing.insert(&Tuple::new(row))?;
         }
     }
-    db.maint_tracker()
-        .record_keys(&plan.name, &keys, stamp, watermark);
     Ok(())
 }
 
-/// Keyed maintenance of a CO view: walk the delta up to affected root
-/// keys, then diff each affected subtree against the stored streams —
-/// using the subtree precomputed against the committing snapshot when the
-/// tracker says no interposed commit touched that key, re-extracting under
-/// the lock otherwise. The key set itself is always re-derived here, under
-/// the lock, so it matches what serial maintenance would compute.
-#[allow(clippy::too_many_arguments)]
+/// Keyed maintenance of a CO view: the commit's in-place edits when it
+/// has them; otherwise walk the delta up to affected root keys,
+/// re-extract their subtrees and diff them against the stored streams.
 fn apply_co_keyed(
     db: &Database,
     plan: &MaintPlan,
     info: &XnfInfo,
     delta: &DeltaBatch,
-    pre: Option<(&ViewPre, u64)>,
-    stamp: u64,
-    watermark: u64,
     counters: &mut MaintCounters,
 ) -> Result<()> {
-    if let Some(edits) = in_place_edits(db, plan, info, delta, None)? {
-        return apply_in_place(db, plan, info, delta, edits, stamp, watermark, counters);
+    if let Some(edits) = in_place_edits(db, plan, info, delta)? {
+        return apply_in_place(db, plan, info, edits, counters);
     }
-    let keys = dedup_values(co_root_keys(db, info, delta, None)?);
+    let keys = dedup_values(co_root_keys(db, info, delta)?);
     if keys.is_empty() {
         return Ok(());
     }
     if keys.iter().any(|k| k.is_null()) {
         // A NULL partition key cannot drive the equality index walks
         // (NULL never matches through sql_eq); recompute instead.
-        repopulate(db, plan)?;
-        db.maint_tracker().record_full(&plan.name, stamp);
-        return Ok(());
+        return repopulate(db, plan);
     }
     counters.roots_respliced += keys.len() as u64;
-    let pre_subs: HashMap<&Value, &SubResult> = match pre {
-        Some((ViewPre::Co(entries), base_seq)) => entries
-            .iter()
-            .filter(|(k, _)| !db.maint_tracker().is_stale(&plan.name, k, base_seq))
-            .map(|(k, sub)| (k, sub))
-            .collect(),
-        _ => HashMap::new(),
-    };
-    let mut fresh_keys: Vec<Value> = Vec::new();
-    for k in &keys {
-        match pre_subs.get(k) {
-            Some(sub) => splice(db, plan, info, std::slice::from_ref(k), sub, counters)?,
-            None => fresh_keys.push(k.clone()),
-        }
-    }
-    if !fresh_keys.is_empty() {
-        let sub = extract_subtrees(db, info, &fresh_keys, None)?;
-        splice(db, plan, info, &fresh_keys, &sub, counters)?;
-    }
-    db.maint_tracker()
-        .record_keys(&plan.name, &keys, stamp, watermark);
-    Ok(())
+    let sub = extract_subtrees(db, info, &keys)?;
+    splice(db, plan, info, &keys, &sub, counters)
 }
 
 /// One write to a keyed CO view's stored streams that a commit implies
@@ -1743,15 +1492,12 @@ enum Node {
 ///   would become reachable, so that row splices.
 ///
 /// Deletes, root inserts and anything else splice. A row no stored parent
-/// reaches, or that the WHERE rejects, writes nothing. `vis` pins the
-/// base-table probes (the pre-lock pass passes the committing snapshot);
-/// stored streams are always read latest-committed.
+/// reaches, or that the WHERE rejects, writes nothing.
 fn in_place_edits(
     db: &Database,
     plan: &MaintPlan,
     info: &XnfInfo,
     delta: &DeltaBatch,
-    vis: Option<&Snapshot>,
 ) -> Result<Option<Vec<CoEdit>>> {
     // Every table the delta touches is a component table or a connect
     // table, not both: a connect table's rows are connections.
@@ -1777,7 +1523,6 @@ fn in_place_edits(
         db,
         info,
         delta,
-        vis,
         mv: expect_matview(db, &plan.name)?,
         snap: db.catalog().latest_snapshot(),
         outer: OuterCtx::new(),
@@ -1821,7 +1566,6 @@ struct Editor<'a> {
     db: &'a Database,
     info: &'a XnfInfo,
     delta: &'a DeltaBatch,
-    vis: Option<&'a Snapshot>,
     mv: Arc<MatView>,
     snap: Snapshot,
     outer: OuterCtx,
@@ -2049,25 +1793,18 @@ impl Editor<'_> {
             .iter()
             .filter(|d| matches!(d, DeltaRow::Insert(r) if r.values[col].total_cmp(v).is_eq()))
             .count();
-        Ok(probe(&t, col, v, self.vis)?.len() <= inserted)
+        Ok(t.find_by_value(col, v)?.len() <= inserted)
     }
 }
 
 /// Write a commit's in-place edits in splice's order — connection deletes,
 /// node rewrites, node inserts, connection inserts — so that a concurrent
 /// reader's walk never reaches a subtree larger than its final shape.
-/// The images' root keys are recorded, so that a pre-lock extraction of
-/// those roots taken before this commit is redone instead of writing the
-/// old subtree back.
-#[allow(clippy::too_many_arguments)]
 fn apply_in_place(
     db: &Database,
     plan: &MaintPlan,
     info: &XnfInfo,
-    delta: &DeltaBatch,
     edits: Vec<CoEdit>,
-    stamp: u64,
-    watermark: u64,
     counters: &mut MaintCounters,
 ) -> Result<()> {
     let mv = expect_matview(db, &plan.name)?;
@@ -2114,44 +1851,20 @@ fn apply_in_place(
             counters.links_edited += 1;
         }
     }
-    let mut keys = dedup_values(co_root_keys(db, info, delta, None)?);
-    keys.retain(|k| !k.is_null());
-    db.maint_tracker()
-        .record_keys(&plan.name, &keys, stamp, watermark);
     Ok(())
-}
-
-/// Base-table index probe honoring an optional snapshot: pre-lock
-/// re-extraction pins the committing transaction's snapshot, under-lock
-/// walks read latest-committed.
-fn probe(
-    t: &Arc<Table>,
-    col: usize,
-    v: &Value,
-    vis: Option<&Snapshot>,
-) -> Result<Vec<(Rid, Tuple)>> {
-    Ok(match vis {
-        Some(s) => t.find_by_value_visible(col, v, s)?,
-        None => t.find_by_value(col, v)?,
-    })
 }
 
 /// Affected root-key values of a delta batch: every changed image is walked
 /// up the relationship graph (FK chains and connect tables, via base-table
 /// indexes) to the root partition key.
-fn co_root_keys(
-    db: &Database,
-    info: &XnfInfo,
-    delta: &DeltaBatch,
-    vis: Option<&Snapshot>,
-) -> Result<Vec<Value>> {
+fn co_root_keys(db: &Database, info: &XnfInfo, delta: &DeltaBatch) -> Result<Vec<Value>> {
     let mut keys = Vec::new();
     // Deltas on component base tables.
     for (idx, comp) in info.co.components.iter().enumerate() {
         let Some(base) = &comp.base else { continue };
         for d in delta.rows(&base.table) {
             for img in [d.before(), d.after()].into_iter().flatten() {
-                keys_from_comp_row(db, info, idx, &img.values, vis, &mut keys, 0)?;
+                keys_from_comp_row(db, info, idx, &img.values, &mut keys, 0)?;
             }
         }
     }
@@ -2177,7 +1890,6 @@ fn co_root_keys(
                     parent,
                     *parent_col,
                     img.values[*m_parent_col].clone(),
-                    vis,
                     &mut keys,
                     0,
                 )?;
@@ -2188,13 +1900,11 @@ fn co_root_keys(
 }
 
 /// Root keys reachable from one base row of component `comp`.
-#[allow(clippy::too_many_arguments)]
 fn keys_from_comp_row(
     db: &Database,
     info: &XnfInfo,
     comp: usize,
     row: &[Value],
-    vis: Option<&Snapshot>,
     out: &mut Vec<Value>,
     depth: u32,
 ) -> Result<()> {
@@ -2221,7 +1931,7 @@ fn keys_from_comp_row(
                 ..
             } => {
                 let v = row[base.columns[*child_col]].clone();
-                keys_from_parent_link(db, info, parent, *parent_col, v, vis, out, depth)?;
+                keys_from_parent_link(db, info, parent, *parent_col, v, out, depth)?;
             }
             RelMeta::ConnectTable {
                 table,
@@ -2236,14 +1946,13 @@ fn keys_from_comp_row(
                     continue;
                 }
                 let m = db.catalog().table(table)?;
-                for (_, mrow) in probe(&m, *m_child_col, v, vis)? {
+                for (_, mrow) in m.find_by_value(*m_child_col, v)? {
                     keys_from_parent_link(
                         db,
                         info,
                         parent,
                         *parent_col,
                         mrow.values[*m_parent_col].clone(),
-                        vis,
                         out,
                         depth,
                     )?;
@@ -2257,14 +1966,12 @@ fn keys_from_comp_row(
 
 /// Continue the walk through a parent component linked on cache column
 /// `parent_col` with value `v`.
-#[allow(clippy::too_many_arguments)]
 fn keys_from_parent_link(
     db: &Database,
     info: &XnfInfo,
     parent: usize,
     parent_col: usize,
     v: Value,
-    vis: Option<&Snapshot>,
     out: &mut Vec<Value>,
     depth: u32,
 ) -> Result<()> {
@@ -2278,8 +1985,8 @@ fn keys_from_parent_link(
     }
     let pbase = info.base(parent);
     let pt = db.catalog().table(&pbase.table)?;
-    for (_, prow) in probe(&pt, pbase.columns[parent_col], &v, vis)? {
-        keys_from_comp_row(db, info, parent, &prow.values, vis, out, depth + 1)?;
+    for (_, prow) in pt.find_by_value(pbase.columns[parent_col], &v)? {
+        keys_from_comp_row(db, info, parent, &prow.values, out, depth + 1)?;
     }
     Ok(())
 }
@@ -2551,15 +2258,8 @@ struct SubResult {
 /// child-ward through foreign-key / connect-table index paths, evaluating
 /// each component's selection predicate and projection on the way. This is
 /// the keyed re-extraction of incremental maintenance — cost proportional
-/// to the affected subtrees, not to the base tables. With `vis` set, every
-/// base-table probe is pinned to that snapshot (the pre-lock pipeline runs
-/// against the committing transaction's own snapshot).
-fn extract_subtrees(
-    db: &Database,
-    info: &XnfInfo,
-    keys: &[Value],
-    vis: Option<&Snapshot>,
-) -> Result<SubResult> {
+/// to the affected subtrees, not to the base tables.
+fn extract_subtrees(db: &Database, info: &XnfInfo, keys: &[Value]) -> Result<SubResult> {
     let key = info.key.as_ref().expect("keyed plan");
     let ncomps = info.comps.len();
     let mut sub = SubResult {
@@ -2591,7 +2291,7 @@ fn extract_subtrees(
     // Seed the roots.
     let (root_t, root_cols, root_filter) = &bases[key.root];
     for k in keys {
-        for (_, t) in probe(root_t, root_cols[key.root_key_col], k, vis)? {
+        for (_, t) in root_t.find_by_value(root_cols[key.root_key_col], k)? {
             if passes_filter(root_filter, &t.values, &outer)? {
                 let row: Row = root_cols.iter().map(|&i| t.values[i].clone()).collect();
                 push_node(&mut sub, &mut seen, key.root, row);
@@ -2623,7 +2323,7 @@ fn extract_subtrees(
                         if v.is_null() {
                             continue;
                         }
-                        for (_, t) in probe(child_t, child_cols[*child_col], v, vis)? {
+                        for (_, t) in child_t.find_by_value(child_cols[*child_col], v)? {
                             if !passes_filter(child_filter, &t.values, &outer)? {
                                 continue;
                             }
@@ -2648,12 +2348,12 @@ fn extract_subtrees(
                             continue;
                         }
                         let m = db.catalog().table(table)?;
-                        for (_, mrow) in probe(&m, *m_parent_col, v, vis)? {
+                        for (_, mrow) in m.find_by_value(*m_parent_col, v)? {
                             let cv = &mrow.values[*m_child_col];
                             if cv.is_null() {
                                 continue;
                             }
-                            for (_, t) in probe(child_t, child_cols[*child_col], cv, vis)? {
+                            for (_, t) in child_t.find_by_value(child_cols[*child_col], cv)? {
                                 if !passes_filter(child_filter, &t.values, &outer)? {
                                     continue;
                                 }
@@ -2883,8 +2583,9 @@ fn load_streams(
     let mv = expect_matview(db, &plan.name)?;
     let stream = |name: &str| backing_stream(&mv, name);
 
-    // Which surrogates to include, per component (None = all).
-    let selected: Option<Vec<HashSet<i64>>> = match point_key {
+    // Which surrogates to include, per component (None = all), in
+    // ascending order so that a point fetch reads its rows in one order.
+    let selected: Option<Vec<BTreeSet<i64>>> = match point_key {
         None => None,
         Some(k) => {
             let key = info.key.as_ref().ok_or_else(|| {
@@ -2892,7 +2593,7 @@ fn load_streams(
                     "'{name}' does not support point fetches (no root partition key)"
                 ))
             })?;
-            let mut sel: Vec<HashSet<i64>> = vec![HashSet::new(); info.comps.len()];
+            let mut sel: Vec<BTreeSet<i64>> = vec![BTreeSet::new(); info.comps.len()];
             let root_t = stream(&info.comps[key.root])?;
             for (_, row) in root_t.find_by_value(1 + key.root_key_col, k)? {
                 sel[key.root].insert(row.values[0].as_int()?);

@@ -1,7 +1,8 @@
 //! Unit tests for relational materialized views: DDL, planner
 //! substitution, direct / keyed / full maintenance, refresh, guards.
 //! (CO matview tests live in `tests/matview_equivalence.rs`, which can use
-//! the fixture crate; only the one that must step inside a commit is here.)
+//! the fixture crate; only the ones that step inside a commit or read a
+//! workspace's raw streams are here.)
 
 use crate::db::Database;
 
@@ -400,30 +401,36 @@ fn stored_emps(db: &Database) -> Vec<String> {
     rows
 }
 
-/// Run `pending` up to the end of its pre-lock maintenance, then
-/// `interposed` in autocommit, then the locked half of `pending`'s commit.
-/// The pending commit must have prepared an extraction, the interposed one
+/// Run the `pending` statements in one open transaction, then
+/// `interposed` in autocommit, then `pending`'s commit: lock, stamp and
+/// `maintain`, as `Database::commit_active` runs them. Through the public
+/// API a commit's statements and its maintenance run back to back, so this
+/// is the one way to land a commit between them. The interposed commit
 /// must have written in place (`mv_nodes_rewritten` +1), and the stored
-/// view must then equal a REFRESH. Returns the stored employee rows.
-fn pending_extraction_outrun_by(db: &Database, pending: &str, interposed: &str) -> Vec<String> {
+/// view, as `read` sees it, must then equal a REFRESH. Returns what `read`
+/// saw.
+fn pending_extraction_outrun_by(
+    db: &Database,
+    pending: &str,
+    interposed: &str,
+    read: fn(&Database) -> Vec<String>,
+) -> Vec<String> {
     use std::sync::Arc;
 
     use parking_lot::Mutex;
     use xnf_exec::Params;
 
-    use crate::matview::{maintain, prepare_maintenance};
+    use crate::matview::maintain;
     use crate::session::ActiveTxn;
 
     let autocommit = db.session();
-    // The pending statement, then the pre-lock half of its commit.
     let slot = Arc::new(Mutex::new(Some(ActiveTxn::begin(db))));
-    let stmt = &xnf_sql::parse_statements(pending).unwrap()[0];
-    db.execute_stmt_scoped(stmt, &Params::default(), &slot)
-        .unwrap();
+    for stmt in xnf_sql::parse_statements(pending).unwrap() {
+        db.execute_stmt_scoped(&stmt, &Params::default(), &slot)
+            .unwrap();
+    }
     let active = slot.lock().take().unwrap();
     let delta = active.delta.coalesce();
-    let pre = prepare_maintenance(db, &delta);
-    assert!(pre.is_some(), "`{pending}` needs a pre-lock extraction");
 
     let rewritten = db.maint_stats().mv_nodes_rewritten;
     autocommit.execute(interposed, &[]).unwrap();
@@ -433,32 +440,31 @@ fn pending_extraction_outrun_by(db: &Database, pending: &str, interposed: &str) 
         "`{interposed}` writes one node in place"
     );
 
-    // The locked half of the pending commit.
+    // The pending commit.
     {
         let _m = db.maintenance_lock().lock();
-        let stamp = active.txn.commit();
-        maintain(db, &delta, pre.as_ref(), stamp).unwrap();
+        active.txn.commit();
+        maintain(db, &delta).unwrap();
     }
 
-    let incremental = stored_emps(db);
+    let incremental = read(db);
     autocommit
         .execute("REFRESH MATERIALIZED VIEW deps", &[])
         .unwrap();
     assert_eq!(
         incremental,
-        stored_emps(db),
+        read(db),
         "`{interposed}` under pending `{pending}`: stored CO diverged from REFRESH"
     );
     incremental
 }
 
-/// A pre-lock re-extraction outrun by an in-place rewrite must be redone.
-/// Transaction B deletes employee 3 of department 1 and prepares its
-/// maintenance (department 1's subtree, salaries as of then). Before B
-/// takes the maintenance lock, an autocommit raises employee 2 of the same
-/// department, which rewrites that stored node in place. B's apply must see
-/// department 1 as stale and re-extract it; applying the prepared subtree
-/// would write the old salary back.
+/// A commit that splices after an in-place rewrite keeps the rewrite.
+/// Transaction B deletes employee 3 of department 1. Before B commits, an
+/// autocommit raises employee 2 of the same department, which rewrites
+/// that stored node in place. B's splice re-extracts department 1 after
+/// the raise; a subtree extracted from B's own snapshot would write the
+/// old salary back.
 #[test]
 fn in_place_rewrite_invalidates_a_pending_pre_lock_extraction() {
     let db = deps_db();
@@ -466,6 +472,7 @@ fn in_place_rewrite_invalidates_a_pending_pre_lock_extraction() {
         &db,
         "DELETE FROM EMP WHERE eno = 3",
         "UPDATE EMP SET sal = sal + 5 WHERE eno = 2",
+        stored_emps,
     );
     assert!(
         incremental.iter().any(|r| r.contains("205")),
@@ -473,9 +480,9 @@ fn in_place_rewrite_invalidates_a_pending_pre_lock_extraction() {
     );
 }
 
-/// An in-place hire, and then an in-place move, each invalidate a pending
-/// extraction of the department they touch: applying the prepared subtree
-/// of department 1 would delete the hired or moved employee's node.
+/// An in-place hire, and then an in-place move, each survive a pending
+/// splice of the department they touch: a subtree of department 1
+/// extracted before them would delete the hired or moved employee's node.
 #[test]
 fn in_place_hire_and_move_invalidate_a_pending_pre_lock_extraction() {
     let db = deps_db();
@@ -483,6 +490,7 @@ fn in_place_hire_and_move_invalidate_a_pending_pre_lock_extraction() {
         &db,
         "DELETE FROM EMP WHERE eno = 3",
         "INSERT INTO EMP VALUES (4, 'zoe', 1, 400)",
+        stored_emps,
     );
     assert!(
         hired
@@ -494,6 +502,7 @@ fn in_place_hire_and_move_invalidate_a_pending_pre_lock_extraction() {
         &db,
         "DELETE FROM EMP WHERE eno = 2",
         "UPDATE EMP SET edno = 1 WHERE eno = 1",
+        stored_emps,
     );
     assert!(
         moved
@@ -501,4 +510,114 @@ fn in_place_hire_and_move_invalidate_a_pending_pre_lock_extraction() {
             .any(|r| r.contains("mia") && r.contains("apps")),
         "{moved:?}"
     );
+}
+
+/// DEPT → EMP → SKILLS (through EMPSKILLS) under a materialized CO view
+/// `deps`, with SKILLS keyed by `skills_pk`. Employee 1 (department 0)
+/// links skill 10, employee 2 (department 1) links skill 20, and
+/// employee 3 works in department 0 and has no skills.
+fn skilled_deps_db() -> Database {
+    let db = Database::new();
+    db.session()
+        .execute_batch(
+            "CREATE TABLE DEPT (dno INT NOT NULL, dname VARCHAR(20));
+         CREATE TABLE EMP (eno INT NOT NULL, ename VARCHAR(20), edno INT, sal INT);
+         CREATE TABLE SKILLS (sno INT NOT NULL, sname VARCHAR(20));
+         CREATE TABLE EMPSKILLS (eseno INT, essno INT);
+         CREATE UNIQUE INDEX dept_pk ON DEPT (dno);
+         CREATE UNIQUE INDEX emp_pk ON EMP (eno);
+         CREATE INDEX emp_dno ON EMP (edno);
+         CREATE UNIQUE INDEX skills_pk ON SKILLS (sno);
+         CREATE INDEX es_eno ON EMPSKILLS (eseno);
+         INSERT INTO DEPT VALUES (0, 'tools'), (1, 'apps');
+         INSERT INTO EMP VALUES (1, 'mia', 0, 100), (2, 'ben', 1, 200), (3, 'ana', 0, 300);
+         INSERT INTO SKILLS VALUES (10, 'rust'), (20, 'sql');
+         INSERT INTO EMPSKILLS VALUES (1, 10), (2, 20);
+         CREATE MATERIALIZED VIEW deps AS
+           OUT OF xdept AS DEPT, xemp AS EMP, xskills AS SKILLS,
+                  employment AS (RELATE xdept VIA EMPLOYS, xemp WHERE xdept.dno = xemp.edno),
+                  empproperty AS (RELATE xemp VIA POSSESSES, xskills USING EMPSKILLS es
+                                  WHERE xemp.eno = es.eseno AND es.essno = xskills.sno)
+           TAKE *",
+        )
+        .unwrap();
+    db
+}
+
+/// Sorted `(skill row, linking employees)` pairs of the stored `deps` view.
+fn stored_skills(db: &Database) -> Vec<String> {
+    let co = db.session().fetch_co("deps").unwrap();
+    let mut rows: Vec<String> = co
+        .workspace
+        .independent("xskills")
+        .unwrap()
+        .map(|t| {
+            let mut emps: Vec<String> = t
+                .parents("empproperty")
+                .unwrap()
+                .map(|e| format!("{:?}", e.values()[0]))
+                .collect();
+            emps.sort();
+            format!("{:?} {emps:?}", t.values())
+        })
+        .collect();
+    rows.sort();
+    rows
+}
+
+/// A pending splice must not write a linked node's old values back.
+/// Transaction B deletes employee 3 (department 0, so B splices) and links
+/// employee 1 to skill 20. Before B commits, an autocommit renames skill
+/// 20, which rewrites its one stored node (under employee 2, department 1)
+/// in place. B's splice must then share that node: a department-0 subtree
+/// extracted from B's snapshot holds skill 20 as `'sql'`, matches no
+/// stored node, and would store a second skill-20 node.
+#[test]
+fn pending_splice_keeps_one_node_for_a_relinked_rewritten_skill() {
+    let db = skilled_deps_db();
+    let skills = pending_extraction_outrun_by(
+        &db,
+        "DELETE FROM EMP WHERE eno = 3; INSERT INTO EMPSKILLS VALUES (1, 20)",
+        "UPDATE SKILLS SET sname = 'sql2' WHERE sno = 20",
+        stored_skills,
+    );
+    let twenty: Vec<&String> = skills
+        .iter()
+        .filter(|r| r.starts_with("[Int(20),"))
+        .collect();
+    assert_eq!(twenty.len(), 1, "one skill-20 node: {skills:?}");
+    assert!(
+        twenty[0].contains("sql2") && twenty[0].contains("Int(1)") && twenty[0].contains("Int(2)"),
+        "{skills:?}"
+    );
+}
+
+/// A point fetch reads a department's nodes in the same order every time.
+#[test]
+fn point_fetch_streams_repeat_in_order() {
+    let db = deps_db();
+    let s = db.session();
+    for e in 10..40 {
+        s.execute(
+            &format!("INSERT INTO EMP VALUES ({e}, 'e{e}', 1, {e})"),
+            &[],
+        )
+        .unwrap();
+    }
+    let key = xnf_storage::Value::Int(1);
+    let streams = |db: &Database| {
+        let ws = db.fetch_co_point("deps", &key).unwrap().workspace;
+        let nodes: Vec<_> = ws.components.iter().map(|c| c.rows.clone()).collect();
+        let conns: Vec<_> = ws
+            .relationships
+            .iter()
+            .map(|r| r.connections().to_vec())
+            .collect();
+        (nodes, conns)
+    };
+    let first = streams(&db);
+    assert_eq!(first.0[1].len(), 32, "department 1's employees");
+    for _ in 1..20 {
+        assert_eq!(streams(&db), first);
+    }
 }

@@ -299,9 +299,9 @@ fn analyze_relationship(
 /// With an open session transaction the changes join it (isolated until
 /// the session commits, undone by its rollback); otherwise a dedicated
 /// transaction wraps the
-/// write-back and commits — its deltas flowing through the coalesced,
-/// off-critical-path materialized-view maintenance pipeline — on
-/// success, or rolls back cleanly on conflict/error.
+/// write-back and commits — its deltas flowing through commit-time
+/// materialized-view maintenance — on success, or rolls back cleanly on
+/// conflict/error.
 pub(crate) fn write_back_scoped(
     db: &Database,
     scope: crate::db::Scope<'_>,

@@ -242,10 +242,7 @@ impl TxnManager {
     /// commit with stamp ≤ the watermark is visible to every live snapshot
     /// and to every snapshot created from now on, so its superseded
     /// versions are reclaimable and its surviving versions freezable.
-    /// Matview maintenance uses the same watermark to prune its per-view
-    /// applied-key tracker: a pre-lock precomputation always pins its
-    /// snapshot, so every commit it could be stale against has a stamp
-    /// above the watermark.
+    /// Vacuum is its only reader.
     pub fn oldest_visible_stamp(&self) -> u64 {
         let live = self.live.lock();
         let current = self.current_seq();

@@ -198,8 +198,8 @@ fn every_documented_operator_is_emitted() {
     assert!(corpus.contains("durability: none (in-memory)"));
     assert!(
         corpus.contains(
-            "maintenance: incremental (coalesce, in-place edit, diff splice, pre-lock \
-             re-extract, stamp-ordered apply); mv_roots_respliced="
+            "maintenance: incremental (coalesce, in-place edit, diff splice, \
+             stamp-ordered apply); mv_roots_respliced="
         ),
         "maintenance header missing"
     );

@@ -883,8 +883,9 @@ fn random_fixture_randomized_stream_all_batch_sizes() {
 /// Randomized multi-statement transactions racing from several sessions:
 /// each transaction batches 2–5 DML statements (whose per-statement deltas
 /// coalesce into one net batch at COMMIT), some roll back, and commits
-/// interleave so the pre-lock re-extraction phase regularly runs against a
-/// snapshot that other committers have already outrun. Quiesced, every
+/// interleave, so a transaction's statements regularly run against a
+/// snapshot that other committers have outrun by the time it commits and
+/// maintains its views. Quiesced, every
 /// view — CO keyed splice, SQL keyed, direct, grouped aggregate — must
 /// equal both its definition and a full REFRESH recompute. With `hires`,
 /// every other transaction of a session is instead a hire with one skill
@@ -990,7 +991,7 @@ fn multi_statement_txns_under_concurrent_committers_match_refresh() {
 }
 
 /// The same storm with keyed SKILLS and hires, so that in-place hires,
-/// links and moves race with splices and with their pre-lock extractions.
+/// links and moves race with splices of the same departments.
 #[test]
 fn multi_statement_txns_with_keyed_skills_under_concurrent_committers_match_refresh() {
     let db = concurrent_storm_matches_refresh(paper_db_with_keyed_skills(1024), true);
