@@ -41,8 +41,11 @@ impl CoCache {
 impl Database {
     /// Serve one composite object from a **materialized** CO view: the root
     /// tuples whose partition key equals `key`, plus everything reachable
-    /// from them, read from the stored streams via index walks (no
-    /// extraction, no full-view load). This is the hot-CO serving path.
+    /// from them, read from the stored streams in one pass, each page
+    /// pinned once (no extraction, no full-view load). Nodes come back in
+    /// ascending surrogate order and connections in (parent, child)
+    /// surrogate order, all read under one snapshot. This is the hot-CO
+    /// serving path.
     pub fn fetch_co_point(&self, view: &str, key: &xnf_storage::Value) -> Result<CoCache> {
         crate::matview::fetch_co_point(self, view, key)
     }

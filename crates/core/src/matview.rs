@@ -13,8 +13,9 @@
 //!   incremental splicing (heap positions do not).
 //!   [`Session::fetch_co`](crate::Session::fetch_co) loads the workspace
 //!   straight from storage, and
-//!   [`Database::fetch_co_point`] serves a single CO subtree via index
-//!   walks — the "hot CO from stored state" serving path.
+//!   [`Database::fetch_co_point`] serves a single CO subtree in one pass
+//!   over the stored streams, each page pinned once — the "hot CO from
+//!   stored state" serving path.
 //!
 //! Maintenance is driven by [`DeltaBatch`]es captured at the DML layer and
 //! chooses, per view, the cheapest strategy the definition admits:
@@ -2029,13 +2030,15 @@ fn splice(
     // Membership: surrogate → (rid, stored values sans surrogate), per
     // component. Phase A: root rows carrying an affected key.
     let mut members: Vec<HashMap<i64, (Rid, Row)>> = vec![HashMap::new(); ncomps];
-    let root_t = stream(&info.comps[key.root])?;
-    for k in keys {
-        root_t.scan_by_value(1 + key.root_key_col, k, &snap, |rid, row| {
+    stream(&info.comps[key.root])?.scan_by_values(
+        1 + key.root_key_col,
+        keys,
+        &snap,
+        |rid, row| {
             members[key.root].insert(row.values[0].as_int()?, (rid, row.values[1..].to_vec()));
             Ok(true)
-        })?;
-    }
+        },
+    )?;
 
     // Phase B: cascade in topological order — a node joins the membership
     // when its every connection comes from a member parent.
@@ -2051,13 +2054,11 @@ fn splice(
             if members[p].is_empty() {
                 continue;
             }
-            let conn_t = stream(&rel.name)?;
-            for &ps in members[p].keys() {
-                conn_t.scan_by_value(0, &Value::Int(ps), &snap, |_, crow| {
-                    candidates.insert(crow.values[1].as_int()?);
-                    Ok(true)
-                })?;
-            }
+            let parents: Vec<Value> = members[p].keys().map(|&ps| Value::Int(ps)).collect();
+            stream(&rel.name)?.scan_by_values(0, &parents, &snap, |_, crow| {
+                candidates.insert(crow.values[1].as_int()?);
+                Ok(true)
+            })?;
         }
         let node_t = stream(&info.comps[c])?;
         for s in candidates {
@@ -2181,12 +2182,14 @@ fn splice(
             .comp_index(&rel.children[0])
             .ok_or_else(|| XnfError::Api(format!("unknown child '{}'", rel.children[0])))?;
         let mut stored: HashMap<(i64, i64), Rid> = HashMap::new();
-        for &ps in &member_surrs[p_idx] {
-            conn_t.scan_by_value(0, &Value::Int(ps), &snap, |rid, crow| {
-                stored.insert((ps, crow.values[1].as_int()?), rid);
-                Ok(true)
-            })?;
-        }
+        let parents: Vec<Value> = member_surrs[p_idx]
+            .iter()
+            .map(|&ps| Value::Int(ps))
+            .collect();
+        conn_t.scan_by_values(0, &parents, &snap, |rid, crow| {
+            stored.insert((crow.values[0].as_int()?, crow.values[1].as_int()?), rid);
+            Ok(true)
+        })?;
         let mut new_pairs: HashSet<(i64, i64)> = HashSet::new();
         for &(ppos, cpos) in &sub.conn_rows[ri] {
             new_pairs.insert((assigned[p_idx][ppos], assigned[c_idx][cpos]));
@@ -2533,8 +2536,8 @@ pub(crate) fn fetch_co_materialized(db: &Database, name: &str) -> Result<CoCache
 }
 
 /// Serve one CO subtree (the root rows matching `key` plus everything
-/// reachable from them) from a keyed materialized CO view, via index walks
-/// over the stored streams.
+/// reachable from them) from a keyed materialized CO view, in one pass over
+/// the stored streams (see [`point_rows`]).
 pub(crate) fn fetch_co_point(db: &Database, name: &str, key_value: &Value) -> Result<CoCache> {
     fetch_from_storage(db, name, Some(key_value))
 }
@@ -2553,9 +2556,10 @@ fn fetch_from_storage(db: &Database, name: &str, point_key: Option<&Value>) -> R
     })
 }
 
-/// Read stored streams into a [`QueryResult`]-shaped value, translating
-/// surrogates to stream positions. With `point_key`, only the subtree(s)
-/// rooted at that key value are read (requires a keyed view).
+/// Read stored streams into a [`QueryResult`]-shaped value under one
+/// snapshot, translating surrogates to stream positions. With `point_key`,
+/// only the subtree(s) rooted at that key value are read (requires a keyed
+/// view), in one pass: see [`point_rows`].
 fn load_streams(
     db: &Database,
     name: &str,
@@ -2582,73 +2586,48 @@ fn load_streams(
     };
     let mv = expect_matview(db, &plan.name)?;
     let stream = |name: &str| backing_stream(&mv, name);
+    let snap = db.catalog().latest_snapshot();
 
-    // Which surrogates to include, per component (None = all), in
-    // ascending order so that a point fetch reads its rows in one order.
-    let selected: Option<Vec<BTreeSet<i64>>> = match point_key {
-        None => None,
+    let (nodes, conns): StoredRows = match point_key {
         Some(k) => {
             let key = info.key.as_ref().ok_or_else(|| {
                 XnfError::Api(format!(
                     "'{name}' does not support point fetches (no root partition key)"
                 ))
             })?;
-            let mut sel: Vec<BTreeSet<i64>> = vec![BTreeSet::new(); info.comps.len()];
-            let root_t = stream(&info.comps[key.root])?;
-            for (_, row) in root_t.find_by_value(1 + key.root_key_col, k)? {
-                sel[key.root].insert(row.values[0].as_int()?);
-            }
-            for c in info.topo() {
-                for (rel, _) in rels_with_child(info, c) {
-                    let Some(p) = info.comp_index(&rel.parent) else {
-                        continue;
-                    };
-                    let conn_t = stream(&rel.name)?;
-                    let parents: Vec<i64> = sel[p].iter().copied().collect();
-                    for ps in parents {
-                        for (_, crow) in conn_t.find_by_value(0, &Value::Int(ps))? {
-                            sel[c].insert(crow.values[1].as_int()?);
-                        }
-                    }
-                }
-            }
-            Some(sel)
+            point_rows(&mv, info, key, k, &snap)?
+        }
+        None => {
+            let all = |name: &str| -> Result<Vec<Tuple>> {
+                let mut rows = Vec::new();
+                stream(name)?.for_each_visible(&snap, |_, t| {
+                    rows.push(t);
+                    Ok(true)
+                })?;
+                Ok(rows)
+            };
+            let nodes = info.comps.iter().map(|c| all(c));
+            let conns = info.rels.iter().map(|r| all(&r.name));
+            (nodes.collect::<Result<_>>()?, conns.collect::<Result<_>>()?)
         }
     };
 
     // Node streams: strip the surrogate column, record surrogate → position.
     let mut streams = Vec::new();
     let mut pos_of: HashMap<String, HashMap<i64, u32>> = HashMap::new();
-    for (c, comp) in info.comps.iter().enumerate() {
-        let node_t = stream(comp)?;
-        let columns: Vec<String> = node_t
+    for (comp, stored) in info.comps.iter().zip(nodes) {
+        let columns: Vec<String> = stream(comp)?
             .schema
             .columns()
             .iter()
             .skip(1)
             .map(|col| col.name.clone())
             .collect();
-        let mut rows: Vec<Row> = Vec::new();
-        let mut positions: HashMap<i64, u32> = HashMap::new();
-        let wanted = selected.as_ref().map(|sel| &sel[c]);
-        match wanted {
-            // Point fetch: read the selected surrogates through the
-            // `mv_coid` index instead of scanning the stream.
-            Some(sel) => {
-                for &s in sel.iter() {
-                    for (_, t) in node_t.find_by_value(0, &Value::Int(s))? {
-                        positions.insert(s, rows.len() as u32);
-                        rows.push(t.values[1..].to_vec());
-                    }
-                }
-            }
-            None => {
-                node_t.for_each(|_, t| {
-                    positions.insert(t.values[0].as_int()?, rows.len() as u32);
-                    rows.push(t.values[1..].to_vec());
-                    Ok(true)
-                })?;
-            }
+        let mut rows: Vec<Row> = Vec::with_capacity(stored.len());
+        let mut positions: HashMap<i64, u32> = HashMap::with_capacity(stored.len());
+        for mut t in stored {
+            positions.insert(t.values.remove(0).as_int()?, rows.len() as u32);
+            rows.push(t.values);
         }
         pos_of.insert(comp.to_ascii_lowercase(), positions);
         streams.push(StreamResult {
@@ -2659,9 +2638,8 @@ fn load_streams(
         });
     }
     // Connection streams: surrogates → positions.
-    for rel in &info.rels {
-        let conn_t = stream(&rel.name)?;
-        let columns: Vec<String> = conn_t
+    for (rel, stored) in info.rels.iter().zip(conns) {
+        let columns: Vec<String> = stream(&rel.name)?
             .schema
             .columns()
             .iter()
@@ -2675,37 +2653,18 @@ fn load_streams(
             .iter()
             .map(|ch| &pos_of[&ch.to_ascii_lowercase()])
             .collect();
-        let mut rows: Vec<Row> = Vec::new();
-        let mut push_conn = |t: &Tuple| {
-            let Ok(p) = t.values[0].as_int() else { return };
-            let Some(&pp) = ppos.get(&p) else { return };
+        // A row whose endpoints were not all read is dropped.
+        let position = |t: &Tuple| -> Option<Row> {
+            let p = t.values[0].as_int().ok()?;
             let mut row = Vec::with_capacity(t.values.len());
-            row.push(Value::Int(pp as i64));
+            row.push(Value::Int(*ppos.get(&p)? as i64));
             for (slot, v) in t.values[1..].iter().enumerate() {
-                let (Ok(c), Some(map)) = (v.as_int(), cpos.get(slot)) else {
-                    return;
-                };
-                let Some(&cc) = map.get(&c) else { return };
-                row.push(Value::Int(cc as i64));
+                let c = v.as_int().ok()?;
+                row.push(Value::Int(*cpos.get(slot)?.get(&c)? as i64));
             }
-            rows.push(row);
+            Some(row)
         };
-        match &selected {
-            Some(sel) => {
-                let p_idx = info.comp_index(&rel.parent).unwrap_or(0);
-                for &ps in &sel[p_idx] {
-                    for (_, t) in conn_t.find_by_value(0, &Value::Int(ps))? {
-                        push_conn(&t);
-                    }
-                }
-            }
-            None => {
-                conn_t.for_each(|_, t| {
-                    push_conn(&t);
-                    Ok(true)
-                })?;
-            }
-        }
+        let rows: Vec<Row> = stored.iter().filter_map(position).collect();
         streams.push(StreamResult {
             name: rel.name.clone(),
             kind: OutputKind::Connection {
@@ -2725,4 +2684,62 @@ fn load_streams(
             stats: ExecStats::default(),
         },
     ))
+}
+
+/// Stored rows of a CO view, surrogates included: per component, then per
+/// relationship, in stream order.
+type StoredRows = (Vec<Vec<Tuple>>, Vec<Vec<Tuple>>);
+
+/// The stored rows of the subtree(s) whose root rows carry `key_value`:
+/// per component its node rows in ascending surrogate order, per
+/// relationship its connection rows in (parent, child) surrogate order.
+/// One pass under `snap`: the walk that selects each component's
+/// surrogates reads each relationship's connection rows once, by the
+/// selected parents, and keeps them; every stream is read through one
+/// [`Table::scan_by_values`], which pins each page it touches once.
+fn point_rows(
+    mv: &MatView,
+    info: &XnfInfo,
+    key: &CoKey,
+    key_value: &Value,
+    snap: &Snapshot,
+) -> Result<StoredRows> {
+    let surrogates = |sel: &BTreeSet<i64>| sel.iter().map(|&s| Value::Int(s)).collect::<Vec<_>>();
+    let mut sel: Vec<BTreeSet<i64>> = vec![BTreeSet::new(); info.comps.len()];
+    backing_stream(mv, &info.comps[key.root])?.scan_by_values(
+        1 + key.root_key_col,
+        std::slice::from_ref(key_value),
+        snap,
+        |_, row| {
+            sel[key.root].insert(row.values[0].as_int()?);
+            Ok(true)
+        },
+    )?;
+    let mut conns: Vec<Vec<Tuple>> = vec![Vec::new(); info.rels.len()];
+    for c in info.topo() {
+        for (ri, p, _, _) in info.edges().filter(|&(_, _, child, _)| child == c) {
+            let parents = surrogates(&sel[p]);
+            backing_stream(mv, &info.rels[ri].name)?.scan_by_values(
+                0,
+                &parents,
+                snap,
+                |_, t| {
+                    sel[c].insert(t.values[1].as_int()?);
+                    conns[ri].push(t);
+                    Ok(true)
+                },
+            )?;
+            conns[ri].sort_by(|a, b| a.values.cmp(&b.values));
+        }
+    }
+    let nodes = info.comps.iter().zip(&sel).map(|(comp, s)| {
+        let mut rows = Vec::with_capacity(s.len());
+        backing_stream(mv, comp)?.scan_by_values(0, &surrogates(s), snap, |_, t| {
+            rows.push(t);
+            Ok(true)
+        })?;
+        rows.sort_by(|a, b| a.values[0].cmp(&b.values[0]));
+        Ok(rows)
+    });
+    Ok((nodes.collect::<Result<_>>()?, conns))
 }

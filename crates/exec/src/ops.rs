@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use xnf_plan::{AggSpec, PhysExpr, PhysPlan, DEFAULT_BATCH_SIZE};
 use xnf_sql::AggFunc;
-use xnf_storage::{Catalog, IndexDef, Rid, ScanOrder, Table, Value};
+use xnf_storage::{Catalog, IndexDef, Rid, Table, Value};
 
 use crate::batch::{BatchBuilder, RowBatch};
 use crate::error::{ExecError, Result};
@@ -481,12 +481,10 @@ impl Operator for SeqScanOp {
 
 /// The one index-probe path, shared by [`IndexEqOp`], [`IndexNlJoinOp`]
 /// and [`IndexSemiJoinOp`]: an index of a table and the filter over its
-/// rows, opened once per operator, plus the order a scan of the table
-/// visits its rows.
+/// rows, opened once per operator.
 struct IndexProbe {
     table: Arc<Table>,
     def: IndexDef,
-    order: ScanOrder,
     filter: CompiledPreds,
 }
 
@@ -496,28 +494,16 @@ impl IndexProbe {
         let def = table
             .index_def(index)
             .ok_or_else(|| ExecError::Type(format!("unknown index '{index}'")))?;
-        let order = table.scan_order();
         let filter = CompiledPreds::compile(filter, &rt.outer)?;
-        Ok(IndexProbe {
-            table,
-            def,
-            order,
-            filter,
-        })
+        Ok(IndexProbe { table, def, filter })
     }
 
-    /// The postings of `keys`, sorted into heap scan order. A key holding
-    /// a NULL matches nothing (SQL equality) and is not probed.
+    /// The postings of `keys`, sorted into heap scan order (see
+    /// [`Table::gather_postings`]). A key holding a NULL matches nothing
+    /// (SQL equality) and is not probed.
     fn cursor(&self, mut keys: Vec<Vec<Value>>) -> Result<ProbeCursor> {
         keys.retain(|k| !k.iter().any(Value::is_null));
-        let mut postings = Vec::new();
-        for (i, key) in keys.iter().enumerate() {
-            let rids = self.table.index_lookup(&self.def.name, key)?;
-            postings.extend(rids.into_iter().map(|rid| (rid, i)));
-        }
-        // Stable, so a RID posted under several keys (a stale posting
-        // beside the live one) keeps its entries together, in key order.
-        postings.sort_by_key(|&(rid, _)| self.order.key(rid));
+        let postings = self.table.gather_postings(&self.def.name, &keys)?;
         Ok(ProbeCursor {
             keys,
             postings,

@@ -366,12 +366,6 @@ impl Table {
         self.heap.page_count()
     }
 
-    /// The order a full scan visits this table's RIDs; see
-    /// [`HeapFile::scan_order`].
-    pub fn scan_order(&self) -> crate::heap::ScanOrder {
-        self.heap.scan_order()
-    }
-
     /// Add a secondary index over `columns`, building it from current data
     /// (every stored version gets an entry; uniqueness is checked over the
     /// currently-live versions only).
@@ -486,15 +480,16 @@ impl Table {
         def: &IndexDef,
         key: &Key,
     ) -> Result<Option<Tuple>> {
-        let Some(tuple) = self.heap.try_get_visible(rid, snap)? else {
-            return Ok(None);
-        };
-        let matches = def
-            .columns
+        let tuple = self.heap.try_get_visible(rid, snap)?;
+        Ok(tuple.filter(|t| Self::carries(def, t, key)))
+    }
+
+    /// Does `tuple` hold `key` in the columns of index `def`?
+    fn carries(def: &IndexDef, tuple: &Tuple, key: &Key) -> bool {
+        def.columns
             .iter()
             .zip(key.iter())
-            .all(|(&c, k)| tuple.values.get(c) == Some(k));
-        Ok(if matches { Some(tuple) } else { None })
+            .all(|(&c, k)| tuple.values.get(c) == Some(k))
     }
 
     /// Find an index whose column list starts with exactly `columns` (we use
@@ -511,13 +506,40 @@ impl Table {
     /// stored version; snapshot readers filter through
     /// [`Table::resolve_posting`] (the executor's index probes do this).
     pub fn index_lookup(&self, index_name: &str, key: &Key) -> Result<Vec<Rid>> {
+        self.with_tree(index_name, |tree| tree.get(key))
+    }
+
+    /// The postings of all `keys` in the named index, gathered under one
+    /// read of its tree, as `(rid, position of the key in keys)` sorted
+    /// into heap scan order. The sort is stable, so a RID posted under
+    /// several keys (a stale posting beside the live one) keeps its
+    /// entries together, in key order. Postings cover every stored
+    /// version and may dangle; check them as [`Table::resolve_posting`]
+    /// does.
+    pub fn gather_postings(&self, index_name: &str, keys: &[Key]) -> Result<Vec<(Rid, usize)>> {
+        let mut postings = self.with_tree(index_name, |tree| {
+            let mut postings = Vec::new();
+            for (i, key) in keys.iter().enumerate() {
+                postings.extend(tree.get(key).into_iter().map(|rid| (rid, i)));
+            }
+            postings
+        })?;
+        if postings.len() > 1 {
+            let order = self.heap.scan_order();
+            postings.sort_by_key(|&(rid, _)| order.key(rid));
+        }
+        Ok(postings)
+    }
+
+    /// Run `f` on the tree of the named index, under its read lock.
+    fn with_tree<R>(&self, index_name: &str, f: impl FnOnce(&BTreeIndex) -> R) -> Result<R> {
         let indexes = self.indexes.read();
         let entry = indexes
             .iter()
             .find(|e| e.def.name.eq_ignore_ascii_case(index_name))
             .ok_or_else(|| StorageError::UnknownIndex(index_name.to_string()))?;
-        let rids = entry.tree.read().get(key);
-        Ok(rids)
+        let r = f(&entry.tree.read());
+        Ok(r)
     }
 
     /// Range scan through the named index (all versions; see
@@ -528,13 +550,7 @@ impl Table {
         lo: std::ops::Bound<&Key>,
         hi: std::ops::Bound<&Key>,
     ) -> Result<Vec<(Key, Rid)>> {
-        let indexes = self.indexes.read();
-        let entry = indexes
-            .iter()
-            .find(|e| e.def.name.eq_ignore_ascii_case(index_name))
-            .ok_or_else(|| StorageError::UnknownIndex(index_name.to_string()))?;
-        let r = entry.tree.read().range(lo, hi);
-        Ok(r)
+        self.with_tree(index_name, |tree| tree.range(lo, hi))
     }
 
     /// Recompute statistics with a full scan (latest-committed visibility).
@@ -613,6 +629,57 @@ impl Table {
             }
             Ok(true)
         })
+    }
+
+    /// Visit the tuples visible to `snap` whose `col` equals one of
+    /// `values`, each once, in heap scan order, stopping as soon as `f`
+    /// returns `false`. A NULL value matches nothing (SQL equality). With a
+    /// single-column index on `col` the postings of all values are gathered
+    /// at once ([`Table::gather_postings`]) and each page's run of RIDs is
+    /// resolved under one pin, with the checks of
+    /// [`Table::resolve_posting`]: the slot still holds a version visible
+    /// to `snap` that still carries a value it was posted under. So the
+    /// call costs one page access per page that holds a posting, not one
+    /// per row. Without such an index it is one visible scan.
+    pub fn scan_by_values(
+        &self,
+        col: usize,
+        values: &[Value],
+        snap: &Snapshot,
+        mut f: impl FnMut(Rid, Tuple) -> Result<bool>,
+    ) -> Result<()> {
+        let Some(def) = self.find_index(&[col]) else {
+            return self.for_each_visible(snap, |rid, t| {
+                if values.iter().any(|v| t.values[col].sql_eq(v) == Some(true)) {
+                    return f(rid, t);
+                }
+                Ok(true)
+            });
+        };
+        let keys: Vec<Key> = values
+            .iter()
+            .filter(|v| !v.is_null())
+            .map(|v| vec![v.clone()])
+            .collect();
+        let postings = self.gather_postings(&def.name, &keys)?;
+        for run in postings.chunk_by(|a, b| a.0.page == b.0.page) {
+            // One group per distinct RID: its entries name every key it
+            // was posted under.
+            let groups: Vec<&[(Rid, usize)]> = run.chunk_by(|a, b| a.0 == b.0).collect();
+            let slots: Vec<u16> = groups.iter().map(|g| g[0].0.slot).collect();
+            let tuples = self.heap.try_get_visible_run(run[0].0.page, &slots, snap)?;
+            for (group, tuple) in groups.into_iter().zip(tuples) {
+                let Some(t) = tuple else { continue };
+                if group
+                    .iter()
+                    .any(|&(_, k)| Self::carries(&def, &t, &keys[k]))
+                    && !f(group[0].0, t)?
+                {
+                    return Ok(());
+                }
+            }
+        }
+        Ok(())
     }
 
     // -- garbage collection -------------------------------------------------
@@ -1589,6 +1656,141 @@ mod tests {
         let mut expect = no_index;
         expect.sort_by_key(|(rid, _)| *rid);
         assert_eq!(with_index, expect);
+    }
+
+    /// Rows `scan_by_values` hands to its callback, in its order.
+    fn scanned_by_values(
+        t: &Table,
+        col: usize,
+        keys: &[i64],
+        snap: &Snapshot,
+    ) -> Vec<(Rid, Tuple)> {
+        let values: Vec<Value> = keys.iter().map(|&k| Value::Int(k)).collect();
+        let mut out = Vec::new();
+        t.scan_by_values(col, &values, snap, |rid, tuple| {
+            out.push((rid, tuple));
+            Ok(true)
+        })
+        .unwrap();
+        out
+    }
+
+    /// Post `rid` under `key` in `t`'s index `index` directly: the stale
+    /// posting a reader holds when the slot's version was reclaimed (and
+    /// the slot perhaps reused) between its index read and its page read.
+    fn post_stale(t: &Table, index: &str, key: i64, rid: Rid) {
+        let indexes = t.indexes.read();
+        let entry = indexes.iter().find(|e| e.def.name == index).unwrap();
+        entry
+            .tree
+            .write()
+            .insert(vec![Value::Int(key)], rid)
+            .unwrap();
+    }
+
+    #[test]
+    fn scan_by_values_pins_each_page_once_in_heap_order() {
+        let c = catalog();
+        let t = c.create_table("EMP", emp_schema()).unwrap();
+        t.create_index("emp_edno", vec![2], false).unwrap();
+        for i in 0..2000 {
+            t.insert(&emp(i, i % 10)).unwrap();
+        }
+        let snap = c.latest_snapshot();
+        let accesses = || {
+            let s = c.buffer_pool().stats();
+            s.hits + s.misses
+        };
+        let before = accesses();
+        let rows = scanned_by_values(&t, 2, &[7, 3], &snap);
+        let cost = accesses() - before;
+        assert_eq!(rows.len(), 400);
+        let pages: HashSet<u64> = rows.iter().map(|(rid, _)| rid.page).collect();
+        assert!(pages.len() > 1, "the rows span several pages");
+        assert_eq!(cost, pages.len() as u64, "one access per page, not per row");
+        assert!(rows.windows(2).all(|w| w[0].0 < w[1].0), "heap order");
+        let mut expect = t.find_by_value(2, &Value::Int(3)).unwrap();
+        expect.extend(t.find_by_value(2, &Value::Int(7)).unwrap());
+        expect.sort_by_key(|(rid, _)| *rid);
+        assert_eq!(rows, expect);
+    }
+
+    #[test]
+    fn scan_by_values_drops_a_stale_posting_to_a_reused_slot() {
+        let c = catalog();
+        let t = c.create_table("EMP", emp_schema()).unwrap();
+        t.create_index("emp_edno", vec![2], false).unwrap();
+        t.insert(&emp(0, 6)).unwrap();
+        let gone = t.insert(&emp(1, 5)).unwrap();
+        t.delete(gone).unwrap();
+        let reused = t.insert(&emp(2, 6)).unwrap();
+        assert_eq!(reused, gone, "the insert reuses the reclaimed slot");
+        post_stale(&t, "emp_edno", 5, gone);
+        let snap = c.latest_snapshot();
+        assert!(scanned_by_values(&t, 2, &[5], &snap).is_empty());
+        // A stale posting to a slot that holds no record resolves to
+        // nothing either.
+        let empty = t.insert(&emp(3, 6)).unwrap();
+        t.delete(empty).unwrap();
+        post_stale(&t, "emp_edno", 6, empty);
+        let rows = scanned_by_values(&t, 2, &[6], &snap);
+        let enos: Vec<&Value> = rows.iter().map(|(_, t)| &t.values[0]).collect();
+        assert_eq!(enos, [&Value::Int(0), &Value::Int(2)]);
+    }
+
+    #[test]
+    fn scan_by_values_emits_a_rid_posted_under_two_keys_once() {
+        let c = catalog();
+        let t = c.create_table("EMP", emp_schema()).unwrap();
+        t.create_index("emp_edno", vec![2], false).unwrap();
+        let rid = t.insert(&emp(1, 6)).unwrap();
+        post_stale(&t, "emp_edno", 5, rid);
+        let snap = c.latest_snapshot();
+        // A stale posting beside the live one, and the same key asked
+        // for twice.
+        for keys in [[5, 6], [6, 5], [6, 6]] {
+            assert_eq!(
+                scanned_by_values(&t, 2, &keys, &snap),
+                vec![(rid, emp(1, 6))]
+            );
+        }
+        assert!(scanned_by_values(&t, 2, &[5], &snap).is_empty());
+        // Two requested values that are one index key.
+        let mut rids = Vec::new();
+        let values = [Value::Int(6), Value::Double(6.0)];
+        t.scan_by_values(2, &values, &snap, |rid, _| {
+            rids.push(rid);
+            Ok(true)
+        })
+        .unwrap();
+        assert_eq!(rids, vec![rid]);
+    }
+
+    #[test]
+    fn scan_by_values_without_an_index_matches_per_key_find_by_value() {
+        let c = catalog();
+        let t = c.create_table("EMP", emp_schema()).unwrap();
+        let mut rids = Vec::new();
+        for i in 0..60 {
+            rids.push(t.insert(&emp(i, i % 4)).unwrap());
+        }
+        // A committed delete and another transaction's pending insert.
+        let a = t.txns().allocate();
+        t.mark_delete_txn(rids[2], a).unwrap();
+        t.txns().commit(a);
+        let b = t.txns().allocate();
+        t.insert_txn(&emp(60, 2), b).unwrap();
+        let snap = c.latest_snapshot();
+        let keys = [2, 0, 9];
+        let mut expect: Vec<(Rid, Tuple)> = keys
+            .iter()
+            .flat_map(|&k| t.find_by_value_visible(2, &Value::Int(k), &snap).unwrap())
+            .collect();
+        expect.sort_by_key(|(rid, _)| *rid);
+        assert_eq!(expect.len(), 29);
+        assert_eq!(scanned_by_values(&t, 2, &keys, &snap), expect);
+        t.create_index("emp_edno", vec![2], false).unwrap();
+        assert_eq!(scanned_by_values(&t, 2, &keys, &snap), expect);
     }
 
     /// Rows `scan_by_value` hands to its callback, sorted by rid.

@@ -349,6 +349,27 @@ impl HeapFile {
         })?
     }
 
+    /// [`HeapFile::try_get_visible`] for a run of slots of one page, under
+    /// one pin: one entry per slot, in order. A run of versions from one
+    /// creator costs one `sees` call, as in a scan.
+    pub fn try_get_visible_run(
+        &self,
+        page: PageId,
+        slots: &[u16],
+        snap: &Snapshot,
+    ) -> Result<Vec<Option<Tuple>>> {
+        self.pool.with_page(page, |p| {
+            let mut memo = None;
+            slots
+                .iter()
+                .map(|&slot| match p.get(slot) {
+                    None => Ok(None),
+                    Some(bytes) => decode_visible(bytes, snap, &mut memo, None),
+                })
+                .collect()
+        })?
+    }
+
     /// Set the delete mark (`xmax = xid`) on the version at `rid`.
     /// First-writer-wins: fails with [`StorageError::WriteConflict`] when
     /// another transaction (committed or in flight) already marked it.

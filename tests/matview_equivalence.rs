@@ -889,10 +889,15 @@ fn random_fixture_randomized_stream_all_batch_sizes() {
 /// view — CO keyed splice, SQL keyed, direct, grouped aggregate — must
 /// equal both its definition and a full REFRESH recompute. With `hires`,
 /// every other transaction of a session is instead a hire with one skill
-/// link plus a move of one of the session's own employees.
+/// link plus a move of one of the session's own employees. A fifth
+/// session point-fetches `hot_deps` departments until the writers are
+/// done: no fetch may fail or return more than one department root.
 fn concurrent_storm_matches_refresh(db: Database, hires: bool) -> Database {
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
     use xnf_core::run_sessions;
+    const WRITERS: usize = 4;
+    // Hire `eno`s stay unique across sessions while `ROUNDS` < 100.
+    const ROUNDS: usize = 60;
 
     let db = std::sync::Arc::new(db);
     let autocommit = db.session();
@@ -908,9 +913,26 @@ fn concurrent_storm_matches_refresh(db: Database, hires: bool) -> Database {
     }
 
     let commits = AtomicU64::new(0);
-    run_sessions(&db, 4, |i, session| {
+    let writers_done = AtomicUsize::new(0);
+    let fetches = AtomicU64::new(0);
+    run_sessions(&db, WRITERS + 1, |i, session| {
         let mut rng = StdRng::seed_from_u64(0xD1CE ^ (i as u64).wrapping_mul(7919));
-        for round in 0..12 {
+        if i == WRITERS {
+            loop {
+                let done = writers_done.load(Ordering::Acquire) == WRITERS;
+                let dno = Value::Int(rng.gen_range(0..14));
+                let co = db
+                    .fetch_co_point("hot_deps", &dno)
+                    .unwrap_or_else(|e| panic!("point fetch of {dno:?} during the storm: {e}"));
+                let roots = co.workspace.component("xdept").unwrap().len();
+                assert!(roots <= 1, "point fetch of {dno:?} returned {roots} roots");
+                fetches.fetch_add(1, Ordering::Relaxed);
+                if done {
+                    return;
+                }
+            }
+        }
+        for round in 0..ROUNDS {
             let stmts: Vec<String> = if hires && round % 2 == 0 {
                 let eno = 800 + 100 * i + round;
                 vec![
@@ -943,11 +965,13 @@ fn concurrent_storm_matches_refresh(db: Database, hires: bool) -> Database {
                 Err(_) => session.rollback().unwrap(),
             }
         }
+        writers_done.fetch_add(1, Ordering::Release);
     });
     assert!(
         commits.load(Ordering::Relaxed) >= 8,
         "storm committed too little to mean anything"
     );
+    assert!(fetches.load(Ordering::Relaxed) > 0);
 
     let ctx = "after concurrent multi-statement transactions";
     assert_co_matches(&db, "hot_deps", DEPS_ARC, ctx);
