@@ -292,15 +292,14 @@ pub struct Database {
     config: DbConfig,
     /// Serializes materialized-view maintenance in commit-stamp order:
     /// held across a committing transaction's stamp assignment and the
-    /// whole of its maintenance (in-place edits, keyed re-extraction and
-    /// splice), so each commit's maintenance reads every earlier commit's
-    /// base rows and view writes.
+    /// whole of its maintenance (in-place edits or a recompute), so each
+    /// commit's maintenance reads every earlier commit's base rows and
+    /// view writes.
     maintenance: Mutex<()>,
     /// Cumulative maintenance counters (see [`Database::maint_stats`]).
-    maint_roots: AtomicU64,
-    maint_nodes_reused: AtomicU64,
     maint_nodes_rewritten: AtomicU64,
     maint_links_edited: AtomicU64,
+    maint_recomputes: AtomicU64,
     maint_us: AtomicU64,
     /// Shared compiled-plan cache (all sessions), keyed by normalized
     /// statement text, invalidated via the catalog's DDL generation.
@@ -335,10 +334,9 @@ impl Database {
             catalog: Arc::new(Catalog::new(pool)),
             config,
             maintenance: Mutex::new(()),
-            maint_roots: AtomicU64::new(0),
-            maint_nodes_reused: AtomicU64::new(0),
             maint_nodes_rewritten: AtomicU64::new(0),
             maint_links_edited: AtomicU64::new(0),
+            maint_recomputes: AtomicU64::new(0),
             maint_us: AtomicU64::new(0),
             plan_cache: Mutex::default(),
             matview_plans: Mutex::new(None),
@@ -389,10 +387,9 @@ impl Database {
             catalog,
             config,
             maintenance: Mutex::new(()),
-            maint_roots: AtomicU64::new(0),
-            maint_nodes_reused: AtomicU64::new(0),
             maint_nodes_rewritten: AtomicU64::new(0),
             maint_links_edited: AtomicU64::new(0),
+            maint_recomputes: AtomicU64::new(0),
             maint_us: AtomicU64::new(0),
             plan_cache: Mutex::default(),
             matview_plans: Mutex::new(None),
@@ -508,10 +505,9 @@ impl Database {
     /// them in its `maintenance:` header).
     pub fn maint_stats(&self) -> ExecStats {
         ExecStats {
-            mv_roots_respliced: self.maint_roots.load(Ordering::Relaxed),
-            mv_nodes_reused: self.maint_nodes_reused.load(Ordering::Relaxed),
             mv_nodes_rewritten: self.maint_nodes_rewritten.load(Ordering::Relaxed),
             mv_links_edited: self.maint_links_edited.load(Ordering::Relaxed),
+            mv_recomputes: self.maint_recomputes.load(Ordering::Relaxed),
             mv_maint_us: self.maint_us.load(Ordering::Relaxed),
             ..ExecStats::default()
         }
@@ -541,14 +537,12 @@ impl Database {
                 let res = crate::matview::maintain(self, &delta);
                 drop(_m);
                 res.map(|c| {
-                    self.maint_roots
-                        .fetch_add(c.roots_respliced, Ordering::Relaxed);
-                    self.maint_nodes_reused
-                        .fetch_add(c.nodes_reused, Ordering::Relaxed);
                     self.maint_nodes_rewritten
                         .fetch_add(c.nodes_rewritten, Ordering::Relaxed);
                     self.maint_links_edited
                         .fetch_add(c.links_edited, Ordering::Relaxed);
+                    self.maint_recomputes
+                        .fetch_add(c.recomputes, Ordering::Relaxed);
                     self.maint_us
                         .fetch_add(start.elapsed().as_micros() as u64, Ordering::Relaxed);
                 })
@@ -1031,14 +1025,10 @@ impl Database {
     fn maintenance_line(&self) -> String {
         let s = self.maint_stats();
         format!(
-            "maintenance: incremental (coalesce, in-place edit, diff splice, \
-             stamp-ordered apply); mv_roots_respliced={} mv_nodes_reused={} \
-             mv_nodes_rewritten={} mv_links_edited={} mv_maint_us={}\n",
-            s.mv_roots_respliced,
-            s.mv_nodes_reused,
-            s.mv_nodes_rewritten,
-            s.mv_links_edited,
-            s.mv_maint_us
+            "maintenance: incremental (coalesce, in-place edit, recompute fallback, \
+             stamp-ordered apply); mv_nodes_rewritten={} mv_links_edited={} \
+             mv_recomputes={} mv_maint_us={}\n",
+            s.mv_nodes_rewritten, s.mv_links_edited, s.mv_recomputes, s.mv_maint_us
         )
     }
 

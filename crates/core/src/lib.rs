@@ -25,9 +25,10 @@
 //!   shipping);
 //! - [`matview`] — `CREATE MATERIALIZED VIEW` (SQL and XNF bodies) with
 //!   incremental delta maintenance: DML produces per-table delta batches
-//!   that are applied directly (selection/projection views), by keyed
-//!   re-extraction (join and CO views, via base-table indexes), or by full
-//!   recompute (`REFRESH MATERIALIZED VIEW` / everything else). Hot COs are
+//!   that are applied directly (selection/projection views), to group rows
+//!   (single-table aggregates), as in-place node and connection edits (CO
+//!   views with node keys), or by full recompute (`REFRESH MATERIALIZED
+//!   VIEW` / everything else). Hot COs are
 //!   served from stored streams by [`Session::fetch_co`] and
 //!   [`Database::fetch_co_point`].
 //!

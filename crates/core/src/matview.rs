@@ -10,7 +10,7 @@
 //! - **composite-object (XNF) views** materialize every node and
 //!   connection stream. Node rows carry a stable `__coid` surrogate;
 //!   connection rows store surrogate pairs, so stored streams survive
-//!   incremental splicing (heap positions do not).
+//!   in-place edits (heap positions do not).
 //!   [`Session::fetch_co`](crate::Session::fetch_co) loads the workspace
 //!   straight from storage, and
 //!   [`Database::fetch_co_point`] serves a single CO subtree in one pass
@@ -26,51 +26,39 @@
 //!    `COUNT(*)` / `SUM(int col)` outputs: each delta image adjusts its
 //!    group's stored row in place (insert on first member, delete when the
 //!    count reaches zero), instead of recomputing the whole aggregate;
-//! 3. **keyed re-extraction** — join views whose equality predicates chain
-//!    every leg to an output column (the *partition key*): affected key
-//!    values are computed from the delta, stored rows with those keys are
-//!    deleted (index lookup), and the definition is re-evaluated with a
-//!    `key = value` restriction so the planner can use base-table indexes;
-//!    for CO views the affected *root keys* are found by walking the
-//!    relationship predicates (foreign keys and connect tables) from the
-//!    changed row up to the root, then only those subtrees are re-extracted
-//!    and *diffed* against the stored streams — value-identical nodes are
-//!    kept (XNF's union-distinct object sharing), changed nodes are updated
-//!    in place preserving their surrogate, and only genuinely new or
-//!    vanished branches are written;
-//! 4. **in-place edits** — the O(1) cases of 3, for components with a node
-//!    key (a unique NOT NULL index the component projects): a value-only
-//!    update rewrites the one stored node with that key; an inserted
-//!    component row whose parents are stored (found by their node keys)
-//!    inserts one node and its connections; an inserted connect-table row
-//!    between two stored nodes inserts one connection; and an update that
-//!    moves a row to another stored parent through a foreign key rewrites
-//!    the node and swaps its one connection. Nothing is re-extracted.
-//!    Any other delta row (a delete, a root insert, a row that would make
-//!    an older subtree reachable) sends the whole commit to 3;
-//! 5. **full recompute** — the fallback for everything else (non-groupable
-//!    aggregation, DISTINCT, nested views, recursive COs), and what
-//!    `REFRESH MATERIALIZED VIEW` always does.
+//! 3. **in-place edits** — keyed CO views (binary foreign-key and
+//!    connect-table relationships over base-mapped components): every
+//!    delta row becomes node-granular edits of the stored streams, naming
+//!    nodes by their node key (a unique NOT NULL index the component
+//!    projects). A value-only update rewrites one node; a move swaps one
+//!    connection; a delete, or a key or filter change, removes a node, and
+//!    a node no connection holds any more is removed in turn; an insert,
+//!    a new image or a new link *reaches* its node and walks its children
+//!    through the base tables (see `in_place_edits`). A delta that needs
+//!    value identity across rows (a component without a node key, for one)
+//!    recomputes the view instead;
+//! 4. **full recompute** — the fallback for everything else (join views,
+//!    non-groupable aggregation, DISTINCT, nested views, recursive COs), and
+//!    what `REFRESH MATERIALIZED VIEW` always does.
 //!
 //! Commit-time propagation runs in one phase (see `maintain`): the
 //! committing thread coalesces its delta chains, takes the maintenance
-//! lock, commits, and applies the delta to every dependent view — the
-//! in-place edits of strategy 4, or the keyed re-extraction and structural
-//! diff (`splice`) of strategy 3. Every read reaches latest-committed
-//! data, so commits apply one after another in commit-stamp order and the
-//! result is serial maintenance in that order.
+//! lock, commits, and applies the delta to every dependent view. Every
+//! read reaches latest-committed data, so commits apply one after another
+//! in commit-stamp order and the result is serial maintenance in that
+//! order.
 //!
 //! All strategies bump the view's freshness epoch
 //! ([`xnf_storage::MatView::epoch`]).
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use xnf_exec::{eval, truthy, ExecStats, OuterCtx, Params, QueryResult, Row, StreamResult};
 use xnf_qgm::{inline_xnf_views, view_body, OutputKind};
 use xnf_sql::{
-    AggFunc, BinOp, Expr, Literal, Select, SelectItem, Statement, TableRef, ViewBody, XnfDef,
-    XnfQuery, XnfRelationship, XnfTake,
+    AggFunc, Expr, Select, SelectItem, Statement, TableRef, ViewBody, XnfDef, XnfQuery,
+    XnfRelationship, XnfTake,
 };
 use xnf_storage::{
     Column, DataType, DeltaBatch, DeltaRow, MatView, Rid, Schema, Snapshot, Table, Tuple, Value,
@@ -123,17 +111,6 @@ pub(crate) enum SqlStrategy {
         /// Selection predicate over the base row.
         filter: Option<Expr>,
     },
-    /// Join view with a partition key: delete-by-key + keyed re-extraction.
-    Keyed {
-        /// `(normalized table, base column)` pairs: a delta on `table`
-        /// yields affected key `row[column]`.
-        sources: Vec<(String, usize)>,
-        /// The key's AST expression (a qualified column of the definition),
-        /// used to build the `key = value` re-extraction restriction.
-        key_expr: Expr,
-        /// Backing column holding the key (delete-by-key via `mv_key`).
-        key_out: usize,
-    },
     /// `GROUP BY` over one base table with `COUNT(*)` / `SUM(int col)`
     /// outputs: each delta image adjusts its group's stored row in place.
     GroupedAgg {
@@ -165,7 +142,7 @@ pub(crate) struct XnfInfo {
     pub comps: Vec<String>,
     /// Relationship definitions in stream order.
     pub rels: Vec<XnfRelationship>,
-    /// Present when the view supports keyed (incremental) maintenance.
+    /// Present when the view supports in-place (incremental) maintenance.
     pub key: Option<CoKey>,
     /// Per component, in stream order, when `key` is present (else empty).
     pub nodes: Vec<NodeFacts>,
@@ -176,7 +153,7 @@ pub(crate) struct NodeFacts {
     /// Cache columns of the component's node key: a unique index on its
     /// base table whose columns are all NOT NULL and all projected, so at
     /// most one stored node carries each key value. `None` when the base
-    /// table has no such index; its updates then always splice.
+    /// table has no such index; a delta on it then recomputes the view.
     pub key: Option<Vec<usize>>,
     /// Base columns whose change can move a connection, once per use: the
     /// columns any relationship reads, plus the root key column on the
@@ -390,13 +367,9 @@ fn fill_sql_backing(db: &Database, name: &str, strategy: &SqlStrategy, rows: &[R
     for row in rows {
         backing.insert(&Tuple::new(row.clone()))?;
     }
-    match strategy {
-        SqlStrategy::Keyed { key_out, .. } => ensure_index(&backing, "mv_key", *key_out, false)?,
-        // Group rows are located through their first grouping output.
-        SqlStrategy::GroupedAgg { groups, .. } => {
-            ensure_index(&backing, "mv_key", groups[0].1, false)?
-        }
-        _ => {}
+    // Group rows are located through their first grouping output.
+    if let SqlStrategy::GroupedAgg { groups, .. } = strategy {
+        ensure_index(&backing, "mv_key", groups[0].1, false)?;
     }
     backing.analyze()?;
     Ok(())
@@ -458,7 +431,7 @@ fn fill_xnf_backing(db: &Database, name: &str, info: &XnfInfo, result: &QueryRes
         }
         backing.analyze()?;
     }
-    // Root-key index for keyed maintenance and point fetches.
+    // Root-key index for point fetches.
     if let Some(key) = &info.key {
         if let Some(backing) = mv.stream(&info.comps[key.root]) {
             ensure_index(&backing, "mv_rootkey", 1 + key.root_key_col, false)?;
@@ -677,161 +650,6 @@ fn analyze_sql_strategy(db: &Database, select: &Select) -> SqlStrategy {
         }
     }
 
-    // Keyed join view: every leg a base table, equality classes chaining a
-    // head column to a column of every leg.
-    let mut bindings: Vec<(String, Arc<Table>)> = Vec::new();
-    let mut trefs: Vec<&TableRef> = select.from.iter().collect();
-    trefs.extend(select.joins.iter().map(|j| &j.table));
-    for tref in &trefs {
-        match tref {
-            TableRef::Named { name, alias } => {
-                if !db.catalog().has_table(name) {
-                    return SqlStrategy::Full;
-                }
-                let Ok(t) = db.catalog().table(name) else {
-                    return SqlStrategy::Full;
-                };
-                bindings.push((alias.clone().unwrap_or_else(|| name.clone()), t));
-            }
-            TableRef::Derived { .. } => return SqlStrategy::Full,
-        }
-    }
-    if bindings.is_empty() {
-        return SqlStrategy::Full;
-    }
-
-    // Resolve a column reference to (binding, column ordinal).
-    let resolve = |qualifier: Option<&str>, name: &str| -> Option<(usize, usize)> {
-        match qualifier {
-            Some(q) => {
-                let b = bindings
-                    .iter()
-                    .position(|(n, _)| n.eq_ignore_ascii_case(q))?;
-                Some((b, bindings[b].1.schema.index_of(name)?))
-            }
-            None => {
-                let mut hits = bindings
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, (_, t))| t.schema.index_of(name).map(|c| (i, c)));
-                let first = hits.next()?;
-                if hits.next().is_some() {
-                    return None;
-                }
-                Some(first)
-            }
-        }
-    };
-
-    // Union-find over (binding, column) driven by equality conjuncts.
-    let mut ids: HashMap<(usize, usize), usize> = HashMap::new();
-    let mut parent: Vec<usize> = Vec::new();
-    fn find(parent: &mut [usize], mut i: usize) -> usize {
-        while parent[i] != i {
-            parent[i] = parent[parent[i]];
-            i = parent[i];
-        }
-        i
-    }
-    let mut id_of = |bc: (usize, usize), parent: &mut Vec<usize>| -> usize {
-        *ids.entry(bc).or_insert_with(|| {
-            parent.push(parent.len());
-            parent.len() - 1
-        })
-    };
-    let mut conjuncts: Vec<&Expr> = Vec::new();
-    if let Some(w) = &select.where_clause {
-        conjuncts.extend(w.conjuncts());
-    }
-    for j in &select.joins {
-        conjuncts.extend(j.on.conjuncts());
-    }
-    for c in &conjuncts {
-        if let Expr::Binary {
-            left,
-            op: BinOp::Eq,
-            right,
-        } = c
-        {
-            if let (
-                Expr::Column {
-                    qualifier: ql,
-                    name: nl,
-                },
-                Expr::Column {
-                    qualifier: qr,
-                    name: nr,
-                },
-            ) = (&**left, &**right)
-            {
-                if let (Some(a), Some(b)) = (resolve(ql.as_deref(), nl), resolve(qr.as_deref(), nr))
-                {
-                    let (ia, ib) = (id_of(a, &mut parent), id_of(b, &mut parent));
-                    let (ra, rb) = (find(&mut parent, ia), find(&mut parent, ib));
-                    parent[ra] = rb;
-                }
-            }
-        }
-    }
-
-    // Expand the head into output positions, tracking plain column refs.
-    let mut head: Vec<Option<(usize, usize, Expr)>> = Vec::new();
-    for item in &select.items {
-        match item {
-            SelectItem::Wildcard => {
-                for (b, (name, t)) in bindings.iter().enumerate() {
-                    for c in 0..t.schema.len() {
-                        head.push(Some((b, c, Expr::qcol(name, &t.schema.column(c).name))));
-                    }
-                }
-            }
-            SelectItem::QualifiedWildcard(q) => {
-                let Some(b) = bindings.iter().position(|(n, _)| n.eq_ignore_ascii_case(q)) else {
-                    return SqlStrategy::Full;
-                };
-                for c in 0..bindings[b].1.schema.len() {
-                    head.push(Some((
-                        b,
-                        c,
-                        Expr::qcol(&bindings[b].0, &bindings[b].1.schema.column(c).name),
-                    )));
-                }
-            }
-            SelectItem::Expr { expr, .. } => match expr {
-                Expr::Column { qualifier, name } => match resolve(qualifier.as_deref(), name) {
-                    Some((b, c)) => head.push(Some((b, c, expr.clone()))),
-                    None => head.push(None),
-                },
-                _ => head.push(None),
-            },
-        }
-    }
-
-    // First head position whose class covers every binding becomes the key.
-    for (pos, entry) in head.iter().enumerate() {
-        let Some((b, c, expr)) = entry else { continue };
-        let Some(&kid) = ids.get(&(*b, *c)) else {
-            continue;
-        };
-        let kroot = find(&mut parent, kid);
-        let mut sources: Vec<(String, usize)> = Vec::new();
-        let mut covered: HashSet<usize> = HashSet::new();
-        for (&(bb, cc), &iid) in &ids {
-            if find(&mut parent, iid) == kroot {
-                covered.insert(bb);
-                sources.push((bindings[bb].1.name.to_ascii_uppercase(), cc));
-            }
-        }
-        if covered.len() == bindings.len() {
-            sources.sort();
-            sources.dedup();
-            return SqlStrategy::Keyed {
-                sources,
-                key_expr: expr.clone(),
-                key_out: pos,
-            };
-        }
-    }
     SqlStrategy::Full
 }
 
@@ -1038,7 +856,8 @@ fn derive_co_key(info: &XnfInfo) -> Option<CoKey> {
         return None;
     }
     // A global restriction would have to be re-evaluated during the
-    // index-walk re-extraction; keep those on the full-recompute path.
+    // base-table walks of in-place edits; keep those on the full-recompute
+    // path.
     if info.flat.restriction.is_some() {
         return None;
     }
@@ -1117,24 +936,21 @@ fn derive_co_key(info: &XnfInfo) -> Option<CoKey> {
 /// `ExecStats` maintenance counters and EXPLAIN's `maintenance:` header.
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct MaintCounters {
-    /// CO root keys whose subtrees were diffed and re-spliced.
-    pub roots_respliced: u64,
-    /// Stored nodes kept across a splice — by value-identity sharing or by
-    /// an in-place update preserving the surrogate — instead of being
-    /// deleted and re-inserted.
-    pub nodes_reused: u64,
-    /// Stored nodes written in place (overwritten by key or inserted),
-    /// without a splice.
+    /// Stored CO nodes written in place: rewritten by key, inserted or
+    /// removed.
     pub nodes_rewritten: u64,
-    /// Stored connections inserted or deleted in place, without a splice.
+    /// Stored CO connections inserted or deleted in place.
     pub links_edited: u64,
+    /// Views recomputed from their definition, whatever their strategy.
+    pub recomputes: u64,
 }
 
 /// Propagate one commit's (coalesced) delta batch through every dependent
 /// materialized view. The caller holds the maintenance lock and has
 /// committed, so every read here sees latest-committed data, this commit
 /// included, and commits apply one after another in stamp order — the
-/// result is serial maintenance in commit-stamp order.
+/// result is serial maintenance in commit-stamp order. A view whose
+/// strategy cannot place the delta is recomputed.
 pub(crate) fn maintain(db: &Database, delta: &DeltaBatch) -> Result<MaintCounters> {
     let mut counters = MaintCounters::default();
     if delta.is_empty() {
@@ -1145,7 +961,7 @@ pub(crate) fn maintain(db: &Database, delta: &DeltaBatch) -> Result<MaintCounter
         if !delta.touches_any(plan.deps.iter().map(|s| s.as_str())) {
             continue;
         }
-        match &plan.body {
+        let applied = match &plan.body {
             BodyPlan::Sql {
                 strategy:
                     SqlStrategy::Direct {
@@ -1165,19 +981,20 @@ pub(crate) fn maintain(db: &Database, delta: &DeltaBatch) -> Result<MaintCounter
                     },
                 ..
             } => apply_grouped(db, plan, table, groups, aggs, filter.as_ref(), delta)?,
-            BodyPlan::Sql {
-                select,
-                strategy:
-                    SqlStrategy::Keyed {
-                        sources,
-                        key_expr,
-                        key_out,
-                    },
-            } => apply_sql_keyed(db, plan, select, sources, key_expr, *key_out, delta)?,
             BodyPlan::Xnf(info) if info.key.is_some() => {
-                apply_co_keyed(db, plan, info, delta, &mut counters)?
+                match in_place_edits(db, plan, info, delta)? {
+                    Some(edits) => {
+                        apply_in_place(db, plan, info, edits, &mut counters)?;
+                        true
+                    }
+                    None => false,
+                }
             }
-            _ => repopulate(db, plan)?,
+            _ => false,
+        };
+        if !applied {
+            repopulate(db, plan)?;
+            counters.recomputes += 1;
         }
         expect_matview(db, &plan.name)?.bump_epoch();
     }
@@ -1185,7 +1002,8 @@ pub(crate) fn maintain(db: &Database, delta: &DeltaBatch) -> Result<MaintCounter
 }
 
 /// Direct maintenance of a selection/projection view: filter + project the
-/// delta images and apply them to the backing table.
+/// delta images and apply them to the backing table. `false` when the
+/// stored image diverged from what the delta implies.
 fn apply_direct(
     db: &Database,
     plan: &MaintPlan,
@@ -1193,7 +1011,7 @@ fn apply_direct(
     base_cols: &[usize],
     filter: Option<&Expr>,
     delta: &DeltaBatch,
-) -> Result<()> {
+) -> Result<bool> {
     let mv = expect_matview(db, &plan.name)?;
     let backing = mv
         .stream(&plan.name)
@@ -1228,16 +1046,15 @@ fn apply_direct(
         }
         if let Some(o) = old {
             if !remove_row_by_value(&backing, &o, 0)? {
-                // The stored image diverged from what the delta implies:
-                // repair with a full recompute.
-                return repopulate(db, plan);
+                // The stored image diverged from what the delta implies.
+                return Ok(false);
             }
         }
         if let Some(n) = new {
             backing.insert(&Tuple::new(n))?;
         }
     }
-    Ok(())
+    Ok(true)
 }
 
 /// Grouped-aggregate maintenance: each delta image adjusts its group's
@@ -1247,7 +1064,7 @@ fn apply_direct(
 /// and is atomic for readers, so concurrent snapshot scans always see a
 /// complete aggregate row. Anything the exact arithmetic cannot invert
 /// (NULL group keys, non-integer sum inputs, overflow, divergence from the
-/// stored image) falls back to a full recompute.
+/// stored image) returns `false`, and the view is recomputed.
 fn apply_grouped(
     db: &Database,
     plan: &MaintPlan,
@@ -1256,7 +1073,7 @@ fn apply_grouped(
     aggs: &[(Option<usize>, usize)],
     filter: Option<&Expr>,
     delta: &DeltaBatch,
-) -> Result<()> {
+) -> Result<bool> {
     let mv = expect_matview(db, &plan.name)?;
     let backing = mv
         .stream(&plan.name)
@@ -1290,11 +1107,11 @@ fn apply_grouped(
                     .iter()
                     .any(|(c, _)| c.is_some_and(|c| !matches!(row[c], Value::Int(_))));
             if degraded {
-                return repopulate(db, plan);
+                return Ok(false);
             }
             // Locate the group's stored row (mv_key index on the first
             // grouping output).
-            let hit = first_match(&backing, probe_out, &row[probe_base], &snap, |stored| {
+            let hit = first_match(&backing, probe_out, &row[probe_base], &snap, |_, stored| {
                 Ok(groups
                     .iter()
                     .all(|(c, o)| stored.values[*o].total_cmp(&row[*c]).is_eq()))
@@ -1311,10 +1128,10 @@ fn apply_grouped(
                             },
                         };
                         let Value::Int(cur) = vals[*out] else {
-                            return repopulate(db, plan);
+                            return Ok(false);
                         };
                         let Some(next) = cur.checked_add(dv) else {
-                            return repopulate(db, plan);
+                            return Ok(false);
                         };
                         vals[*out] = Value::Int(next);
                     }
@@ -1325,7 +1142,7 @@ fn apply_grouped(
                         }
                         Value::Int(n) if *n < 0 => {
                             // More removals than stored members: diverged.
-                            return repopulate(db, plan);
+                            return Ok(false);
                         }
                         _ => {
                             backing.update(rid, &Tuple::new(vals))?;
@@ -1346,109 +1163,14 @@ fn apply_grouped(
                     backing.insert(&Tuple::new(vals))?;
                 }
                 // Removing from a group we never stored: diverged.
-                None => return repopulate(db, plan),
+                None => return Ok(false),
             }
         }
     }
-    Ok(())
+    Ok(true)
 }
 
-/// Affected key values of a relational keyed view under `delta`.
-fn sql_keyed_keys(sources: &[(String, usize)], delta: &DeltaBatch) -> Vec<Value> {
-    let mut keys = Vec::new();
-    for (table, col) in sources {
-        for d in delta.rows(table) {
-            for img in [d.before(), d.after()].into_iter().flatten() {
-                let v = img.values[*col].clone();
-                if !v.is_null() {
-                    keys.push(v);
-                }
-            }
-        }
-    }
-    keys
-}
-
-/// Re-run a keyed view's definition restricted to one key value (the
-/// equality lets the planner use base-table indexes).
-fn run_keyed_select(
-    db: &Database,
-    select: &Select,
-    key_expr: &Expr,
-    k: &Value,
-) -> Result<Vec<Row>> {
-    let mut restricted = select.clone();
-    let conjunct = Expr::eq(key_expr.clone(), Expr::Literal(value_literal(k)));
-    restricted.where_clause = Some(match restricted.where_clause.take() {
-        Some(w) => Expr::and(w, conjunct),
-        None => conjunct,
-    });
-    let result = db.run_query(&Statement::Select(restricted), Params::default(), None)?;
-    Ok(result.try_table()?.rows.clone())
-}
-
-/// Keyed maintenance of a relational join view: delete stored rows carrying
-/// the affected keys, then insert each key's re-derived rows.
-fn apply_sql_keyed(
-    db: &Database,
-    plan: &MaintPlan,
-    select: &Select,
-    sources: &[(String, usize)],
-    key_expr: &Expr,
-    key_out: usize,
-    delta: &DeltaBatch,
-) -> Result<()> {
-    let keys = dedup_values(sql_keyed_keys(sources, delta));
-    let mv = expect_matview(db, &plan.name)?;
-    let backing = mv
-        .stream(&plan.name)
-        .ok_or_else(|| XnfError::Api(format!("missing backing table for '{}'", plan.name)))?;
-    for k in &keys {
-        // Delete-by-key (served by the `mv_key` index).
-        let stale: Vec<Rid> = backing
-            .find_by_value(key_out, k)?
-            .into_iter()
-            .map(|(rid, _)| rid)
-            .collect();
-        for rid in stale {
-            backing.delete(rid)?;
-        }
-        for row in run_keyed_select(db, select, key_expr, k)? {
-            backing.insert(&Tuple::new(row))?;
-        }
-    }
-    Ok(())
-}
-
-/// Keyed maintenance of a CO view: the commit's in-place edits when it
-/// has them; otherwise walk the delta up to affected root keys,
-/// re-extract their subtrees and diff them against the stored streams.
-fn apply_co_keyed(
-    db: &Database,
-    plan: &MaintPlan,
-    info: &XnfInfo,
-    delta: &DeltaBatch,
-    counters: &mut MaintCounters,
-) -> Result<()> {
-    if let Some(edits) = in_place_edits(db, plan, info, delta)? {
-        return apply_in_place(db, plan, info, edits, counters);
-    }
-    let keys = dedup_values(co_root_keys(db, info, delta)?);
-    if keys.is_empty() {
-        return Ok(());
-    }
-    if keys.iter().any(|k| k.is_null()) {
-        // A NULL partition key cannot drive the equality index walks
-        // (NULL never matches through sql_eq); recompute instead.
-        return repopulate(db, plan);
-    }
-    counters.roots_respliced += keys.len() as u64;
-    let sub = extract_subtrees(db, info, &keys)?;
-    splice(db, plan, info, &keys, &sub, counters)
-}
-
-/// One write to a keyed CO view's stored streams that a commit implies
-/// without a splice.
+/// One write to a keyed CO view's stored streams.
 enum CoEdit {
     /// Overwrite stored node `rid` of component `comp`; `node` keeps the
     /// stored surrogate.
@@ -1456,6 +1178,8 @@ enum CoEdit {
     /// Insert a node of component `comp`; its surrogate is drawn when the
     /// edits apply.
     Insert { comp: usize, row: Row },
+    /// Delete stored node `rid` of component `comp`.
+    Remove { comp: usize, rid: Rid },
     /// Insert the connection `parent → child` of relationship `rel`.
     Link {
         rel: usize,
@@ -1475,33 +1199,40 @@ enum Node {
 }
 
 /// The in-place edits a commit's delta implies for a keyed CO view, or
-/// `None` when the view must splice. Every delta row must be one of:
+/// `None` when the view must be recomputed. Nodes are named by their node
+/// key, and the delta is classified in three passes:
 ///
-/// - an update of a component row that keeps the node key and the WHERE
-///   answer, and whose changed link columns are all foreign keys to
-///   parents with that column as node key: the stored node is rewritten,
-///   and a moved node (it must be stored, and so must its new parent)
-///   trades its old connection for one to the new parent;
-/// - an insert of a non-root component row with a node key: if it passes
-///   the WHERE and a parent is stored (or inserted by this commit), one
-///   node and its connections are inserted. Every row of a child or
-///   connect table that links to it must come from this commit, so that no
-///   older row becomes reachable without its subtree;
-/// - an insert into a connect table whose parent and child are keyed by
-///   the linked columns: a stored parent and a stored child get the
-///   connection, unless it is stored already. A child with no stored node
-///   would become reachable, so that row splices.
+/// 1. **What it takes away.** A deleted component row removes its stored
+///    node, and so does an update that changes the node key, flips the
+///    WHERE answer or changes a column a relationship reads. A value-only
+///    update rewrites the stored node, keeping its surrogate. A *move* — a
+///    changed foreign key to a parent keyed by that column — drops the
+///    node's connection of that relationship. A deleted connect-table row
+///    drops its connection unless another row still links the pair. A
+///    removed node loses its connections in both directions.
+/// 2. **What it adds.** An inserted row, the new image of a removed row
+///    and an inserted connect-table row *reach* their nodes. A node with a
+///    live parent (a root needs none) is inserted and linked to its
+///    parents; then it walks its children through the base tables: a child
+///    stored already is linked, and one stored nowhere is reached in turn.
+///    A moved node is linked to its new parent.
+/// 3. **Orphans.** A non-root node that lost a connection is removed when
+///    no connection into it is left, stored or pending, counted over every
+///    relationship into its component; the removal cascades. The check
+///    stops at the first surviving connection, so a shared node's fan-in
+///    costs nothing. Roots leave only through their own delete or filter.
 ///
-/// Deletes, root inserts and anything else splice. A row no stored parent
-/// reaches, or that the WHERE rejects, writes nothing.
+/// Value identity across rows needs a recompute: a delta row on a
+/// component without a node key, a reach that meets such a component's
+/// row, a connect-table row whose ends are not keyed by the linked
+/// columns, a table that is both a component and a connect table, and a
+/// cyclic graph all return `None`.
 fn in_place_edits(
     db: &Database,
     plan: &MaintPlan,
     info: &XnfInfo,
     delta: &DeltaBatch,
 ) -> Result<Option<Vec<CoEdit>>> {
-    // Every table the delta touches is a component table or a connect
-    // table, not both: a connect table's rows are connections.
     for table in &plan.deps {
         if delta.rows(table).is_empty() {
             continue;
@@ -1510,12 +1241,12 @@ fn in_place_edits(
         let connects = info.co.relationships.iter().any(|r| {
             matches!(r, RelMeta::ConnectTable { table: t, .. } if t.eq_ignore_ascii_case(table))
         });
-        if comp == connects {
+        if comp && connects {
             return Ok(None);
         }
     }
-    // Parents before children, so that a child finds a parent the same
-    // commit inserts. A cyclic graph has no such order.
+    // Parents before children, so that a parent's walk reaches its children
+    // before their own delta rows do. A cyclic graph has no such order.
     let order = info.topo();
     if order.len() < info.comps.len() {
         return Ok(None);
@@ -1523,185 +1254,428 @@ fn in_place_edits(
     let mut ed = Editor {
         db,
         info,
-        delta,
+        root: info.key.as_ref().expect("keyed plan").root,
         mv: expect_matview(db, &plan.name)?,
         snap: db.catalog().latest_snapshot(),
         outer: OuterCtx::new(),
-        edits: Vec::new(),
-        new_nodes: 0,
-        inserted: HashMap::new(),
+        removed: HashMap::new(),
+        unlinked: HashSet::new(),
+        rewrites: Vec::new(),
+        inserts: Vec::new(),
+        inserted: Vec::new(),
+        links: Vec::new(),
         linked: HashSet::new(),
+        moves: Vec::new(),
+        orphans: VecDeque::new(),
     };
-    for c in order {
-        for d in delta.rows(&info.base(c).table) {
-            let in_place = match d {
-                DeltaRow::Update { old, new } => ed.update(c, &old.values, &new.values)?,
-                DeltaRow::Insert(new) => ed.insert(c, &new.values)?,
-                DeltaRow::Delete(_) => false,
-            };
-            if !in_place {
-                return Ok(None);
+    // Pass 1: what the delta takes away.
+    let mut reach: Vec<(usize, &[Value])> = Vec::new();
+    for &c in &order {
+        let rows = delta.rows(&info.base(c).table);
+        if !rows.is_empty() && info.nodes[c].key.is_none() {
+            return Ok(None);
+        }
+        for d in rows {
+            match d {
+                DeltaRow::Insert(new) => reach.push((c, &new.values)),
+                DeltaRow::Delete(old) => ed.take(c, &old.values)?,
+                DeltaRow::Update { old, new } => {
+                    if ed.update(c, &old.values, &new.values)? {
+                        reach.push((c, &new.values));
+                    }
+                }
             }
         }
     }
-    for (ri, p, c, meta) in info.edges() {
-        let RelMeta::ConnectTable { table, .. } = meta else {
-            continue;
-        };
-        for d in delta.rows(table) {
-            let DeltaRow::Insert(m) = d else {
-                return Ok(None);
-            };
+    let connect_rows = info.edges().filter_map(|(ri, p, c, meta)| match meta {
+        RelMeta::ConnectTable { table, .. } => Some((ri, p, c, meta, delta.rows(table))),
+        _ => None,
+    });
+    let connect_rows: Vec<_> = connect_rows.collect();
+    for &(ri, p, c, meta, rows) in &connect_rows {
+        let (parent_col, child_col) = link_cols(meta);
+        let keyed = info.keyed_by(p, parent_col) && info.keyed_by(c, child_col);
+        if !rows.is_empty() && !keyed {
+            return Ok(None);
+        }
+        for m in rows.iter().filter_map(DeltaRow::before) {
+            ed.disconnect(ri, p, c, meta, &m.values)?;
+        }
+    }
+    // Pass 2: what it adds.
+    for (c, row) in reach {
+        if !ed.reach(c, row, None)? {
+            return Ok(None);
+        }
+    }
+    for (rel, p, v, child) in std::mem::take(&mut ed.moves) {
+        if let Some(parent) = ed.node(p, &v)? {
+            ed.link(rel, parent, child)?;
+        }
+    }
+    for &(ri, p, c, meta, rows) in &connect_rows {
+        for m in rows.iter().filter_map(DeltaRow::after) {
             if !ed.connect(ri, p, c, meta, &m.values)? {
                 return Ok(None);
             }
         }
     }
-    Ok(Some(ed.edits))
+    // Pass 3: orphans.
+    ed.cascade()?;
+    Ok(Some(ed.finish()))
 }
 
-/// The state of one [`in_place_edits`] pass. Each method classifies one
-/// delta row, pushes its edits and returns `false` when the commit must
-/// splice instead.
+/// The state of one [`in_place_edits`] pass. Reads see latest-committed
+/// data, this commit included, through `snap`; nothing is written until
+/// [`apply_in_place`].
 struct Editor<'a> {
     db: &'a Database,
     info: &'a XnfInfo,
-    delta: &'a DeltaBatch,
+    /// The root component.
+    root: usize,
     mv: Arc<MatView>,
     snap: Snapshot,
     outer: OuterCtx,
-    edits: Vec<CoEdit>,
-    /// `Insert` edits pushed so far.
-    new_nodes: usize,
-    /// `(component, node key)` → position of a node this commit inserts.
-    inserted: HashMap<(usize, Value), usize>,
-    /// Connections already pushed, each pushed once.
+    /// Stored nodes this commit removes: surrogate → (component, rid).
+    removed: HashMap<i64, (usize, Rid)>,
+    /// Stored connections this commit deletes: (relationship, rid).
+    unlinked: HashSet<(usize, Rid)>,
+    /// Stored nodes rewritten in place: (component, rid, new row).
+    rewrites: Vec<(usize, Rid, Tuple)>,
+    /// Nodes this commit inserts, by position; `None` once orphaned.
+    inserts: Vec<Option<(usize, Row)>>,
+    /// Per component, node key → position of a node this commit inserts.
+    inserted: Vec<HashMap<Row, usize>>,
+    /// Connections this commit inserts, each pushed once.
+    links: Vec<(usize, Node, Node)>,
+    /// Connections pushed or found stored, so each is resolved once.
     linked: HashSet<(usize, Node, Node)>,
+    /// Moved nodes: (relationship, parent component, new parent key, node).
+    moves: Vec<(usize, usize, Value, Node)>,
+    /// Nodes that lost a connection, for the orphan check.
+    orphans: VecDeque<(usize, Node)>,
 }
 
 impl Editor<'_> {
-    /// An updated component row: a value-only rewrite, or a move.
+    fn stream(&self, name: &str) -> Result<Arc<Table>> {
+        backing_stream(&self.mv, name)
+    }
+
+    /// Rows of base table `table` with `col = v`, as this commit left them.
+    fn base_rows(&self, table: &str, col: usize, v: &Value) -> Result<Vec<(Rid, Tuple)>> {
+        Ok(self
+            .db
+            .catalog()
+            .table(table)?
+            .find_by_value_visible(col, v, &self.snap)?)
+    }
+
+    /// The node key of component `c` (keyed) in base row `row`.
+    fn key_of(&self, c: usize, row: &[Value]) -> Row {
+        let columns = &self.info.base(c).columns;
+        let key = self.info.nodes[c].key.as_ref().expect("keyed component");
+        key.iter().map(|&k| row[columns[k]].clone()).collect()
+    }
+
+    /// Is node `n` still in the view, as far as this commit's edits go?
+    fn live(&self, n: Node) -> bool {
+        match n {
+            Node::Stored(s) => !self.removed.contains_key(&s),
+            Node::New(at) => self.inserts[at].is_some(),
+        }
+    }
+
+    /// The stored node of component `c` with node key `key`, removed or
+    /// not: its rid and surrogate.
+    fn stored(&self, c: usize, key: &[Value]) -> Result<Option<(Rid, i64)>> {
+        if key.iter().any(Value::is_null) {
+            return Ok(None);
+        }
+        let cols = self.info.nodes[c].key.as_ref().expect("keyed component");
+        let node_t = self.stream(&self.info.comps[c])?;
+        let hit = first_match(&node_t, 1 + cols[0], &key[0], &self.snap, |_, t| {
+            Ok(cols
+                .iter()
+                .zip(key)
+                .all(|(&k, v)| t.values[1 + k].total_cmp(v).is_eq()))
+        })?;
+        hit.map(|(rid, t)| Ok((rid, t.values[0].as_int()?)))
+            .transpose()
+    }
+
+    /// The node of component `c` with node key `key` that this commit
+    /// inserts, if it is live.
+    fn new_node(&self, c: usize, key: &[Value]) -> Option<Node> {
+        let at = *self.inserted.get(c)?.get(key)?;
+        self.inserts[at].is_some().then_some(Node::New(at))
+    }
+
+    /// The live node of component `c` with node key `key`: inserted by
+    /// this commit, or stored and not removed.
+    fn find(&self, c: usize, key: &[Value]) -> Result<Option<Node>> {
+        if let Some(n) = self.new_node(c, key) {
+            return Ok(Some(n));
+        }
+        Ok(match self.stored(c, key)? {
+            Some((_, s)) if !self.removed.contains_key(&s) => Some(Node::Stored(s)),
+            _ => None,
+        })
+    }
+
+    /// The live node of component `c` whose single-column node key is `v`.
+    fn node(&self, c: usize, v: &Value) -> Result<Option<Node>> {
+        self.find(c, std::slice::from_ref(v))
+    }
+
+    /// A component row's old image leaves the view, with every connection
+    /// into its node.
+    fn take(&mut self, c: usize, old: &[Value]) -> Result<()> {
+        let Some((rid, s)) = self.stored(c, &self.key_of(c, old))? else {
+            return Ok(());
+        };
+        let info = self.info;
+        for (ri, ..) in info.edges().filter(|&(_, _, child, _)| child == c) {
+            self.unlink_all(ri, 1, s)?;
+        }
+        self.remove_stored(c, s, rid)
+    }
+
+    /// An updated component row: a rewrite, a move, or a new identity.
+    /// Returns whether the new image must be reached.
     fn update(&mut self, c: usize, old: &[Value], new: &[Value]) -> Result<bool> {
         let info = self.info;
         let (facts, base) = (&info.nodes[c], info.base(c));
+        let key = facts.key.as_ref().expect("keyed component");
         let same = |b: usize| old[b].total_cmp(&new[b]).is_eq();
-        let Some(key) = &facts.key else {
-            return Ok(false);
+        let passes = passes_filter(&facts.filter, new, &self.outer)?;
+        let kept = key.iter().all(|&k| same(base.columns[k]))
+            && passes == passes_filter(&facts.filter, old, &self.outer)?;
+        let moves: Option<Vec<(usize, usize, usize)>> = facts
+            .links
+            .iter()
+            .filter(|&&(b, _)| !same(b))
+            .map(|&(b, rel)| rel.map(|(ri, p)| (ri, p, b)))
+            .collect();
+        let Some(moves) = moves.filter(|_| kept) else {
+            // A new identity: the old node leaves and the new image is
+            // reached.
+            self.take(c, old)?;
+            return Ok(passes);
         };
-        if !key.iter().all(|&k| same(base.columns[k])) {
+        let shown_same = base.columns.iter().all(|&b| same(b));
+        if !passes || shown_same && moves.is_empty() {
             return Ok(false);
         }
-        let mut moves = Vec::new();
-        for &(b, rel) in &facts.links {
-            match rel {
-                _ if same(b) => {}
-                Some((ri, p)) => moves.push((ri, p, b)),
-                None => return Ok(false),
-            }
-        }
-        let passes = passes_filter(&facts.filter, old, &self.outer)?;
-        if passes != passes_filter(&facts.filter, new, &self.outer)? {
-            return Ok(false);
-        }
-        if !passes || base.columns.iter().all(|&b| same(b)) {
-            return Ok(true);
-        }
-        let row: Row = base.columns.iter().map(|&b| new[b].clone()).collect();
-        let node_t = backing_stream(&self.mv, &info.comps[c])?;
-        let hit = first_match(&node_t, 1 + key[0], &row[key[0]], &self.snap, |t| {
-            Ok(key
-                .iter()
-                .all(|&k| t.values[1 + k].total_cmp(&row[k]).is_eq()))
-        })?;
-        let Some((rid, stored)) = hit else {
-            // No root reaches the node; a move would make it reachable.
-            return Ok(moves.is_empty());
+        let Some((rid, s)) = self.stored(c, &self.key_of(c, new))? else {
+            // No live parent held the node; a move may reach it.
+            return Ok(!moves.is_empty());
         };
-        let surrogate = stored.values[0].as_int()?;
-        for (ri, p, b) in moves {
-            let Some(to) = self.node(p, &new[b])? else {
-                return Ok(false);
-            };
-            if let Some(Node::Stored(from)) = self.node(p, &old[b])? {
-                let conn_t = backing_stream(&self.mv, &info.rels[ri].name)?;
-                let pair = first_match(&conn_t, 1, &Value::Int(surrogate), &self.snap, |t| {
-                    Ok(t.values[0].as_int()? == from)
-                })?;
-                if let Some((rid, _)) = pair {
-                    self.edits.push(CoEdit::Unlink { rel: ri, rid });
-                }
-            }
-            self.link(ri, to, Node::Stored(surrogate))?;
+        let node = Node::Stored(s);
+        for (rel, p, b) in moves {
+            self.unlink_all(rel, 1, s)?;
+            self.orphans.push_back((c, node));
+            self.moves.push((rel, p, new[b].clone(), node));
         }
-        let mut values = Vec::with_capacity(row.len() + 1);
-        values.push(Value::Int(surrogate));
-        values.extend(row);
-        self.edits.push(CoEdit::Rewrite {
-            comp: c,
-            rid,
-            node: Tuple::new(values),
-        });
-        Ok(true)
+        if !shown_same {
+            let mut values = Vec::with_capacity(base.columns.len() + 1);
+            values.push(Value::Int(s));
+            values.extend(base.columns.iter().map(|&b| new[b].clone()));
+            self.rewrites.push((c, rid, Tuple::new(values)));
+        }
+        Ok(false)
     }
 
-    /// An inserted component row.
-    fn insert(&mut self, c: usize, new: &[Value]) -> Result<bool> {
-        let info = self.info;
-        let (facts, base) = (&info.nodes[c], info.base(c));
-        let is_root = info.key.as_ref().is_some_and(|k| k.root == c);
-        let Some(key) = facts.key.as_ref().filter(|_| !is_root) else {
-            return Ok(false);
+    /// A deleted connect-table row of relationship `ri` (`p` → `c`).
+    fn disconnect(
+        &mut self,
+        ri: usize,
+        p: usize,
+        c: usize,
+        meta: &RelMeta,
+        m: &[Value],
+    ) -> Result<()> {
+        let RelMeta::ConnectTable {
+            table,
+            m_parent_col,
+            m_child_col,
+            ..
+        } = meta
+        else {
+            unreachable!("called for connect tables")
         };
-        if !passes_filter(&facts.filter, new, &self.outer)? {
+        let (pv, cv) = (&m[*m_parent_col], &m[*m_child_col]);
+        let parent = self.stored(p, std::slice::from_ref(pv))?;
+        let child = self.stored(c, std::slice::from_ref(cv))?;
+        let (Some((_, ps)), Some((_, cs))) = (parent, child) else {
+            return Ok(());
+        };
+        let still = self
+            .base_rows(table, *m_parent_col, pv)?
+            .iter()
+            .any(|(_, t)| t.values[*m_child_col].total_cmp(cv).is_eq());
+        if still {
+            return Ok(());
+        }
+        let conn_t = self.stream(&self.info.rels[ri].name)?;
+        let pair = first_match(&conn_t, 0, &Value::Int(ps), &self.snap, |rid, t| {
+            Ok(t.values[1].as_int()? == cs && !self.unlinked.contains(&(ri, rid)))
+        })?;
+        if let Some((rid, _)) = pair {
+            self.unlinked.insert((ri, rid));
+            self.orphans.push_back((c, Node::Stored(cs)));
+        }
+        Ok(())
+    }
+
+    /// Reach component row `row` (a base-table image) of component `c`:
+    /// through `via`, or through every live parent when `via` is `None`.
+    /// A row that passes the WHERE and has a parent (or is a root) gets a
+    /// node, unless it has one, and is linked to its parents; a new node
+    /// walks its children. `false` when the view must be recomputed.
+    fn reach(&mut self, c: usize, row: &[Value], via: Option<(usize, Node)>) -> Result<bool> {
+        let facts = &self.info.nodes[c];
+        if !passes_filter(&facts.filter, row, &self.outer)? {
             return Ok(true);
         }
-        let mut parents = Vec::new();
-        for (ri, p, child, meta) in info.edges() {
+        if facts.key.is_none() {
+            return Ok(false);
+        }
+        let key = self.key_of(c, row);
+        let found = match via {
+            // A stored node with a delta row's key belonged to an old
+            // image, which pass 1 removed: only a walk can have reached it.
+            None => self.new_node(c, &key),
+            Some(_) => self.find(c, &key)?,
+        };
+        let mut parents: Vec<(usize, Node)> = via.into_iter().collect();
+        if via.is_none() && !self.parents(c, row, &mut parents)? {
+            return Ok(false);
+        }
+        let node = match found {
+            Some(n) => n,
+            None if parents.is_empty() && c != self.root => return Ok(true),
+            None => {
+                let at = self.inserts.len();
+                let base = self.info.base(c);
+                let cached = base.columns.iter().map(|&b| row[b].clone()).collect();
+                self.inserts.push(Some((c, cached)));
+                if self.inserted.len() <= c {
+                    self.inserted.resize_with(c + 1, HashMap::new);
+                }
+                self.inserted[c].insert(key, at);
+                Node::New(at)
+            }
+        };
+        for (rel, parent) in parents {
+            self.link(rel, parent, node)?;
+        }
+        if found.is_some() {
+            return Ok(true);
+        }
+        self.walk(c, row, node)
+    }
+
+    /// Push the live parents of component row `row` over every
+    /// relationship into `c`. `false` when a row links it to a parent
+    /// component that is not keyed by the linked column.
+    fn parents(&self, c: usize, row: &[Value], out: &mut Vec<(usize, Node)>) -> Result<bool> {
+        let info = self.info;
+        let base = info.base(c);
+        for (ri, p, _, meta) in info.edges().filter(|&(_, _, child, _)| child == c) {
             let (parent_col, child_col) = link_cols(meta);
-            // The rows that would link the new node to children or
-            // parents: `(table, column, the node's cache column)`.
-            let linking = match meta {
+            let v = &row[base.columns[child_col]];
+            if v.is_null() {
+                continue;
+            }
+            let keyed = info.keyed_by(p, parent_col);
+            match meta {
                 RelMeta::ConnectTable {
                     table,
                     m_parent_col,
                     m_child_col,
                     ..
-                } => [
-                    (p == c).then_some((table, *m_parent_col, parent_col)),
-                    (child == c).then_some((table, *m_child_col, child_col)),
-                ],
+                } => {
+                    for (_, m) in self.base_rows(table, *m_child_col, v)? {
+                        let pv = &m.values[*m_parent_col];
+                        if pv.is_null() {
+                            continue;
+                        }
+                        if !keyed {
+                            return Ok(false);
+                        }
+                        if let Some(n) = self.node(p, pv)? {
+                            out.push((ri, n));
+                        }
+                    }
+                }
+                _ if keyed => {
+                    if let Some(n) = self.node(p, v)? {
+                        out.push((ri, n));
+                    }
+                }
                 _ => {
-                    let cbase = info.base(child);
-                    let fk = (&cbase.table, cbase.columns[child_col], parent_col);
-                    [(p == c).then_some(fk), None]
+                    let pbase = info.base(p);
+                    let t = self.db.catalog().table(&pbase.table)?;
+                    let hit = first_match(&t, pbase.columns[parent_col], v, &self.snap, |_, _| {
+                        Ok(true)
+                    })?;
+                    if hit.is_some() {
+                        return Ok(false);
+                    }
                 }
+            }
+        }
+        Ok(true)
+    }
+
+    /// Walk the children of new node `n` of component `c` (base row
+    /// `row`): a live child is linked, any other child row is reached.
+    fn walk(&mut self, c: usize, row: &[Value], n: Node) -> Result<bool> {
+        let info = self.info;
+        let base = info.base(c);
+        for (ri, _, ch, meta) in info.edges().filter(|&(_, parent, _, _)| parent == c) {
+            let (parent_col, child_col) = link_cols(meta);
+            let v = &row[base.columns[parent_col]];
+            if v.is_null() {
+                continue;
+            }
+            let cbase = info.base(ch);
+            let children = match meta {
+                RelMeta::ConnectTable {
+                    table,
+                    m_parent_col,
+                    m_child_col,
+                    ..
+                } => {
+                    let mut children = Vec::new();
+                    for (_, m) in self.base_rows(table, *m_parent_col, v)? {
+                        let cv = &m.values[*m_child_col];
+                        if cv.is_null() {
+                            continue;
+                        }
+                        // A live child keyed by the linked column is linked
+                        // without reading its base row.
+                        if info.keyed_by(ch, child_col) {
+                            if let Some(child) = self.node(ch, cv)? {
+                                self.link(ri, n, child)?;
+                                continue;
+                            }
+                        }
+                        children.extend(self.base_rows(
+                            &cbase.table,
+                            cbase.columns[child_col],
+                            cv,
+                        )?);
+                    }
+                    children
+                }
+                _ => self.base_rows(&cbase.table, cbase.columns[child_col], v)?,
             };
-            for (table, col, own) in linking.into_iter().flatten() {
-                if !self.only_new_rows(table, col, &new[base.columns[own]])? {
+            for (_, t) in children {
+                if !self.reach(ch, &t.values, Some((ri, n)))? {
                     return Ok(false);
                 }
             }
-            if child == c && matches!(meta, RelMeta::ForeignKey { .. }) {
-                if !info.keyed_by(p, parent_col) {
-                    return Ok(false);
-                }
-                if let Some(parent) = self.node(p, &new[base.columns[child_col]])? {
-                    parents.push((ri, parent));
-                }
-            }
-        }
-        if parents.is_empty() {
-            return Ok(true);
-        }
-        let row: Row = base.columns.iter().map(|&b| new[b].clone()).collect();
-        let at = self.new_nodes;
-        self.new_nodes += 1;
-        if let [k] = key[..] {
-            self.inserted.insert((c, row[k].clone()), at);
-        }
-        self.edits.push(CoEdit::Insert { comp: c, row });
-        for (ri, parent) in parents {
-            self.link(ri, parent, Node::New(at))?;
         }
         Ok(true)
     }
@@ -1716,7 +1690,6 @@ impl Editor<'_> {
         m: &[Value],
     ) -> Result<bool> {
         let RelMeta::ConnectTable {
-            parent_col,
             child_col,
             m_parent_col,
             m_child_col,
@@ -1725,38 +1698,25 @@ impl Editor<'_> {
         else {
             unreachable!("called for connect tables")
         };
-        if !self.info.keyed_by(p, *parent_col) || !self.info.keyed_by(c, *child_col) {
-            return Ok(false);
-        }
-        let Some(parent) = self.node(p, &m[*m_parent_col])? else {
+        let cv = &m[*m_child_col];
+        // A parent this commit inserts has walked every row linking it.
+        let Some(parent @ Node::Stored(_)) = self.node(p, &m[*m_parent_col])? else {
             return Ok(true);
         };
-        let cv = &m[*m_child_col];
         if cv.is_null() {
             return Ok(true);
         }
-        let Some(child) = self.node(c, cv)? else {
-            return Ok(false);
-        };
-        self.link(ri, parent, child)?;
+        if let Some(child) = self.node(c, cv)? {
+            self.link(ri, parent, child)?;
+            return Ok(true);
+        }
+        let cbase = self.info.base(c);
+        for (_, t) in self.base_rows(&cbase.table, cbase.columns[*child_col], cv)? {
+            if !self.reach(c, &t.values, Some((ri, parent)))? {
+                return Ok(false);
+            }
+        }
         Ok(true)
-    }
-
-    /// The node of component `c` whose single-column node key is `v`:
-    /// inserted by this commit, or stored.
-    fn node(&self, c: usize, v: &Value) -> Result<Option<Node>> {
-        if v.is_null() {
-            return Ok(None);
-        }
-        if let Some(&at) = self.inserted.get(&(c, v.clone())) {
-            return Ok(Some(Node::New(at)));
-        }
-        let key = self.info.nodes[c].key.as_ref().expect("keyed component");
-        let node_t = backing_stream(&self.mv, &self.info.comps[c])?;
-        match first_match(&node_t, 1 + key[0], v, &self.snap, |_| Ok(true))? {
-            Some((_, t)) => Ok(Some(Node::Stored(t.values[0].as_int()?))),
-            None => Ok(None),
-        }
     }
 
     /// Push connection `parent → child` of relationship `rel` unless it is
@@ -1770,37 +1730,165 @@ impl Editor<'_> {
         if let (Node::Stored(p), Node::Stored(c)) = (parent, child) {
             let fk = matches!(self.info.co.relationships[rel], RelMeta::ForeignKey { .. });
             let (from, want, other) = if fk { (1, p, c) } else { (0, c, p) };
-            let conn_t = backing_stream(&self.mv, &self.info.rels[rel].name)?;
-            let stored = first_match(&conn_t, from, &Value::Int(other), &self.snap, |t| {
-                Ok(t.values[1 - from].as_int()? == want)
+            let conn_t = self.stream(&self.info.rels[rel].name)?;
+            let stored = first_match(&conn_t, from, &Value::Int(other), &self.snap, |rid, t| {
+                Ok(t.values[1 - from].as_int()? == want && !self.unlinked.contains(&(rel, rid)))
             })?;
             if stored.is_some() {
                 return Ok(());
             }
         }
-        self.edits.push(CoEdit::Link { rel, parent, child });
+        self.links.push((rel, parent, child));
         Ok(())
     }
 
-    /// Are the rows of `table` with `col = v` all inserted by this commit?
-    fn only_new_rows(&self, table: &str, col: usize, v: &Value) -> Result<bool> {
-        if v.is_null() {
+    /// Delete the stored connections of relationship `rel` whose column
+    /// `col` (0 parent, 1 child) holds surrogate `s`; returns the
+    /// surrogates at their other ends.
+    fn unlink_all(&mut self, rel: usize, col: usize, s: i64) -> Result<Vec<i64>> {
+        let conn_t = self.stream(&self.info.rels[rel].name)?;
+        let mut ends = Vec::new();
+        conn_t.scan_by_value(col, &Value::Int(s), &self.snap, |rid, t| {
+            if self.unlinked.insert((rel, rid)) {
+                ends.push(t.values[1 - col].as_int()?);
+            }
+            Ok(true)
+        })?;
+        Ok(ends)
+    }
+
+    /// Remove stored node `s` (rid `rid`) of component `c`, whose incoming
+    /// connections are deleted already, with every connection out of it.
+    fn remove_stored(&mut self, c: usize, s: i64, rid: Rid) -> Result<()> {
+        if self.removed.insert(s, (c, rid)).is_some() {
+            return Ok(());
+        }
+        let info = self.info;
+        for (ri, _, ch, _) in info.edges().filter(|&(_, parent, _, _)| parent == c) {
+            for child in self.unlink_all(ri, 0, s)? {
+                self.orphans.push_back((ch, Node::Stored(child)));
+            }
+        }
+        self.unhold(Node::Stored(s));
+        Ok(())
+    }
+
+    /// The children node `n`'s pending connections hold become orphan
+    /// candidates.
+    fn unhold(&mut self, n: Node) {
+        for &(rel, parent, child) in &self.links {
+            if parent == n {
+                let ch = self.info.comp_index(&self.info.rels[rel].children[0]);
+                self.orphans.extend(ch.map(|ch| (ch, child)));
+            }
+        }
+    }
+
+    /// Does a connection still lead into node `n` of component `c`: a
+    /// pending one from a live parent, or a stored one not deleted?
+    fn held(&self, c: usize, n: Node) -> Result<bool> {
+        if self
+            .links
+            .iter()
+            .any(|&(_, parent, child)| child == n && self.live(parent))
+        {
             return Ok(true);
         }
-        let t = self.db.catalog().table(table)?;
-        let inserted = self
-            .delta
-            .rows(table)
+        let Node::Stored(s) = n else {
+            return Ok(false);
+        };
+        for (ri, ..) in self.info.edges().filter(|&(_, _, child, _)| child == c) {
+            let conn_t = self.stream(&self.info.rels[ri].name)?;
+            let hit = first_match(&conn_t, 1, &Value::Int(s), &self.snap, |rid, _| {
+                Ok(!self.unlinked.contains(&(ri, rid)))
+            })?;
+            if hit.is_some() {
+                return Ok(true);
+            }
+        }
+        Ok(false)
+    }
+
+    /// Remove every non-root node no connection holds any more, cascading.
+    /// Candidates are checked first in, first out, so that a node shared
+    /// by several removed parents is checked after they are removed.
+    fn cascade(&mut self) -> Result<()> {
+        while let Some((c, n)) = self.orphans.pop_front() {
+            if c == self.root || !self.live(n) || self.held(c, n)? {
+                continue;
+            }
+            match n {
+                Node::Stored(s) => {
+                    let node_t = self.stream(&self.info.comps[c])?;
+                    let hit = first_match(&node_t, 0, &Value::Int(s), &self.snap, |_, _| Ok(true))?;
+                    // `held` found every incoming connection deleted.
+                    if let Some((rid, _)) = hit {
+                        self.remove_stored(c, s, rid)?;
+                    }
+                }
+                Node::New(at) => {
+                    self.inserts[at] = None;
+                    self.unhold(n);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The edits, in [`apply_in_place`]'s phase order, without the ones a
+    /// removal voided; inserted nodes are renumbered densely.
+    fn finish(self) -> Vec<CoEdit> {
+        let mut next = 0;
+        let position: Vec<Option<usize>> = self
+            .inserts
             .iter()
-            .filter(|d| matches!(d, DeltaRow::Insert(r) if r.values[col].total_cmp(v).is_eq()))
-            .count();
-        Ok(t.find_by_value(col, v)?.len() <= inserted)
+            .map(|i| {
+                i.as_ref().map(|_| {
+                    next += 1;
+                    next - 1
+                })
+            })
+            .collect();
+        let node = |n: Node| match n {
+            Node::Stored(s) => (!self.removed.contains_key(&s)).then_some(n),
+            Node::New(at) => position[at].map(Node::New),
+        };
+        let mut edits: Vec<CoEdit> = Vec::new();
+        edits.extend(
+            self.unlinked
+                .iter()
+                .map(|&(rel, rid)| CoEdit::Unlink { rel, rid }),
+        );
+        edits.extend(
+            self.removed
+                .values()
+                .map(|&(comp, rid)| CoEdit::Remove { comp, rid }),
+        );
+        for (comp, rid, node) in self.rewrites {
+            let s = node.values[0].as_int().expect("surrogate column");
+            if !self.removed.contains_key(&s) {
+                edits.push(CoEdit::Rewrite { comp, rid, node });
+            }
+        }
+        edits.extend(
+            self.inserts
+                .into_iter()
+                .flatten()
+                .map(|(comp, row)| CoEdit::Insert { comp, row }),
+        );
+        for &(rel, parent, child) in &self.links {
+            if let (Some(parent), Some(child)) = (node(parent), node(child)) {
+                edits.push(CoEdit::Link { rel, parent, child });
+            }
+        }
+        edits
     }
 }
 
-/// Write a commit's in-place edits in splice's order — connection deletes,
-/// node rewrites, node inserts, connection inserts — so that a concurrent
-/// reader's walk never reaches a subtree larger than its final shape.
+/// Write a commit's in-place edits in phase order — connection deletes,
+/// node deletes, node rewrites, node inserts, connection inserts — so that
+/// a concurrent reader's walk never reaches a subtree larger than its
+/// final shape.
 fn apply_in_place(
     db: &Database,
     plan: &MaintPlan,
@@ -1823,6 +1911,12 @@ fn apply_in_place(
         if let CoEdit::Unlink { rel, rid } = e {
             stream(&info.rels[*rel].name)?.delete(*rid)?;
             counters.links_edited += 1;
+        }
+    }
+    for e in &edits {
+        if let CoEdit::Remove { comp, rid } = e {
+            stream(&info.comps[*comp])?.delete(*rid)?;
+            counters.nodes_rewritten += 1;
         }
     }
     for e in &edits {
@@ -1853,530 +1947,6 @@ fn apply_in_place(
         }
     }
     Ok(())
-}
-
-/// Affected root-key values of a delta batch: every changed image is walked
-/// up the relationship graph (FK chains and connect tables, via base-table
-/// indexes) to the root partition key.
-fn co_root_keys(db: &Database, info: &XnfInfo, delta: &DeltaBatch) -> Result<Vec<Value>> {
-    let mut keys = Vec::new();
-    // Deltas on component base tables.
-    for (idx, comp) in info.co.components.iter().enumerate() {
-        let Some(base) = &comp.base else { continue };
-        for d in delta.rows(&base.table) {
-            for img in [d.before(), d.after()].into_iter().flatten() {
-                keys_from_comp_row(db, info, idx, &img.values, &mut keys, 0)?;
-            }
-        }
-    }
-    // Deltas on connect (mapping) tables.
-    for (rel, meta) in info.rels.iter().zip(&info.co.relationships) {
-        let RelMeta::ConnectTable {
-            table,
-            parent_col,
-            m_parent_col,
-            ..
-        } = meta
-        else {
-            continue;
-        };
-        let Some(parent) = info.comp_index(&rel.parent) else {
-            continue;
-        };
-        for d in delta.rows(table) {
-            for img in [d.before(), d.after()].into_iter().flatten() {
-                keys_from_parent_link(
-                    db,
-                    info,
-                    parent,
-                    *parent_col,
-                    img.values[*m_parent_col].clone(),
-                    &mut keys,
-                    0,
-                )?;
-            }
-        }
-    }
-    Ok(keys)
-}
-
-/// Root keys reachable from one base row of component `comp`.
-fn keys_from_comp_row(
-    db: &Database,
-    info: &XnfInfo,
-    comp: usize,
-    row: &[Value],
-    out: &mut Vec<Value>,
-    depth: u32,
-) -> Result<()> {
-    let key = info.key.as_ref().expect("keyed plan");
-    if depth as usize > info.comps.len() + 2 {
-        return Ok(());
-    }
-    let base = info.base(comp);
-    if comp == key.root {
-        out.push(row[base.columns[key.root_key_col]].clone());
-        return Ok(());
-    }
-    for (rel, meta) in info.rels.iter().zip(&info.co.relationships) {
-        if info.comp_index(&rel.children[0]) != Some(comp) {
-            continue;
-        }
-        let Some(parent) = info.comp_index(&rel.parent) else {
-            continue;
-        };
-        match meta {
-            RelMeta::ForeignKey {
-                parent_col,
-                child_col,
-                ..
-            } => {
-                let v = row[base.columns[*child_col]].clone();
-                keys_from_parent_link(db, info, parent, *parent_col, v, out, depth)?;
-            }
-            RelMeta::ConnectTable {
-                table,
-                parent_col,
-                child_col,
-                m_parent_col,
-                m_child_col,
-                ..
-            } => {
-                let v = &row[base.columns[*child_col]];
-                if v.is_null() {
-                    continue;
-                }
-                let m = db.catalog().table(table)?;
-                for (_, mrow) in m.find_by_value(*m_child_col, v)? {
-                    keys_from_parent_link(
-                        db,
-                        info,
-                        parent,
-                        *parent_col,
-                        mrow.values[*m_parent_col].clone(),
-                        out,
-                        depth,
-                    )?;
-                }
-            }
-            RelMeta::General { .. } => unreachable!("keyed plans exclude general relationships"),
-        }
-    }
-    Ok(())
-}
-
-/// Continue the walk through a parent component linked on cache column
-/// `parent_col` with value `v`.
-fn keys_from_parent_link(
-    db: &Database,
-    info: &XnfInfo,
-    parent: usize,
-    parent_col: usize,
-    v: Value,
-    out: &mut Vec<Value>,
-    depth: u32,
-) -> Result<()> {
-    let key = info.key.as_ref().expect("keyed plan");
-    if v.is_null() {
-        return Ok(());
-    }
-    if parent == key.root && parent_col == key.root_key_col {
-        out.push(v);
-        return Ok(());
-    }
-    let pbase = info.base(parent);
-    let pt = db.catalog().table(&pbase.table)?;
-    for (_, prow) in pt.find_by_value(pbase.columns[parent_col], &v)? {
-        keys_from_comp_row(db, info, parent, &prow.values, out, depth + 1)?;
-    }
-    Ok(())
-}
-
-/// Diff the re-extracted subtrees of the affected roots against the stored
-/// streams and apply only the differences; all of it runs under the
-/// maintenance lock. Membership (which stored nodes belong exclusively to
-/// the affected roots) follows the same cascade rule the old
-/// delete-then-rederive path used — a node belongs when its every
-/// connection comes from a member parent — so nodes also reachable from
-/// unaffected roots are never touched. The test costs one probe per
-/// candidate node, ending at the first connection from a non-member
-/// parent: a shared node never reads past its first foreign connection,
-/// whatever its fan-in, and an exclusive one reads only its own
-/// connections, which lie inside the affected subtree. Each re-derived row is then matched to a member by
-/// value (kept exactly as stored), to any other stored node
-/// (XNF object sharing), or written over a vanished member in place,
-/// keeping its surrogate ([`Table::update`] is atomic for readers); only
-/// genuinely new branches insert and only vanished ones delete. Connection
-/// streams diff the same way. Application order — connection deletes, node
-/// deletes, node updates, node inserts, connection inserts — means a
-/// concurrent reader's walk never reaches a subtree larger than its final
-/// shape.
-fn splice(
-    db: &Database,
-    plan: &MaintPlan,
-    info: &XnfInfo,
-    keys: &[Value],
-    sub: &SubResult,
-    counters: &mut MaintCounters,
-) -> Result<()> {
-    let key = info.key.as_ref().expect("keyed plan");
-    let mv = expect_matview(db, &plan.name)?;
-    let stream = |name: &str| backing_stream(&mv, name);
-    let ncomps = info.comps.len();
-    // Backing rows are frozen and deleted physically, so one snapshot sees
-    // every write this splice makes.
-    let snap = db.catalog().latest_snapshot();
-
-    // Membership: surrogate → (rid, stored values sans surrogate), per
-    // component. Phase A: root rows carrying an affected key.
-    let mut members: Vec<HashMap<i64, (Rid, Row)>> = vec![HashMap::new(); ncomps];
-    stream(&info.comps[key.root])?.scan_by_values(
-        1 + key.root_key_col,
-        keys,
-        &snap,
-        |rid, row| {
-            members[key.root].insert(row.values[0].as_int()?, (rid, row.values[1..].to_vec()));
-            Ok(true)
-        },
-    )?;
-
-    // Phase B: cascade in topological order — a node joins the membership
-    // when its every connection comes from a member parent.
-    for c in info.topo() {
-        if c == key.root {
-            continue;
-        }
-        let mut candidates: HashSet<i64> = HashSet::new();
-        for (rel, _) in rels_with_child(info, c) {
-            let Some(p) = info.comp_index(&rel.parent) else {
-                continue;
-            };
-            if members[p].is_empty() {
-                continue;
-            }
-            let parents: Vec<Value> = members[p].keys().map(|&ps| Value::Int(ps)).collect();
-            stream(&rel.name)?.scan_by_values(0, &parents, &snap, |_, crow| {
-                candidates.insert(crow.values[1].as_int()?);
-                Ok(true)
-            })?;
-        }
-        let node_t = stream(&info.comps[c])?;
-        for s in candidates {
-            if members[c].contains_key(&s) {
-                continue;
-            }
-            // Shared iff some connection comes from a non-member parent:
-            // stop at the first one instead of reading the node's fan-in.
-            let mut shared = false;
-            for (rel, _) in rels_with_child(info, c) {
-                let Some(p) = info.comp_index(&rel.parent) else {
-                    continue;
-                };
-                let conn_t = stream(&rel.name)?;
-                let foreign = first_match(&conn_t, 1, &Value::Int(s), &snap, |crow| {
-                    Ok(!members[p].contains_key(&crow.values[0].as_int()?))
-                })?;
-                if foreign.is_some() {
-                    shared = true;
-                    break;
-                }
-            }
-            if !shared {
-                if let Some((rid, t)) =
-                    first_match(&node_t, 0, &Value::Int(s), &snap, |_| Ok(true))?
-                {
-                    members[c].insert(s, (rid, t.values[1..].to_vec()));
-                }
-            }
-        }
-    }
-
-    let member_surrs: Vec<HashSet<i64>> = members
-        .iter()
-        .map(|m| m.keys().copied().collect())
-        .collect();
-
-    // Match each re-derived row to a surrogate and collect the node-stream
-    // differences (nothing is written yet).
-    let mut assigned: Vec<Vec<i64>> = Vec::with_capacity(ncomps);
-    let mut fresh: Vec<HashSet<i64>> = vec![HashSet::new(); ncomps];
-    let mut node_deletes: Vec<Vec<Rid>> = vec![Vec::new(); ncomps];
-    let mut node_updates: Vec<Vec<(Rid, Tuple)>> = vec![Vec::new(); ncomps];
-    let mut node_inserts: Vec<Vec<Tuple>> = vec![Vec::new(); ncomps];
-    for (c, rows) in sub.comp_rows.iter().enumerate() {
-        let node_t = stream(&info.comps[c])?;
-        let mut comp_members = std::mem::take(&mut members[c]);
-        let mut by_value: HashMap<Row, Vec<i64>> = HashMap::new();
-        for (s, (_, row)) in &comp_members {
-            by_value.entry(row.clone()).or_default().push(*s);
-        }
-        let mut ids: Vec<i64> = Vec::with_capacity(rows.len());
-        let mut unmatched: Vec<usize> = Vec::new();
-        for (pos, row) in rows.iter().enumerate() {
-            if let Some(s) = by_value.get_mut(row).and_then(Vec::pop) {
-                // Unchanged member: keep it exactly as stored.
-                comp_members.remove(&s);
-                ids.push(s);
-                counters.nodes_reused += 1;
-                continue;
-            }
-            if let Some(s) = find_node_by_value(&node_t, row, &snap)? {
-                if !member_surrs[c].contains(&s) {
-                    // Object sharing with an unaffected subtree's node.
-                    ids.push(s);
-                    counters.nodes_reused += 1;
-                    continue;
-                }
-            }
-            ids.push(0); // placeholder; every unmatched slot is assigned below
-            unmatched.push(pos);
-        }
-        // Changed branches: each remaining re-derived row overwrites one
-        // vanished member in place, keeping its surrogate. Which member it
-        // lands on only affects write churn, not correctness — the
-        // connection diff below re-derives every pair from scratch.
-        let mut leftovers: Vec<(i64, Rid)> = comp_members
-            .into_iter()
-            .map(|(s, (rid, _))| (s, rid))
-            .collect();
-        for &pos in &unmatched {
-            let row = &rows[pos];
-            let (s, overwrite) = match leftovers.pop() {
-                Some((s, rid)) => (s, Some(rid)),
-                None => (mv.alloc_surrogates(1), None),
-            };
-            let mut values = Vec::with_capacity(row.len() + 1);
-            values.push(Value::Int(s));
-            values.extend(row.iter().cloned());
-            match overwrite {
-                Some(rid) => {
-                    node_updates[c].push((rid, Tuple::new(values)));
-                    counters.nodes_reused += 1;
-                }
-                None => {
-                    node_inserts[c].push(Tuple::new(values));
-                    fresh[c].insert(s);
-                }
-            }
-            ids[pos] = s;
-        }
-        // Members neither kept nor overwritten have vanished.
-        for (_, rid) in leftovers {
-            node_deletes[c].push(rid);
-        }
-        assigned.push(ids);
-    }
-
-    // Connection diff per relationship: stored pairs under a member parent
-    // versus the re-derived pairs. (Member nodes have no other incoming
-    // pairs — that is exactly what Phase B's cascade established — so this
-    // enumeration covers every pair of the old subtrees.)
-    let mut conn_deletes: Vec<Vec<Rid>> = vec![Vec::new(); info.rels.len()];
-    let mut conn_inserts: Vec<Vec<(i64, i64, bool)>> = vec![Vec::new(); info.rels.len()];
-    for (ri, rel) in info.rels.iter().enumerate() {
-        let conn_t = stream(&rel.name)?;
-        let p_idx = info
-            .comp_index(&rel.parent)
-            .ok_or_else(|| XnfError::Api(format!("unknown parent '{}'", rel.parent)))?;
-        let c_idx = info
-            .comp_index(&rel.children[0])
-            .ok_or_else(|| XnfError::Api(format!("unknown child '{}'", rel.children[0])))?;
-        let mut stored: HashMap<(i64, i64), Rid> = HashMap::new();
-        let parents: Vec<Value> = member_surrs[p_idx]
-            .iter()
-            .map(|&ps| Value::Int(ps))
-            .collect();
-        conn_t.scan_by_values(0, &parents, &snap, |rid, crow| {
-            stored.insert((crow.values[0].as_int()?, crow.values[1].as_int()?), rid);
-            Ok(true)
-        })?;
-        let mut new_pairs: HashSet<(i64, i64)> = HashSet::new();
-        for &(ppos, cpos) in &sub.conn_rows[ri] {
-            new_pairs.insert((assigned[p_idx][ppos], assigned[c_idx][cpos]));
-        }
-        for (pair, rid) in &stored {
-            if !new_pairs.contains(pair) {
-                conn_deletes[ri].push(*rid);
-            }
-        }
-        for (p, cs) in new_pairs {
-            if stored.contains_key(&(p, cs)) {
-                continue;
-            }
-            // A pair under a shared (non-member, non-fresh) parent was not
-            // enumerated into `stored` and may already exist: probe before
-            // inserting.
-            let may_exist = !member_surrs[p_idx].contains(&p) && !fresh[p_idx].contains(&p);
-            conn_inserts[ri].push((p, cs, may_exist));
-        }
-    }
-
-    // Apply the diff: connection deletes, node deletes, in-place node
-    // updates, node inserts, connection inserts.
-    for (ri, rel) in info.rels.iter().enumerate() {
-        let conn_t = stream(&rel.name)?;
-        for rid in conn_deletes[ri].drain(..) {
-            conn_t.delete(rid)?;
-        }
-    }
-    for c in 0..ncomps {
-        let node_t = stream(&info.comps[c])?;
-        for rid in node_deletes[c].drain(..) {
-            node_t.delete(rid)?;
-        }
-        for (rid, tuple) in node_updates[c].drain(..) {
-            node_t.update(rid, &tuple)?;
-        }
-        for tuple in node_inserts[c].drain(..) {
-            node_t.insert(&tuple)?;
-        }
-    }
-    for (ri, rel) in info.rels.iter().enumerate() {
-        let conn_t = stream(&rel.name)?;
-        for (p, cs, may_exist) in conn_inserts[ri].drain(..) {
-            if may_exist {
-                let existing = first_match(&conn_t, 0, &Value::Int(p), &snap, |t| {
-                    Ok(t.values[1].as_int().ok() == Some(cs))
-                })?;
-                if existing.is_some() {
-                    continue;
-                }
-            }
-            conn_t.insert(&Tuple::new(vec![Value::Int(p), Value::Int(cs)]))?;
-        }
-    }
-    Ok(())
-}
-
-/// The re-extracted sub-universe of the affected roots: projected node
-/// rows per component (value-deduplicated — XNF object sharing) and
-/// connection pairs per relationship, in local positions.
-struct SubResult {
-    comp_rows: Vec<Vec<Row>>,
-    conn_rows: Vec<Vec<(usize, usize)>>,
-}
-
-/// Derive the CO subtrees rooted at `keys` straight from the base tables:
-/// root rows by key index lookup, then relationship predicates followed
-/// child-ward through foreign-key / connect-table index paths, evaluating
-/// each component's selection predicate and projection on the way. This is
-/// the keyed re-extraction of incremental maintenance — cost proportional
-/// to the affected subtrees, not to the base tables.
-fn extract_subtrees(db: &Database, info: &XnfInfo, keys: &[Value]) -> Result<SubResult> {
-    let key = info.key.as_ref().expect("keyed plan");
-    let ncomps = info.comps.len();
-    let mut sub = SubResult {
-        comp_rows: vec![Vec::new(); ncomps],
-        conn_rows: vec![Vec::new(); info.rels.len()],
-    };
-    // Per-component: base table, projection, compiled selection predicate.
-    let mut bases = Vec::with_capacity(ncomps);
-    for (c, facts) in info.nodes.iter().enumerate() {
-        let base = info.base(c);
-        let table = db.catalog().table(&base.table)?;
-        bases.push((table, &base.columns, &facts.filter));
-    }
-    let outer = OuterCtx::new();
-    // Value-identity dedup per component (hashed — Value's Hash/Eq follow
-    // `total_cmp`, matching the executor's duplicate elimination).
-    let mut seen: Vec<HashMap<Row, usize>> = vec![HashMap::new(); ncomps];
-    let push_node =
-        |sub: &mut SubResult, seen: &mut Vec<HashMap<Row, usize>>, c: usize, row: Row| -> usize {
-            if let Some(&pos) = seen[c].get(&row) {
-                return pos;
-            }
-            let pos = sub.comp_rows[c].len();
-            sub.comp_rows[c].push(row.clone());
-            seen[c].insert(row, pos);
-            pos
-        };
-
-    // Seed the roots.
-    let (root_t, root_cols, root_filter) = &bases[key.root];
-    for k in keys {
-        for (_, t) in root_t.find_by_value(root_cols[key.root_key_col], k)? {
-            if passes_filter(root_filter, &t.values, &outer)? {
-                let row: Row = root_cols.iter().map(|&i| t.values[i].clone()).collect();
-                push_node(&mut sub, &mut seen, key.root, row);
-            }
-        }
-    }
-
-    // Walk child-ward in topological order: when a component is visited,
-    // every relationship pointing at it has complete parent rows.
-    let mut conn_seen: Vec<HashSet<(usize, usize)>> = vec![HashSet::new(); info.rels.len()];
-    for c in info.topo() {
-        for (ri, (rel, meta)) in info.rels.iter().zip(&info.co.relationships).enumerate() {
-            if info.comp_index(&rel.children[0]) != Some(c) {
-                continue;
-            }
-            let Some(p) = info.comp_index(&rel.parent) else {
-                continue;
-            };
-            let (child_t, child_cols, child_filter) = &bases[c];
-            let parent_rows = sub.comp_rows[p].clone();
-            for (ppos, prow) in parent_rows.iter().enumerate() {
-                match meta {
-                    RelMeta::ForeignKey {
-                        parent_col,
-                        child_col,
-                        ..
-                    } => {
-                        let v = &prow[*parent_col];
-                        if v.is_null() {
-                            continue;
-                        }
-                        for (_, t) in child_t.find_by_value(child_cols[*child_col], v)? {
-                            if !passes_filter(child_filter, &t.values, &outer)? {
-                                continue;
-                            }
-                            let row: Row =
-                                child_cols.iter().map(|&i| t.values[i].clone()).collect();
-                            let cpos = push_node(&mut sub, &mut seen, c, row);
-                            if conn_seen[ri].insert((ppos, cpos)) {
-                                sub.conn_rows[ri].push((ppos, cpos));
-                            }
-                        }
-                    }
-                    RelMeta::ConnectTable {
-                        table,
-                        parent_col,
-                        child_col,
-                        m_parent_col,
-                        m_child_col,
-                        ..
-                    } => {
-                        let v = &prow[*parent_col];
-                        if v.is_null() {
-                            continue;
-                        }
-                        let m = db.catalog().table(table)?;
-                        for (_, mrow) in m.find_by_value(*m_parent_col, v)? {
-                            let cv = &mrow.values[*m_child_col];
-                            if cv.is_null() {
-                                continue;
-                            }
-                            for (_, t) in child_t.find_by_value(child_cols[*child_col], cv)? {
-                                if !passes_filter(child_filter, &t.values, &outer)? {
-                                    continue;
-                                }
-                                let row: Row =
-                                    child_cols.iter().map(|&i| t.values[i].clone()).collect();
-                                let cpos = push_node(&mut sub, &mut seen, c, row);
-                                if conn_seen[ri].insert((ppos, cpos)) {
-                                    sub.conn_rows[ri].push((ppos, cpos));
-                                }
-                            }
-                        }
-                    }
-                    RelMeta::General { .. } => {
-                        unreachable!("keyed plans exclude general relationships")
-                    }
-                }
-            }
-        }
-    }
-    Ok(sub)
 }
 
 /// Compile one component's selection predicate against its base schema.
@@ -2410,16 +1980,6 @@ fn passes_filter(
     }
 }
 
-fn rels_with_child(
-    info: &XnfInfo,
-    child: usize,
-) -> impl Iterator<Item = (&XnfRelationship, &RelMeta)> {
-    info.rels
-        .iter()
-        .zip(&info.co.relationships)
-        .filter(move |(r, _)| info.comp_index(&r.children[0]) == Some(child))
-}
-
 /// The first stored row of `t` with `col = v` that satisfies `pred`, read
 /// under `snap`. Postings resolve one at a time and the probe stops at its
 /// first hit, so it costs what it finds, not the key's whole fan-in.
@@ -2428,42 +1988,17 @@ fn first_match(
     col: usize,
     v: &Value,
     snap: &Snapshot,
-    mut pred: impl FnMut(&Tuple) -> xnf_storage::Result<bool>,
+    mut pred: impl FnMut(Rid, &Tuple) -> xnf_storage::Result<bool>,
 ) -> Result<Option<(Rid, Tuple)>> {
     let mut hit = None;
     t.scan_by_value(col, v, snap, |rid, tuple| {
-        if pred(&tuple)? {
+        if pred(rid, &tuple)? {
             hit = Some((rid, tuple));
             return Ok(false);
         }
         Ok(true)
     })?;
     Ok(hit)
-}
-
-/// Find a stored node row with exactly these values; returns its surrogate.
-fn find_node_by_value(node_t: &Table, row: &Row, snap: &Snapshot) -> Result<Option<i64>> {
-    let full_match =
-        |t: &Tuple| -> bool { t.values.len() == row.len() + 1 && rows_eq(&t.values[1..], row) };
-    if row.is_empty() {
-        return Ok(None);
-    }
-    if row[0].is_null() {
-        // NULL never matches through an index probe; fall back to a scan.
-        let mut found = None;
-        node_t.for_each_visible(snap, |_, t| {
-            if full_match(&t) {
-                found = Some(t.values[0].as_int()?);
-                return Ok(false);
-            }
-            Ok(true)
-        })?;
-        return Ok(found);
-    }
-    match first_match(node_t, 1, &row[0], snap, |t| Ok(full_match(t)))? {
-        Some((_, t)) => Ok(Some(t.values[0].as_int()?)),
-        None => Ok(None),
-    }
 }
 
 /// NULL-aware row equality (NULL equals NULL here: identity, not SQL
@@ -2477,7 +2012,7 @@ fn rows_eq(a: &[Value], b: &[Value]) -> bool {
 fn remove_row_by_value(backing: &Arc<Table>, row: &Row, probe_col: usize) -> Result<bool> {
     let snap = backing.txns().snapshot_latest();
     if !row.is_empty() && !row[probe_col].is_null() {
-        let hit = first_match(backing, probe_col, &row[probe_col], &snap, |t| {
+        let hit = first_match(backing, probe_col, &row[probe_col], &snap, |_, t| {
             Ok(rows_eq(&t.values, row))
         })?;
         if let Some((rid, _)) = hit {
@@ -2501,27 +2036,6 @@ fn remove_row_by_value(backing: &Arc<Table>, row: &Row, probe_col: usize) -> Res
             Ok(true)
         }
         None => Ok(false),
-    }
-}
-
-/// Order-preserving hashed dedup ([`Value`]'s `Hash`/`Eq` follow
-/// `total_cmp`, so e.g. `Int(3)` and `Double(3.0)` collapse exactly as the
-/// index probes treat them) — linear in the per-commit key count instead
-/// of the quadratic scan a naive contains-check would cost.
-fn dedup_values(vals: Vec<Value>) -> Vec<Value> {
-    let mut seen: HashSet<Value> = HashSet::with_capacity(vals.len());
-    vals.into_iter()
-        .filter(|v| seen.insert(v.clone()))
-        .collect()
-}
-
-fn value_literal(v: &Value) -> Literal {
-    match v {
-        Value::Null => Literal::Null,
-        Value::Int(i) => Literal::Int(*i),
-        Value::Double(d) => Literal::Float(*d),
-        Value::Str(s) => Literal::Str(s.clone()),
-        Value::Bool(b) => Literal::Bool(*b),
     }
 }
 

@@ -1,5 +1,5 @@
 //! Unit tests for relational materialized views: DDL, planner
-//! substitution, direct / keyed / full maintenance, refresh, guards.
+//! substitution, direct / grouped / full maintenance, refresh, guards.
 //! (CO matview tests live in `tests/matview_equivalence.rs`, which can use
 //! the fixture crate; only the ones that step inside a commit or read a
 //! workspace's raw streams are here.)
@@ -89,10 +89,18 @@ fn matview_scan_appears_in_explain_and_uses_indexes() {
     let plan = db.explain("SELECT * FROM by_grp WHERE val > 10").unwrap();
     assert!(plan.contains("matview scan(by_grp)"), "got plan:\n{plan}");
 
-    // The keyed maintenance index doubles as a point-query access path.
-    let point = db.explain("SELECT * FROM by_grp WHERE grp = 3").unwrap();
+    // A grouped view's maintenance index doubles as a point-query access
+    // path. (A join view is recomputed and has none.)
+    db.session()
+        .execute(
+            "CREATE MATERIALIZED VIEW grp_n AS \
+             SELECT grp, COUNT(*) AS n FROM ITEMS GROUP BY grp",
+            &[],
+        )
+        .unwrap();
+    let point = db.explain("SELECT * FROM grp_n WHERE grp = 3").unwrap();
     assert!(
-        point.contains("IndexEq(by_grp.mv_key)"),
+        point.contains("IndexEq(grp_n.mv_key)"),
         "got plan:\n{point}"
     );
 }
@@ -459,12 +467,12 @@ fn pending_extraction_outrun_by(
     incremental
 }
 
-/// A commit that splices after an in-place rewrite keeps the rewrite.
-/// Transaction B deletes employee 3 of department 1. Before B commits, an
-/// autocommit raises employee 2 of the same department, which rewrites
-/// that stored node in place. B's splice re-extracts department 1 after
-/// the raise; a subtree extracted from B's own snapshot would write the
-/// old salary back.
+/// A commit that removes a node after an in-place rewrite keeps the
+/// rewrite. Transaction B deletes employee 3 of department 1. Before B
+/// commits, an autocommit raises employee 2 of the same department, which
+/// rewrites that stored node in place. B's edits are classified under the
+/// lock, after the raise; a department-1 subtree taken from B's own
+/// snapshot would write the old salary back.
 #[test]
 fn in_place_rewrite_invalidates_a_pending_pre_lock_extraction() {
     let db = deps_db();
@@ -481,8 +489,8 @@ fn in_place_rewrite_invalidates_a_pending_pre_lock_extraction() {
 }
 
 /// An in-place hire, and then an in-place move, each survive a pending
-/// splice of the department they touch: a subtree of department 1
-/// extracted before them would delete the hired or moved employee's node.
+/// removal in the department they touch: a subtree of department 1 taken
+/// before them would delete the hired or moved employee's node.
 #[test]
 fn in_place_hire_and_move_invalidate_a_pending_pre_lock_extraction() {
     let db = deps_db();
@@ -565,13 +573,13 @@ fn stored_skills(db: &Database) -> Vec<String> {
     rows
 }
 
-/// A pending splice must not write a linked node's old values back.
-/// Transaction B deletes employee 3 (department 0, so B splices) and links
-/// employee 1 to skill 20. Before B commits, an autocommit renames skill
-/// 20, which rewrites its one stored node (under employee 2, department 1)
-/// in place. B's splice must then share that node: a department-0 subtree
-/// extracted from B's snapshot holds skill 20 as `'sql'`, matches no
-/// stored node, and would store a second skill-20 node.
+/// A pending commit must not write a linked node's old values back.
+/// Transaction B deletes employee 3 (department 0) and links employee 1 to
+/// skill 20. Before B commits, an autocommit renames skill 20, which
+/// rewrites its one stored node (under employee 2, department 1) in place.
+/// B's link must then find that node by its key: a copy of skill 20 read
+/// from B's snapshot holds `'sql'`, and storing it would make a second
+/// skill-20 node.
 #[test]
 fn pending_splice_keeps_one_node_for_a_relinked_rewritten_skill() {
     let db = skilled_deps_db();

@@ -340,10 +340,9 @@ impl<'db> Session<'db> {
     /// Commit this session's transaction: assign its commit stamp (all its
     /// versions become visible to new snapshots atomically) and propagate
     /// its accumulated deltas — coalesced to their net effect — to
-    /// dependent materialized views. The expensive re-extraction work runs
-    /// against this transaction's snapshot *before* the database's
-    /// maintenance lock; only the stamp-ordered apply is serialized behind
-    /// it, so views still observe transactions in commit order.
+    /// dependent materialized views. Maintenance runs under the database's
+    /// maintenance lock, after the stamp, reading latest-committed data, so
+    /// views observe transactions in commit order.
     pub fn commit(&self) -> Result<()> {
         let active = self.txn.lock().take();
         match active {

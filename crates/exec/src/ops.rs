@@ -62,21 +62,22 @@ pub struct ExecStats {
     /// Rows `ExchangeGather` regions passed from their workers to the
     /// coordinator (aggregate regions gather group tables, not rows).
     pub rows_gathered: u64,
-    /// Composite-object root keys re-extracted by materialized-view
-    /// maintenance (one per root subtree spliced into a view's streams).
+    /// Retired: always 0. Counted composite-object root subtrees that
+    /// maintenance re-extracted and diff-spliced, a mechanism in-place
+    /// edits replaced.
     pub mv_roots_respliced: u64,
-    /// Stored view nodes maintenance kept because they were value-identical
-    /// to (or in-place updatable into) the re-extracted result, instead of
-    /// being deleted and re-derived.
+    /// Retired: always 0. Counted stored nodes the diff splice kept.
     pub mv_nodes_reused: u64,
-    /// Stored view nodes maintenance wrote in place (overwritten by key or
-    /// inserted), without re-extracting or splicing any subtree.
+    /// Stored view nodes maintenance wrote in place: rewritten by key,
+    /// inserted or removed.
     pub mv_nodes_rewritten: u64,
-    /// Stored view connections maintenance inserted or deleted in place,
-    /// without re-extracting or splicing any subtree.
+    /// Stored view connections maintenance inserted or deleted in place.
     pub mv_links_edited: u64,
+    /// Materialized views maintenance recomputed from their definition,
+    /// because their strategy could not place a commit's delta.
+    pub mv_recomputes: u64,
     /// Wall-clock microseconds spent in commit-time view maintenance
-    /// (precompute + stamp-ordered apply).
+    /// (coalesce + locked apply).
     pub mv_maint_us: u64,
     /// Page reads whose torn-page trailer checksum was verified (file
     /// backend; zero on in-memory databases).
@@ -116,6 +117,7 @@ impl ExecStats {
         self.mv_nodes_reused += other.mv_nodes_reused;
         self.mv_nodes_rewritten += other.mv_nodes_rewritten;
         self.mv_links_edited += other.mv_links_edited;
+        self.mv_recomputes += other.mv_recomputes;
         self.mv_maint_us += other.mv_maint_us;
         self.pages_verified += other.pages_verified;
         self.torn_pages_repaired += other.torn_pages_repaired;

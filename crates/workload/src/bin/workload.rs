@@ -118,8 +118,8 @@ fn cmd_tpcc(flags: &Flags) -> ExitCode {
     let run = run_tpcc(&cfg);
     print!("{}", run.metrics.render(run.violations.count()));
     println!(
-        "  maintenance: mv_roots_respliced={} mv_nodes_rewritten={} mv_links_edited={}",
-        run.maint.mv_roots_respliced, run.maint.mv_nodes_rewritten, run.maint.mv_links_edited
+        "  maintenance: mv_nodes_rewritten={} mv_links_edited={} mv_recomputes={}",
+        run.maint.mv_nodes_rewritten, run.maint.mv_links_edited, run.maint.mv_recomputes
     );
     report_violations(run.metrics.driver, &run.violations, cfg.oracle)
 }

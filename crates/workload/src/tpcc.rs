@@ -733,8 +733,8 @@ impl TpccWorker<'_, '_> {
                 format!("co_fetch(d{district}): wrong (roots, customers) subtree shape")
             });
         } else {
-            // Concurrent clients: the splice (cascade-delete + re-extract)
-            // is piecemeal-visible, so a fetch can catch the subtree
+            // Concurrent clients: in-place edits (removals before inserts)
+            // are piecemeal-visible, so a fetch can catch the subtree
             // partially rebuilt — but never *larger* than its true shape.
             // Exactness is asserted by the quiesce canon comparison.
             v.check(roots <= 1 && custs <= self.cfg.customers_per_d, || {

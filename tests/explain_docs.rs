@@ -198,8 +198,8 @@ fn every_documented_operator_is_emitted() {
     assert!(corpus.contains("durability: none (in-memory)"));
     assert!(
         corpus.contains(
-            "maintenance: incremental (coalesce, in-place edit, diff splice, \
-             stamp-ordered apply); mv_roots_respliced="
+            "maintenance: incremental (coalesce, in-place edit, recompute fallback, \
+             stamp-ordered apply); mv_nodes_rewritten="
         ),
         "maintenance header missing"
     );
@@ -243,8 +243,7 @@ fn top_n_scan_decodes_only_the_columns_it_reads() {
 /// The `maintenance:` header's counters are real quantities: a value-only
 /// update of a composite-object matview rewrites its one stored node in
 /// place, a hire inserts its node and connection in place, a link to an
-/// unkeyed skill re-splices the affected root subtree and reuses the
-/// untouched stored nodes, and both the EXPLAIN header and
+/// unkeyed skill recomputes the view, and both the EXPLAIN header and
 /// `Database::maint_stats()` must move with it.
 #[test]
 fn maintenance_counters_move_with_co_view_dml() {
@@ -270,7 +269,7 @@ fn maintenance_counters_move_with_co_view_dml() {
         .unwrap();
 
     // Pin a department into the view, then rename one of its employees
-    // (eno 3): the commit rewrites that one stored node and splices
+    // (eno 3): the commit rewrites that one stored node and recomputes
     // nothing.
     session
         .execute("UPDATE DEPT SET loc = 'ARC' WHERE dno = 1", &[])
@@ -286,8 +285,8 @@ fn maintenance_counters_move_with_co_view_dml() {
         "the rename must rewrite the employee's stored node in place"
     );
     assert_eq!(
-        renamed.mv_roots_respliced, before.mv_roots_respliced,
-        "a value-only update must not re-splice"
+        renamed.mv_recomputes, before.mv_recomputes,
+        "a value-only update must not recompute"
     );
 
     // A hire into the department inserts its node and its connection.
@@ -301,24 +300,31 @@ fn maintenance_counters_move_with_co_view_dml() {
         "the hire must insert one node and one connection in place"
     );
     assert_eq!(
-        hired.mv_roots_respliced, renamed.mv_roots_respliced,
-        "an in-place hire must not re-splice"
+        hired.mv_recomputes, renamed.mv_recomputes,
+        "an in-place hire must not recompute"
     );
 
     // A new link to a skill (SKILLS has no unique index here, so no node
-    // key) re-splices the department's subtree, reusing every node the
-    // link did not change.
+    // key names the linked node) recomputes the view, and writes nothing
+    // in place.
     session
         .execute("INSERT INTO EMPSKILLS VALUES (3, 5)", &[])
         .unwrap();
     let after = db.maint_stats();
-    assert!(
-        after.mv_roots_respliced > renamed.mv_roots_respliced,
-        "the skill link must re-splice its department's root subtree"
+    assert_eq!(
+        after.mv_recomputes,
+        hired.mv_recomputes + 1,
+        "the keyless skill link must recompute the view"
     );
-    assert!(
-        after.mv_nodes_reused > renamed.mv_nodes_reused,
-        "the diff splice must reuse the subtree's unchanged nodes"
+    assert_eq!(
+        (after.mv_nodes_rewritten, after.mv_links_edited),
+        (hired.mv_nodes_rewritten, hired.mv_links_edited),
+        "a recomputed commit writes nothing in place"
+    );
+    assert_eq!(
+        (after.mv_roots_respliced, after.mv_nodes_reused),
+        (0, 0),
+        "the splice counters are retired"
     );
     assert!(after.mv_maint_us > 0, "maintenance time must be accounted");
 
@@ -326,12 +332,8 @@ fn maintenance_counters_move_with_co_view_dml() {
     let plan = db.explain("SELECT 1").unwrap();
     assert!(
         plan.contains(&format!(
-            "mv_roots_respliced={} mv_nodes_reused={} mv_nodes_rewritten={} \
-             mv_links_edited={} mv_maint_us=",
-            after.mv_roots_respliced,
-            after.mv_nodes_reused,
-            after.mv_nodes_rewritten,
-            after.mv_links_edited
+            "mv_nodes_rewritten={} mv_links_edited={} mv_recomputes={} mv_maint_us=",
+            after.mv_nodes_rewritten, after.mv_links_edited, after.mv_recomputes
         )),
         "EXPLAIN maintenance header diverged from maint_stats():\n{plan}"
     );

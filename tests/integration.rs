@@ -424,3 +424,53 @@ fn stored_point_fetch_reads_an_exact_page_count() {
     assert_eq!((point, extracted), (11, 208));
     assert_eq!(canon(&stored.workspace), canon(&fresh.workspace));
 }
+
+/// A one-employee `DELETE` under the materialized Fig. 1 CO edits the
+/// stored streams in place: it removes the employee's node and its four
+/// connections, and checks each of its three skills for a connection left,
+/// stopping at the first one (all three are shared, so they stay). That costs an exact number of buffer-pool
+/// page accesses, statement included, below the 208 that extracting the
+/// employee's whole department costs; re-extracting and diff-splicing the
+/// department cost 432. The stored CO then equals a REFRESH.
+#[test]
+fn stored_co_delete_edits_an_exact_page_count() {
+    use xnf_core::{DbConfig, PlanOptions};
+    let config = DbConfig {
+        plan: PlanOptions {
+            dop: 1,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let db = xnf_fixtures::build_uniform_paper_db_with(40, config);
+    let all = DEPS_ARC.replace(" WHERE loc = 'ARC'", "");
+    let session = db.session();
+    session
+        .execute(&format!("CREATE MATERIALIZED VIEW deps AS {all}"), &[])
+        .unwrap();
+    let accesses = || {
+        let s = db.catalog().buffer_pool().stats();
+        s.hits + s.misses
+    };
+    // Employee 61 works in department 3; its skills are all shared.
+    let before = accesses();
+    session
+        .execute("DELETE FROM EMP WHERE eno = 61", &[])
+        .unwrap();
+    let delete = accesses() - before;
+    let stats = db.maint_stats();
+    assert_eq!(
+        (
+            stats.mv_nodes_rewritten,
+            stats.mv_links_edited,
+            stats.mv_recomputes
+        ),
+        (1, 4, 0)
+    );
+    assert_eq!(delete, 22);
+    let stored = canon(&session.fetch_co("deps").unwrap().workspace);
+    session
+        .execute("REFRESH MATERIALIZED VIEW deps", &[])
+        .unwrap();
+    assert_eq!(stored, canon(&session.fetch_co("deps").unwrap().workspace));
+}

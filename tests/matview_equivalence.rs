@@ -140,11 +140,13 @@ const PAPER_SQL_VIEW: &str =
 const PAPER_DIRECT_VIEW: &str = "SELECT eno, ename FROM EMP WHERE sal > 90";
 const PAPER_AGG_VIEW: &str = "SELECT edno, COUNT(*) AS n FROM EMP GROUP BY edno";
 
-/// One randomized DML statement over the paper schema.
+/// One randomized DML statement over the paper schema. An insert may
+/// repeat a key a unique index holds; the statement then fails.
 fn paper_dml(rng: &mut StdRng) -> String {
     let dept = rng.gen_range(0..14); // occasionally nonexistent
     let eno = rng.gen_range(0..60);
-    match rng.gen_range(0..9) {
+    let sno = rng.gen_range(0..18); // occasionally nonexistent
+    match rng.gen_range(0..16) {
         0 => format!(
             "INSERT INTO EMP VALUES ({}, 'ins-{eno}', {dept}, {}.5)",
             600 + eno,
@@ -169,8 +171,38 @@ fn paper_dml(rng: &mut StdRng) -> String {
             "UPDATE SKILLS SET sname = 'renamed-{eno}' WHERE sno = {}",
             rng.gen_range(0..15)
         ),
-        _ => format!("DELETE FROM PROJ WHERE pno = {}", rng.gen_range(0..24)),
+        8 => format!("DELETE FROM PROJ WHERE pno = {}", rng.gen_range(0..24)),
+        // A root insert: a department deleted earlier comes back with its
+        // employees and projects.
+        9 => format!(
+            "INSERT INTO DEPT VALUES ({dept}, 'new-{dept}', '{}')",
+            if rng.gen_bool(0.5) { "ARC" } else { "HDC" }
+        ),
+        10 => format!("DELETE FROM DEPT WHERE dno = {dept}"),
+        11 => format!("INSERT INTO SKILLS VALUES ({sno}, 'new-{sno}')"),
+        12 => format!("DELETE FROM SKILLS WHERE sno = {sno}"),
+        13 => format!(
+            "INSERT INTO PROJSKILLS VALUES ({}, {sno})",
+            rng.gen_range(0..24)
+        ),
+        14 => format!(
+            "DELETE FROM PROJSKILLS WHERE pspno = {}",
+            rng.gen_range(0..24)
+        ),
+        _ => format!(
+            "UPDATE EMP SET eno = {} WHERE eno = {eno}",
+            600 + rng.gen_range(0..60)
+        ),
     }
+}
+
+/// The table a `paper_dml` statement writes.
+fn target_table(stmt: &str) -> &str {
+    let rest = ["INSERT INTO ", "DELETE FROM ", "UPDATE "]
+        .iter()
+        .find_map(|verb| stmt.strip_prefix(verb))
+        .expect("paper_dml statement");
+    rest.split_whitespace().next().unwrap()
 }
 
 /// `paper_db` whose SKILLS table has a unique NOT NULL key, so that
@@ -186,7 +218,9 @@ fn paper_db_with_keyed_skills(batch_size: usize) -> Database {
 /// Four views over `db`, a seeded random DML stream, and a check of every
 /// view against its definition at a cadence and at the end. With `hires`,
 /// each check is followed by a hire with one skill link and a third check.
-fn run_paper_stream(db: &Database, bs: usize, hires: bool) {
+/// Returns how often the CO view `hot_deps` was recomputed, counted over
+/// the statements on tables no other view reads.
+fn run_paper_stream(db: &Database, bs: usize, hires: bool) -> u64 {
     let s = db.session();
     s.execute(
         &format!("CREATE MATERIALIZED VIEW hot_deps AS {DEPS_ARC}"),
@@ -210,9 +244,18 @@ fn run_paper_stream(db: &Database, bs: usize, hires: bool) {
     .unwrap();
 
     let mut rng = StdRng::seed_from_u64(4242 + bs as u64);
+    let mut co_recomputes = 0;
     for step in 0..40 {
         let stmt = paper_dml(&mut rng);
-        s.execute(&stmt, &[]).unwrap();
+        let before = db.maint_stats().mv_recomputes;
+        match s.execute(&stmt, &[]) {
+            Ok(_) => {}
+            Err(e) if e.to_string().contains("unique constraint violated") => {}
+            Err(e) => panic!("`{stmt}`: {e}"),
+        }
+        if !matches!(target_table(&stmt), "EMP" | "DEPT") {
+            co_recomputes += db.maint_stats().mv_recomputes - before;
+        }
         // Full comparison is expensive; check at a cadence plus the end.
         if step % 8 == 7 || step == 39 {
             let ctx = format!("batch_size={bs} step={step} after `{stmt}`");
@@ -247,28 +290,30 @@ fn run_paper_stream(db: &Database, bs: usize, hires: bool) {
             }
         }
     }
+    co_recomputes
 }
 
 #[test]
 fn paper_fixture_randomized_stream_all_batch_sizes() {
     for &bs in BATCH_SIZES {
         let db = paper_db(bs);
-        run_paper_stream(&db, bs, false);
-        // The stream must exercise both CO maintenance paths, so that a
-        // classifier routing every delta one way fails here.
+        let co_recomputes = run_paper_stream(&db, bs, false);
+        // The stream must exercise both CO maintenance paths — in-place
+        // edits, and the recompute that deltas on the keyless SKILLS and
+        // PROJ need — so that a classifier routing every delta one way
+        // fails here.
         let stats = db.maint_stats();
         assert!(
-            stats.mv_nodes_rewritten > 0 && stats.mv_roots_respliced > 0,
-            "batch_size={bs}: stream rewrote {} nodes in place and respliced {} roots",
+            stats.mv_nodes_rewritten > 0 && co_recomputes > 0,
+            "batch_size={bs}: stream wrote {} nodes in place and recomputed the CO view {} times",
             stats.mv_nodes_rewritten,
-            stats.mv_roots_respliced
+            co_recomputes
         );
     }
 }
 
 /// The same stream with keyed SKILLS, and a hire after each check: skill
-/// links, hires and moves now take the in-place path too, and the rest
-/// still splices.
+/// links and skill inserts and deletes take the in-place path too.
 #[test]
 fn paper_fixture_randomized_stream_with_keyed_skills() {
     for &bs in BATCH_SIZES {
@@ -276,14 +321,10 @@ fn paper_fixture_randomized_stream_with_keyed_skills() {
         run_paper_stream(&db, bs, true);
         let stats = db.maint_stats();
         assert!(
-            stats.mv_nodes_rewritten > 0
-                && stats.mv_links_edited > 0
-                && stats.mv_roots_respliced > 0,
-            "batch_size={bs}: stream wrote {} nodes and {} connections in place and \
-             respliced {} roots",
+            stats.mv_nodes_rewritten > 0 && stats.mv_links_edited > 0,
+            "batch_size={bs}: stream wrote {} nodes and {} connections in place",
             stats.mv_nodes_rewritten,
-            stats.mv_links_edited,
-            stats.mv_roots_respliced
+            stats.mv_links_edited
         );
     }
 }
@@ -361,7 +402,7 @@ fn co_matview_point_fetch_serves_one_subtree() {
 }
 
 // ---------------------------------------------------------------------------
-// delta classification: in-place rewrite, no write, or splice
+// delta classification: in-place edit, no write, or recompute
 // ---------------------------------------------------------------------------
 
 /// DEPS_ARC with projections that leave EMP's key last and drop `sal` and
@@ -376,12 +417,12 @@ TAKE *";
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Path {
     /// Stored nodes (`mv_nodes_rewritten`) and connections
-    /// (`mv_links_edited`) written in place, nothing respliced.
+    /// (`mv_links_edited`) written in place, nothing recomputed.
     InPlace { nodes: u64, links: u64 },
     /// Nothing written: no stored node is reached, or none changed.
     NoWrite,
-    /// Re-extraction and diff splice (`mv_roots_respliced` moves).
-    Splice,
+    /// The view recomputed from its definition (`mv_recomputes` moves).
+    Recompute,
 }
 
 /// Create `cv AS def` on `db`, run `setup` in autocommit, then `stmts` in
@@ -404,13 +445,13 @@ fn assert_path(db: &Database, def: &str, setup: &[&str], stmts: &[&str], path: P
     let after = db.maint_stats();
     let nodes = after.mv_nodes_rewritten - before.mv_nodes_rewritten;
     let links = after.mv_links_edited - before.mv_links_edited;
-    let respliced = after.mv_roots_respliced - before.mv_roots_respliced;
-    let took = match (nodes + links, respliced) {
+    let recomputes = after.mv_recomputes - before.mv_recomputes;
+    let took = match (nodes + links, recomputes) {
         (0, 0) => Path::NoWrite,
         (_, 0) => Path::InPlace { nodes, links },
-        (0, _) => Path::Splice,
+        (0, _) => Path::Recompute,
         _ => panic!(
-            "{label}: wrote {nodes} nodes and {links} connections and respliced {respliced} roots"
+            "{label}: wrote {nodes} nodes and {links} connections and recomputed {recomputes} times"
         ),
     };
     assert_eq!(took, path, "{label}: {stmts:?}");
@@ -427,7 +468,9 @@ fn assert_path(db: &Database, def: &str, setup: &[&str], stmts: &[&str], path: P
 /// Each delta class takes its path, and the stored CO still equals a fresh
 /// extraction and a REFRESH. In the paper fixture departments 0–2 are
 /// 'ARC' (employees 0–11), EMP and DEPT have unique NOT NULL keys, and
-/// SKILLS has no unique index.
+/// SKILLS has no unique index. A key change, a move out of the view and a
+/// filter flip remove nodes (and reach new ones) in place; a delta on the
+/// keyless SKILLS, or on a connect table into it, recomputes the view.
 #[test]
 fn value_only_updates_rewrite_in_place_and_the_rest_splice() {
     // A skill employee 0 holds, so that renaming it reaches a stored root.
@@ -483,7 +526,7 @@ fn value_only_updates_rewrite_in_place_and_the_rest_splice() {
             "key eno",
             DEPS_ARC,
             vec!["UPDATE EMP SET eno = 700 WHERE eno = 2"],
-            Path::Splice,
+            Path::InPlace { nodes: 3, links: 4 },
         ),
         (
             // A move between two stored departments.
@@ -496,25 +539,28 @@ fn value_only_updates_rewrite_in_place_and_the_rest_splice() {
             "move out of the view",
             DEPS_ARC,
             vec!["UPDATE EMP SET edno = 5 WHERE eno = 0"],
-            Path::Splice,
+            Path::InPlace { nodes: 2, links: 3 },
         ),
         (
             "filter loc",
             DEPS_ARC,
             vec!["UPDATE DEPT SET loc = 'HDC' WHERE dno = 1"],
-            Path::Splice,
+            Path::InPlace {
+                nodes: 10,
+                links: 16,
+            },
         ),
         (
             "no unique index",
             DEPS_ARC,
             vec![skill_rename.as_str()],
-            Path::Splice,
+            Path::Recompute,
         ),
         (
             "connect table",
             DEPS_ARC,
             vec!["INSERT INTO EMPSKILLS VALUES (0, 14)"],
-            Path::Splice,
+            Path::Recompute,
         ),
         (
             "mixed transaction",
@@ -531,9 +577,10 @@ fn value_only_updates_rewrite_in_place_and_the_rest_splice() {
     }
 }
 
-/// Hires, skill links and moves edit the stored CO in place; everything
-/// that could make an older subtree reachable, and every delete, splices.
-/// In the uniform fixture over 10 departments, departments 0 and 5 are
+/// Hires, skill links, moves, root inserts and deletes edit the stored CO
+/// in place: a new node walks its children, and a removed one orphans
+/// theirs. A delta on the keyless PROJ, or on PROJSKILLS (whose parent is
+/// PROJ), recomputes the view. In the uniform fixture over 10 departments, departments 0 and 5 are
 /// 'ARC' (employees 0–19 and 100–119), employee `e` holds skills
 /// `(7e + 61k) % 200` for k < 3, and SKILLS is keyed by `sno`. Skills 0,
 /// 61 and 122 (employee 0's) are stored; skill 1 is held only outside
@@ -571,61 +618,64 @@ fn inserts_and_moves_edit_in_place_and_the_rest_splice() {
             "move out of ARC",
             vec![],
             vec!["UPDATE EMP SET edno = 1 WHERE eno = 3"],
-            Path::Splice,
+            Path::InPlace { nodes: 4, links: 4 },
         ),
         (
             "root insert",
             vec![],
             vec!["INSERT INTO DEPT VALUES (10, 'new', 'ARC')"],
-            Path::Splice,
+            Path::InPlace { nodes: 1, links: 0 },
         ),
         (
             "link to a skill stored nowhere",
             vec![],
             vec!["INSERT INTO EMPSKILLS VALUES (1, 1)"],
-            Path::Splice,
+            Path::InPlace { nodes: 1, links: 1 },
         ),
         (
             "hire after its skill link",
             vec!["INSERT INTO EMPSKILLS VALUES (1000, 0)"],
             vec![HIRE],
-            Path::Splice,
+            Path::InPlace { nodes: 1, links: 2 },
         ),
         (
             "delete EMP",
             vec![],
             vec!["DELETE FROM EMP WHERE eno = 3"],
-            Path::Splice,
+            Path::InPlace { nodes: 4, links: 4 },
         ),
         (
             "delete DEPT",
             vec![],
             vec!["DELETE FROM DEPT WHERE dno = 5"],
-            Path::Splice,
+            Path::InPlace {
+                nodes: 90,
+                links: 105,
+            },
         ),
         (
             "delete PROJ",
             vec![],
             vec!["DELETE FROM PROJ WHERE pno = 2"],
-            Path::Splice,
+            Path::Recompute,
         ),
         (
             "delete SKILLS",
             vec![],
             vec!["DELETE FROM SKILLS WHERE sno = 0"],
-            Path::Splice,
+            Path::InPlace { nodes: 1, links: 2 },
         ),
         (
             "delete EMPSKILLS",
             vec![],
             vec!["DELETE FROM EMPSKILLS WHERE eseno = 3"],
-            Path::Splice,
+            Path::InPlace { nodes: 3, links: 3 },
         ),
         (
             "delete PROJSKILLS",
             vec![],
             vec!["DELETE FROM PROJSKILLS WHERE pspno = 2"],
-            Path::Splice,
+            Path::Recompute,
         ),
     ];
     for (label, setup, stmts, path) in cases {
@@ -643,10 +693,10 @@ const SHARED_SKILL: i64 = 1000;
 /// First employee number of the foreign employees holding it.
 const FOREIGN_ENO: i64 = 10_000;
 
-/// A small paper database plus one SKILLS node linked from employee 0
-/// (department 0) and from `fan_in` employees spread over departments
-/// 1–3, under a keyed CO matview `fan_co` over every department. Returns
-/// the database and the view's definition.
+/// A small paper database with SKILLS keyed by `sno`, plus one SKILLS node
+/// linked from employee 0 (department 0) and from `fan_in` employees
+/// spread over departments 1–3, under a keyed CO matview `fan_co` over
+/// every department. Returns the database and the view's definition.
 fn fan_in_db(fan_in: i64) -> (Database, String) {
     let db = build_paper_db_with(
         PaperScale {
@@ -685,7 +735,10 @@ fn fan_in_db(fan_in: i64) -> (Database, String) {
     }
     let def = DEPS_ARC.replace(" WHERE loc = 'ARC'", "");
     db.session()
-        .execute(&format!("CREATE MATERIALIZED VIEW fan_co AS {def}"), &[])
+        .execute_batch(&format!(
+            "CREATE UNIQUE INDEX skills_pk ON SKILLS (sno); \
+             CREATE MATERIALIZED VIEW fan_co AS {def};"
+        ))
         .unwrap();
     (db, def)
 }
@@ -702,13 +755,13 @@ fn page_accesses(db: &Database, stmt: &str) -> u64 {
     accesses() - before
 }
 
-/// Splicing department 0 after a new skill link of employee 0 must not
-/// read the shared skill's links from other departments: the membership
-/// test stops at the first foreign parent, so the commit costs the same
-/// page accesses at fan-in 10 and 1000. A salary raise of the same
-/// employee is value-only and rewrites its stored node without a splice.
-/// Then the shared node turns exclusive and vanishes, and incremental
-/// maintenance must track REFRESH through every step.
+/// A new skill link of employee 0 is edited in place and must not read the
+/// shared skill's links from other departments, so the commit costs the
+/// same page accesses at fan-in 10 and 1000. A salary raise of the same
+/// employee is value-only and rewrites its stored node. Then the shared
+/// node turns exclusive and vanishes — each unlink's orphan check stops at
+/// the first connection left — and incremental maintenance must track
+/// REFRESH through every step.
 #[test]
 fn shared_node_fan_in_does_not_cost_maintenance() {
     const RAISE: &str = "UPDATE EMP SET sal = sal + 1 WHERE eno = 0";
@@ -726,15 +779,16 @@ fn shared_node_fan_in_does_not_cost_maintenance() {
             "the raise rewrites employee 0's stored node in place"
         );
         assert_eq!(
-            raised.mv_roots_respliced, before.mv_roots_respliced,
-            "the raise splices nothing"
+            raised.mv_recomputes, before.mv_recomputes,
+            "the raise recomputes nothing"
         );
         assert_co_matches(&db, "fan_co", &def, &format!("fan-in {fan_in}: {RAISE}"));
         cost.push(page_accesses(&db, LINK));
+        let linked = db.maint_stats();
         assert_eq!(
-            db.maint_stats().mv_roots_respliced,
-            raised.mv_roots_respliced + 1,
-            "the link resplices department 0 alone"
+            (linked.mv_links_edited, linked.mv_recomputes),
+            (raised.mv_links_edited + 1, raised.mv_recomputes),
+            "the link inserts one connection in place"
         );
         assert_co_matches(&db, "fan_co", &def, &format!("fan-in {fan_in}: {LINK}"));
         if fan_in > 10 {
@@ -764,7 +818,7 @@ fn shared_node_fan_in_does_not_cost_maintenance() {
     }
     assert!(
         cost[1].abs_diff(cost[0]) <= 8,
-        "page accesses of one spliced link grew with the shared node's \
+        "page accesses of one in-place link grew with the shared node's \
          fan-in: {} at 10, {} at 1000",
         cost[0],
         cost[1]
@@ -886,7 +940,7 @@ fn random_fixture_randomized_stream_all_batch_sizes() {
 /// interleave, so a transaction's statements regularly run against a
 /// snapshot that other committers have outrun by the time it commits and
 /// maintains its views. Quiesced, every
-/// view — CO keyed splice, SQL keyed, direct, grouped aggregate — must
+/// view — CO in-place edits, SQL join (recomputed), direct, grouped aggregate — must
 /// equal both its definition and a full REFRESH recompute. With `hires`,
 /// every other transaction of a session is instead a hire with one skill
 /// link plus a move of one of the session's own employees. A fifth
@@ -1015,16 +1069,17 @@ fn multi_statement_txns_under_concurrent_committers_match_refresh() {
 }
 
 /// The same storm with keyed SKILLS and hires, so that in-place hires,
-/// links and moves race with splices of the same departments.
+/// links and moves race with in-place removals and root reaches of the same
+/// departments, and with the recomputes that PROJ deltas need.
 #[test]
 fn multi_statement_txns_with_keyed_skills_under_concurrent_committers_match_refresh() {
     let db = concurrent_storm_matches_refresh(paper_db_with_keyed_skills(1024), true);
     let stats = db.maint_stats();
     assert!(
-        stats.mv_nodes_rewritten > 0 && stats.mv_links_edited > 0 && stats.mv_roots_respliced > 0,
-        "storm wrote {} nodes and {} connections in place and respliced {} roots",
+        stats.mv_nodes_rewritten > 0 && stats.mv_links_edited > 0 && stats.mv_recomputes > 0,
+        "storm wrote {} nodes and {} connections in place and recomputed {} times",
         stats.mv_nodes_rewritten,
         stats.mv_links_edited,
-        stats.mv_roots_respliced
+        stats.mv_recomputes
     );
 }
