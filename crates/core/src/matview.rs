@@ -1784,51 +1784,94 @@ impl Editor<'_> {
         }
     }
 
-    /// Does a connection still lead into node `n` of component `c`: a
-    /// pending one from a live parent, or a stored one not deleted?
-    fn held(&self, c: usize, n: Node) -> Result<bool> {
-        if self
-            .links
+    /// Is node `n` held by a pending connection from a live parent?
+    fn held_pending(&self, n: Node) -> bool {
+        self.links
             .iter()
             .any(|&(_, parent, child)| child == n && self.live(parent))
-        {
-            return Ok(true);
-        }
-        let Node::Stored(s) = n else {
-            return Ok(false);
-        };
-        for (ri, ..) in self.info.edges().filter(|&(_, _, child, _)| child == c) {
-            let conn_t = self.stream(&self.info.rels[ri].name)?;
-            let hit = first_match(&conn_t, 1, &Value::Int(s), &self.snap, |rid, _| {
-                Ok(!self.unlinked.contains(&(ri, rid)))
-            })?;
-            if hit.is_some() {
-                return Ok(true);
+    }
+
+    /// The stored nodes among `wave` that a stored connection not deleted
+    /// still leads into: one read per relationship, of the wave's nodes of
+    /// its child component that no earlier relationship holds, stopping
+    /// once every one of them is held.
+    fn held_stored(&self, wave: &[(usize, Node)]) -> Result<HashSet<i64>> {
+        let mut held = HashSet::new();
+        for (ri, _, c, _) in self.info.edges() {
+            let nodes: Vec<Value> = wave
+                .iter()
+                .filter_map(|&(wc, n)| match n {
+                    Node::Stored(s) if wc == c && !held.contains(&s) => Some(Value::Int(s)),
+                    _ => None,
+                })
+                .collect();
+            if nodes.is_empty() {
+                continue;
             }
+            let mut open: HashSet<&Value> = nodes.iter().collect();
+            let conn_t = self.stream(&self.info.rels[ri].name)?;
+            conn_t.scan_by_values(1, &nodes, &self.snap, |rid, t| {
+                if !self.unlinked.contains(&(ri, rid)) {
+                    open.remove(&t.values[1]);
+                    held.insert(t.values[1].as_int()?);
+                }
+                Ok(!open.is_empty())
+            })?;
         }
-        Ok(false)
+        Ok(held)
     }
 
     /// Remove every non-root node no connection holds any more, cascading.
-    /// Candidates are checked first in, first out, so that a node shared
-    /// by several removed parents is checked after they are removed.
+    /// Candidates are checked wave by wave, first in, first out: a wave is
+    /// the queue as it stands, and the orphans its removals make form the
+    /// next one, so that a node shared by several removed parents is
+    /// checked after they are removed. A node a connection still holds is
+    /// queued again if that connection goes. Each wave reads in batches:
+    /// one [`Table::scan_by_values`] per relationship for the stored
+    /// connections that still hold its nodes, and one per component for
+    /// the rids of the nodes it removes.
     fn cascade(&mut self) -> Result<()> {
-        while let Some((c, n)) = self.orphans.pop_front() {
-            if c == self.root || !self.live(n) || self.held(c, n)? {
-                continue;
-            }
-            match n {
-                Node::Stored(s) => {
-                    let node_t = self.stream(&self.info.comps[c])?;
-                    let hit = first_match(&node_t, 0, &Value::Int(s), &self.snap, |_, _| Ok(true))?;
-                    // `held` found every incoming connection deleted.
-                    if let Some((rid, _)) = hit {
-                        self.remove_stored(c, s, rid)?;
+        while !self.orphans.is_empty() {
+            let root = self.root;
+            let wave: Vec<(usize, Node)> = std::mem::take(&mut self.orphans)
+                .into_iter()
+                .filter(|&(c, n)| c != root && self.live(n) && !self.held_pending(n))
+                .collect();
+            let held = self.held_stored(&wave)?;
+            let mut gone: Vec<(usize, i64)> = Vec::new();
+            for (c, n) in wave {
+                if !self.live(n) {
+                    continue;
+                }
+                match n {
+                    Node::Stored(s) if !held.contains(&s) => gone.push((c, s)),
+                    Node::Stored(_) => {}
+                    Node::New(at) => {
+                        self.inserts[at] = None;
+                        self.unhold(n);
                     }
                 }
-                Node::New(at) => {
-                    self.inserts[at] = None;
-                    self.unhold(n);
+            }
+            let mut rids: HashMap<i64, Rid> = HashMap::new();
+            for c in 0..self.info.comps.len() {
+                let nodes: Vec<Value> = gone
+                    .iter()
+                    .filter(|&&(gc, _)| gc == c)
+                    .map(|&(_, s)| Value::Int(s))
+                    .collect();
+                if nodes.is_empty() {
+                    continue;
+                }
+                let (node_t, want) = (self.stream(&self.info.comps[c])?, rids.len() + nodes.len());
+                node_t.scan_by_values(0, &nodes, &self.snap, |rid, t| {
+                    rids.insert(t.values[0].as_int()?, rid);
+                    Ok(rids.len() < want)
+                })?;
+            }
+            // `held_stored` found every incoming connection deleted.
+            for (c, s) in gone {
+                if let Some(&rid) = rids.get(&s) {
+                    self.remove_stored(c, s, rid)?;
                 }
             }
         }

@@ -5,19 +5,15 @@
 //! exchange [`RowBatch`] chunks (default capacity
 //! [`xnf_plan::DEFAULT_BATCH_SIZE`] rows) instead of single rows, so the
 //! per-tuple virtual dispatch and bookkeeping of classic Volcano pulls
-//! amortise over a whole chunk. Producers accumulate rows through a
-//! [`BatchBuilder`] and hand off full chunks:
+//! amortise over a whole chunk:
 //!
 //! ```
-//! use xnf_exec::{BatchBuilder, RowBatch};
+//! use xnf_exec::RowBatch;
 //! use xnf_storage::Value;
 //!
-//! let mut b = BatchBuilder::new(1, 2);
-//! b.push(vec![Value::Int(1)]);
-//! assert!(b.take_full().is_none(), "not full yet");
-//! b.push(vec![Value::Int(2)]);
-//! let full: RowBatch = b.take_full().expect("capacity reached");
-//! assert_eq!(full.len(), 2);
+//! let mut batch = RowBatch::from_rows(vec![vec![Value::Int(1)], vec![Value::Int(2)]]);
+//! batch.retain_indices(&[false, true]);
+//! assert_eq!(batch.rows(), &[vec![Value::Int(2)]]);
 //! ```
 
 pub use xnf_plan::DEFAULT_BATCH_SIZE;
@@ -127,68 +123,6 @@ impl std::ops::Index<usize> for RowBatch {
     }
 }
 
-/// Accumulates rows and hands out capacity-sized [`RowBatch`]es; operators
-/// that change cardinality (scans, joins) use it to keep their output
-/// batches near the configured size.
-#[derive(Debug, Default)]
-pub struct BatchBuilder {
-    pending: Vec<Row>,
-    columns: usize,
-    capacity: usize,
-}
-
-impl BatchBuilder {
-    pub fn new(columns: usize, capacity: usize) -> BatchBuilder {
-        BatchBuilder {
-            pending: Vec::new(),
-            columns,
-            capacity: capacity.max(1),
-        }
-    }
-
-    pub fn push(&mut self, row: Row) {
-        if self.pending.is_empty() && self.columns == 0 {
-            self.columns = row.len();
-        }
-        self.pending.push(row);
-    }
-
-    pub fn len(&self) -> usize {
-        self.pending.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
-    }
-
-    /// A full batch is ready once `capacity` rows have accumulated.
-    /// (A default-constructed builder has capacity 0 = never full; it only
-    /// drains through [`BatchBuilder::take_rest`].)
-    pub fn take_full(&mut self) -> Option<RowBatch> {
-        if self.capacity == 0 || self.pending.len() < self.capacity {
-            return None;
-        }
-        let rest = self.pending.split_off(self.capacity);
-        let rows = std::mem::replace(&mut self.pending, rest);
-        Some(RowBatch {
-            columns: self.columns.max(rows.first().map(|r| r.len()).unwrap_or(0)),
-            rows,
-        })
-    }
-
-    /// Drain whatever is left (end of stream). `None` when nothing pending.
-    pub fn take_rest(&mut self) -> Option<RowBatch> {
-        if self.pending.is_empty() {
-            return None;
-        }
-        let rows = std::mem::take(&mut self.pending);
-        Some(RowBatch {
-            columns: self.columns.max(rows.first().map(|r| r.len()).unwrap_or(0)),
-            rows,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,23 +130,6 @@ mod tests {
 
     fn row(i: i64) -> Row {
         vec![Value::Int(i), Value::Int(i * 10)]
-    }
-
-    #[test]
-    fn builder_emits_capacity_sized_batches() {
-        let mut b = BatchBuilder::new(2, 4);
-        for i in 0..10 {
-            b.push(row(i));
-        }
-        let first = b.take_full().unwrap();
-        assert_eq!(first.len(), 4);
-        assert_eq!(first.columns(), 2);
-        let second = b.take_full().unwrap();
-        assert_eq!(second.rows()[0], row(4));
-        assert!(b.take_full().is_none(), "only 2 rows pending");
-        let rest = b.take_rest().unwrap();
-        assert_eq!(rest.len(), 2);
-        assert!(b.take_rest().is_none());
     }
 
     #[test]

@@ -748,3 +748,159 @@ fn parallel_empty_result_and_empty_table() {
     );
     assert_eq!(r.try_table().unwrap().rows, vec![vec![Value::Int(0)]]);
 }
+
+/// `T(k, v, key, pad)`: 2 000 rows over many pages. `v < 50` holds for
+/// whole 200-row blocks and then for every seventh row of the next block,
+/// so a gated scan meets pages it mostly accepts and pages it mostly
+/// rejects, in turn. `key` is `k % 40`, NULL on every eleventh row.
+/// `U(key)` holds the multiples of 3 below 40, each twice, and a NULL.
+fn gate_db() -> Catalog {
+    let cat = Catalog::new(Arc::new(BufferPool::new(Arc::new(DiskManager::new()), 256)));
+    let t = cat
+        .create_table(
+            "T",
+            Schema::from_pairs(&[
+                ("k", DataType::Int),
+                ("v", DataType::Int),
+                ("key", DataType::Int),
+                ("pad", DataType::Str),
+            ]),
+        )
+        .unwrap();
+    for k in 0..2000i64 {
+        let v = if (k / 200) % 2 == 0 || k % 7 == 0 {
+            0
+        } else {
+            100
+        };
+        let key = if k % 11 == 0 {
+            Value::Null
+        } else {
+            Value::Int(k % 40)
+        };
+        t.insert(&Tuple::new(vec![
+            k.into(),
+            v.into(),
+            key,
+            "x".repeat(40).into(),
+        ]))
+        .unwrap();
+    }
+    let u = cat
+        .create_table("U", Schema::from_pairs(&[("key", DataType::Int)]))
+        .unwrap();
+    for key in (0..40).step_by(3).chain((0..40).step_by(3)) {
+        u.insert(&Tuple::new(vec![Value::Int(key)])).unwrap();
+    }
+    u.insert(&Tuple::new(vec![Value::Null])).unwrap();
+    cat
+}
+
+/// The batches a filtered scan and a semijoin over it emitted before the
+/// gate: per `batch_size` rows passing `v < 50` (cut per page when
+/// `per_page`), the ones whose `key` is in `U` when `probe`, if any.
+fn ungated_batches(
+    cat: &Catalog,
+    batch_size: usize,
+    probe: bool,
+    per_page: bool,
+) -> Vec<Vec<Vec<Value>>> {
+    let t = cat.table("T").unwrap();
+    let snap = cat.latest_snapshot();
+    let in_u = |key: &Value| matches!(key, Value::Int(k) if k % 3 == 0);
+    let mut runs: Vec<Vec<Vec<Value>>> = Vec::new();
+    let mut passed = 0;
+    let mut idx = 0;
+    while let Some(page) = t.scan_page_snapshot(idx, &snap, None, None).unwrap() {
+        if per_page {
+            passed = 0;
+            runs.push(Vec::new());
+        }
+        for (_, row) in page.rows {
+            if row[1] != Value::Int(0) {
+                continue;
+            }
+            if passed % batch_size == 0 {
+                runs.push(Vec::new());
+            }
+            passed += 1;
+            if !probe || in_u(&row[2]) {
+                runs.last_mut().unwrap().push(row.values);
+            }
+        }
+        idx += 1;
+    }
+    runs.retain(|r| !r.is_empty());
+    runs
+}
+
+#[test]
+fn gated_scans_emit_the_ungated_batches() {
+    use xnf_plan::{PhysExpr, PhysPlan};
+    let cat = gate_db();
+    let pages = cat.table("T").unwrap().page_count();
+    assert!(pages >= 20, "the fixture spans many pages, got {pages}");
+    let filter = vec![PhysExpr::Binary {
+        left: Box::new(PhysExpr::Col(1)),
+        op: xnf_sql::BinOp::Lt,
+        right: Box::new(PhysExpr::Literal(Value::Int(50))),
+    }];
+    let scan = |parallel: bool| {
+        let (table, cols) = ("T".to_string(), None);
+        match parallel {
+            false => PhysPlan::SeqScan {
+                table,
+                filter: filter.clone(),
+                cols,
+            },
+            true => PhysPlan::ParallelSeqScan {
+                table,
+                filter: filter.clone(),
+                cols,
+            },
+        }
+    };
+    let semi = |parallel: bool| PhysPlan::HashSemiJoin {
+        outer: Box::new(scan(parallel)),
+        inner: Box::new(PhysPlan::SeqScan {
+            table: "U".into(),
+            filter: vec![],
+            cols: None,
+        }),
+        outer_keys: vec![PhysExpr::Col(2)],
+        inner_keys: vec![PhysExpr::Col(0)],
+        residual: vec![],
+    };
+    for batch_size in [1, 7, 64, 1024] {
+        for (probe, parallel) in [(false, false), (true, false), (false, true), (true, true)] {
+            let body = if probe {
+                semi(parallel)
+            } else {
+                scan(parallel)
+            };
+            let plan = match parallel {
+                false => body,
+                true => PhysPlan::ExchangeGather {
+                    input: Box::new(body),
+                    dop: 2,
+                },
+            };
+            let mut rt = crate::ops::Runtime::new(&cat);
+            rt.batch_size = batch_size;
+            let mut op = crate::ops::build_operator(&plan);
+            let mut got = Vec::new();
+            while let Some(batch) = op.next_batch(&mut rt).unwrap() {
+                got.push(batch.into_rows());
+            }
+            let want = ungated_batches(&cat, batch_size, probe, parallel);
+            assert!(!want.is_empty());
+            assert_eq!(
+                got, want,
+                "batch size {batch_size}, probe {probe}, parallel {parallel}"
+            );
+            // Every visible row of T counts, accepted or not, plus U's.
+            let scanned = 2000 + if probe { 29 } else { 0 };
+            assert_eq!(rt.stats.rows_scanned, scanned);
+        }
+    }
+}

@@ -13,7 +13,9 @@
 //!   (`HeapFile::scan_page_snapshot`) and index postings — a scan holds at
 //!   most one page of tuples, so `LIMIT`-style early termination stops
 //!   reading the base table instead of materialising it, and it decodes
-//!   only the columns the plan reads (`cols` on the scan node);
+//!   only the columns the plan reads (`cols` on the scan node); its
+//!   filter, and the probe of a residual-free hash semijoin over it, decide
+//!   each record before it is decoded (the page read's gate);
 //! - shared subplans (the multi-query "table queues" of Fig. 6) are
 //!   materialised once as `Vec<RowBatch>` and re-streamed chunk-at-a-time
 //!   by every consumer;
@@ -80,7 +82,7 @@ pub mod hash;
 pub mod ops;
 pub mod parallel;
 
-pub use batch::{BatchBuilder, RowBatch, DEFAULT_BATCH_SIZE};
+pub use batch::{RowBatch, DEFAULT_BATCH_SIZE};
 pub use engine::{
     execute_qep, execute_qep_with_params, execute_qep_with_visibility, QueryResult, StreamResult,
 };

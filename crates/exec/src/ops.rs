@@ -3,14 +3,14 @@
 //! Sect. 3.1, with streams chunked into [`RowBatch`]es so per-tuple virtual
 //! dispatch amortises over a whole chunk).
 
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet, VecDeque};
 use std::sync::Arc;
 
 use xnf_plan::{AggSpec, PhysExpr, PhysPlan, DEFAULT_BATCH_SIZE};
 use xnf_sql::AggFunc;
-use xnf_storage::{Catalog, IndexDef, Rid, Table, Value};
+use xnf_storage::{Catalog, Gate, IndexDef, Rid, Table, Tuple, Value};
 
-use crate::batch::{BatchBuilder, RowBatch};
+use crate::batch::RowBatch;
 use crate::error::{ExecError, Result};
 use crate::eval::{eval, filter_batch, passes, truthy, CompiledPreds, OuterCtx, Row};
 use crate::hash::{FxHashMap, FxHashSet};
@@ -200,15 +200,7 @@ pub fn build_operator(plan: &PhysPlan) -> Box<dyn Operator> {
             view: table,
             filter,
             cols,
-        } => Box::new(SeqScanOp {
-            table: table.clone(),
-            filter: filter.clone(),
-            cols: cols.clone(),
-            open: None,
-            page_idx: 0,
-            pending: BatchBuilder::default(),
-            done: false,
-        }),
+        } => Box::new(SeqScanOp::new(Scan::new(table, filter, cols, None))),
         PhysPlan::IndexEq {
             table,
             index,
@@ -287,6 +279,39 @@ pub fn build_operator(plan: &PhysPlan) -> Box<dyn Operator> {
             right_buf: None,
             current: None,
         }),
+        // A residual-free semijoin over a scan is that scan, gated by the
+        // probe (see `Scan`).
+        PhysPlan::HashSemiJoin {
+            outer,
+            inner,
+            outer_keys,
+            inner_keys,
+            residual,
+        } if residual.is_empty()
+            && matches!(
+                **outer,
+                PhysPlan::SeqScan { .. } | PhysPlan::MatViewScan { .. }
+            ) =>
+        {
+            let (PhysPlan::SeqScan {
+                table,
+                filter,
+                cols,
+            }
+            | PhysPlan::MatViewScan {
+                view: table,
+                filter,
+                cols,
+            }) = &**outer
+            else {
+                unreachable!("matched above")
+            };
+            let probe = FusedProbe {
+                keys: outer_keys.clone(),
+                table: ProbeTable::Build(build_operator(inner), inner_keys.clone()),
+            };
+            Box::new(SeqScanOp::new(Scan::new(table, filter, cols, Some(probe))))
+        }
         PhysPlan::HashSemiJoin {
             outer,
             inner,
@@ -432,49 +457,297 @@ impl Operator for ValuesOp {
     }
 }
 
-struct SeqScanOp {
+/// A residual-free hash semijoin fused onto the scan of its outer input:
+/// the scan probes the build table with each record's `keys` before it
+/// decodes the record.
+pub(crate) struct FusedProbe {
+    pub(crate) keys: Vec<PhysExpr>,
+    pub(crate) table: ProbeTable,
+}
+
+/// A fused probe's join table.
+pub(crate) enum ProbeTable {
+    /// The build input and its keys, drained on the scan's first read.
+    Build(Box<dyn Operator>, Vec<PhysExpr>),
+    /// Built: by that first read, or, in a region worker, by the
+    /// coordinator.
+    Built(Arc<JoinTable>),
+}
+
+/// The heap read both scan operators share: a `SeqScan`'s or
+/// `ParallelSeqScan`'s table, filter and columns, and the semijoin probe
+/// fused onto it, if any.
+///
+/// The filter and the probe run as the page read's [`Gate`]: each visible
+/// record is decided on the columns they read, decoded into one scratch
+/// row, and only an accepted record is materialized. `rows_scanned` still
+/// counts every visible row. A scan with neither reads ungated.
+///
+/// A gate pays while it rejects: a rejected record skips its decode, but
+/// an accepted one costs a little more than a plain decode, its columns
+/// walked once and then materialized. So a scan gates a page when the
+/// previous page it read had fewer accepted rows than rejected ones (and
+/// its first page); otherwise it decodes the page plainly and decides each
+/// decoded row. Either way the same decision runs on the same values, so
+/// the rows, their order and the counters do not depend on the choice.
+pub(crate) struct Scan {
     table: String,
     filter: Vec<PhysExpr>,
     /// The columns to decode (`None` = all); see `PhysPlan::SeqScan`.
     cols: Option<Vec<usize>>,
-    /// The table and the compiled filter, resolved on the first pull.
-    open: Option<(Arc<Table>, CompiledPreds)>,
+    probe: Option<FusedProbe>,
+    /// Resolved on the first read.
+    open: Option<OpenScan>,
+}
+
+struct OpenScan {
+    table: Arc<Table>,
+    filter: CompiledPreds,
+    /// The fused probe's keys and build table.
+    probe: Option<(Vec<PhysExpr>, Arc<JoinTable>)>,
+    /// The kept columns the filter and the probe keys read, ascending.
+    /// A column the scan does not keep stays `NULL`, as in a decoded row.
+    gate_cols: Vec<usize>,
+    /// Whether the next page is read through the gate.
+    gate_next: bool,
+}
+
+/// One page of a [`Scan`].
+pub(crate) struct ScanPage {
+    /// The rows the gate accepted, in slot order.
+    rows: Vec<(Rid, Tuple)>,
+    /// Each accepted row's position among the page's rows that passed the
+    /// filter; `None` when the filter alone decides, so every row that
+    /// passed it was accepted.
+    positions: Option<Vec<usize>>,
+    /// The page's rows that passed the filter.
+    passed: usize,
+}
+
+impl Scan {
+    pub(crate) fn new(
+        table: &str,
+        filter: &[PhysExpr],
+        cols: &Option<Vec<usize>>,
+        probe: Option<FusedProbe>,
+    ) -> Scan {
+        Scan {
+            table: table.to_string(),
+            filter: filter.to_vec(),
+            cols: cols.clone(),
+            probe,
+            open: None,
+        }
+    }
+
+    /// Build the probe's table (first, as the semijoin did before pulling
+    /// its outer input), then resolve the table and compile the filter.
+    fn open(&mut self, rt: &mut Runtime<'_>) -> Result<OpenScan> {
+        let probe = match &mut self.probe {
+            None => None,
+            Some(p) => {
+                if let ProbeTable::Build(input, keys) = &mut p.table {
+                    let built = JoinTable::build(input.as_mut(), rt, keys, false)?;
+                    p.table = ProbeTable::Built(Arc::new(built));
+                }
+                let ProbeTable::Built(table) = &p.table else {
+                    unreachable!("built above")
+                };
+                Some((p.keys.clone(), Arc::clone(table)))
+            }
+        };
+        let mut read = BTreeSet::new();
+        self.filter.iter().for_each(|e| e.add_cols(&mut read));
+        probe
+            .iter()
+            .flat_map(|(keys, _)| keys)
+            .for_each(|e| e.add_cols(&mut read));
+        let kept = |c: &usize| self.cols.as_ref().is_none_or(|cols| cols.contains(c));
+        Ok(OpenScan {
+            table: rt.catalog.table(&self.table)?,
+            filter: CompiledPreds::compile(&self.filter, &rt.outer)?,
+            probe,
+            gate_cols: read.into_iter().filter(kept).collect(),
+            gate_next: true,
+        })
+    }
+
+    /// Read page `idx` through the gate, counting its visible and skipped
+    /// versions; `None` past the end.
+    pub(crate) fn read_page(
+        &mut self,
+        idx: usize,
+        rt: &mut Runtime<'_>,
+    ) -> Result<Option<ScanPage>> {
+        if self.open.is_none() {
+            self.open = Some(self.open(rt)?);
+        }
+        let open = self.open.as_mut().expect("opened above");
+        let cols = self.cols.as_deref();
+        let decides = !open.filter.is_empty() || open.probe.is_some();
+        let (mut passed, mut positions) = (0, Vec::new());
+        let mut key = Vec::new();
+        let outer = &rt.outer;
+        let (filter, probe) = (&open.filter, &open.probe);
+        let mut decide = |row: &[Value]| -> Result<bool> {
+            if !filter.matches(row, outer)? {
+                return Ok(false);
+            }
+            passed += 1;
+            let Some((keys, table)) = probe else {
+                return Ok(true);
+            };
+            let hit = key_into(keys, row, outer, &mut key)? && table.contains(&key);
+            if hit {
+                positions.push(passed - 1);
+            }
+            Ok(hit)
+        };
+        // The decision answers yes or no; the first evaluation error is
+        // kept and rejects every later row.
+        let mut err = None;
+        let mut accept = |row: &[Value]| {
+            err.is_none()
+                && decide(row).unwrap_or_else(|e| {
+                    err = Some(e);
+                    false
+                })
+        };
+        let page = match (decides, open.gate_next) {
+            (false, _) => open
+                .table
+                .scan_page_snapshot(idx, &rt.snapshot, cols, None)?,
+            (true, true) => {
+                let gate = Gate {
+                    cols: &open.gate_cols,
+                    accept: &mut accept,
+                };
+                open.table
+                    .scan_page_snapshot(idx, &rt.snapshot, cols, Some(gate))?
+            }
+            (true, false) => {
+                let mut page = open
+                    .table
+                    .scan_page_snapshot(idx, &rt.snapshot, cols, None)?;
+                if let Some(page) = &mut page {
+                    page.rows.retain(|(_, t)| accept(&t.values));
+                }
+                page
+            }
+        };
+        if let Some(e) = err {
+            return Err(e);
+        }
+        let Some(page) = page else {
+            return Ok(None);
+        };
+        rt.stats.rows_scanned += page.visible;
+        rt.stats.rows_skipped_visibility += page.skipped;
+        if page.visible > 0 {
+            open.gate_next = 2 * (page.rows.len() as u64) < page.visible;
+        }
+        Ok(Some(ScanPage {
+            passed: if decides { passed } else { page.rows.len() },
+            positions: open.probe.is_some().then_some(positions),
+            rows: page.rows,
+        }))
+    }
+}
+
+/// Cuts a scan's accepted rows into the batches its plan emits: one per
+/// `batch_size` rows that passed the filter, holding the accepted rows
+/// among them, and none where none was accepted. Without a fused probe
+/// every passing row is accepted, so these are plain full batches; with
+/// one, they are exactly the batches the semijoin would keep of them.
+#[derive(Default)]
+pub(crate) struct Runs {
+    /// Rows that passed the filter so far.
+    passed: usize,
+    /// The run `open` collects for.
+    run: usize,
+    open: Vec<Row>,
+    ready: VecDeque<RowBatch>,
+}
+
+impl Runs {
+    pub(crate) fn push(&mut self, page: ScanPage, batch_size: usize) {
+        let n = page.rows.len();
+        let mut cut_at = (self.run + 1) * batch_size;
+        self.open.reserve(n);
+        for (i, (_, tuple)) in page.rows.into_iter().enumerate() {
+            let pos = self.passed + page.positions.as_ref().map_or(i, |p| p[i]);
+            if pos >= cut_at {
+                self.cut();
+                self.open.reserve(n - i);
+                self.run = pos / batch_size;
+                cut_at = (self.run + 1) * batch_size;
+            }
+            self.open.push(tuple.values);
+        }
+        self.passed += page.passed;
+        if self.passed >= cut_at {
+            self.cut();
+            self.run = self.passed / batch_size;
+        }
+    }
+
+    /// Close the open run and start counting afresh (end of the scan, or
+    /// of a morsel: batches never span morsels).
+    pub(crate) fn end(&mut self) {
+        self.cut();
+        self.passed = 0;
+        self.run = 0;
+    }
+
+    fn cut(&mut self) {
+        if !self.open.is_empty() {
+            let rows = std::mem::take(&mut self.open);
+            self.ready.push_back(RowBatch::from_rows(rows));
+        }
+    }
+
+    pub(crate) fn pop(&mut self) -> Option<RowBatch> {
+        self.ready.pop_front()
+    }
+}
+
+struct SeqScanOp {
+    scan: Scan,
     /// Next heap page to pull (scans stream page-at-a-time; the whole table
     /// is never buffered in the operator).
     page_idx: usize,
-    pending: BatchBuilder,
+    runs: Runs,
     done: bool,
+}
+
+impl SeqScanOp {
+    fn new(scan: Scan) -> SeqScanOp {
+        SeqScanOp {
+            scan,
+            page_idx: 0,
+            runs: Runs::default(),
+            done: false,
+        }
+    }
 }
 
 impl Operator for SeqScanOp {
     fn next_batch(&mut self, rt: &mut Runtime<'_>) -> Result<Option<RowBatch>> {
-        if self.done {
-            return Ok(None);
-        }
-        if self.open.is_none() {
-            let table = rt.catalog.table(&self.table)?;
-            self.open = Some((table, CompiledPreds::compile(&self.filter, &rt.outer)?));
-            self.pending = BatchBuilder::new(0, rt.batch_size);
-        }
-        let (t, filter) = self.open.as_ref().expect("opened above");
         loop {
-            if let Some(full) = self.pending.take_full() {
-                return Ok(Some(full));
+            if let Some(batch) = self.runs.pop() {
+                return Ok(Some(batch));
             }
-            match t.scan_page_snapshot(self.page_idx, &rt.snapshot, self.cols.as_deref())? {
+            if self.done {
+                return Ok(None);
+            }
+            match self.scan.read_page(self.page_idx, rt)? {
                 None => {
                     self.done = true;
-                    return Ok(self.pending.take_rest());
+                    self.runs.end();
                 }
-                Some((page, skipped)) => {
+                Some(page) => {
                     self.page_idx += 1;
-                    rt.stats.rows_scanned += page.len() as u64;
-                    rt.stats.rows_skipped_visibility += skipped;
-                    for (_, tuple) in page {
-                        if filter.is_empty() || filter.matches(&tuple.values, &rt.outer)? {
-                            self.pending.push(tuple.values);
-                        }
-                    }
+                    self.runs.push(page, rt.batch_size);
                 }
             }
         }

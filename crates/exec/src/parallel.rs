@@ -15,7 +15,9 @@
 //! 2. **Run** (workers): `dop` threads each instantiate their own copy of
 //!    the pipeline over a cloned MVCC snapshot and pull page morsels from
 //!    the shared dispensers until the table is exhausted. Every worker's
-//!    `HashJoinOp` / `HashSemiJoinOp` probes its one shared table.
+//!    `HashJoinOp` / `HashSemiJoinOp` probes its one shared table; a
+//!    residual-free semijoin over the region's scan probes it from inside
+//!    the scan's gate, before each record is decoded.
 //! 3. **Merge** (coordinator): gather regions tag every worker batch with
 //!    the page index it came from and K-way-merge the per-worker streams
 //!    by that tag — dispensers hand out pages in increasing order, so each
@@ -41,15 +43,16 @@ use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::Arc;
 
 use xnf_plan::{AggSpec, PhysExpr, PhysPlan};
-use xnf_storage::{MorselDispenser, Table, Value};
+use xnf_storage::{MorselDispenser, Value};
 
 use crate::batch::RowBatch;
 use crate::error::{ExecError, Result};
-use crate::eval::{CompiledPreds, Row};
+use crate::eval::Row;
 use crate::hash::FxHashMap;
 use crate::ops::{
-    build_operator, finalize_groups, merge_group_state, ExecStats, FilterOp, GroupAcc, GroupState,
-    HashJoinOp, HashSemiJoinOp, JoinTable, Operator, ProjectOp, Runtime,
+    build_operator, finalize_groups, merge_group_state, ExecStats, FilterOp, FusedProbe, GroupAcc,
+    GroupState, HashJoinOp, HashSemiJoinOp, JoinTable, Operator, ProbeTable, ProjectOp, Runs,
+    Runtime, Scan,
 };
 
 /// Bounded channel depth (in batches) between a worker and the gather.
@@ -143,6 +146,19 @@ struct WorkerCtx<'r> {
 }
 
 impl WorkerCtx<'_> {
+    /// A morsel scan over the next dispenser in traversal order.
+    fn scan(&mut self, scan: Scan) -> ParallelSeqScanOp {
+        let dispenser = Arc::clone(&self.res.dispensers[self.next_dispenser]);
+        self.next_dispenser += 1;
+        ParallelSeqScanOp {
+            scan,
+            dispenser,
+            morsel: Rc::clone(&self.morsel),
+            runs: Runs::default(),
+            done: false,
+        }
+    }
+
     /// The next join table in traversal order.
     fn next_table(&mut self) -> Arc<JoinTable> {
         let table = Arc::clone(&self.res.tables[self.next_table]);
@@ -158,20 +174,7 @@ fn build_worker_pipeline(plan: &PhysPlan, ctx: &mut WorkerCtx<'_>) -> Result<Box
             table,
             filter,
             cols,
-        } => {
-            let dispenser = Arc::clone(&ctx.res.dispensers[ctx.next_dispenser]);
-            ctx.next_dispenser += 1;
-            Ok(Box::new(ParallelSeqScanOp {
-                table: table.clone(),
-                filter: filter.clone(),
-                cols: cols.clone(),
-                dispenser,
-                morsel: Rc::clone(&ctx.morsel),
-                open: None,
-                queue: VecDeque::new(),
-                done: false,
-            }))
-        }
+        } => Ok(Box::new(ctx.scan(Scan::new(table, filter, cols, None)))),
         PhysPlan::Filter { input, preds } => Ok(Box::new(FilterOp::new(
             build_worker_pipeline(input, ctx)?,
             preds.clone(),
@@ -197,6 +200,33 @@ fn build_worker_pipeline(plan: &PhysPlan, ctx: &mut WorkerCtx<'_>) -> Result<Box
                 table: Some(ctx.next_table()),
                 probe: None,
             }))
+        }
+        // A residual-free semijoin over a scan is that scan, gated by the
+        // probe of the coordinator's table (see `Scan`).
+        PhysPlan::HashSemiJoin {
+            outer,
+            outer_keys,
+            residual,
+            ..
+        } if residual.is_empty() && matches!(**outer, PhysPlan::ParallelSeqScan { .. }) => {
+            let PhysPlan::ParallelSeqScan {
+                table,
+                filter,
+                cols,
+            } = &**outer
+            else {
+                unreachable!("matched above")
+            };
+            let probe = FusedProbe {
+                keys: outer_keys.clone(),
+                table: ProbeTable::Built(ctx.next_table()),
+            };
+            Ok(Box::new(ctx.scan(Scan::new(
+                table,
+                filter,
+                cols,
+                Some(probe),
+            ))))
         }
         PhysPlan::HashSemiJoin {
             outer,
@@ -224,58 +254,34 @@ fn build_worker_pipeline(plan: &PhysPlan, ctx: &mut WorkerCtx<'_>) -> Result<Box
 
 /// Worker-side morsel scan: claims page indices from the shared dispenser
 /// and emits each page's surviving rows as one or more batches. Batches
-/// never span morsels (unlike the serial scan's builder, which coalesces
+/// never span morsels (unlike the serial scan, which cuts its batches
 /// across pages) — that invariant is what lets the gather stage order
 /// batches by page index.
 struct ParallelSeqScanOp {
-    table: String,
-    filter: Vec<PhysExpr>,
-    /// The columns to decode (`None` = all); see `PhysPlan::SeqScan`.
-    cols: Option<Vec<usize>>,
+    scan: Scan,
     dispenser: Arc<MorselDispenser>,
     morsel: Rc<Cell<u64>>,
-    /// The table and the compiled filter, resolved on the first pull.
-    open: Option<(Arc<Table>, CompiledPreds)>,
-    queue: VecDeque<RowBatch>,
+    runs: Runs,
     done: bool,
 }
 
 impl Operator for ParallelSeqScanOp {
     fn next_batch(&mut self, rt: &mut Runtime<'_>) -> Result<Option<RowBatch>> {
         loop {
-            if let Some(batch) = self.queue.pop_front() {
+            if let Some(batch) = self.runs.pop() {
                 return Ok(Some(batch));
             }
             if self.done {
                 return Ok(None);
             }
-            if self.open.is_none() {
-                let table = rt.catalog.table(&self.table)?;
-                self.open = Some((table, CompiledPreds::compile(&self.filter, &rt.outer)?));
-            }
-            let (t, filter) = self.open.as_ref().expect("opened above");
             let idx = self.dispenser.claim();
-            match t.scan_page_snapshot(idx, &rt.snapshot, self.cols.as_deref())? {
+            match self.scan.read_page(idx, rt)? {
                 None => self.done = true,
-                Some((page, skipped)) => {
+                Some(page) => {
                     self.morsel.set(idx as u64);
-                    rt.stats.rows_scanned += page.len() as u64;
-                    rt.stats.rows_skipped_visibility += skipped;
                     rt.stats.morsels_dispatched += 1;
-                    let mut rows: Vec<Row> = Vec::with_capacity(page.len());
-                    for (_, tuple) in page {
-                        if filter.is_empty() || filter.matches(&tuple.values, &rt.outer)? {
-                            rows.push(tuple.values);
-                        }
-                    }
-                    while rows.len() > rt.batch_size {
-                        let tail = rows.split_off(rt.batch_size);
-                        self.queue.push_back(RowBatch::from_rows(rows));
-                        rows = tail;
-                    }
-                    if !rows.is_empty() {
-                        self.queue.push_back(RowBatch::from_rows(rows));
-                    }
+                    self.runs.push(page, rt.batch_size);
+                    self.runs.end();
                 }
             }
         }

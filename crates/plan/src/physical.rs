@@ -21,6 +21,7 @@
 //! [`RowBatch`]: ../xnf_exec/batch/struct.RowBatch.html
 //! [`PlanOptions::batch_size`]: crate::PlanOptions#structfield.batch_size
 
+use std::collections::BTreeSet;
 use std::fmt;
 
 use xnf_qgm::QunId;
@@ -84,6 +85,31 @@ pub enum PhysExpr {
 impl PhysExpr {
     pub fn col(i: usize) -> PhysExpr {
         PhysExpr::Col(i)
+    }
+
+    /// Add the row slots this expression reads to `set`.
+    pub fn add_cols(&self, set: &mut BTreeSet<usize>) {
+        match self {
+            PhysExpr::Col(i) => {
+                set.insert(*i);
+            }
+            PhysExpr::Literal(_)
+            | PhysExpr::Param(_)
+            | PhysExpr::Outer { .. }
+            | PhysExpr::AggRef(_) => {}
+            PhysExpr::Unary { expr, .. }
+            | PhysExpr::IsNull { expr, .. }
+            | PhysExpr::Like { expr, .. } => expr.add_cols(set),
+            PhysExpr::Binary { left, right, .. } => {
+                left.add_cols(set);
+                right.add_cols(set);
+            }
+            PhysExpr::InList { expr, list, .. } => {
+                expr.add_cols(set);
+                list.iter().for_each(|e| e.add_cols(set));
+            }
+            PhysExpr::Func { args, .. } => args.iter().for_each(|e| e.add_cols(set)),
+        }
     }
 }
 

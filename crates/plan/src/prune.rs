@@ -50,35 +50,10 @@ struct Pruner<'a> {
     shared_widths: Vec<Option<usize>>,
 }
 
-/// Add the row slots `e` reads to `set`.
-fn add_cols(e: &PhysExpr, set: &mut BTreeSet<usize>) {
-    match e {
-        PhysExpr::Col(i) => {
-            set.insert(*i);
-        }
-        PhysExpr::Literal(_)
-        | PhysExpr::Param(_)
-        | PhysExpr::Outer { .. }
-        | PhysExpr::AggRef(_) => {}
-        PhysExpr::Unary { expr, .. }
-        | PhysExpr::IsNull { expr, .. }
-        | PhysExpr::Like { expr, .. } => add_cols(expr, set),
-        PhysExpr::Binary { left, right, .. } => {
-            add_cols(left, set);
-            add_cols(right, set);
-        }
-        PhysExpr::InList { expr, list, .. } => {
-            add_cols(expr, set);
-            list.iter().for_each(|e| add_cols(e, set));
-        }
-        PhysExpr::Func { args, .. } => args.iter().for_each(|e| add_cols(e, set)),
-    }
-}
-
 /// `need` plus the slots `exprs` read (still every slot if `need` was).
 fn with_cols<'e>(need: Need, exprs: impl IntoIterator<Item = &'e PhysExpr>) -> Need {
     need.map(|mut set| {
-        exprs.into_iter().for_each(|e| add_cols(e, &mut set));
+        exprs.into_iter().for_each(|e| e.add_cols(&mut set));
         set
     })
 }

@@ -340,16 +340,18 @@ impl Table {
         self.heap.scan_all()
     }
 
-    /// Streaming scan unit under an explicit snapshot, materializing only
-    /// the columns `cols` keeps; also returns how many versions the
-    /// visibility check skipped. See [`HeapFile::scan_page_snapshot`].
+    /// Streaming scan unit under an explicit snapshot: the visible rows
+    /// `gate` accepts, materializing only the columns `cols` keeps, with
+    /// the visible and skipped version counts. See
+    /// [`HeapFile::scan_page_snapshot`].
     pub fn scan_page_snapshot(
         &self,
         idx: usize,
         snap: &Snapshot,
         cols: Option<&[usize]>,
+        gate: Option<crate::tuple::Gate<'_>>,
     ) -> Result<Option<crate::heap::VisiblePage>> {
-        self.heap.scan_page_snapshot(idx, snap, cols)
+        self.heap.scan_page_snapshot(idx, snap, cols, gate)
     }
 
     /// Number of rows visible to the latest-committed snapshot.

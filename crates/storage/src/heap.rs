@@ -32,13 +32,21 @@ use crate::catalog::TableId;
 use crate::disk::PageId;
 use crate::error::{Result, StorageError};
 use crate::page::Page;
-use crate::tuple::{Rid, Tuple};
+use crate::tuple::{decode_gated, Gate, GateScratch, Rid, Tuple};
 use crate::txn::{Snapshot, TxnId, TxnManager, VersionHdr};
 use crate::wal::{Wal, WalRecord};
 
-/// One page's worth of snapshot-visible rows plus the number of tuple
-/// versions the visibility check skipped.
-pub type VisiblePage = (Vec<(Rid, Tuple)>, u64);
+/// One page of a snapshot read ([`HeapFile::scan_page_snapshot`]).
+#[derive(Debug, Default)]
+pub struct VisiblePage {
+    /// The visible rows the gate accepted (every visible row when there is
+    /// no gate), in slot order.
+    pub rows: Vec<(Rid, Tuple)>,
+    /// Versions the snapshot sees, whether the gate accepted them or not.
+    pub visible: u64,
+    /// Versions the visibility check skipped.
+    pub skipped: u64,
+}
 
 /// The order a full scan visits RIDs: by the page's position in the heap's
 /// page list, then by slot. Index probes sort their postings with it, so a
@@ -132,17 +140,15 @@ fn decode_record(bytes: &[u8]) -> Result<(VersionHdr, Tuple)> {
 /// lookup between them. Valid for one page-latch hold only.
 type CreatorMemo = Option<(TxnId, bool)>;
 
-/// The one visible-read path: decode `bytes`' header, ask `snap` whether it
-/// sees the version, and only then decode the tuple, materializing the
-/// columns `cols` keeps (see [`Tuple::decode_cols`]). Must run under the
-/// page latch the record was read under (see
+/// The one visibility check: decode `bytes`' header, ask `snap` whether
+/// it sees the version, and only then hand back the encoded tuple. Must
+/// run under the page latch the record was read under (see
 /// [`HeapFile::scan_page_snapshot`]), with a `memo` that lives no longer.
-fn decode_visible(
-    bytes: &[u8],
+fn visible_tuple<'b>(
+    bytes: &'b [u8],
     snap: &Snapshot,
     memo: &mut CreatorMemo,
-    cols: Option<&[usize]>,
-) -> Result<Option<Tuple>> {
+) -> Result<Option<&'b [u8]>> {
     let (hdr, rest) = split_record(bytes)?;
     let visible = match *memo {
         Some((xmin, seen)) if hdr.xmax == 0 && xmin == hdr.xmin => seen,
@@ -154,10 +160,14 @@ fn decode_visible(
             seen
         }
     };
-    if !visible {
-        return Ok(None);
-    }
-    Tuple::decode_cols(rest, cols).map(Some)
+    Ok(visible.then_some(rest))
+}
+
+/// [`visible_tuple`], decoded.
+fn decode_visible(bytes: &[u8], snap: &Snapshot, memo: &mut CreatorMemo) -> Result<Option<Tuple>> {
+    visible_tuple(bytes, snap, memo)?
+        .map(Tuple::decode)
+        .transpose()
 }
 
 impl HeapFile {
@@ -335,7 +345,7 @@ impl HeapFile {
                 page: rid.page,
                 slot: rid.slot,
             })?;
-            decode_visible(bytes, snap, &mut None, None)
+            decode_visible(bytes, snap, &mut None)
         })?
     }
 
@@ -345,7 +355,7 @@ impl HeapFile {
     pub fn try_get_visible(&self, rid: Rid, snap: &Snapshot) -> Result<Option<Tuple>> {
         self.pool.with_page(rid.page, |p| match p.get(rid.slot) {
             None => Ok(None),
-            Some(bytes) => decode_visible(bytes, snap, &mut None, None),
+            Some(bytes) => decode_visible(bytes, snap, &mut None),
         })?
     }
 
@@ -364,7 +374,7 @@ impl HeapFile {
                 .iter()
                 .map(|&slot| match p.get(slot) {
                     None => Ok(None),
-                    Some(bytes) => decode_visible(bytes, snap, &mut memo, None),
+                    Some(bytes) => decode_visible(bytes, snap, &mut memo),
                 })
                 .collect()
         })?
@@ -522,8 +532,8 @@ impl HeapFile {
         mut f: impl FnMut(Rid, Tuple) -> Result<bool>,
     ) -> Result<()> {
         let mut idx = 0;
-        while let Some((batch, _skipped)) = self.scan_page_snapshot(idx, snap, None)? {
-            for (rid, t) in batch {
+        while let Some(page) = self.scan_page_snapshot(idx, snap, None, None)? {
+            for (rid, t) in page.rows {
                 if !f(rid, t)? {
                     return Ok(());
                 }
@@ -558,10 +568,10 @@ impl HeapFile {
 
     /// Decode the live tuples of the `idx`-th page of this heap (by
     /// position in the allocation-ordered page list) that are visible to
-    /// `snap`, plus the number of versions the visibility check skipped.
-    /// Returns `None` once `idx` runs past the end. This is the streaming
-    /// unit batch scans pull on demand, so a scan holds at most one page's
-    /// tuples at a time.
+    /// `snap` and that `gate` accepts, with the number of versions `snap`
+    /// sees and the number the visibility check skipped. Returns `None`
+    /// once `idx` runs past the end. This is the streaming unit batch scans
+    /// pull on demand, so a scan holds at most one page's tuples at a time.
     ///
     /// Each record's header is checked before its tuple is decoded, so an
     /// invisible version costs no decode; a run of live versions from one
@@ -569,6 +579,13 @@ impl HeapFile {
     /// positions `cols` become values (`None` keeps all): every other
     /// column reads as `NULL` in its own slot, and its bytes are still
     /// validated.
+    ///
+    /// A [`Gate`] decides each visible record before it is decoded: one
+    /// walk validates every column, decodes only the gate's columns into a
+    /// row reused across the page, and asks the gate; only an accepted
+    /// record materializes `cols`. A rejected record allocates nothing and
+    /// still counts in `visible`. With `gate = None` every visible record
+    /// is decoded straight into its tuple.
     ///
     /// Visibility is checked *while the page latch is held*. That ordering
     /// is what makes GC freezing sound: vacuum rewrites a header to the
@@ -579,28 +596,40 @@ impl HeapFile {
     /// wrongly read "uncommitted". Stamp-table lookups nest a read lock
     /// inside the page latch; nothing takes page latches while holding the
     /// stamp lock, so the order is deadlock-free. The creator memo is
-    /// dropped with the latch.
+    /// dropped with the latch; so is the gate's scratch row.
     pub fn scan_page_snapshot(
         &self,
         idx: usize,
         snap: &Snapshot,
         cols: Option<&[usize]>,
+        mut gate: Option<Gate<'_>>,
     ) -> Result<Option<VisiblePage>> {
         let pid = match self.pages.read().get(idx) {
             Some(pid) => *pid,
             None => return Ok(None),
         };
-        let page: VisiblePage = self.pool.with_page(pid, |p| {
-            let mut rows = Vec::with_capacity(p.live_records());
-            let mut skipped = 0u64;
+        let page = self.pool.with_page(pid, |p| {
+            let mut page = VisiblePage {
+                rows: Vec::with_capacity(p.live_records()),
+                ..VisiblePage::default()
+            };
             let mut memo = None;
+            let mut scratch = GateScratch::default();
             for (slot, rec) in p.iter() {
-                match decode_visible(rec, snap, &mut memo, cols)? {
-                    Some(t) => rows.push((Rid::new(pid, slot), t)),
-                    None => skipped += 1,
+                let Some(bytes) = visible_tuple(rec, snap, &mut memo)? else {
+                    page.skipped += 1;
+                    continue;
+                };
+                page.visible += 1;
+                let tuple = match gate.as_mut() {
+                    None => Some(Tuple::decode_cols(bytes, cols)?),
+                    Some(gate) => decode_gated(bytes, cols, gate, &mut scratch)?,
+                };
+                if let Some(t) = tuple {
+                    page.rows.push((Rid::new(pid, slot), t));
                 }
             }
-            Ok::<VisiblePage, StorageError>((rows, skipped))
+            Ok::<VisiblePage, StorageError>(page)
         })??;
         Ok(Some(page))
     }
@@ -1116,15 +1145,19 @@ mod tests {
         let snap = h.txns().snapshot_latest();
         let mut total = 0;
         let mut idx = 0;
-        while let Some((batch, skipped)) = h.scan_page_snapshot(idx, &snap, None).unwrap() {
-            assert!(!batch.is_empty());
-            assert_eq!(skipped, 0);
-            total += batch.len();
+        while let Some(page) = h.scan_page_snapshot(idx, &snap, None, None).unwrap() {
+            assert!(!page.rows.is_empty());
+            assert_eq!(page.skipped, 0);
+            assert_eq!(page.visible, page.rows.len() as u64);
+            total += page.rows.len();
             idx += 1;
         }
         assert_eq!(idx, h.page_count());
         assert_eq!(total, 2000);
-        assert!(h.scan_page_snapshot(idx, &snap, None).unwrap().is_none());
+        assert!(h
+            .scan_page_snapshot(idx, &snap, None, None)
+            .unwrap()
+            .is_none());
     }
 
     #[test]
@@ -1146,21 +1179,97 @@ mod tests {
         assert_eq!(h.page_count(), 1);
 
         let latest = txns.snapshot_latest();
-        let (rows, skipped) = h.scan_page_snapshot(0, &latest, None).unwrap().unwrap();
-        assert_eq!(skipped, 2, "b's version and the deleted one are invisible");
-        let got: Vec<Tuple> = rows.into_iter().map(|(_, t)| t).collect();
+        let page = h
+            .scan_page_snapshot(0, &latest, None, None)
+            .unwrap()
+            .unwrap();
+        assert_eq!(
+            page.skipped, 2,
+            "b's version and the deleted one are invisible"
+        );
+        let got: Vec<Tuple> = page.rows.into_iter().map(|(_, t)| t).collect();
         assert_eq!(got, vec![row(1), row(3)]);
 
         // b's own snapshot also sees its own version; with column 1 kept,
         // column 0 reads NULL in place.
         let own = txns.snapshot_for(b);
-        let (rows, skipped) = h.scan_page_snapshot(0, &own, Some(&[1])).unwrap().unwrap();
-        assert_eq!(skipped, 1);
-        let got: Vec<Vec<Value>> = rows.into_iter().map(|(_, t)| t.values).collect();
+        let page = h
+            .scan_page_snapshot(0, &own, Some(&[1]), None)
+            .unwrap()
+            .unwrap();
+        assert_eq!(page.skipped, 1);
+        let got: Vec<Vec<Value>> = page.rows.into_iter().map(|(_, t)| t.values).collect();
         let want: Vec<Vec<Value>> = (1..=3)
             .map(|i| vec![Value::Null, Value::Str(format!("name-{i}"))])
             .collect();
         assert_eq!(got, want);
+    }
+
+    #[test]
+    fn gated_page_read_is_the_accepted_subset_of_the_plain_one() {
+        let h = heap();
+        let txns = Arc::clone(h.txns());
+        // One page holding: committed rows, a version a committed txn
+        // deleted, another txn's uncommitted insert, the reader's own
+        // insert and a tombstoned slot.
+        let base = txns.allocate();
+        for i in 0..6 {
+            h.insert_version(&row(i), base).unwrap();
+        }
+        let gone = h.insert_version(&row(6), base).unwrap();
+        let tomb = h.insert_version(&row(7), base).unwrap();
+        txns.commit(base);
+        let deleter = txns.allocate();
+        h.mark_delete(gone, deleter).unwrap();
+        txns.commit(deleter);
+        h.delete(tomb).unwrap();
+        let (other, reader) = (txns.allocate(), txns.allocate());
+        h.insert_version(&row(8), other).unwrap();
+        h.insert_version(&row(9), reader).unwrap();
+        assert_eq!(h.page_count(), 1);
+
+        let snap = txns.snapshot_for(reader);
+        for cols in [None, Some(&[1][..])] {
+            let plain = h.scan_page_snapshot(0, &snap, cols, None).unwrap().unwrap();
+            let ids: Vec<i64> = plain
+                .rows
+                .iter()
+                .map(|(rid, _)| h.get(*rid).unwrap()[0].as_int().unwrap())
+                .collect();
+            assert_eq!(ids, vec![0, 1, 2, 3, 4, 5, 9]);
+            assert_eq!((plain.visible, plain.skipped), (7, 2));
+            // The gate reads column 0 and keeps even ids.
+            let mut asked = Vec::new();
+            let mut accept = |r: &[Value]| {
+                asked.push(r.to_vec());
+                r[0].as_int().unwrap() % 2 == 0
+            };
+            let gate = Gate {
+                cols: &[0],
+                accept: &mut accept,
+            };
+            let gated = h
+                .scan_page_snapshot(0, &snap, cols, Some(gate))
+                .unwrap()
+                .unwrap();
+            assert_eq!(
+                (gated.visible, gated.skipped),
+                (plain.visible, plain.skipped)
+            );
+            let want: Vec<(Rid, Tuple)> = plain
+                .rows
+                .iter()
+                .zip(&ids)
+                .filter(|(_, id)| *id % 2 == 0)
+                .map(|(r, _)| r.clone())
+                .collect();
+            assert_eq!(gated.rows, want, "cols {cols:?}");
+            let shown: Vec<Vec<Value>> = ids
+                .iter()
+                .map(|&i| vec![Value::Int(i), Value::Null])
+                .collect();
+            assert_eq!(asked, shown, "the gate sees each visible row once");
+        }
     }
 
     #[test]

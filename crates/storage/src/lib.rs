@@ -80,7 +80,7 @@ pub use recovery::{recover, RecoveryReport};
 pub use schema::{Column, Schema};
 pub use stats::{ColumnStats, StatsBuilder, TableStats};
 pub use tempdir::TempDir;
-pub use tuple::{Rid, Tuple};
+pub use tuple::{Gate, Rid, Tuple};
 pub use txn::{Snapshot, Transaction, TxnId, TxnManager, TxnState, VersionHdr, FROZEN};
 pub use vacuum::{GcStats, TableVacuumReport, VacuumReport, VersionCensus};
 pub use value::{DataType, Value};

@@ -131,61 +131,156 @@ pub fn decode_values(bytes: &[u8]) -> Result<(Vec<Value>, &[u8])> {
 /// positions `cols` (`None` keeps every column). A skipped column decodes
 /// to [`Value::Null`] in its own slot, so no position shifts, and its
 /// payload is still bounds-, tag- and UTF-8-checked: a corrupt record fails
-/// the same way whichever columns a reader keeps.
+/// the same way whichever columns a reader keeps. A page read behind a
+/// [`Gate`] (see [`crate::HeapFile::scan_page_snapshot`]) runs the same
+/// checks through the same walk, before the gate decides.
 pub fn decode_values_cols<'b>(
     bytes: &'b [u8],
     cols: Option<&[usize]>,
 ) -> Result<(Vec<Value>, &'b [u8])> {
-    let corrupt = || StorageError::Corrupt("truncated tuple");
-    if bytes.len() < 2 {
-        return Err(corrupt());
-    }
-    let count = u16::from_le_bytes([bytes[0], bytes[1]]) as usize;
-    let mut rest = &bytes[2..];
-    let mut values = Vec::with_capacity(count);
+    let count = bytes
+        .get(..2)
+        .map_or(0, |c| u16::from_le_bytes([c[0], c[1]]));
+    let mut values = Vec::with_capacity(count as usize);
     // The next kept position still to come (`cols` ascends).
     let mut kept = cols.map(|c| c.iter().copied().peekable());
-    for i in 0..count {
+    let rest = walk_values(bytes, |i, raw| {
         let keep = match &mut kept {
             None => true,
             Some(it) => it.next_if_eq(&i).is_some(),
         };
-        let (tag, r) = rest.split_first().ok_or_else(corrupt)?;
-        rest = r;
-        let mut payload = |len: usize| -> Result<&'b [u8]> {
-            if rest.len() < len {
-                return Err(corrupt());
-            }
-            let (b, r) = rest.split_at(len);
-            rest = r;
-            Ok(b)
-        };
-        let v = match *tag {
-            TAG_NULL => Value::Null,
-            TAG_INT => Value::Int(i64::from_le_bytes(
-                payload(8)?.try_into().expect("8-byte payload"),
+        values.push(if keep { raw.value() } else { Value::Null });
+    })?;
+    Ok((values, rest))
+}
+
+/// One column of an encoded tuple, checked but not yet materialized: a
+/// string borrows its validated bytes, so a column nobody keeps costs no
+/// allocation.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum RawValue<'b> {
+    Null,
+    Int(i64),
+    Double(f64),
+    Str(&'b str),
+    Bool(bool),
+}
+
+impl RawValue<'_> {
+    fn value(self) -> Value {
+        match self {
+            RawValue::Null => Value::Null,
+            RawValue::Int(i) => Value::Int(i),
+            RawValue::Double(d) => Value::Double(d),
+            RawValue::Str(s) => Value::Str(s.to_string()),
+            RawValue::Bool(b) => Value::Bool(b),
+        }
+    }
+}
+
+/// Split `len` payload bytes off the front of `rest`.
+fn take<'b>(rest: &mut &'b [u8], len: usize) -> Result<&'b [u8]> {
+    if rest.len() < len {
+        return Err(StorageError::Corrupt("truncated tuple"));
+    }
+    let (b, r) = rest.split_at(len);
+    *rest = r;
+    Ok(b)
+}
+
+/// The one walk over an encoded tuple: check every column (bounds, tag,
+/// UTF-8) and hand it to `f` with its position. Returns the bytes after
+/// the last column.
+fn walk_values<'b>(bytes: &'b [u8], mut f: impl FnMut(usize, RawValue<'b>)) -> Result<&'b [u8]> {
+    let mut rest = bytes;
+    let count = take(&mut rest, 2)?;
+    let count = u16::from_le_bytes([count[0], count[1]]) as usize;
+    for i in 0..count {
+        let tag = take(&mut rest, 1)?[0];
+        let raw = match tag {
+            TAG_NULL => RawValue::Null,
+            TAG_INT => RawValue::Int(i64::from_le_bytes(
+                take(&mut rest, 8)?.try_into().expect("8-byte payload"),
             )),
-            TAG_DOUBLE => Value::Double(f64::from_bits(u64::from_le_bytes(
-                payload(8)?.try_into().expect("8-byte payload"),
+            TAG_DOUBLE => RawValue::Double(f64::from_bits(u64::from_le_bytes(
+                take(&mut rest, 8)?.try_into().expect("8-byte payload"),
             ))),
             TAG_STR => {
-                let len = u32::from_le_bytes(payload(4)?.try_into().expect("4-byte length"));
-                let s = std::str::from_utf8(payload(len as usize)?)
-                    .map_err(|_| StorageError::Corrupt("invalid utf-8 in string value"))?;
-                // The one allocation a skipped column would cost.
-                if keep {
-                    Value::Str(s.to_string())
-                } else {
-                    Value::Null
-                }
+                let len =
+                    u32::from_le_bytes(take(&mut rest, 4)?.try_into().expect("4-byte length"));
+                RawValue::Str(
+                    std::str::from_utf8(take(&mut rest, len as usize)?)
+                        .map_err(|_| StorageError::Corrupt("invalid utf-8 in string value"))?,
+                )
             }
-            TAG_BOOL_FALSE => Value::Bool(false),
-            TAG_BOOL_TRUE => Value::Bool(true),
+            TAG_BOOL_FALSE => RawValue::Bool(false),
+            TAG_BOOL_TRUE => RawValue::Bool(true),
             _ => return Err(StorageError::Corrupt("unknown value tag")),
         };
-        values.push(if keep { v } else { Value::Null });
+        f(i, raw);
     }
-    Ok((values, rest))
+    Ok(rest)
+}
+
+/// A predicate a page read decides on each visible record before it
+/// materializes the record (see [`crate::HeapFile::scan_page_snapshot`]).
+/// `cols` are the ascending positions `accept` reads: it sees a row of the
+/// record's width holding those columns, every other column `NULL`.
+pub struct Gate<'g> {
+    pub cols: &'g [usize],
+    pub accept: &'g mut dyn FnMut(&[Value]) -> bool,
+}
+
+/// What [`decode_gated`] reuses from one record to the next of a page.
+#[derive(Default)]
+pub(crate) struct GateScratch<'b> {
+    /// The current record's columns, checked but not materialized.
+    raw: Vec<RawValue<'b>>,
+    /// The row the gate reads: its own columns decoded, the rest `NULL`.
+    row: Vec<Value>,
+}
+
+/// [`Tuple::decode_cols`] behind a gate. One walk checks every column
+/// exactly as [`decode_values_cols`] does, so a corrupt record fails with
+/// [`StorageError::Corrupt`] whatever the gate would say. Only the gate's
+/// columns are then decoded, into `scratch`, before the gate decides; only
+/// an accepted record materializes the columns `cols` keeps (`None` =
+/// all). `None` means the gate rejected the record, which allocated
+/// nothing beyond the gate's own string columns.
+pub(crate) fn decode_gated<'b>(
+    bytes: &'b [u8],
+    cols: Option<&[usize]>,
+    gate: &mut Gate<'_>,
+    scratch: &mut GateScratch<'b>,
+) -> Result<Option<Tuple>> {
+    let GateScratch { raw, row } = scratch;
+    raw.clear();
+    let rest = walk_values(bytes, |_, v| raw.push(v))?;
+    if !rest.is_empty() {
+        return Err(StorageError::Corrupt("trailing bytes after tuple"));
+    }
+    row.resize(raw.len(), Value::Null);
+    for &c in gate.cols {
+        if let Some(v) = raw.get(c) {
+            row[c] = v.value();
+        }
+    }
+    if !(gate.accept)(row) {
+        return Ok(None);
+    }
+    let values = match cols {
+        None => raw.iter().map(|v| v.value()).collect(),
+        Some(cols) => {
+            let mut values = Vec::with_capacity(raw.len());
+            for &c in cols.iter().filter(|&&c| c < raw.len()) {
+                values.resize(c, Value::Null);
+                values.push(raw[c].value());
+            }
+            values.resize(raw.len(), Value::Null);
+            values
+        }
+    };
+    Ok(Some(Tuple::new(values)))
 }
 
 #[cfg(test)]
@@ -285,11 +380,12 @@ mod tests {
         bad_tag[11] = 0x7F;
         let mut trailing = enc.clone();
         trailing.push(0);
+        let corrupt = |r: Result<Option<Tuple>>| matches!(r, Err(StorageError::Corrupt(_)));
         for cols in masks(3) {
             let cols = Some(cols.as_slice());
             for cut in 0..enc.len() {
                 assert!(
-                    Tuple::decode_cols(&enc[..cut], cols).is_err(),
+                    corrupt(Tuple::decode_cols(&enc[..cut], cols).map(Some)),
                     "mask {cols:?}, cut at {cut}"
                 );
             }
@@ -299,14 +395,110 @@ mod tests {
                 ("trailing bytes", &trailing),
             ] {
                 assert!(
-                    matches!(
-                        Tuple::decode_cols(bytes, cols),
-                        Err(StorageError::Corrupt(_))
-                    ),
+                    corrupt(Tuple::decode_cols(bytes, cols).map(Some)),
                     "{what} accepted under mask {cols:?}"
                 );
             }
+            // A gated read fails alike, whichever columns the gate reads
+            // and whatever it would decide: the walk checks the whole
+            // record before the gate runs.
+            for gate_cols in masks(3) {
+                for verdict in [true, false] {
+                    let read = |bytes: &[u8]| gated(bytes, cols, &gate_cols, verdict).1;
+                    for cut in 0..enc.len() {
+                        assert!(
+                            corrupt(read(&enc[..cut])),
+                            "mask {cols:?}, gate {gate_cols:?} -> {verdict}, cut at {cut}"
+                        );
+                    }
+                    for (what, bytes) in [
+                        ("invalid utf-8", &bad_utf8),
+                        ("unknown tag", &bad_tag),
+                        ("trailing bytes", &trailing),
+                    ] {
+                        assert!(
+                            corrupt(read(bytes)),
+                            "{what} accepted under mask {cols:?}, gate {gate_cols:?} -> {verdict}"
+                        );
+                    }
+                }
+            }
         }
+    }
+
+    /// [`decode_gated`] of `bytes` behind a gate over `gate_cols` that
+    /// answers `verdict`: the rows the gate saw, and the result.
+    fn gated(
+        bytes: &[u8],
+        cols: Option<&[usize]>,
+        gate_cols: &[usize],
+        verdict: bool,
+    ) -> (Vec<Vec<Value>>, Result<Option<Tuple>>) {
+        let mut seen = Vec::new();
+        let mut accept = |row: &[Value]| {
+            seen.push(row.to_vec());
+            verdict
+        };
+        let mut gate = Gate {
+            cols: gate_cols,
+            accept: &mut accept,
+        };
+        let got = decode_gated(bytes, cols, &mut gate, &mut GateScratch::default());
+        (seen, got)
+    }
+
+    #[test]
+    fn gated_decode_shows_the_gate_its_columns_and_keeps_cols_on_accept() {
+        let t = Tuple::new(vec![
+            Value::Int(-42),
+            Value::Str("hello, wörld".into()),
+            Value::Null,
+            Value::Double(3.5),
+            Value::Bool(true),
+        ]);
+        let enc = t.encode();
+        let only = |cols: &[usize]| -> Vec<Value> {
+            (0..t.len())
+                .map(|i| match cols.contains(&i) {
+                    true => t[i].clone(),
+                    false => Value::Null,
+                })
+                .collect()
+        };
+        for gate_cols in masks(t.len()) {
+            for cols in masks(t.len()).into_iter().map(Some).chain([None]) {
+                let (seen, got) = gated(&enc, cols.as_deref(), &gate_cols, true);
+                assert_eq!(seen, vec![only(&gate_cols)], "gate {gate_cols:?}");
+                assert_eq!(
+                    got.unwrap(),
+                    Some(Tuple::decode_cols(&enc, cols.as_deref()).unwrap()),
+                    "gate {gate_cols:?}, mask {cols:?}"
+                );
+                let (seen, got) = gated(&enc, cols.as_deref(), &gate_cols, false);
+                assert_eq!(seen.len(), 1);
+                assert_eq!(got.unwrap(), None, "a rejected record materializes nothing");
+            }
+        }
+        // One scratch across records: each record's gate row holds its own
+        // values only.
+        let other = Tuple::new(vec![Value::Int(1), Value::Str("x".into())]).encode();
+        let mut seen = Vec::new();
+        let mut accept = |row: &[Value]| {
+            seen.push(row.to_vec());
+            false
+        };
+        let mut gate = Gate {
+            cols: &[0],
+            accept: &mut accept,
+        };
+        let mut scratch = GateScratch::default();
+        for bytes in [&enc, &other, &enc] {
+            decode_gated(bytes, None, &mut gate, &mut scratch).unwrap();
+        }
+        assert_eq!(
+            seen,
+            vec![only(&[0]), vec![Value::Int(1), Value::Null], only(&[0]),]
+        );
     }
 
     #[test]

@@ -427,9 +427,11 @@ fn stored_point_fetch_reads_an_exact_page_count() {
 
 /// A one-employee `DELETE` under the materialized Fig. 1 CO edits the
 /// stored streams in place: it removes the employee's node and its four
-/// connections, and checks each of its three skills for a connection left,
-/// stopping at the first one (all three are shared, so they stay). That costs an exact number of buffer-pool
-/// page accesses, statement included, below the 208 that extracting the
+/// connections, and checks its three skills for a connection left in one
+/// batched read, stopping once each has one (all three are shared, so they
+/// stay). That costs an exact number of buffer-pool page accesses,
+/// statement included (22 when each skill was probed on its own), below
+/// the 208 that extracting the
 /// employee's whole department costs; re-extracting and diff-splicing the
 /// department cost 432. The stored CO then equals a REFRESH.
 #[test]
@@ -467,10 +469,63 @@ fn stored_co_delete_edits_an_exact_page_count() {
         ),
         (1, 4, 0)
     );
-    assert_eq!(delete, 22);
+    assert_eq!(delete, 20);
     let stored = canon(&session.fetch_co("deps").unwrap().workspace);
     session
         .execute("REFRESH MATERIALIZED VIEW deps", &[])
         .unwrap();
     assert_eq!(stored, canon(&session.fetch_co("deps").unwrap().workspace));
+}
+
+/// A whole department leaving `DEPS_ARC`, by a move to another location
+/// and by a delete: the cascade removes the department's stored nodes (30
+/// and 28; shared skills stay) and 105 connections wave by wave, each
+/// wave's orphan checks and rid lookups batched through
+/// `Table::scan_by_values`. Each costs an exact number of buffer-pool page
+/// accesses, statement included: 389 and 383, where probing one node at a
+/// time cost 584 and 510. The stored CO then equals a REFRESH.
+#[test]
+fn stored_co_department_exit_cascades_in_an_exact_page_count() {
+    use xnf_core::{DbConfig, PlanOptions};
+    let config = DbConfig {
+        plan: PlanOptions {
+            dop: 1,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let db = xnf_fixtures::build_uniform_paper_db_with(40, config);
+    let session = db.session();
+    session
+        .execute(&format!("CREATE MATERIALIZED VIEW deps AS {DEPS_ARC}"), &[])
+        .unwrap();
+    let accesses = || {
+        let s = db.catalog().buffer_pool().stats();
+        s.hits + s.misses
+    };
+    let mut costs = Vec::new();
+    for stmt in [
+        "UPDATE DEPT SET loc = 'HDC' WHERE dno = 5",
+        "DELETE FROM DEPT WHERE dno = 10",
+    ] {
+        let (before, edits) = (accesses(), db.maint_stats());
+        session.execute(stmt, &[]).unwrap();
+        let after = db.maint_stats();
+        costs.push((
+            accesses() - before,
+            after.mv_nodes_rewritten - edits.mv_nodes_rewritten,
+            after.mv_links_edited - edits.mv_links_edited,
+            after.mv_recomputes - edits.mv_recomputes,
+        ));
+        let stored = canon(&session.fetch_co("deps").unwrap().workspace);
+        session
+            .execute("REFRESH MATERIALIZED VIEW deps", &[])
+            .unwrap();
+        assert_eq!(
+            stored,
+            canon(&session.fetch_co("deps").unwrap().workspace),
+            "{stmt}"
+        );
+    }
+    assert_eq!(costs, vec![(389, 30, 105, 0), (383, 28, 105, 0)]);
 }

@@ -54,6 +54,14 @@ fn run_corpus(cells: impl Iterator<Item = Cell>) {
         "no cell planned a HashSemiJoin with a residual inside a region"
     );
     assert!(seen.reach, "no cell planned a recursive CO's reachability");
+    assert!(
+        seen.fused_semijoin && seen.fused_semijoin_in_region,
+        "no cell planned a residual-free HashSemiJoin over a scan, serial and parallel"
+    );
+    assert!(
+        seen.fused_semijoin_with_filter,
+        "no cell planned a residual-free HashSemiJoin over a filtered scan"
+    );
 }
 
 fn config_with_batch(batch_size: usize) -> DbConfig {

@@ -74,7 +74,7 @@ pub fn all_cells() -> impl Iterator<Item = Cell> {
 pub type Corpus = fn() -> (Database, Vec<Step>);
 
 /// The whole corpus.
-pub const CORPORA: [Corpus; 10] = [
+pub const CORPORA: [Corpus; 11] = [
     paper,
     paper_matview,
     root_fetches,
@@ -84,6 +84,7 @@ pub const CORPORA: [Corpus; 10] = [
     bom,
     rs,
     rs_prepared,
+    semijoin_scans,
     wv,
 ];
 
@@ -100,6 +101,12 @@ pub struct Seen {
     pub semijoin_in_region: bool,
     /// ... and one of them had a residual, so its table kept its rows.
     pub residual_semijoin_in_region: bool,
+    /// A residual-free `HashSemiJoin` over a scan, which runs as that
+    /// scan gated by its probe: serial, and inside a parallel region.
+    pub fused_semijoin: bool,
+    pub fused_semijoin_in_region: bool,
+    /// ... and one of them over a scan with a pushed-down filter.
+    pub fused_semijoin_with_filter: bool,
     /// A recursive CO planned a QEP whose executor applies reachability.
     pub reach: bool,
 }
@@ -219,6 +226,20 @@ fn check(db: &Database, sql: &str, params: &[Value], cells: &[Cell], seen: &mut 
                     seen.residual_semijoin_in_region |= !residual.is_empty();
                 }
                 _ => {}
+            }
+            if let PhysPlan::HashSemiJoin {
+                outer, residual, ..
+            } = op
+            {
+                if let PhysPlan::SeqScan { filter, .. } | PhysPlan::ParallelSeqScan { filter, .. } =
+                    &**outer
+                {
+                    let parallel = matches!(**outer, PhysPlan::ParallelSeqScan { .. });
+                    let fused = residual.is_empty();
+                    seen.fused_semijoin |= fused && !parallel;
+                    seen.fused_semijoin_in_region |= fused && parallel;
+                    seen.fused_semijoin_with_filter |= fused && !filter.is_empty();
+                }
             }
             if let PhysPlan::SeqScan { cols, .. } | PhysPlan::ParallelSeqScan { cols, .. } = op {
                 cols.take_if(|_| !cell.4);
@@ -573,6 +594,52 @@ pub fn rs() -> (Database, Vec<Step>) {
         "SELECT 1",
     ];
     (rs_db(), steps.map(|s| q(s, &[])).into())
+}
+
+/// Semijoins over a scan of `R`, which run as that scan gated by the
+/// probe when residual-free: NULL outer and inner keys, duplicate inner
+/// keys, a two-column probe, a residual (not fused), a probe over a scan
+/// with a pushed-down filter, a prepared probe and an anti-join beside
+/// them.
+pub fn semijoin_scans() -> (Database, Vec<Step>) {
+    let steps =
+        vec![
+        // R.b and S.b both hold NULLs: neither side's NULL ever matches.
+        q("SELECT a, b FROM R WHERE b IN (SELECT b FROM S)", &[]),
+        // S.a repeats every key about twelve times.
+        q("SELECT a, c FROM R WHERE a IN (SELECT a FROM S)", &[]),
+        q("SELECT a, b, c FROM R WHERE a IN (SELECT a FROM S WHERE c < 's3')", &[]),
+        // Two equi keys: the gate reads two columns.
+        q(
+            "SELECT a, b, c FROM R WHERE EXISTS \
+             (SELECT 1 FROM S WHERE S.a = R.a AND S.b = R.b)",
+            &[],
+        ),
+        // A residual keeps the semijoin apart from the scan.
+        q(
+            "SELECT a, c FROM R WHERE EXISTS \
+             (SELECT 1 FROM S WHERE S.a = R.a AND S.c < R.c)",
+            &[],
+        ),
+        // The scan's own filter and the probe gate the same records.
+        q(
+            "SELECT a, b, c FROM R WHERE c < 's12' AND a IN (SELECT a FROM S WHERE b > 5)",
+            &[],
+        ),
+        q(
+            "SELECT a, b FROM R WHERE b IS NOT NULL AND c >= ? AND b IN (SELECT b FROM S)",
+            &[Value::Str("s20".into())],
+        ),
+        q(
+            "SELECT COUNT(*), SUM(b) FROM R WHERE a < 20 AND a IN (SELECT a FROM S WHERE b < 9)",
+            &[],
+        ),
+        q(
+            "SELECT a FROM R WHERE a < 5 AND NOT EXISTS (SELECT 1 FROM S WHERE S.a = R.a)",
+            &[],
+        ),
+    ];
+    (rs_db(), steps)
 }
 
 /// A prepared statement over `R` under four bindings.

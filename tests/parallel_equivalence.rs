@@ -5,11 +5,11 @@
 #[path = "oracle/runner.rs"]
 mod runner;
 
-use runner::{oo1, paper, rs, rs_prepared, run_axis};
+use runner::{oo1, paper, rs, rs_prepared, run_axis, semijoin_scans};
 
 #[test]
 fn random_fixture_identical_across_dops() {
-    run_axis(&[rs], "dop");
+    run_axis(&[rs, semijoin_scans], "dop");
 }
 
 #[test]
