@@ -17,19 +17,20 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use xnf_exec::{
-    eval, execute_qep_with_visibility, ExecStats, OuterCtx, Params, QueryResult, StreamResult,
-    Visibility,
+    eval, execute_qep_with_visibility, passes, ExecStats, OuterCtx, Params, QueryResult,
+    StreamResult, Visibility,
 };
-use xnf_plan::{plan_query, PhysExpr, PlanOptions, Qep};
+use xnf_plan::{plan_query, PhysExpr, PhysPlan, PlanOptions, Qep};
 use xnf_qgm::{build_select_query, build_xnf_query, OutputKind, Qgm};
 use xnf_rewrite::{rewrite, RewriteOptions, RewriteReport};
 use xnf_sql::{
-    parse_statement, parse_statement_params, ColumnDef, Expr, Statement, TypeName, ViewBody,
+    parse_statement, parse_statement_params, ColumnDef, Expr, Select, SelectItem, Statement,
+    TableRef, TypeName, ViewBody,
 };
 use xnf_storage::{
     recover, BufferPool, Catalog, CheckpointSnap, Column, DataType, DiskManager, DiskStats,
-    GcStats, RecoveryReport, Schema, Snapshot, Tuple, TxnId, VacuumReport, Value, ViewKind, Wal,
-    WalStats,
+    GcStats, RecoveryReport, Rid, Schema, Snapshot, Table, Tuple, TxnId, VacuumReport, Value,
+    ViewKind, Wal, WalStats,
 };
 
 use crate::error::{Result, XnfError};
@@ -481,11 +482,6 @@ impl Database {
         self.plan_cache.lock().len()
     }
 
-    /// Drop every cached plan (they recompile on next use).
-    pub fn clear_plan_cache(&self) {
-        self.plan_cache.lock().clear();
-    }
-
     pub fn catalog(&self) -> &Arc<Catalog> {
         &self.catalog
     }
@@ -757,9 +753,13 @@ impl Database {
     }
 
     /// The one front end below the parser: QGM → rewrite → plan. Queries,
-    /// recursive COs included, compile to a QEP; DDL/DML keep their AST
-    /// and are interpreted at execution time.
+    /// recursive COs included, compile to a QEP; INSERT, UPDATE and DELETE
+    /// compile to a [`Dml`], planned like the SELECT that reads their rows;
+    /// only DDL keeps its AST and is interpreted at execution time.
     fn compile_body(&self, stmt: &Statement) -> Result<CompiledBody> {
+        if let Some(dml) = self.compile_dml(stmt)? {
+            return Ok(CompiledBody::Dml(Arc::new(dml)));
+        }
         Ok(match self.rewritten_qgm(stmt)? {
             Some((qgm, _)) => {
                 CompiledBody::Query(Arc::new(plan_query(&self.catalog, &qgm, self.config.plan)?))
@@ -790,12 +790,25 @@ impl Database {
     ) -> Result<ExecOutcome> {
         match &compiled.body {
             CompiledBody::Statement => self.execute_stmt_scoped(&compiled.stmt, &params, scope),
-            body => Ok(ExecOutcome::Rows(Box::new(self.run_body(
+            body => self.run_compiled(body, params, scope),
+        }
+    }
+
+    /// Run a compiled query or DML body inside `scope`.
+    fn run_compiled(
+        &self,
+        body: &CompiledBody,
+        params: Params,
+        scope: Scope<'_>,
+    ) -> Result<ExecOutcome> {
+        Ok(match body {
+            CompiledBody::Dml(dml) => ExecOutcome::Affected(self.run_dml(dml, &params, scope)?),
+            body => ExecOutcome::Rows(Box::new(self.run_body(
                 body,
                 params,
                 scope_visibility(scope),
-            )?))),
-        }
+            )?)),
+        })
     }
 
     /// Compile (uncached) and run a SELECT or XNF statement under an
@@ -825,14 +838,14 @@ impl Database {
                 params,
                 vis,
             )?),
-            CompiledBody::Statement => Err(XnfError::Api("expected SELECT or OUT OF".to_string())),
+            _ => Err(XnfError::Api("expected SELECT or OUT OF".to_string())),
         }
     }
 
     // -- statement execution ----------------------------------------------
 
-    /// Execute a parsed statement with parameter bindings inside `scope`
-    /// (the interpreted path for DDL/DML and for uncached queries).
+    /// Execute a parsed statement with parameter bindings inside `scope`:
+    /// DDL is interpreted, queries and DML compile uncached first.
     pub(crate) fn execute_stmt_scoped(
         &self,
         stmt: &Statement,
@@ -840,9 +853,13 @@ impl Database {
         scope: Scope<'_>,
     ) -> Result<ExecOutcome> {
         match stmt {
-            Statement::Select(_) | Statement::Xnf(_) => Ok(ExecOutcome::Rows(Box::new(
-                self.run_query(stmt, params.clone(), scope_visibility(scope))?,
-            ))),
+            Statement::Select(_)
+            | Statement::Xnf(_)
+            | Statement::Insert { .. }
+            | Statement::Update { .. }
+            | Statement::Delete { .. } => {
+                self.run_compiled(&self.compile_body(stmt)?, params.clone(), scope)
+            }
             Statement::CreateTable { name, columns } => {
                 let schema = Schema::new(columns.iter().map(column_def).collect());
                 self.catalog.create_table(name, schema)?;
@@ -919,33 +936,6 @@ impl Database {
                 self.catalog.bump_generation();
                 Ok(ExecOutcome::Done)
             }
-            Statement::Insert {
-                table,
-                columns,
-                rows,
-            } => Ok(ExecOutcome::Affected(
-                self.run_insert(table, columns, rows, params, scope)?,
-            )),
-            Statement::Update {
-                table,
-                sets,
-                where_clause,
-            } => Ok(ExecOutcome::Affected(self.run_update(
-                table,
-                sets,
-                where_clause.as_ref(),
-                params,
-                scope,
-            )?)),
-            Statement::Delete {
-                table,
-                where_clause,
-            } => Ok(ExecOutcome::Affected(self.run_delete(
-                table,
-                where_clause.as_ref(),
-                params,
-                scope,
-            )?)),
         }
     }
 
@@ -1037,7 +1027,7 @@ impl Database {
     /// Reject DML aimed at a view name (materialized views resolve to
     /// backing storage through the catalog fallback; writing there directly
     /// would silently corrupt maintenance state).
-    fn dml_target(&self, table: &str) -> Result<Arc<xnf_storage::Table>> {
+    fn dml_target(&self, table: &str) -> Result<Arc<Table>> {
         if self.catalog.view(table).is_some() {
             return Err(XnfError::Api(format!(
                 "cannot run DML against view '{table}'; modify its base tables"
@@ -1046,191 +1036,225 @@ impl Database {
         Ok(self.catalog.table(table)?)
     }
 
-    fn run_insert(
-        &self,
-        table: &str,
-        columns: &[String],
-        rows: &[Vec<Expr>],
-        params: &Params,
-        scope: Scope<'_>,
-    ) -> Result<usize> {
-        let t = self.dml_target(table)?;
-        let schema = &t.schema;
-        // Column list → target ordinals.
-        let targets: Vec<usize> = if columns.is_empty() {
-            (0..schema.len()).collect()
-        } else {
-            let mut v = Vec::with_capacity(columns.len());
-            for c in columns {
-                v.push(t.column_index(c)?);
-            }
-            v
+    /// Compile an INSERT, UPDATE or DELETE through the front end; `None`
+    /// for any other statement. `UPDATE t SET c = e WHERE w` plans as
+    /// `SELECT *, e FROM t WHERE w`, DELETE as the same without `e`, and
+    /// INSERT as one FROM-less `SELECT e…` of every row's values in turn.
+    fn compile_dml(&self, stmt: &Statement) -> Result<Option<Dml>> {
+        let over = |table: &str, items: Vec<SelectItem>, w: &Option<Expr>| Select {
+            items: [vec![SelectItem::Wildcard], items].concat(),
+            from: vec![TableRef::Named {
+                name: table.to_string(),
+                alias: None,
+            }],
+            where_clause: w.clone(),
+            ..Select::empty()
         };
-        // Evaluate every row up front so value errors (arity, bad
-        // expressions) surface before any row is applied.
-        let outer = OuterCtx::with_params(params.clone());
-        let mut tuples = Vec::with_capacity(rows.len());
-        for row in rows {
-            if row.len() != targets.len() {
-                return Err(XnfError::Api(format!(
-                    "INSERT row has {} values for {} columns",
-                    row.len(),
-                    targets.len()
-                )));
-            }
-            let mut values = vec![Value::Null; schema.len()];
-            for (expr, &ord) in row.iter().zip(&targets) {
-                let pe = const_expr(expr)?;
-                values[ord] = coerce(eval(&pe, &[], &outer, &[])?, schema.column(ord).ty);
-            }
-            tuples.push(Tuple::new(values));
-        }
-        let mut ws = WriteScope::open(self, scope);
-        let mut n = 0;
-        // A storage error (e.g. unique violation) can still stop the loop
-        // mid-way; the applied prefix stays logged (and, in autocommit,
-        // commits with its maintenance when the scope closes).
-        let apply: Result<()> = (|| {
-            for tuple in &tuples {
-                let rid = t.insert_txn(tuple, ws.xid())?;
-                ws.log_insert(&t, rid, tuple);
-                n += 1;
-            }
-            Ok(())
-        })();
-        let closed = ws.finish();
-        apply.and(closed).map(|()| n)
-    }
-
-    /// Rows matching a DML WHERE clause under `snap` (the writing scope's
-    /// snapshot: its transaction's begin-state plus its own writes). A
-    /// single `col = constant` conjunct goes through
-    /// [`xnf_storage::Table::find_by_value_visible`] (index point lookup
-    /// when one exists); anything else scans. Returns the candidate rows
-    /// plus the residual filter still to evaluate per row (`None` when the
-    /// index probe was exact).
-    fn dml_matches(
-        &self,
-        t: &Arc<xnf_storage::Table>,
-        where_clause: Option<&Expr>,
-        outer: &OuterCtx,
-        snap: &Snapshot,
-    ) -> Result<DmlMatches> {
-        if let Some(Expr::Binary { left, op, right }) = where_clause {
-            if *op == xnf_sql::BinOp::Eq {
-                let col_and_const = match (&**left, &**right) {
-                    (
-                        Expr::Column {
-                            qualifier: None,
-                            name,
-                        },
-                        v,
-                    ) if is_const_expr(v) => Some((name, v)),
-                    (
-                        v,
-                        Expr::Column {
-                            qualifier: None,
-                            name,
-                        },
-                    ) if is_const_expr(v) => Some((name, v)),
-                    _ => None,
+        let (table, op) = match stmt {
+            Statement::Insert {
+                table,
+                columns,
+                rows,
+            } => {
+                let t = self.dml_target(table)?;
+                let targets: Vec<usize> = if columns.is_empty() {
+                    (0..t.schema.len()).collect()
+                } else {
+                    columns
+                        .iter()
+                        .map(|c| t.column_index(c))
+                        .collect::<xnf_storage::Result<_>>()?
                 };
-                if let Some((name, v)) = col_and_const {
-                    if let Ok(col) = t.column_index(name) {
-                        let key = eval(&const_expr(v)?, &[], outer, &[])?;
-                        if key.is_null() {
-                            // `col = NULL` is never TRUE (three-valued
-                            // logic); the index would match stored NULL
-                            // keys, so short-circuit to no rows instead.
-                            return Ok((Vec::new(), None));
-                        }
-                        return Ok((t.find_by_value_visible(col, &key, snap)?, None));
-                    }
+                if let Some(row) = rows.iter().find(|r| r.len() != targets.len()) {
+                    return Err(XnfError::Api(format!(
+                        "INSERT row has {} values for {} columns",
+                        row.len(),
+                        targets.len()
+                    )));
                 }
+                let select = Select {
+                    items: value_items(rows.iter().flatten())?,
+                    ..Select::empty()
+                };
+                let (None, values) = self.plan_access(&select, true)? else {
+                    unreachable!("a FROM-less SELECT reads no table");
+                };
+                (t, DmlOp::Insert { targets, values })
             }
-        }
-        let filter = match where_clause {
-            Some(w) => Some(table_expr(&t.schema, &t.name, w)?),
-            None => None,
+            Statement::Update {
+                table,
+                sets,
+                where_clause,
+            } => {
+                let t = self.dml_target(table)?;
+                let select = over(
+                    table,
+                    value_items(sets.iter().map(|(_, e)| e))?,
+                    where_clause,
+                );
+                let (Some(access), head) = self.plan_access(&select, true)? else {
+                    unreachable!("an UPDATE reads its table");
+                };
+                let sets = sets
+                    .iter()
+                    .zip(head.into_iter().skip(t.schema.len()))
+                    .map(|((c, _), e)| Ok((t.column_index(c)?, e)))
+                    .collect::<Result<_>>()?;
+                (t, DmlOp::Update { access, sets })
+            }
+            Statement::Delete {
+                table,
+                where_clause,
+            } => {
+                let t = self.dml_target(table)?;
+                let (Some(access), _) =
+                    self.plan_access(&over(table, vec![], where_clause), true)?
+                else {
+                    unreachable!("a DELETE reads its table");
+                };
+                (t, DmlOp::Delete(access))
+            }
+            _ => return Ok(None),
         };
-        let mut matches = Vec::new();
-        t.for_each_visible(snap, |rid, tuple| {
-            matches.push((rid, tuple));
-            Ok(true)
-        })?;
-        Ok((matches, filter))
+        Ok(Some(Dml {
+            table: table.name.clone(),
+            op,
+        }))
     }
 
-    fn run_update(
+    /// Build, rewrite and plan `select` serially, and take its one output
+    /// apart: the planner's leaf over the FROM table (`None` for a
+    /// FROM-less select) and the head expressions over the leaf's rows
+    /// (empty when the head passes the row through). Any other shape — a
+    /// join, a subquery, an aggregate — is refused. `use_indexes: false`
+    /// keeps every predicate in the leaf's filter.
+    fn plan_access(
         &self,
-        table: &str,
-        sets: &[(String, Expr)],
-        where_clause: Option<&Expr>,
-        params: &Params,
-        scope: Scope<'_>,
-    ) -> Result<usize> {
-        let t = self.dml_target(table)?;
-        let set_exprs: Vec<(usize, PhysExpr)> = sets
-            .iter()
-            .map(|(c, e)| Ok((t.column_index(c)?, table_expr(&t.schema, &t.name, e)?)))
-            .collect::<Result<_>>()?;
-
-        let outer = OuterCtx::with_params(params.clone());
-        let mut ws = WriteScope::open(self, scope);
-        // Collect matching RIDs first (stable against mutation) under the
-        // scope's snapshot; the writes below conflict-check against the
-        // latest row state (first-writer-wins).
-        let (matches, filter) = self.dml_matches(&t, where_clause, &outer, &ws.snapshot())?;
-        let mut n = 0;
-        // A mid-loop error (unique violation, write conflict, eval failure)
-        // leaves earlier rows applied and logged.
-        let apply: Result<()> = (|| {
-            for (rid, tuple) in matches {
-                if let Some(f) = &filter {
-                    if !xnf_exec::truthy(&eval(f, &tuple.values, &outer, &[])?) {
-                        continue;
-                    }
-                }
-                let mut new_vals = tuple.values.clone();
-                for (ord, e) in &set_exprs {
-                    new_vals[*ord] = coerce(
-                        eval(e, &tuple.values, &outer, &[])?,
-                        t.schema.column(*ord).ty,
-                    );
-                }
-                let new_tuple = Tuple::new(new_vals);
-                let (old, new_rid) = t.update_txn(rid, &new_tuple, ws.xid())?;
-                ws.log_update(&t, rid, new_rid, old, &new_tuple);
-                n += 1;
+        select: &Select,
+        use_indexes: bool,
+    ) -> Result<(Option<Access>, Vec<PhysExpr>)> {
+        let refuse = || {
+            XnfError::Api(format!(
+                "'{select}' must read one table row by row: a join or subquery is not allowed here"
+            ))
+        };
+        let mut qgm = build_select_query(&self.catalog, select)?;
+        rewrite(&mut qgm, self.config.rewrite)?;
+        let options = PlanOptions {
+            dop: 1,
+            use_indexes: use_indexes && self.config.plan.use_indexes,
+            ..self.config.plan
+        };
+        let qep = plan_query(&self.catalog, &qgm, options)?;
+        let [output] = <[_; 1]>::try_from(qep.outputs).map_err(|_| refuse())?;
+        if !qep.shared.is_empty() {
+            return Err(refuse());
+        }
+        let (plan, head) = match output.plan {
+            PhysPlan::Project { input, exprs } => (*input, exprs),
+            plan => (plan, Vec::new()),
+        };
+        let (plan, post) = match plan {
+            PhysPlan::Filter { input, preds } => (*input, preds),
+            plan => (plan, Vec::new()),
+        };
+        let access = match plan {
+            PhysPlan::Values { rows } if rows == [Vec::new()] && post.is_empty() => None,
+            PhysPlan::SeqScan { filter, .. } => Some(Access {
+                probe: None,
+                filter: [filter, post].concat(),
+            }),
+            PhysPlan::IndexEq {
+                table,
+                index,
+                key,
+                filter,
+            } => {
+                let def = self.catalog.table(&table)?.index_def(&index);
+                let (Some(def), [key]) = (def, &key[..]) else {
+                    return Err(refuse());
+                };
+                Some(Access {
+                    probe: Some((def.columns[0], key.clone())),
+                    filter: [filter, post].concat(),
+                })
             }
-            Ok(())
-        })();
-        let closed = ws.finish();
-        apply.and(closed).map(|()| n)
+            _ => return Err(refuse()),
+        };
+        Ok((access, head))
     }
 
-    fn run_delete(
-        &self,
-        table: &str,
-        where_clause: Option<&Expr>,
-        params: &Params,
-        scope: Scope<'_>,
-    ) -> Result<usize> {
-        let t = self.dml_target(table)?;
+    /// The selection of a one-table `select` — its FROM and WHERE, aliases
+    /// included — compiled over the table's rows: the conjuncts a row must
+    /// pass. Materialized-view maintenance filters delta rows with it.
+    pub(crate) fn row_filter(&self, select: &Select) -> Result<Vec<PhysExpr>> {
+        let all = Select {
+            items: vec![SelectItem::Wildcard],
+            from: select.from.clone(),
+            where_clause: select.where_clause.clone(),
+            ..Select::empty()
+        };
+        match self.plan_access(&all, false)?.0 {
+            Some(Access {
+                probe: None,
+                filter,
+            }) => Ok(filter),
+            _ => Err(XnfError::Api(format!("'{select}' does not read one table"))),
+        }
+    }
+
+    /// Run a compiled INSERT, UPDATE or DELETE inside `scope`. Every row
+    /// to write is evaluated or found before the first write: UPDATE and
+    /// DELETE collect their matches under the scope's snapshot, and the
+    /// writes conflict-check against the latest row state
+    /// (first-writer-wins). A mid-loop error (unique violation, write
+    /// conflict, SET evaluation) leaves the earlier rows applied and
+    /// logged; in autocommit they commit, with their maintenance, when the
+    /// scope closes.
+    fn run_dml(&self, dml: &Dml, params: &Params, scope: Scope<'_>) -> Result<usize> {
+        let t = &self.catalog.table(&dml.table)?;
         let outer = OuterCtx::with_params(params.clone());
+        let coerced = |ord: usize, e: &PhysExpr, row: &[Value]| -> Result<Value> {
+            Ok(coerce(eval(e, row, &outer, &[])?, t.schema.column(ord).ty))
+        };
         let mut ws = WriteScope::open(self, scope);
-        let (matches, filter) = self.dml_matches(&t, where_clause, &outer, &ws.snapshot())?;
         let mut n = 0;
         let apply: Result<()> = (|| {
-            for (rid, tuple) in matches {
-                if let Some(f) = &filter {
-                    if !xnf_exec::truthy(&eval(f, &tuple.values, &outer, &[])?) {
-                        continue;
+            match &dml.op {
+                DmlOp::Insert { targets, values } => {
+                    let mut tuples = Vec::new();
+                    for row in values.chunks(targets.len().max(1)) {
+                        let mut values = vec![Value::Null; t.schema.len()];
+                        for (&ord, e) in targets.iter().zip(row) {
+                            values[ord] = coerced(ord, e, &[])?;
+                        }
+                        tuples.push(Tuple::new(values));
+                    }
+                    for tuple in &tuples {
+                        let rid = t.insert_txn(tuple, ws.xid())?;
+                        ws.log_insert(t, rid, tuple);
+                        n += 1;
                     }
                 }
-                let old = t.mark_delete_txn(rid, ws.xid())?;
-                ws.log_delete(&t, rid, old);
-                n += 1;
+                DmlOp::Update { access, sets } => {
+                    for (rid, tuple) in access.matches(t, &outer, &ws.snapshot())? {
+                        let mut values = tuple.values.clone();
+                        for (ord, e) in sets {
+                            values[*ord] = coerced(*ord, e, &tuple.values)?;
+                        }
+                        let new = Tuple::new(values);
+                        let (old, new_rid) = t.update_txn(rid, &new, ws.xid())?;
+                        ws.log_update(t, rid, new_rid, old, &new);
+                        n += 1;
+                    }
+                }
+                DmlOp::Delete(access) => {
+                    for (rid, _) in access.matches(t, &outer, &ws.snapshot())? {
+                        let old = t.mark_delete_txn(rid, ws.xid())?;
+                        ws.log_delete(t, rid, old);
+                        n += 1;
+                    }
+                }
             }
             Ok(())
         })();
@@ -1239,12 +1263,68 @@ impl Database {
     }
 }
 
-/// Candidate rows for a DML statement plus the residual row filter.
-type DmlMatches = (Vec<(xnf_storage::Rid, Tuple)>, Option<PhysExpr>);
+/// An INSERT, UPDATE or DELETE compiled through the front end: its target
+/// and what the planner made of it.
+#[derive(Debug)]
+pub(crate) struct Dml {
+    /// The target table's name.
+    table: String,
+    op: DmlOp,
+}
 
-/// Is this expression constant (usable as an index key at DML time)?
-fn is_const_expr(e: &Expr) -> bool {
-    matches!(e, Expr::Literal(_) | Expr::Param(_))
+#[derive(Debug)]
+enum DmlOp {
+    /// The target columns' ordinals, and their values row after row.
+    Insert {
+        targets: Vec<usize>,
+        values: Vec<PhysExpr>,
+    },
+    /// The matched rows take the new value of each `(ordinal, value)`.
+    Update {
+        access: Access,
+        sets: Vec<(usize, PhysExpr)>,
+    },
+    Delete(Access),
+}
+
+/// The planner's leaf over a DML target: the rows that pass `filter`
+/// among those whose column equals the `probe` key (an `IndexEq`, read
+/// through the index on that column) or among all visible rows (a
+/// `SeqScan`).
+#[derive(Debug)]
+struct Access {
+    probe: Option<(usize, PhysExpr)>,
+    filter: Vec<PhysExpr>,
+}
+
+impl Access {
+    /// The rows of `t` visible to `snap` that this access selects.
+    fn matches(&self, t: &Table, outer: &OuterCtx, snap: &Snapshot) -> Result<Vec<(Rid, Tuple)>> {
+        let (mut out, mut failed) = (Vec::new(), None);
+        let mut keep = |rid, tuple: Tuple| match passes(&self.filter, &tuple.values, outer) {
+            Ok(pass) => {
+                if pass {
+                    out.push((rid, tuple));
+                }
+                Ok(true)
+            }
+            Err(e) => {
+                failed = Some(e);
+                Ok(false)
+            }
+        };
+        match &self.probe {
+            Some((col, key)) => {
+                let key = eval(key, &[], outer, &[])?;
+                t.scan_by_values(*col, &[key], snap, &mut keep)?
+            }
+            None => t.for_each_visible(snap, &mut keep)?,
+        }
+        match failed {
+            Some(e) => Err(e.into()),
+            None => Ok(out),
+        }
+    }
 }
 
 impl Default for Database {
@@ -1267,121 +1347,26 @@ fn column_def(c: &ColumnDef) -> Column {
     }
 }
 
+/// A DML statement's value expressions as select items. An aggregate is
+/// refused here, where it still reads as a SET or VALUES error.
+fn value_items<'e>(exprs: impl IntoIterator<Item = &'e Expr>) -> Result<Vec<SelectItem>> {
+    (exprs.into_iter())
+        .map(|e| match e.contains_aggregate() {
+            true => Err(XnfError::Api(format!(
+                "aggregate '{e}' not allowed in SET or VALUES"
+            ))),
+            false => Ok(SelectItem::Expr {
+                expr: e.clone(),
+                alias: None,
+            }),
+        })
+        .collect()
+}
+
 /// Coerce ints into double columns (the only implicit widening we allow).
 fn coerce(v: Value, ty: DataType) -> Value {
     match (&v, ty) {
         (Value::Int(i), DataType::Double) => Value::Double(*i as f64),
         _ => v,
     }
-}
-
-/// Lower a constant AST expression (no column references) to a PhysExpr.
-pub(crate) fn const_expr(e: &Expr) -> Result<PhysExpr> {
-    lower_expr(e, &mut |q, name| {
-        Err(XnfError::Api(format!(
-            "column reference '{}{name}' not allowed here",
-            q.map(|s| format!("{s}.")).unwrap_or_default()
-        )))
-    })
-}
-
-/// Lower an AST expression over one table's row (UPDATE/DELETE filters).
-pub(crate) fn table_expr(schema: &Schema, table: &str, e: &Expr) -> Result<PhysExpr> {
-    lower_expr(e, &mut |q, name| {
-        if let Some(qn) = q {
-            if !qn.eq_ignore_ascii_case(table) {
-                return Err(XnfError::Api(format!("unknown table qualifier '{qn}'")));
-            }
-        }
-        schema
-            .index_of(name)
-            .map(PhysExpr::Col)
-            .ok_or_else(|| XnfError::Api(format!("unknown column '{name}' in '{table}'")))
-    })
-}
-
-fn lower_expr(
-    e: &Expr,
-    col: &mut impl FnMut(Option<&str>, &str) -> Result<PhysExpr>,
-) -> Result<PhysExpr> {
-    Ok(match e {
-        Expr::Literal(l) => PhysExpr::Literal(xnf_qgm::literal_value(l)),
-        Expr::Param(i) => PhysExpr::Param(*i),
-        Expr::Column { qualifier, name } => col(qualifier.as_deref(), name)?,
-        Expr::Unary { op, expr } => PhysExpr::Unary {
-            op: *op,
-            expr: Box::new(lower_expr(expr, col)?),
-        },
-        Expr::Binary { left, op, right } => PhysExpr::Binary {
-            left: Box::new(lower_expr(left, col)?),
-            op: *op,
-            right: Box::new(lower_expr(right, col)?),
-        },
-        Expr::IsNull { expr, negated } => PhysExpr::IsNull {
-            expr: Box::new(lower_expr(expr, col)?),
-            negated: *negated,
-        },
-        Expr::Like {
-            expr,
-            pattern,
-            negated,
-        } => PhysExpr::Like {
-            expr: Box::new(lower_expr(expr, col)?),
-            pattern: pattern.clone(),
-            negated: *negated,
-        },
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => {
-            let x = lower_expr(expr, col)?;
-            let both = PhysExpr::Binary {
-                left: Box::new(PhysExpr::Binary {
-                    left: Box::new(x.clone()),
-                    op: xnf_sql::BinOp::GtEq,
-                    right: Box::new(lower_expr(low, col)?),
-                }),
-                op: xnf_sql::BinOp::And,
-                right: Box::new(PhysExpr::Binary {
-                    left: Box::new(x),
-                    op: xnf_sql::BinOp::LtEq,
-                    right: Box::new(lower_expr(high, col)?),
-                }),
-            };
-            if *negated {
-                PhysExpr::Unary {
-                    op: xnf_sql::UnaryOp::Not,
-                    expr: Box::new(both),
-                }
-            } else {
-                both
-            }
-        }
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => PhysExpr::InList {
-            expr: Box::new(lower_expr(expr, col)?),
-            list: list
-                .iter()
-                .map(|x| lower_expr(x, col))
-                .collect::<Result<_>>()?,
-            negated: *negated,
-        },
-        Expr::Func { func, args } => PhysExpr::Func {
-            func: *func,
-            args: args
-                .iter()
-                .map(|x| lower_expr(x, col))
-                .collect::<Result<_>>()?,
-        },
-        other => {
-            return Err(XnfError::Api(format!(
-                "expression '{other}' not allowed in this context"
-            )))
-        }
-    })
 }

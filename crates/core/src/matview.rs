@@ -54,7 +54,8 @@
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
-use xnf_exec::{eval, truthy, ExecStats, OuterCtx, Params, QueryResult, Row, StreamResult};
+use xnf_exec::{passes, ExecStats, OuterCtx, Params, QueryResult, Row, StreamResult};
+use xnf_plan::PhysExpr;
 use xnf_qgm::{inline_xnf_views, view_body, OutputKind};
 use xnf_sql::{
     AggFunc, Expr, Select, SelectItem, Statement, TableRef, ViewBody, XnfDef, XnfQuery,
@@ -108,8 +109,8 @@ pub(crate) enum SqlStrategy {
         table: String,
         /// Backing column `i` maps to base column `base_cols[i]`.
         base_cols: Vec<usize>,
-        /// Selection predicate over the base row.
-        filter: Option<Expr>,
+        /// Selection over the base row ([`Database::row_filter`]).
+        filter: Vec<PhysExpr>,
     },
     /// `GROUP BY` over one base table with `COUNT(*)` / `SUM(int col)`
     /// outputs: each delta image adjusts its group's stored row in place.
@@ -121,8 +122,8 @@ pub(crate) enum SqlStrategy {
         /// `(base column or None for COUNT(*), output position)` per
         /// aggregate output. At least one COUNT(*) tracks group liveness.
         aggs: Vec<(Option<usize>, usize)>,
-        /// Selection predicate over the base row.
-        filter: Option<Expr>,
+        /// Selection over the base row ([`Database::row_filter`]).
+        filter: Vec<PhysExpr>,
     },
     /// Any delta triggers a full recompute.
     Full,
@@ -163,8 +164,8 @@ pub(crate) struct NodeFacts {
     /// change of it moves the node to the one stored parent with the new
     /// value; any other use is `None`.
     pub links: Vec<(usize, Option<(usize, usize)>)>,
-    /// Selection predicate, compiled against the base table.
-    pub filter: Option<xnf_plan::PhysExpr>,
+    /// Selection over the base row ([`Database::row_filter`]).
+    pub filter: Vec<PhysExpr>,
 }
 
 /// Root-partitioning of a keyed CO view.
@@ -642,11 +643,13 @@ fn analyze_sql_strategy(db: &Database, select: &Select) -> SqlStrategy {
     // Selection/projection of one base table?
     if select.joins.is_empty() && select.from.len() == 1 {
         if let Some(base) = analyze_simple_view(db, select) {
-            return SqlStrategy::Direct {
-                table: base.table.to_ascii_uppercase(),
-                base_cols: base.columns,
-                filter: select.where_clause.clone(),
-            };
+            if let Ok(filter) = db.row_filter(select) {
+                return SqlStrategy::Direct {
+                    table: base.table.to_ascii_uppercase(),
+                    base_cols: base.columns,
+                    filter,
+                };
+            }
         }
     }
 
@@ -741,7 +744,7 @@ fn analyze_grouped_agg(db: &Database, select: &Select) -> Option<SqlStrategy> {
         table: name.to_ascii_uppercase(),
         groups,
         aggs,
-        filter: select.where_clause.clone(),
+        filter: db.row_filter(select).ok()?,
     })
 }
 
@@ -788,7 +791,6 @@ fn analyze_xnf(db: &Database, q: &XnfQuery) -> Result<XnfInfo> {
 /// keyed CO view.
 fn derive_node_facts(db: &Database, info: &XnfInfo) -> Result<Vec<NodeFacts>> {
     let key = info.key.as_ref().expect("keyed plan");
-    let mut tables = Vec::with_capacity(info.comps.len());
     let mut keys = Vec::with_capacity(info.comps.len());
     for c in 0..info.comps.len() {
         let base = info.base(c);
@@ -804,10 +806,9 @@ fn derive_node_facts(db: &Database, info: &XnfInfo) -> Result<Vec<NodeFacts>> {
                 .filter_map(|ix| ix.columns.iter().map(|&b| cache_col(b)).collect())
                 .min_by_key(|cols: &Vec<usize>| cols.len()),
         );
-        tables.push(table);
     }
     let mut nodes = Vec::with_capacity(info.comps.len());
-    for (c, (table, node_key)) in tables.iter().zip(&keys).enumerate() {
+    for (c, node_key) in keys.iter().enumerate() {
         let base = info.base(c);
         let mut links = Vec::new();
         if c == key.root {
@@ -827,7 +828,7 @@ fn derive_node_facts(db: &Database, info: &XnfInfo) -> Result<Vec<NodeFacts>> {
         nodes.push(NodeFacts {
             key: node_key.clone(),
             links,
-            filter: component_filter(info, c, table)?,
+            filter: component_filter(db, info, c)?,
         });
     }
     Ok(nodes)
@@ -970,7 +971,7 @@ pub(crate) fn maintain(db: &Database, delta: &DeltaBatch) -> Result<MaintCounter
                         filter,
                     },
                 ..
-            } => apply_direct(db, plan, table, base_cols, filter.as_ref(), delta)?,
+            } => apply_direct(db, plan, table, base_cols, filter, delta)?,
             BodyPlan::Sql {
                 strategy:
                     SqlStrategy::GroupedAgg {
@@ -980,7 +981,7 @@ pub(crate) fn maintain(db: &Database, delta: &DeltaBatch) -> Result<MaintCounter
                         filter,
                     },
                 ..
-            } => apply_grouped(db, plan, table, groups, aggs, filter.as_ref(), delta)?,
+            } => apply_grouped(db, plan, table, groups, aggs, filter, delta)?,
             BodyPlan::Xnf(info) if info.key.is_some() => {
                 match in_place_edits(db, plan, info, delta)? {
                     Some(edits) => {
@@ -1009,34 +1010,23 @@ fn apply_direct(
     plan: &MaintPlan,
     table: &str,
     base_cols: &[usize],
-    filter: Option<&Expr>,
+    filter: &[PhysExpr],
     delta: &DeltaBatch,
 ) -> Result<bool> {
     let mv = expect_matview(db, &plan.name)?;
     let backing = mv
         .stream(&plan.name)
         .ok_or_else(|| XnfError::Api(format!("missing backing table for '{}'", plan.name)))?;
-    let base = db.catalog().table(table)?;
-    let pred = match filter {
-        Some(f) => Some(crate::db::table_expr(&base.schema, &base.name, f)?),
-        None => None,
-    };
     let outer = OuterCtx::new();
-    let passes = |row: &[Value]| -> Result<bool> {
-        match &pred {
-            Some(p) => Ok(truthy(&eval(p, row, &outer, &[])?)),
-            None => Ok(true),
-        }
-    };
     let project = |row: &[Value]| -> Row { base_cols.iter().map(|&c| row[c].clone()).collect() };
 
     for d in delta.rows(table) {
         let old = match d.before() {
-            Some(t) if passes(&t.values)? => Some(project(&t.values)),
+            Some(t) if passes(filter, &t.values, &outer)? => Some(project(&t.values)),
             _ => None,
         };
         let new = match d.after() {
-            Some(t) if passes(&t.values)? => Some(project(&t.values)),
+            Some(t) if passes(filter, &t.values, &outer)? => Some(project(&t.values)),
             _ => None,
         };
         if let (Some(o), Some(n)) = (&old, &new) {
@@ -1071,18 +1061,13 @@ fn apply_grouped(
     table: &str,
     groups: &[(usize, usize)],
     aggs: &[(Option<usize>, usize)],
-    filter: Option<&Expr>,
+    filter: &[PhysExpr],
     delta: &DeltaBatch,
 ) -> Result<bool> {
     let mv = expect_matview(db, &plan.name)?;
     let backing = mv
         .stream(&plan.name)
         .ok_or_else(|| XnfError::Api(format!("missing backing table for '{}'", plan.name)))?;
-    let base = db.catalog().table(table)?;
-    let pred = match filter {
-        Some(f) => Some(crate::db::table_expr(&base.schema, &base.name, f)?),
-        None => None,
-    };
     let outer = OuterCtx::new();
     let width = backing.schema.len();
     let (probe_base, probe_out) = groups[0];
@@ -1097,9 +1082,8 @@ fn apply_grouped(
     for d in delta.rows(table) {
         for (img, sign) in [(d.before(), -1i64), (d.after(), 1i64)] {
             let Some(t) = img else { continue };
-            match &pred {
-                Some(p) if !truthy(&eval(p, &t.values, &outer, &[])?) => continue,
-                _ => {}
+            if !passes(filter, &t.values, &outer)? {
+                continue;
             }
             let row = &t.values;
             let degraded = groups.iter().any(|(c, _)| row[*c].is_null())
@@ -1447,9 +1431,9 @@ impl Editor<'_> {
         let (facts, base) = (&info.nodes[c], info.base(c));
         let key = facts.key.as_ref().expect("keyed component");
         let same = |b: usize| old[b].total_cmp(&new[b]).is_eq();
-        let passes = passes_filter(&facts.filter, new, &self.outer)?;
+        let selected = passes(&facts.filter, new, &self.outer)?;
         let kept = key.iter().all(|&k| same(base.columns[k]))
-            && passes == passes_filter(&facts.filter, old, &self.outer)?;
+            && selected == passes(&facts.filter, old, &self.outer)?;
         let moves: Option<Vec<(usize, usize, usize)>> = facts
             .links
             .iter()
@@ -1460,10 +1444,10 @@ impl Editor<'_> {
             // A new identity: the old node leaves and the new image is
             // reached.
             self.take(c, old)?;
-            return Ok(passes);
+            return Ok(selected);
         };
         let shown_same = base.columns.iter().all(|&b| same(b));
-        if !passes || shown_same && moves.is_empty() {
+        if !selected || shown_same && moves.is_empty() {
             return Ok(false);
         }
         let Some((rid, s)) = self.stored(c, &self.key_of(c, new))? else {
@@ -1534,7 +1518,7 @@ impl Editor<'_> {
     /// walks its children. `false` when the view must be recomputed.
     fn reach(&mut self, c: usize, row: &[Value], via: Option<(usize, Node)>) -> Result<bool> {
         let facts = &self.info.nodes[c];
-        if !passes_filter(&facts.filter, row, &self.outer)? {
+        if !passes(&facts.filter, row, &self.outer)? {
             return Ok(true);
         }
         if facts.key.is_none() {
@@ -1748,7 +1732,7 @@ impl Editor<'_> {
     fn unlink_all(&mut self, rel: usize, col: usize, s: i64) -> Result<Vec<i64>> {
         let conn_t = self.stream(&self.info.rels[rel].name)?;
         let mut ends = Vec::new();
-        conn_t.scan_by_value(col, &Value::Int(s), &self.snap, |rid, t| {
+        conn_t.scan_by_values(col, &[Value::Int(s)], &self.snap, |rid, t| {
             if self.unlinked.insert((rel, rid)) {
                 ends.push(t.values[1 - col].as_int()?);
             }
@@ -1992,12 +1976,8 @@ fn apply_in_place(
     Ok(())
 }
 
-/// Compile one component's selection predicate against its base schema.
-fn component_filter(
-    info: &XnfInfo,
-    comp: usize,
-    table: &Arc<Table>,
-) -> Result<Option<xnf_plan::PhysExpr>> {
+/// One component's selection over its base row ([`Database::row_filter`]).
+fn component_filter(db: &Database, info: &XnfInfo, comp: usize) -> Result<Vec<PhysExpr>> {
     let name = &info.comps[comp];
     let def = info.flat.defs.iter().find_map(|d| match d {
         XnfDef::Table {
@@ -2005,27 +1985,15 @@ fn component_filter(
         } if n.eq_ignore_ascii_case(name) => Some(select),
         _ => None,
     });
-    let Some(select) = def else { return Ok(None) };
-    match &select.where_clause {
-        Some(w) => Ok(Some(crate::db::table_expr(&table.schema, &table.name, w)?)),
-        None => Ok(None),
-    }
-}
-
-fn passes_filter(
-    filter: &Option<xnf_plan::PhysExpr>,
-    row: &[Value],
-    outer: &OuterCtx,
-) -> Result<bool> {
-    match filter {
-        Some(f) => Ok(truthy(&eval(f, row, outer, &[])?)),
-        None => Ok(true),
+    match def {
+        Some(select) => db.row_filter(select),
+        None => Ok(Vec::new()),
     }
 }
 
 /// The first stored row of `t` with `col = v` that satisfies `pred`, read
-/// under `snap`. Postings resolve one at a time and the probe stops at its
-/// first hit, so it costs what it finds, not the key's whole fan-in.
+/// under `snap`. The probe stops at the page of its first hit, so it costs
+/// what it finds, not the key's whole fan-in.
 fn first_match(
     t: &Table,
     col: usize,
@@ -2034,7 +2002,7 @@ fn first_match(
     mut pred: impl FnMut(Rid, &Tuple) -> xnf_storage::Result<bool>,
 ) -> Result<Option<(Rid, Tuple)>> {
     let mut hit = None;
-    t.scan_by_value(col, v, snap, |rid, tuple| {
+    t.scan_by_values(col, std::slice::from_ref(v), snap, |rid, tuple| {
         if pred(rid, &tuple)? {
             hit = Some((rid, tuple));
             return Ok(false);

@@ -335,6 +335,17 @@ fn dml_equality_with_null_matches_nothing_even_with_index() {
             .affected(),
         0
     );
+    // Nor does a `grp = ?` probe bound to NULL.
+    assert_eq!(
+        session
+            .execute(
+                "DELETE FROM ITEMS WHERE grp = ? AND id > 0",
+                &[xnf_storage::Value::Null],
+            )
+            .unwrap()
+            .affected(),
+        0
+    );
     let n = session
         .query("SELECT COUNT(*) FROM ITEMS WHERE id = 700", &[])
         .unwrap()

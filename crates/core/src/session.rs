@@ -32,7 +32,7 @@ use xnf_storage::{DeltaBatch, Snapshot, Transaction, Value, ViewKind};
 
 use crate::cache::Workspace;
 use crate::co::CoCache;
-use crate::db::{scope_visibility, Database, ExecOutcome};
+use crate::db::{scope_visibility, Database, Dml, ExecOutcome};
 use crate::error::{Result, XnfError};
 use crate::writeback::CoSchema;
 
@@ -128,12 +128,14 @@ pub fn normalize_statement(text: &str) -> String {
 // ---------------------------------------------------------------------------
 
 /// How a compiled statement executes.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) enum CompiledBody {
     /// SELECT or XNF query lowered to an executable QEP.
     Query(Arc<Qep>),
-    /// DDL/DML: executed by interpreting the parsed statement (the parse is
-    /// still cached, which matters for hot parameterized DML).
+    /// INSERT, UPDATE or DELETE: its target, the planner's leaf over it and
+    /// its lowered SET/VALUES expressions.
+    Dml(Arc<Dml>),
+    /// DDL: executed by interpreting the parsed statement.
     Statement,
 }
 
@@ -267,10 +269,6 @@ impl PlanCache {
 
     pub fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    pub fn clear(&mut self) {
-        self.entries.clear();
     }
 }
 

@@ -1,11 +1,13 @@
 //! Tests for the Session API: prepared statements, parameter binding, the
 //! shared plan cache and its DDL-generation invalidation.
 
+use xnf_exec::Params;
 use xnf_storage::Value;
 
 use crate::co::CoCache;
 use crate::db::Database;
-use crate::session::PLAN_CACHE_CAPACITY;
+use crate::error::XnfError;
+use crate::session::{CompiledStmt, TxnSlot, PLAN_CACHE_CAPACITY};
 
 fn emp_db() -> Database {
     let db = Database::new();
@@ -262,6 +264,182 @@ fn parameterized_dml_round_trips() {
         .map(|r| r[0].as_int().unwrap())
         .collect();
     assert_eq!(left, vec![10, 12]);
+}
+
+/// INSERT, UPDATE and DELETE compile once, into what execution runs:
+/// prepared handles compile each statement once over many executions, and
+/// an execution reads nothing of the statement's AST. Run with an AST that
+/// names a missing table, the compiled body still writes its row.
+#[test]
+fn prepared_dml_compiles_once_and_runs_without_its_ast() {
+    let db = emp_db();
+    let session = db.session();
+    let compiles = db.plan_cache_stats().compiles;
+    let mut ins = session.prepare("INSERT INTO EMP VALUES (?, ?, ?)").unwrap();
+    let mut upd = session
+        .prepare("UPDATE EMP SET edno = edno + 1 WHERE eno = ?")
+        .unwrap();
+    let mut del = session.prepare("DELETE FROM EMP WHERE eno = ?").unwrap();
+    for eno in 20..25 {
+        let row = [Value::Int(eno), Value::Str("new".into()), Value::Int(1)];
+        assert_eq!(ins.execute_with(&row).unwrap().affected(), 1);
+        assert_eq!(upd.execute_with(&[Value::Int(eno)]).unwrap().affected(), 1);
+    }
+    for eno in 20..25 {
+        assert_eq!(del.execute_with(&[Value::Int(eno)]).unwrap().affected(), 1);
+    }
+    assert_eq!(db.plan_cache_stats().compiles, compiles + 3);
+
+    let (compiled, _) = db
+        .compile_cached("UPDATE EMP SET ename = 'max' WHERE eno = 10")
+        .unwrap();
+    let hollow = CompiledStmt {
+        stmt: xnf_sql::parse_statement("DELETE FROM NOPE").unwrap(),
+        body: compiled.body.clone(),
+        co_schema: None,
+        n_params: 0,
+        generation: compiled.generation,
+    };
+    let out = db
+        .execute_compiled_scoped(&hollow, Params::default(), &TxnSlot::default())
+        .unwrap();
+    assert_eq!(out.affected(), 1);
+    let name = session
+        .query("SELECT ename FROM EMP WHERE eno = 10", &[])
+        .unwrap();
+    assert_eq!(
+        name.try_table().unwrap().rows,
+        vec![vec![Value::Str("max".into())]]
+    );
+}
+
+/// DML the front end cannot run row by row over its target, or that names
+/// something that does not exist, fails typed on the cached and the batch
+/// path alike, and writes no row.
+#[test]
+fn dml_refusals_fail_typed_and_write_nothing() {
+    let db = emp_db();
+    let session = db.session();
+    session
+        .execute(
+            "CREATE VIEW arc AS SELECT * FROM DEPT WHERE loc = 'ARC'",
+            &[],
+        )
+        .unwrap();
+    let snapshot = |table: &str| {
+        session
+            .query(&format!("SELECT * FROM {table} ORDER BY 1"), &[])
+            .unwrap()
+            .try_table()
+            .unwrap()
+            .rows
+            .clone()
+    };
+    let before = (snapshot("EMP"), snapshot("DEPT"));
+    for stmt in [
+        // A subquery or an aggregate in WHERE, SET or VALUES.
+        "UPDATE EMP SET edno = 3 WHERE edno IN (SELECT dno FROM DEPT)",
+        "DELETE FROM EMP WHERE EXISTS (SELECT * FROM DEPT WHERE dno = edno)",
+        "UPDATE EMP SET ename = 'x' WHERE eno > (SELECT MAX(dno) FROM DEPT)",
+        "DELETE FROM EMP WHERE COUNT(*) > 0",
+        "UPDATE EMP SET edno = COUNT(*)",
+        "UPDATE EMP SET edno = SUM(eno) WHERE eno = 10",
+        "INSERT INTO EMP VALUES (13, 'kim', COUNT(*))",
+        "UPDATE EMP SET edno = 1 IN (SELECT dno FROM DEPT)",
+        "INSERT INTO EMP VALUES (13, 'kim', 1 IN (SELECT dno FROM DEPT))",
+        // A view name.
+        "UPDATE arc SET loc = 'X'",
+        "DELETE FROM arc",
+        "INSERT INTO arc VALUES (3, 'x', 'y')",
+        // An unknown column.
+        "UPDATE EMP SET nope = 1",
+        "UPDATE EMP SET edno = nope",
+        "DELETE FROM EMP WHERE nope = 1",
+        "INSERT INTO EMP (eno, nope) VALUES (13, 1)",
+        "INSERT INTO EMP VALUES (13, 'kim', nope)",
+    ] {
+        for err in [
+            session.execute(stmt, &[]).unwrap_err(),
+            session.execute_batch(stmt).unwrap_err(),
+        ] {
+            assert!(
+                matches!(
+                    err,
+                    XnfError::Api(_)
+                        | XnfError::Parse(_)
+                        | XnfError::Semantic(_)
+                        | XnfError::Storage(_)
+                ),
+                "{stmt}: {err:?}"
+            );
+        }
+    }
+    assert_eq!((snapshot("EMP"), snapshot("DEPT")), before);
+}
+
+/// DML coerces an INT written to a DOUBLE column on SET and on INSERT,
+/// literal or bound, and inside `begin` it finds the transaction's own
+/// writes, by index probe and by scan.
+#[test]
+fn dml_coerces_ints_and_sees_its_transactions_writes() {
+    let db = emp_db();
+    let session = db.session();
+    session
+        .execute_batch(
+            "CREATE TABLE PAY (eno INT, amount DOUBLE);
+             CREATE INDEX pay_eno ON PAY (eno);
+             INSERT INTO PAY VALUES (10, 1)",
+        )
+        .unwrap();
+    session
+        .prepare("INSERT INTO PAY VALUES (?, ?)")
+        .unwrap()
+        .execute_with(&[Value::Int(11), Value::Int(2)])
+        .unwrap();
+    session
+        .execute("UPDATE PAY SET amount = ? WHERE eno = 11", &[Value::Int(3)])
+        .unwrap();
+    session
+        .execute("UPDATE PAY SET amount = eno WHERE eno = 10", &[])
+        .unwrap();
+    let amounts = |session: &crate::Session<'_>| {
+        session
+            .query("SELECT eno, amount FROM PAY ORDER BY eno", &[])
+            .unwrap()
+            .try_table()
+            .unwrap()
+            .rows
+            .clone()
+    };
+    assert_eq!(
+        amounts(&session),
+        vec![
+            vec![Value::Int(10), Value::Double(10.0)],
+            vec![Value::Int(11), Value::Double(3.0)],
+        ]
+    );
+
+    session.begin().unwrap();
+    session
+        .execute("INSERT INTO PAY VALUES (12, 4)", &[])
+        .unwrap();
+    for (stmt, affected) in [
+        ("UPDATE PAY SET amount = amount + 1 WHERE eno = 12", 1),
+        ("UPDATE PAY SET amount = amount * 2 WHERE amount > 4", 2),
+        ("DELETE FROM PAY WHERE eno = 10", 1),
+    ] {
+        let out = session.execute(stmt, &[]).unwrap();
+        assert_eq!(out.affected(), affected, "{stmt}");
+    }
+    assert_eq!(
+        amounts(&session),
+        vec![
+            vec![Value::Int(11), Value::Double(3.0)],
+            vec![Value::Int(12), Value::Double(10.0)],
+        ]
+    );
+    session.rollback().unwrap();
+    assert_eq!(amounts(&session).len(), 2);
 }
 
 #[test]

@@ -81,10 +81,6 @@ impl OuterCtx {
         &self.params
     }
 
-    pub fn set_params(&mut self, params: Params) {
-        self.params = params;
-    }
-
     fn param(&self, i: usize) -> Result<&Value> {
         self.params.get(i).ok_or_else(|| {
             ExecError::MissingBinding(format!(

@@ -281,6 +281,9 @@ impl<'a> Builder<'a> {
 
         // WHERE + ON predicates.
         if let Some(w) = &select.where_clause {
+            if w.contains_aggregate() {
+                return Err(QgmError::Unsupported(format!("aggregate in WHERE: {w}")));
+            }
             for c in w.conjuncts() {
                 self.add_predicate(sel_box, c, &scope)?;
             }

@@ -30,15 +30,6 @@ pub enum BinOp {
     Or,
 }
 
-impl BinOp {
-    pub fn is_comparison(self) -> bool {
-        matches!(
-            self,
-            BinOp::Eq | BinOp::NotEq | BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq
-        )
-    }
-}
-
 impl fmt::Display for BinOp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -206,13 +197,6 @@ impl Expr {
     pub fn col(name: &str) -> Expr {
         Expr::Column {
             qualifier: None,
-            name: name.to_string(),
-        }
-    }
-
-    pub fn qcol(q: &str, name: &str) -> Expr {
-        Expr::Column {
-            qualifier: Some(q.to_string()),
             name: name.to_string(),
         }
     }

@@ -315,12 +315,6 @@ impl Table {
         self.heap.get_snapshot(rid, snap)
     }
 
-    /// Fetch the tuple at `rid` if visible to the latest-committed
-    /// snapshot.
-    pub fn get_latest(&self, rid: Rid) -> Result<Option<Tuple>> {
-        self.heap.get_snapshot(rid, &self.txns().snapshot_latest())
-    }
-
     /// Scan tuples visible to the latest-committed snapshot; see
     /// [`HeapFile::for_each`].
     pub fn for_each(&self, f: impl FnMut(Rid, Tuple) -> Result<bool>) -> Result<()> {
@@ -594,43 +588,11 @@ impl Table {
         snap: &Snapshot,
     ) -> Result<Vec<(Rid, Tuple)>> {
         let mut out = Vec::new();
-        self.scan_by_value(col, value, snap, |rid, t| {
+        self.scan_by_values(col, std::slice::from_ref(value), snap, |rid, t| {
             out.push((rid, t));
             Ok(true)
         })?;
         Ok(out)
-    }
-
-    /// Visit the tuples visible to `snap` whose `col = value`, stopping as
-    /// soon as `f` returns `false` (the [`Table::for_each`] convention).
-    /// With a single-column index on `col` the postings are resolved one
-    /// at a time through [`Table::resolve_posting`], so a probe that stops
-    /// at its first hit fetches one tuple however long the key's posting
-    /// list is; without one it falls back to a visible scan.
-    pub fn scan_by_value(
-        &self,
-        col: usize,
-        value: &Value,
-        snap: &Snapshot,
-        mut f: impl FnMut(Rid, Tuple) -> Result<bool>,
-    ) -> Result<()> {
-        if let Some(def) = self.find_index(&[col]) {
-            let key = vec![value.clone()];
-            for rid in self.index_lookup(&def.name, &key)? {
-                if let Some(t) = self.resolve_posting(rid, snap, &def, &key)? {
-                    if !f(rid, t)? {
-                        break;
-                    }
-                }
-            }
-            return Ok(());
-        }
-        self.for_each_visible(snap, |rid, t| {
-            if t.values[col].sql_eq(value) == Some(true) {
-                return f(rid, t);
-            }
-            Ok(true)
-        })
     }
 
     /// Visit the tuples visible to `snap` whose `col` equals one of
@@ -1795,20 +1757,8 @@ mod tests {
         assert_eq!(scanned_by_values(&t, 2, &keys, &snap), expect);
     }
 
-    /// Rows `scan_by_value` hands to its callback, sorted by rid.
-    fn scanned(t: &Table, col: usize, v: i64, snap: &Snapshot) -> Vec<(Rid, Tuple)> {
-        let mut out = Vec::new();
-        t.scan_by_value(col, &Value::Int(v), snap, |rid, tuple| {
-            out.push((rid, tuple));
-            Ok(true)
-        })
-        .unwrap();
-        out.sort_by_key(|(rid, _)| *rid);
-        out
-    }
-
     #[test]
-    fn scan_by_value_stops_after_first_false() {
+    fn scan_by_values_stops_after_first_false() {
         let c = catalog();
         let t = c.create_table("EMP", emp_schema()).unwrap();
         for i in 0..40 {
@@ -1817,7 +1767,7 @@ mod tests {
         let snap = c.latest_snapshot();
         let calls_until = |stop_at: usize| -> usize {
             let mut calls = 0;
-            t.scan_by_value(2, &Value::Int(1), &snap, |_, tuple| {
+            t.scan_by_values(2, &[Value::Int(1)], &snap, |_, tuple| {
                 assert_eq!(tuple.values[2], Value::Int(1));
                 calls += 1;
                 Ok(calls < stop_at)
@@ -1837,7 +1787,7 @@ mod tests {
     }
 
     #[test]
-    fn scan_by_value_skips_versions_invisible_to_the_snapshot() {
+    fn scan_by_values_skips_versions_invisible_to_the_snapshot() {
         let c = catalog();
         let indexed = c.create_table("EMP", emp_schema()).unwrap();
         indexed.create_index("emp_edno", vec![2], false).unwrap();
@@ -1856,17 +1806,17 @@ mod tests {
             let pending = t.insert_txn(&emp(4, 7), b).unwrap();
 
             assert_eq!(
-                scanned(t, 2, 7, &before_delete),
+                scanned_by_values(t, 2, &[7], &before_delete),
                 vec![(gone, emp(1, 7)), (kept, emp(2, 7))],
                 "an older snapshot still sees the deleted version"
             );
             assert_eq!(
-                scanned(t, 2, 7, &c.latest_snapshot()),
+                scanned_by_values(t, 2, &[7], &c.latest_snapshot()),
                 vec![(kept, emp(2, 7))],
                 "deleted and uncommitted versions are skipped"
             );
             assert_eq!(
-                scanned(t, 2, 7, &t.txns().snapshot_for(b)),
+                scanned_by_values(t, 2, &[7], &t.txns().snapshot_for(b)),
                 vec![(kept, emp(2, 7)), (pending, emp(4, 7))],
                 "the inserting transaction sees its own row"
             );

@@ -6,8 +6,6 @@
 //! in the engine shares one vocabulary: length-prefixed strings, fixed-width
 //! integers, and CRC-32 record checksums.
 
-use std::io::{self, Read, Write};
-
 use crate::error::{Result, StorageError};
 
 // ---------------------------------------------------------------------------
@@ -107,36 +105,6 @@ impl<'a> Reader<'a> {
         let n = self.u32()? as usize;
         Ok(self.take(n)?.to_vec())
     }
-}
-
-// ---------------------------------------------------------------------------
-// io::Read / io::Write adapters (used by core/persist.rs)
-// ---------------------------------------------------------------------------
-
-pub fn io_write_u32<W: Write>(w: &mut W, v: u32) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-pub fn io_write_str<W: Write>(w: &mut W, s: &str) -> io::Result<()> {
-    io_write_u32(w, s.len() as u32)?;
-    w.write_all(s.as_bytes())
-}
-
-pub fn io_read_exact<R: Read>(r: &mut R, n: usize) -> io::Result<Vec<u8>> {
-    let mut buf = vec![0u8; n];
-    r.read_exact(&mut buf)?;
-    Ok(buf)
-}
-
-pub fn io_read_u32<R: Read>(r: &mut R) -> io::Result<u32> {
-    let b = io_read_exact(r, 4)?;
-    Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-}
-
-pub fn io_read_str<R: Read>(r: &mut R) -> io::Result<String> {
-    let n = io_read_u32(r)? as usize;
-    let b = io_read_exact(r, n)?;
-    String::from_utf8(b).map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "invalid utf-8"))
 }
 
 // ---------------------------------------------------------------------------

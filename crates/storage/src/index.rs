@@ -67,10 +67,6 @@ impl BTreeIndex {
         }
     }
 
-    pub fn is_unique(&self) -> bool {
-        self.unique
-    }
-
     /// Number of (key, rid) entries.
     pub fn len(&self) -> usize {
         self.len

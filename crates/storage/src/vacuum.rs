@@ -552,7 +552,7 @@ mod tests {
     }
 
     /// `find_by_value_visible` against what it computed before it became a
-    /// collecting wrapper over `scan_by_value` — every index posting
+    /// collecting wrapper over `scan_by_values` — every index posting
     /// resolved under the snapshot, or a filtered visible scan for an
     /// unindexed column — over version chains that vacuum has partly
     /// reclaimed and whose slots fresh inserts reused.

@@ -64,17 +64,6 @@ impl Value {
         }
     }
 
-    /// The static type this value belongs to, if not NULL.
-    pub fn data_type(&self) -> Option<DataType> {
-        match self {
-            Value::Null => None,
-            Value::Int(_) => Some(DataType::Int),
-            Value::Double(_) => Some(DataType::Double),
-            Value::Str(_) => Some(DataType::Str),
-            Value::Bool(_) => Some(DataType::Bool),
-        }
-    }
-
     pub fn is_null(&self) -> bool {
         matches!(self, Value::Null)
     }

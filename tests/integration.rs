@@ -430,8 +430,9 @@ fn stored_point_fetch_reads_an_exact_page_count() {
 /// connections, and checks its three skills for a connection left in one
 /// batched read, stopping once each has one (all three are shared, so they
 /// stay). That costs an exact number of buffer-pool page accesses,
-/// statement included (22 when each skill was probed on its own), below
-/// the 208 that extracting the
+/// statement included (22 when each skill was probed on its own, 20 when
+/// the employee's three skill connections were read under a pin each),
+/// below the 208 that extracting the
 /// employee's whole department costs; re-extracting and diff-splicing the
 /// department cost 432. The stored CO then equals a REFRESH.
 #[test]
@@ -469,7 +470,7 @@ fn stored_co_delete_edits_an_exact_page_count() {
         ),
         (1, 4, 0)
     );
-    assert_eq!(delete, 20);
+    assert_eq!(delete, 18);
     let stored = canon(&session.fetch_co("deps").unwrap().workspace);
     session
         .execute("REFRESH MATERIALIZED VIEW deps", &[])
@@ -481,9 +482,11 @@ fn stored_co_delete_edits_an_exact_page_count() {
 /// and by a delete: the cascade removes the department's stored nodes (30
 /// and 28; shared skills stay) and 105 connections wave by wave, each
 /// wave's orphan checks and rid lookups batched through
-/// `Table::scan_by_values`. Each costs an exact number of buffer-pool page
-/// accesses, statement included: 389 and 383, where probing one node at a
-/// time cost 584 and 510. The stored CO then equals a REFRESH.
+/// `Table::scan_by_values`, as is each node's read of its stored
+/// connections. Each costs an exact number of buffer-pool page accesses,
+/// statement included: 311 and 305, where reading a node's connections
+/// under a pin each cost 389 and 383, and probing one node at a time 584
+/// and 510. The stored CO then equals a REFRESH.
 #[test]
 fn stored_co_department_exit_cascades_in_an_exact_page_count() {
     use xnf_core::{DbConfig, PlanOptions};
@@ -527,5 +530,113 @@ fn stored_co_department_exit_cascades_in_an_exact_page_count() {
             "{stmt}"
         );
     }
-    assert_eq!(costs, vec![(389, 30, 105, 0), (383, 28, 105, 0)]);
+    assert_eq!(costs, vec![(311, 30, 105, 0), (305, 28, 105, 0)]);
+}
+
+/// DML plans like the SELECT that reads its rows, so any `col = ?`-style
+/// conjunct over an indexed column takes the index: on 400 departments at
+/// dop 1, the two-conjunct UPDATE and DELETE cost exactly the buffer-pool
+/// page accesses of their one-conjunct forms, statement included. When
+/// only a lone `col = const` WHERE took the index, the second conjunct
+/// turned each into a full scan: 63 against 3 and 62 against 2.
+#[test]
+fn dml_with_a_residual_conjunct_costs_its_index_probe() {
+    use xnf_core::{DbConfig, PlanOptions};
+    let config = DbConfig {
+        plan: PlanOptions {
+            dop: 1,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let db = xnf_fixtures::build_uniform_paper_db_with(400, config);
+    let session = db.session();
+    let accesses = || {
+        let s = db.catalog().buffer_pool().stats();
+        s.hits + s.misses
+    };
+    let costs = [
+        "UPDATE EMP SET sal = sal + 1 WHERE eno = 61",
+        "UPDATE EMP SET sal = sal + 1 WHERE eno = 62 AND sal >= 0",
+        "DELETE FROM EMP WHERE eno = 63",
+        "DELETE FROM EMP WHERE eno = 64 AND sal >= 0",
+    ]
+    .map(|stmt| {
+        let before = accesses();
+        assert_eq!(session.execute(stmt, &[]).unwrap().affected(), 1, "{stmt}");
+        accesses() - before
+    });
+    assert_eq!(costs, [3, 3, 2, 2]);
+}
+
+/// A CO view whose component reads `FROM DEPT d WHERE d.loc = 'ARC'`
+/// compiles its filter from its own FROM, alias included: the view is
+/// created, an employee's raise and delete and a department's exit are
+/// edited in place, and the stored CO equals its REFRESH after each.
+#[test]
+fn aliased_component_co_matview_is_maintained_in_place() {
+    let db = xnf_fixtures::build_uniform_paper_db_with(10, Default::default());
+    let def = DEPS_ARC.replace(
+        "(SELECT * FROM DEPT WHERE loc = 'ARC')",
+        "(SELECT * FROM DEPT d WHERE d.loc = 'ARC')",
+    );
+    assert_ne!(def, DEPS_ARC);
+    let session = db.session();
+    session
+        .execute(&format!("CREATE MATERIALIZED VIEW deps AS {def}"), &[])
+        .unwrap();
+    for stmt in [
+        "UPDATE EMP SET sal = sal + 1 WHERE eno = 1",
+        "DELETE FROM EMP WHERE eno = 2",
+        "UPDATE DEPT SET loc = 'HDC' WHERE dno = 5",
+    ] {
+        session.execute(stmt, &[]).unwrap();
+        let stored = canon(&session.fetch_co("deps").unwrap().workspace);
+        session
+            .execute("REFRESH MATERIALIZED VIEW deps", &[])
+            .unwrap();
+        assert_eq!(
+            stored,
+            canon(&session.fetch_co("deps").unwrap().workspace),
+            "{stmt}"
+        );
+    }
+    assert_eq!(db.maint_stats().mv_recomputes, 0);
+}
+
+/// A relational view over an aliased table maintains directly: an UPDATE
+/// of its base table commits with `Ok`, not with an error raised after the
+/// commit, and the view equals its REFRESH.
+#[test]
+fn aliased_direct_matview_is_maintained() {
+    let db = xnf_fixtures::build_uniform_paper_db_with(2, Default::default());
+    let session = db.session();
+    session
+        .execute(
+            "CREATE MATERIALIZED VIEW pay AS SELECT e.eno, e.sal FROM EMP e WHERE e.sal > 0",
+            &[],
+        )
+        .unwrap();
+    let rows = || {
+        let mut rows = session
+            .query("SELECT * FROM pay", &[])
+            .unwrap()
+            .try_table()
+            .unwrap()
+            .rows
+            .iter()
+            .map(|r| format!("{r:?}"))
+            .collect::<Vec<_>>();
+        rows.sort();
+        rows
+    };
+    session
+        .execute("UPDATE EMP SET sal = sal + 1 WHERE eno = 2", &[])
+        .unwrap();
+    assert_eq!(db.maint_stats().mv_recomputes, 0);
+    let stored = rows();
+    session
+        .execute("REFRESH MATERIALIZED VIEW pay", &[])
+        .unwrap();
+    assert_eq!(stored, rows());
 }
