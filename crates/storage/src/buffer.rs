@@ -1,5 +1,19 @@
-//! Buffer pool: caches disk pages in a bounded set of frames with LRU
-//! replacement and write-back of dirty pages.
+//! Buffer pool: caches disk pages in a bounded set of frames, with
+//! write-back of dirty pages.
+//!
+//! Replacement is LRU over a per-shard tick, with one exception for
+//! sequential scans (after DBMIN's rule for looping-sequential references):
+//! a page that [`BufferPool::with_scan_page`] brings in enters its shard
+//! *cold*, as the next victim, and only a later hit warms it. A scan of a
+//! table larger than the pool then cycles through about one frame per
+//! shard, and the rest of the pool keeps what it held — including the
+//! pages of that table the previous pass left warm, so every pass after
+//! the first hits a stable share of it instead of missing every page.
+//!
+//! A miss refills its victim's frame in place: the frame's lock and 8 KiB
+//! page buffer are reused, the disk manager reads straight into them, and
+//! a read that fails leaves the frame empty rather than mapped to either
+//! page.
 //!
 //! The access API is closure-based (`with_page` / `with_page_mut`): a page is
 //! pinned for the duration of the closure and unpinned afterwards, which makes
@@ -60,7 +74,9 @@ struct Frame {
 
 /// Map-side metadata of one frame slot.
 struct Slot {
-    page_id: PageId,
+    /// The page the frame holds; `None` while it is empty (a refill whose
+    /// read failed). An empty slot is never dirty and is the first victim.
+    page_id: Option<PageId>,
     frame: Arc<RwLock<Frame>>,
     pin_count: u32,
     last_used: u64,
@@ -202,9 +218,9 @@ impl BufferPool {
         }
     }
 
-    /// Resolve `id` to a pinned frame (loading from disk on a miss) and
-    /// return its index + content lock.
-    fn pin(&self, id: PageId) -> Result<(usize, Arc<RwLock<Frame>>)> {
+    /// Resolve `id` to a pinned frame (loading from disk on a miss, `cold`
+    /// for a scan read) and return its index + content lock.
+    fn pin(&self, id: PageId, cold: bool) -> Result<(usize, Arc<RwLock<Frame>>)> {
         let shard = self.shard(id);
         let mut inner = shard.lock();
         let idx = loop {
@@ -213,8 +229,8 @@ impl BufferPool {
             }
             if Self::has_free_frame(&inner, self.shard_capacity) {
                 inner.stats.misses += 1;
-                let page = self.disk.read(id)?;
-                break self.grab_frame(&mut inner, id, page)?;
+                break self
+                    .grab_frame(&mut inner, id, cold, |page| self.disk.read_into(id, page))?;
             }
             // The page may have been loaded while this thread waited.
             inner = Self::wait_for_unpin(shard, inner)?;
@@ -276,7 +292,10 @@ impl BufferPool {
             while !Self::has_free_frame(&inner, self.shard_capacity) {
                 inner = Self::wait_for_unpin(shard, inner)?;
             }
-            let idx = self.grab_frame(&mut inner, id, Page::new())?;
+            let idx = self.grab_frame(&mut inner, id, false, |page| {
+                page.reset();
+                Ok(())
+            })?;
             Self::pin_slot(&mut inner, idx)
         };
         let r = {
@@ -291,7 +310,18 @@ impl BufferPool {
     /// Run `f` with shared access to the page. Concurrent readers of the
     /// same (or different) pages proceed in parallel.
     pub fn with_page<R>(&self, id: PageId, f: impl FnOnce(&Page) -> R) -> Result<R> {
-        let (idx, frame) = self.pin(id)?;
+        self.read_page(id, false, f)
+    }
+
+    /// [`BufferPool::with_page`] for one page of a sequential scan: a page
+    /// this read brings in enters its shard cold, as the next victim (see
+    /// the module docs). A hit behaves as in `with_page`.
+    pub fn with_scan_page<R>(&self, id: PageId, f: impl FnOnce(&Page) -> R) -> Result<R> {
+        self.read_page(id, true, f)
+    }
+
+    fn read_page<R>(&self, id: PageId, cold: bool, f: impl FnOnce(&Page) -> R) -> Result<R> {
+        let (idx, frame) = self.pin(id, cold)?;
         let r = {
             let guard = frame.read();
             f(&guard.page)
@@ -302,7 +332,7 @@ impl BufferPool {
 
     /// Run `f` with exclusive access to the page and mark it dirty.
     pub fn with_page_mut<R>(&self, id: PageId, f: impl FnOnce(&mut Page) -> R) -> Result<R> {
-        let (idx, frame) = self.pin(id)?;
+        let (idx, frame) = self.pin(id, false)?;
         let r = {
             let mut guard = frame.write();
             guard.dirty = true;
@@ -334,8 +364,8 @@ impl BufferPool {
         let mut guards = Vec::new();
         for slot in inner.slots.iter() {
             let frame = slot.frame.write();
-            if frame.dirty {
-                guards.push((slot.page_id, frame));
+            if let (true, Some(id)) = (frame.dirty, slot.page_id) {
+                guards.push((id, frame));
             }
         }
         if guards.is_empty() {
@@ -383,19 +413,30 @@ impl BufferPool {
         Some(idx)
     }
 
-    /// Find a slot for `page` (growing up to capacity, otherwise evicting
-    /// the least-recently-used unpinned frame) and install it. Callers
-    /// check [`BufferPool::has_free_frame`] first.
-    fn grab_frame(&self, inner: &mut Inner, id: PageId, page: Page) -> Result<usize> {
-        let capacity = self.shard_capacity;
-        inner.tick += 1;
-        let tick = inner.tick;
-        let idx = if inner.slots.len() < capacity {
+    /// Give `id` a frame and fill its page through `fill`, in place. The
+    /// frame is a new one while the shard grows to capacity, else an empty
+    /// one, else the least-recently-used unpinned one, written back first
+    /// when dirty; its lock and page buffer are reused, never reallocated.
+    /// A `cold` page enters with `last_used = 0`, the shard's next victim
+    /// until a hit warms it. If `fill` fails the frame is left empty: it
+    /// maps neither its previous page nor `id`. Callers check
+    /// [`BufferPool::has_free_frame`] first.
+    fn grab_frame(
+        &self,
+        inner: &mut Inner,
+        id: PageId,
+        cold: bool,
+        fill: impl FnOnce(&mut Page) -> Result<()>,
+    ) -> Result<usize> {
+        let idx = if inner.slots.len() < self.shard_capacity {
             inner.slots.push(Slot {
-                page_id: id,
-                frame: Arc::new(RwLock::new(Frame { page, dirty: false })),
+                page_id: None,
+                frame: Arc::new(RwLock::new(Frame {
+                    page: Page::new(),
+                    dirty: false,
+                })),
                 pin_count: 0,
-                last_used: tick,
+                last_used: 0,
             });
             inner.slots.len() - 1
         } else {
@@ -404,28 +445,29 @@ impl BufferPool {
                 .iter()
                 .enumerate()
                 .filter(|(_, s)| s.pin_count == 0)
-                .min_by_key(|(_, s)| s.last_used)
+                .min_by_key(|(_, s)| (s.page_id.is_some(), s.last_used))
                 .map(|(i, _)| i)
                 .ok_or(StorageError::BufferPoolExhausted)?;
-            {
+            if let Some(old_id) = inner.slots[victim].page_id {
                 // Unpinned ⇒ no in-flight closure holds the frame lock.
-                let old = inner.slots[victim].frame.read();
+                let mut old = inner.slots[victim].frame.write();
                 if old.dirty {
-                    self.write_back(inner.slots[victim].page_id, &old.page)?;
+                    self.write_back(old_id, &old.page)?;
+                    old.dirty = false;
                     inner.stats.dirty_writebacks += 1;
                 }
+                drop(old);
+                inner.stats.evictions += 1;
+                inner.page_table.remove(&old_id);
+                inner.slots[victim].page_id = None;
             }
-            inner.stats.evictions += 1;
-            let old_id = inner.slots[victim].page_id;
-            inner.page_table.remove(&old_id);
-            inner.slots[victim] = Slot {
-                page_id: id,
-                frame: Arc::new(RwLock::new(Frame { page, dirty: false })),
-                pin_count: 0,
-                last_used: tick,
-            };
             victim
         };
+        fill(&mut inner.slots[idx].frame.write().page)?;
+        inner.tick += 1;
+        let slot = &mut inner.slots[idx];
+        slot.page_id = Some(id);
+        slot.last_used = if cold { 0 } else { inner.tick };
         inner.page_table.insert(id, idx);
         Ok(idx)
     }
@@ -534,6 +576,137 @@ mod tests {
             bp.with_page(b, |p| p.get(0).unwrap().to_vec()).unwrap(),
             b"b"
         );
+    }
+
+    /// `pages` pages whose one record is the page's own id.
+    fn pool_with_pages(frames: usize, pages: u64) -> BufferPool {
+        let bp = pool(frames);
+        for i in 0..pages {
+            let (id, _) = bp
+                .new_page(|_, p| p.insert(&i.to_le_bytes()).unwrap())
+                .unwrap();
+            assert_eq!(id, i);
+        }
+        bp
+    }
+
+    fn holds_id(p: &Page, id: PageId) -> bool {
+        p.get(0).unwrap() == id.to_le_bytes()
+    }
+
+    /// Misses of one pass over pages `0..pages`, read as a scan or not.
+    fn pass_misses(bp: &BufferPool, pages: u64, scan: bool) -> u64 {
+        let before = bp.stats().misses;
+        for id in 0..pages {
+            let holds = |p: &Page| holds_id(p, id);
+            let read = if scan {
+                bp.with_scan_page(id, holds)
+            } else {
+                bp.with_page(id, holds)
+            };
+            assert!(read.unwrap());
+        }
+        bp.stats().misses - before
+    }
+
+    #[test]
+    fn looping_scan_keeps_a_stable_share_of_a_table_three_times_the_pool() {
+        // 16 shards of 4 frames, 12 pages per shard. Scan reads cycle
+        // through one frame per shard; the other three keep pages the
+        // previous pass warmed, so each pass after the first misses
+        // 192 - 16 * 3 pages.
+        let bp = pool_with_pages(64, 192);
+        pass_misses(&bp, 192, true);
+        for _ in 0..3 {
+            assert_eq!(pass_misses(&bp, 192, true), 144);
+        }
+        // The same loop through plain LRU reads is its worst case: every
+        // page misses on every pass.
+        pass_misses(&bp, 192, false);
+        for _ in 0..2 {
+            assert_eq!(pass_misses(&bp, 192, false), 192);
+        }
+    }
+
+    #[test]
+    fn refilled_victim_serves_the_new_page_and_the_old_one_rereads() {
+        let bp = pool(1);
+        let frame = || Arc::as_ptr(&bp.shards[0].lock().slots[0].frame);
+        let (a, _) = bp.new_page(|_, p| p.insert(b"a").unwrap()).unwrap();
+        let first = frame();
+        // `b` takes `a`'s frame: `a` is written back, the frame refilled.
+        let (b, _) = bp.new_page(|_, p| p.insert(b"b").unwrap()).unwrap();
+        assert_eq!(frame(), first);
+        assert_eq!(
+            bp.with_page(b, |p| p.get(0).unwrap().to_vec()).unwrap(),
+            b"b"
+        );
+        // `a` re-reads from disk into the same frame, over `b`.
+        assert_eq!(
+            bp.with_page(a, |p| p.get(0).unwrap().to_vec()).unwrap(),
+            b"a"
+        );
+        assert_eq!(frame(), first);
+        let s = bp.stats();
+        assert_eq!((s.misses, s.evictions, s.dirty_writebacks), (1, 2, 2));
+        assert_eq!(
+            bp.with_page(b, |p| p.get(0).unwrap().to_vec()).unwrap(),
+            b"b"
+        );
+    }
+
+    #[test]
+    fn failed_read_leaves_neither_page_mapped() {
+        let bp = pool(1);
+        let (a, _) = bp.new_page(|_, p| p.insert(b"a").unwrap()).unwrap();
+        let (b, _) = bp.new_page(|_, p| p.insert(b"b").unwrap()).unwrap();
+        bp.with_page_mut(a, |p| p.insert(b"a2").unwrap()).unwrap();
+        // The victim (dirty `a`) is written back, then the read fails.
+        let err = bp.with_page(99, |_| ()).unwrap_err();
+        assert_eq!(err, StorageError::PageOutOfRange(99));
+        {
+            let inner = bp.shards[0].lock();
+            assert!(inner.page_table.is_empty());
+            assert_eq!(inner.slots[0].page_id, None);
+        }
+        let read = |id| {
+            bp.with_page(id, |p| {
+                p.iter().map(|(_, r)| r.to_vec()).collect::<Vec<_>>()
+            })
+            .unwrap()
+        };
+        assert_eq!(read(a), [b"a".to_vec(), b"a2".to_vec()]);
+        assert_eq!(read(b), [b"b".to_vec()]);
+        assert_eq!(read(a), [b"a".to_vec(), b"a2".to_vec()]);
+        assert!(matches!(
+            bp.with_page(99, |_| ()),
+            Err(StorageError::PageOutOfRange(99))
+        ));
+        assert_eq!(read(b), [b"b".to_vec()]);
+    }
+
+    #[test]
+    fn parallel_scanners_miss_concurrently_and_read_every_page() {
+        // 64 pages over 16 frames: every pass misses, and concurrent
+        // misses refill frames of the same shards.
+        let bp = pool_with_pages(16, 64);
+        bp.reset_stats();
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let bp = &bp;
+                s.spawn(move || {
+                    for pass in 0..20 {
+                        for k in 0..64 {
+                            let id = (k + t * 16 + pass) % 64;
+                            assert!(bp.with_scan_page(id, |p| holds_id(p, id)).unwrap());
+                        }
+                    }
+                });
+            }
+        });
+        let s = bp.stats();
+        assert_eq!(s.hits + s.misses, 4 * 20 * 64);
+        assert!(s.misses > 64);
     }
 
     #[test]

@@ -41,7 +41,7 @@
 //! Both backends keep identical I/O counters so the cost model and the
 //! benchmarks see the same accounting either way.
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -94,8 +94,8 @@ struct FaultState {
 }
 
 enum Backend {
-    /// In-memory array of page frames.
-    Mem(Mutex<Vec<Box<[u8; PAGE_SIZE]>>>),
+    /// In-memory array of page frames; readers copy out concurrently.
+    Mem(RwLock<Vec<Box<[u8; PAGE_SIZE]>>>),
     /// A page file; `len` caches the allocated page count.
     File { file: Mutex<File>, len: AtomicU64 },
 }
@@ -151,7 +151,7 @@ impl DiskManager {
 
     /// An in-memory disk (volatile; no durability).
     pub fn new() -> Self {
-        Self::build(Backend::Mem(Mutex::new(Vec::new())), None)
+        Self::build(Backend::Mem(RwLock::new(Vec::new())), None)
     }
 
     /// Open (or create) a file-backed page store at `path`. An existing
@@ -308,7 +308,7 @@ impl DiskManager {
     fn grow(&self) -> PageId {
         match &self.backend {
             Backend::Mem(pages) => {
-                let mut pages = pages.lock();
+                let mut pages = pages.write();
                 let id = pages.len() as PageId;
                 pages.push(Box::new([0u8; PAGE_SIZE]));
                 id
@@ -370,42 +370,44 @@ impl DiskManager {
     /// Number of allocated pages.
     pub fn page_count(&self) -> u64 {
         match &self.backend {
-            Backend::Mem(pages) => pages.lock().len() as u64,
+            Backend::Mem(pages) => pages.read().len() as u64,
             Backend::File { len, .. } => len.load(Ordering::Relaxed),
         }
     }
 
-    /// Read a page from disk. File-backed reads verify the torn-page
-    /// trailer: a mismatch raises [`StorageError::TornPage`] rather than
-    /// serving a half-written image.
-    pub fn read(&self, id: PageId) -> Result<Page> {
+    /// Read page `id` from disk into `page`, overwriting it in place: one
+    /// copy, no allocation. File-backed reads land straight in `page` and
+    /// verify the torn-page trailer there: a mismatch raises
+    /// [`StorageError::TornPage`]. On any error `page` holds no image the
+    /// caller may serve.
+    pub fn read_into(&self, id: PageId, page: &mut Page) -> Result<()> {
         match &self.backend {
             Backend::Mem(pages) => {
-                let pages = pages.lock();
+                let pages = pages.read();
                 let buf = pages
                     .get(id as usize)
                     .ok_or(StorageError::PageOutOfRange(id))?;
+                page.bytes_mut().copy_from_slice(&buf[..]);
                 self.reads.fetch_add(1, Ordering::Relaxed);
-                Page::from_bytes(&buf[..])
             }
             Backend::File { file, len } => {
                 if id >= len.load(Ordering::Relaxed) {
                     return Err(StorageError::PageOutOfRange(id));
                 }
+                let buf = page.bytes_mut();
                 let mut file = file.lock();
-                let mut buf = [0u8; PAGE_SIZE];
                 file.seek(SeekFrom::Start(id * PAGE_SIZE as u64))
                     .map_err(io_err)?;
-                file.read_exact(&mut buf).map_err(io_err)?;
+                file.read_exact(buf).map_err(io_err)?;
                 drop(file);
                 self.reads.fetch_add(1, Ordering::Relaxed);
                 self.pages_verified.fetch_add(1, Ordering::Relaxed);
-                if !trailer_matches(&buf) {
+                if !trailer_matches(buf) {
                     return Err(StorageError::TornPage { page: id });
                 }
-                Page::from_bytes(&buf)
             }
         }
+        Ok(())
     }
 
     /// Write a page back to disk (a one-entry [`DiskManager::write_batch`]).
@@ -424,7 +426,7 @@ impl DiskManager {
         }
         match &self.backend {
             Backend::Mem(pages) => {
-                let mut pages = pages.lock();
+                let mut pages = pages.write();
                 for (id, page) in batch {
                     let buf = pages
                         .get_mut(*id as usize)
@@ -537,6 +539,12 @@ mod tests {
     use super::*;
     use crate::tempdir::TempDir;
 
+    /// Read `id` into a fresh page.
+    fn read(disk: &DiskManager, id: PageId) -> Result<Page> {
+        let mut page = Page::new();
+        disk.read_into(id, &mut page).map(|()| page)
+    }
+
     #[test]
     fn allocate_read_write_roundtrip() {
         let disk = DiskManager::new();
@@ -544,7 +552,7 @@ mod tests {
         let mut page = Page::new();
         page.insert(b"data").unwrap();
         disk.write(id, &page).unwrap();
-        let back = disk.read(id).unwrap();
+        let back = read(&disk, id).unwrap();
         assert_eq!(back.get(0).unwrap(), b"data");
         let s = disk.stats();
         assert_eq!((s.reads, s.writes, s.allocations), (1, 1, 1));
@@ -553,7 +561,10 @@ mod tests {
     #[test]
     fn out_of_range_read_fails() {
         let disk = DiskManager::new();
-        assert!(matches!(disk.read(3), Err(StorageError::PageOutOfRange(3))));
+        assert!(matches!(
+            read(&disk, 3),
+            Err(StorageError::PageOutOfRange(3))
+        ));
     }
 
     #[test]
@@ -578,14 +589,17 @@ mod tests {
         disk.write(b, &page).unwrap();
         disk.sync().unwrap();
         // Fresh page reads back zeroed (slot_count == 0).
-        assert_eq!(disk.read(a).unwrap().slot_count(), 0);
+        assert_eq!(read(&disk, a).unwrap().slot_count(), 0);
         drop(disk);
 
         // Reopen: contents survive.
         let disk = DiskManager::open_file(&path).unwrap();
         assert_eq!(disk.page_count(), 2);
-        assert_eq!(disk.read(b).unwrap().get(0).unwrap(), b"persistent");
-        assert!(matches!(disk.read(9), Err(StorageError::PageOutOfRange(9))));
+        assert_eq!(read(&disk, b).unwrap().get(0).unwrap(), b"persistent");
+        assert!(matches!(
+            read(&disk, 9),
+            Err(StorageError::PageOutOfRange(9))
+        ));
     }
 
     #[test]
@@ -607,7 +621,7 @@ mod tests {
         let mut page = Page::new();
         page.insert(b"verified").unwrap();
         disk.write(id, &page).unwrap();
-        assert_eq!(disk.read(id).unwrap().get(0).unwrap(), b"verified");
+        assert_eq!(read(&disk, id).unwrap().get(0).unwrap(), b"verified");
         assert!(disk.stats().pages_verified >= 1);
         drop(disk);
 
@@ -617,7 +631,7 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let disk = DiskManager::open_file(&path).unwrap();
         assert_eq!(
-            disk.read(id).unwrap_err(),
+            read(&disk, id).unwrap_err(),
             StorageError::TornPage { page: id }
         );
     }
@@ -644,7 +658,7 @@ mod tests {
         // Reopen: the DW batch is durable and restores the torn page.
         let disk = DiskManager::open_file_dw(&path, &dw_path).unwrap();
         assert_eq!(disk.stats().torn_pages_repaired, 1);
-        assert_eq!(disk.read(id).unwrap().get(0).unwrap(), b"protected");
+        assert_eq!(read(&disk, id).unwrap().get(0).unwrap(), b"protected");
         // The spent buffer is truncated after restore.
         assert_eq!(std::fs::metadata(&dw_path).unwrap().len(), 0);
     }
@@ -672,7 +686,7 @@ mod tests {
 
         let disk = DiskManager::open_file_dw(&path, &dw_path).unwrap();
         assert_eq!(disk.stats().torn_pages_repaired, 0);
-        let back = disk.read(id).unwrap();
+        let back = read(&disk, id).unwrap();
         assert_eq!(back.get(0).unwrap(), b"old image");
         assert!(back.get(1).is_none(), "torn batch must not apply");
     }

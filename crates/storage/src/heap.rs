@@ -572,6 +572,9 @@ impl HeapFile {
     /// sees and the number the visibility check skipped. Returns `None`
     /// once `idx` runs past the end. This is the streaming unit batch scans
     /// pull on demand, so a scan holds at most one page's tuples at a time.
+    /// It reads through [`BufferPool::with_scan_page`]: a page it brings in
+    /// enters the pool cold, so a table larger than the pool does not flush
+    /// it.
     ///
     /// Each record's header is checked before its tuple is decoded, so an
     /// invisible version costs no decode; a run of live versions from one
@@ -608,7 +611,7 @@ impl HeapFile {
             Some(pid) => *pid,
             None => return Ok(None),
         };
-        let page = self.pool.with_page(pid, |p| {
+        let page = self.pool.with_scan_page(pid, |p| {
             let mut page = VisiblePage {
                 rows: Vec::with_capacity(p.live_records()),
                 ..VisiblePage::default()

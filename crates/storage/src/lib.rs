@@ -8,8 +8,9 @@
 //! - [`page`]: 8 KiB slotted pages carrying a `page_lsn`;
 //! - [`disk`]: the page store — in-memory for experiments, file-backed for
 //!   durable databases — with exact I/O accounting;
-//! - [`buffer`]: a sharded LRU buffer pool enforcing WAL-before-data at
-//!   eviction;
+//! - [`buffer`]: a sharded buffer pool — LRU, except that pages a
+//!   sequential scan brings in enter cold, and a miss refills its victim's
+//!   frame in place — enforcing WAL-before-data at eviction;
 //! - [`heap`]: RID-addressed heap files;
 //! - [`index`]: B+-tree secondary indexes (composite keys, range scans);
 //! - [`catalog`]: tables with maintained indexes + view definitions,

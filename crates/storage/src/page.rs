@@ -88,23 +88,25 @@ impl Page {
         let mut p = Page {
             data: Box::new([0u8; PAGE_SIZE]),
         };
-        p.set_slot_count(0);
-        p.set_free_offset((PAGE_SIZE - PAGE_TRAILER) as u16);
+        p.reset();
         p
     }
 
-    /// Wrap raw bytes read from disk.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        if bytes.len() != PAGE_SIZE {
-            return Err(StorageError::Corrupt("page has wrong size"));
-        }
-        let mut data = Box::new([0u8; PAGE_SIZE]);
-        data.copy_from_slice(bytes);
-        Ok(Page { data })
+    /// Empty the page in place: the state [`Page::new`] returns, without
+    /// allocating.
+    pub(crate) fn reset(&mut self) {
+        self.data.fill(0);
+        self.set_slot_count(0);
+        self.set_free_offset((PAGE_SIZE - PAGE_TRAILER) as u16);
     }
 
     pub fn as_bytes(&self) -> &[u8] {
         &self.data[..]
+    }
+
+    /// The raw image, for the disk manager to read a page into in place.
+    pub(crate) fn bytes_mut(&mut self) -> &mut [u8; PAGE_SIZE] {
+        &mut self.data
     }
 
     fn read_u16(&self, at: usize) -> u16 {
@@ -478,7 +480,8 @@ mod tests {
     fn page_roundtrips_through_bytes() {
         let mut p = Page::new();
         p.insert(b"persist me").unwrap();
-        let q = Page::from_bytes(p.as_bytes()).unwrap();
+        let mut q = Page::new();
+        q.bytes_mut().copy_from_slice(p.as_bytes());
         assert_eq!(q.get(0).unwrap(), b"persist me");
     }
 
@@ -488,7 +491,8 @@ mod tests {
         assert_eq!(p.lsn(), 0);
         p.insert(b"rec").unwrap();
         p.set_lsn(0xDEAD_BEEF_0042);
-        let q = Page::from_bytes(p.as_bytes()).unwrap();
+        let mut q = Page::new();
+        q.bytes_mut().copy_from_slice(p.as_bytes());
         assert_eq!(q.lsn(), 0xDEAD_BEEF_0042);
         assert_eq!(q.get(0).unwrap(), b"rec");
     }

@@ -640,3 +640,40 @@ fn aliased_direct_matview_is_maintained() {
         .unwrap();
     assert_eq!(stored, rows());
 }
+
+/// A `COUNT(*)` over a fact table larger than the buffer pool does not
+/// flush the pool: the pages a scan brings in enter cold and cycle through
+/// one frame per shard, so the pages of `SALES` the load left warm stay
+/// resident and hit on every pass. The 2nd and 3rd scans each read the
+/// same exact number of pages from disk: 133 of the table's 178, the 45
+/// others hitting in frames the load left warm. Under plain LRU every pass
+/// read all 178.
+#[test]
+fn scan_of_a_table_larger_than_the_pool_reads_an_exact_page_count() {
+    use xnf_core::{DbConfig, PlanOptions};
+    let config = DbConfig {
+        buffer_pages: 64,
+        plan: PlanOptions {
+            dop: 1,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let db = xnf_fixtures::star::build_star_db_with(8_000, config);
+    let sales_pages = db.catalog().table("SALES").unwrap().page_count() as u64;
+    let session = db.session();
+    let disk = db.catalog().buffer_pool().disk();
+    let reads: Vec<u64> = (0..3)
+        .map(|_| {
+            let before = disk.stats().reads;
+            let count = session.query("SELECT COUNT(*) FROM SALES", &[]).unwrap();
+            assert_eq!(
+                count.try_table().unwrap().rows[0][0].as_int().unwrap(),
+                8_000
+            );
+            disk.stats().reads - before
+        })
+        .collect();
+    assert_eq!(sales_pages, 178);
+    assert_eq!(reads[1..], [133, 133]);
+}

@@ -10,9 +10,10 @@
 //! the in-place write, which is what makes the tear indices deterministic.
 
 use std::path::Path;
+use std::sync::Arc;
 
 use xnf_core::{Database, DbConfig, FaultPlan, TempDir};
-use xnf_storage::PAGE_SIZE;
+use xnf_storage::{BufferPool, DiskManager, PageId, StorageError, PAGE_SIZE};
 
 fn config(dir: &Path) -> DbConfig {
     DbConfig {
@@ -221,4 +222,62 @@ fn doublewrite_off_detects_but_cannot_repair() {
         err.to_string().contains("torn page"),
         "open must fail with the typed torn-page error, got: {err}"
     );
+}
+
+/// A torn page read on a miss lands in a recycled frame: the read fails
+/// with the typed torn-page error, and the frame's previous occupant is
+/// never served under either page id — the failed frame is left empty, so
+/// the torn id reads torn again and the previous page re-reads from disk.
+/// A reopen repairs the page from its double-write copy, as at any open.
+#[test]
+fn torn_page_read_into_a_recycled_frame_serves_neither_image() {
+    let dir = TempDir::new("torn-matrix-recycled");
+    let pages_path = dir.path().join("pages.db");
+    let dw_path = dir.path().join("doublewrite.db");
+    let open_pool = || {
+        let disk = DiskManager::open_file_dw(&pages_path, &dw_path).unwrap();
+        // One frame: every miss refills the frame the last page used.
+        BufferPool::new(Arc::new(disk), 1)
+    };
+    let first =
+        |pool: &BufferPool, id: PageId| pool.with_page(id, |p| p.get(0).map(<[u8]>::to_vec));
+
+    let pool = open_pool();
+    let (a, _) = pool.new_page(|_, p| p.insert(b"page a").unwrap()).unwrap();
+    let (b, _) = pool.new_page(|_, p| p.insert(b"page b").unwrap()).unwrap();
+    pool.flush_all().unwrap();
+    pool.disk().sync().unwrap();
+
+    // The crash shape behind the live pool's back: `a`'s DW copy durable,
+    // its in-place image torn halfway. The frame holds `b`.
+    let pristine = std::fs::read(&pages_path).unwrap();
+    let at = a as usize * PAGE_SIZE;
+    let mut dw = a.to_le_bytes().to_vec();
+    dw.extend_from_slice(&pristine[at..at + PAGE_SIZE]);
+    std::fs::write(&dw_path, &dw).unwrap();
+    let mut torn = pristine;
+    torn[at + PAGE_SIZE / 2..at + PAGE_SIZE].fill(0xAA);
+    std::fs::write(&pages_path, &torn).unwrap();
+
+    for _ in 0..2 {
+        for _ in 0..2 {
+            assert_eq!(
+                first(&pool, a).unwrap_err(),
+                StorageError::TornPage { page: a }
+            );
+        }
+        assert_eq!(first(&pool, b).unwrap().as_deref(), Some(&b"page b"[..]));
+    }
+    let s = pool.stats();
+    assert_eq!(
+        (s.hits, s.misses),
+        (0, 6),
+        "a failed read left a page mapped"
+    );
+    drop(pool);
+
+    let pool = open_pool();
+    assert_eq!(pool.disk().stats().torn_pages_repaired, 1);
+    assert_eq!(first(&pool, a).unwrap().as_deref(), Some(&b"page a"[..]));
+    assert_eq!(first(&pool, b).unwrap().as_deref(), Some(&b"page b"[..]));
 }
