@@ -437,14 +437,10 @@ impl CompiledPreds {
         Ok(true)
     }
 
-    /// Retain only the rows of `batch` that satisfy every conjunct.
+    /// Retain only the rows of `batch` that satisfy every conjunct,
+    /// compacting it in place.
     pub fn retain(&self, batch: &mut RowBatch, outer: &OuterCtx) -> Result<()> {
-        let mut keep = Vec::with_capacity(batch.len());
-        for row in batch.iter() {
-            keep.push(self.matches(row, outer)?);
-        }
-        batch.retain_indices(&keep);
-        Ok(())
+        batch.try_retain(|row| self.matches(row, outer))
     }
 }
 
@@ -515,15 +511,17 @@ pub fn filter_batch(preds: &[PhysExpr], batch: &mut RowBatch, outer: &OuterCtx) 
     CompiledPreds::compile(preds, outer)?.retain(batch, outer)
 }
 
-/// Project every row of `batch` through `exprs` into a fresh batch.
+/// Project every row of `batch` through `exprs` into a fresh batch, each
+/// row's values written straight into its buffer.
 pub fn project_batch(exprs: &[PhysExpr], batch: &RowBatch, outer: &OuterCtx) -> Result<RowBatch> {
     let mut out = RowBatch::with_capacity(exprs.len(), batch.len());
     for row in batch.iter() {
-        let mut projected = Vec::with_capacity(exprs.len());
-        for e in exprs {
-            projected.push(eval(e, row, outer, &[])?);
-        }
-        out.push(projected);
+        out.push_with(|projected| {
+            for e in exprs {
+                projected.push(eval(e, row, outer, &[])?);
+            }
+            Ok::<(), ExecError>(())
+        })?;
     }
     Ok(out)
 }

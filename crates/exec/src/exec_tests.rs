@@ -811,12 +811,16 @@ fn ungated_batches(
     let mut runs: Vec<Vec<Vec<Value>>> = Vec::new();
     let mut passed = 0;
     let mut idx = 0;
-    while let Some(page) = t.scan_page_snapshot(idx, &snap, None, None).unwrap() {
+    let mut values = Vec::new();
+    while let Some(page) = t
+        .scan_page_snapshot(idx, &snap, None, None, &mut values, None)
+        .unwrap()
+    {
         if per_page {
             passed = 0;
             runs.push(Vec::new());
         }
-        for (_, row) in page.rows {
+        for row in values.chunks(page.width).map(<[Value]>::to_vec) {
             if row[1] != Value::Int(0) {
                 continue;
             }
@@ -825,9 +829,10 @@ fn ungated_batches(
             }
             passed += 1;
             if !probe || in_u(&row[2]) {
-                runs.last_mut().unwrap().push(row.values);
+                runs.last_mut().unwrap().push(row);
             }
         }
+        values.clear();
         idx += 1;
     }
     runs.retain(|r| !r.is_empty());
@@ -902,5 +907,107 @@ fn gated_scans_emit_the_ungated_batches() {
             let scanned = 2000 + if probe { 29 } else { 0 };
             assert_eq!(rt.stats.rows_scanned, scanned);
         }
+    }
+}
+
+/// `L(k)` holding 0..10 and `R(k, v)` holding `FANOUT[k]` rows per `k`.
+const FANOUT: [i64; 10] = [0, 5, 1, 2, 0, 0, 3, 1, 4, 0];
+
+fn fanout_db() -> Catalog {
+    let cat = Catalog::new(Arc::new(BufferPool::new(Arc::new(DiskManager::new()), 64)));
+    let l = cat
+        .create_table("L", Schema::from_pairs(&[("k", DataType::Int)]))
+        .unwrap();
+    let r = cat
+        .create_table(
+            "R",
+            Schema::from_pairs(&[("k", DataType::Int), ("v", DataType::Str)]),
+        )
+        .unwrap();
+    for (k, &n) in FANOUT.iter().enumerate() {
+        l.insert(&Tuple::new(vec![Value::Int(k as i64)])).unwrap();
+        for j in 0..n {
+            let v = Value::Str(format!("r{k}.{j}"));
+            r.insert(&Tuple::new(vec![Value::Int(k as i64), v]))
+                .unwrap();
+        }
+    }
+    cat
+}
+
+#[test]
+fn hash_join_cuts_high_fanout_output_where_it_always_did() {
+    use xnf_plan::{PhysExpr, PhysPlan};
+    let cat = fanout_db();
+    let scan = |table: &str| PhysPlan::SeqScan {
+        table: table.into(),
+        filter: vec![],
+        cols: None,
+    };
+    let plan = PhysPlan::HashJoin {
+        left: Box::new(scan("L")),
+        right: Box::new(scan("R")),
+        left_keys: vec![PhysExpr::Col(0)],
+        right_keys: vec![PhysExpr::Col(0)],
+        residual: vec![],
+    };
+    let mut rt = crate::ops::Runtime::new(&cat);
+    rt.batch_size = 4;
+    let mut op = crate::ops::build_operator(&plan);
+    let mut sizes = Vec::new();
+    let mut rows = Vec::new();
+    while let Some(batch) = op.next_batch(&mut rt).unwrap() {
+        assert_eq!(batch.columns(), 3);
+        sizes.push(batch.len());
+        rows.extend(batch.into_rows());
+    }
+    // Probe batches [0..4), [4..8), [8..10). A batch closes once a probe
+    // row's matches reach 4 rows (5 at k = 1, 4 at k = 8, never split
+    // between rows) and at the end of each probe batch.
+    assert_eq!(sizes, [5, 3, 4, 4]);
+    let want: Vec<Vec<Value>> = FANOUT
+        .iter()
+        .enumerate()
+        .flat_map(|(k, &n)| {
+            (0..n).map(move |j| {
+                let v = Value::Str(format!("r{k}.{j}"));
+                vec![Value::Int(k as i64), Value::Int(k as i64), v]
+            })
+        })
+        .collect();
+    assert_eq!(rows, want, "each probe row's matches in build order");
+}
+
+#[test]
+fn zero_width_rows_count_through_a_projection() {
+    use xnf_plan::{AggSpec, PhysExpr, PhysPlan};
+    let cat = fanout_db();
+    // COUNT(*) over a projection of no columns: every batch carries rows
+    // of width 0, which must still count.
+    let plan = PhysPlan::HashAggregate {
+        input: Box::new(PhysPlan::Project {
+            input: Box::new(PhysPlan::SeqScan {
+                table: "R".into(),
+                filter: vec![],
+                cols: None,
+            }),
+            exprs: vec![],
+        }),
+        group: vec![],
+        aggs: vec![AggSpec {
+            func: xnf_sql::AggFunc::Count,
+            arg: None,
+            distinct: false,
+        }],
+        having: vec![],
+        output: vec![PhysExpr::AggRef(0)],
+    };
+    for batch_size in [1, 3, 1024] {
+        let mut rt = crate::ops::Runtime::new(&cat);
+        rt.batch_size = batch_size;
+        let mut op = crate::ops::build_operator(&plan);
+        let batch = op.next_batch(&mut rt).unwrap().unwrap();
+        assert_eq!(batch.into_rows(), vec![vec![Value::Int(16)]]);
+        assert!(op.next_batch(&mut rt).unwrap().is_none());
     }
 }

@@ -8,14 +8,17 @@
 //!
 //! - every operator implements [`Operator::next_batch`] — there is no
 //!   row-at-a-time `next()`; virtual dispatch, predicate/projection setup
-//!   and allocator traffic amortise over a whole chunk;
+//!   and allocator traffic amortise over a whole chunk, and a chunk is one
+//!   flat row-major buffer, so the streaming operators allocate per batch,
+//!   not per row;
 //! - scans stream batches straight off heap pages
-//!   (`HeapFile::scan_page_snapshot`) and index postings — a scan holds at
-//!   most one page of tuples, so `LIMIT`-style early termination stops
-//!   reading the base table instead of materialising it, and it decodes
-//!   only the columns the plan reads (`cols` on the scan node); its
-//!   filter, and the probe of a residual-free hash semijoin over it, decide
-//!   each record before it is decoded (the page read's gate);
+//!   (`HeapFile::scan_page_snapshot` decodes into the batch being filled)
+//!   and index postings — a scan holds at most one page of tuples, so
+//!   `LIMIT`-style early termination stops reading the base table instead
+//!   of materialising it, and it decodes only the columns the plan reads
+//!   (`cols` on the scan node); its filter, and the probe of a
+//!   residual-free hash semijoin over it, decide each record on its slot
+//!   in the batch before the rest of it is decoded (the page read's gate);
 //! - shared subplans (the multi-query "table queues" of Fig. 6) are
 //!   materialised once as `Vec<RowBatch>` and re-streamed chunk-at-a-time
 //!   by every consumer;

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use xnf_plan::{AggSpec, PhysExpr, PhysPlan, DEFAULT_BATCH_SIZE};
 use xnf_sql::AggFunc;
-use xnf_storage::{Catalog, Gate, IndexDef, Rid, Table, Tuple, Value};
+use xnf_storage::{Catalog, Gate, IndexDef, Rid, Table, Value};
 
 use crate::batch::RowBatch;
 use crate::error::{ExecError, Result};
@@ -229,6 +229,8 @@ pub fn build_operator(plan: &PhysPlan) -> Box<dyn Operator> {
             residual: residual.clone(),
             probe: None,
             current: None,
+            matches: RowBatch::default(),
+            last_out: 0,
         }),
         PhysPlan::IndexSemiJoin {
             table,
@@ -271,6 +273,7 @@ pub fn build_operator(plan: &PhysPlan) -> Box<dyn Operator> {
             residual: residual.clone(),
             table: None,
             probe: None,
+            last_out: 0,
         }),
         PhysPlan::NlJoin { left, right, preds } => Box::new(NlJoinOp {
             left: build_operator(left),
@@ -360,7 +363,6 @@ pub fn build_operator(plan: &PhysPlan) -> Box<dyn Operator> {
             having: having.clone(),
             output: output.clone(),
             results: None,
-            idx: 0,
         }),
         PhysPlan::HashDistinct { input } => Box::new(HashDistinctOp {
             input: build_operator(input),
@@ -373,8 +375,7 @@ pub fn build_operator(plan: &PhysPlan) -> Box<dyn Operator> {
         PhysPlan::Sort { input, specs } => Box::new(SortOp {
             input: build_operator(input),
             specs: specs.clone(),
-            buf: None,
-            idx: 0,
+            sorted: None,
         }),
         PhysPlan::Limit { input, n } => Box::new(LimitOp {
             input: build_operator(input),
@@ -420,13 +421,26 @@ impl Operator for InvalidPlanOp {
     }
 }
 
-/// Drain an operator into a flat row vector.
-pub fn drain(op: &mut dyn Operator, rt: &mut Runtime<'_>) -> Result<Vec<Row>> {
-    let mut out = Vec::new();
+/// Drain an operator into one batch holding all of its rows.
+pub fn drain(op: &mut dyn Operator, rt: &mut Runtime<'_>) -> Result<RowBatch> {
+    let mut out = RowBatch::default();
     while let Some(batch) = op.next_batch(rt)? {
-        out.extend(batch.into_rows());
+        out.append(batch);
     }
     Ok(out)
+}
+
+/// Move up to `batch_size` of a materialized operator's remaining result
+/// rows into one batch of `width`-wide rows; `None` once they run out.
+pub(crate) fn next_chunk(
+    rows: &mut std::vec::IntoIter<Row>,
+    width: usize,
+    batch_size: usize,
+) -> Option<RowBatch> {
+    let n = rows.len().min(batch_size);
+    let mut batch = RowBatch::with_capacity(width, n);
+    rows.take(n).for_each(|row| batch.push_owned(row));
+    (!batch.is_empty()).then_some(batch)
 }
 
 // ---------------------------------------------------------------------------
@@ -447,11 +461,12 @@ impl Operator for ValuesOp {
             self.rows.len(),
         );
         for exprs in &self.rows {
-            let mut row = Vec::with_capacity(exprs.len());
-            for e in exprs {
-                row.push(eval(e, &[], &rt.outer, &[])?);
-            }
-            batch.push(row);
+            batch.push_with(|row| {
+                for e in exprs {
+                    row.push(eval(e, &[], &rt.outer, &[])?);
+                }
+                Ok::<(), ExecError>(())
+            })?;
         }
         Ok(Some(batch))
     }
@@ -479,17 +494,11 @@ pub(crate) enum ProbeTable {
 /// fused onto it, if any.
 ///
 /// The filter and the probe run as the page read's [`Gate`]: each visible
-/// record is decided on the columns they read, decoded into one scratch
-/// row, and only an accepted record is materialized. `rows_scanned` still
-/// counts every visible row. A scan with neither reads ungated.
-///
-/// A gate pays while it rejects: a rejected record skips its decode, but
-/// an accepted one costs a little more than a plain decode, its columns
-/// walked once and then materialized. So a scan gates a page when the
-/// previous page it read had fewer accepted rows than rejected ones (and
-/// its first page); otherwise it decodes the page plainly and decides each
-/// decoded row. Either way the same decision runs on the same values, so
-/// the rows, their order and the counters do not depend on the choice.
+/// record's slot at the tail of the open run holds the columns they read,
+/// they decide on it, and only an accepted record is materialized, from
+/// the same walk. `rows_scanned` still counts every visible row. A scan
+/// with neither reads ungated, every visible record decoded straight into
+/// the run.
 pub(crate) struct Scan {
     table: String,
     filter: Vec<PhysExpr>,
@@ -508,20 +517,10 @@ struct OpenScan {
     /// The kept columns the filter and the probe keys read, ascending.
     /// A column the scan does not keep stays `NULL`, as in a decoded row.
     gate_cols: Vec<usize>,
-    /// Whether the next page is read through the gate.
-    gate_next: bool,
-}
-
-/// One page of a [`Scan`].
-pub(crate) struct ScanPage {
-    /// The rows the gate accepted, in slot order.
-    rows: Vec<(Rid, Tuple)>,
     /// Each accepted row's position among the page's rows that passed the
-    /// filter; `None` when the filter alone decides, so every row that
-    /// passed it was accepted.
-    positions: Option<Vec<usize>>,
-    /// The page's rows that passed the filter.
-    passed: usize,
+    /// filter (fused probe only), and the probe's key: reused per page.
+    positions: Vec<usize>,
+    key: Vec<Value>,
 }
 
 impl Scan {
@@ -568,36 +567,45 @@ impl Scan {
             filter: CompiledPreds::compile(&self.filter, &rt.outer)?,
             probe,
             gate_cols: read.into_iter().filter(kept).collect(),
-            gate_next: true,
+            positions: Vec::new(),
+            key: Vec::new(),
         })
     }
 
-    /// Read page `idx` through the gate, counting its visible and skipped
-    /// versions; `None` past the end.
+    /// Read page `idx` through the gate straight into the open run of
+    /// `runs`, which then cuts it into batches, counting the page's visible
+    /// and skipped versions; `false` past the end.
     pub(crate) fn read_page(
         &mut self,
         idx: usize,
         rt: &mut Runtime<'_>,
-    ) -> Result<Option<ScanPage>> {
+        runs: &mut Runs,
+    ) -> Result<bool> {
         if self.open.is_none() {
             self.open = Some(self.open(rt)?);
         }
-        let open = self.open.as_mut().expect("opened above");
+        let OpenScan {
+            table,
+            filter,
+            probe,
+            gate_cols,
+            positions,
+            key,
+        } = self.open.as_mut().expect("opened above");
         let cols = self.cols.as_deref();
-        let decides = !open.filter.is_empty() || open.probe.is_some();
-        let (mut passed, mut positions) = (0, Vec::new());
-        let mut key = Vec::new();
+        let decides = !filter.is_empty() || probe.is_some();
+        let mut passed = 0;
+        positions.clear();
         let outer = &rt.outer;
-        let (filter, probe) = (&open.filter, &open.probe);
         let mut decide = |row: &[Value]| -> Result<bool> {
             if !filter.matches(row, outer)? {
                 return Ok(false);
             }
             passed += 1;
-            let Some((keys, table)) = probe else {
+            let Some((keys, table)) = &*probe else {
                 return Ok(true);
             };
-            let hit = key_into(keys, row, outer, &mut key)? && table.contains(&key);
+            let hit = key_into(keys, row, outer, key)? && table.contains(key);
             if hit {
                 positions.push(passed - 1);
             }
@@ -613,44 +621,29 @@ impl Scan {
                     false
                 })
         };
-        let page = match (decides, open.gate_next) {
-            (false, _) => open
-                .table
-                .scan_page_snapshot(idx, &rt.snapshot, cols, None)?,
-            (true, true) => {
-                let gate = Gate {
-                    cols: &open.gate_cols,
-                    accept: &mut accept,
-                };
-                open.table
-                    .scan_page_snapshot(idx, &rt.snapshot, cols, Some(gate))?
-            }
-            (true, false) => {
-                let mut page = open
-                    .table
-                    .scan_page_snapshot(idx, &rt.snapshot, cols, None)?;
-                if let Some(page) = &mut page {
-                    page.rows.retain(|(_, t)| accept(&t.values));
-                }
-                page
-            }
-        };
+        let gate = decides.then_some(Gate {
+            cols: gate_cols,
+            accept: &mut accept,
+        });
+        let width = table.schema.len();
+        let out = runs.buffer(width);
+        let page = table.scan_page_snapshot(idx, &rt.snapshot, cols, gate, out, None)?;
         if let Some(e) = err {
             return Err(e);
         }
         let Some(page) = page else {
-            return Ok(None);
+            return Ok(false);
         };
+        if page.rows > 0 && page.width != width {
+            let what = "records wider or narrower than their table";
+            return Err(ExecError::Storage(xnf_storage::StorageError::Corrupt(what)));
+        }
         rt.stats.rows_scanned += page.visible;
         rt.stats.rows_skipped_visibility += page.skipped;
-        if page.visible > 0 {
-            open.gate_next = 2 * (page.rows.len() as u64) < page.visible;
-        }
-        Ok(Some(ScanPage {
-            passed: if decides { passed } else { page.rows.len() },
-            positions: open.probe.is_some().then_some(positions),
-            rows: page.rows,
-        }))
+        let passed = if decides { passed } else { page.rows };
+        let positions = probe.is_some().then_some(positions.as_slice());
+        runs.settle(page.rows, positions, passed, rt.batch_size);
+        Ok(true)
     }
 }
 
@@ -659,32 +652,54 @@ impl Scan {
 /// among them, and none where none was accepted. Without a fused probe
 /// every passing row is accepted, so these are plain full batches; with
 /// one, they are exactly the batches the semijoin would keep of them.
+///
+/// A page read appends its accepted rows straight into the open run; the
+/// run is cut where the next batch begins, so a batch's values are never
+/// copied row by row.
 #[derive(Default)]
 pub(crate) struct Runs {
     /// Rows that passed the filter so far.
     passed: usize,
     /// The run `open` collects for.
     run: usize,
-    open: Vec<Row>,
+    open: RowBatch,
+    /// Rows the last page appended: the room the next read reserves.
+    last_page: usize,
     ready: VecDeque<RowBatch>,
 }
 
 impl Runs {
-    pub(crate) fn push(&mut self, page: ScanPage, batch_size: usize) {
-        let n = page.rows.len();
+    /// The buffer the next page read appends its `width`-wide rows to.
+    fn buffer(&mut self, width: usize) -> &mut Vec<Value> {
+        if self.open.is_empty() {
+            self.open = RowBatch::new(width);
+        }
+        self.open.reserve(self.last_page);
+        self.open.buffer()
+    }
+
+    /// Take in the `n` rows a page read just appended, `passed` of its
+    /// rows having passed the filter, and cut the run where a batch ends.
+    /// `positions` holds each appended row's position among the passing
+    /// rows; `None` when every passing row was appended.
+    fn settle(&mut self, n: usize, positions: Option<&[usize]>, passed: usize, batch_size: usize) {
+        self.open.appended(n);
+        self.last_page = n;
+        // The open run's index of the page's row `from`.
+        let (mut at, mut from) = (self.open.len() - n, 0);
         let mut cut_at = (self.run + 1) * batch_size;
-        self.open.reserve(n);
-        for (i, (_, tuple)) in page.rows.into_iter().enumerate() {
-            let pos = self.passed + page.positions.as_ref().map_or(i, |p| p[i]);
+        for i in 0..n {
+            let pos = self.passed + positions.map_or(i, |p| p[i]);
             if pos >= cut_at {
-                self.cut();
-                self.open.reserve(n - i);
+                let rest = self.open.split_off(at + i - from);
+                let full = std::mem::replace(&mut self.open, rest);
+                self.emit(full);
+                (at, from) = (0, i);
                 self.run = pos / batch_size;
                 cut_at = (self.run + 1) * batch_size;
             }
-            self.open.push(tuple.values);
         }
-        self.passed += page.passed;
+        self.passed += passed;
         if self.passed >= cut_at {
             self.cut();
             self.run = self.passed / batch_size;
@@ -700,9 +715,13 @@ impl Runs {
     }
 
     fn cut(&mut self) {
-        if !self.open.is_empty() {
-            let rows = std::mem::take(&mut self.open);
-            self.ready.push_back(RowBatch::from_rows(rows));
+        let open = std::mem::take(&mut self.open);
+        self.emit(open);
+    }
+
+    fn emit(&mut self, batch: RowBatch) {
+        if !batch.is_empty() {
+            self.ready.push_back(batch);
         }
     }
 
@@ -740,15 +759,11 @@ impl Operator for SeqScanOp {
             if self.done {
                 return Ok(None);
             }
-            match self.scan.read_page(self.page_idx, rt)? {
-                None => {
-                    self.done = true;
-                    self.runs.end();
-                }
-                Some(page) => {
-                    self.page_idx += 1;
-                    self.runs.push(page, rt.batch_size);
-                }
+            if self.scan.read_page(self.page_idx, rt, &mut self.runs)? {
+                self.page_idx += 1;
+            } else {
+                self.done = true;
+                self.runs.end();
             }
         }
     }
@@ -800,8 +815,8 @@ struct ProbeCursor {
 }
 
 impl ProbeCursor {
-    /// Resolve postings under the run's snapshot until `out` holds `limit`
-    /// rows or the postings run out. Postings cover every tuple version
+    /// Resolve postings under the run's snapshot into `out` until it holds
+    /// `limit` rows or the postings run out. Postings cover every tuple version
     /// (and may dangle after a concurrent rollback reclaims one); only
     /// versions that are visible to the snapshot and still carry the
     /// probed key count as scanned rows, the rest as skipped.
@@ -810,7 +825,7 @@ impl ProbeCursor {
         probe: &IndexProbe,
         rt: &mut Runtime<'_>,
         limit: usize,
-        out: &mut Vec<Row>,
+        out: &mut RowBatch,
     ) -> Result<()> {
         let filter = &probe.filter;
         while out.len() < limit && self.pos < self.postings.len() {
@@ -830,7 +845,7 @@ impl ProbeCursor {
             self.last_hit = Some(rid);
             rt.stats.rows_scanned += 1;
             if filter.is_empty() || filter.matches(&tuple.values, &rt.outer)? {
-                out.push(tuple.values);
+                out.push_owned(tuple.values);
             }
         }
         Ok(())
@@ -838,10 +853,10 @@ impl ProbeCursor {
 
     /// The next batch of resolved rows, `None` once the postings run out.
     fn next_batch(&mut self, probe: &IndexProbe, rt: &mut Runtime<'_>) -> Result<Option<RowBatch>> {
-        let mut rows = Vec::new();
+        let mut rows = RowBatch::default();
         let limit = rt.batch_size;
         self.fill(probe, rt, limit, &mut rows)?;
-        Ok((!rows.is_empty()).then(|| RowBatch::from_rows(rows)))
+        Ok((!rows.is_empty()).then_some(rows))
     }
 }
 
@@ -880,6 +895,10 @@ struct IndexNlJoinOp {
     /// Left batch still being expanded (and the next row to probe in it),
     /// as in [`HashJoinOp`].
     current: Option<(RowBatch, usize)>,
+    /// One left row's matches, reused from probe to probe.
+    matches: RowBatch,
+    /// Rows of the last batch emitted: the room the next one reserves.
+    last_out: usize,
 }
 
 impl Operator for IndexNlJoinOp {
@@ -893,8 +912,8 @@ impl Operator for IndexNlJoinOp {
             )?);
         }
         let probe = self.probe.as_ref().expect("opened above");
-        let mut matches = Vec::new();
-        let mut out = RowBatch::with_capacity(0, rt.batch_size);
+        let matches = &mut self.matches;
+        let mut out = RowBatch::new(0);
         loop {
             if self.current.is_none() {
                 match self.left.next_batch(rt)? {
@@ -908,12 +927,13 @@ impl Operator for IndexNlJoinOp {
                 *idx += 1;
                 let key = eval(&self.key, lrow, &rt.outer, &[])?;
                 let mut cursor = probe.cursor(vec![vec![key]])?;
-                cursor.fill(probe, rt, usize::MAX, &mut matches)?;
-                for rrow in matches.drain(..) {
-                    let mut combined = Vec::with_capacity(lrow.len() + rrow.len());
-                    combined.extend(lrow.iter().cloned());
-                    combined.extend(rrow);
-                    out.push(combined);
+                matches.truncate(0);
+                cursor.fill(probe, rt, usize::MAX, matches)?;
+                if out.is_empty() && !matches.is_empty() {
+                    out = RowBatch::with_capacity(lrow.len() + matches.columns(), self.last_out);
+                }
+                for rrow in matches.iter() {
+                    out.push_joined(lrow, rrow);
                 }
             }
             if *idx >= lbatch.len() {
@@ -922,6 +942,7 @@ impl Operator for IndexNlJoinOp {
             if out.len() >= rt.batch_size {
                 filter_batch(&self.residual, &mut out, &rt.outer)?;
                 if !out.is_empty() {
+                    self.last_out = out.len();
                     return Ok(Some(out));
                 }
             }
@@ -991,25 +1012,20 @@ impl Operator for SharedScanOp {
         let mut out = RowBatch::with_capacity(src.columns() + 1, src.len());
         for (i, row) in src.iter().enumerate() {
             let rowid = Value::Int((self.row_offset + i) as i64);
-            let with_id = match &self.cols {
-                None => {
-                    let mut with_id = Vec::with_capacity(row.len() + 1);
-                    with_id.push(rowid);
-                    with_id.extend(row.iter().cloned());
-                    with_id
-                }
-                Some(cols) => {
-                    let mut with_id = vec![Value::Null; row.len() + 1];
+            match &self.cols {
+                None => out.push_joined(&[rowid], row),
+                Some(cols) => out.push_with(|with_id| {
+                    let start = with_id.len();
+                    with_id.resize(start + row.len() + 1, Value::Null);
                     for &c in cols {
-                        with_id[c] = match c {
+                        with_id[start + c] = match c {
                             0 => rowid.clone(),
                             _ => row[c - 1].clone(),
                         };
                     }
-                    with_id
-                }
-            };
-            out.push(with_id);
+                    Ok::<(), ExecError>(())
+                })?,
+            }
         }
         self.row_offset += src.len();
         Ok(Some(out))
@@ -1119,7 +1135,7 @@ impl JoinTable {
     ) -> Result<JoinTable> {
         let mut map: FxHashMap<Vec<Value>, Vec<Row>> = FxHashMap::default();
         while let Some(batch) = input.next_batch(rt)? {
-            for row in batch {
+            for row in batch.into_rows() {
                 if let Some(key) = key_of(keys, &row, &rt.outer)? {
                     let bucket = map.entry(key).or_default();
                     if keep_rows {
@@ -1159,6 +1175,9 @@ pub(crate) struct HashJoinOp {
     /// so high-fanout joins flush output near `batch_size` instead of
     /// materialising one input batch's full match set.
     pub(crate) probe: Option<(RowBatch, usize)>,
+    /// Rows of the last batch emitted: the room the next one reserves, so
+    /// output buffers grow with what the join emits.
+    pub(crate) last_out: usize,
 }
 
 impl Operator for HashJoinOp {
@@ -1173,7 +1192,7 @@ impl Operator for HashJoinOp {
         }
         let table = self.table.as_deref().expect("built above");
         let mut key = Vec::with_capacity(self.left_keys.len());
-        let mut out = RowBatch::with_capacity(0, rt.batch_size);
+        let mut out = RowBatch::new(0);
         loop {
             if self.probe.is_none() {
                 match self.left.next_batch(rt)? {
@@ -1191,11 +1210,12 @@ impl Operator for HashJoinOp {
                 let Some(matches) = table.get(&key) else {
                     continue;
                 };
+                if out.is_empty() {
+                    let width = lrow.len() + matches[0].len();
+                    out = RowBatch::with_capacity(width, self.last_out);
+                }
                 for rrow in matches {
-                    let mut combined = Vec::with_capacity(lrow.len() + rrow.len());
-                    combined.extend(lrow.iter().cloned());
-                    combined.extend(rrow.iter().cloned());
-                    out.push(combined);
+                    out.push_joined(lrow, rrow);
                 }
             }
             if *idx >= lbatch.len() {
@@ -1203,6 +1223,7 @@ impl Operator for HashJoinOp {
             }
             filter_batch(&self.residual, &mut out, &rt.outer)?;
             if !out.is_empty() {
+                self.last_out = out.len();
                 return Ok(Some(out));
             }
         }
@@ -1213,7 +1234,7 @@ struct NlJoinOp {
     left: Box<dyn Operator>,
     right: Box<dyn Operator>,
     preds: Vec<PhysExpr>,
-    right_buf: Option<Vec<Row>>,
+    right_buf: Option<RowBatch>,
     /// Left rows still to be expanded against the buffered right side.
     current: Option<(RowBatch, usize)>,
 }
@@ -1231,12 +1252,10 @@ impl Operator for NlJoinOp {
                     let lrow = &lbatch[*idx];
                     *idx += 1;
                     let right = self.right_buf.as_ref().unwrap();
-                    let mut out = RowBatch::with_capacity(0, right.len().min(rt.batch_size));
-                    for rrow in right {
-                        let mut combined = Vec::with_capacity(lrow.len() + rrow.len());
-                        combined.extend(lrow.iter().cloned());
-                        combined.extend(rrow.iter().cloned());
-                        out.push(combined);
+                    let mut out =
+                        RowBatch::with_capacity(lrow.len() + right.columns(), right.len());
+                    for rrow in right.iter() {
+                        out.push_joined(lrow, rrow);
                     }
                     filter_batch(&self.preds, &mut out, &rt.outer)?;
                     if !out.is_empty() {
@@ -1291,29 +1310,20 @@ impl Operator for HashSemiJoinOp {
         }
         let table = self.table.as_deref().expect("built above");
         let mut key = Vec::with_capacity(self.outer_keys.len());
+        let mut pair = Vec::new();
         while let Some(mut obatch) = self.outer.next_batch(rt)? {
-            let mut keep = Vec::with_capacity(obatch.len());
-            for orow in obatch.iter() {
-                let matched = match key_into(&self.outer_keys, orow, &rt.outer, &mut key)? {
-                    false => false,
-                    true if self.residual.is_empty() => table.contains(&key),
-                    true => {
-                        let mut hit = false;
-                        for irow in table.get(&key).unwrap_or(&[]) {
-                            let mut combined = Vec::with_capacity(orow.len() + irow.len());
-                            combined.extend(orow.iter().cloned());
-                            combined.extend(irow.iter().cloned());
-                            if passes(&self.residual, &combined, &rt.outer)? {
-                                hit = true;
-                                break;
-                            }
+            obatch.try_retain(|orow| {
+                Ok::<bool, ExecError>(
+                    match key_into(&self.outer_keys, orow, &rt.outer, &mut key)? {
+                        false => false,
+                        true if self.residual.is_empty() => table.contains(&key),
+                        true => {
+                            let inner = table.get(&key).unwrap_or(&[]);
+                            any_pair_passes(&self.residual, orow, inner, &mut pair, &rt.outer)?
                         }
-                        hit
-                    }
-                };
-                keep.push(matched);
-            }
-            obatch.retain_indices(&keep);
+                    },
+                )
+            })?;
             if !obatch.is_empty() {
                 return Ok(Some(obatch));
             }
@@ -1322,11 +1332,31 @@ impl Operator for HashSemiJoinOp {
     }
 }
 
+/// Does `preds` pass on any row `left ++ right`, `right` one of `rights`?
+/// Each pair is checked in the one scratch row `pair`.
+fn any_pair_passes<R: AsRef<[Value]>>(
+    preds: &[PhysExpr],
+    left: &[Value],
+    rights: impl IntoIterator<Item = R>,
+    pair: &mut Vec<Value>,
+    outer: &OuterCtx,
+) -> Result<bool> {
+    for right in rights {
+        pair.clear();
+        pair.extend_from_slice(left);
+        pair.extend_from_slice(right.as_ref());
+        if passes(preds, pair, outer)? {
+            return Ok(true);
+        }
+    }
+    Ok(false)
+}
+
 struct NlSemiJoinOp {
     outer: Box<dyn Operator>,
     inner: Box<dyn Operator>,
     preds: Vec<PhysExpr>,
-    inner_buf: Option<Vec<Row>>,
+    inner_buf: Option<RowBatch>,
 }
 
 impl Operator for NlSemiJoinOp {
@@ -1334,23 +1364,12 @@ impl Operator for NlSemiJoinOp {
         if self.inner_buf.is_none() {
             self.inner_buf = Some(drain(self.inner.as_mut(), rt)?);
         }
+        let mut pair = Vec::new();
         while let Some(mut obatch) = self.outer.next_batch(rt)? {
             let inner = self.inner_buf.as_ref().unwrap();
-            let mut keep = Vec::with_capacity(obatch.len());
-            for orow in obatch.iter() {
-                let mut matched = false;
-                for irow in inner {
-                    let mut combined = Vec::with_capacity(orow.len() + irow.len());
-                    combined.extend(orow.iter().cloned());
-                    combined.extend(irow.iter().cloned());
-                    if passes(&self.preds, &combined, &rt.outer)? {
-                        matched = true;
-                        break;
-                    }
-                }
-                keep.push(matched);
-            }
-            obatch.retain_indices(&keep);
+            obatch.try_retain(|orow| {
+                any_pair_passes(&self.preds, orow, inner.iter(), &mut pair, &rt.outer)
+            })?;
             if !obatch.is_empty() {
                 return Ok(Some(obatch));
             }
@@ -1369,8 +1388,7 @@ struct SubqueryFilterOp {
 impl Operator for SubqueryFilterOp {
     fn next_batch(&mut self, rt: &mut Runtime<'_>) -> Result<Option<RowBatch>> {
         while let Some(mut batch) = self.input.next_batch(rt)? {
-            let mut keep = Vec::with_capacity(batch.len());
-            for row in batch.iter() {
+            batch.try_retain(|row| {
                 // Bind the outer quantifiers, remembering shadowed entries.
                 let mut saved: Vec<(usize, Option<Row>)> = Vec::with_capacity(self.bindings.len());
                 for (qun, offset, width) in &self.bindings {
@@ -1391,9 +1409,8 @@ impl Operator for SubqueryFilterOp {
                         }
                     }
                 }
-                keep.push(has_row != self.anti);
-            }
-            batch.retain_indices(&keep);
+                Ok::<bool, ExecError>(has_row != self.anti)
+            })?;
             if !batch.is_empty() {
                 return Ok(Some(batch));
             }
@@ -1775,8 +1792,8 @@ struct HashAggregateOp {
     aggs: Vec<AggSpec>,
     having: Vec<PhysExpr>,
     output: Vec<PhysExpr>,
-    results: Option<Vec<Row>>,
-    idx: usize,
+    /// The result rows still to emit, computed on the first pull.
+    results: Option<std::vec::IntoIter<Row>>,
 }
 
 impl HashAggregateOp {
@@ -1803,17 +1820,10 @@ impl HashAggregateOp {
 impl Operator for HashAggregateOp {
     fn next_batch(&mut self, rt: &mut Runtime<'_>) -> Result<Option<RowBatch>> {
         if self.results.is_none() {
-            let rows = self.materialize(rt)?;
-            self.results = Some(rows);
+            self.results = Some(self.materialize(rt)?.into_iter());
         }
-        let rows = self.results.as_ref().unwrap();
-        if self.idx >= rows.len() {
-            return Ok(None);
-        }
-        let end = (self.idx + rt.batch_size).min(rows.len());
-        let batch = RowBatch::from_rows(rows[self.idx..end].to_vec());
-        self.idx = end;
-        Ok(Some(batch))
+        let rows = self.results.as_mut().expect("materialized above");
+        Ok(next_chunk(rows, self.output.len(), rt.batch_size))
     }
 }
 
@@ -1825,11 +1835,11 @@ struct HashDistinctOp {
 impl Operator for HashDistinctOp {
     fn next_batch(&mut self, rt: &mut Runtime<'_>) -> Result<Option<RowBatch>> {
         while let Some(mut batch) = self.input.next_batch(rt)? {
-            let mut keep = Vec::with_capacity(batch.len());
-            for row in batch.iter() {
-                keep.push(self.seen.insert(row.clone()));
-            }
-            batch.retain_indices(&keep);
+            let seen = &mut self.seen;
+            let first = |row: &[Value]| {
+                Ok::<_, ExecError>(!seen.contains(row) && seen.insert(row.to_vec()))
+            };
+            batch.try_retain(first)?;
             if !batch.is_empty() {
                 return Ok(Some(batch));
             }
@@ -1858,17 +1868,21 @@ impl Operator for UnionAllOp {
 struct SortOp {
     input: Box<dyn Operator>,
     specs: Vec<xnf_plan::SortSpec>,
-    buf: Option<Vec<Row>>,
-    idx: usize,
+    /// The drained input and the rows' sorted order, built on the first
+    /// pull; each pull moves the next `batch_size` rows of that order out.
+    sorted: Option<(RowBatch, std::vec::IntoIter<usize>)>,
 }
 
 impl Operator for SortOp {
     fn next_batch(&mut self, rt: &mut Runtime<'_>) -> Result<Option<RowBatch>> {
-        if self.buf.is_none() {
-            let mut rows = drain(self.input.as_mut(), rt)?;
-            let specs = self.specs.clone();
-            rows.sort_by(|a, b| {
-                for s in &specs {
+        if self.sorted.is_none() {
+            let rows = drain(self.input.as_mut(), rt)?;
+            // A stable sort of the row order; the rows move only once, into
+            // their output batch.
+            let mut order: Vec<usize> = (0..rows.len()).collect();
+            order.sort_by(|&a, &b| {
+                let (a, b) = (&rows[a], &rows[b]);
+                for s in &self.specs {
                     let ord = a[s.col].total_cmp(&b[s.col]);
                     let ord = if s.desc { ord.reverse() } else { ord };
                     if !ord.is_eq() {
@@ -1877,16 +1891,15 @@ impl Operator for SortOp {
                 }
                 std::cmp::Ordering::Equal
             });
-            self.buf = Some(rows);
+            self.sorted = Some((rows, order.into_iter()));
         }
-        let rows = self.buf.as_ref().unwrap();
-        if self.idx >= rows.len() {
-            return Ok(None);
+        let (rows, order) = self.sorted.as_mut().expect("sorted above");
+        let n = order.len().min(rt.batch_size);
+        let mut batch = RowBatch::with_capacity(rows.columns(), n);
+        for i in order.take(n) {
+            batch.push_taken(rows.row_mut(i));
         }
-        let end = (self.idx + rt.batch_size).min(rows.len());
-        let batch = RowBatch::from_rows(rows[self.idx..end].to_vec());
-        self.idx = end;
-        Ok(Some(batch))
+        Ok((!batch.is_empty()).then_some(batch))
     }
 }
 

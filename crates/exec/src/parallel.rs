@@ -50,9 +50,9 @@ use crate::error::{ExecError, Result};
 use crate::eval::Row;
 use crate::hash::FxHashMap;
 use crate::ops::{
-    build_operator, finalize_groups, merge_group_state, ExecStats, FilterOp, FusedProbe, GroupAcc,
-    GroupState, HashJoinOp, HashSemiJoinOp, JoinTable, Operator, ProbeTable, ProjectOp, Runs,
-    Runtime, Scan,
+    build_operator, finalize_groups, merge_group_state, next_chunk, ExecStats, FilterOp,
+    FusedProbe, GroupAcc, GroupState, HashJoinOp, HashSemiJoinOp, JoinTable, Operator, ProbeTable,
+    ProjectOp, Runs, Runtime, Scan,
 };
 
 /// Bounded channel depth (in batches) between a worker and the gather.
@@ -199,6 +199,7 @@ fn build_worker_pipeline(plan: &PhysPlan, ctx: &mut WorkerCtx<'_>) -> Result<Box
                 residual: residual.clone(),
                 table: Some(ctx.next_table()),
                 probe: None,
+                last_out: 0,
             }))
         }
         // A residual-free semijoin over a scan is that scan, gated by the
@@ -275,14 +276,12 @@ impl Operator for ParallelSeqScanOp {
                 return Ok(None);
             }
             let idx = self.dispenser.claim();
-            match self.scan.read_page(idx, rt)? {
-                None => self.done = true,
-                Some(page) => {
-                    self.morsel.set(idx as u64);
-                    rt.stats.morsels_dispatched += 1;
-                    self.runs.push(page, rt.batch_size);
-                    self.runs.end();
-                }
+            if self.scan.read_page(idx, rt, &mut self.runs)? {
+                self.morsel.set(idx as u64);
+                rt.stats.morsels_dispatched += 1;
+                self.runs.end();
+            } else {
+                self.done = true;
             }
         }
     }
@@ -504,8 +503,8 @@ pub(crate) struct ParallelHashAggregateOp {
     having: Vec<PhysExpr>,
     output: Vec<PhysExpr>,
     dop: usize,
-    results: Option<Vec<Row>>,
-    idx: usize,
+    /// The result rows still to emit, computed on the first pull.
+    results: Option<std::vec::IntoIter<Row>>,
 }
 
 impl ParallelHashAggregateOp {
@@ -525,7 +524,6 @@ impl ParallelHashAggregateOp {
             output,
             dop,
             results: None,
-            idx: 0,
         }
     }
 }
@@ -535,7 +533,7 @@ impl Operator for ParallelHashAggregateOp {
         if self.results.is_none() {
             let (groups, saw_input) =
                 run_agg_region(rt, &self.input, &self.group, &self.aggs, self.dop)?;
-            self.results = Some(finalize_groups(
+            let rows = finalize_groups(
                 groups,
                 saw_input,
                 self.group.is_empty(),
@@ -543,15 +541,10 @@ impl Operator for ParallelHashAggregateOp {
                 &self.having,
                 &self.output,
                 &rt.outer,
-            )?);
+            )?;
+            self.results = Some(rows.into_iter());
         }
-        let rows = self.results.as_ref().unwrap();
-        if self.idx >= rows.len() {
-            return Ok(None);
-        }
-        let end = (self.idx + rt.batch_size).min(rows.len());
-        let batch = RowBatch::from_rows(rows[self.idx..end].to_vec());
-        self.idx = end;
-        Ok(Some(batch))
+        let rows = self.results.as_mut().expect("finalized above");
+        Ok(next_chunk(rows, self.output.len(), rt.batch_size))
     }
 }

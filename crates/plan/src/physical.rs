@@ -4,10 +4,12 @@
 //! correlated subqueries, columns of outer rows through a binding context).
 //! A physical plan is a tree of operators that the execution engine
 //! interprets under the **batch protocol**: every operator exchanges
-//! [`RowBatch`]-sized chunks of rows (`Operator::next_batch` in `xnf-exec`,
+//! [`RowBatch`] chunks of rows (`Operator::next_batch` in `xnf-exec`,
 //! default [`DEFAULT_BATCH_SIZE`] rows per chunk, tunable through
 //! [`PlanOptions::batch_size`]) rather than single tuples, so virtual
-//! dispatch and per-operator set-up amortise over a whole chunk.
+//! dispatch and per-operator set-up amortise over a whole chunk. A chunk
+//! is one flat row-major buffer, so moving rows through the streaming
+//! operators allocates per chunk, not per row.
 //!
 //! Shared subexpressions ("table queues" in Starburst terminology) appear
 //! as [`PhysPlan::SharedScan`] nodes referring to a materialised batch

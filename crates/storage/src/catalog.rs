@@ -335,8 +335,9 @@ impl Table {
     }
 
     /// Streaming scan unit under an explicit snapshot: the visible rows
-    /// `gate` accepts, materializing only the columns `cols` keeps, with
-    /// the visible and skipped version counts. See
+    /// `gate` accepts, appended to the flat buffer `out` with only the
+    /// columns `cols` keeps materialized (and their RIDs to `rids`, when
+    /// given), with the row, visible and skipped version counts. See
     /// [`HeapFile::scan_page_snapshot`].
     pub fn scan_page_snapshot(
         &self,
@@ -344,8 +345,11 @@ impl Table {
         snap: &Snapshot,
         cols: Option<&[usize]>,
         gate: Option<crate::tuple::Gate<'_>>,
+        out: &mut Vec<Value>,
+        rids: Option<&mut Vec<Rid>>,
     ) -> Result<Option<crate::heap::VisiblePage>> {
-        self.heap.scan_page_snapshot(idx, snap, cols, gate)
+        self.heap
+            .scan_page_snapshot(idx, snap, cols, gate, out, rids)
     }
 
     /// Number of rows visible to the latest-committed snapshot.

@@ -32,16 +32,22 @@ use crate::catalog::TableId;
 use crate::disk::PageId;
 use crate::error::{Result, StorageError};
 use crate::page::Page;
-use crate::tuple::{decode_gated, Gate, GateScratch, Rid, Tuple};
+use crate::tuple::{decode_cols_into, decode_gated_into, Gate, GateScratch, Rid, Tuple};
 use crate::txn::{Snapshot, TxnId, TxnManager, VersionHdr};
+use crate::value::Value;
 use crate::wal::{Wal, WalRecord};
 
-/// One page of a snapshot read ([`HeapFile::scan_page_snapshot`]).
-#[derive(Debug, Default)]
+/// The counts of one page of a snapshot read
+/// ([`HeapFile::scan_page_snapshot`]); the rows themselves went to the
+/// caller's buffer.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct VisiblePage {
     /// The visible rows the gate accepted (every visible row when there is
-    /// no gate), in slot order.
-    pub rows: Vec<(Rid, Tuple)>,
+    /// no gate), appended in slot order.
+    pub rows: usize,
+    /// Their width: every record the read appended has it (0 when it
+    /// appended none).
+    pub width: usize,
     /// Versions the snapshot sees, whether the gate accepted them or not.
     pub visible: u64,
     /// Versions the visibility check skipped.
@@ -525,16 +531,22 @@ impl HeapFile {
         self.for_each_snapshot(&self.txns.snapshot_latest(), f)
     }
 
-    /// Scan every tuple visible to `snap`.
+    /// Scan every tuple visible to `snap`, page by page through
+    /// [`HeapFile::scan_page_snapshot`].
     pub fn for_each_snapshot(
         &self,
         snap: &Snapshot,
         mut f: impl FnMut(Rid, Tuple) -> Result<bool>,
     ) -> Result<()> {
+        let (mut values, mut rids) = (Vec::new(), Vec::new());
         let mut idx = 0;
-        while let Some(page) = self.scan_page_snapshot(idx, snap, None, None)? {
-            for (rid, t) in page.rows {
-                if !f(rid, t)? {
+        while let Some(page) =
+            self.scan_page_snapshot(idx, snap, None, None, &mut values, Some(&mut rids))?
+        {
+            let mut values = values.drain(..);
+            for rid in rids.drain(..) {
+                let tuple = Tuple::new(values.by_ref().take(page.width).collect());
+                if !f(rid, tuple)? {
                     return Ok(());
                 }
             }
@@ -568,27 +580,34 @@ impl HeapFile {
 
     /// Decode the live tuples of the `idx`-th page of this heap (by
     /// position in the allocation-ordered page list) that are visible to
-    /// `snap` and that `gate` accepts, with the number of versions `snap`
-    /// sees and the number the visibility check skipped. Returns `None`
-    /// once `idx` runs past the end. This is the streaming unit batch scans
-    /// pull on demand, so a scan holds at most one page's tuples at a time.
-    /// It reads through [`BufferPool::with_scan_page`]: a page it brings in
-    /// enters the pool cold, so a table larger than the pool does not flush
-    /// it.
+    /// `snap` and that `gate` accepts, appending each one's values to `out`
+    /// (row after row, a flat row-major buffer) and, when `rids` is given,
+    /// its RID to `rids`. Returns how many rows were appended and their
+    /// width, with the number of versions `snap` sees and the number the
+    /// visibility check skipped, or `None` once `idx` runs past the end.
+    /// This is the streaming unit batch scans pull on demand, so a scan
+    /// holds at most one page's tuples at a time, and a scan decodes them
+    /// straight into the batch it is filling: no record becomes a
+    /// [`Tuple`] of its own. It reads through
+    /// [`BufferPool::with_scan_page`]: a page it brings in enters the pool
+    /// cold, so a table larger than the pool does not flush it.
     ///
     /// Each record's header is checked before its tuple is decoded, so an
     /// invisible version costs no decode; a run of live versions from one
     /// creator costs one `sees` call. Only the columns at the ascending
     /// positions `cols` become values (`None` keeps all): every other
     /// column reads as `NULL` in its own slot, and its bytes are still
-    /// validated.
+    /// validated. The appended records must share one width; a page whose
+    /// records differ fails as [`StorageError::Corrupt`].
     ///
-    /// A [`Gate`] decides each visible record before it is decoded: one
-    /// walk validates every column, decodes only the gate's columns into a
-    /// row reused across the page, and asks the gate; only an accepted
-    /// record materializes `cols`. A rejected record allocates nothing and
-    /// still counts in `visible`. With `gate = None` every visible record
-    /// is decoded straight into its tuple.
+    /// A [`Gate`] decides each visible record before it is materialized:
+    /// one walk validates every column, the gate's columns are decoded into
+    /// the record's own slot at the tail of `out`, and the gate decides on
+    /// that slot. A rejected record allocated nothing and still counts in
+    /// `visible`; the next record reuses its slot, and the read truncates
+    /// the last one away. An accepted record fills in the rest of `cols`
+    /// from the same walk, so nothing is decoded twice. With `gate = None`
+    /// every visible record is decoded straight into `out`.
     ///
     /// Visibility is checked *while the page latch is held*. That ordering
     /// is what makes GC freezing sound: vacuum rewrites a header to the
@@ -599,23 +618,22 @@ impl HeapFile {
     /// wrongly read "uncommitted". Stamp-table lookups nest a read lock
     /// inside the page latch; nothing takes page latches while holding the
     /// stamp lock, so the order is deadlock-free. The creator memo is
-    /// dropped with the latch; so is the gate's scratch row.
+    /// dropped with the latch; so is the gate's scratch.
     pub fn scan_page_snapshot(
         &self,
         idx: usize,
         snap: &Snapshot,
         cols: Option<&[usize]>,
         mut gate: Option<Gate<'_>>,
+        out: &mut Vec<Value>,
+        mut rids: Option<&mut Vec<Rid>>,
     ) -> Result<Option<VisiblePage>> {
         let pid = match self.pages.read().get(idx) {
             Some(pid) => *pid,
             None => return Ok(None),
         };
         let page = self.pool.with_scan_page(pid, |p| {
-            let mut page = VisiblePage {
-                rows: Vec::with_capacity(p.live_records()),
-                ..VisiblePage::default()
-            };
+            let mut page = VisiblePage::default();
             let mut memo = None;
             let mut scratch = GateScratch::default();
             for (slot, rec) in p.iter() {
@@ -624,14 +642,25 @@ impl HeapFile {
                     continue;
                 };
                 page.visible += 1;
-                let tuple = match gate.as_mut() {
-                    None => Some(Tuple::decode_cols(bytes, cols)?),
-                    Some(gate) => decode_gated(bytes, cols, gate, &mut scratch)?,
+                let width = match gate.as_mut() {
+                    None => decode_cols_into(bytes, cols, out)?,
+                    Some(gate) => match decode_gated_into(bytes, cols, gate, &mut scratch, out)? {
+                        Some(width) => width,
+                        None => continue,
+                    },
                 };
-                if let Some(t) = tuple {
-                    page.rows.push((Rid::new(pid, slot), t));
+                if page.rows > 0 && width != page.width {
+                    return Err(StorageError::Corrupt(
+                        "records of different widths on one page",
+                    ));
+                }
+                page.rows += 1;
+                page.width = width;
+                if let Some(rids) = rids.as_mut() {
+                    rids.push(Rid::new(pid, slot));
                 }
             }
+            scratch.close(out);
             Ok::<VisiblePage, StorageError>(page)
         })??;
         Ok(Some(page))
@@ -1139,6 +1168,31 @@ mod tests {
         assert_eq!(seen, 10);
     }
 
+    /// [`HeapFile::scan_page_snapshot`] into a buffer holding one row
+    /// already, cut back into `(rid, tuple)` rows.
+    fn read_page(
+        h: &HeapFile,
+        idx: usize,
+        snap: &Snapshot,
+        cols: Option<&[usize]>,
+        gate: Option<Gate<'_>>,
+    ) -> Option<(VisiblePage, Vec<(Rid, Tuple)>)> {
+        let ahead = row(-1).values;
+        let (mut out, mut rids) = (ahead.clone(), Vec::new());
+        let page = h
+            .scan_page_snapshot(idx, snap, cols, gate, &mut out, Some(&mut rids))
+            .unwrap()?;
+        assert_eq!(out[..ahead.len()], ahead[..], "the read only appends");
+        assert_eq!(out.len(), ahead.len() + page.rows * page.width);
+        assert_eq!(rids.len(), page.rows);
+        let mut values = out.drain(ahead.len()..);
+        let rows = rids.into_iter().map(|rid| {
+            let tuple = Tuple::new(values.by_ref().take(page.width).collect());
+            (rid, tuple)
+        });
+        Some((page, rows.collect()))
+    }
+
     #[test]
     fn scan_page_streams_page_at_a_time() {
         let h = heap();
@@ -1148,19 +1202,17 @@ mod tests {
         let snap = h.txns().snapshot_latest();
         let mut total = 0;
         let mut idx = 0;
-        while let Some(page) = h.scan_page_snapshot(idx, &snap, None, None).unwrap() {
-            assert!(!page.rows.is_empty());
+        while let Some((page, rows)) = read_page(&h, idx, &snap, None, None) {
+            assert!(!rows.is_empty());
             assert_eq!(page.skipped, 0);
-            assert_eq!(page.visible, page.rows.len() as u64);
-            total += page.rows.len();
+            assert_eq!(page.visible, rows.len() as u64);
+            assert_eq!(page.width, 2);
+            total += rows.len();
             idx += 1;
         }
         assert_eq!(idx, h.page_count());
         assert_eq!(total, 2000);
-        assert!(h
-            .scan_page_snapshot(idx, &snap, None, None)
-            .unwrap()
-            .is_none());
+        assert!(read_page(&h, idx, &snap, None, None).is_none());
     }
 
     #[test]
@@ -1182,26 +1234,20 @@ mod tests {
         assert_eq!(h.page_count(), 1);
 
         let latest = txns.snapshot_latest();
-        let page = h
-            .scan_page_snapshot(0, &latest, None, None)
-            .unwrap()
-            .unwrap();
+        let (page, rows) = read_page(&h, 0, &latest, None, None).unwrap();
         assert_eq!(
             page.skipped, 2,
             "b's version and the deleted one are invisible"
         );
-        let got: Vec<Tuple> = page.rows.into_iter().map(|(_, t)| t).collect();
+        let got: Vec<Tuple> = rows.into_iter().map(|(_, t)| t).collect();
         assert_eq!(got, vec![row(1), row(3)]);
 
         // b's own snapshot also sees its own version; with column 1 kept,
         // column 0 reads NULL in place.
         let own = txns.snapshot_for(b);
-        let page = h
-            .scan_page_snapshot(0, &own, Some(&[1]), None)
-            .unwrap()
-            .unwrap();
+        let (page, rows) = read_page(&h, 0, &own, Some(&[1]), None).unwrap();
         assert_eq!(page.skipped, 1);
-        let got: Vec<Vec<Value>> = page.rows.into_iter().map(|(_, t)| t.values).collect();
+        let got: Vec<Vec<Value>> = rows.into_iter().map(|(_, t)| t.values).collect();
         let want: Vec<Vec<Value>> = (1..=3)
             .map(|i| vec![Value::Null, Value::Str(format!("name-{i}"))])
             .collect();
@@ -1233,9 +1279,8 @@ mod tests {
 
         let snap = txns.snapshot_for(reader);
         for cols in [None, Some(&[1][..])] {
-            let plain = h.scan_page_snapshot(0, &snap, cols, None).unwrap().unwrap();
-            let ids: Vec<i64> = plain
-                .rows
+            let (plain, plain_rows) = read_page(&h, 0, &snap, cols, None).unwrap();
+            let ids: Vec<i64> = plain_rows
                 .iter()
                 .map(|(rid, _)| h.get(*rid).unwrap()[0].as_int().unwrap())
                 .collect();
@@ -1251,22 +1296,18 @@ mod tests {
                 cols: &[0],
                 accept: &mut accept,
             };
-            let gated = h
-                .scan_page_snapshot(0, &snap, cols, Some(gate))
-                .unwrap()
-                .unwrap();
+            let (gated, gated_rows) = read_page(&h, 0, &snap, cols, Some(gate)).unwrap();
             assert_eq!(
                 (gated.visible, gated.skipped),
                 (plain.visible, plain.skipped)
             );
-            let want: Vec<(Rid, Tuple)> = plain
-                .rows
+            let want: Vec<(Rid, Tuple)> = plain_rows
                 .iter()
                 .zip(&ids)
                 .filter(|(_, id)| *id % 2 == 0)
                 .map(|(r, _)| r.clone())
                 .collect();
-            assert_eq!(gated.rows, want, "cols {cols:?}");
+            assert_eq!(gated_rows, want, "cols {cols:?}");
             let shown: Vec<Vec<Value>> = ids
                 .iter()
                 .map(|&i| vec![Value::Int(i), Value::Null])

@@ -138,20 +138,56 @@ pub fn decode_values_cols<'b>(
     bytes: &'b [u8],
     cols: Option<&[usize]>,
 ) -> Result<(Vec<Value>, &'b [u8])> {
-    let count = bytes
+    let mut values = Vec::with_capacity(column_count(bytes));
+    let rest = walk_cols_into(bytes, cols, &mut values)?;
+    Ok((values, rest))
+}
+
+/// The column count an encoded tuple declares (0 when it is too short to
+/// declare one), before the walk checks it.
+fn column_count(bytes: &[u8]) -> usize {
+    bytes
         .get(..2)
-        .map_or(0, |c| u16::from_le_bytes([c[0], c[1]]));
-    let mut values = Vec::with_capacity(count as usize);
+        .map_or(0, |c| u16::from_le_bytes([c[0], c[1]]) as usize)
+}
+
+/// The walk of [`decode_values_cols`], appending the values to `out`.
+fn walk_cols_into<'b>(
+    bytes: &'b [u8],
+    cols: Option<&[usize]>,
+    out: &mut Vec<Value>,
+) -> Result<&'b [u8]> {
     // The next kept position still to come (`cols` ascends).
     let mut kept = cols.map(|c| c.iter().copied().peekable());
-    let rest = walk_values(bytes, |i, raw| {
+    walk_values(bytes, |i, raw| {
         let keep = match &mut kept {
             None => true,
             Some(it) => it.next_if_eq(&i).is_some(),
         };
-        values.push(if keep { raw.value() } else { Value::Null });
-    })?;
-    Ok((values, rest))
+        out.push(if keep { raw.value() } else { Value::Null });
+    })
+}
+
+/// [`Tuple::decode_cols`] appending the record's values to `out`, a flat
+/// buffer of rows, instead of into a tuple of its own. Returns the record's
+/// width; on an error `out` is left as it was.
+pub(crate) fn decode_cols_into(
+    bytes: &[u8],
+    cols: Option<&[usize]>,
+    out: &mut Vec<Value>,
+) -> Result<usize> {
+    let start = out.len();
+    let walked = match walk_cols_into(bytes, cols, out) {
+        Ok(rest) if !rest.is_empty() => Err(StorageError::Corrupt("trailing bytes after tuple")),
+        walked => walked,
+    };
+    match walked {
+        Ok(_) => Ok(out.len() - start),
+        Err(e) => {
+            out.truncate(start);
+            Err(e)
+        }
+    }
 }
 
 /// One column of an encoded tuple, checked but not yet materialized: a
@@ -231,56 +267,88 @@ pub struct Gate<'g> {
     pub accept: &'g mut dyn FnMut(&[Value]) -> bool,
 }
 
-/// What [`decode_gated`] reuses from one record to the next of a page.
+/// What a page read behind a [`Gate`] keeps from one record to the next
+/// (see [`decode_gated_into`]).
 #[derive(Default)]
 pub(crate) struct GateScratch<'b> {
     /// The current record's columns, checked but not materialized.
     raw: Vec<RawValue<'b>>,
-    /// The row the gate reads: its own columns decoded, the rest `NULL`.
-    row: Vec<Value>,
+    /// Where the slot a rejected record left at the tail of the buffer
+    /// starts: the next record reuses it.
+    slot: Option<usize>,
 }
 
-/// [`Tuple::decode_cols`] behind a gate. One walk checks every column
+impl GateScratch<'_> {
+    /// Drop the slot a rejected record left, so `out` holds accepted rows
+    /// only (the end of a page).
+    pub(crate) fn close(&mut self, out: &mut Vec<Value>) {
+        if let Some(start) = self.slot.take() {
+            out.truncate(start);
+        }
+    }
+}
+
+/// [`decode_cols_into`] behind a gate. One walk checks every column
 /// exactly as [`decode_values_cols`] does, so a corrupt record fails with
 /// [`StorageError::Corrupt`] whatever the gate would say. Only the gate's
-/// columns are then decoded, into `scratch`, before the gate decides; only
-/// an accepted record materializes the columns `cols` keeps (`None` =
-/// all). `None` means the gate rejected the record, which allocated
-/// nothing beyond the gate's own string columns.
-pub(crate) fn decode_gated<'b>(
+/// columns are then decoded, into the record's own slot at the tail of
+/// `out` (its width of values, every other column `NULL`), and the gate
+/// decides on that slot. A rejected record allocated nothing beyond the
+/// gate's own string columns; its slot stays open for the next record,
+/// whose gate columns overwrite it, until [`GateScratch::close`] truncates
+/// it. An accepted record keeps its slot: only the kept columns (`cols`,
+/// `None` = all) the gate did not read are filled in from the walk, and a
+/// gate column `cols` does not keep reads `NULL` again, so each value is
+/// materialized once. Returns the accepted record's width.
+pub(crate) fn decode_gated_into<'b>(
     bytes: &'b [u8],
     cols: Option<&[usize]>,
     gate: &mut Gate<'_>,
     scratch: &mut GateScratch<'b>,
-) -> Result<Option<Tuple>> {
-    let GateScratch { raw, row } = scratch;
+    out: &mut Vec<Value>,
+) -> Result<Option<usize>> {
+    let raw = &mut scratch.raw;
     raw.clear();
+    raw.reserve(column_count(bytes));
     let rest = walk_values(bytes, |_, v| raw.push(v))?;
     if !rest.is_empty() {
         return Err(StorageError::Corrupt("trailing bytes after tuple"));
     }
-    row.resize(raw.len(), Value::Null);
-    for &c in gate.cols {
-        if let Some(v) = raw.get(c) {
-            row[c] = v.value();
+    let width = raw.len();
+    let start = match scratch.slot {
+        Some(start) if out.len() - start == width => start,
+        _ => {
+            scratch.close(out);
+            out.extend((0..width).map(|_| Value::Null));
+            out.len() - width
         }
+    };
+    scratch.slot = Some(start);
+    let (row, raw) = (&mut out[start..], &scratch.raw);
+    for &c in gate.cols.iter().filter(|&&c| c < width) {
+        row[c] = raw[c].value();
     }
     if !(gate.accept)(row) {
         return Ok(None);
     }
-    let values = match cols {
-        None => raw.iter().map(|v| v.value()).collect(),
-        Some(cols) => {
-            let mut values = Vec::with_capacity(raw.len());
-            for &c in cols.iter().filter(|&&c| c < raw.len()) {
-                values.resize(c, Value::Null);
-                values.push(raw[c].value());
-            }
-            values.resize(raw.len(), Value::Null);
-            values
+    scratch.slot = None;
+    let read = |c: &usize| gate.cols.binary_search(c).is_ok();
+    match cols {
+        None => {
+            let unread = raw.iter().enumerate().filter(|(c, _)| !read(c));
+            unread.for_each(|(c, v)| row[c] = v.value());
         }
-    };
-    Ok(Some(Tuple::new(values)))
+        Some(cols) => {
+            for &c in cols.iter().filter(|&c| *c < width && !read(c)) {
+                row[c] = raw[c].value();
+            }
+            let unkept = gate.cols.iter().filter(|c| cols.binary_search(c).is_err());
+            for &c in unkept.filter(|&c| *c < width) {
+                row[c] = Value::Null;
+            }
+        }
+    }
+    Ok(Some(width))
 }
 
 #[cfg(test)]
@@ -426,8 +494,10 @@ mod tests {
         }
     }
 
-    /// [`decode_gated`] of `bytes` behind a gate over `gate_cols` that
-    /// answers `verdict`: the rows the gate saw, and the result.
+    /// [`decode_gated_into`] of `bytes` behind a gate over `gate_cols`
+    /// that answers `verdict`: the rows the gate saw, and the result. The
+    /// record lands after a row already in the buffer, which it must leave
+    /// as it was.
     fn gated(
         bytes: &[u8],
         cols: Option<&[usize]>,
@@ -443,7 +513,25 @@ mod tests {
             cols: gate_cols,
             accept: &mut accept,
         };
-        let got = decode_gated(bytes, cols, &mut gate, &mut GateScratch::default());
+        let before = vec![Value::Str("before".into())];
+        let mut out = before.clone();
+        let mut scratch = GateScratch::default();
+        let got = decode_gated_into(bytes, cols, &mut gate, &mut scratch, &mut out);
+        scratch.close(&mut out);
+        assert_eq!(
+            out[..1],
+            before[..],
+            "the row ahead of the record is untouched"
+        );
+        let got = got.map(|width| {
+            width.map(|w| {
+                assert_eq!(out.len(), 1 + w, "the accepted record fills its slot");
+                Tuple::new(out.split_off(1))
+            })
+        });
+        if !matches!(got, Ok(Some(_))) {
+            assert_eq!(out, before, "a rejected or corrupt record leaves no trace");
+        }
         (seen, got)
     }
 
@@ -491,14 +579,74 @@ mod tests {
             cols: &[0],
             accept: &mut accept,
         };
-        let mut scratch = GateScratch::default();
+        let (mut scratch, mut out) = (GateScratch::default(), Vec::new());
         for bytes in [&enc, &other, &enc] {
-            decode_gated(bytes, None, &mut gate, &mut scratch).unwrap();
+            decode_gated_into(bytes, None, &mut gate, &mut scratch, &mut out).unwrap();
         }
+        scratch.close(&mut out);
+        assert!(out.is_empty());
         assert_eq!(
             seen,
             vec![only(&[0]), vec![Value::Int(1), Value::Null], only(&[0]),]
         );
+    }
+
+    #[test]
+    fn gated_records_fill_one_buffer_with_the_accepted_ones_only() {
+        let rows: Vec<Tuple> = (0..6)
+            .map(|i| {
+                let s = Value::Str(format!("s{i}"));
+                Tuple::new(vec![Value::Int(i), s, Value::Double(i as f64)])
+            })
+            .collect();
+        // The gate reads column 0 and accepts ids 1, 2 and 5: rejects
+        // before, between and after accepts, and a reject that ends the
+        // page.
+        for cols in [None, Some(&[1, 2][..]), Some(&[0, 2][..])] {
+            let (mut seen, mut scratch) = (Vec::new(), GateScratch::default());
+            let mut out = vec![Value::Str("ahead".into())];
+            let mut accept = |row: &[Value]| {
+                seen.push(row.to_vec());
+                matches!(row[0], Value::Int(1 | 2 | 5))
+            };
+            let mut gate = Gate {
+                cols: &[0],
+                accept: &mut accept,
+            };
+            let encoded: Vec<Vec<u8>> = rows.iter().map(Tuple::encode).collect();
+            let widths: Vec<Option<usize>> = encoded
+                .iter()
+                .map(|b| decode_gated_into(b, cols, &mut gate, &mut scratch, &mut out).unwrap())
+                .collect();
+            scratch.close(&mut out);
+            let accepted = [1, 2, 5];
+            for (i, w) in widths.iter().enumerate() {
+                assert_eq!(*w, accepted.contains(&i).then_some(3), "row {i}");
+            }
+            let mut want = vec![Value::Str("ahead".into())];
+            for &i in &accepted {
+                want.extend(Tuple::decode_cols(&encoded[i], cols).unwrap().values);
+            }
+            assert_eq!(out, want, "cols {cols:?}");
+            let shown: Vec<Vec<Value>> = (0..6)
+                .map(|i| vec![Value::Int(i), Value::Null, Value::Null])
+                .collect();
+            assert_eq!(seen, shown, "each record's slot holds its own gate column");
+        }
+    }
+
+    #[test]
+    fn decoding_into_a_buffer_appends_or_leaves_it_as_it_was() {
+        let t = Tuple::new(vec![Value::Int(7), Value::Str("abc".into())]);
+        let enc = t.encode();
+        let mut out = vec![Value::Null];
+        assert_eq!(decode_cols_into(&enc, Some(&[1]), &mut out).unwrap(), 2);
+        assert_eq!(out, [Value::Null, Value::Null, Value::Str("abc".into())]);
+        for cut in 0..enc.len() {
+            let got = decode_cols_into(&enc[..cut], None, &mut out);
+            assert!(matches!(got, Err(StorageError::Corrupt(_))), "cut at {cut}");
+            assert_eq!(out.len(), 3, "a corrupt record appends nothing");
+        }
     }
 
     #[test]

@@ -1,0 +1,121 @@
+//! Heap allocations per statement, pinned exactly.
+//!
+//! The executor's streaming path (scan → filter → project → join probe →
+//! aggregate fold) moves rows in flat [`RowBatch`](xnf_exec::RowBatch)
+//! buffers, so a statement allocates per batch and per page, never per
+//! row. These pins count every allocation a prepared statement's second
+//! execution makes on the test's own thread, over the star fixture's 8 000
+//! SALES rows (178 pages, resident) at dop 1, so the whole pipeline runs
+//! on that thread. A per-row allocation anywhere in the pipeline adds
+//! 8 000 or more to a count.
+//!
+//! This file is its own test binary: the counting allocator below is the
+//! global allocator of this binary only.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use xnf_core::{Database, DbConfig, PlanOptions};
+use xnf_storage::Value;
+
+/// The system allocator, counting each thread's allocations.
+struct Counting;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: a thread's exit may allocate after its slot is gone.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations (reallocations included) this thread made while `f` ran.
+fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (ALLOCATIONS.with(Cell::get) - before, out)
+}
+
+fn star() -> Database {
+    let config = DbConfig {
+        plan: PlanOptions {
+            dop: 1,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let db = xnf_fixtures::star::build_star_db_with(8_000, config);
+    let pages = db.catalog().table("SALES").unwrap().page_count();
+    assert_eq!(pages, 178, "the fixture's SALES spans 178 pages");
+    db
+}
+
+/// The allocations of `sql`'s second and third executions, prepared once
+/// (the first execution warms the plan and the pool), with the result's
+/// row count.
+fn counted(db: &Database, sql: &str, params: &[Value]) -> ([u64; 2], usize) {
+    let session = db.session();
+    let mut stmt = session.prepare(sql).unwrap();
+    stmt.bind(params).unwrap();
+    stmt.query().unwrap();
+    let mut rows = 0;
+    let counts = [(); 2].map(|_| {
+        let (n, result) = allocations(|| stmt.query().unwrap());
+        rows = result.try_table().unwrap().rows.len();
+        n
+    });
+    (counts, rows)
+}
+
+#[test]
+fn count_star_allocates_per_page_not_per_row() {
+    let db = star();
+    let (counts, rows) = counted(&db, "SELECT COUNT(*) FROM SALES", &[]);
+    assert_eq!(rows, 1);
+    assert_eq!(counts, [79; 2], "COUNT(*) over 8 000 rows");
+}
+
+#[test]
+fn top_n_allocates_per_page_and_group_not_per_row() {
+    let db = star();
+    let sql = "SELECT cust, SUM(amount) AS total FROM SALES WHERE day >= ? \
+               GROUP BY cust ORDER BY total DESC, cust LIMIT 10";
+    let (counts, rows) = counted(&db, sql, &[Value::Int(180)]);
+    assert_eq!(rows, 10);
+    assert_eq!(counts, [1_265; 2], "top-N over a filtered group-by");
+}
+
+#[test]
+fn join_group_allocates_per_page_not_per_row() {
+    let db = star();
+    let sql = "SELECT i.cat, COUNT(*), SUM(s.amount) FROM SALES s, ITEM i \
+               WHERE s.item = i.item AND s.day >= ? GROUP BY i.cat";
+    let (counts, rows) = counted(&db, sql, &[Value::Int(180)]);
+    assert_eq!(rows, 40);
+    assert_eq!(counts, [832; 2], "a join feeding a group-by");
+}
