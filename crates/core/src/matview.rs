@@ -1346,12 +1346,14 @@ impl Editor<'_> {
     }
 
     /// Rows of base table `table` with `col = v`, as this commit left them.
-    fn base_rows(&self, table: &str, col: usize, v: &Value) -> Result<Vec<(Rid, Tuple)>> {
-        Ok(self
-            .db
-            .catalog()
-            .table(table)?
-            .find_by_value_visible(col, v, &self.snap)?)
+    fn base_rows(&self, table: &str, col: usize, v: &Value) -> Result<Vec<Tuple>> {
+        let mut rows = Vec::new();
+        let t = self.db.catalog().table(table)?;
+        t.scan_by_values(col, std::slice::from_ref(v), &self.snap, |_, row| {
+            rows.push(row);
+            Ok(true)
+        })?;
+        Ok(rows)
     }
 
     /// The node key of component `c` (keyed) in base row `row`.
@@ -1419,9 +1421,9 @@ impl Editor<'_> {
         };
         let info = self.info;
         for (ri, ..) in info.edges().filter(|&(_, _, child, _)| child == c) {
-            self.unlink_all(ri, 1, s)?;
+            self.unlink_all(ri, 1, &[Value::Int(s)])?;
         }
-        self.remove_stored(c, s, rid)
+        self.remove_stored(&[(c, s, rid)])
     }
 
     /// An updated component row: a rewrite, a move, or a new identity.
@@ -1456,7 +1458,7 @@ impl Editor<'_> {
         };
         let node = Node::Stored(s);
         for (rel, p, b) in moves {
-            self.unlink_all(rel, 1, s)?;
+            self.unlink_all(rel, 1, &[Value::Int(s)])?;
             self.orphans.push_back((c, node));
             self.moves.push((rel, p, new[b].clone(), node));
         }
@@ -1496,7 +1498,7 @@ impl Editor<'_> {
         let still = self
             .base_rows(table, *m_parent_col, pv)?
             .iter()
-            .any(|(_, t)| t.values[*m_child_col].total_cmp(cv).is_eq());
+            .any(|t| t.values[*m_child_col].total_cmp(cv).is_eq());
         if still {
             return Ok(());
         }
@@ -1579,7 +1581,7 @@ impl Editor<'_> {
                     m_child_col,
                     ..
                 } => {
-                    for (_, m) in self.base_rows(table, *m_child_col, v)? {
+                    for m in self.base_rows(table, *m_child_col, v)? {
                         let pv = &m.values[*m_parent_col];
                         if pv.is_null() {
                             continue;
@@ -1632,7 +1634,7 @@ impl Editor<'_> {
                     ..
                 } => {
                     let mut children = Vec::new();
-                    for (_, m) in self.base_rows(table, *m_parent_col, v)? {
+                    for m in self.base_rows(table, *m_parent_col, v)? {
                         let cv = &m.values[*m_child_col];
                         if cv.is_null() {
                             continue;
@@ -1655,7 +1657,7 @@ impl Editor<'_> {
                 }
                 _ => self.base_rows(&cbase.table, cbase.columns[child_col], v)?,
             };
-            for (_, t) in children {
+            for t in children {
                 if !self.reach(ch, &t.values, Some((ri, n)))? {
                     return Ok(false);
                 }
@@ -1695,7 +1697,7 @@ impl Editor<'_> {
             return Ok(true);
         }
         let cbase = self.info.base(c);
-        for (_, t) in self.base_rows(&cbase.table, cbase.columns[*child_col], cv)? {
+        for t in self.base_rows(&cbase.table, cbase.columns[*child_col], cv)? {
             if !self.reach(c, &t.values, Some((ri, parent)))? {
                 return Ok(false);
             }
@@ -1727,12 +1729,12 @@ impl Editor<'_> {
     }
 
     /// Delete the stored connections of relationship `rel` whose column
-    /// `col` (0 parent, 1 child) holds surrogate `s`; returns the
-    /// surrogates at their other ends.
-    fn unlink_all(&mut self, rel: usize, col: usize, s: i64) -> Result<Vec<i64>> {
+    /// `col` (0 parent, 1 child) holds one of the surrogates `nodes`, in
+    /// one read; returns the surrogates at their other ends.
+    fn unlink_all(&mut self, rel: usize, col: usize, nodes: &[Value]) -> Result<Vec<i64>> {
         let conn_t = self.stream(&self.info.rels[rel].name)?;
         let mut ends = Vec::new();
-        conn_t.scan_by_values(col, &[Value::Int(s)], &self.snap, |rid, t| {
+        conn_t.scan_by_values(col, nodes, &self.snap, |rid, t| {
             if self.unlinked.insert((rel, rid)) {
                 ends.push(t.values[1 - col].as_int()?);
             }
@@ -1741,19 +1743,25 @@ impl Editor<'_> {
         Ok(ends)
     }
 
-    /// Remove stored node `s` (rid `rid`) of component `c`, whose incoming
-    /// connections are deleted already, with every connection out of it.
-    fn remove_stored(&mut self, c: usize, s: i64, rid: Rid) -> Result<()> {
-        if self.removed.insert(s, (c, rid)).is_some() {
-            return Ok(());
-        }
+    /// Remove the stored nodes `gone`, each `(component, surrogate, rid)`
+    /// and with its incoming connections deleted already, with every
+    /// connection out of them: one read per relationship, over the nodes
+    /// of its parent component. The children at their other ends become
+    /// orphan candidates.
+    fn remove_stored(&mut self, gone: &[(usize, i64, Rid)]) -> Result<()> {
+        let mut fresh = gone.to_vec();
+        fresh.retain(|&(c, s, rid)| self.removed.insert(s, (c, rid)).is_none());
         let info = self.info;
-        for (ri, _, ch, _) in info.edges().filter(|&(_, parent, _, _)| parent == c) {
-            for child in self.unlink_all(ri, 0, s)? {
-                self.orphans.push_back((ch, Node::Stored(child)));
+        for (ri, parent, ch, _) in info.edges() {
+            let of_parent = fresh.iter().filter(|n| n.0 == parent);
+            let nodes: Vec<Value> = of_parent.map(|n| Value::Int(n.1)).collect();
+            if !nodes.is_empty() {
+                let children = self.unlink_all(ri, 0, &nodes)?;
+                let orphans = children.into_iter().map(|child| (ch, Node::Stored(child)));
+                self.orphans.extend(orphans);
             }
         }
-        self.unhold(Node::Stored(s));
+        fresh.iter().for_each(|n| self.unhold(Node::Stored(n.1)));
         Ok(())
     }
 
@@ -1812,8 +1820,9 @@ impl Editor<'_> {
     /// checked after they are removed. A node a connection still holds is
     /// queued again if that connection goes. Each wave reads in batches:
     /// one [`Table::scan_by_values`] per relationship for the stored
-    /// connections that still hold its nodes, and one per component for
-    /// the rids of the nodes it removes.
+    /// connections that still hold its nodes, one per component for the
+    /// rids of the nodes it removes, and one per relationship for the
+    /// connections out of them.
     fn cascade(&mut self) -> Result<()> {
         while !self.orphans.is_empty() {
             let root = self.root;
@@ -1853,11 +1862,11 @@ impl Editor<'_> {
                 })?;
             }
             // `held_stored` found every incoming connection deleted.
-            for (c, s) in gone {
-                if let Some(&rid) = rids.get(&s) {
-                    self.remove_stored(c, s, rid)?;
-                }
-            }
+            let gone: Vec<(usize, i64, Rid)> = gone
+                .into_iter()
+                .filter_map(|(c, s)| rids.get(&s).map(|&rid| (c, s, rid)))
+                .collect();
+            self.remove_stored(&gone)?;
         }
         Ok(())
     }

@@ -13,10 +13,11 @@
 //! a conflict error and aborts the write-back transaction.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use xnf_qgm::inline_xnf_views;
 use xnf_sql::{BinOp, Expr, SelectItem, TableRef, XnfDef, XnfQuery, XnfRelationship};
-use xnf_storage::{Tuple, Value};
+use xnf_storage::{Rid, Table, Tuple, Value};
 
 use crate::cache::{Change, TupleId, Workspace};
 use crate::db::Database;
@@ -384,50 +385,39 @@ fn updatable(meta: &CompMeta) -> Result<&BaseMap> {
     })
 }
 
-/// Find the base RID whose mapped columns equal the cached row, under the
-/// writing scope's snapshot (so a write-back sees its own earlier changes
-/// and is isolated from concurrent transactions).
-fn find_base_rid(
+/// The first row of base table `table` whose `columns` equal `row`, but
+/// for the positions in `skip`, with the table, read under the writing
+/// scope's snapshot (so a write-back sees its own earlier changes and is
+/// isolated from concurrent transactions). FK connect/disconnect skips the
+/// FK column, whose cached value is stale by design (the cache records
+/// re-wiring in the adjacency, not in the row image).
+fn find_row(
     db: &Database,
     scope: &crate::db::WriteScope<'_>,
-    base: &BaseMap,
-    row: &[Value],
-) -> Result<xnf_storage::Rid> {
-    find_base_rid_masked(db, scope, base, row, &[])
-}
-
-/// Like [`find_base_rid`] but ignoring the cache columns in `skip` — used
-/// by FK connect/disconnect, where the cached FK value is stale by design
-/// (the cache records re-wiring in the adjacency, not in the row image).
-fn find_base_rid_masked(
-    db: &Database,
-    scope: &crate::db::WriteScope<'_>,
-    base: &BaseMap,
+    table: &str,
+    columns: &[usize],
     row: &[Value],
     skip: &[usize],
-) -> Result<xnf_storage::Rid> {
-    let t = db.catalog().table(&base.table)?;
+) -> Result<(Arc<Table>, Rid, Tuple)> {
+    let t = db.catalog().table(table)?;
     let mut found = None;
     t.for_each_visible(&scope.snapshot(), |rid, tuple| {
-        let matches = base
-            .columns
+        let matches = columns
             .iter()
             .zip(row)
             .enumerate()
             .all(|(i, (&b, v))| skip.contains(&i) || tuple.values[b].total_cmp(v).is_eq());
         if matches {
-            found = Some(rid);
-            Ok(false)
-        } else {
-            Ok(true)
+            found = Some((rid, tuple));
         }
+        Ok(!matches)
     })?;
-    found.ok_or_else(|| {
+    let (rid, tuple) = found.ok_or_else(|| {
         XnfError::Api(format!(
-            "write-back conflict: no row in '{}' matches the cached image",
-            base.table
+            "write-back conflict: no row in '{table}' matches the cached image"
         ))
-    })
+    })?;
+    Ok((t, rid, tuple))
 }
 
 fn update_base_row(
@@ -437,11 +427,7 @@ fn update_base_row(
     old: &[Value],
     new: &[Value],
 ) -> Result<()> {
-    let rid = find_base_rid(db, scope, base, old)?;
-    let t = db.catalog().table(&base.table)?;
-    let mut tuple = t
-        .get_snapshot(rid, &scope.snapshot())?
-        .ok_or_else(|| XnfError::Api("write-back conflict: row vanished".to_string()))?;
+    let (t, rid, mut tuple) = find_row(db, scope, &base.table, &base.columns, old, &[])?;
     for (&b, v) in base.columns.iter().zip(new) {
         tuple.values[b] = v.clone();
     }
@@ -473,8 +459,7 @@ fn delete_base_row(
     base: &BaseMap,
     row: &[Value],
 ) -> Result<()> {
-    let rid = find_base_rid(db, scope, base, row)?;
-    let t = db.catalog().table(&base.table)?;
+    let (t, rid, _) = find_row(db, scope, &base.table, &base.columns, row, &[])?;
     let old = t.mark_delete_txn(rid, scope.xid())?;
     scope.log_delete(&t, rid, old);
     Ok(())
@@ -504,11 +489,9 @@ fn apply_connect(
             // rewrote it in the base), so match ignoring the FK column.
             let child_meta = &schema.components[r.children[0]];
             let base = updatable(child_meta)?;
-            let rid = find_base_rid_masked(db, scope, base, child_row, &[*child_col])?;
-            let t = db.catalog().table(&base.table)?;
-            let mut tuple = t
-                .get_snapshot(rid, &scope.snapshot())?
-                .ok_or_else(|| XnfError::Api("write-back conflict: row vanished".to_string()))?;
+            let skip = [*child_col];
+            let (t, rid, mut tuple) =
+                find_row(db, scope, &base.table, &base.columns, child_row, &skip)?;
             tuple.values[base.columns[*child_col]] = if connect {
                 parent_row[*parent_col].clone()
             } else {
@@ -536,26 +519,12 @@ fn apply_connect(
                 scope.log_insert(&t, rid, &tuple);
             } else {
                 // Delete one matching mapping row.
-                let mut target = None;
-                t.for_each_visible(&scope.snapshot(), |rid, tuple| {
-                    if tuple.values[*m_parent_col]
-                        .total_cmp(&parent_row[*parent_col])
-                        .is_eq()
-                        && tuple.values[*m_child_col]
-                            .total_cmp(&child_row[*child_col])
-                            .is_eq()
-                    {
-                        target = Some(rid);
-                        Ok(false)
-                    } else {
-                        Ok(true)
-                    }
-                })?;
-                let rid = target.ok_or_else(|| {
-                    XnfError::Api(format!(
-                        "write-back conflict: mapping row missing in '{table}'"
-                    ))
-                })?;
+                let pair = [
+                    parent_row[*parent_col].clone(),
+                    child_row[*child_col].clone(),
+                ];
+                let columns = [*m_parent_col, *m_child_col];
+                let (_, rid, _) = find_row(db, scope, table, &columns, &pair, &[])?;
                 let old = t.mark_delete_txn(rid, scope.xid())?;
                 scope.log_delete(&t, rid, old);
             }

@@ -1011,3 +1011,189 @@ fn zero_width_rows_count_through_a_projection() {
         assert!(op.next_batch(&mut rt).unwrap().is_none());
     }
 }
+
+/// Run `plan` under `snap` at `batch_size`, returning its rows and the
+/// run's `(rows_scanned, rows_skipped_visibility)`.
+fn probe_rows(
+    cat: &Catalog,
+    plan: &xnf_plan::PhysPlan,
+    snap: &xnf_storage::Snapshot,
+    batch_size: usize,
+) -> (Vec<Vec<Value>>, (u64, u64)) {
+    let mut rt = crate::ops::Runtime::new(cat);
+    rt.snapshot = snap.clone();
+    rt.batch_size = batch_size;
+    let mut op = crate::ops::build_operator(plan);
+    let mut rows = Vec::new();
+    while let Some(batch) = op.next_batch(&mut rt).unwrap() {
+        rows.extend(batch.into_rows());
+    }
+    let stats = (rt.stats.rows_scanned, rt.stats.rows_skipped_visibility);
+    (rows, stats)
+}
+
+/// `T(k, v, pad)` with an index on `k`: `v` runs 0..12 and `k` is `v % 4`,
+/// five rows to a page. Then one committed transaction moves `v = 1` from
+/// key 1 to key 2 and `v = 6` from key 2 to key 1, each as a new version
+/// at the end of the heap. `U(k)` holds 1 and 2. Returns the snapshot
+/// taken before the moves.
+fn moved_keys_db() -> (Catalog, xnf_storage::Snapshot) {
+    let cat = Catalog::new(Arc::new(BufferPool::new(Arc::new(DiskManager::new()), 64)));
+    let t = cat
+        .create_table(
+            "T",
+            Schema::from_pairs(&[
+                ("k", DataType::Int),
+                ("v", DataType::Int),
+                ("pad", DataType::Str),
+            ]),
+        )
+        .unwrap();
+    t.create_index("t_k", vec![0], false).unwrap();
+    let row = |k: i64, v: i64| Tuple::new(vec![k.into(), v.into(), "x".repeat(1500).into()]);
+    let rids: Vec<_> = (0..12).map(|v| t.insert(&row(v % 4, v)).unwrap()).collect();
+    assert!(t.page_count() >= 3, "the rows span pages");
+    let before = cat.latest_snapshot();
+    let txn = t.txns().allocate();
+    t.update_txn(rids[1], &row(2, 1), txn).unwrap();
+    t.update_txn(rids[6], &row(1, 6), txn).unwrap();
+    t.txns().commit(txn);
+    let u = cat
+        .create_table("U", Schema::from_pairs(&[("k", DataType::Int)]))
+        .unwrap();
+    for k in [1, 2] {
+        u.insert(&Tuple::new(vec![Value::Int(k)])).unwrap();
+    }
+    (cat, before)
+}
+
+/// The `v` column of probed `T` rows.
+fn vs(rows: &[Vec<Value>]) -> Vec<i64> {
+    rows.iter().map(|r| r[1].as_int().unwrap()).collect()
+}
+
+#[test]
+fn index_probes_skip_the_versions_a_key_update_left_behind() {
+    use xnf_plan::{PhysExpr, PhysPlan};
+    let (cat, before) = moved_keys_db();
+    let latest = cat.latest_snapshot();
+    let eq = PhysPlan::IndexEq {
+        table: "T".into(),
+        index: "t_k".into(),
+        key: vec![PhysExpr::Literal(Value::Int(2))],
+        filter: vec![],
+    };
+    let semi = PhysPlan::IndexSemiJoin {
+        table: "T".into(),
+        index: "t_k".into(),
+        filter: vec![PhysExpr::Binary {
+            left: Box::new(PhysExpr::Col(1)),
+            op: xnf_sql::BinOp::Lt,
+            right: Box::new(PhysExpr::Literal(Value::Int(10))),
+        }],
+        inner: Box::new(PhysPlan::SeqScan {
+            table: "U".into(),
+            filter: vec![],
+            cols: None,
+        }),
+        inner_key: PhysExpr::Col(0),
+    };
+    for batch_size in [1, 2, 1024] {
+        // Before the moves: key 2's rows in heap order; `v = 1`'s new
+        // version under key 2 is not visible yet.
+        let (rows, stats) = probe_rows(&cat, &eq, &before, batch_size);
+        assert_eq!(vs(&rows), [2, 6, 10]);
+        assert_eq!(stats, (3, 1), "batch size {batch_size}");
+        // After: `v = 6`'s old version is deleted; `v = 1` comes last.
+        let (rows, stats) = probe_rows(&cat, &eq, &latest, batch_size);
+        assert_eq!(vs(&rows), [2, 10, 1]);
+        assert_eq!(stats, (3, 1), "batch size {batch_size}");
+        // Keys 1 and 2 through the filter `v < 10`: every visible row
+        // counts as scanned, `v = 10` included; U's two rows count too.
+        let (rows, stats) = probe_rows(&cat, &semi, &before, batch_size);
+        assert_eq!(vs(&rows), [1, 2, 5, 6, 9]);
+        assert_eq!(stats, (2 + 6, 2), "batch size {batch_size}");
+        let (rows, stats) = probe_rows(&cat, &semi, &latest, batch_size);
+        assert_eq!(vs(&rows), [2, 5, 9, 1, 6]);
+        assert_eq!(stats, (2 + 6, 2), "batch size {batch_size}");
+    }
+}
+
+#[test]
+fn a_row_posted_under_two_probed_keys_is_emitted_once() {
+    use xnf_plan::{PhysExpr, PhysPlan};
+    let cat = Catalog::new(Arc::new(BufferPool::new(Arc::new(DiskManager::new()), 16)));
+    let d = cat
+        .create_table("D", Schema::from_pairs(&[("x", DataType::Double)]))
+        .unwrap();
+    d.create_index("d_x", vec![0], false).unwrap();
+    // 2^53 + 1 is no double: as one it rounds to 2^53, so both keys below
+    // equal the stored 2^53 and find its one posting, while as integers
+    // they stay two keys.
+    let big = 1i64 << 53;
+    for x in [1.0, big as f64, 3.0] {
+        d.insert(&Tuple::new(vec![Value::Double(x)])).unwrap();
+    }
+    let u = cat
+        .create_table("U", Schema::from_pairs(&[("k", DataType::Int)]))
+        .unwrap();
+    for k in [big, big + 1, 3] {
+        u.insert(&Tuple::new(vec![Value::Int(k)])).unwrap();
+    }
+    let semi = PhysPlan::IndexSemiJoin {
+        table: "D".into(),
+        index: "d_x".into(),
+        filter: vec![],
+        inner: Box::new(PhysPlan::SeqScan {
+            table: "U".into(),
+            filter: vec![],
+            cols: None,
+        }),
+        inner_key: PhysExpr::Col(0),
+    };
+    let (rows, stats) = probe_rows(&cat, &semi, &cat.latest_snapshot(), 1024);
+    let want = vec![vec![Value::Double(big as f64)], vec![Value::Double(3.0)]];
+    assert_eq!(rows, want);
+    assert_eq!(stats, (3 + 2, 0), "U's rows and two resolved postings");
+}
+
+#[test]
+fn a_posting_to_a_reused_slot_resolves_to_nothing() {
+    use xnf_plan::{PhysExpr, PhysPlan};
+    let cat = Catalog::new(Arc::new(BufferPool::new(Arc::new(DiskManager::new()), 16)));
+    let r = cat
+        .create_table(
+            "R",
+            Schema::from_pairs(&[("k", DataType::Int), ("pad", DataType::Str)]),
+        )
+        .unwrap();
+    r.create_index("r_k", vec![0], false).unwrap();
+    let row = |k: i64| Tuple::new(vec![k.into(), "x".repeat(3000).into()]);
+    // Two rows fill page 0; a transaction's insert of key 5 opens page 1.
+    let kept = r.insert(&row(5)).unwrap();
+    r.insert(&row(6)).unwrap();
+    let txn = r.txns().allocate();
+    let pending = r.insert_txn(&row(5), txn).unwrap();
+    assert_ne!(kept.page, pending.page);
+    let eq = PhysPlan::IndexEq {
+        table: "R".into(),
+        index: "r_k".into(),
+        key: vec![PhysExpr::Literal(Value::Int(5))],
+        filter: vec![],
+    };
+    let mut rt = crate::ops::Runtime::new(&cat);
+    rt.batch_size = 1;
+    let mut op = crate::ops::build_operator(&eq);
+    // The first batch gathers both postings of key 5 and reads page 0.
+    let first = op.next_batch(&mut rt).unwrap().unwrap().into_rows();
+    assert_eq!(first, vec![row(5).values]);
+    // The insert rolls back and a row of key 7 reuses its slot, before
+    // the probe reads page 1.
+    r.remove_version(pending).unwrap();
+    assert_eq!(r.insert(&row(7)).unwrap(), pending);
+    assert!(op.next_batch(&mut rt).unwrap().is_none());
+    assert_eq!(
+        (rt.stats.rows_scanned, rt.stats.rows_skipped_visibility),
+        (1, 1)
+    );
+}

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use xnf_plan::{AggSpec, PhysExpr, PhysPlan, DEFAULT_BATCH_SIZE};
 use xnf_sql::AggFunc;
-use xnf_storage::{Catalog, Gate, IndexDef, Rid, Table, Value};
+use xnf_storage::{Catalog, Gate, IndexDef, Postings, Table, Value};
 
 use crate::batch::RowBatch;
 use crate::error::{ExecError, Result};
@@ -206,13 +206,12 @@ pub fn build_operator(plan: &PhysPlan) -> Box<dyn Operator> {
             index,
             key,
             filter,
-        } => Box::new(IndexEqOp {
-            table: table.clone(),
-            index: index.clone(),
-            key: key.clone(),
-            filter: filter.clone(),
-            cursor: None,
-        }),
+        } => Box::new(IndexScanOp::new(
+            table,
+            index,
+            filter,
+            ProbeKeys::Key(key.clone()),
+        )),
         PhysPlan::IndexNlJoin {
             left,
             table,
@@ -238,14 +237,10 @@ pub fn build_operator(plan: &PhysPlan) -> Box<dyn Operator> {
             filter,
             inner,
             inner_key,
-        } => Box::new(IndexSemiJoinOp {
-            table: table.clone(),
-            index: index.clone(),
-            filter: filter.clone(),
-            inner: build_operator(inner),
-            inner_key: inner_key.clone(),
-            cursor: None,
-        }),
+        } => {
+            let keys = ProbeKeys::Inner(build_operator(inner), inner_key.clone());
+            Box::new(IndexScanOp::new(table, index, filter, keys))
+        }
         PhysPlan::SharedScan { id, cols } => Box::new(SharedScanOp {
             id: *id,
             cols: cols.clone(),
@@ -706,6 +701,14 @@ impl Runs {
         }
     }
 
+    /// The next batch once every read is done: the cut ones in order, then
+    /// the open run (queued batches cost a queue; a lone run does not).
+    fn finish(&mut self) -> Option<RowBatch> {
+        let open = &mut self.open;
+        let last = || Some(std::mem::take(open)).filter(|b| !b.is_empty());
+        self.ready.pop_front().or_else(last)
+    }
+
     /// Close the open run and start counting afresh (end of the scan, or
     /// of a morsel: batches never span morsels).
     pub(crate) fn end(&mut self) {
@@ -769,13 +772,17 @@ impl Operator for SeqScanOp {
     }
 }
 
-/// The one index-probe path, shared by [`IndexEqOp`], [`IndexNlJoinOp`]
-/// and [`IndexSemiJoinOp`]: an index of a table and the filter over its
-/// rows, opened once per operator.
+/// The one index-probe path, shared by [`IndexScanOp`] and
+/// [`IndexNlJoinOp`]: an index of a table and the filter over its
+/// rows, opened once per operator. Postings become rows only through
+/// [`Table::read_postings`], one page's run at a time, with the filter as
+/// the read's gate, as a scan's filter is.
 struct IndexProbe {
     table: Arc<Table>,
     def: IndexDef,
     filter: CompiledPreds,
+    /// The columns the filter reads, ascending.
+    gate_cols: Vec<usize>,
 }
 
 impl IndexProbe {
@@ -784,103 +791,144 @@ impl IndexProbe {
         let def = table
             .index_def(index)
             .ok_or_else(|| ExecError::Type(format!("unknown index '{index}'")))?;
-        let filter = CompiledPreds::compile(filter, &rt.outer)?;
-        Ok(IndexProbe { table, def, filter })
-    }
-
-    /// The postings of `keys`, sorted into heap scan order (see
-    /// [`Table::gather_postings`]). A key holding a NULL matches nothing
-    /// (SQL equality) and is not probed.
-    fn cursor(&self, mut keys: Vec<Vec<Value>>) -> Result<ProbeCursor> {
-        keys.retain(|k| !k.iter().any(Value::is_null));
-        let postings = self.table.gather_postings(&self.def.name, &keys)?;
-        Ok(ProbeCursor {
-            keys,
-            postings,
-            pos: 0,
-            last_hit: None,
+        let mut read = BTreeSet::new();
+        filter.iter().for_each(|e| e.add_cols(&mut read));
+        Ok(IndexProbe {
+            table,
+            def,
+            filter: CompiledPreds::compile(filter, &rt.outer)?,
+            gate_cols: read.into_iter().collect(),
         })
     }
-}
 
-/// One probe's postings, resolved in heap scan order on demand.
-struct ProbeCursor {
-    keys: Vec<Vec<Value>>,
-    /// `(rid, index into keys)`.
-    postings: Vec<(Rid, usize)>,
-    pos: usize,
-    /// The last RID that resolved to a row: a RID found under several keys
-    /// is emitted once.
-    last_hit: Option<Rid>,
-}
+    /// The postings of `keys` (a key holding a NULL is not probed).
+    fn gather(&self, keys: Vec<Vec<Value>>) -> Result<Postings> {
+        Ok(self.table.gather_postings(&self.def.name, keys)?)
+    }
 
-impl ProbeCursor {
-    /// Resolve postings under the run's snapshot into `out` until it holds
-    /// `limit` rows or the postings run out. Postings cover every tuple version
-    /// (and may dangle after a concurrent rollback reclaims one); only
-    /// versions that are visible to the snapshot and still carry the
-    /// probed key count as scanned rows, the rest as skipped.
-    fn fill(
-        &mut self,
-        probe: &IndexProbe,
+    /// Read the next page's run of `postings` under the run's snapshot,
+    /// appending the rows the filter accepts to `out`; returns how many, or
+    /// `None` once the postings run out.
+    fn read(
+        &self,
+        postings: &mut Postings,
         rt: &mut Runtime<'_>,
-        limit: usize,
-        out: &mut RowBatch,
-    ) -> Result<()> {
-        let filter = &probe.filter;
-        while out.len() < limit && self.pos < self.postings.len() {
-            let (rid, k) = self.postings[self.pos];
-            self.pos += 1;
-            if self.last_hit == Some(rid) {
-                continue;
-            }
-            let Some(tuple) =
-                probe
-                    .table
-                    .resolve_posting(rid, &rt.snapshot, &probe.def, &self.keys[k])?
-            else {
-                rt.stats.rows_skipped_visibility += 1;
-                continue;
-            };
-            self.last_hit = Some(rid);
-            rt.stats.rows_scanned += 1;
-            if filter.is_empty() || filter.matches(&tuple.values, &rt.outer)? {
-                out.push_owned(tuple.values);
-            }
+        out: &mut Vec<Value>,
+    ) -> Result<Option<usize>> {
+        // As in a scan, the first evaluation error rejects every later row.
+        let mut err = None;
+        let mut accept = |row: &[Value]| {
+            err.is_none()
+                && self.filter.matches(row, &rt.outer).unwrap_or_else(|e| {
+                    err = Some(e);
+                    false
+                })
+        };
+        let gate = (!self.filter.is_empty()).then_some(Gate {
+            cols: &self.gate_cols,
+            accept: &mut accept,
+        });
+        let snap = &rt.snapshot;
+        let run = self
+            .table
+            .read_postings(&self.def, postings, snap, gate, out, None)?;
+        if let Some(e) = err {
+            return Err(e);
         }
-        Ok(())
-    }
-
-    /// The next batch of resolved rows, `None` once the postings run out.
-    fn next_batch(&mut self, probe: &IndexProbe, rt: &mut Runtime<'_>) -> Result<Option<RowBatch>> {
-        let mut rows = RowBatch::default();
-        let limit = rt.batch_size;
-        self.fill(probe, rt, limit, &mut rows)?;
-        Ok((!rows.is_empty()).then_some(rows))
+        let Some(run) = run else {
+            return Ok(None);
+        };
+        if run.rows > 0 && run.width != self.table.schema.len() {
+            let what = "records wider or narrower than their table";
+            return Err(ExecError::Storage(xnf_storage::StorageError::Corrupt(what)));
+        }
+        rt.stats.rows_scanned += run.visible;
+        rt.stats.rows_skipped_visibility += run.skipped;
+        Ok(Some(run.rows))
     }
 }
 
-struct IndexEqOp {
+/// `IndexEq` and `IndexSemiJoin`: the probe's postings read as a stream,
+/// each page's run cut into batches by [`Runs`] as a sequential scan's
+/// pages are, and read only when a batch is wanted, so a `LIMIT` above
+/// stops the reading.
+struct IndexScanOp {
     table: String,
     index: String,
-    key: Vec<PhysExpr>,
     filter: Vec<PhysExpr>,
-    cursor: Option<(IndexProbe, ProbeCursor)>,
+    keys: ProbeKeys,
+    /// Opened on the first call.
+    open: Option<(IndexProbe, Postings)>,
+    runs: Runs,
+    done: bool,
 }
 
-impl Operator for IndexEqOp {
-    fn next_batch(&mut self, rt: &mut Runtime<'_>) -> Result<Option<RowBatch>> {
-        if self.cursor.is_none() {
-            let mut key = Vec::with_capacity(self.key.len());
-            for e in &self.key {
-                key.push(eval(e, &[], &rt.outer, &[])?);
-            }
-            let probe = IndexProbe::open(rt, &self.table, &self.index, &self.filter)?;
-            let cursor = probe.cursor(vec![key])?;
-            self.cursor = Some((probe, cursor));
+/// Where an index scan's keys come from.
+enum ProbeKeys {
+    /// `IndexEq`'s one key.
+    Key(Vec<PhysExpr>),
+    /// `IndexSemiJoin`'s semi side and its key, drained into its distinct
+    /// keys before the probe.
+    Inner(Box<dyn Operator>, PhysExpr),
+}
+
+impl IndexScanOp {
+    fn new(table: &str, index: &str, filter: &[PhysExpr], keys: ProbeKeys) -> IndexScanOp {
+        IndexScanOp {
+            table: table.to_string(),
+            index: index.to_string(),
+            filter: filter.to_vec(),
+            keys,
+            open: None,
+            runs: Runs::default(),
+            done: false,
         }
-        let (probe, cursor) = self.cursor.as_mut().expect("probed above");
-        cursor.next_batch(probe, rt)
+    }
+}
+
+impl ProbeKeys {
+    fn eval(&mut self, rt: &mut Runtime<'_>) -> Result<Vec<Vec<Value>>> {
+        let (inner, inner_key) = match self {
+            ProbeKeys::Key(key) => {
+                let key = key.iter().map(|e| eval(e, &[], &rt.outer, &[]));
+                return Ok(vec![key.collect::<Result<_>>()?]);
+            }
+            ProbeKeys::Inner(inner, key) => (inner, key),
+        };
+        let mut seen = FxHashSet::default();
+        let mut keys = Vec::new();
+        while let Some(batch) = inner.next_batch(rt)? {
+            for row in batch.iter() {
+                let key = eval(inner_key, row, &rt.outer, &[])?;
+                if seen.insert(key.clone()) {
+                    keys.push(vec![key]);
+                }
+            }
+        }
+        Ok(keys)
+    }
+}
+
+impl Operator for IndexScanOp {
+    fn next_batch(&mut self, rt: &mut Runtime<'_>) -> Result<Option<RowBatch>> {
+        if self.open.is_none() {
+            let keys = self.keys.eval(rt)?;
+            let probe = IndexProbe::open(rt, &self.table, &self.index, &self.filter)?;
+            let postings = probe.gather(keys)?;
+            self.open = Some((probe, postings));
+        }
+        let (probe, postings) = self.open.as_mut().expect("opened above");
+        while !self.done {
+            if let Some(batch) = self.runs.pop() {
+                return Ok(Some(batch));
+            }
+            let out = self.runs.buffer(probe.table.schema.len());
+            match probe.read(postings, rt, out)? {
+                Some(rows) => self.runs.settle(rows, None, rows, rt.batch_size),
+                None => self.done = true,
+            }
+        }
+        Ok(self.runs.finish())
     }
 }
 
@@ -904,12 +952,9 @@ struct IndexNlJoinOp {
 impl Operator for IndexNlJoinOp {
     fn next_batch(&mut self, rt: &mut Runtime<'_>) -> Result<Option<RowBatch>> {
         if self.probe.is_none() {
-            self.probe = Some(IndexProbe::open(
-                rt,
-                &self.table,
-                &self.index,
-                &self.filter,
-            )?);
+            let probe = IndexProbe::open(rt, &self.table, &self.index, &self.filter)?;
+            self.matches = RowBatch::new(probe.table.schema.len());
+            self.probe = Some(probe);
         }
         let probe = self.probe.as_ref().expect("opened above");
         let matches = &mut self.matches;
@@ -926,9 +971,11 @@ impl Operator for IndexNlJoinOp {
                 let lrow = &lbatch[*idx];
                 *idx += 1;
                 let key = eval(&self.key, lrow, &rt.outer, &[])?;
-                let mut cursor = probe.cursor(vec![vec![key]])?;
+                let mut postings = probe.gather(vec![vec![key]])?;
                 matches.truncate(0);
-                cursor.fill(probe, rt, usize::MAX, matches)?;
+                while let Some(rows) = probe.read(&mut postings, rt, matches.buffer())? {
+                    matches.appended(rows);
+                }
                 if out.is_empty() && !matches.is_empty() {
                     out = RowBatch::with_capacity(lrow.len() + matches.columns(), self.last_out);
                 }
@@ -949,39 +996,6 @@ impl Operator for IndexNlJoinOp {
         }
         filter_batch(&self.residual, &mut out, &rt.outer)?;
         Ok(if out.is_empty() { None } else { Some(out) })
-    }
-}
-
-struct IndexSemiJoinOp {
-    table: String,
-    index: String,
-    filter: Vec<PhysExpr>,
-    inner: Box<dyn Operator>,
-    inner_key: PhysExpr,
-    cursor: Option<(IndexProbe, ProbeCursor)>,
-}
-
-impl Operator for IndexSemiJoinOp {
-    fn next_batch(&mut self, rt: &mut Runtime<'_>) -> Result<Option<RowBatch>> {
-        if self.cursor.is_none() {
-            // Drain the inner side into its distinct keys, then probe once
-            // per key.
-            let mut seen = FxHashSet::default();
-            let mut keys = Vec::new();
-            while let Some(batch) = self.inner.next_batch(rt)? {
-                for row in batch.iter() {
-                    let key = eval(&self.inner_key, row, &rt.outer, &[])?;
-                    if seen.insert(key.clone()) {
-                        keys.push(vec![key]);
-                    }
-                }
-            }
-            let probe = IndexProbe::open(rt, &self.table, &self.index, &self.filter)?;
-            let cursor = probe.cursor(keys)?;
-            self.cursor = Some((probe, cursor));
-        }
-        let (probe, cursor) = self.cursor.as_mut().expect("probed above");
-        cursor.next_batch(probe, rt)
     }
 }
 

@@ -16,11 +16,11 @@ use std::sync::Arc;
 
 use crate::buffer::BufferPool;
 use crate::error::{Result, StorageError};
-use crate::heap::HeapFile;
+use crate::heap::{each_row, HeapFile, Postings, VisiblePage};
 use crate::index::{BTreeIndex, Key};
 use crate::schema::Schema;
 use crate::stats::{StatsBuilder, TableStats};
-use crate::tuple::{Rid, Tuple};
+use crate::tuple::{Gate, Rid, Tuple};
 use crate::txn::{Snapshot, TxnId, TxnManager, FROZEN};
 use crate::vacuum::{GcStats, GcTotals, TableGc, TableVacuumReport, VacuumReport, VersionCensus};
 use crate::value::Value;
@@ -305,14 +305,10 @@ impl Table {
     // -- reads -------------------------------------------------------------
 
     /// Fetch one tuple, whatever its version state (raw read; snapshot
-    /// readers use [`Table::get_snapshot`]).
+    /// readers scan, or resolve index postings through
+    /// [`Table::read_postings`]).
     pub fn get(&self, rid: Rid) -> Result<Tuple> {
         self.heap.get(rid)
-    }
-
-    /// Fetch the tuple at `rid` if visible to `snap`.
-    pub fn get_snapshot(&self, rid: Rid, snap: &Snapshot) -> Result<Option<Tuple>> {
-        self.heap.get_snapshot(rid, snap)
     }
 
     /// Scan tuples visible to the latest-committed snapshot; see
@@ -330,10 +326,6 @@ impl Table {
         self.heap.for_each_snapshot(snap, f)
     }
 
-    pub fn scan_all(&self) -> Result<Vec<(Rid, Tuple)>> {
-        self.heap.scan_all()
-    }
-
     /// Streaming scan unit under an explicit snapshot: the visible rows
     /// `gate` accepts, appended to the flat buffer `out` with only the
     /// columns `cols` keeps materialized (and their RIDs to `rids`, when
@@ -344,10 +336,10 @@ impl Table {
         idx: usize,
         snap: &Snapshot,
         cols: Option<&[usize]>,
-        gate: Option<crate::tuple::Gate<'_>>,
+        gate: Option<Gate<'_>>,
         out: &mut Vec<Value>,
         rids: Option<&mut Vec<Rid>>,
-    ) -> Result<Option<crate::heap::VisiblePage>> {
+    ) -> Result<Option<VisiblePage>> {
         self.heap
             .scan_page_snapshot(idx, snap, cols, gate, out, rids)
     }
@@ -464,34 +456,6 @@ impl Table {
             .map(|e| e.def.clone())
     }
 
-    /// Resolve one index posting under `snap`: the tuple at `rid` if the
-    /// slot still holds a version that is visible **and** still carries
-    /// `key` in the index's columns. Postings are collected without any
-    /// lock coupling to the heap, so by the time a reader dereferences one
-    /// a concurrent rollback or vacuum may have physically reclaimed the
-    /// slot — and a later insert may have reused it for an unrelated row.
-    /// Both cases resolve to `None` (invisible), never to an error or a
-    /// wrong row. The visibility check itself runs under the page latch
-    /// (see [`HeapFile::scan_page_snapshot`] on the GC freeze/prune race).
-    pub fn resolve_posting(
-        &self,
-        rid: Rid,
-        snap: &Snapshot,
-        def: &IndexDef,
-        key: &Key,
-    ) -> Result<Option<Tuple>> {
-        let tuple = self.heap.try_get_visible(rid, snap)?;
-        Ok(tuple.filter(|t| Self::carries(def, t, key)))
-    }
-
-    /// Does `tuple` hold `key` in the columns of index `def`?
-    fn carries(def: &IndexDef, tuple: &Tuple, key: &Key) -> bool {
-        def.columns
-            .iter()
-            .zip(key.iter())
-            .all(|(&c, k)| tuple.values.get(c) == Some(k))
-    }
-
     /// Find an index whose column list starts with exactly `columns` (we use
     /// exact-prefix match; the planner only asks for full-key equality).
     pub fn find_index(&self, columns: &[usize]) -> Option<IndexDef> {
@@ -502,33 +466,40 @@ impl Table {
             .map(|e| e.def.clone())
     }
 
-    /// Point lookup through the named index. The postings cover every
-    /// stored version; snapshot readers filter through
-    /// [`Table::resolve_posting`] (the executor's index probes do this).
-    pub fn index_lookup(&self, index_name: &str, key: &Key) -> Result<Vec<Rid>> {
-        self.with_tree(index_name, |tree| tree.get(key))
+    /// The postings of all `keys` in the named index, gathered under one
+    /// read of its tree and sorted into heap scan order, for
+    /// [`Table::read_postings`] to resolve. A key holding a NULL matches
+    /// nothing (SQL equality) and is not probed.
+    pub fn gather_postings(&self, index_name: &str, mut keys: Vec<Key>) -> Result<Postings> {
+        keys.retain(|k| !k.iter().any(Value::is_null));
+        let mut entries: Vec<(Rid, usize)> = self.with_tree(index_name, |tree| {
+            let posted = |(i, key)| tree.get(key).into_iter().map(move |rid| (rid, i));
+            keys.iter().enumerate().flat_map(posted).collect()
+        })?;
+        if entries.len() > 1 {
+            let order = self.heap.scan_order();
+            entries.sort_by_key(|&(rid, _)| order.key(rid));
+        }
+        Ok(Postings {
+            keys,
+            entries,
+            next: 0,
+        })
     }
 
-    /// The postings of all `keys` in the named index, gathered under one
-    /// read of its tree, as `(rid, position of the key in keys)` sorted
-    /// into heap scan order. The sort is stable, so a RID posted under
-    /// several keys (a stale posting beside the live one) keeps its
-    /// entries together, in key order. Postings cover every stored
-    /// version and may dangle; check them as [`Table::resolve_posting`]
-    /// does.
-    pub fn gather_postings(&self, index_name: &str, keys: &[Key]) -> Result<Vec<(Rid, usize)>> {
-        let mut postings = self.with_tree(index_name, |tree| {
-            let mut postings = Vec::new();
-            for (i, key) in keys.iter().enumerate() {
-                postings.extend(tree.get(key).into_iter().map(|rid| (rid, i)));
-            }
-            postings
-        })?;
-        if postings.len() > 1 {
-            let order = self.heap.scan_order();
-            postings.sort_by_key(|&(rid, _)| order.key(rid));
-        }
-        Ok(postings)
+    /// Resolve the next page's run of `postings`, gathered from `index`,
+    /// under `snap`: see [`HeapFile::read_postings`].
+    pub fn read_postings(
+        &self,
+        index: &IndexDef,
+        postings: &mut Postings,
+        snap: &Snapshot,
+        gate: Option<Gate<'_>>,
+        out: &mut Vec<Value>,
+        rids: Option<&mut Vec<Rid>>,
+    ) -> Result<Option<VisiblePage>> {
+        self.heap
+            .read_postings(&index.columns, postings, snap, gate, out, rids)
     }
 
     /// Run `f` on the tree of the named index, under its read lock.
@@ -540,17 +511,6 @@ impl Table {
             .ok_or_else(|| StorageError::UnknownIndex(index_name.to_string()))?;
         let r = f(&entry.tree.read());
         Ok(r)
-    }
-
-    /// Range scan through the named index (all versions; see
-    /// [`Table::index_lookup`]).
-    pub fn index_range(
-        &self,
-        index_name: &str,
-        lo: std::ops::Bound<&Key>,
-        hi: std::ops::Bound<&Key>,
-    ) -> Result<Vec<(Key, Rid)>> {
-        self.with_tree(index_name, |tree| tree.range(lo, hi))
     }
 
     /// Recompute statistics with a full scan (latest-committed visibility).
@@ -576,39 +536,16 @@ impl Table {
         self.schema.resolve(&self.name, name)
     }
 
-    /// Convenience: fetch all tuples whose `col = value` that are visible
-    /// to the latest-committed snapshot, using an index when one exists,
-    /// else a scan (used by write-back, maintenance and tests, not the
-    /// planner).
-    pub fn find_by_value(&self, col: usize, value: &Value) -> Result<Vec<(Rid, Tuple)>> {
-        self.find_by_value_visible(col, value, &self.txns().snapshot_latest())
-    }
-
-    /// [`Table::find_by_value`] under an explicit snapshot.
-    pub fn find_by_value_visible(
-        &self,
-        col: usize,
-        value: &Value,
-        snap: &Snapshot,
-    ) -> Result<Vec<(Rid, Tuple)>> {
-        let mut out = Vec::new();
-        self.scan_by_values(col, std::slice::from_ref(value), snap, |rid, t| {
-            out.push((rid, t));
-            Ok(true)
-        })?;
-        Ok(out)
-    }
-
     /// Visit the tuples visible to `snap` whose `col` equals one of
     /// `values`, each once, in heap scan order, stopping as soon as `f`
     /// returns `false`. A NULL value matches nothing (SQL equality). With a
     /// single-column index on `col` the postings of all values are gathered
-    /// at once ([`Table::gather_postings`]) and each page's run of RIDs is
-    /// resolved under one pin, with the checks of
-    /// [`Table::resolve_posting`]: the slot still holds a version visible
-    /// to `snap` that still carries a value it was posted under. So the
-    /// call costs one page access per page that holds a posting, not one
-    /// per row. Without such an index it is one visible scan.
+    /// at once and read page run by page run through
+    /// [`Table::read_postings`], which checks that each slot still holds a
+    /// version visible to `snap` that still carries a value it was posted
+    /// under. So the call costs one page access per page that holds a
+    /// posting, not one per row. Without such an index it is one visible
+    /// scan.
     pub fn scan_by_values(
         &self,
         col: usize,
@@ -624,27 +561,14 @@ impl Table {
                 Ok(true)
             });
         };
-        let keys: Vec<Key> = values
-            .iter()
-            .filter(|v| !v.is_null())
-            .map(|v| vec![v.clone()])
-            .collect();
-        let postings = self.gather_postings(&def.name, &keys)?;
-        for run in postings.chunk_by(|a, b| a.0.page == b.0.page) {
-            // One group per distinct RID: its entries name every key it
-            // was posted under.
-            let groups: Vec<&[(Rid, usize)]> = run.chunk_by(|a, b| a.0 == b.0).collect();
-            let slots: Vec<u16> = groups.iter().map(|g| g[0].0.slot).collect();
-            let tuples = self.heap.try_get_visible_run(run[0].0.page, &slots, snap)?;
-            for (group, tuple) in groups.into_iter().zip(tuples) {
-                let Some(t) = tuple else { continue };
-                if group
-                    .iter()
-                    .any(|&(_, k)| Self::carries(&def, &t, &keys[k]))
-                    && !f(group[0].0, t)?
-                {
-                    return Ok(());
-                }
+        let keys = values.iter().map(|v| vec![v.clone()]).collect();
+        let mut postings = self.gather_postings(&def.name, keys)?;
+        let (mut buf, mut rids) = (Vec::new(), Vec::new());
+        while let Some(run) =
+            self.read_postings(&def, &mut postings, snap, None, &mut buf, Some(&mut rids))?
+        {
+            if !each_row(&mut buf, &mut rids, run.width, &mut f)? {
+                break;
             }
         }
         Ok(())
@@ -663,7 +587,7 @@ impl Table {
         let hv = self.heap.vacuum(watermark)?;
         // Postings are removed after the page pass (lock order forbids
         // tree locks inside page latches); the latch keeps writers out, and
-        // a reader racing the window re-verifies via `resolve_posting`.
+        // a reader racing the window re-verifies in `read_postings`.
         for (rid, tuple) in &hv.removed {
             self.unindex_version(tuple, *rid);
         }
@@ -1420,7 +1344,7 @@ impl Catalog {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::disk::DiskManager;
     use crate::value::DataType;
@@ -1475,37 +1399,18 @@ mod tests {
             rids.push(t.insert(&emp(i, i % 5)).unwrap());
         }
         // Point lookup via unique index.
-        assert_eq!(
-            t.index_lookup("emp_eno", &vec![Value::Int(7)]).unwrap(),
-            vec![rids[7]]
-        );
+        assert_eq!(posted(&t, "emp_eno", 7), vec![rids[7]]);
         // Posting list via non-unique index.
-        assert_eq!(
-            t.index_lookup("emp_edno", &vec![Value::Int(3)])
-                .unwrap()
-                .len(),
-            10
-        );
+        assert_eq!(posted(&t, "emp_edno", 3).len(), 10);
 
         // Delete maintains both.
         t.delete(rids[7]).unwrap();
-        assert!(t
-            .index_lookup("emp_eno", &vec![Value::Int(7)])
-            .unwrap()
-            .is_empty());
-        assert_eq!(
-            t.index_lookup("emp_edno", &vec![Value::Int(2)])
-                .unwrap()
-                .len(),
-            9
-        );
+        assert!(posted(&t, "emp_eno", 7).is_empty());
+        assert_eq!(posted(&t, "emp_edno", 2).len(), 9);
 
         // Update that changes a key re-points the index.
         let (_, nrid) = t.update(rids[8], &emp(8, 99)).unwrap();
-        assert_eq!(
-            t.index_lookup("emp_edno", &vec![Value::Int(99)]).unwrap(),
-            vec![nrid]
-        );
+        assert_eq!(posted(&t, "emp_edno", 99), vec![nrid]);
     }
 
     #[test]
@@ -1540,7 +1445,7 @@ mod tests {
         t.txns().commit(a);
         let rid2 = t.insert_txn(&emp(1, 9), b).unwrap();
         t.txns().commit(b);
-        let visible = t.find_by_value(0, &Value::Int(1)).unwrap();
+        let visible = scanned_by_values(&t, 0, &[1], &c.latest_snapshot());
         assert_eq!(visible, vec![(rid2, emp(1, 9))]);
     }
 
@@ -1557,13 +1462,10 @@ mod tests {
         t.txns().commit(a);
 
         // Old snapshot: original row, via scan and via index.
-        assert_eq!(
-            t.find_by_value_visible(0, &Value::Int(1), &before).unwrap()[0].1,
-            emp(1, 1)
-        );
+        assert_eq!(scanned_by_values(&t, 0, &[1], &before)[0].1, emp(1, 1));
         // Fresh snapshot: updated row only, even though the index holds
         // postings for both versions.
-        let now = t.find_by_value(0, &Value::Int(1)).unwrap();
+        let now = scanned_by_values(&t, 0, &[1], &c.latest_snapshot());
         assert_eq!(now.len(), 1);
         assert_eq!(now[0].1, emp(1, 42));
     }
@@ -1576,12 +1478,7 @@ mod tests {
             t.insert(&emp(i, i % 2)).unwrap();
         }
         t.create_index("emp_edno", vec![2], false).unwrap();
-        assert_eq!(
-            t.index_lookup("emp_edno", &vec![Value::Int(0)])
-                .unwrap()
-                .len(),
-            10
-        );
+        assert_eq!(posted(&t, "emp_edno", 0).len(), 10);
     }
 
     #[test]
@@ -1611,23 +1508,46 @@ mod tests {
     }
 
     #[test]
-    fn find_by_value_with_and_without_index() {
+    fn scan_by_values_with_and_without_index() {
         let c = catalog();
         let t = c.create_table("EMP", emp_schema()).unwrap();
         for i in 0..30 {
             t.insert(&emp(i, i % 3)).unwrap();
         }
-        let no_index = t.find_by_value(2, &Value::Int(1)).unwrap();
+        let snap = c.latest_snapshot();
+        let no_index = scanned_by_values(&t, 2, &[1], &snap);
         t.create_index("emp_edno", vec![2], false).unwrap();
-        let mut with_index = t.find_by_value(2, &Value::Int(1)).unwrap();
+        let mut with_index = scanned_by_values(&t, 2, &[1], &snap);
         with_index.sort_by_key(|(rid, _)| *rid);
         let mut expect = no_index;
         expect.sort_by_key(|(rid, _)| *rid);
         assert_eq!(with_index, expect);
     }
 
+    /// The RIDs posted under `key` in `t`'s index `index`, in heap order.
+    pub(crate) fn posted(t: &Table, index: &str, key: i64) -> Vec<Rid> {
+        let postings = t.gather_postings(index, vec![vec![Value::Int(key)]]);
+        postings
+            .unwrap()
+            .entries
+            .into_iter()
+            .map(|(rid, _)| rid)
+            .collect()
+    }
+
+    /// Every row visible to the latest-committed snapshot.
+    pub(crate) fn visible_rows(t: &Table) -> Vec<(Rid, Tuple)> {
+        let mut rows = Vec::new();
+        t.for_each(|rid, tuple| {
+            rows.push((rid, tuple));
+            Ok(true)
+        })
+        .unwrap();
+        rows
+    }
+
     /// Rows `scan_by_values` hands to its callback, in its order.
-    fn scanned_by_values(
+    pub(crate) fn scanned_by_values(
         t: &Table,
         col: usize,
         keys: &[i64],
@@ -1677,9 +1597,14 @@ mod tests {
         assert!(pages.len() > 1, "the rows span several pages");
         assert_eq!(cost, pages.len() as u64, "one access per page, not per row");
         assert!(rows.windows(2).all(|w| w[0].0 < w[1].0), "heap order");
-        let mut expect = t.find_by_value(2, &Value::Int(3)).unwrap();
-        expect.extend(t.find_by_value(2, &Value::Int(7)).unwrap());
-        expect.sort_by_key(|(rid, _)| *rid);
+        let mut expect = Vec::new();
+        t.for_each_visible(&snap, |rid, tuple| {
+            if [Value::Int(3), Value::Int(7)].contains(&tuple.values[2]) {
+                expect.push((rid, tuple));
+            }
+            Ok(true)
+        })
+        .unwrap();
         assert_eq!(rows, expect);
     }
 
@@ -1704,6 +1629,66 @@ mod tests {
         let rows = scanned_by_values(&t, 2, &[6], &snap);
         let enos: Vec<&Value> = rows.iter().map(|(_, t)| &t.values[0]).collect();
         assert_eq!(enos, [&Value::Int(0), &Value::Int(2)]);
+    }
+
+    #[test]
+    fn read_postings_checks_each_key_before_the_gate_and_counts_each_posting() {
+        let c = catalog();
+        let t = c.create_table("EMP", emp_schema()).unwrap();
+        t.create_index("emp_edno", vec![2], false).unwrap();
+        // A row of key 6 also posted under 5, a row of key 5, and a posting
+        // of key 5 to an empty slot: all on one page.
+        let live = t.insert(&emp(1, 6)).unwrap();
+        let other = t.insert(&emp(2, 5)).unwrap();
+        let empty = t.insert(&emp(3, 5)).unwrap();
+        t.delete(empty).unwrap();
+        post_stale(&t, "emp_edno", 5, empty);
+        post_stale(&t, "emp_edno", 5, live);
+        let (def, snap) = (t.index_def("emp_edno").unwrap(), c.latest_snapshot());
+        // Per key order: the rows the gate was shown (their `eno`), the rows
+        // read (the gate keeps `eno` 1 only), and `(visible, skipped)`.
+        for (keys, shown, rows, counts) in [
+            (vec![5, 6], vec![1, 2], vec![(live, emp(1, 6))], (2, 2)),
+            (vec![6, 5], vec![1, 2], vec![(live, emp(1, 6))], (2, 1)),
+            (vec![5], vec![2], vec![], (1, 2)),
+        ] {
+            let keys = keys.into_iter().map(|k| vec![Value::Int(k)]).collect();
+            let mut postings = t.gather_postings("emp_edno", keys).unwrap();
+            let mut seen = Vec::new();
+            let mut accept = |r: &[Value]| {
+                seen.push(r[0].as_int().unwrap());
+                r[0] == Value::Int(1)
+            };
+            let gate = Gate {
+                cols: &[0],
+                accept: &mut accept,
+            };
+            let (mut out, mut rids) = (Vec::new(), Vec::new());
+            let run = t
+                .read_postings(
+                    &def,
+                    &mut postings,
+                    &snap,
+                    Some(gate),
+                    &mut out,
+                    Some(&mut rids),
+                )
+                .unwrap()
+                .unwrap();
+            assert_eq!(
+                seen, shown,
+                "only rows carrying a probed key reach the gate"
+            );
+            let got: Vec<(Rid, Tuple)> = rids
+                .into_iter()
+                .zip(out.chunks(3).map(|r| Tuple::new(r.to_vec())))
+                .collect();
+            assert_eq!(got, rows);
+            assert_eq!((run.visible, run.skipped), counts);
+            let none = t.read_postings(&def, &mut postings, &snap, None, &mut out, None);
+            assert!(none.unwrap().is_none(), "one page, one run");
+        }
+        assert_eq!(other.page, live.page);
     }
 
     #[test]
@@ -1735,7 +1720,7 @@ mod tests {
     }
 
     #[test]
-    fn scan_by_values_without_an_index_matches_per_key_find_by_value() {
+    fn scan_by_values_without_an_index_matches_its_per_key_calls() {
         let c = catalog();
         let t = c.create_table("EMP", emp_schema()).unwrap();
         let mut rids = Vec::new();
@@ -1752,7 +1737,7 @@ mod tests {
         let keys = [2, 0, 9];
         let mut expect: Vec<(Rid, Tuple)> = keys
             .iter()
-            .flat_map(|&k| t.find_by_value_visible(2, &Value::Int(k), &snap).unwrap())
+            .flat_map(|&k| scanned_by_values(&t, 2, &[k], &snap))
             .collect();
         expect.sort_by_key(|(rid, _)| *rid);
         assert_eq!(expect.len(), 29);

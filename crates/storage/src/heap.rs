@@ -31,6 +31,7 @@ use crate::buffer::BufferPool;
 use crate::catalog::TableId;
 use crate::disk::PageId;
 use crate::error::{Result, StorageError};
+use crate::index::Key;
 use crate::page::Page;
 use crate::tuple::{decode_cols_into, decode_gated_into, Gate, GateScratch, Rid, Tuple};
 use crate::txn::{Snapshot, TxnId, TxnManager, VersionHdr};
@@ -38,8 +39,9 @@ use crate::value::Value;
 use crate::wal::{Wal, WalRecord};
 
 /// The counts of one page of a snapshot read
-/// ([`HeapFile::scan_page_snapshot`]); the rows themselves went to the
-/// caller's buffer.
+/// ([`HeapFile::scan_page_snapshot`], or [`HeapFile::read_postings`] for one
+/// page's run of index postings); the rows themselves went to the caller's
+/// buffer.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct VisiblePage {
     /// The visible rows the gate accepted (every visible row when there is
@@ -52,6 +54,36 @@ pub struct VisiblePage {
     pub visible: u64,
     /// Versions the visibility check skipped.
     pub skipped: u64,
+}
+
+impl VisiblePage {
+    /// Count one appended row of `width` values, and keep its RID when
+    /// `rids` collects them. The rows of one read must share a width.
+    fn appended(&mut self, width: usize, rid: Rid, rids: &mut Option<&mut Vec<Rid>>) -> Result<()> {
+        if self.rows > 0 && width != self.width {
+            return Err(StorageError::Corrupt(
+                "records of different widths on one page",
+            ));
+        }
+        self.rows += 1;
+        self.width = width;
+        if let Some(rids) = rids {
+            rids.push(rid);
+        }
+        Ok(())
+    }
+}
+
+/// The postings of some keys in one index ([`crate::Table::gather_postings`])
+/// and how far [`HeapFile::read_postings`] has read them.
+#[derive(Debug)]
+pub struct Postings {
+    pub(crate) keys: Vec<Key>,
+    /// `(rid, position of its key in keys)` in heap scan order; a RID
+    /// posted under several keys has its entries together, in key order.
+    pub(crate) entries: Vec<(Rid, usize)>,
+    /// The first entry not read yet.
+    pub(crate) next: usize,
 }
 
 /// The order a full scan visits RIDs: by the page's position in the heap's
@@ -169,11 +201,27 @@ fn visible_tuple<'b>(
     Ok(visible.then_some(rest))
 }
 
-/// [`visible_tuple`], decoded.
-fn decode_visible(bytes: &[u8], snap: &Snapshot, memo: &mut CreatorMemo) -> Result<Option<Tuple>> {
-    visible_tuple(bytes, snap, memo)?
-        .map(Tuple::decode)
-        .transpose()
+/// Does `row` hold `key` in the index columns `columns`?
+fn carries(columns: &[usize], row: &[Value], key: &[Value]) -> bool {
+    columns.iter().zip(key).all(|(&c, k)| row.get(c) == Some(k))
+}
+
+/// Cut the `width`-wide rows a read appended to `values`, their RIDs in
+/// `rids`, into calls of `f`, draining both; `false` once `f` asks to stop.
+pub(crate) fn each_row(
+    values: &mut Vec<Value>,
+    rids: &mut Vec<Rid>,
+    width: usize,
+    mut f: impl FnMut(Rid, Tuple) -> Result<bool>,
+) -> Result<bool> {
+    let mut values = values.drain(..);
+    for rid in rids.drain(..) {
+        let tuple = Tuple::new(values.by_ref().take(width).collect());
+        if !f(rid, tuple)? {
+            return Ok(false);
+        }
+    }
+    Ok(true)
 }
 
 impl HeapFile {
@@ -318,71 +366,21 @@ impl HeapFile {
         Ok(Rid::new(pid, slot))
     }
 
-    /// Fetch the raw tuple at `rid`, whatever its version state. Callers
-    /// that care about visibility use [`HeapFile::get_snapshot`].
+    /// Fetch the raw tuple at `rid`, whatever its version state. Snapshot
+    /// readers go through [`HeapFile::scan_page_snapshot`] or, from index
+    /// postings, [`HeapFile::read_postings`].
     pub fn get(&self, rid: Rid) -> Result<Tuple> {
         Ok(self.get_versioned(rid)?.1)
     }
 
     /// Fetch the version header and tuple at `rid`.
     pub fn get_versioned(&self, rid: Rid) -> Result<(VersionHdr, Tuple)> {
-        self.try_get_versioned(rid)?
-            .ok_or(StorageError::InvalidRid {
-                page: rid.page,
-                slot: rid.slot,
-            })
-    }
-
-    /// Fetch the version header and tuple at `rid`, or `None` when the
-    /// slot holds no record (e.g. a rollback physically reclaimed the
-    /// version after the caller obtained the RID from an index posting).
-    pub fn try_get_versioned(&self, rid: Rid) -> Result<Option<(VersionHdr, Tuple)>> {
-        self.pool
-            .with_page(rid.page, |p| p.get(rid.slot).map(decode_record).transpose())?
-    }
-
-    /// Fetch the tuple at `rid` if it is visible to `snap`. The visibility
-    /// check runs while the page latch is held (see
-    /// [`HeapFile::scan_page_snapshot`] for why that ordering matters to
-    /// GC); errors if the slot holds no record at all.
-    pub fn get_snapshot(&self, rid: Rid, snap: &Snapshot) -> Result<Option<Tuple>> {
+        let missing = StorageError::InvalidRid {
+            page: rid.page,
+            slot: rid.slot,
+        };
         self.pool.with_page(rid.page, |p| {
-            let bytes = p.get(rid.slot).ok_or(StorageError::InvalidRid {
-                page: rid.page,
-                slot: rid.slot,
-            })?;
-            decode_visible(bytes, snap, &mut None)
-        })?
-    }
-
-    /// Fetch the tuple at `rid` if the slot still holds a record *and* it
-    /// is visible to `snap` — the stale-RID-tolerant read used to resolve
-    /// index postings. Visibility is checked under the page latch.
-    pub fn try_get_visible(&self, rid: Rid, snap: &Snapshot) -> Result<Option<Tuple>> {
-        self.pool.with_page(rid.page, |p| match p.get(rid.slot) {
-            None => Ok(None),
-            Some(bytes) => decode_visible(bytes, snap, &mut None),
-        })?
-    }
-
-    /// [`HeapFile::try_get_visible`] for a run of slots of one page, under
-    /// one pin: one entry per slot, in order. A run of versions from one
-    /// creator costs one `sees` call, as in a scan.
-    pub fn try_get_visible_run(
-        &self,
-        page: PageId,
-        slots: &[u16],
-        snap: &Snapshot,
-    ) -> Result<Vec<Option<Tuple>>> {
-        self.pool.with_page(page, |p| {
-            let mut memo = None;
-            slots
-                .iter()
-                .map(|&slot| match p.get(slot) {
-                    None => Ok(None),
-                    Some(bytes) => decode_visible(bytes, snap, &mut memo),
-                })
-                .collect()
+            p.get(rid.slot).ok_or(missing).and_then(decode_record)
         })?
     }
 
@@ -543,12 +541,8 @@ impl HeapFile {
         while let Some(page) =
             self.scan_page_snapshot(idx, snap, None, None, &mut values, Some(&mut rids))?
         {
-            let mut values = values.drain(..);
-            for rid in rids.drain(..) {
-                let tuple = Tuple::new(values.by_ref().take(page.width).collect());
-                if !f(rid, tuple)? {
-                    return Ok(());
-                }
+            if !each_row(&mut values, &mut rids, page.width, &mut f)? {
+                return Ok(());
             }
             idx += 1;
         }
@@ -649,16 +643,7 @@ impl HeapFile {
                         None => continue,
                     },
                 };
-                if page.rows > 0 && width != page.width {
-                    return Err(StorageError::Corrupt(
-                        "records of different widths on one page",
-                    ));
-                }
-                page.rows += 1;
-                page.width = width;
-                if let Some(rids) = rids.as_mut() {
-                    rids.push(Rid::new(pid, slot));
-                }
+                page.appended(width, Rid::new(pid, slot), &mut rids)?;
             }
             scratch.close(out);
             Ok::<VisiblePage, StorageError>(page)
@@ -666,15 +651,95 @@ impl HeapFile {
         Ok(Some(page))
     }
 
-    /// Collect every visible `(rid, tuple)` pair (latest-committed
-    /// snapshot). Convenience for small scans.
-    pub fn scan_all(&self) -> Result<Vec<(Rid, Tuple)>> {
-        let mut out = Vec::new();
-        self.for_each(|rid, t| {
-            out.push((rid, t));
-            Ok(true)
-        })?;
-        Ok(out)
+    /// Read the next run of `postings`, their entries on one page, under
+    /// one pin: each RID whose slot holds a version `snap` sees that still
+    /// carries one of the keys it was posted under (in the index columns
+    /// `columns`), and that `gate` accepts, is appended to `out` once, in
+    /// posting order, as [`HeapFile::scan_page_snapshot`] appends a record
+    /// (behind a gate, the key columns are decoded with the gate's and the
+    /// key is checked first). `None` once every posting is read. This is
+    /// the one way postings become rows: they are gathered with no lock
+    /// coupling to the heap, so a rollback or vacuum may have reclaimed a
+    /// slot since, and an insert reused it; the checks run here, under the
+    /// page latch. `visible` counts the RIDs that resolved to a row;
+    /// `skipped` the postings that resolved to nothing, up to a RID's first
+    /// one that resolved.
+    pub fn read_postings(
+        &self,
+        columns: &[usize],
+        postings: &mut Postings,
+        snap: &Snapshot,
+        mut gate: Option<Gate<'_>>,
+        out: &mut Vec<Value>,
+        mut rids: Option<&mut Vec<Rid>>,
+    ) -> Result<Option<VisiblePage>> {
+        let rest = &postings.entries[postings.next..];
+        let Some(&(first, _)) = rest.first() else {
+            return Ok(None);
+        };
+        let n = rest
+            .iter()
+            .take_while(|(r, _)| r.page == first.page)
+            .count();
+        let run = &rest[..n];
+        postings.next += n;
+        let mut keyed_cols: Vec<usize> = gate
+            .iter()
+            .flat_map(|g| columns.iter().chain(g.cols))
+            .copied()
+            .collect();
+        keyed_cols.sort_unstable();
+        keyed_cols.dedup();
+        let keys = &postings.keys;
+        let page = self.pool.with_page(first.page, |p| {
+            let (mut page, mut memo, mut scratch) =
+                (VisiblePage::default(), None, GateScratch::default());
+            for group in run.chunk_by(|a, b| a.0 == b.0) {
+                let bytes = match p.get(group[0].0.slot) {
+                    Some(rec) => visible_tuple(rec, snap, &mut memo)?,
+                    None => None,
+                };
+                // The first of the RID's postings whose key the row carries.
+                let carried = |row: &[Value]| {
+                    group
+                        .iter()
+                        .position(|&(_, k)| carries(columns, row, &keys[k]))
+                };
+                let (hit, width) = match (bytes, gate.as_mut()) {
+                    (None, _) => (None, None),
+                    (Some(bytes), None) => {
+                        let start = out.len();
+                        let width = decode_cols_into(bytes, None, out)?;
+                        let hit = carried(&out[start..]);
+                        if hit.is_none() {
+                            out.truncate(start);
+                        }
+                        (hit, Some(width))
+                    }
+                    (Some(bytes), Some(gate)) => {
+                        let mut hit = None;
+                        let mut accept = |row: &[Value]| {
+                            hit = carried(row);
+                            hit.is_some() && (gate.accept)(row)
+                        };
+                        let mut keyed = Gate {
+                            cols: &keyed_cols,
+                            accept: &mut accept,
+                        };
+                        let width = decode_gated_into(bytes, None, &mut keyed, &mut scratch, out)?;
+                        (hit, width)
+                    }
+                };
+                page.skipped += hit.unwrap_or(group.len()) as u64;
+                page.visible += u64::from(hit.is_some());
+                if let (Some(_), Some(width)) = (hit, width) {
+                    page.appended(width, group[0].0, &mut rids)?;
+                }
+            }
+            scratch.close(out);
+            Ok::<VisiblePage, StorageError>(page)
+        })??;
+        Ok(Some(page))
     }
 
     /// Number of visible tuples under the latest-committed snapshot (full
@@ -862,8 +927,8 @@ impl HeapFile {
     /// (the only mutators of headers) are excluded for the duration.
     /// Readers are unaffected: they either scan pages (one page lock at a
     /// time, reclaimed versions were invisible to every live snapshot by
-    /// the watermark's definition) or re-verify stale index postings via
-    /// `resolve_posting`.
+    /// the watermark's definition) or re-verify stale index postings in
+    /// [`HeapFile::read_postings`].
     pub fn vacuum(&self, watermark: u64) -> Result<HeapVacuum> {
         let mut out = HeapVacuum::default();
         let pages = self.pages.read().clone();
@@ -1023,6 +1088,17 @@ mod tests {
         Tuple::new(vec![Value::Int(i), Value::Str(format!("name-{i}"))])
     }
 
+    /// Every row visible to the latest-committed snapshot.
+    fn all_rows(h: &HeapFile) -> Vec<(Rid, Tuple)> {
+        let mut rows = Vec::new();
+        h.for_each(|rid, t| {
+            rows.push((rid, t));
+            Ok(true)
+        })
+        .unwrap();
+        rows
+    }
+
     #[test]
     fn insert_get_roundtrip() {
         let h = heap();
@@ -1146,7 +1222,7 @@ mod tests {
         }
         h.delete(rids[10]).unwrap();
         h.delete(rids[20]).unwrap();
-        let all = h.scan_all().unwrap();
+        let all = all_rows(&h);
         assert_eq!(all.len(), 98);
         assert!(all
             .iter()
@@ -1350,13 +1426,13 @@ mod tests {
         assert_eq!(h.count_snapshot(&own).unwrap(), 2);
         // Mark-delete the frozen row: hidden from the writer, visible to
         // latest until commit.
-        let frozen_rid = h.scan_all().unwrap()[0].0;
+        let frozen_rid = all_rows(&h)[0].0;
         h.mark_delete(frozen_rid, txn).unwrap();
         assert_eq!(h.count_snapshot(&own).unwrap(), 1);
         assert_eq!(h.count().unwrap(), 1, "uncommitted delete invisible");
         h.txns().commit(txn);
         assert_eq!(h.count().unwrap(), 1, "now only the committed insert");
-        assert_eq!(h.scan_all().unwrap()[0].1, row(2));
+        assert_eq!(all_rows(&h)[0].1, row(2));
         let _ = rid;
     }
 

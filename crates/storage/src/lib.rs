@@ -45,7 +45,7 @@
 //!     .unwrap();
 //! t.create_index("emp_pk", vec![0], true).unwrap();
 //! let rid = t.insert(&Tuple::new(vec![Value::Int(7)])).unwrap();
-//! assert_eq!(t.index_lookup("emp_pk", &vec![Value::Int(7)]).unwrap(), vec![rid]);
+//! assert_eq!(t.get(rid).unwrap(), Tuple::new(vec![Value::Int(7)]));
 //! ```
 
 pub mod buffer;
@@ -73,7 +73,7 @@ pub use catalog::{Catalog, IndexDef, MatView, MatViewStream, Table, TableId, Vie
 pub use delta::{DeltaBatch, DeltaRow};
 pub use disk::{DiskManager, DiskStats, FaultPlan, PageId};
 pub use error::{Result, StorageError};
-pub use heap::{HeapFile, ScanOrder, VisiblePage};
+pub use heap::{HeapFile, Postings, ScanOrder, VisiblePage};
 pub use index::BTreeIndex;
 pub use morsel::MorselDispenser;
 pub use page::{stamp_trailer, trailer_matches, Page, PAGE_SIZE, PAGE_TRAILER};

@@ -19,7 +19,7 @@
 //! once a slot is tombstoned (physical delete, rollback, vacuum) its RID may
 //! come back holding an unrelated tuple, which is why stale RID holders
 //! (index postings collected before a reclaim) must re-verify key and
-//! visibility on dereference (`Table::resolve_posting`).
+//! visibility on dereference, as `HeapFile::read_postings` does.
 //!
 //! `page_lsn` records the WAL position of the last logged mutation to this
 //! page. It travels with the page to disk, so ARIES redo can skip records a

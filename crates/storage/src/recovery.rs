@@ -302,6 +302,7 @@ pub fn recover(catalog: &Catalog, records: Vec<(u64, WalRecord)>) -> Result<Reco
 mod tests {
     use super::*;
     use crate::buffer::BufferPool;
+    use crate::catalog::tests::{posted, visible_rows};
     use crate::disk::DiskManager;
     use crate::schema::Schema;
     use crate::tempdir::TempDir;
@@ -354,10 +355,7 @@ mod tests {
         assert_eq!(report.winners, 1);
         let t = catalog.table("T").unwrap();
         assert_eq!(t.row_count().unwrap(), 50);
-        assert_eq!(
-            t.index_lookup("t_id", &vec![Value::Int(7)]).unwrap().len(),
-            1
-        );
+        assert_eq!(posted(&t, "t_id", 7).len(), 1);
         // The recovered heap accepts new writes.
         t.insert(&row(100)).unwrap();
         assert_eq!(t.row_count().unwrap(), 51);
@@ -377,7 +375,7 @@ mod tests {
             // one delete mark on the committed row.
             let loser = catalog.txns().allocate();
             t.insert_txn(&row(2), loser).unwrap();
-            let rid = t.scan_all().unwrap()[0].0;
+            let rid = visible_rows(&t)[0].0;
             t.mark_delete_txn(rid, loser).unwrap();
             wal.flush_all().unwrap();
         }
@@ -386,7 +384,7 @@ mod tests {
         assert_eq!(report.losers, 1);
         assert!(report.undo_applied >= 2);
         let t = catalog.table("T").unwrap();
-        let rows = t.scan_all().unwrap();
+        let rows = visible_rows(&t);
         assert_eq!(rows.len(), 1, "loser insert reclaimed");
         assert_eq!(rows[0].1, row(1));
         // The loser's delete mark is gone: the row is writable again.

@@ -569,6 +569,7 @@ impl Drop for Transaction {
 mod tests {
     use super::*;
     use crate::buffer::BufferPool;
+    use crate::catalog::tests::{scanned_by_values, visible_rows};
     use crate::catalog::Catalog;
     use crate::disk::DiskManager;
     use crate::schema::Schema;
@@ -608,20 +609,14 @@ mod tests {
 
         let mut txn = Transaction::begin(c.txns());
         let snap = txn.write_snapshot();
-        let (rid1, _) = t
-            .find_by_value_visible(0, &Value::Int(1), &snap)
-            .unwrap()
-            .pop()
-            .unwrap();
+        let (rid1, _) = scanned_by_values(&t, 0, &[1], &snap).pop().unwrap();
         t.mark_delete_txn(rid1, txn.id()).unwrap();
         txn.log_delete_at(&t, rid1);
         let (_, nrid) = t.update_txn(rid2, &row(99), txn.id()).unwrap();
         txn.log_update_at(&t, rid2, nrid);
         txn.abort().unwrap();
 
-        let mut vals: Vec<i64> = t
-            .scan_all()
-            .unwrap()
+        let mut vals: Vec<i64> = visible_rows(&t)
             .into_iter()
             .map(|(_, t)| t.values[0].as_int().unwrap())
             .collect();
@@ -704,7 +699,7 @@ mod tests {
             crate::error::StorageError::WriteConflict { .. }
         ));
         assert_eq!(
-            t.scan_all().unwrap()[0].1.values[0],
+            visible_rows(&t)[0].1.values[0],
             Value::Int(10),
             "first writer's committed update survives"
         );
@@ -782,9 +777,7 @@ mod tests {
         t.mark_delete_txn(rid, txn.id()).unwrap();
         txn.log_delete_at(&t, rid);
         txn.abort().unwrap();
-        let mut vals: Vec<i64> = t
-            .scan_all()
-            .unwrap()
+        let mut vals: Vec<i64> = visible_rows(&t)
             .into_iter()
             .map(|(_, t)| t.values[0].as_int().unwrap())
             .collect();

@@ -247,6 +247,7 @@ mod tests {
     use std::sync::Arc;
 
     use crate::buffer::BufferPool;
+    use crate::catalog::tests::{posted, scanned_by_values};
     use crate::catalog::{Catalog, Table};
     use crate::disk::DiskManager;
     use crate::schema::Schema;
@@ -274,11 +275,7 @@ mod tests {
     fn committed_update(c: &Catalog, t: &Arc<Table>, id: i64, v: i64) {
         let mut txn = Transaction::begin(c.txns());
         let snap = txn.write_snapshot();
-        let (rid, _) = t
-            .find_by_value_visible(0, &Value::Int(id), &snap)
-            .unwrap()
-            .pop()
-            .unwrap();
+        let (rid, _) = scanned_by_values(t, 0, &[id], &snap).pop().unwrap();
         let (_, new_rid) = t.update_txn(rid, &row(id, v), txn.id()).unwrap();
         txn.log_update_at(t, rid, new_rid);
         txn.commit();
@@ -308,12 +305,9 @@ mod tests {
             c.txns().stamp_count()
         );
         // The index holds exactly one posting again.
-        assert_eq!(
-            t.index_lookup("t_id", &vec![Value::Int(1)]).unwrap().len(),
-            1
-        );
+        assert_eq!(posted(&t, "t_id", 1).len(), 1);
         // And the survivor still reads correctly.
-        let found = t.find_by_value(0, &Value::Int(1)).unwrap();
+        let found = scanned_by_values(&t, 0, &[1], &c.latest_snapshot());
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].1, row(1, 500));
     }
@@ -358,7 +352,7 @@ mod tests {
             1,
             "only pre-snapshot garbage goes"
         );
-        let seen = t.find_by_value_visible(0, &Value::Int(1), &pinned).unwrap();
+        let seen = scanned_by_values(&t, 0, &[1], &pinned);
         assert_eq!(seen.len(), 1);
         assert_eq!(seen[0].1, row(1, 1), "pinned snapshot still reads v1");
 
@@ -367,7 +361,10 @@ mod tests {
         let report = c.vacuum(None).unwrap();
         assert_eq!(report.versions_reclaimed(), 2);
         assert_eq!(t.version_census().unwrap().total_versions, 1);
-        assert_eq!(t.find_by_value(0, &Value::Int(1)).unwrap()[0].1, row(1, 3));
+        assert_eq!(
+            scanned_by_values(&t, 0, &[1], &c.latest_snapshot())[0].1,
+            row(1, 3)
+        );
     }
 
     #[test]
@@ -379,21 +376,14 @@ mod tests {
         let rid = t.insert_txn(&row(2, 0), txn.id()).unwrap();
         txn.log_insert(&t, rid);
         let snap = txn.write_snapshot();
-        let (rid1, _) = t
-            .find_by_value_visible(0, &Value::Int(1), &snap)
-            .unwrap()
-            .pop()
-            .unwrap();
+        let (rid1, _) = scanned_by_values(&t, 0, &[1], &snap).pop().unwrap();
         t.mark_delete_txn(rid1, txn.id()).unwrap();
         txn.log_delete_at(&t, rid1);
         drop(snap);
         txn.abort().unwrap();
 
         // Rollback already removed the aborted insert and its posting…
-        assert!(t
-            .index_lookup("t_id", &vec![Value::Int(2)])
-            .unwrap()
-            .is_empty());
+        assert!(posted(&t, "t_id", 2).is_empty());
         // …and vacuum reclaims the tombstoned space (the aborted record's
         // bytes are dead page space, not a dead *version*, so the pass
         // must compact even with nothing version-reclaimable) and leaves
@@ -412,7 +402,10 @@ mod tests {
         let census = t.version_census().unwrap();
         assert_eq!(census.total_versions, 1);
         assert_eq!(census.frozen, 1);
-        assert_eq!(t.find_by_value(0, &Value::Int(1)).unwrap()[0].1, row(1, 0));
+        assert_eq!(
+            scanned_by_values(&t, 0, &[1], &c.latest_snapshot())[0].1,
+            row(1, 0)
+        );
     }
 
     #[test]
@@ -448,11 +441,7 @@ mod tests {
         let rid = t.insert_txn(&row(2, 0), txn.id()).unwrap();
         txn.log_insert(&t, rid);
         let snap = txn.write_snapshot();
-        let (rid1, _) = t
-            .find_by_value_visible(0, &Value::Int(1), &snap)
-            .unwrap()
-            .pop()
-            .unwrap();
+        let (rid1, _) = scanned_by_values(&t, 0, &[1], &snap).pop().unwrap();
         t.mark_delete_txn(rid1, txn.id()).unwrap();
         txn.log_delete_at(&t, rid1);
         drop(snap);
@@ -465,8 +454,11 @@ mod tests {
         );
         // The transaction still commits cleanly afterwards.
         txn.commit();
-        assert_eq!(t.find_by_value(0, &Value::Int(2)).unwrap().len(), 1);
-        assert!(t.find_by_value(0, &Value::Int(1)).unwrap().is_empty());
+        assert_eq!(
+            scanned_by_values(&t, 0, &[2], &c.latest_snapshot()).len(),
+            1
+        );
+        assert!(scanned_by_values(&t, 0, &[1], &c.latest_snapshot()).is_empty());
     }
 
     #[test]
@@ -551,13 +543,11 @@ mod tests {
         assert_eq!(t.row_count().unwrap(), 2);
     }
 
-    /// `find_by_value_visible` against what it computed before it became a
-    /// collecting wrapper over `scan_by_values` — every index posting
-    /// resolved under the snapshot, or a filtered visible scan for an
-    /// unindexed column — over version chains that vacuum has partly
-    /// reclaimed and whose slots fresh inserts reused.
+    /// `scan_by_values` through the index on `id`, and without an index on
+    /// `v`, against a filtered visible scan, over version chains that
+    /// vacuum has partly reclaimed and whose slots fresh inserts reused.
     #[test]
-    fn find_by_value_unchanged_over_updated_and_vacuumed_versions() {
+    fn scan_by_values_equals_a_filtered_scan_over_updated_and_vacuumed_versions() {
         let (c, t) = setup();
         for id in 1..=6 {
             t.insert(&row(id, 0)).unwrap();
@@ -576,31 +566,32 @@ mod tests {
             t.insert(&row(id, 0)).unwrap();
         }
         let latest = c.latest_snapshot();
-        let def = t.find_index(&[0]).unwrap();
         for snap in [&pinned, &latest] {
             for id in 0..=10 {
-                let key = vec![Value::Int(id)];
-                let mut expect = Vec::new();
-                for rid in t.index_lookup(&def.name, &key).unwrap() {
-                    if let Some(tuple) = t.resolve_posting(rid, snap, &def, &key).unwrap() {
-                        expect.push((rid, tuple));
-                    }
-                }
+                let filtered = |col: usize, v: &Value| {
+                    let mut rows = Vec::new();
+                    t.for_each_visible(snap, |rid, tuple| {
+                        if tuple.values[col] == *v {
+                            rows.push((rid, tuple));
+                        }
+                        Ok(true)
+                    })
+                    .unwrap();
+                    rows
+                };
+                let expect = filtered(0, &Value::Int(id));
                 assert_eq!(expect.len(), usize::from((1..=9).contains(&id)));
-                let found = t.find_by_value_visible(0, &Value::Int(id), snap).unwrap();
+                let found = scanned_by_values(&t, 0, &[id], snap);
                 assert_eq!(found, expect, "indexed probe of id {id}");
 
                 let v = Value::Str(format!("v{id}"));
-                let mut scan = Vec::new();
-                t.for_each_visible(snap, |rid, tuple| {
-                    if tuple.values[1] == v {
-                        scan.push((rid, tuple));
-                    }
+                let mut found = Vec::new();
+                t.scan_by_values(1, std::slice::from_ref(&v), snap, |rid, tuple| {
+                    found.push((rid, tuple));
                     Ok(true)
                 })
                 .unwrap();
-                let found = t.find_by_value_visible(1, &v, snap).unwrap();
-                assert_eq!(found, scan, "unindexed probe of v{id}");
+                assert_eq!(found, filtered(1, &v), "unindexed probe of v{id}");
             }
         }
     }

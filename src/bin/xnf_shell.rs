@@ -1,7 +1,9 @@
 //! An interactive XNF shell: type SQL or `OUT OF … TAKE …` statements
 //! terminated by `;` (including `VACUUM`). Dot-commands: `.help`, `.tables`, `.views`,
 //! `.schema TABLE`, `.explain QUERY;`, `.co QUERY;` (fetch into a cache and
-//! print the instance graphs), `.wal`, `.checkpoint`, `.quit`.
+//! print the instance graphs), `.begin` / `.commit` / `.rollback` (one
+//! transaction around the statements between them), `.wal`, `.checkpoint`,
+//! `.quit`.
 //!
 //! Run with: `cargo run --bin xnf_shell` for an in-memory database, or
 //! `cargo run --bin xnf_shell -- DIR` to open (or create) a durable,
@@ -63,6 +65,14 @@ fn main() {
     }
 }
 
+/// Print `ok`, or the error.
+fn ok_or_error(done: composite_views::Result<()>) {
+    match done {
+        Ok(()) => println!("ok"),
+        Err(e) => println!("error: {e}"),
+    }
+}
+
 fn print_prompt(fresh: bool) {
     print!("{}", if fresh { "xnf> " } else { "  -> " });
     let _ = std::io::stdout().flush();
@@ -81,6 +91,9 @@ fn dot_command(session: &Session<'_>, cmd: &str) -> bool {
                  .schema TABLE      show a table's columns\n\
                  .explain QUERY;    show the physical plan\n\
                  .co QUERY;         fetch a CO and print its instance graphs\n\
+                 .begin             open a transaction (autocommit until then)\n\
+                 .commit            commit it\n\
+                 .rollback          roll it back\n\
                  .cache             show plan-cache statistics\n\
                  .gc                show garbage-collection statistics\n\
                  .wal               show write-ahead-log statistics\n\
@@ -88,6 +101,9 @@ fn dot_command(session: &Session<'_>, cmd: &str) -> bool {
                  .quit              leave"
             );
         }
+        ".begin" => ok_or_error(session.begin()),
+        ".commit" => ok_or_error(session.commit()),
+        ".rollback" => ok_or_error(session.rollback()),
         ".tables" => {
             for t in db.catalog().table_names() {
                 println!("{t}");

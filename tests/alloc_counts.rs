@@ -9,6 +9,9 @@
 //! on that thread. A per-row allocation anywhere in the pipeline adds
 //! 8 000 or more to a count.
 //!
+//! Index probes allocate per page's run of postings, not per posting: the
+//! rows a probe resolves are decoded straight into its batch.
+//!
 //! This file is its own test binary: the counting allocator below is the
 //! global allocator of this binary only.
 
@@ -118,4 +121,39 @@ fn join_group_allocates_per_page_not_per_row() {
     let (counts, rows) = counted(&db, sql, &[Value::Int(180)]);
     assert_eq!(rows, 40);
     assert_eq!(counts, [832; 2], "a join feeding a group-by");
+}
+
+/// `sql` with `?` bound to `7`, as `EXPLAIN` needs it.
+fn plan_of(db: &Database, sql: &str) -> String {
+    db.explain(&sql.replace('?', "7")).unwrap()
+}
+
+/// The `analytic` workload's `q_range` shape: an index probe of one `day`,
+/// 22 rows on 22 pages. Postings resolve straight into the batch the probe
+/// emits; resolving each into a `Tuple` of its own first cost 100, about
+/// one more allocation per row.
+#[test]
+fn index_probe_decodes_postings_into_its_batch() {
+    let db = star();
+    let sql = "SELECT sale, amount FROM SALES WHERE day = ? ORDER BY sale";
+    assert!(plan_of(&db, sql).contains("IndexEq(SALES.sales_day)"));
+    let (counts, rows) = counted(&db, sql, &[Value::Int(7)]);
+    assert_eq!(rows, 22);
+    assert_eq!(counts, [79; 2], "an index probe of 22 rows");
+}
+
+/// An index nested-loops join over that probe: each of its 22 rows probes
+/// `CUST` by key, and the matches land in one reused buffer. Resolving
+/// every posting of both probes into a `Tuple` of its own first cost 306.
+#[test]
+fn index_join_decodes_postings_into_its_batches() {
+    let db = star();
+    let sql = "SELECT s.sale, c.cname FROM SALES s, CUST c \
+               WHERE s.cust = c.cust AND s.day = ?";
+    let plan = plan_of(&db, sql);
+    assert!(plan.contains("IndexNlJoin(CUST.cust_pk)"), "{plan}");
+    assert!(plan.contains("IndexEq(SALES.sales_day)"), "{plan}");
+    let (counts, rows) = counted(&db, sql, &[Value::Int(7)]);
+    assert_eq!(rows, 22);
+    assert_eq!(counts, [263; 2], "an index join of 22 rows");
 }

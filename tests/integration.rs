@@ -389,7 +389,9 @@ fn canon(ws: &Workspace) -> Vec<(String, Vec<String>)> {
 /// and the same CO by value. The count moves whenever the fetch reads more
 /// or less: resolving each of the department's ~100 nodes and ~100
 /// connections under its own pin, and reading the connections twice,
-/// costs 311.
+/// costs 311. The extraction's count moves whenever its index probes read
+/// more or less: resolving each posting under a pin of its own, rather
+/// than each page's run of postings under one, cost 208.
 #[test]
 fn stored_point_fetch_reads_an_exact_page_count() {
     use xnf_core::{DbConfig, PlanOptions};
@@ -421,7 +423,7 @@ fn stored_point_fetch_reads_an_exact_page_count() {
     let before = accesses();
     let stored = db.fetch_co_point("deps", &Value::Int(3)).unwrap();
     let point = accesses() - before;
-    assert_eq!((point, extracted), (11, 208));
+    assert_eq!((point, extracted), (11, 57));
     assert_eq!(canon(&stored.workspace), canon(&fresh.workspace));
 }
 
@@ -432,7 +434,7 @@ fn stored_point_fetch_reads_an_exact_page_count() {
 /// stay). That costs an exact number of buffer-pool page accesses,
 /// statement included (22 when each skill was probed on its own, 20 when
 /// the employee's three skill connections were read under a pin each),
-/// below the 208 that extracting the
+/// below the 57 that extracting the
 /// employee's whole department costs; re-extracting and diff-splicing the
 /// department cost 432. The stored CO then equals a REFRESH.
 #[test]
@@ -481,12 +483,12 @@ fn stored_co_delete_edits_an_exact_page_count() {
 /// A whole department leaving `DEPS_ARC`, by a move to another location
 /// and by a delete: the cascade removes the department's stored nodes (30
 /// and 28; shared skills stay) and 105 connections wave by wave, each
-/// wave's orphan checks and rid lookups batched through
-/// `Table::scan_by_values`, as is each node's read of its stored
-/// connections. Each costs an exact number of buffer-pool page accesses,
-/// statement included: 311 and 305, where reading a node's connections
-/// under a pin each cost 389 and 383, and probing one node at a time 584
-/// and 510. The stored CO then equals a REFRESH.
+/// wave's orphan checks, rid lookups and reads of the removed nodes'
+/// outgoing connections batched through `Table::scan_by_values`. Each costs an exact number of buffer-pool page accesses,
+/// statement included: 288 and 282. Reading each removed node's outgoing
+/// connections with a read of its own, not one per wave and relationship,
+/// cost 311 and 305; under a pin each, 389 and 383; and probing one node
+/// at a time, 584 and 510. The stored CO then equals a REFRESH.
 #[test]
 fn stored_co_department_exit_cascades_in_an_exact_page_count() {
     use xnf_core::{DbConfig, PlanOptions};
@@ -530,7 +532,57 @@ fn stored_co_department_exit_cascades_in_an_exact_page_count() {
             "{stmt}"
         );
     }
-    assert_eq!(costs, vec![(311, 30, 105, 0), (305, 28, 105, 0)]);
+    assert_eq!(costs, vec![(288, 30, 105, 0), (282, 28, 105, 0)]);
+}
+
+/// Writing back one raised salary from a fetched Fig. 1 department finds
+/// the employee's base row by a visible scan of EMP that stops at it, and
+/// updates the row that scan found: an exact number of buffer-pool page
+/// accesses. Reading the found row again by its RID before updating it
+/// cost one more.
+#[test]
+fn co_write_back_update_costs_an_exact_page_count() {
+    use xnf_core::{DbConfig, PlanOptions};
+    let config = DbConfig {
+        plan: PlanOptions {
+            dop: 1,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let db = xnf_fixtures::build_uniform_paper_db_with(40, config);
+    let all = DEPS_ARC.replace(" WHERE loc = 'ARC'", "");
+    let session = db.session();
+    let mut fetch = session
+        .prepare(&format!("{all} WHERE xdept.dno = ?"))
+        .unwrap();
+    fetch.bind(&[Value::Int(3)]).unwrap();
+    let mut co = fetch.fetch_co().unwrap();
+    // Employee 61 works in department 3.
+    let emp = co
+        .workspace
+        .independent("xemp")
+        .unwrap()
+        .find(|t| t.get("eno").unwrap() == &Value::Int(61))
+        .unwrap();
+    let (id, sal) = (emp.id(), emp.get("sal").unwrap().as_double().unwrap());
+    co.workspace
+        .update_value("xemp", id, "sal", Value::Double(sal + 1.0))
+        .unwrap();
+    let accesses = || {
+        let s = db.catalog().buffer_pool().stats();
+        s.hits + s.misses
+    };
+    let before = accesses();
+    assert_eq!(session.write_back(&mut co).unwrap(), 1);
+    assert_eq!(accesses() - before, 3);
+    let now = session
+        .query("SELECT sal FROM EMP WHERE eno = 61", &[])
+        .unwrap();
+    assert_eq!(
+        now.try_table().unwrap().rows,
+        vec![vec![Value::Double(sal + 1.0)]]
+    );
 }
 
 /// DML plans like the SELECT that reads its rows, so any `col = ?`-style
