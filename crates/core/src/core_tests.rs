@@ -559,6 +559,81 @@ fn write_back_is_atomic_on_conflict() {
     assert_eq!(r.try_table().unwrap().rows[0][0], Value::Double(100.0));
 }
 
+/// Each edit's statement matches the cached image with a column carrying
+/// a unique one-column index first, so the planner probes that index; a
+/// NULL matches as `IS NULL`, and does not go first.
+#[test]
+fn write_back_statements_lead_with_a_unique_key() {
+    let db = Database::new();
+    let session = db.session();
+    session
+        .execute_batch(
+            "CREATE TABLE T (a INT, n INT, k INT);
+             CREATE INDEX t_n ON T (n);
+             CREATE UNIQUE INDEX t_k ON T (k);
+             INSERT INTO T VALUES (1, 7, 10), (2, 7, NULL)",
+        )
+        .unwrap();
+    let mut co = session.fetch_co("OUT OF xt AS T TAKE *").unwrap();
+    let ids: Vec<u32> = co
+        .workspace
+        .independent("xt")
+        .unwrap()
+        .map(|t| t.id())
+        .collect();
+    for &id in &ids {
+        co.workspace
+            .update_value("xt", id, "a", Value::Int(0))
+            .unwrap();
+    }
+    let edits = crate::writeback::edits(&db, &co.workspace, &co.schema).unwrap();
+    let sql: Vec<&str> = edits.iter().map(|e| e.sql.as_str()).collect();
+    assert_eq!(
+        sql,
+        [
+            "UPDATE T SET a = ?, n = ?, k = ? WHERE k = ? AND a = ? AND n = ?",
+            "UPDATE T SET a = ?, n = ?, k = ? WHERE a = ? AND n = ? AND k IS NULL",
+        ]
+    );
+    assert_eq!(edits[0].params.len(), 6);
+    assert_eq!(session.write_back(&mut co).unwrap(), 2);
+}
+
+#[test]
+fn write_back_refuses_an_edit_that_matches_two_base_rows() {
+    let db = Database::new();
+    let session = db.session();
+    session
+        .execute_batch(
+            "CREATE TABLE T (a INT, b INT);
+             INSERT INTO T VALUES (1, 1), (1, 1), (2, 2)",
+        )
+        .unwrap();
+    let rows = || {
+        let r = session.query("SELECT a, b FROM T ORDER BY a", &[]).unwrap();
+        r.try_table().unwrap().rows.clone()
+    };
+    let before = rows();
+    let mut co = session.fetch_co("OUT OF xt AS T TAKE *").unwrap();
+    let one = co
+        .workspace
+        .independent("xt")
+        .unwrap()
+        .find(|t| t.get("a").unwrap() == &Value::Int(1))
+        .unwrap()
+        .id();
+    co.workspace
+        .update_value("xt", one, "b", Value::Int(5))
+        .unwrap();
+    let err = session.write_back(&mut co).unwrap_err();
+    assert!(
+        matches!(&err, XnfError::Api(m) if m.contains("2 rows in 'T'")),
+        "got: {err}"
+    );
+    assert_eq!(rows(), before);
+    assert_eq!(co.workspace.pending_changes().len(), 1);
+}
+
 // ---------------------------------------------------------------------------
 // Recursive composite objects
 // ---------------------------------------------------------------------------

@@ -53,9 +53,9 @@ pub(crate) fn scope_visibility(scope: Scope<'_>) -> Visibility {
 /// An open DML write scope: either the session's own transaction (held
 /// locked for the duration of the statement) or a fresh autocommit
 /// transaction that commits — propagating its matview deltas — when the
-/// statement finishes. All row writes go through the scope so undo logging
-/// and delta capture cannot be forgotten.
-pub(crate) struct WriteScope<'a> {
+/// statement succeeds. All of `run_dml`'s row writes go through
+/// the scope so undo logging and delta capture cannot be forgotten.
+struct WriteScope<'a> {
     db: &'a Database,
     /// Capture delta images for materialized-view maintenance?
     track: bool,
@@ -68,11 +68,11 @@ enum ScopeInner<'a> {
     /// time), and COMMIT later propagates the accumulated deltas.
     Session(std::sync::MutexGuard<'a, Option<ActiveTxn>>),
     /// An autocommit statement: a short transaction of its own.
-    Auto(Option<ActiveTxn>),
+    Auto(ActiveTxn),
 }
 
 impl<'a> WriteScope<'a> {
-    pub(crate) fn open(db: &'a Database, scope: Scope<'a>) -> WriteScope<'a> {
+    fn open(db: &'a Database, scope: Scope<'a>) -> WriteScope<'a> {
         let guard = scope.lock();
         if guard.is_some() {
             // Explicit transactions always capture deltas: whether
@@ -91,41 +91,36 @@ impl<'a> WriteScope<'a> {
         WriteScope {
             db,
             track: db.catalog().has_matviews(),
-            inner: ScopeInner::Auto(Some(ActiveTxn::begin(db))),
+            inner: ScopeInner::Auto(ActiveTxn::begin(db)),
         }
     }
 
     fn active(&self) -> &ActiveTxn {
         match &self.inner {
             ScopeInner::Session(guard) => guard.as_ref().expect("open transaction"),
-            ScopeInner::Auto(a) => a.as_ref().expect("open transaction"),
+            ScopeInner::Auto(a) => a,
         }
     }
 
     fn active_mut(&mut self) -> &mut ActiveTxn {
         match &mut self.inner {
             ScopeInner::Session(guard) => guard.as_mut().expect("open transaction"),
-            ScopeInner::Auto(a) => a.as_mut().expect("open transaction"),
+            ScopeInner::Auto(a) => a,
         }
     }
 
     /// The transaction id this scope's writes are tagged with.
-    pub(crate) fn xid(&self) -> TxnId {
+    fn xid(&self) -> TxnId {
         self.active().txn.id()
     }
 
-    /// The snapshot this scope's reads (e.g. DML match collection) run
+    /// The snapshot this scope's reads (DML match collection) run
     /// against: the transaction's begin-snapshot plus its own writes.
-    pub(crate) fn snapshot(&self) -> Snapshot {
+    fn snapshot(&self) -> Snapshot {
         self.active().snapshot.clone()
     }
 
-    pub(crate) fn log_insert(
-        &mut self,
-        t: &Arc<xnf_storage::Table>,
-        rid: xnf_storage::Rid,
-        tuple: &Tuple,
-    ) {
+    fn log_insert(&mut self, t: &Arc<Table>, rid: Rid, tuple: &Tuple) {
         let track = self.track;
         let active = self.active_mut();
         active.txn.log_insert(t, rid);
@@ -134,14 +129,7 @@ impl<'a> WriteScope<'a> {
         }
     }
 
-    pub(crate) fn log_update(
-        &mut self,
-        t: &Arc<xnf_storage::Table>,
-        old_rid: xnf_storage::Rid,
-        new_rid: xnf_storage::Rid,
-        old: Tuple,
-        new: &Tuple,
-    ) {
+    fn log_update(&mut self, t: &Arc<Table>, old_rid: Rid, new_rid: Rid, old: Tuple, new: &Tuple) {
         let track = self.track;
         let active = self.active_mut();
         active.txn.log_update_at(t, old_rid, new_rid);
@@ -150,12 +138,7 @@ impl<'a> WriteScope<'a> {
         }
     }
 
-    pub(crate) fn log_delete(
-        &mut self,
-        t: &Arc<xnf_storage::Table>,
-        rid: xnf_storage::Rid,
-        old: Tuple,
-    ) {
+    fn log_delete(&mut self, t: &Arc<Table>, rid: Rid, old: Tuple) {
         let track = self.track;
         let active = self.active_mut();
         active.txn.log_delete_at(t, rid);
@@ -164,32 +147,22 @@ impl<'a> WriteScope<'a> {
         }
     }
 
-    /// Close the scope. Inside a session transaction this is a no-op (the
-    /// work commits later); in autocommit it commits the statement's
-    /// transaction and runs materialized-view maintenance. Called even when
-    /// the statement failed part-way: the applied prefix commits, matching
-    /// the engine's non-atomic-statement semantics.
-    pub(crate) fn finish(self) -> Result<()> {
+    /// Close the scope with the statement's `result`. Inside a session
+    /// transaction this passes it through: the work commits or rolls back
+    /// with the session, and a failed statement's applied prefix stays in
+    /// the transaction (there are no savepoints). In autocommit the
+    /// statement is atomic: `Ok` commits its transaction and runs
+    /// materialized-view maintenance, `Err` aborts it.
+    fn finish(self, result: Result<usize>) -> Result<usize> {
         match self.inner {
-            ScopeInner::Session(_guard) => Ok(()),
-            ScopeInner::Auto(active) => self.db.commit_active(active.expect("open transaction")),
-        }
-    }
-
-    /// Abort the scope's transaction if it owns one (used by write-back,
-    /// which *is* atomic as a unit); inside a session transaction this is
-    /// a no-op — the error propagates and the session decides.
-    pub(crate) fn abort_if_auto(self) -> Result<()> {
-        match self.inner {
-            ScopeInner::Session(_guard) => Ok(()),
-            ScopeInner::Auto(active) => {
-                active
-                    .expect("open transaction")
-                    .txn
-                    .abort()
-                    .map_err(XnfError::from)?;
-                Ok(())
-            }
+            ScopeInner::Session(_guard) => result,
+            ScopeInner::Auto(active) => match result {
+                Ok(n) => self.db.commit_active(active).map(|()| n),
+                Err(e) => {
+                    active.txn.abort().map_err(XnfError::from)?;
+                    Err(e)
+                }
+            },
         }
     }
 }
@@ -811,21 +784,10 @@ impl Database {
         })
     }
 
-    /// Compile (uncached) and run a SELECT or XNF statement under an
-    /// explicit visibility handle (`Some(snapshot)` pins reads to that
-    /// snapshot; `None` reads latest-committed).
-    pub(crate) fn run_query(
-        &self,
-        stmt: &Statement,
-        params: Params,
-        vis: Visibility,
-    ) -> Result<QueryResult> {
-        let body = self.compile_body(stmt)?;
-        self.run_body(&body, params, vis)
-    }
-
-    /// Run a compiled query body.
-    fn run_body(
+    /// Run a compiled query body under an explicit visibility handle
+    /// (`Some(snapshot)` pins reads to that snapshot; `None` reads
+    /// latest-committed).
+    pub(crate) fn run_body(
         &self,
         body: &CompiledBody,
         params: Params,
@@ -1207,10 +1169,10 @@ impl Database {
     /// to write is evaluated or found before the first write: UPDATE and
     /// DELETE collect their matches under the scope's snapshot, and the
     /// writes conflict-check against the latest row state
-    /// (first-writer-wins). A mid-loop error (unique violation, write
-    /// conflict, SET evaluation) leaves the earlier rows applied and
-    /// logged; in autocommit they commit, with their maintenance, when the
-    /// scope closes.
+    /// (first-writer-wins). In autocommit the statement is atomic: a
+    /// mid-loop error (unique violation, write conflict, SET evaluation)
+    /// aborts its transaction, rows written before it included. Inside a
+    /// session transaction those rows stay in the transaction.
     fn run_dml(&self, dml: &Dml, params: &Params, scope: Scope<'_>) -> Result<usize> {
         let t = &self.catalog.table(&dml.table)?;
         let outer = OuterCtx::with_params(params.clone());
@@ -1218,8 +1180,8 @@ impl Database {
             Ok(coerce(eval(e, row, &outer, &[])?, t.schema.column(ord).ty))
         };
         let mut ws = WriteScope::open(self, scope);
-        let mut n = 0;
-        let apply: Result<()> = (|| {
+        let applied = (|| {
+            let mut n = 0;
             match &dml.op {
                 DmlOp::Insert { targets, values } => {
                     let mut tuples = Vec::new();
@@ -1256,10 +1218,9 @@ impl Database {
                     }
                 }
             }
-            Ok(())
+            Ok(n)
         })();
-        let closed = ws.finish();
-        apply.and(closed).map(|()| n)
+        ws.finish(applied)
     }
 }
 

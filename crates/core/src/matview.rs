@@ -58,8 +58,8 @@ use xnf_exec::{passes, ExecStats, OuterCtx, Params, QueryResult, Row, StreamResu
 use xnf_plan::PhysExpr;
 use xnf_qgm::{inline_xnf_views, view_body, OutputKind};
 use xnf_sql::{
-    AggFunc, Expr, Select, SelectItem, Statement, TableRef, ViewBody, XnfDef, XnfQuery,
-    XnfRelationship, XnfTake,
+    AggFunc, Expr, Select, SelectItem, TableRef, ViewBody, XnfDef, XnfQuery, XnfRelationship,
+    XnfTake,
 };
 use xnf_storage::{
     Column, DataType, DeltaBatch, DeltaRow, MatView, Rid, Schema, Snapshot, Table, Tuple, Value,
@@ -70,6 +70,7 @@ use crate::cache::Workspace;
 use crate::co::CoCache;
 use crate::db::Database;
 use crate::error::{Result, XnfError};
+use crate::session::normalize_statement;
 use crate::writeback::{analyze_simple_view, derive_co_schema, BaseMap, CoSchema, RelMeta};
 
 /// Name of the surrogate column leading every materialized node stream.
@@ -250,7 +251,7 @@ pub(crate) fn create_materialized(db: &Database, name: &str, body: &ViewBody) ->
     match body {
         ViewBody::Select(s) => {
             let strategy = analyze_sql_strategy(db, s);
-            let result = db.run_query(&Statement::Select(s.clone()), Params::default(), None)?;
+            let result = run_definition(db, &s.to_string())?;
             let stream = result.try_table()?;
             let schema = any_schema(&stream.columns);
             db.catalog().create_materialized_view(
@@ -267,8 +268,7 @@ pub(crate) fn create_materialized(db: &Database, name: &str, body: &ViewBody) ->
         }
         ViewBody::Xnf(q) => {
             let info = analyze_xnf(db, q)?;
-            let result =
-                db.run_query(&Statement::Xnf(info.flat.clone()), Params::default(), None)?;
+            let result = run_definition(db, &info.text)?;
             let mut streams = Vec::with_capacity(result.streams.len());
             for s in &result.streams {
                 let schema = match s.kind {
@@ -319,20 +319,26 @@ fn repopulate(db: &Database, plan: &MaintPlan) -> Result<()> {
     db.catalog().reset_matview_storage(&plan.name)?;
     match &plan.body {
         BodyPlan::Sql { select, strategy } => {
-            let result =
-                db.run_query(&Statement::Select(select.clone()), Params::default(), None)?;
+            let result = run_definition(db, &select.to_string())?;
             let stream = result.try_table()?;
             fill_sql_backing(db, &plan.name, strategy, &stream.rows)?;
         }
         BodyPlan::Xnf(info) => {
-            let result =
-                db.run_query(&Statement::Xnf(info.flat.clone()), Params::default(), None)?;
+            let result = run_definition(db, &info.text)?;
             fill_xnf_backing(db, &plan.name, info, &result)?;
         }
     }
     let mv = expect_matview(db, &plan.name)?;
     mv.bump_epoch();
     Ok(())
+}
+
+/// Run a view definition — SELECT text or flattened `OUT OF` text — over
+/// latest-committed data, compiled through the shared plan cache: a view
+/// that recomputes compiles its definition once per catalog generation.
+fn run_definition(db: &Database, text: &str) -> Result<QueryResult> {
+    let (compiled, _) = db.compile_cached(&normalize_statement(text))?;
+    db.run_body(&compiled.body, Params::default(), None)
 }
 
 /// Backing stream `name` of materialized view `mv`.

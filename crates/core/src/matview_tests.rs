@@ -358,7 +358,7 @@ fn dml_equality_with_null_matches_nothing_even_with_index() {
 }
 
 #[test]
-fn failed_multi_row_dml_still_maintains_applied_prefix() {
+fn failed_multi_row_dml_applies_no_row_and_leaves_views_alone() {
     let db = items_db();
     let s = db.session();
     s.execute(
@@ -366,15 +366,46 @@ fn failed_multi_row_dml_still_maintains_applied_prefix() {
         &[],
     )
     .unwrap();
-    // Second row violates the unique index on id: the first row applies,
-    // the statement errors, and the view must still reflect the first row.
+    // The second row violates the unique index on id: the autocommit
+    // statement is atomic, so its first row is rolled back with it and the
+    // view never sees either.
     let err = s.execute("INSERT INTO ITEMS VALUES (800, 1, 5), (800, 1, 6)", &[]);
     assert!(err.is_err());
+    assert!(rows_of(&db, "SELECT * FROM ITEMS WHERE id = 800").is_empty());
     assert_eq!(
         rows_of(&db, "SELECT * FROM small"),
         rows_of(&db, "SELECT id, val FROM ITEMS WHERE val < 20"),
-        "view tracks the partially applied statement"
     );
+}
+
+/// A join view recomputes on every commit that touches a leg, and the
+/// recompute compiles its definition through the shared plan cache: once
+/// the catalog settles, each one-row update adds exactly one hit (the
+/// prepared UPDATE itself does not look the cache up again).
+#[test]
+fn join_view_recompute_hits_the_plan_cache() {
+    let db = items_db();
+    let s = db.session();
+    s.execute(
+        "CREATE MATERIALIZED VIEW by_grp AS \
+         SELECT i.grp, i.id, i.val, g.flag FROM ITEMS i, GROUPS g WHERE i.grp = g.gid",
+        &[],
+    )
+    .unwrap();
+    let mut raise = s
+        .prepare("UPDATE ITEMS SET val = val + 1 WHERE id = ?")
+        .unwrap();
+    raise.execute_with(&[xnf_storage::Value::Int(0)]).unwrap();
+    let mut hits = Vec::new();
+    for id in 1..=5 {
+        let before = db.plan_cache_stats().hits;
+        raise.execute_with(&[xnf_storage::Value::Int(id)]).unwrap();
+        hits.push(db.plan_cache_stats().hits - before);
+    }
+    assert_eq!(hits, vec![1; 5]);
+    assert_eq!(db.maint_stats().mv_recomputes, 6);
+    let fresh = "SELECT i.grp, i.id, i.val, g.flag FROM ITEMS i, GROUPS g WHERE i.grp = g.gid";
+    assert_eq!(rows_of(&db, "SELECT * FROM by_grp"), rows_of(&db, fresh));
 }
 
 /// The Fig. 1 departments and employees under a materialized CO view

@@ -436,7 +436,8 @@ impl<'db> Session<'db> {
     /// [`Session::begin`] the whole batch joins the open transaction (so
     /// [`Session::rollback`] undoes all of it); in autocommit every
     /// statement commits on its own, so when a statement fails, the ones
-    /// before it stay applied and the ones after it do not run.
+    /// before it stay applied, it writes nothing, and the ones after it do
+    /// not run.
     pub fn execute_batch(&self, text: &str) -> Result<ExecOutcome> {
         let placeholders = xnf_sql::lexer::lex(text)?
             .iter()
@@ -480,11 +481,35 @@ impl<'db> Session<'db> {
     }
 
     /// Push a CO cache's pending changes back to the database inside this
-    /// session's transaction scope, atomically: the write-back joins an
-    /// open transaction, or runs as one autocommit transaction of its own.
-    /// Returns the number of base-table operations performed.
+    /// session's transaction scope. Each change runs as one keyed DML
+    /// statement through [`Session::execute`] (see [`crate::writeback`])
+    /// and must affect exactly one row. The statements join an open
+    /// transaction; otherwise they run in one transaction of their own that
+    /// commits, with materialized-view maintenance, or rolls back as a
+    /// unit. A write-back that fails keeps its changes pending for a retry.
+    /// Inside an open transaction what its statements wrote before the
+    /// failure, an ambiguous statement's rows included, stays in that
+    /// transaction for the caller to roll back. Returns the number of
+    /// base-table operations performed.
     pub fn write_back(&self, co: &mut CoCache) -> Result<usize> {
-        crate::writeback::write_back_scoped(self.db, &self.txn, &mut co.workspace, &co.schema)
+        let edits = crate::writeback::edits(self.db, &co.workspace, &co.schema)?;
+        let own = !self.in_transaction();
+        if own {
+            self.begin()?;
+        }
+        let applied = (edits.iter())
+            .try_for_each(|edit| edit.check(self.execute(&edit.sql, &edit.params)?.affected()));
+        if let Err(e) = applied {
+            if own {
+                self.rollback()?;
+            }
+            return Err(e);
+        }
+        co.workspace.take_changes();
+        if own {
+            self.commit()?;
+        }
+        Ok(edits.len())
     }
 
     /// This session's cache counters (prepare-time hits/misses).

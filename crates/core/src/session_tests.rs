@@ -745,6 +745,37 @@ fn execute_batch_in_autocommit_commits_each_statement() {
     assert_eq!(co_enos(&co), vec![10, 12, 13]);
 }
 
+/// An autocommit statement is atomic: a multi-row INSERT whose second row
+/// violates a unique index writes neither row. Inside an explicit
+/// transaction there are no savepoints, so the row written before the
+/// failure stays in the transaction until it commits or rolls back.
+#[test]
+fn failed_autocommit_insert_writes_no_row() {
+    let db = Database::new();
+    let session = db.session();
+    session
+        .execute_batch(
+            "CREATE TABLE T (id INT, v INT, s VARCHAR(10));
+             CREATE UNIQUE INDEX t_id ON T (id);
+             INSERT INTO T VALUES (1, 2, 'a')",
+        )
+        .unwrap();
+    let ids = |s: &crate::session::Session<'_>| -> Vec<Value> {
+        let r = s.query("SELECT id FROM T ORDER BY id", &[]).unwrap();
+        r.try_table().unwrap().rows.concat()
+    };
+    let stmt = "INSERT INTO T VALUES (8, 5, 'h'), (1, 9, 'dup')";
+    assert!(session.execute(stmt, &[]).is_err());
+    assert!(session.execute_batch(stmt).is_err());
+    assert_eq!(ids(&session), vec![Value::Int(1)]);
+
+    session.begin().unwrap();
+    assert!(session.execute(stmt, &[]).is_err());
+    assert_eq!(ids(&session), vec![Value::Int(1), Value::Int(8)]);
+    session.rollback().unwrap();
+    assert_eq!(ids(&session), vec![Value::Int(1)]);
+}
+
 #[test]
 fn stale_plan_never_served_across_view_ddl() {
     let db = emp_db();

@@ -8,18 +8,26 @@
 //! aggregation, arbitrary predicates) are readable but not updatable —
 //! precisely the paper's rule.
 //!
-//! Identification of base rows uses optimistic match-by-value over all
-//! mapped columns (the cache has no RIDs); a vanished base row surfaces as
-//! a conflict error and aborts the write-back transaction.
+//! Write-back has no row search or row writes of its own: each pending
+//! change becomes one keyed DML statement — `UPDATE`, `INSERT` or `DELETE`
+//! of the component's base row, an `UPDATE` of the child's foreign key, or
+//! an `INSERT` / `DELETE` of a mapping row — that [`crate::Session::write_back`]
+//! runs through the plan cache like any other statement. The cache has no
+//! RIDs, so a statement finds its row by optimistic match over every mapped
+//! column of the cached image (`c = ?`, or `c IS NULL` for a NULL), a column
+//! with a unique one-column index first so the planner probes that index.
+//! Each statement must affect exactly one row: none is a conflict (the base
+//! row changed or vanished), several is an ambiguity (a keyless component
+//! with duplicate rows); either fails the write-back.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::fmt::Write;
 
 use xnf_qgm::inline_xnf_views;
 use xnf_sql::{BinOp, Expr, SelectItem, TableRef, XnfDef, XnfQuery, XnfRelationship};
-use xnf_storage::{Rid, Table, Tuple, Value};
+use xnf_storage::{Table, Value};
 
-use crate::cache::{Change, TupleId, Workspace};
+use crate::cache::{Change, Workspace};
 use crate::db::Database;
 use crate::error::{Result, XnfError};
 
@@ -295,85 +303,172 @@ fn analyze_relationship(
     general
 }
 
-/// Apply the workspace's pending changes back to the database inside a
-/// session's transaction scope (the body of [`crate::Session::write_back`]).
-/// With an open session transaction the changes join it (isolated until
-/// the session commits, undone by its rollback); otherwise a dedicated
-/// transaction wraps the
-/// write-back and commits — its deltas flowing through commit-time
-/// materialized-view maintenance — on success, or rolls back cleanly on
-/// conflict/error.
-pub(crate) fn write_back_scoped(
-    db: &Database,
-    scope: crate::db::Scope<'_>,
-    ws: &mut Workspace,
-    schema: &CoSchema,
-) -> Result<usize> {
-    let changes = ws.take_changes();
-    let mut scope = crate::db::WriteScope::open(db, scope);
-    let result = apply_changes(db, &mut scope, ws, schema, &changes);
-    match result {
-        Ok(n) => {
-            scope.finish()?;
-            Ok(n)
+/// One pending change as the DML statement that applies it to base data.
+pub(crate) struct Edit {
+    /// The table the statement writes.
+    table: String,
+    /// Statement text, with a `?` for each of `params`.
+    pub(crate) sql: String,
+    pub(crate) params: Vec<Value>,
+}
+
+impl Edit {
+    fn new(t: &Table, sql: String, values: Vec<(usize, Value)>) -> Edit {
+        let params = values.into_iter().map(|(_, v)| v).collect();
+        let table = t.name.clone();
+        Edit { table, sql, params }
+    }
+
+    /// `UPDATE t SET c = ?, … WHERE …`: the row matching `image` takes `sets`.
+    fn update(t: &Table, sets: Vec<(usize, Value)>, image: Vec<(usize, Value)>) -> Edit {
+        let list: Vec<String> = (sets.iter())
+            .map(|(c, _)| format!("{} = ?", t.schema.column(*c).name))
+            .collect();
+        let sql = format!("UPDATE {} SET {}", t.name, list.join(", "));
+        Edit::new(t, sql, sets).matching(t, image)
+    }
+
+    /// `INSERT INTO t (c, …) VALUES (?, …)` of `row`'s columns.
+    fn insert(t: &Table, row: Vec<(usize, Value)>) -> Edit {
+        let names: Vec<&str> = (row.iter())
+            .map(|(c, _)| t.schema.column(*c).name.as_str())
+            .collect();
+        let marks = vec!["?"; row.len()].join(", ");
+        let sql = format!(
+            "INSERT INTO {} ({}) VALUES ({marks})",
+            t.name,
+            names.join(", ")
+        );
+        Edit::new(t, sql, row)
+    }
+
+    /// `DELETE FROM t WHERE …` of the row matching `image`.
+    fn delete(t: &Table, image: Vec<(usize, Value)>) -> Edit {
+        Edit::new(t, format!("DELETE FROM {}", t.name), Vec::new()).matching(t, image)
+    }
+
+    /// Append the `WHERE` clause matching `image`: `c = ?` per value, `c IS
+    /// NULL` per NULL, and a column carrying a unique one-column index
+    /// first, since the planner probes the first indexed `c = ?`.
+    fn matching(mut self, t: &Table, mut image: Vec<(usize, Value)>) -> Edit {
+        let unique: Vec<usize> = (t.index_defs().into_iter())
+            .filter(|d| d.unique && d.columns.len() == 1)
+            .map(|d| d.columns[0])
+            .collect();
+        image.sort_by_key(|(c, v)| v.is_null() || !unique.contains(c));
+        for (i, (c, v)) in image.into_iter().enumerate() {
+            let name = &t.schema.column(c).name;
+            let glue = if i == 0 { " WHERE" } else { " AND" };
+            if v.is_null() {
+                let _ = write!(self.sql, "{glue} {name} IS NULL");
+            } else {
+                let _ = write!(self.sql, "{glue} {name} = ?");
+                self.params.push(v);
+            }
         }
-        Err(e) => {
-            // A write-back that owns its transaction aborts it wholesale
-            // (write conflicts included); inside a session transaction the
-            // error propagates and the session decides.
-            scope.abort_if_auto()?;
-            // Restore the log so the caller may retry.
-            ws.changes = changes;
-            Err(e)
+        self
+    }
+
+    /// The edit ran and touched `affected` rows: exactly one is required.
+    pub(crate) fn check(&self, affected: usize) -> Result<()> {
+        match affected {
+            1 => Ok(()),
+            0 => Err(XnfError::Api(format!(
+                "write-back conflict: no row in '{}' matches the cached image",
+                self.table
+            ))),
+            n => Err(XnfError::Api(format!(
+                "write-back ambiguity: {n} rows in '{}' match the cached image",
+                self.table
+            ))),
         }
     }
 }
 
-fn apply_changes(
-    db: &Database,
-    scope: &mut crate::db::WriteScope<'_>,
-    ws: &Workspace,
-    schema: &CoSchema,
-    changes: &[Change],
-) -> Result<usize> {
-    let mut ops = 0;
-    for change in changes {
-        match change {
-            Change::Update {
-                comp,
-                id: _,
-                old,
-                new,
-            } => {
-                let meta = &schema.components[*comp];
-                let base = updatable(meta)?;
-                update_base_row(db, scope, base, old, new)?;
-                ops += 1;
-            }
-            Change::Insert { comp, id } => {
-                let meta = &schema.components[*comp];
-                let base = updatable(meta)?;
-                let row = ws.components[*comp].row(*id);
-                insert_base_row(db, scope, base, row)?;
-                ops += 1;
-            }
-            Change::Delete { comp, id: _, old } => {
-                let meta = &schema.components[*comp];
-                let base = updatable(meta)?;
-                delete_base_row(db, scope, base, old)?;
-                ops += 1;
-            }
-            Change::Connect { rel, conn } => {
-                apply_connect(db, scope, ws, schema, *rel, conn, true)?;
-                ops += 1;
-            }
-            Change::Disconnect { rel, conn } => {
-                apply_connect(db, scope, ws, schema, *rel, conn, false)?;
-                ops += 1;
+/// The workspace's pending changes as edits, in log order. Refuses a
+/// change to a component or relationship that is not updatable before any
+/// edit runs.
+pub(crate) fn edits(db: &Database, ws: &Workspace, schema: &CoSchema) -> Result<Vec<Edit>> {
+    (ws.pending_changes().iter())
+        .map(|change| edit(db, ws, schema, change))
+        .collect()
+}
+
+fn edit(db: &Database, ws: &Workspace, schema: &CoSchema, change: &Change) -> Result<Edit> {
+    let base = |comp: usize| -> Result<(&BaseMap, std::sync::Arc<Table>)> {
+        let base = updatable(&schema.components[comp])?;
+        Ok((base, db.catalog().table(&base.table)?))
+    };
+    // A cached row as (base column, value) pairs, without cache column `skip`.
+    let image = |base: &BaseMap, row: &[Value], skip: Option<usize>| -> Vec<(usize, Value)> {
+        (base.columns.iter().zip(row).enumerate())
+            .filter(|(i, _)| Some(*i) != skip)
+            .map(|(_, (&c, v))| (c, v.clone()))
+            .collect()
+    };
+    Ok(match change {
+        Change::Update { comp, old, new, .. } => {
+            let (base, t) = base(*comp)?;
+            Edit::update(&t, image(base, new, None), image(base, old, None))
+        }
+        Change::Insert { comp, id } => {
+            let (base, t) = base(*comp)?;
+            Edit::insert(&t, image(base, ws.components[*comp].row(*id), None))
+        }
+        Change::Delete { comp, old, .. } => {
+            let (base, t) = base(*comp)?;
+            Edit::delete(&t, image(base, old, None))
+        }
+        Change::Connect { rel, conn } | Change::Disconnect { rel, conn } => {
+            let connect = matches!(change, Change::Connect { .. });
+            let r = &ws.relationships[*rel];
+            let parent = ws.components[r.parent].row(conn[0]);
+            let child = ws.components[r.children[0]].row(conn[1]);
+            match &schema.relationships[*rel] {
+                RelMeta::ForeignKey {
+                    parent_col,
+                    child_col,
+                    ..
+                } => {
+                    // Set the child's FK column to the parent key (or NULL).
+                    // The cached FK value may be stale (a preceding
+                    // disconnect already rewrote it in the base: the cache
+                    // records rewiring in its adjacency, not in the row
+                    // image), so the match leaves it out.
+                    let (base, t) = base(r.children[0])?;
+                    let key = match connect {
+                        true => parent[*parent_col].clone(),
+                        false => Value::Null,
+                    };
+                    let fk = vec![(base.columns[*child_col], key)];
+                    Edit::update(&t, fk, image(base, child, Some(*child_col)))
+                }
+                RelMeta::ConnectTable {
+                    table,
+                    parent_col,
+                    child_col,
+                    m_parent_col,
+                    m_child_col,
+                    ..
+                } => {
+                    let t = db.catalog().table(table)?;
+                    let pair = vec![
+                        (*m_parent_col, parent[*parent_col].clone()),
+                        (*m_child_col, child[*child_col].clone()),
+                    ];
+                    match connect {
+                        true => Edit::insert(&t, pair),
+                        false => Edit::delete(&t, pair),
+                    }
+                }
+                RelMeta::General { name } => {
+                    return Err(XnfError::Api(format!(
+                    "relationship '{name}' is not updatable (neither FK- nor connect-table-based)"
+                )))
+                }
             }
         }
-    }
-    Ok(ops)
+    })
 }
 
 fn updatable(meta: &CompMeta) -> Result<&BaseMap> {
@@ -383,155 +478,4 @@ fn updatable(meta: &CompMeta) -> Result<&BaseMap> {
             meta.name
         ))
     })
-}
-
-/// The first row of base table `table` whose `columns` equal `row`, but
-/// for the positions in `skip`, with the table, read under the writing
-/// scope's snapshot (so a write-back sees its own earlier changes and is
-/// isolated from concurrent transactions). FK connect/disconnect skips the
-/// FK column, whose cached value is stale by design (the cache records
-/// re-wiring in the adjacency, not in the row image).
-fn find_row(
-    db: &Database,
-    scope: &crate::db::WriteScope<'_>,
-    table: &str,
-    columns: &[usize],
-    row: &[Value],
-    skip: &[usize],
-) -> Result<(Arc<Table>, Rid, Tuple)> {
-    let t = db.catalog().table(table)?;
-    let mut found = None;
-    t.for_each_visible(&scope.snapshot(), |rid, tuple| {
-        let matches = columns
-            .iter()
-            .zip(row)
-            .enumerate()
-            .all(|(i, (&b, v))| skip.contains(&i) || tuple.values[b].total_cmp(v).is_eq());
-        if matches {
-            found = Some((rid, tuple));
-        }
-        Ok(!matches)
-    })?;
-    let (rid, tuple) = found.ok_or_else(|| {
-        XnfError::Api(format!(
-            "write-back conflict: no row in '{table}' matches the cached image"
-        ))
-    })?;
-    Ok((t, rid, tuple))
-}
-
-fn update_base_row(
-    db: &Database,
-    scope: &mut crate::db::WriteScope<'_>,
-    base: &BaseMap,
-    old: &[Value],
-    new: &[Value],
-) -> Result<()> {
-    let (t, rid, mut tuple) = find_row(db, scope, &base.table, &base.columns, old, &[])?;
-    for (&b, v) in base.columns.iter().zip(new) {
-        tuple.values[b] = v.clone();
-    }
-    let (old_tuple, new_rid) = t.update_txn(rid, &tuple, scope.xid())?;
-    scope.log_update(&t, rid, new_rid, old_tuple, &tuple);
-    Ok(())
-}
-
-fn insert_base_row(
-    db: &Database,
-    scope: &mut crate::db::WriteScope<'_>,
-    base: &BaseMap,
-    row: &[Value],
-) -> Result<()> {
-    let t = db.catalog().table(&base.table)?;
-    let mut values = vec![Value::Null; t.schema.len()];
-    for (&b, v) in base.columns.iter().zip(row) {
-        values[b] = v.clone();
-    }
-    let tuple = Tuple::new(values);
-    let rid = t.insert_txn(&tuple, scope.xid())?;
-    scope.log_insert(&t, rid, &tuple);
-    Ok(())
-}
-
-fn delete_base_row(
-    db: &Database,
-    scope: &mut crate::db::WriteScope<'_>,
-    base: &BaseMap,
-    row: &[Value],
-) -> Result<()> {
-    let (t, rid, _) = find_row(db, scope, &base.table, &base.columns, row, &[])?;
-    let old = t.mark_delete_txn(rid, scope.xid())?;
-    scope.log_delete(&t, rid, old);
-    Ok(())
-}
-
-fn apply_connect(
-    db: &Database,
-    scope: &mut crate::db::WriteScope<'_>,
-    ws: &Workspace,
-    schema: &CoSchema,
-    rel: usize,
-    conn: &[TupleId],
-    connect: bool,
-) -> Result<()> {
-    let meta = &schema.relationships[rel];
-    let r = &ws.relationships[rel];
-    let parent_row = ws.components[r.parent].row(conn[0]);
-    let child_row = ws.components[r.children[0]].row(conn[1]);
-    match meta {
-        RelMeta::ForeignKey {
-            parent_col,
-            child_col,
-            ..
-        } => {
-            // Update the child's FK column to the parent key (or NULL). The
-            // cached FK value may be stale (a preceding disconnect already
-            // rewrote it in the base), so match ignoring the FK column.
-            let child_meta = &schema.components[r.children[0]];
-            let base = updatable(child_meta)?;
-            let skip = [*child_col];
-            let (t, rid, mut tuple) =
-                find_row(db, scope, &base.table, &base.columns, child_row, &skip)?;
-            tuple.values[base.columns[*child_col]] = if connect {
-                parent_row[*parent_col].clone()
-            } else {
-                Value::Null
-            };
-            let (old_tuple, new_rid) = t.update_txn(rid, &tuple, scope.xid())?;
-            scope.log_update(&t, rid, new_rid, old_tuple, &tuple);
-            Ok(())
-        }
-        RelMeta::ConnectTable {
-            table,
-            parent_col,
-            child_col,
-            m_parent_col,
-            m_child_col,
-            ..
-        } => {
-            let t = db.catalog().table(table)?;
-            if connect {
-                let mut values = vec![Value::Null; t.schema.len()];
-                values[*m_parent_col] = parent_row[*parent_col].clone();
-                values[*m_child_col] = child_row[*child_col].clone();
-                let tuple = Tuple::new(values);
-                let rid = t.insert_txn(&tuple, scope.xid())?;
-                scope.log_insert(&t, rid, &tuple);
-            } else {
-                // Delete one matching mapping row.
-                let pair = [
-                    parent_row[*parent_col].clone(),
-                    child_row[*child_col].clone(),
-                ];
-                let columns = [*m_parent_col, *m_child_col];
-                let (_, rid, _) = find_row(db, scope, table, &columns, &pair, &[])?;
-                let old = t.mark_delete_txn(rid, scope.xid())?;
-                scope.log_delete(&t, rid, old);
-            }
-            Ok(())
-        }
-        RelMeta::General { name } => Err(XnfError::Api(format!(
-            "relationship '{name}' is not updatable (neither FK- nor connect-table-based)"
-        ))),
-    }
 }

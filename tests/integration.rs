@@ -535,11 +535,12 @@ fn stored_co_department_exit_cascades_in_an_exact_page_count() {
     assert_eq!(costs, vec![(288, 30, 105, 0), (282, 28, 105, 0)]);
 }
 
-/// Writing back one raised salary from a fetched Fig. 1 department finds
-/// the employee's base row by a visible scan of EMP that stops at it, and
-/// updates the row that scan found: an exact number of buffer-pool page
-/// accesses. Reading the found row again by its RID before updating it
-/// cost one more.
+/// Writing back one raised salary from a fetched Fig. 1 department runs
+/// one keyed `UPDATE EMP … WHERE eno = ? AND …`, which probes EMP's unique
+/// index: an exact number of buffer-pool page accesses, the same for an
+/// employee on EMP's first page (61) and on its last (799). When
+/// write-back found the row by a visible scan of EMP that stopped at it,
+/// the two cost 3 and 8.
 #[test]
 fn co_write_back_update_costs_an_exact_page_count() {
     use xnf_core::{DbConfig, PlanOptions};
@@ -556,33 +557,37 @@ fn co_write_back_update_costs_an_exact_page_count() {
     let mut fetch = session
         .prepare(&format!("{all} WHERE xdept.dno = ?"))
         .unwrap();
-    fetch.bind(&[Value::Int(3)]).unwrap();
-    let mut co = fetch.fetch_co().unwrap();
-    // Employee 61 works in department 3.
-    let emp = co
-        .workspace
-        .independent("xemp")
-        .unwrap()
-        .find(|t| t.get("eno").unwrap() == &Value::Int(61))
-        .unwrap();
-    let (id, sal) = (emp.id(), emp.get("sal").unwrap().as_double().unwrap());
-    co.workspace
-        .update_value("xemp", id, "sal", Value::Double(sal + 1.0))
-        .unwrap();
     let accesses = || {
         let s = db.catalog().buffer_pool().stats();
         s.hits + s.misses
     };
-    let before = accesses();
-    assert_eq!(session.write_back(&mut co).unwrap(), 1);
-    assert_eq!(accesses() - before, 3);
-    let now = session
-        .query("SELECT sal FROM EMP WHERE eno = 61", &[])
-        .unwrap();
-    assert_eq!(
-        now.try_table().unwrap().rows,
-        vec![vec![Value::Double(sal + 1.0)]]
-    );
+    let mut costs = Vec::new();
+    // Employee e works in department e / 20.
+    for eno in [61, 799] {
+        fetch.bind(&[Value::Int(eno / 20)]).unwrap();
+        let mut co = fetch.fetch_co().unwrap();
+        let emp = co
+            .workspace
+            .independent("xemp")
+            .unwrap()
+            .find(|t| t.get("eno").unwrap() == &Value::Int(eno))
+            .unwrap();
+        let (id, sal) = (emp.id(), emp.get("sal").unwrap().as_double().unwrap());
+        co.workspace
+            .update_value("xemp", id, "sal", Value::Double(sal + 1.0))
+            .unwrap();
+        let before = accesses();
+        assert_eq!(session.write_back(&mut co).unwrap(), 1);
+        costs.push(accesses() - before);
+        let now = session
+            .query(&format!("SELECT sal FROM EMP WHERE eno = {eno}"), &[])
+            .unwrap();
+        assert_eq!(
+            now.try_table().unwrap().rows,
+            vec![vec![Value::Double(sal + 1.0)]]
+        );
+    }
+    assert_eq!(costs, vec![3, 3]);
 }
 
 /// DML plans like the SELECT that reads its rows, so any `col = ?`-style
