@@ -35,7 +35,7 @@ pub fn run_updates(departments: usize) -> UpdatePoint {
     for &id in &ids {
         let old = co.workspace.component("xemp").unwrap().row(id)[3].clone();
         let new = Value::Double(old.as_double().unwrap() + 1.0);
-        co.workspace.update_value("xemp", id, "sal", new).unwrap();
+        co.update_value("xemp", id, "sal", new).unwrap();
     }
     let ops = session.write_back(&mut co).unwrap();
     let cache_time = t0.elapsed();
@@ -97,12 +97,8 @@ pub fn run_updates(departments: usize) -> UpdatePoint {
     };
     let t0 = Instant::now();
     for (old_parent, emp, new_parent) in &moves {
-        co3.workspace
-            .disconnect("employment", &[*old_parent, *emp])
-            .unwrap();
-        co3.workspace
-            .connect("employment", &[*new_parent, *emp])
-            .unwrap();
+        co3.disconnect("employment", &[*old_parent, *emp]).unwrap();
+        co3.connect("employment", &[*new_parent, *emp]).unwrap();
     }
     session3.write_back(&mut co3).unwrap();
     let connect_time = t0.elapsed();

@@ -29,8 +29,9 @@ pub struct Component {
     pub(crate) rows: Vec<Row>,
     /// Tombstones (client-side deletes).
     pub(crate) deleted: Vec<bool>,
-    /// Rows at index >= this were inserted client-side (exposed so host
-    /// mappings can distinguish fetched from locally created tuples).
+    /// Rows at index >= this were inserted client-side since the fetch or
+    /// the last write-back (exposed so host mappings can distinguish
+    /// fetched from locally created tuples).
     pub base_len: usize,
 }
 
@@ -86,6 +87,16 @@ impl Relationship {
     pub fn connections(&self) -> &[Vec<TupleId>] {
         &self.connections
     }
+
+    /// Whether tuple `id` has a connection as the parent (`child_side`
+    /// false) or as the first child (`child_side` true).
+    pub(crate) fn is_connected(&self, id: TupleId, child_side: bool) -> bool {
+        let adj = match child_side {
+            true => &self.backward[0],
+            false => &self.forward[0],
+        };
+        adj.get(id as usize).is_some_and(|v| !v.is_empty())
+    }
 }
 
 /// A cached composite object.
@@ -98,7 +109,11 @@ pub struct Workspace {
     pub(crate) changes: Vec<Change>,
 }
 
-/// One logged client-side change (for write-back).
+/// One logged client-side change (for write-back). Each carries the row
+/// images it needs as they were when the change was made, so the log
+/// replays in order against the base tables. A row inserted in the
+/// workspace is written once, at its final image: later updates of it, and
+/// connects and disconnects that rewrite its foreign key, log nothing.
 #[derive(Debug, Clone)]
 pub enum Change {
     Update {
@@ -119,10 +134,14 @@ pub enum Change {
     Connect {
         rel: usize,
         conn: Vec<TupleId>,
+        parent: Row,
+        child: Row,
     },
     Disconnect {
         rel: usize,
         conn: Vec<TupleId>,
+        parent: Row,
+        child: Row,
     },
 }
 
@@ -399,9 +418,13 @@ impl Workspace {
     }
 
     // -- updates ---------------------------------------------------------
+    //
+    // The edit primitives behind `CoCache`'s edit methods, which add what
+    // the CO's schema decides: the foreign-key columns a connect rewrites,
+    // and the key columns an update may not change.
 
     /// Update one column of a cached tuple (logged for write-back).
-    pub fn update_value(
+    pub(crate) fn update_value(
         &mut self,
         component: &str,
         id: TupleId,
@@ -421,12 +444,20 @@ impl Workspace {
         let old = c.rows[id as usize].clone();
         c.rows[id as usize][col] = value;
         let new = c.rows[id as usize].clone();
-        self.changes.push(Change::Update { comp, id, old, new });
+        if !self.inserted(comp, id) {
+            self.changes.push(Change::Update { comp, id, old, new });
+        }
         Ok(())
     }
 
+    /// Whether tuple `id` of component `comp` was inserted in this
+    /// workspace and is not yet written back.
+    fn inserted(&self, comp: usize, id: TupleId) -> bool {
+        id as usize >= self.components[comp].base_len
+    }
+
     /// Insert a new tuple into a component (no connections yet).
-    pub fn insert_row(&mut self, component: &str, row: Row) -> Result<TupleId> {
+    pub(crate) fn insert_row(&mut self, component: &str, row: Row) -> Result<TupleId> {
         let comp = self.component_index(component)?;
         let c = &mut self.components[comp];
         if row.len() != c.columns.len() {
@@ -457,7 +488,7 @@ impl Workspace {
     }
 
     /// Delete a tuple (tombstoned locally; connections to it are dropped).
-    pub fn delete_row(&mut self, component: &str, id: TupleId) -> Result<()> {
+    pub(crate) fn delete_row(&mut self, component: &str, id: TupleId) -> Result<()> {
         let comp = self.component_index(component)?;
         let c = &mut self.components[comp];
         if id as usize >= c.rows.len() || c.deleted[id as usize] {
@@ -493,8 +524,14 @@ impl Workspace {
         Ok(())
     }
 
-    /// Connect a parent tuple to child tuple(s) along a relationship.
-    pub fn connect(&mut self, relationship: &str, conn: &[TupleId]) -> Result<()> {
+    /// Connect a parent tuple to child tuple(s) along a relationship. `fk`
+    /// is a foreign-key relationship's (parent key, child FK) columns.
+    pub(crate) fn connect(
+        &mut self,
+        relationship: &str,
+        conn: &[TupleId],
+        fk: Option<(usize, usize)>,
+    ) -> Result<()> {
         let rel = self.relationship_index(relationship)?;
         let r = &self.relationships[rel];
         if conn.len() != 1 + r.children.len() {
@@ -506,6 +543,15 @@ impl Workspace {
         if r.connections.iter().any(|c| c == conn) {
             return Err(XnfError::Api("connection already exists".to_string()));
         }
+        let comps = std::iter::once(r.parent).chain(r.children.iter().copied());
+        if comps
+            .zip(conn)
+            .any(|(c, &id)| id as usize >= self.components[c].rows.len())
+        {
+            return Err(XnfError::Api(
+                "connection names a missing tuple".to_string(),
+            ));
+        }
         let conn = conn.to_vec();
         let r = &mut self.relationships[rel];
         r.connections.push(conn.clone());
@@ -516,19 +562,63 @@ impl Workspace {
             grow_to(&mut r.backward[slot], c + 1);
             r.backward[slot][c].push(conn[0]);
         }
-        self.changes.push(Change::Connect { rel, conn });
+        self.log_rewiring(rel, conn, fk, true);
         Ok(())
     }
 
-    /// Disconnect a connection instance.
-    pub fn disconnect(&mut self, relationship: &str, conn: &[TupleId]) -> Result<()> {
+    /// Disconnect a connection instance; `fk` as for [`Self::connect`].
+    pub(crate) fn disconnect(
+        &mut self,
+        relationship: &str,
+        conn: &[TupleId],
+        fk: Option<(usize, usize)>,
+    ) -> Result<()> {
         let rel = self.relationship_index(relationship)?;
         self.remove_connection(rel, conn)?;
-        self.changes.push(Change::Disconnect {
-            rel,
-            conn: conn.to_vec(),
-        });
+        self.log_rewiring(rel, conn.to_vec(), fk, false);
         Ok(())
+    }
+
+    /// Log a connect or disconnect with the parent and child images as they
+    /// are now. On a foreign-key relationship, first write the parent key
+    /// (or NULL) into the cached child row; a child inserted in this
+    /// workspace then carries the rewiring in its insert, and nothing is
+    /// logged.
+    fn log_rewiring(
+        &mut self,
+        rel: usize,
+        conn: Vec<TupleId>,
+        fk: Option<(usize, usize)>,
+        connect: bool,
+    ) {
+        let r = &self.relationships[rel];
+        let (pc, cc) = (r.parent, r.children[0]);
+        let parent = self.components[pc].rows[conn[0] as usize].clone();
+        let child = self.components[cc].rows[conn[1] as usize].clone();
+        if let Some((key, fk)) = fk {
+            self.components[cc].rows[conn[1] as usize][fk] = match connect {
+                true => parent[key].clone(),
+                false => Value::Null,
+            };
+            if self.inserted(cc, conn[1]) {
+                return;
+            }
+        }
+        let change = match connect {
+            true => Change::Connect {
+                rel,
+                conn,
+                parent,
+                child,
+            },
+            false => Change::Disconnect {
+                rel,
+                conn,
+                parent,
+                child,
+            },
+        };
+        self.changes.push(change);
     }
 
     fn remove_connection(&mut self, rel: usize, conn: &[TupleId]) -> Result<()> {
@@ -560,7 +650,11 @@ impl Workspace {
         &self.changes
     }
 
+    /// The pending changes, once written back: every row is now a base row.
     pub(crate) fn take_changes(&mut self) -> Vec<Change> {
+        for c in &mut self.components {
+            c.base_len = c.rows.len();
+        }
         std::mem::take(&mut self.changes)
     }
 }
@@ -888,7 +982,7 @@ mod render_tests {
     fn insert_then_navigate_new_tuple() {
         let mut ws = tiny_ws();
         let id = ws.insert_row("b", vec![Value::Int(11)]).unwrap();
-        ws.connect("ab", &[0, id]).unwrap();
+        ws.connect("ab", &[0, id], None).unwrap();
         let kids: Vec<u32> = ws.children("ab", 0).unwrap().map(|t| t.id()).collect();
         assert!(kids.contains(&id));
         // Deleting the new tuple drops its connections.
@@ -900,9 +994,9 @@ mod render_tests {
     #[test]
     fn connect_rejects_bad_arity_and_duplicates() {
         let mut ws = tiny_ws();
-        assert!(ws.connect("ab", &[0]).is_err(), "arity check");
-        assert!(ws.connect("ab", &[0, 0]).is_err(), "duplicate connection");
-        ws.disconnect("ab", &[0, 0]).unwrap();
-        ws.connect("ab", &[0, 0]).unwrap();
+        assert!(ws.connect("ab", &[0], None).is_err(), "arity check");
+        assert!(ws.connect("ab", &[0, 0], None).is_err(), "duplicate");
+        ws.disconnect("ab", &[0, 0], None).unwrap();
+        ws.connect("ab", &[0, 0], None).unwrap();
     }
 }

@@ -7,9 +7,11 @@ use crate::cache::Workspace;
 use crate::client_server::{
     simulate_shipping, FetchStrategy, Server, ShippingPolicy, TransportStats,
 };
+use crate::co::CoCache;
 use crate::db::{Database, ExecOutcome};
 use crate::error::XnfError;
 use crate::persist::{load_workspace, save_workspace};
+use crate::session::Session;
 use crate::writeback::RelMeta;
 
 fn fig1_db() -> Database {
@@ -353,8 +355,7 @@ fn update_writes_back_to_base_table() {
         .find(|e| e.get("eno").unwrap() == &Value::Int(1))
         .unwrap()
         .id();
-    co.workspace
-        .update_value("xemp", e1, "sal", Value::Double(200.0))
+    co.update_value("xemp", e1, "sal", Value::Double(200.0))
         .unwrap();
     assert_eq!(co.workspace.pending_changes().len(), 1);
     let ops = s.write_back(&mut co).unwrap();
@@ -370,17 +371,16 @@ fn insert_delete_write_back() {
     let db = fig1_db();
     let s = db.session();
     let mut co = s.fetch_co(DEPS_ARC).unwrap();
-    co.workspace
-        .insert_row(
-            "xemp",
-            vec![
-                Value::Int(9),
-                "e9".into(),
-                Value::Int(1),
-                Value::Double(50.0),
-            ],
-        )
-        .unwrap();
+    co.insert_row(
+        "xemp",
+        vec![
+            Value::Int(9),
+            "e9".into(),
+            Value::Int(1),
+            Value::Double(50.0),
+        ],
+    )
+    .unwrap();
     let e3 = co
         .workspace
         .independent("xemp")
@@ -388,7 +388,7 @@ fn insert_delete_write_back() {
         .find(|e| e.get("eno").unwrap() == &Value::Int(3))
         .unwrap()
         .id();
-    co.workspace.delete_row("xemp", e3).unwrap();
+    co.delete_row("xemp", e3).unwrap();
     s.write_back(&mut co).unwrap();
 
     let r = s.query("SELECT eno FROM EMP ORDER BY eno", &[]).unwrap();
@@ -415,7 +415,7 @@ fn fk_connect_disconnect_write_back() {
     ));
 
     // Move e3 from d2 to d1 in the cache.
-    let ws = &mut co.workspace;
+    let ws = &co.workspace;
     let d1 = 0u32; // first ARC dept (dno=1) — stream order of DEPT scan
     let d2 = 1u32;
     let e3 = ws
@@ -424,8 +424,8 @@ fn fk_connect_disconnect_write_back() {
         .find(|e| e.get("eno").unwrap() == &Value::Int(3))
         .unwrap()
         .id();
-    ws.disconnect("employment", &[d2, e3]).unwrap();
-    ws.connect("employment", &[d1, e3]).unwrap();
+    co.disconnect("employment", &[d2, e3]).unwrap();
+    co.connect("employment", &[d1, e3]).unwrap();
     s.write_back(&mut co).unwrap();
 
     let r = s.query("SELECT edno FROM EMP WHERE eno = 3", &[]).unwrap();
@@ -434,6 +434,150 @@ fn fk_connect_disconnect_write_back() {
         Value::Int(1),
         "FK updated by connect"
     );
+}
+
+/// A CO's live rows per component and its connections as (parent row,
+/// child row) per relationship, each sorted.
+fn co_values(co: &CoCache) -> Vec<Vec<String>> {
+    let ws = &co.workspace;
+    let row = |comp: usize, id: u32| format!("{:?}", ws.components[comp].row(id));
+    let comps = (ws.components.iter().enumerate()).map(|(i, c)| {
+        (ws.independent(&c.name).unwrap())
+            .map(|t| row(i, t.id()))
+            .collect()
+    });
+    let rels = ws.relationships.iter().map(|r| {
+        (r.connections().iter())
+            .map(|conn| {
+                format!(
+                    "{} -> {}",
+                    row(r.parent, conn[0]),
+                    row(r.children[0], conn[1])
+                )
+            })
+            .collect()
+    });
+    let mut out: Vec<Vec<String>> = comps.chain(rels).collect();
+    out.iter_mut().for_each(|v| v.sort());
+    out
+}
+
+fn emp_id(co: &CoCache, eno: i64) -> u32 {
+    (co.workspace.independent("xemp").unwrap())
+        .find(|e| e.get("eno").unwrap() == &Value::Int(eno))
+        .unwrap()
+        .id()
+}
+
+/// Write `co` back and check that a re-fetch gives the workspace back.
+fn write_back_and_refetch(s: &Session<'_>, co: &mut CoCache) {
+    s.write_back(co).unwrap();
+    let refetched = s.fetch_co(DEPS_ARC).unwrap();
+    assert_eq!(co_values(&refetched), co_values(co));
+}
+
+#[test]
+fn insert_then_update_writes_back_the_final_row() {
+    let db = fig1_db();
+    let s = db.session();
+    let mut co = s.fetch_co(DEPS_ARC).unwrap();
+    let row = vec![Value::Int(9), "e9".into(), Value::Null, Value::Double(50.0)];
+    let e9 = co.insert_row("xemp", row).unwrap();
+    co.connect("employment", &[0, e9]).unwrap();
+    co.update_value("xemp", e9, "sal", Value::Double(75.0))
+        .unwrap();
+    // The connect wrote the department's key into the cached FK, and the
+    // insert carries both edits.
+    assert_eq!(
+        co.workspace.component("xemp").unwrap().row(e9)[2],
+        Value::Int(1)
+    );
+    assert_eq!(co.workspace.pending_changes().len(), 1);
+    write_back_and_refetch(&s, &mut co);
+}
+
+#[test]
+fn move_then_update_writes_back_both() {
+    let db = fig1_db();
+    let s = db.session();
+    let mut co = s.fetch_co(DEPS_ARC).unwrap();
+    let e3 = emp_id(&co, 3);
+    // A foreign-key child has one parent.
+    let err = co.connect("employment", &[0, e3]).unwrap_err();
+    assert!(
+        matches!(&err, XnfError::Api(m) if m.contains("already has a parent")),
+        "{err}"
+    );
+    co.disconnect("employment", &[1, e3]).unwrap();
+    assert_eq!(
+        co.workspace.component("xemp").unwrap().row(e3)[2],
+        Value::Null
+    );
+    co.connect("employment", &[0, e3]).unwrap();
+    co.update_value("xemp", e3, "sal", Value::Double(95.0))
+        .unwrap();
+    assert_eq!(co.workspace.pending_changes().len(), 3);
+    write_back_and_refetch(&s, &mut co);
+    let r = s
+        .query("SELECT edno, sal FROM EMP WHERE eno = 3", &[])
+        .unwrap();
+    assert_eq!(
+        r.try_table().unwrap().rows[0],
+        vec![Value::Int(1), Value::Double(95.0)]
+    );
+}
+
+/// A restored workspace edits as the fetched one did: the foreign-key
+/// columns a move rewrites come from the CO's schema, not the image.
+#[test]
+fn move_then_update_after_save_and_load() {
+    let db = fig1_db();
+    let s = db.session();
+    let mut co = s.fetch_co(DEPS_ARC).unwrap();
+    let mut image = Vec::new();
+    save_workspace(&co.workspace, &mut image).unwrap();
+    co.workspace = load_workspace(&mut &image[..]).unwrap();
+    let e3 = emp_id(&co, 3);
+    co.disconnect("employment", &[1, e3]).unwrap();
+    co.connect("employment", &[0, e3]).unwrap();
+    co.update_value("xemp", e3, "sal", Value::Double(95.0))
+        .unwrap();
+    write_back_and_refetch(&s, &mut co);
+}
+
+/// Write-back does not cascade a key change to the foreign key or mapping
+/// rows naming the old key, so a column a relationship joins on changes
+/// only while the tuple is not connected along it.
+#[test]
+fn a_linking_column_changes_only_while_disconnected() {
+    let db = fig1_db();
+    let s = db.session();
+    let mut co = s.fetch_co(DEPS_ARC).unwrap();
+    let refused = |r: Result<(), XnfError>| matches!(r, Err(XnfError::Api(m)) if m.contains("disconnect it before"));
+    // An inserted employee connected through the EMPSKILLS connect table.
+    let row = vec![Value::Int(9), "e9".into(), Value::Null, Value::Double(50.0)];
+    let e9 = co.insert_row("xemp", row).unwrap();
+    co.connect("employment", &[0, e9]).unwrap();
+    co.connect("empproperty", &[e9, 0]).unwrap();
+    assert!(refused(co.update_value("xemp", e9, "eno", Value::Int(10))));
+    // An inserted department with an existing employee moved into it.
+    let d9 = (co.insert_row("xdept", vec![Value::Int(9), "new".into(), "ARC".into()])).unwrap();
+    let e3 = emp_id(&co, 3);
+    co.disconnect("employment", &[1, e3]).unwrap();
+    co.connect("employment", &[d9, e3]).unwrap();
+    assert!(refused(co.update_value("xdept", d9, "dno", Value::Int(10))));
+    assert!(refused(co.update_value("xemp", e3, "edno", Value::Int(1))));
+    // Setting a linking column to its own value changes nothing.
+    co.update_value("xdept", d9, "dno", Value::Int(9)).unwrap();
+    // Once disconnected, the key may change, and the reconnect names it.
+    co.disconnect("empproperty", &[e9, 0]).unwrap();
+    co.update_value("xemp", e9, "eno", Value::Int(10)).unwrap();
+    co.connect("empproperty", &[e9, 0]).unwrap();
+    write_back_and_refetch(&s, &mut co);
+    let r = s
+        .query("SELECT COUNT(*) FROM EMPSKILLS WHERE eseno = 10", &[])
+        .unwrap();
+    assert_eq!(r.try_table().unwrap().rows[0][0], Value::Int(1));
 }
 
 #[test]
@@ -447,7 +591,7 @@ fn connect_table_write_back() {
     ));
 
     // Give e1 the shared skill s3 as well.
-    let ws = &mut co.workspace;
+    let ws = &co.workspace;
     let e1 = ws
         .independent("xemp")
         .unwrap()
@@ -460,7 +604,7 @@ fn connect_table_write_back() {
         .find(|s| s.get("sno").unwrap() == &Value::Int(3))
         .unwrap()
         .id();
-    ws.connect("empproperty", &[e1, s3]).unwrap();
+    co.connect("empproperty", &[e1, s3]).unwrap();
     session.write_back(&mut co).unwrap();
 
     let r = session
@@ -474,7 +618,7 @@ fn connect_table_write_back() {
 
     // And take it away again.
     let mut co = session.fetch_co(DEPS_ARC).unwrap();
-    let ws = &mut co.workspace;
+    let ws = &co.workspace;
     let e1 = ws
         .independent("xemp")
         .unwrap()
@@ -487,7 +631,7 @@ fn connect_table_write_back() {
         .find(|s| s.get("sno").unwrap() == &Value::Int(3))
         .unwrap()
         .id();
-    ws.disconnect("empproperty", &[e1, s3]).unwrap();
+    co.disconnect("empproperty", &[e1, s3]).unwrap();
     session.write_back(&mut co).unwrap();
     let r = session
         .query("SELECT COUNT(*) FROM EMPSKILLS WHERE eseno = 1", &[])
@@ -509,9 +653,7 @@ fn non_updatable_components_are_rejected() {
         )
         .unwrap();
     assert!(co.schema.component("rich").unwrap().base.is_none());
-    co.workspace
-        .update_value("rich", 0, "dname", "X".into())
-        .unwrap();
+    co.update_value("rich", 0, "dname", "X".into()).unwrap();
     let err = s.write_back(&mut co).unwrap_err();
     assert!(matches!(err, XnfError::Api(m) if m.contains("not updatable")));
     // The failed save keeps the change pending for retry.
@@ -532,8 +674,7 @@ fn write_back_is_atomic_on_conflict() {
         .id();
     // First a valid update, then one that will conflict (base row changed
     // underneath the cache).
-    co.workspace
-        .update_value("xemp", e1, "sal", Value::Double(111.0))
+    co.update_value("xemp", e1, "sal", Value::Double(111.0))
         .unwrap();
     let e2 = co
         .workspace
@@ -542,8 +683,7 @@ fn write_back_is_atomic_on_conflict() {
         .find(|e| e.get("eno").unwrap() == &Value::Int(2))
         .unwrap()
         .id();
-    co.workspace
-        .update_value("xemp", e2, "sal", Value::Double(222.0))
+    co.update_value("xemp", e2, "sal", Value::Double(222.0))
         .unwrap();
     // Sabotage: change e2's base row so the optimistic match fails.
     session
@@ -582,9 +722,7 @@ fn write_back_statements_lead_with_a_unique_key() {
         .map(|t| t.id())
         .collect();
     for &id in &ids {
-        co.workspace
-            .update_value("xt", id, "a", Value::Int(0))
-            .unwrap();
+        co.update_value("xt", id, "a", Value::Int(0)).unwrap();
     }
     let edits = crate::writeback::edits(&db, &co.workspace, &co.schema).unwrap();
     let sql: Vec<&str> = edits.iter().map(|e| e.sql.as_str()).collect();
@@ -622,9 +760,7 @@ fn write_back_refuses_an_edit_that_matches_two_base_rows() {
         .find(|t| t.get("a").unwrap() == &Value::Int(1))
         .unwrap()
         .id();
-    co.workspace
-        .update_value("xt", one, "b", Value::Int(5))
-        .unwrap();
+    co.update_value("xt", one, "b", Value::Int(5)).unwrap();
     let err = session.write_back(&mut co).unwrap_err();
     assert!(
         matches!(&err, XnfError::Api(m) if m.contains("2 rows in 'T'")),

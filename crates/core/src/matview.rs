@@ -840,22 +840,9 @@ fn derive_node_facts(db: &Database, info: &XnfInfo) -> Result<Vec<NodeFacts>> {
     Ok(nodes)
 }
 
-/// `(parent column, child column)` of a keyed view's relationship: the
-/// cache columns its predicate equates, through a connect table or not.
+/// `(parent column, child column)` of a keyed view's relationship.
 fn link_cols(meta: &RelMeta) -> (usize, usize) {
-    match meta {
-        RelMeta::ForeignKey {
-            parent_col,
-            child_col,
-            ..
-        }
-        | RelMeta::ConnectTable {
-            parent_col,
-            child_col,
-            ..
-        } => (*parent_col, *child_col),
-        RelMeta::General { .. } => unreachable!("keyed plans exclude general relationships"),
-    }
+    (meta.link_cols()).expect("keyed plans exclude general relationships")
 }
 
 fn derive_co_key(info: &XnfInfo) -> Option<CoKey> {

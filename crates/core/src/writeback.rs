@@ -85,6 +85,25 @@ impl RelMeta {
             | RelMeta::General { name } => name,
         }
     }
+
+    /// `(parent column, child column)`: the cache columns the relationship's
+    /// predicate equates, through a connect table or not. `None` for a
+    /// general relationship.
+    pub fn link_cols(&self) -> Option<(usize, usize)> {
+        match self {
+            RelMeta::ForeignKey {
+                parent_col,
+                child_col,
+                ..
+            }
+            | RelMeta::ConnectTable {
+                parent_col,
+                child_col,
+                ..
+            } => Some((*parent_col, *child_col)),
+            RelMeta::General { .. } => None,
+        }
+    }
 }
 
 /// Updatability metadata for a cached CO.
@@ -399,31 +418,33 @@ fn edit(db: &Database, ws: &Workspace, schema: &CoSchema, change: &Change) -> Re
         let base = updatable(&schema.components[comp])?;
         Ok((base, db.catalog().table(&base.table)?))
     };
-    // A cached row as (base column, value) pairs, without cache column `skip`.
-    let image = |base: &BaseMap, row: &[Value], skip: Option<usize>| -> Vec<(usize, Value)> {
-        (base.columns.iter().zip(row).enumerate())
-            .filter(|(i, _)| Some(*i) != skip)
-            .map(|(_, (&c, v))| (c, v.clone()))
+    // A cached row as (base column, value) pairs.
+    let image = |base: &BaseMap, row: &[Value]| -> Vec<(usize, Value)> {
+        (base.columns.iter().zip(row))
+            .map(|(&c, v)| (c, v.clone()))
             .collect()
     };
     Ok(match change {
         Change::Update { comp, old, new, .. } => {
             let (base, t) = base(*comp)?;
-            Edit::update(&t, image(base, new, None), image(base, old, None))
+            Edit::update(&t, image(base, new), image(base, old))
         }
         Change::Insert { comp, id } => {
             let (base, t) = base(*comp)?;
-            Edit::insert(&t, image(base, ws.components[*comp].row(*id), None))
+            Edit::insert(&t, image(base, ws.components[*comp].row(*id)))
         }
         Change::Delete { comp, old, .. } => {
             let (base, t) = base(*comp)?;
-            Edit::delete(&t, image(base, old, None))
+            Edit::delete(&t, image(base, old))
         }
-        Change::Connect { rel, conn } | Change::Disconnect { rel, conn } => {
+        Change::Connect {
+            rel, parent, child, ..
+        }
+        | Change::Disconnect {
+            rel, parent, child, ..
+        } => {
             let connect = matches!(change, Change::Connect { .. });
             let r = &ws.relationships[*rel];
-            let parent = ws.components[r.parent].row(conn[0]);
-            let child = ws.components[r.children[0]].row(conn[1]);
             match &schema.relationships[*rel] {
                 RelMeta::ForeignKey {
                     parent_col,
@@ -431,17 +452,15 @@ fn edit(db: &Database, ws: &Workspace, schema: &CoSchema, change: &Change) -> Re
                     ..
                 } => {
                     // Set the child's FK column to the parent key (or NULL).
-                    // The cached FK value may be stale (a preceding
-                    // disconnect already rewrote it in the base: the cache
-                    // records rewiring in its adjacency, not in the row
-                    // image), so the match leaves it out.
+                    // The cached child row mirrors its base row: a connect
+                    // or disconnect rewrites its FK column in the cache too.
                     let (base, t) = base(r.children[0])?;
                     let key = match connect {
                         true => parent[*parent_col].clone(),
                         false => Value::Null,
                     };
                     let fk = vec![(base.columns[*child_col], key)];
-                    Edit::update(&t, fk, image(base, child, Some(*child_col)))
+                    Edit::update(&t, fk, image(base, child))
                 }
                 RelMeta::ConnectTable {
                     table,

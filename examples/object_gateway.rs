@@ -73,8 +73,7 @@ fn main() {
 
     // Edit through the object layer and write back (view update).
     let raise = employees.iter().find(|e| e.name == "mia").unwrap();
-    co.workspace
-        .update_value("xemp", raise.id, "sal", Value::Double(raise.salary * 1.1))
+    co.update_value("xemp", raise.id, "sal", Value::Double(raise.salary * 1.1))
         .unwrap();
     let ops = session.write_back(&mut co).expect("write-back");
     println!("\nwrite-back applied {ops} base-table operation(s)");
@@ -96,10 +95,8 @@ fn main() {
         .next()
         .unwrap()
         .id();
-    co.workspace
-        .disconnect("employment", &[old_dept, liv.id])
-        .unwrap();
-    co.workspace.connect("employment", &[0, liv.id]).unwrap();
+    co.disconnect("employment", &[old_dept, liv.id]).unwrap();
+    co.connect("employment", &[0, liv.id]).unwrap();
     session.write_back(&mut co).expect("connect write-back");
     let check = session
         .query("SELECT edno FROM EMP WHERE eno = 3", &[])

@@ -9,10 +9,6 @@
 
 pub use xnf_core::*;
 
-/// The oracle-checked workload drivers (YCSB-style and TPC-C-lite
-/// correctness soaks with per-class latency histograms).
-pub use xnf_workload as workload;
-
 /// The layered crates, re-exported for direct access.
 pub mod layers {
     pub use xnf_exec as exec;

@@ -187,8 +187,7 @@ fn updates_survive_round_trip_through_base_tables() {
         let old = co.workspace.component("xemp").unwrap().row(id)[3]
             .as_double()
             .unwrap();
-        co.workspace
-            .update_value("xemp", id, "sal", Value::Double(old + 5.0))
+        co.update_value("xemp", id, "sal", Value::Double(old + 5.0))
             .unwrap();
     }
     s.write_back(&mut co).unwrap();
@@ -573,8 +572,7 @@ fn co_write_back_update_costs_an_exact_page_count() {
             .find(|t| t.get("eno").unwrap() == &Value::Int(eno))
             .unwrap();
         let (id, sal) = (emp.id(), emp.get("sal").unwrap().as_double().unwrap());
-        co.workspace
-            .update_value("xemp", id, "sal", Value::Double(sal + 1.0))
+        co.update_value("xemp", id, "sal", Value::Double(sal + 1.0))
             .unwrap();
         let before = accesses();
         assert_eq!(session.write_back(&mut co).unwrap(), 1);

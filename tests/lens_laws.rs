@@ -13,20 +13,17 @@
 //!
 //! Both laws run on a keyless copy of Fig. 1, where every write-back
 //! statement scans, and on `build_uniform_paper_db_with(40)`, where it
-//! probes a unique index.
-//!
-//! A foreign-key connect rewrites the child's FK column in the base, but
-//! the cache records rewiring in its adjacency, not in the row image. So
-//! the value-identity form reads such a column from the row's connection.
-//! For the same reason the generator never edits a moved or inserted row
-//! again: its cached image no longer equals its base row.
+//! probes a unique index. The generator edits any live row, including one
+//! it inserted, moved or re-keyed earlier in the same sequence. It re-keys
+//! departments and employees too: a key that links other rows is refused
+//! until they are disconnected, so it reconnects them under the new key.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use xnf_core::{Change, CoCache, Database, DbConfig, RelMeta, Value, Workspace};
+use xnf_core::{Change, CoCache, Database, DbConfig, Value, Workspace};
 use xnf_fixtures::{build_uniform_paper_db_with, DEPS_ARC};
 
 /// Fig. 1 with no index: write-back statements find their rows by scans.
@@ -76,31 +73,10 @@ fn base_state(db: &Database) -> Vec<Vec<String>> {
 
 /// A CO in value-identity form: per component the sorted multiset of its
 /// live rows, per relationship the sorted multiset of its connections as
-/// (parent row, child row). A child's foreign-key column shows the key of
-/// the parent its connection names.
+/// (parent row, child row).
 fn canon(co: &CoCache) -> Vec<(String, Vec<String>)> {
     let ws = &co.workspace;
-    let mut fk: HashMap<(usize, u32), (usize, Value)> = HashMap::new();
-    for (r, meta) in ws.relationships.iter().zip(&co.schema.relationships) {
-        if let RelMeta::ForeignKey {
-            parent_col,
-            child_col,
-            ..
-        } = meta
-        {
-            for conn in r.connections() {
-                let key = ws.components[r.parent].row(conn[0])[*parent_col].clone();
-                fk.insert((r.children[0], conn[1]), (*child_col, key));
-            }
-        }
-    }
-    let row = |comp: usize, id: u32| {
-        let mut values = ws.components[comp].row(id).clone();
-        if let Some((col, key)) = fk.get(&(comp, id)) {
-            values[*col] = key.clone();
-        }
-        format!("{values:?}")
-    };
+    let row = |comp: usize, id: u32| format!("{:?}", ws.components[comp].row(id));
     let mut out: Vec<(String, Vec<String>)> = Vec::new();
     for (i, c) in ws.components.iter().enumerate() {
         let rows = ws.independent(&c.name).unwrap().map(|t| row(i, t.id()));
@@ -134,35 +110,59 @@ fn skill_parents(ws: &Workspace, s: u32) -> usize {
         .sum()
 }
 
-/// Apply `n` seeded edits to `co`'s workspace. Every edit keeps each live
-/// node reachable from a department, as the re-fetched CO's are.
+/// Give tuple `id` of `comp` the key `key` in column `col`. The update is
+/// refused while the key links children along `rels`, so disconnect them,
+/// re-key, and reconnect them under the new key.
+fn rekey(co: &mut CoCache, comp: &str, id: u32, col: &str, rels: &[&str], key: i64) {
+    let links: Vec<(&str, u32)> = (rels.iter())
+        .flat_map(|&r| (co.workspace.children(r, id).unwrap()).map(move |c| (r, c.id())))
+        .collect();
+    let refused = co.update_value(comp, id, col, Value::Int(key));
+    assert_eq!(refused.is_err(), !links.is_empty(), "{refused:?}");
+    for &(r, c) in &links {
+        co.disconnect(r, &[id, c]).unwrap();
+    }
+    co.update_value(comp, id, col, Value::Int(key)).unwrap();
+    for &(r, c) in &links {
+        co.connect(r, &[id, c]).unwrap();
+    }
+}
+
+/// Apply `n` seeded edits to `co`. Every edit keeps each live node
+/// reachable from a department, as the re-fetched CO's are. Half the
+/// employee updates, moves and re-keys pick an employee inserted, moved or
+/// re-keyed earlier in the sequence, so rows are edited twice.
 fn edit(co: &mut CoCache, seed: u64, n: usize) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let ws = &mut co.workspace;
-    // Employees whose cached image no longer equals their base row.
-    let mut touched: HashSet<u32> = HashSet::new();
     let mut fresh = 10_000i64;
     let pick = |rng: &mut StdRng, v: &[u32]| v[rng.gen_range(0..v.len())];
+    // Employees inserted, moved or re-keyed so far.
+    let mut edited: Vec<u32> = Vec::new();
     for _ in 0..n {
+        let ws = &co.workspace;
         let depts = ids(ws, "xdept");
-        let emps: Vec<u32> = (ids(ws, "xemp").into_iter())
-            .filter(|e| !touched.contains(e))
-            .collect();
+        let emps = ids(ws, "xemp");
         let skills = ids(ws, "xskills");
-        match rng.gen_range(0..6) {
+        let projs = ids(ws, "xproj");
+        edited.retain(|e| emps.contains(e));
+        let pick_emp = |rng: &mut StdRng| match edited.is_empty() || rng.gen_bool(0.5) {
+            true => pick(rng, &emps),
+            false => pick(rng, &edited),
+        };
+        match rng.gen_range(0..7) {
             // Update a column that is neither a key nor a foreign key.
             0 => {
                 let (comp, col, id) = match rng.gen_range(0..4) {
-                    0 if !emps.is_empty() => ("xemp", "sal", pick(&mut rng, &emps)),
+                    0 if !emps.is_empty() => ("xemp", "sal", pick_emp(&mut rng)),
                     1 => ("xdept", "dname", pick(&mut rng, &depts)),
-                    2 => ("xproj", "pname", pick(&mut rng, &ids(ws, "xproj"))),
+                    2 => ("xproj", "pname", pick(&mut rng, &projs)),
                     _ => ("xskills", "sname", pick(&mut rng, &skills)),
                 };
                 let value = match col {
                     "sal" => Value::Double(rng.gen_range(1..500) as f64 + 0.5),
                     _ => Value::Str(format!("{col}-{}", rng.gen_range(0..1000))),
                 };
-                ws.update_value(comp, id, col, value).unwrap();
+                co.update_value(comp, id, col, value).unwrap();
             }
             // Insert an employee hired into a department, with a skill.
             1 => {
@@ -175,19 +175,19 @@ fn edit(co: &mut CoCache, seed: u64, n: usize) {
                     dno,
                     Value::Double(50.0),
                 ];
-                let e = ws.insert_row("xemp", row).unwrap();
-                touched.insert(e);
-                ws.connect("employment", &[d, e]).unwrap();
-                ws.connect("empproperty", &[e, pick(&mut rng, &skills)])
+                let e = co.insert_row("xemp", row).unwrap();
+                edited.push(e);
+                co.connect("employment", &[d, e]).unwrap();
+                co.connect("empproperty", &[e, pick(&mut rng, &skills)])
                     .unwrap();
             }
             // Insert a skill, needed by a project.
             2 => {
                 fresh += 1;
                 let row = vec![Value::Int(fresh), Value::Str(format!("new-{fresh}"))];
-                let s = ws.insert_row("xskills", row).unwrap();
-                let p = pick(&mut rng, &ids(ws, "xproj"));
-                ws.connect("projproperty", &[p, s]).unwrap();
+                let s = co.insert_row("xskills", row).unwrap();
+                co.connect("projproperty", &[pick(&mut rng, &projs), s])
+                    .unwrap();
             }
             // Delete an employee none of whose skills would be orphaned.
             3 => {
@@ -200,7 +200,7 @@ fn edit(co: &mut CoCache, seed: u64, n: usize) {
                     held.iter().all(|&s| skill_parents(ws, s) > 1)
                 });
                 if let Some(e) = victim {
-                    ws.delete_row("xemp", e).unwrap();
+                    co.delete_row("xemp", e).unwrap();
                 }
             }
             // Connect an employee to a skill they lack, or disconnect one
@@ -217,26 +217,39 @@ fn edit(co: &mut CoCache, seed: u64, n: usize) {
                     .collect();
                 let shared = held.iter().copied().find(|&s| skill_parents(ws, s) > 1);
                 match (rng.gen_bool(0.5), shared) {
-                    (true, Some(s)) => ws.disconnect("empproperty", &[e, s]).unwrap(),
+                    (true, Some(s)) => co.disconnect("empproperty", &[e, s]).unwrap(),
                     _ => {
                         if let Some(&s) = skills.iter().find(|s| !held.contains(s)) {
-                            ws.connect("empproperty", &[e, s]).unwrap();
+                            co.connect("empproperty", &[e, s]).unwrap();
                         }
                     }
                 }
             }
             // Move an employee to another department.
-            _ => {
+            5 => {
                 if emps.is_empty() || depts.len() < 2 {
                     continue;
                 }
-                let e = pick(&mut rng, &emps);
+                let e = pick_emp(&mut rng);
                 let from = ws.parents("employment", e).unwrap().next().unwrap().id();
                 let to = pick(&mut rng, &depts);
                 if to != from {
-                    ws.disconnect("employment", &[from, e]).unwrap();
-                    ws.connect("employment", &[to, e]).unwrap();
-                    touched.insert(e);
+                    co.disconnect("employment", &[from, e]).unwrap();
+                    co.connect("employment", &[to, e]).unwrap();
+                    edited.push(e);
+                }
+            }
+            // Re-key a department (its employees' and projects' foreign
+            // keys follow) or an employee (its skill mapping rows follow).
+            _ => {
+                fresh += 1;
+                if emps.is_empty() || rng.gen_bool(0.5) {
+                    let d = pick(&mut rng, &depts);
+                    rekey(co, "xdept", d, "dno", &["employment", "ownership"], fresh);
+                } else {
+                    let e = pick_emp(&mut rng);
+                    rekey(co, "xemp", e, "eno", &["empproperty"], fresh);
+                    edited.push(e);
                 }
             }
         }
@@ -250,11 +263,10 @@ fn get_put(db: &Database) {
     assert_eq!(session.write_back(&mut co).unwrap(), 0);
     assert_eq!(base_state(db), before);
 
-    let ws = &mut co.workspace;
-    let emps = ids(ws, "xemp");
+    let emps = ids(&co.workspace, "xemp");
     for &e in &emps {
-        let sal = ws.component("xemp").unwrap().row(e)[3].clone();
-        ws.update_value("xemp", e, "sal", sal).unwrap();
+        let sal = co.workspace.component("xemp").unwrap().row(e)[3].clone();
+        co.update_value("xemp", e, "sal", sal).unwrap();
     }
     assert_eq!(session.write_back(&mut co).unwrap(), emps.len());
     assert_eq!(base_state(db), before);

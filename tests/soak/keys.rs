@@ -20,20 +20,6 @@ pub enum KeyDist {
     Zipfian(f64),
 }
 
-impl KeyDist {
-    pub fn parse(s: &str) -> Option<KeyDist> {
-        match s {
-            "uniform" => Some(KeyDist::Uniform),
-            "zipf" | "zipfian" => Some(KeyDist::Zipfian(0.99)),
-            other => other
-                .strip_prefix("zipfian(")
-                .and_then(|r| r.strip_suffix(')'))
-                .and_then(|t| t.parse().ok())
-                .map(KeyDist::Zipfian),
-        }
-    }
-}
-
 /// A sampler over `0..n` for one [`KeyDist`].
 pub struct KeyChooser {
     n: u64,
@@ -47,7 +33,6 @@ enum ChooserKind {
         alpha: f64,
         zetan: f64,
         eta: f64,
-        zeta2: f64,
         /// Multiplier coprime with `n`: `rank * scramble % n` is a
         /// permutation of the keyspace.
         scramble: u64,
@@ -91,7 +76,6 @@ impl KeyChooser {
                     alpha,
                     zetan,
                     eta,
-                    zeta2,
                     scramble,
                 }
             }
@@ -108,7 +92,6 @@ impl KeyChooser {
                 alpha,
                 zetan,
                 eta,
-                zeta2,
                 scramble,
             } => {
                 let u: f64 = rng.gen_range(0.0..1.0);
@@ -118,7 +101,6 @@ impl KeyChooser {
                 } else if uz < 1.0 + 0.5f64.powf(*theta) && self.n >= 2 {
                     1
                 } else {
-                    let _ = zeta2;
                     ((self.n as f64) * (eta * u - eta + 1.0).powf(*alpha)) as u64
                 };
                 let rank = rank.min(self.n - 1);
@@ -128,57 +110,5 @@ impl KeyChooser {
                 ((rank as u128 * *scramble as u128) % self.n as u128) as u64
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use rand::SeedableRng;
-    use std::collections::HashMap;
-
-    #[test]
-    fn uniform_covers_the_keyspace_evenly() {
-        let c = KeyChooser::new(KeyDist::Uniform, 16);
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut counts = [0u64; 16];
-        for _ in 0..16_000 {
-            counts[c.next(&mut rng) as usize] += 1;
-        }
-        for &n in &counts {
-            assert!((n as f64 / 1000.0 - 1.0).abs() < 0.25, "count {n}");
-        }
-    }
-
-    #[test]
-    fn zipfian_is_skewed_and_in_range() {
-        let n = 1000;
-        let c = KeyChooser::new(KeyDist::Zipfian(0.99), n);
-        let mut rng = StdRng::seed_from_u64(42);
-        let mut counts: HashMap<u64, u64> = HashMap::new();
-        for _ in 0..50_000 {
-            let k = c.next(&mut rng);
-            assert!(k < n);
-            *counts.entry(k).or_default() += 1;
-        }
-        let mut freq: Vec<u64> = counts.values().copied().collect();
-        freq.sort_unstable_by(|a, b| b.cmp(a));
-        let top10: u64 = freq.iter().take(10).sum();
-        // With theta = 0.99 the 10 hottest of 1000 keys take well over a
-        // quarter of the traffic; uniform would give them ~1%.
-        assert!(top10 > 12_500, "zipfian not skewed: top10 = {top10}");
-        // …but the tail is still covered.
-        assert!(counts.len() > 400, "only {} distinct keys", counts.len());
-    }
-
-    #[test]
-    fn deterministic_for_a_seed() {
-        let c = KeyChooser::new(KeyDist::Zipfian(0.8), 500);
-        let draw = |seed| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            (0..100).map(|_| c.next(&mut rng)).collect::<Vec<_>>()
-        };
-        assert_eq!(draw(3), draw(3));
-        assert_ne!(draw(3), draw(4));
     }
 }

@@ -21,17 +21,15 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use xnf_core::run_sessions;
-use xnf_core::{Database, DbConfig, ExecStats, Session, TempDir, Value, XnfError};
+use xnf_core::{Database, DbConfig, Session, TempDir, Value, XnfError};
 
-use crate::keys::{KeyChooser, KeyDist};
-use crate::metrics::{ClassRecorder, DriverMetrics};
-use crate::oracle::{abort_quietly, canon_co, retry_conflicts, rows_of, Violations};
+use super::keys::{KeyChooser, KeyDist};
+use super::oracle::{abort_quietly, canon_co, retry_conflicts, rows_of, Violations};
 
 /// The district→customer→orders composite object (the CO-serving shape the
 /// paper's evaluation revolves around), materialized as `dist_co`.
@@ -43,78 +41,41 @@ OUT OF xdist AS DISTRICT,
        purchases AS (RELATE xcust VIA PLACED, xord WHERE xcust.c_id = xord.o_c_id)
 TAKE *";
 
-/// Transaction-mix weights.
-#[derive(Debug, Clone, Copy)]
-pub struct TpccMix {
-    pub transfer: u32,
-    pub new_order: u32,
-    pub order_status: u32,
-    pub summary: u32,
-    pub co_fetch: u32,
-}
-
-impl Default for TpccMix {
-    fn default() -> Self {
-        TpccMix {
-            transfer: 35,
-            new_order: 35,
-            order_status: 15,
-            summary: 10,
-            co_fetch: 5,
-        }
-    }
-}
+/// Transaction-mix weights, in the order transfer, new order, order
+/// status, summary, CO fetch.
+const MIX: [u32; 5] = [35, 35, 15, 10, 5];
+const WAREHOUSES: u64 = 2;
+const DISTRICTS_PER_W: u64 = 4;
+const CUSTOMERS_PER_D: u64 = 25;
+const DISTRICTS: u64 = WAREHOUSES * DISTRICTS_PER_W;
+const CUSTOMERS: u64 = DISTRICTS * CUSTOMERS_PER_D;
+/// Percent of write transactions that deliberately ROLLBACK (decided at
+/// generation time, so the model can skip them exactly).
+const ROLLBACK_PCT: u32 = 5;
+/// Skew of customer choice (hot customers → hot district rows).
+const CUSTOMER_DIST: KeyDist = KeyDist::Zipfian(0.8);
+/// Per-client cadence of the heavier continuous checks.
+const CHECK_EVERY: u64 = 48;
 
 #[derive(Debug, Clone)]
 pub struct TpccConfig {
-    pub warehouses: u64,
-    pub districts_per_w: u64,
-    pub customers_per_d: u64,
     /// Total transactions across all clients.
     pub txns: u64,
     pub clients: usize,
     pub seed: u64,
-    pub mix: TpccMix,
-    /// Percent of write transactions that deliberately ROLLBACK (decided at
-    /// generation time, so the model can skip them exactly).
-    pub rollback_pct: u32,
-    /// Skew of customer choice (hot customers → hot district rows).
-    pub customer_dist: KeyDist,
-    pub oracle: bool,
-    /// Per-client cadence of the heavier continuous checks.
-    pub check_every: u64,
     /// Run against a WAL-backed on-disk database (group commit, fsync
-    /// off) instead of in-memory, so durability costs show up in the
-    /// metrics. Reported under the distinct driver key `tpcc_lite_durable`.
+    /// off) instead of in-memory.
     pub durable: bool,
 }
 
 impl Default for TpccConfig {
     fn default() -> Self {
         TpccConfig {
-            warehouses: 2,
-            districts_per_w: 4,
-            customers_per_d: 25,
             txns: 6_000,
             clients: 4,
             seed: 0x0005_EED2,
-            mix: TpccMix::default(),
-            rollback_pct: 5,
-            customer_dist: KeyDist::Zipfian(0.8),
-            oracle: true,
-            check_every: 48,
             durable: false,
         }
-    }
-}
-
-impl TpccConfig {
-    pub fn districts(&self) -> u64 {
-        self.warehouses * self.districts_per_w
-    }
-
-    pub fn customers(&self) -> u64 {
-        self.districts() * self.customers_per_d
     }
 }
 
@@ -164,50 +125,48 @@ impl TpccTxn {
 /// Generate the full deterministic transaction stream.
 pub fn generate_stream(cfg: &TpccConfig) -> Vec<TpccTxn> {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let chooser = KeyChooser::new(cfg.customer_dist, cfg.customers());
-    let m = cfg.mix;
-    let total = m.transfer + m.new_order + m.order_status + m.summary + m.co_fetch;
-    assert!(total > 0, "empty txn mix");
-    let customers = cfg.customers() as i64;
+    let chooser = KeyChooser::new(CUSTOMER_DIST, CUSTOMERS);
+    let [transfer, new_order, order_status, summary, _] = MIX;
+    let customers = CUSTOMERS as i64;
     let mut next_o_id: i64 = 1;
     let mut txns = Vec::with_capacity(cfg.txns as usize);
     for _ in 0..cfg.txns {
-        let roll = rng.gen_range(0..total);
-        let rollback = rng.gen_range(0..100u32) < cfg.rollback_pct;
-        let txn = if roll < m.transfer {
+        let roll = rng.gen_range(0..MIX.iter().sum::<u32>());
+        let rollback = rng.gen_range(0..100u32) < ROLLBACK_PCT;
+        let txn = if roll < transfer {
             let from = chooser.next(&mut rng) as i64;
             let to = (from + rng.gen_range(1..customers)) % customers;
             TpccTxn::Transfer {
                 from,
                 to,
                 amount: rng.gen_range(1..50i64),
-                district: from / cfg.customers_per_d as i64,
+                district: from / CUSTOMERS_PER_D as i64,
                 rollback,
             }
-        } else if roll < m.transfer + m.new_order {
+        } else if roll < transfer + new_order {
             let customer = chooser.next(&mut rng) as i64;
-            let district = customer / cfg.customers_per_d as i64;
+            let district = customer / CUSTOMERS_PER_D as i64;
             let o_id = next_o_id;
             next_o_id += 1;
             TpccTxn::NewOrder {
                 customer,
                 district,
-                warehouse: district / cfg.districts_per_w as i64,
+                warehouse: district / DISTRICTS_PER_W as i64,
                 o_id,
                 amount: rng.gen_range(1..30i64),
                 rollback,
             }
-        } else if roll < m.transfer + m.new_order + m.order_status {
+        } else if roll < transfer + new_order + order_status {
             TpccTxn::OrderStatus {
                 customer: chooser.next(&mut rng) as i64,
             }
-        } else if roll < m.transfer + m.new_order + m.order_status + m.summary {
+        } else if roll < transfer + new_order + order_status + summary {
             TpccTxn::Summary {
-                district: rng.gen_range(0..cfg.districts()) as i64,
+                district: rng.gen_range(0..DISTRICTS) as i64,
             }
         } else {
             TpccTxn::CoFetch {
-                district: rng.gen_range(0..cfg.districts()) as i64,
+                district: rng.gen_range(0..DISTRICTS) as i64,
             }
         };
         txns.push(txn);
@@ -216,7 +175,7 @@ pub fn generate_stream(cfg: &TpccConfig) -> Vec<TpccTxn> {
 }
 
 /// In-memory model of the committed stream.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TpccModel {
     /// c_id → c_balance.
     pub balances: BTreeMap<i64, i64>,
@@ -227,12 +186,12 @@ pub struct TpccModel {
 }
 
 impl TpccModel {
-    pub fn load(cfg: &TpccConfig) -> TpccModel {
+    pub fn load() -> TpccModel {
         TpccModel {
-            balances: (0..cfg.customers() as i64)
+            balances: (0..CUSTOMERS as i64)
                 .map(|c| (c, INITIAL_BALANCE))
                 .collect(),
-            districts: (0..cfg.districts() as i64)
+            districts: (0..DISTRICTS as i64)
                 .map(|d| (d, (0, INITIAL_NEXT_O_ID)))
                 .collect(),
             orders: BTreeMap::new(),
@@ -276,18 +235,29 @@ impl TpccModel {
         }
     }
 
-    pub fn replay(cfg: &TpccConfig, stream: &[TpccTxn]) -> TpccModel {
-        let mut m = TpccModel::load(cfg);
+    pub fn replay(stream: &[TpccTxn]) -> TpccModel {
+        let mut m = TpccModel::load();
         for txn in stream {
             m.apply(txn);
         }
         m
     }
 
+    /// Per district, `(order count, amount sum)`: what `ord_sum` holds.
+    pub fn summary(&self) -> BTreeMap<i64, (i64, i64)> {
+        let mut summary: BTreeMap<i64, (i64, i64)> = BTreeMap::new();
+        for (_, d, _, a) in self.orders.values() {
+            let e = summary.entry(*d).or_insert((0, 0));
+            e.0 += 1;
+            e.1 += a;
+        }
+        summary
+    }
+
     /// The conserved quantity: money is only ever moved between customer
     /// balances and order amounts.
-    pub fn conserved_total(cfg: &TpccConfig) -> i64 {
-        cfg.customers() as i64 * INITIAL_BALANCE
+    pub fn conserved_total() -> i64 {
+        CUSTOMERS as i64 * INITIAL_BALANCE
     }
 }
 
@@ -327,7 +297,7 @@ pub fn build_tpcc_db(cfg: &TpccConfig) -> (Database, Option<TempDir>) {
         .expect("tpcc schema");
 
     session.begin().expect("begin load");
-    for w in 0..cfg.warehouses as i64 {
+    for w in 0..WAREHOUSES as i64 {
         session
             .execute(
                 "INSERT INTO WAREHOUSE VALUES (?, ?)",
@@ -338,11 +308,11 @@ pub fn build_tpcc_db(cfg: &TpccConfig) -> (Database, Option<TempDir>) {
     let mut ins_d = session
         .prepare("INSERT INTO DISTRICT VALUES (?, ?, ?, ?)")
         .expect("prepare district");
-    for d in 0..cfg.districts() as i64 {
+    for d in 0..DISTRICTS as i64 {
         ins_d
             .execute_with(&[
                 Value::Int(d),
-                Value::Int(d / cfg.districts_per_w as i64),
+                Value::Int(d / DISTRICTS_PER_W as i64),
                 Value::Int(0),
                 Value::Int(INITIAL_NEXT_O_ID),
             ])
@@ -351,13 +321,13 @@ pub fn build_tpcc_db(cfg: &TpccConfig) -> (Database, Option<TempDir>) {
     let mut ins_c = session
         .prepare("INSERT INTO CUSTOMER VALUES (?, ?, ?, ?)")
         .expect("prepare customer");
-    for c in 0..cfg.customers() as i64 {
-        let d = c / cfg.customers_per_d as i64;
+    for c in 0..CUSTOMERS as i64 {
+        let d = c / CUSTOMERS_PER_D as i64;
         ins_c
             .execute_with(&[
                 Value::Int(c),
                 Value::Int(d),
-                Value::Int(d / cfg.districts_per_w as i64),
+                Value::Int(d / DISTRICTS_PER_W as i64),
                 Value::Int(INITIAL_BALANCE),
             ])
             .expect("customer");
@@ -383,11 +353,15 @@ pub fn build_tpcc_db(cfg: &TpccConfig) -> (Database, Option<TempDir>) {
 }
 
 pub struct TpccRun {
-    pub metrics: DriverMetrics,
+    /// Transactions the clients ran.
+    pub ops: u64,
+    /// Write-conflict retries spent (read by the smoke tests only).
+    #[allow(dead_code)]
+    pub retries: u64,
     pub violations: Arc<Violations>,
+    /// The model's final state (read by the determinism tests only).
+    #[allow(dead_code)]
     pub model: TpccModel,
-    /// The database's cumulative view-maintenance counters at quiesce.
-    pub maint: ExecStats,
 }
 
 pub fn run_tpcc(cfg: &TpccConfig) -> TpccRun {
@@ -396,23 +370,16 @@ pub fn run_tpcc(cfg: &TpccConfig) -> TpccRun {
     let db = Arc::new(db);
     let stream = Arc::new(generate_stream(cfg));
     let violations = Arc::new(Violations::new());
-    let retries_total = AtomicU64::new(0);
+    let ops = AtomicU64::new(0);
+    let retries = AtomicU64::new(0);
 
     // Replay the stream up front: the quiesce differential needs it, and
     // the workers use the final per-district order summary as an upper
     // bound for the continuous matview checks.
-    let model = TpccModel::replay(cfg, &stream);
-    let mut final_summary: BTreeMap<i64, (i64, i64)> = BTreeMap::new();
-    for (_, d, _, a) in model.orders.values() {
-        let e = final_summary.entry(*d).or_insert((0, 0));
-        e.0 += 1;
-        e.1 += a;
-    }
+    let model = TpccModel::replay(&stream);
+    let final_summary = model.summary();
 
-    let start = Instant::now();
-    let recorders = run_sessions(&db, cfg.clients, |client, session| {
-        let mut rec = ClassRecorder::default();
-        let mut retries = 0u64;
+    run_sessions(&db, cfg.clients, |client, session| {
         let mut worker = TpccWorker {
             cfg,
             session,
@@ -421,40 +388,18 @@ pub fn run_tpcc(cfg: &TpccConfig) -> TpccRun {
             last_summary: BTreeMap::new(),
             seen: 0,
         };
-        for (index, txn) in stream.iter().enumerate() {
-            if index % cfg.clients != client {
-                continue;
-            }
-            let t0 = Instant::now();
-            let (class, r) = worker.run_txn(txn);
-            rec.record(class, t0.elapsed());
-            retries += r;
+        for txn in stream.iter().skip(client).step_by(cfg.clients) {
+            retries.fetch_add(worker.run_txn(txn), Ordering::Relaxed);
+            ops.fetch_add(1, Ordering::Relaxed);
         }
-        retries_total.fetch_add(retries, Ordering::Relaxed);
-        rec
     });
-    let elapsed = start.elapsed();
 
-    if cfg.oracle {
-        quiesce_check(&db, cfg, &model, &violations);
-    }
-
-    let metrics = DriverMetrics::aggregate(
-        if cfg.durable {
-            "tpcc_lite_durable"
-        } else {
-            "tpcc_lite"
-        },
-        recorders,
-        elapsed,
-        retries_total.load(Ordering::Relaxed),
-        violations.checks(),
-    );
+    quiesce_check(&db, &model, &violations);
     TpccRun {
-        metrics,
+        ops: ops.into_inner(),
+        retries: retries.into_inner(),
         violations,
         model,
-        maint: db.maint_stats(),
     }
 }
 
@@ -472,7 +417,8 @@ struct TpccWorker<'a, 'db> {
 }
 
 impl TpccWorker<'_, '_> {
-    fn run_txn(&mut self, txn: &TpccTxn) -> (&'static str, u64) {
+    /// Run one transaction; returns the conflict retries spent.
+    fn run_txn(&mut self, txn: &TpccTxn) -> u64 {
         self.seen += 1;
         match txn {
             TpccTxn::Transfer {
@@ -481,10 +427,7 @@ impl TpccWorker<'_, '_> {
                 amount,
                 district,
                 rollback,
-            } => (
-                "transfer",
-                self.transfer(*from, *to, *amount, *district, *rollback),
-            ),
+            } => self.transfer(*from, *to, *amount, *district, *rollback),
             TpccTxn::NewOrder {
                 customer,
                 district,
@@ -492,13 +435,10 @@ impl TpccWorker<'_, '_> {
                 o_id,
                 amount,
                 rollback,
-            } => (
-                "new_order",
-                self.new_order(*customer, *district, *warehouse, *o_id, *amount, *rollback),
-            ),
-            TpccTxn::OrderStatus { customer } => ("order_status", self.order_status(*customer)),
-            TpccTxn::Summary { district } => ("summary", self.summary(*district)),
-            TpccTxn::CoFetch { district } => ("co_fetch", self.co_fetch(*district)),
+            } => self.new_order(*customer, *district, *warehouse, *o_id, *amount, *rollback),
+            TpccTxn::OrderStatus { customer } => self.order_status(*customer),
+            TpccTxn::Summary { district } => self.summary(*district),
+            TpccTxn::CoFetch { district } => self.co_fetch(*district),
         }
     }
 
@@ -638,16 +578,14 @@ impl TpccWorker<'_, '_> {
         v.check_eq(b2, b1, || {
             format!("order_status({customer}): repeatable read on c_balance")
         });
-        if self.seen.is_multiple_of(self.cfg.check_every) {
+        if self.seen.is_multiple_of(CHECK_EVERY) {
             // Conserved total under one snapshot: every unit of money is in
             // a customer balance or an order amount.
             let balances = read_sum(session, "SELECT SUM(c_balance) FROM CUSTOMER").unwrap_or(0);
             let orders = read_sum(session, "SELECT SUM(o_amount) FROM ORDERS").unwrap_or(0);
-            v.check_eq(
-                balances + orders,
-                TpccModel::conserved_total(self.cfg),
-                || "order_status: conserved balance+orders total broken mid-storm".to_string(),
-            );
+            v.check_eq(balances + orders, TpccModel::conserved_total(), || {
+                "order_status: conserved balance+orders total broken mid-storm".to_string()
+            });
         }
         session.commit().expect("commit read txn");
         0
@@ -729,7 +667,7 @@ impl TpccWorker<'_, '_> {
             // Single client: CO maintenance has fully caught up, so the
             // subtree shape is exact (customers never move between
             // districts in this workload).
-            v.check_eq((roots, custs), (1, self.cfg.customers_per_d), || {
+            v.check_eq((roots, custs), (1, CUSTOMERS_PER_D), || {
                 format!("co_fetch(d{district}): wrong (roots, customers) subtree shape")
             });
         } else {
@@ -737,7 +675,7 @@ impl TpccWorker<'_, '_> {
             // are piecemeal-visible, so a fetch can catch the subtree
             // partially rebuilt — but never *larger* than its true shape.
             // Exactness is asserted by the quiesce canon comparison.
-            v.check(roots <= 1 && custs <= self.cfg.customers_per_d, || {
+            v.check(roots <= 1 && custs <= CUSTOMERS_PER_D, || {
                 format!(
                     "co_fetch(d{district}): subtree larger than its true shape \
                      ({roots} roots, {custs} customers)"
@@ -774,7 +712,7 @@ fn query_opt_pair(session: &Session<'_>, sql: &str, param: i64) -> Option<(i64, 
 /// Quiesced differential check: every table, the summary matview (against
 /// both the model and a full REFRESH), the conserved total, and the
 /// materialized CO view against on-demand extraction.
-fn quiesce_check(db: &Database, cfg: &TpccConfig, model: &TpccModel, v: &Violations) {
+fn quiesce_check(db: &Database, model: &TpccModel, v: &Violations) {
     let s = db.session();
     let engine = rows_of(db, "SELECT c_id, c_balance FROM CUSTOMER ORDER BY c_id");
     let mut expect: Vec<Vec<String>> = model
@@ -837,19 +775,14 @@ fn quiesce_check(db: &Database, cfg: &TpccConfig, model: &TpccModel, v: &Violati
     // Conserved total on the final state.
     let balances: i64 = model.balances.values().sum();
     let orders: i64 = model.orders.values().map(|(_, _, _, a)| a).sum();
-    v.check_eq(balances + orders, TpccModel::conserved_total(cfg), || {
+    v.check_eq(balances + orders, TpccModel::conserved_total(), || {
         "quiesce: model itself broke conservation (harness bug)".to_string()
     });
 
     // Summary matview: incremental == model == full REFRESH.
     let incremental = rows_of(db, "SELECT * FROM ord_sum");
-    let mut per_district: BTreeMap<i64, (i64, i64)> = BTreeMap::new();
-    for (_, d, _, a) in model.orders.values() {
-        let e = per_district.entry(*d).or_insert((0, 0));
-        e.0 += 1;
-        e.1 += a;
-    }
-    let mut expect: Vec<Vec<String>> = per_district
+    let mut expect: Vec<Vec<String>> = model
+        .summary()
         .iter()
         .map(|(d, (n, total))| {
             vec![

@@ -1,5 +1,5 @@
-//! YCSB-style driver: a configurable read / update / insert / scan /
-//! RMW-transaction / CO-fetch mix over the public [`Session`] API, with
+//! YCSB-style load: a read / update / insert / scan / RMW-transaction /
+//! CO-fetch mix over the public [`Session`] API, with
 //! Zipfian or uniform key choice and N closed-loop client threads.
 //!
 //! **Determinism:** all randomness is spent at *stream-generation* time —
@@ -22,7 +22,6 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -31,35 +30,19 @@ use xnf_core::run_sessions;
 use xnf_core::{Database, DbConfig, Session, TempDir, Value};
 use xnf_fixtures::{build_paper_db_with, PaperScale, DEPS_ARC};
 
-use crate::keys::{KeyChooser, KeyDist};
-use crate::metrics::{ClassRecorder, DriverMetrics};
-use crate::oracle::{canon_co, retry_conflicts, rows_of, Violations};
+use super::keys::{KeyChooser, KeyDist};
+use super::oracle::{abort_quietly, canon_co, retry_conflicts, rows_of, Violations};
 
-/// Op-mix weights (need not sum to anything in particular).
-#[derive(Debug, Clone, Copy)]
-pub struct YcsbMix {
-    pub read: u32,
-    pub update: u32,
-    pub insert: u32,
-    pub scan: u32,
-    pub rmw: u32,
-    pub co_fetch: u32,
-}
-
-impl Default for YcsbMix {
-    fn default() -> Self {
-        // YCSB workload-B-ish read-heavy mix plus the CO-serving class the
-        // paper cares about.
-        YcsbMix {
-            read: 55,
-            update: 20,
-            insert: 5,
-            scan: 8,
-            rmw: 7,
-            co_fetch: 5,
-        }
-    }
-}
+/// Op-mix weights: a YCSB workload-B-ish read-heavy mix plus the
+/// CO-serving class the paper cares about, in the order
+/// read, update, insert, scan, read-modify-write, CO fetch.
+const MIX: [u32; 6] = [55, 20, 5, 8, 7, 5];
+/// Rows per scan (`yk >= lo AND yk < lo + SCAN_LEN ORDER BY yk`).
+const SCAN_LEN: i64 = 50;
+/// Per-client cadence of the heavier continuous checks.
+const CHECK_EVERY: u64 = 64;
+/// Scale of the paper-schema fixture backing the CO-fetch class.
+const PAPER_DEPARTMENTS: usize = 8;
 
 #[derive(Debug, Clone)]
 pub struct YcsbConfig {
@@ -71,18 +54,8 @@ pub struct YcsbConfig {
     pub clients: usize,
     pub seed: u64,
     pub dist: KeyDist,
-    pub mix: YcsbMix,
-    /// Rows per scan (`yk >= lo AND yk < lo+scan_len ORDER BY yk`).
-    pub scan_len: u64,
-    /// Run the in-memory differential oracle + quiesce state comparison.
-    pub oracle: bool,
-    /// Per-client cadence of the heavier continuous checks.
-    pub check_every: u64,
-    /// Scale of the paper-schema fixture backing the CO-fetch class.
-    pub paper_departments: usize,
     /// Run against a WAL-backed on-disk database (group commit, fsync
-    /// off) instead of in-memory, so durability costs show up in the
-    /// metrics. Reported under the distinct driver key `ycsb_durable`.
+    /// off) instead of in-memory.
     pub durable: bool,
 }
 
@@ -94,11 +67,6 @@ impl Default for YcsbConfig {
             clients: 4,
             seed: 0x0005_EED1,
             dist: KeyDist::Zipfian(0.99),
-            mix: YcsbMix::default(),
-            scan_len: 50,
-            oracle: true,
-            check_every: 64,
-            paper_departments: 8,
             durable: false,
         }
     }
@@ -146,14 +114,12 @@ pub fn derived_payload(key: i64) -> String {
 pub fn generate_stream(cfg: &YcsbConfig) -> Vec<YcsbOp> {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let chooser = KeyChooser::new(cfg.dist, cfg.records);
-    let m = cfg.mix;
-    let total = m.read + m.update + m.insert + m.scan + m.rmw + m.co_fetch;
-    assert!(total > 0, "empty op mix");
+    let [read, update, insert, scan, rmw, _] = MIX;
     let mut next_insert_key = cfg.records as i64;
     let mut ops = Vec::with_capacity(cfg.ops as usize);
     for _ in 0..cfg.ops {
-        let roll = rng.gen_range(0..total);
-        let op = if roll < m.read {
+        let roll = rng.gen_range(0..MIX.iter().sum::<u32>());
+        let op = if roll < read {
             let inserted = next_insert_key - cfg.records as i64;
             if inserted > 0 && rng.gen_bool(0.1) {
                 // Occasionally read back a previously generated insert key
@@ -166,28 +132,28 @@ pub fn generate_stream(cfg: &YcsbConfig) -> Vec<YcsbOp> {
                     key: chooser.next(&mut rng) as i64,
                 }
             }
-        } else if roll < m.read + m.update {
+        } else if roll < read + update {
             YcsbOp::Update {
                 key: chooser.next(&mut rng) as i64,
                 delta: nonzero_delta(&mut rng),
             }
-        } else if roll < m.read + m.update + m.insert {
+        } else if roll < read + update + insert {
             let key = next_insert_key;
             next_insert_key += 1;
             YcsbOp::Insert { key }
-        } else if roll < m.read + m.update + m.insert + m.scan {
+        } else if roll < read + update + insert + scan {
             YcsbOp::Scan {
                 lo: rng.gen_range(0..cfg.records) as i64,
-                len: cfg.scan_len as i64,
+                len: SCAN_LEN,
             }
-        } else if roll < m.read + m.update + m.insert + m.scan + m.rmw {
+        } else if roll < read + update + insert + scan + rmw {
             YcsbOp::Rmw {
                 key: chooser.next(&mut rng) as i64,
                 delta: nonzero_delta(&mut rng),
             }
         } else {
             YcsbOp::CoFetch {
-                dept: rng.gen_range(0..cfg.paper_departments as i64),
+                dept: rng.gen_range(0..PAPER_DEPARTMENTS as i64),
             }
         };
         ops.push(op);
@@ -211,7 +177,7 @@ const RICH_THRESHOLD: i64 = 8;
 
 /// In-memory model: `yk -> f0` (the additive column; `f1`/`payload` are
 /// pure functions of the key).
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct YcsbModel {
     pub rows: BTreeMap<i64, i64>,
 }
@@ -302,7 +268,7 @@ pub fn build_ycsb_db(cfg: &YcsbConfig) -> (Database, Option<TempDir>) {
     };
     let db = build_paper_db_with(
         PaperScale {
-            departments: cfg.paper_departments,
+            departments: PAPER_DEPARTMENTS,
             employees_per_dept: 4,
             projects_per_dept: 2,
             skills: 12,
@@ -356,8 +322,14 @@ pub fn build_ycsb_db(cfg: &YcsbConfig) -> (Database, Option<TempDir>) {
 
 /// Result of one driver run.
 pub struct YcsbRun {
-    pub metrics: DriverMetrics,
+    /// Operations the clients ran.
+    pub ops: u64,
+    /// Write-conflict retries spent (read by the smoke tests only).
+    #[allow(dead_code)]
+    pub retries: u64,
     pub violations: Arc<Violations>,
+    /// The model's final state (read by the determinism tests only).
+    #[allow(dead_code)]
     pub model: YcsbModel,
 }
 
@@ -370,49 +342,27 @@ pub fn run_ycsb(cfg: &YcsbConfig) -> YcsbRun {
     let db = Arc::new(db);
     let stream = Arc::new(generate_stream(cfg));
     let violations = Arc::new(Violations::new());
-    let retries_total = AtomicU64::new(0);
+    let ops = AtomicU64::new(0);
+    let retries = AtomicU64::new(0);
 
-    let start = Instant::now();
-    let recorders = run_sessions(&db, cfg.clients, |client, session| {
-        let mut rec = ClassRecorder::default();
-        let mut retries = 0u64;
+    run_sessions(&db, cfg.clients, |client, session| {
         let mut worker = YcsbWorker {
             cfg,
             session,
             violations: &violations,
             seen: 0,
         };
-        for (index, op) in stream.iter().enumerate() {
-            if index % cfg.clients != client {
-                continue;
-            }
-            let t0 = Instant::now();
-            let (class, r) = worker.run_op(op);
-            rec.record(class, t0.elapsed());
-            retries += r;
+        for op in stream.iter().skip(client).step_by(cfg.clients) {
+            retries.fetch_add(worker.run_op(op), Ordering::Relaxed);
+            ops.fetch_add(1, Ordering::Relaxed);
         }
-        retries_total.fetch_add(retries, Ordering::Relaxed);
-        rec
     });
-    let elapsed = start.elapsed();
 
-    let model = if cfg.oracle {
-        let model = YcsbModel::replay(cfg, &stream);
-        quiesce_check(&db, cfg, &model, &violations);
-        model
-    } else {
-        YcsbModel::default()
-    };
-
-    let metrics = DriverMetrics::aggregate(
-        if cfg.durable { "ycsb_durable" } else { "ycsb" },
-        recorders,
-        elapsed,
-        retries_total.load(Ordering::Relaxed),
-        violations.checks(),
-    );
+    let model = YcsbModel::replay(cfg, &stream);
+    quiesce_check(&db, &model, &violations);
     YcsbRun {
-        metrics,
+        ops: ops.into_inner(),
+        retries: retries.into_inner(),
         violations,
         model,
     }
@@ -427,8 +377,8 @@ struct YcsbWorker<'a, 'db> {
 }
 
 impl YcsbWorker<'_, '_> {
-    /// Execute one op; returns (op class label, conflict retries spent).
-    fn run_op(&mut self, op: &YcsbOp) -> (&'static str, u64) {
+    /// Execute one op; returns the conflict retries spent.
+    fn run_op(&mut self, op: &YcsbOp) -> u64 {
         self.seen += 1;
         let v = self.violations;
         let session = self.session;
@@ -452,7 +402,7 @@ impl YcsbWorker<'_, '_> {
                         format!("read({key}): derived payload")
                     });
                 }
-                ("read", 0)
+                0
             }
             YcsbOp::Update { key, delta } => {
                 let ((), retries) = retry_conflicts(|| {
@@ -463,7 +413,7 @@ impl YcsbWorker<'_, '_> {
                         )
                         .map(|_| ())
                 });
-                ("update", retries)
+                retries
             }
             YcsbOp::Insert { key } => {
                 let ((), retries) = retry_conflicts(|| {
@@ -479,7 +429,7 @@ impl YcsbWorker<'_, '_> {
                         )
                         .map(|_| ())
                 });
-                ("insert", retries)
+                retries
             }
             YcsbOp::Scan { lo, len } => {
                 let rows = query_rows(
@@ -504,7 +454,7 @@ impl YcsbWorker<'_, '_> {
                 v.check_eq(got_initial, expect_initial.max(0), || {
                     format!("scan({lo},{len}): initial rows missing from snapshot")
                 });
-                ("scan", 0)
+                0
             }
             YcsbOp::Rmw { key, delta } => {
                 let ((), retries) = retry_conflicts(|| {
@@ -530,12 +480,12 @@ impl YcsbWorker<'_, '_> {
                     match body {
                         Ok(()) => session.commit(),
                         Err(e) => {
-                            crate::oracle::abort_quietly(session);
+                            abort_quietly(session);
                             Err(e)
                         }
                     }
                 });
-                ("rmw_txn", retries)
+                retries
             }
             YcsbOp::CoFetch { dept } => {
                 let co = session
@@ -546,7 +496,7 @@ impl YcsbWorker<'_, '_> {
                 v.check(roots <= 1, || {
                     format!("co_fetch({dept}): {roots} roots for one key")
                 });
-                if self.seen.is_multiple_of(self.cfg.check_every) {
+                if self.seen.is_multiple_of(CHECK_EVERY) {
                     // Heavier cadence check: the stored subtree must equal a
                     // restricted on-demand extraction (paper tables are
                     // static under this workload, so this is exact).
@@ -557,7 +507,7 @@ impl YcsbWorker<'_, '_> {
                         format!("co_fetch({dept}): materialized != on-demand extraction")
                     });
                 }
-                ("co_fetch", 0)
+                0
             }
         }
     }
@@ -580,9 +530,8 @@ fn read_f0(session: &Session<'_>, key: i64) -> Result<Option<i64>, xnf_core::Xnf
 }
 
 /// Quiesced differential check: engine state must equal the model exactly.
-fn quiesce_check(db: &Database, cfg: &YcsbConfig, model: &YcsbModel, v: &Violations) {
+fn quiesce_check(db: &Database, model: &YcsbModel, v: &Violations) {
     let s = db.session();
-    let _ = cfg;
     // Full-table differential comparison.
     let engine = rows_of(db, "SELECT yk, f0, f1, payload FROM USERTABLE ORDER BY yk");
     v.check_eq(engine, model.canonical_rows(), || {

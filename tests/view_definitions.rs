@@ -159,7 +159,7 @@ fn plain_alias_relationship_is_foreign_key_and_connects() {
         co.schema.relationship("r")
     );
     // Move employee 10 from department 1 to department 3.
-    let ws = &mut co.workspace;
+    let ws = &co.workspace;
     let id_of = |ws: &composite_views::Workspace, comp: &str, col: &str, v: i64| {
         ws.independent(comp)
             .unwrap()
@@ -172,8 +172,8 @@ fn plain_alias_relationship_is_foreign_key_and_connects() {
         id_of(ws, "xd", "dno", 3),
         id_of(ws, "xe", "eno", 10),
     );
-    ws.disconnect("r", &[d1, e10]).unwrap();
-    ws.connect("r", &[d3, e10]).unwrap();
+    co.disconnect("r", &[d1, e10]).unwrap();
+    co.connect("r", &[d3, e10]).unwrap();
     s.write_back(&mut co).unwrap();
     assert_eq!(ints(&db, "SELECT edno FROM E WHERE eno = 10"), vec![3]);
 }
@@ -220,14 +220,14 @@ fn compiled_co_schema_follows_a_recreated_table() {
         )
         .unwrap();
     let mut co = fetch.fetch_co().unwrap();
-    let ws = &mut co.workspace;
+    let ws = &co.workspace;
     let e10 = ws
         .independent("xe")
         .unwrap()
         .find(|t| t.get("eno").unwrap() == &Value::Int(10))
         .unwrap()
         .id();
-    ws.update_value("xe", e10, "boss", Value::Int(7)).unwrap();
+    co.update_value("xe", e10, "boss", Value::Int(7)).unwrap();
     session.write_back(&mut co).unwrap();
     assert_eq!(ints(&db, "SELECT boss FROM E WHERE eno = 10"), vec![7]);
     assert_eq!(ints(&db, "SELECT edno FROM E WHERE eno = 10"), vec![1]);
