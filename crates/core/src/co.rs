@@ -130,9 +130,10 @@ impl Database {
     /// from them, read from the stored streams in one pass, each page
     /// pinned once (no extraction, no full-view load). Nodes come back in
     /// ascending surrogate order and connections in (parent, child)
-    /// surrogate order, all read under one snapshot. This is the hot-CO
-    /// serving path.
+    /// surrogate order, all read under one snapshot of the latest commit.
+    /// This is the hot-CO serving path.
     pub fn fetch_co_point(&self, view: &str, key: &xnf_storage::Value) -> Result<CoCache> {
-        crate::matview::fetch_co_point(self, view, key)
+        let snap = self.catalog().latest_snapshot();
+        crate::matview::fetch_stored(self, view, Some(key), &snap)
     }
 }

@@ -28,9 +28,9 @@ use xnf_sql::{
     TableRef, TypeName, ViewBody,
 };
 use xnf_storage::{
-    recover, BufferPool, Catalog, CheckpointSnap, Column, DataType, DiskManager, DiskStats,
-    GcStats, RecoveryReport, Rid, Schema, Snapshot, Table, Tuple, TxnId, VacuumReport, Value,
-    ViewKind, Wal, WalStats,
+    recover, BufferPool, Catalog, CheckpointSnap, Column, DataType, DeltaBatch, DiskManager,
+    DiskStats, GcStats, RecoveryReport, Rid, Schema, Snapshot, Table, Transaction, Tuple, TxnId,
+    VacuumReport, Value, ViewKind, Wal, WalStats,
 };
 
 use crate::error::{Result, XnfError};
@@ -265,8 +265,8 @@ pub struct Database {
     catalog: Arc<Catalog>,
     config: DbConfig,
     /// Serializes materialized-view maintenance in commit-stamp order:
-    /// held across a committing transaction's stamp assignment and the
-    /// whole of its maintenance (in-place edits or a recompute), so each
+    /// held across the whole of a committing transaction's maintenance
+    /// (in-place edits or a recompute) and its stamp assignment, so each
     /// commit's maintenance reads every earlier commit's base rows and
     /// view writes.
     maintenance: Mutex<()>,
@@ -463,12 +463,6 @@ impl Database {
         &self.config
     }
 
-    /// The lock serializing view maintenance (and REFRESH / checkpoints)
-    /// in commit-stamp order.
-    pub(crate) fn maintenance_lock(&self) -> &Mutex<()> {
-        &self.maintenance
-    }
-
     /// Cumulative materialized-view maintenance counters, reported in the
     /// `mv_*` fields of an otherwise-zero [`ExecStats`] (EXPLAIN surfaces
     /// them in its `maintenance:` header).
@@ -484,42 +478,40 @@ impl Database {
 
     // -- transactions -----------------------------------------------------
 
-    /// Commit an open transaction: assign its commit stamp and — when it
-    /// produced base-table deltas and materialized views exist — propagate
-    /// the deltas to dependent views. The per-statement delta chains are
-    /// coalesced to their net per-commit effect; then, under the
-    /// maintenance lock, the transaction commits and its delta is applied,
-    /// reading latest-committed data. The result is serial maintenance in
-    /// commit-stamp order.
+    /// Commit an open transaction. When it produced base-table deltas and
+    /// materialized views exist, its statements' delta chains are coalesced
+    /// to their net effect and maintenance propagates them to the dependent
+    /// views as the transaction's last step: under the maintenance lock,
+    /// before the commit stamp, reading latest-committed data plus the
+    /// transaction's own writes, and writing backing rows as the
+    /// transaction. The stamp then publishes base and view rows together,
+    /// and commits maintain one after another in stamp order. A maintenance
+    /// error aborts the whole transaction and is returned.
     pub(crate) fn commit_active(&self, active: ActiveTxn) -> Result<()> {
         let ActiveTxn { txn, delta, .. } = active;
-        let maintained = if !delta.is_empty() && self.catalog.has_matviews() {
-            let start = std::time::Instant::now();
-            let delta = delta.coalesce();
-            if delta.is_empty() {
-                // The transaction's statements cancelled out.
-                txn.commit();
-                Ok(())
-            } else {
-                let _m = self.maintenance.lock();
-                txn.commit();
-                let res = crate::matview::maintain(self, &delta);
-                drop(_m);
-                res.map(|c| {
-                    self.maint_nodes_rewritten
-                        .fetch_add(c.nodes_rewritten, Ordering::Relaxed);
-                    self.maint_links_edited
-                        .fetch_add(c.links_edited, Ordering::Relaxed);
-                    self.maint_recomputes
-                        .fetch_add(c.recomputes, Ordering::Relaxed);
-                    self.maint_us
-                        .fetch_add(start.elapsed().as_micros() as u64, Ordering::Relaxed);
-                })
-            }
+        let delta = if self.catalog.has_matviews() {
+            delta.coalesce()
         } else {
-            txn.commit();
-            Ok(())
+            DeltaBatch::new()
         };
+        if delta.is_empty() {
+            // No views, or the transaction's statements cancelled out.
+            txn.commit();
+        } else {
+            let start = std::time::Instant::now();
+            self.commit_with(txn, |txn| {
+                let c = crate::matview::maintain(self, txn, &delta)?;
+                self.maint_nodes_rewritten
+                    .fetch_add(c.nodes_rewritten, Ordering::Relaxed);
+                self.maint_links_edited
+                    .fetch_add(c.links_edited, Ordering::Relaxed);
+                self.maint_recomputes
+                    .fetch_add(c.recomputes, Ordering::Relaxed);
+                self.maint_us
+                    .fetch_add(start.elapsed().as_micros() as u64, Ordering::Relaxed);
+                Ok(())
+            })?;
+        }
         // Durability point: the commit record (appended under the stamp
         // lock inside `txn.commit()`) must reach the log file before the
         // commit is acknowledged. Group commit batches this flush — and its
@@ -531,11 +523,31 @@ impl Database {
         self.maybe_checkpoint();
         // Opportunistic GC: the commit (and its maintenance) may have
         // pushed some heap past the reclaim-pressure threshold; vacuum it
-        // now, on the committing thread, outside every lock. The committed
-        // transaction's snapshot registration is already gone, so its own
-        // garbage is reclaimable immediately (watermark permitting).
+        // now, on the committing thread, outside every lock.
         self.maybe_auto_vacuum();
-        maintained.and(flushed)
+        flushed
+    }
+
+    /// Run `write` as the last step of `txn` under the maintenance lock,
+    /// then commit `txn`, or abort it and return the error when `write`
+    /// fails: what `write` adds commits or rolls back with the
+    /// transaction's other writes.
+    pub(crate) fn commit_with<T>(
+        &self,
+        mut txn: Transaction,
+        write: impl FnOnce(&mut Transaction) -> Result<T>,
+    ) -> Result<T> {
+        let _m = self.maintenance.lock();
+        match write(&mut txn) {
+            Ok(v) => {
+                txn.commit();
+                Ok(v)
+            }
+            Err(e) => {
+                txn.abort()?;
+                Err(e)
+            }
+        }
     }
 
     /// Take a fuzzy checkpoint: capture the redo point and catalog state,

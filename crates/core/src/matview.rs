@@ -24,8 +24,8 @@
 //!    are filtered, projected and applied row-by-row to the backing table;
 //! 2. **grouped aggregation** — `GROUP BY` over one base table with
 //!    `COUNT(*)` / `SUM(int col)` outputs: each delta image adjusts its
-//!    group's stored row in place (insert on first member, delete when the
-//!    count reaches zero), instead of recomputing the whole aggregate;
+//!    group's stored row (insert on first member, delete when the count
+//!    reaches zero), instead of recomputing the whole aggregate;
 //! 3. **in-place edits** — keyed CO views (binary foreign-key and
 //!    connect-table relationships over base-mapped components): every
 //!    delta row becomes node-granular edits of the stored streams, naming
@@ -41,17 +41,19 @@
 //!    non-groupable aggregation, DISTINCT, nested views, recursive COs), and
 //!    what `REFRESH MATERIALIZED VIEW` always does.
 //!
-//! Commit-time propagation runs in one phase (see `maintain`): the
-//! committing thread coalesces its delta chains, takes the maintenance
-//! lock, commits, and applies the delta to every dependent view. Every
-//! read reaches latest-committed data, so commits apply one after another
-//! in commit-stamp order and the result is serial maintenance in that
-//! order.
+//! Backing streams are MVCC heaps like any base table. Maintenance is the
+//! committing transaction's last step (see `maintain`): the committing
+//! thread coalesces its delta chains, takes the maintenance lock and
+//! applies the delta to every dependent view, reading latest-committed
+//! data plus its own writes and writing backing rows as the transaction,
+//! which then commits. Commits maintain one after another in commit-stamp
+//! order, and a reader's snapshot sees a view exactly as of the commits it
+//! sees in the base tables. `CREATE` alone writes frozen rows.
 //!
 //! All strategies bump the view's freshness epoch
 //! ([`xnf_storage::MatView::epoch`]).
 
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use xnf_exec::{passes, ExecStats, OuterCtx, Params, QueryResult, Row, StreamResult};
@@ -62,8 +64,8 @@ use xnf_sql::{
     XnfTake,
 };
 use xnf_storage::{
-    Column, DataType, DeltaBatch, DeltaRow, MatView, Rid, Schema, Snapshot, Table, Tuple, Value,
-    ViewKind,
+    Column, DataType, DeltaBatch, DeltaRow, MatView, Rid, Schema, Snapshot, Table, Transaction,
+    Tuple, Value, ViewKind,
 };
 
 use crate::cache::Workspace;
@@ -114,7 +116,7 @@ pub(crate) enum SqlStrategy {
         filter: Vec<PhysExpr>,
     },
     /// `GROUP BY` over one base table with `COUNT(*)` / `SUM(int col)`
-    /// outputs: each delta image adjusts its group's stored row in place.
+    /// outputs: each delta image adjusts its group's stored row.
     GroupedAgg {
         /// Normalized base table name.
         table: String,
@@ -251,7 +253,7 @@ pub(crate) fn create_materialized(db: &Database, name: &str, body: &ViewBody) ->
     match body {
         ViewBody::Select(s) => {
             let strategy = analyze_sql_strategy(db, s);
-            let result = run_definition(db, &s.to_string())?;
+            let result = run_definition(db, &s.to_string(), None)?;
             let stream = result.try_table()?;
             let schema = any_schema(&stream.columns);
             db.catalog().create_materialized_view(
@@ -260,7 +262,7 @@ pub(crate) fn create_materialized(db: &Database, name: &str, body: &ViewBody) ->
                 &s.to_string(),
                 vec![(name.to_string(), schema)],
             )?;
-            if let Err(e) = fill_sql_backing(db, name, &strategy, &stream.rows) {
+            if let Err(e) = fill_sql_backing(db, name, &strategy, &stream.rows, insert_frozen) {
                 let _ = db.catalog().drop_view(name);
                 return Err(e);
             }
@@ -268,7 +270,7 @@ pub(crate) fn create_materialized(db: &Database, name: &str, body: &ViewBody) ->
         }
         ViewBody::Xnf(q) => {
             let info = analyze_xnf(db, q)?;
-            let result = run_definition(db, &info.text)?;
+            let result = run_definition(db, &info.text, None)?;
             let mut streams = Vec::with_capacity(result.streams.len());
             for s in &result.streams {
                 let schema = match s.kind {
@@ -287,7 +289,7 @@ pub(crate) fn create_materialized(db: &Database, name: &str, body: &ViewBody) ->
             }
             db.catalog()
                 .create_materialized_view(name, ViewKind::Xnf, &info.text, streams)?;
-            if let Err(e) = fill_xnf_backing(db, name, &info, &result) {
+            if let Err(e) = fill_xnf_backing(db, name, &info, &result, insert_frozen) {
                 let _ = db.catalog().drop_view(name);
                 return Err(e);
             }
@@ -297,7 +299,8 @@ pub(crate) fn create_materialized(db: &Database, name: &str, body: &ViewBody) ->
 }
 
 /// `REFRESH MATERIALIZED VIEW name`: full recompute of the backing storage,
-/// serialized against commit-time maintenance by the maintenance lock.
+/// in a transaction of its own, serialized against commit-time
+/// maintenance by the maintenance lock.
 pub(crate) fn refresh(db: &Database, name: &str) -> Result<()> {
     let view = db
         .catalog()
@@ -309,36 +312,91 @@ pub(crate) fn refresh(db: &Database, name: &str) -> Result<()> {
         .iter()
         .find(|p| p.name.eq_ignore_ascii_case(&view.name))
         .ok_or_else(|| XnfError::Api(format!("no maintenance plan for '{name}'")))?;
-    let _m = db.maintenance_lock().lock();
-    repopulate(db, plan)
+    let txn = Transaction::begin(db.catalog().txns());
+    db.commit_with(txn, |txn| repopulate(&mut Pass::new(db, txn), plan))
 }
 
-/// Full recompute: fresh backing tables, re-run the definition, rebuild the
-/// maintenance indexes.
-fn repopulate(db: &Database, plan: &MaintPlan) -> Result<()> {
-    db.catalog().reset_matview_storage(&plan.name)?;
-    match &plan.body {
-        BodyPlan::Sql { select, strategy } => {
-            let result = run_definition(db, &select.to_string())?;
-            let stream = result.try_table()?;
-            fill_sql_backing(db, &plan.name, strategy, &stream.rows)?;
-        }
-        BodyPlan::Xnf(info) => {
-            let result = run_definition(db, &info.text)?;
-            fill_xnf_backing(db, &plan.name, info, &result)?;
+/// Full recompute: delete every backing row the pass sees, re-run the
+/// definition under its snapshot and insert the result.
+fn repopulate(p: &mut Pass, plan: &MaintPlan) -> Result<()> {
+    let db = p.db;
+    let mv = expect_matview(db, &plan.name)?;
+    for s in mv.streams() {
+        let mut rids = Vec::new();
+        s.table.for_each_visible(&p.snap, |rid, _| {
+            rids.push(rid);
+            Ok(true)
+        })?;
+        for rid in rids {
+            p.delete(&s.table, rid)?;
         }
     }
-    let mv = expect_matview(db, &plan.name)?;
+    let vis = Some(p.snap.clone());
+    let insert = |t: &Arc<Table>, tuple: &Tuple| p.insert(t, tuple);
+    match &plan.body {
+        BodyPlan::Sql { select, strategy } => {
+            let result = run_definition(db, &select.to_string(), vis)?;
+            let stream = result.try_table()?;
+            fill_sql_backing(db, &plan.name, strategy, &stream.rows, insert)?;
+        }
+        BodyPlan::Xnf(info) => {
+            let result = run_definition(db, &info.text, vis)?;
+            fill_xnf_backing(db, &plan.name, info, &result, insert)?;
+        }
+    }
     mv.bump_epoch();
     Ok(())
 }
 
-/// Run a view definition — SELECT text or flattened `OUT OF` text — over
-/// latest-committed data, compiled through the shared plan cache: a view
-/// that recomputes compiles its definition once per catalog generation.
-fn run_definition(db: &Database, text: &str) -> Result<QueryResult> {
+/// Run a view definition — SELECT text or flattened `OUT OF` text — under
+/// `vis` (`None`: latest-committed data), compiled through the shared plan
+/// cache: a view that recomputes compiles its definition once per catalog
+/// generation.
+fn run_definition(db: &Database, text: &str, vis: Option<Snapshot>) -> Result<QueryResult> {
     let (compiled, _) = db.compile_cached(&normalize_statement(text))?;
-    db.run_body(&compiled.body, Params::default(), None)
+    db.run_body(&compiled.body, Params::default(), vis)
+}
+
+/// One transaction's maintenance or REFRESH. Reads run under `snap`:
+/// latest-committed data plus the transaction's own writes. Backing rows
+/// are written as the transaction: each version carries its id and enters
+/// its undo log, so its commit stamp publishes view and base rows together
+/// and its abort takes both back.
+struct Pass<'a, 't> {
+    db: &'a Database,
+    snap: Snapshot,
+    txn: &'t mut Transaction,
+}
+
+impl<'a, 't> Pass<'a, 't> {
+    fn new(db: &'a Database, txn: &'t mut Transaction) -> Self {
+        let snap = txn.write_snapshot();
+        Pass { db, snap, txn }
+    }
+
+    fn insert(&mut self, t: &Arc<Table>, tuple: &Tuple) -> Result<()> {
+        let rid = t.insert_txn(tuple, self.txn.id())?;
+        self.txn.log_insert(t, rid);
+        Ok(())
+    }
+
+    fn delete(&mut self, t: &Arc<Table>, rid: Rid) -> Result<()> {
+        t.mark_delete_txn(rid, self.txn.id())?;
+        self.txn.log_delete_at(t, rid);
+        Ok(())
+    }
+
+    fn update(&mut self, t: &Arc<Table>, rid: Rid, new: &Tuple) -> Result<()> {
+        let (_, new_rid) = t.update_txn(rid, new, self.txn.id())?;
+        self.txn.log_update_at(t, rid, new_rid);
+        Ok(())
+    }
+}
+
+/// How `CREATE` fills backing rows: frozen, visible to every snapshot.
+fn insert_frozen(t: &Arc<Table>, tuple: &Tuple) -> Result<()> {
+    t.insert(tuple)?;
+    Ok(())
 }
 
 /// Backing stream `name` of materialized view `mv`.
@@ -366,17 +424,23 @@ fn any_schema(columns: &[String]) -> Schema {
 
 /// Populate a relational view's backing table and create the maintenance
 /// index its strategy needs.
-fn fill_sql_backing(db: &Database, name: &str, strategy: &SqlStrategy, rows: &[Row]) -> Result<()> {
+fn fill_sql_backing(
+    db: &Database,
+    name: &str,
+    strategy: &SqlStrategy,
+    rows: &[Row],
+    mut insert: impl FnMut(&Arc<Table>, &Tuple) -> Result<()>,
+) -> Result<()> {
     let mv = expect_matview(db, name)?;
     let backing = mv
         .stream(name)
         .ok_or_else(|| XnfError::Api(format!("missing backing table for '{name}'")))?;
     for row in rows {
-        backing.insert(&Tuple::new(row.clone()))?;
+        insert(&backing, &Tuple::new(row.clone()))?;
     }
     // Group rows are located through their first grouping output.
     if let SqlStrategy::GroupedAgg { groups, .. } = strategy {
-        ensure_index(&backing, "mv_key", groups[0].1, false)?;
+        ensure_index(&backing, "mv_key", groups[0].1)?;
     }
     backing.analyze()?;
     Ok(())
@@ -385,7 +449,13 @@ fn fill_sql_backing(db: &Database, name: &str, strategy: &SqlStrategy, rows: &[R
 /// Populate a CO view's backing streams (node rows get fresh surrogates,
 /// connection rows translate stream positions to surrogates) and create
 /// the maintenance indexes.
-fn fill_xnf_backing(db: &Database, name: &str, info: &XnfInfo, result: &QueryResult) -> Result<()> {
+fn fill_xnf_backing(
+    db: &Database,
+    name: &str,
+    info: &XnfInfo,
+    result: &QueryResult,
+    mut insert: impl FnMut(&Arc<Table>, &Tuple) -> Result<()>,
+) -> Result<()> {
     let mv = expect_matview(db, name)?;
     // Pass 1: node streams, recording position → surrogate.
     let mut surr: HashMap<String, Vec<i64>> = HashMap::new();
@@ -401,13 +471,15 @@ fn fill_xnf_backing(db: &Database, name: &str, info: &XnfInfo, result: &QueryRes
             let mut values = Vec::with_capacity(row.len() + 1);
             values.push(Value::Int(id));
             values.extend(row.iter().cloned());
-            backing.insert(&Tuple::new(values))?;
+            insert(&backing, &Tuple::new(values))?;
             ids.push(id);
         }
         surr.insert(s.name.to_ascii_lowercase(), ids);
-        ensure_index(&backing, "mv_coid", 0, true)?;
+        // Surrogates are unique by allocation; a unique index would
+        // re-read every superseded version of a node on each rewrite.
+        ensure_index(&backing, "mv_coid", 0)?;
         if backing.schema.len() > 1 {
-            ensure_index(&backing, "mv_v0", 1, false)?;
+            ensure_index(&backing, "mv_v0", 1)?;
         }
         backing.analyze()?;
     }
@@ -431,34 +503,34 @@ fn fill_xnf_backing(db: &Database, name: &str, info: &XnfInfo, result: &QueryRes
             for (slot, v) in row[1..].iter().enumerate() {
                 values.push(Value::Int(cids[slot][v.as_int()? as usize]));
             }
-            backing.insert(&Tuple::new(values))?;
+            insert(&backing, &Tuple::new(values))?;
         }
         for col in 0..backing.schema.len() {
-            ensure_index(&backing, &format!("mv_c{col}"), col, false)?;
+            ensure_index(&backing, &format!("mv_c{col}"), col)?;
         }
         backing.analyze()?;
     }
     // Root-key index for point fetches.
     if let Some(key) = &info.key {
         if let Some(backing) = mv.stream(&info.comps[key.root]) {
-            ensure_index(&backing, "mv_rootkey", 1 + key.root_key_col, false)?;
+            ensure_index(&backing, "mv_rootkey", 1 + key.root_key_col)?;
         }
     }
     // Node-key index for in-place rewrites (usually `mv_v0` already is one).
     for (comp, facts) in info.comps.iter().zip(&info.nodes) {
         if let (Some(key), Some(backing)) = (&facts.key, mv.stream(comp)) {
-            ensure_index(&backing, "mv_nodekey", 1 + key[0], false)?;
+            ensure_index(&backing, "mv_nodekey", 1 + key[0])?;
         }
     }
     Ok(())
 }
 
 /// Create a single-column index if an equivalent one does not exist yet.
-fn ensure_index(table: &Arc<Table>, name: &str, col: usize, unique: bool) -> Result<()> {
+fn ensure_index(table: &Arc<Table>, name: &str, col: usize) -> Result<()> {
     if table.find_index(&[col]).is_some() {
         return Ok(());
     }
-    table.create_index(name, vec![col], unique)?;
+    table.create_index(name, vec![col], false)?;
     Ok(())
 }
 
@@ -939,17 +1011,24 @@ pub(crate) struct MaintCounters {
     pub recomputes: u64,
 }
 
-/// Propagate one commit's (coalesced) delta batch through every dependent
-/// materialized view. The caller holds the maintenance lock and has
-/// committed, so every read here sees latest-committed data, this commit
-/// included, and commits apply one after another in stamp order — the
-/// result is serial maintenance in commit-stamp order. A view whose
-/// strategy cannot place the delta is recomputed.
-pub(crate) fn maintain(db: &Database, delta: &DeltaBatch) -> Result<MaintCounters> {
+/// Propagate one transaction's (coalesced) delta batch through every
+/// dependent materialized view, as the last step of `txn` before its
+/// commit stamp. The caller holds the maintenance lock, so every commit
+/// before this one has maintained and committed: the reads here see
+/// latest-committed data plus `txn`'s own writes, the backing writes
+/// belong to `txn`, and commits maintain one after another in stamp order.
+/// A view whose strategy cannot place the delta is recomputed. An error
+/// leaves the backing writes in `txn`, for its abort to take back.
+pub(crate) fn maintain(
+    db: &Database,
+    txn: &mut Transaction,
+    delta: &DeltaBatch,
+) -> Result<MaintCounters> {
     let mut counters = MaintCounters::default();
     if delta.is_empty() {
         return Ok(counters);
     }
+    let p = &mut Pass::new(db, txn);
     let plans = db.matview_plans()?;
     for plan in plans.iter() {
         if !delta.touches_any(plan.deps.iter().map(|s| s.as_str())) {
@@ -964,7 +1043,7 @@ pub(crate) fn maintain(db: &Database, delta: &DeltaBatch) -> Result<MaintCounter
                         filter,
                     },
                 ..
-            } => apply_direct(db, plan, table, base_cols, filter, delta)?,
+            } => apply_direct(p, plan, table, base_cols, filter, delta)?,
             BodyPlan::Sql {
                 strategy:
                     SqlStrategy::GroupedAgg {
@@ -974,11 +1053,11 @@ pub(crate) fn maintain(db: &Database, delta: &DeltaBatch) -> Result<MaintCounter
                         filter,
                     },
                 ..
-            } => apply_grouped(db, plan, table, groups, aggs, filter, delta)?,
+            } => apply_grouped(p, plan, table, groups, aggs, filter, delta)?,
             BodyPlan::Xnf(info) if info.key.is_some() => {
-                match in_place_edits(db, plan, info, delta)? {
+                match in_place_edits(p, plan, info, delta)? {
                     Some(edits) => {
-                        apply_in_place(db, plan, info, edits, &mut counters)?;
+                        apply_in_place(p, plan, info, edits, &mut counters)?;
                         true
                     }
                     None => false,
@@ -987,7 +1066,7 @@ pub(crate) fn maintain(db: &Database, delta: &DeltaBatch) -> Result<MaintCounter
             _ => false,
         };
         if !applied {
-            repopulate(db, plan)?;
+            repopulate(p, plan)?;
             counters.recomputes += 1;
         }
         expect_matview(db, &plan.name)?.bump_epoch();
@@ -999,14 +1078,14 @@ pub(crate) fn maintain(db: &Database, delta: &DeltaBatch) -> Result<MaintCounter
 /// delta images and apply them to the backing table. `false` when the
 /// stored image diverged from what the delta implies.
 fn apply_direct(
-    db: &Database,
+    p: &mut Pass,
     plan: &MaintPlan,
     table: &str,
     base_cols: &[usize],
     filter: &[PhysExpr],
     delta: &DeltaBatch,
 ) -> Result<bool> {
-    let mv = expect_matview(db, &plan.name)?;
+    let mv = expect_matview(p.db, &plan.name)?;
     let backing = mv
         .stream(&plan.name)
         .ok_or_else(|| XnfError::Api(format!("missing backing table for '{}'", plan.name)))?;
@@ -1028,28 +1107,26 @@ fn apply_direct(
             }
         }
         if let Some(o) = old {
-            if !remove_row_by_value(&backing, &o, 0)? {
+            if !remove_row_by_value(p, &backing, &o)? {
                 // The stored image diverged from what the delta implies.
                 return Ok(false);
             }
         }
         if let Some(n) = new {
-            backing.insert(&Tuple::new(n))?;
+            p.insert(&backing, &Tuple::new(n))?;
         }
     }
     Ok(true)
 }
 
-/// Grouped-aggregate maintenance: each delta image adjusts its group's
-/// stored row in place (COUNT/SUM arithmetic over before/after images),
-/// inserting on a group's first member and deleting when its count returns
-/// to zero. The in-place [`Table::update`] keeps the row's surrogate rid
-/// and is atomic for readers, so concurrent snapshot scans always see a
-/// complete aggregate row. Anything the exact arithmetic cannot invert
-/// (NULL group keys, non-integer sum inputs, overflow, divergence from the
-/// stored image) returns `false`, and the view is recomputed.
+/// Grouped-aggregate maintenance: the delta images' COUNT/SUM arithmetic
+/// nets to one change per group, and each changed group's stored row is
+/// written once: inserted for a new group, deleted when its count returns
+/// to zero. Anything the exact arithmetic cannot invert (NULL group keys,
+/// non-integer sum inputs, overflow, divergence from the stored image)
+/// returns `false`, and the view is recomputed.
 fn apply_grouped(
-    db: &Database,
+    p: &mut Pass,
     plan: &MaintPlan,
     table: &str,
     groups: &[(usize, usize)],
@@ -1057,21 +1134,13 @@ fn apply_grouped(
     filter: &[PhysExpr],
     delta: &DeltaBatch,
 ) -> Result<bool> {
-    let mv = expect_matview(db, &plan.name)?;
+    let mv = expect_matview(p.db, &plan.name)?;
     let backing = mv
         .stream(&plan.name)
         .ok_or_else(|| XnfError::Api(format!("missing backing table for '{}'", plan.name)))?;
     let outer = OuterCtx::new();
-    let width = backing.schema.len();
-    let (probe_base, probe_out) = groups[0];
-    let count_out = aggs
-        .iter()
-        .find(|(src, _)| src.is_none())
-        .expect("grouped plans carry COUNT(*)")
-        .1;
-    // Backing rows are frozen and deleted physically, so one snapshot sees
-    // this loop's own writes.
-    let snap = backing.txns().snapshot_latest();
+    // Per group key, the net change of each aggregate output.
+    let mut net: BTreeMap<Vec<Value>, Vec<i64>> = BTreeMap::new();
     for d in delta.rows(table) {
         for (img, sign) in [(d.before(), -1i64), (d.after(), 1i64)] {
             let Some(t) = img else { continue };
@@ -1079,69 +1148,72 @@ fn apply_grouped(
                 continue;
             }
             let row = &t.values;
-            let degraded = groups.iter().any(|(c, _)| row[*c].is_null())
-                || aggs
-                    .iter()
-                    .any(|(c, _)| c.is_some_and(|c| !matches!(row[c], Value::Int(_))));
-            if degraded {
+            let key: Vec<Value> = groups.iter().map(|(c, _)| row[*c].clone()).collect();
+            if key.iter().any(Value::is_null) {
                 return Ok(false);
             }
-            // Locate the group's stored row (mv_key index on the first
-            // grouping output).
-            let hit = first_match(&backing, probe_out, &row[probe_base], &snap, |_, stored| {
-                Ok(groups
-                    .iter()
-                    .all(|(c, o)| stored.values[*o].total_cmp(&row[*c]).is_eq()))
-            })?;
-            match hit {
-                Some((rid, stored)) => {
-                    let mut vals = stored.values;
-                    for (src, out) in aggs {
-                        let dv = match src {
-                            None => sign,
-                            Some(c) => match row[*c] {
-                                Value::Int(i) => i.wrapping_mul(sign),
-                                _ => unreachable!("checked above"),
-                            },
-                        };
-                        let Value::Int(cur) = vals[*out] else {
-                            return Ok(false);
-                        };
-                        let Some(next) = cur.checked_add(dv) else {
-                            return Ok(false);
-                        };
-                        vals[*out] = Value::Int(next);
-                    }
-                    match &vals[count_out] {
-                        // Group count back to zero: the group vanished.
-                        Value::Int(0) => {
-                            backing.delete(rid)?;
-                        }
-                        Value::Int(n) if *n < 0 => {
-                            // More removals than stored members: diverged.
-                            return Ok(false);
-                        }
-                        _ => {
-                            backing.update(rid, &Tuple::new(vals))?;
-                        }
-                    }
-                }
-                None if sign > 0 => {
-                    let mut vals = vec![Value::Null; width];
-                    for (c, o) in groups {
-                        vals[*o] = row[*c].clone();
-                    }
-                    for (src, out) in aggs {
-                        vals[*out] = match src {
-                            None => Value::Int(1),
-                            Some(c) => row[*c].clone(),
-                        };
-                    }
-                    backing.insert(&Tuple::new(vals))?;
-                }
-                // Removing from a group we never stored: diverged.
-                None => return Ok(false),
+            let adds = net.entry(key).or_insert_with(|| vec![0; aggs.len()]);
+            for ((src, _), add) in aggs.iter().zip(adds.iter_mut()) {
+                let dv = match src.map(|c| &row[c]) {
+                    None => sign,
+                    Some(Value::Int(i)) => i.wrapping_mul(sign),
+                    Some(_) => return Ok(false),
+                };
+                let Some(next) = add.checked_add(dv) else {
+                    return Ok(false);
+                };
+                *add = next;
             }
+        }
+    }
+    let count_out = aggs
+        .iter()
+        .find(|(src, _)| src.is_none())
+        .expect("grouped plans carry COUNT(*)")
+        .1;
+    let probe_out = groups[0].1;
+    for (key, adds) in net {
+        if adds.iter().all(|&a| a == 0) {
+            continue;
+        }
+        // Locate the group's stored row (mv_key index on the first grouping
+        // output).
+        let hit = first_match(&backing, probe_out, &key[0], &p.snap, |_, stored| {
+            Ok(groups
+                .iter()
+                .zip(&key)
+                .all(|((_, o), v)| stored.values[*o].total_cmp(v).is_eq()))
+        })?;
+        let mut vals = match &hit {
+            Some((_, stored)) => stored.values.clone(),
+            None => {
+                let mut vals = vec![Value::Null; backing.schema.len()];
+                for ((_, o), v) in groups.iter().zip(key) {
+                    vals[*o] = v;
+                }
+                aggs.iter().for_each(|(_, o)| vals[*o] = Value::Int(0));
+                vals
+            }
+        };
+        for ((_, out), add) in aggs.iter().zip(adds) {
+            let Value::Int(cur) = vals[*out] else {
+                return Ok(false);
+            };
+            let Some(next) = cur.checked_add(add) else {
+                return Ok(false);
+            };
+            vals[*out] = Value::Int(next);
+        }
+        match (&vals[count_out], hit) {
+            // Group count back to zero: the group vanished.
+            (Value::Int(0), Some((rid, _))) => p.delete(&backing, rid)?,
+            (Value::Int(n), Some((rid, _))) if *n > 0 => {
+                p.update(&backing, rid, &Tuple::new(vals))?
+            }
+            (Value::Int(n), None) if *n > 0 => p.insert(&backing, &Tuple::new(vals))?,
+            // More removals than stored members, or a change to a group
+            // never stored: diverged.
+            _ => return Ok(false),
         }
     }
     Ok(true)
@@ -1149,7 +1221,7 @@ fn apply_grouped(
 
 /// One write to a keyed CO view's stored streams.
 enum CoEdit {
-    /// Overwrite stored node `rid` of component `comp`; `node` keeps the
+    /// Supersede stored node `rid` of component `comp`; `node` keeps the
     /// stored surrogate.
     Rewrite { comp: usize, rid: Rid, node: Tuple },
     /// Insert a node of component `comp`; its surrogate is drawn when the
@@ -1205,7 +1277,7 @@ enum Node {
 /// columns, a table that is both a component and a connect table, and a
 /// cyclic graph all return `None`.
 fn in_place_edits(
-    db: &Database,
+    p: &Pass,
     plan: &MaintPlan,
     info: &XnfInfo,
     delta: &DeltaBatch,
@@ -1229,11 +1301,11 @@ fn in_place_edits(
         return Ok(None);
     }
     let mut ed = Editor {
-        db,
+        db: p.db,
         info,
         root: info.key.as_ref().expect("keyed plan").root,
-        mv: expect_matview(db, &plan.name)?,
-        snap: db.catalog().latest_snapshot(),
+        mv: expect_matview(p.db, &plan.name)?,
+        snap: &p.snap,
         outer: OuterCtx::new(),
         removed: HashMap::new(),
         unlinked: HashSet::new(),
@@ -1303,15 +1375,15 @@ fn in_place_edits(
 }
 
 /// The state of one [`in_place_edits`] pass. Reads see latest-committed
-/// data, this commit included, through `snap`; nothing is written until
-/// [`apply_in_place`].
+/// data plus the committing transaction's writes through `snap`; nothing
+/// is written until [`apply_in_place`].
 struct Editor<'a> {
     db: &'a Database,
     info: &'a XnfInfo,
     /// The root component.
     root: usize,
     mv: Arc<MatView>,
-    snap: Snapshot,
+    snap: &'a Snapshot,
     outer: OuterCtx,
     /// Stored nodes this commit removes: surrogate → (component, rid).
     removed: HashMap<i64, (usize, Rid)>,
@@ -1342,7 +1414,7 @@ impl Editor<'_> {
     fn base_rows(&self, table: &str, col: usize, v: &Value) -> Result<Vec<Tuple>> {
         let mut rows = Vec::new();
         let t = self.db.catalog().table(table)?;
-        t.scan_by_values(col, std::slice::from_ref(v), &self.snap, |_, row| {
+        t.scan_by_values(col, std::slice::from_ref(v), self.snap, |_, row| {
             rows.push(row);
             Ok(true)
         })?;
@@ -1372,7 +1444,7 @@ impl Editor<'_> {
         }
         let cols = self.info.nodes[c].key.as_ref().expect("keyed component");
         let node_t = self.stream(&self.info.comps[c])?;
-        let hit = first_match(&node_t, 1 + cols[0], &key[0], &self.snap, |_, t| {
+        let hit = first_match(&node_t, 1 + cols[0], &key[0], self.snap, |_, t| {
             Ok(cols
                 .iter()
                 .zip(key)
@@ -1496,7 +1568,7 @@ impl Editor<'_> {
             return Ok(());
         }
         let conn_t = self.stream(&self.info.rels[ri].name)?;
-        let pair = first_match(&conn_t, 0, &Value::Int(ps), &self.snap, |rid, t| {
+        let pair = first_match(&conn_t, 0, &Value::Int(ps), self.snap, |rid, t| {
             Ok(t.values[1].as_int()? == cs && !self.unlinked.contains(&(ri, rid)))
         })?;
         if let Some((rid, _)) = pair {
@@ -1595,9 +1667,8 @@ impl Editor<'_> {
                 _ => {
                     let pbase = info.base(p);
                     let t = self.db.catalog().table(&pbase.table)?;
-                    let hit = first_match(&t, pbase.columns[parent_col], v, &self.snap, |_, _| {
-                        Ok(true)
-                    })?;
+                    let hit =
+                        first_match(&t, pbase.columns[parent_col], v, self.snap, |_, _| Ok(true))?;
                     if hit.is_some() {
                         return Ok(false);
                     }
@@ -1710,7 +1781,7 @@ impl Editor<'_> {
             let fk = matches!(self.info.co.relationships[rel], RelMeta::ForeignKey { .. });
             let (from, want, other) = if fk { (1, p, c) } else { (0, c, p) };
             let conn_t = self.stream(&self.info.rels[rel].name)?;
-            let stored = first_match(&conn_t, from, &Value::Int(other), &self.snap, |rid, t| {
+            let stored = first_match(&conn_t, from, &Value::Int(other), self.snap, |rid, t| {
                 Ok(t.values[1 - from].as_int()? == want && !self.unlinked.contains(&(rel, rid)))
             })?;
             if stored.is_some() {
@@ -1727,7 +1798,7 @@ impl Editor<'_> {
     fn unlink_all(&mut self, rel: usize, col: usize, nodes: &[Value]) -> Result<Vec<i64>> {
         let conn_t = self.stream(&self.info.rels[rel].name)?;
         let mut ends = Vec::new();
-        conn_t.scan_by_values(col, nodes, &self.snap, |rid, t| {
+        conn_t.scan_by_values(col, nodes, self.snap, |rid, t| {
             if self.unlinked.insert((rel, rid)) {
                 ends.push(t.values[1 - col].as_int()?);
             }
@@ -1795,7 +1866,7 @@ impl Editor<'_> {
             }
             let mut open: HashSet<&Value> = nodes.iter().collect();
             let conn_t = self.stream(&self.info.rels[ri].name)?;
-            conn_t.scan_by_values(1, &nodes, &self.snap, |rid, t| {
+            conn_t.scan_by_values(1, &nodes, self.snap, |rid, t| {
                 if !self.unlinked.contains(&(ri, rid)) {
                     open.remove(&t.values[1]);
                     held.insert(t.values[1].as_int()?);
@@ -1849,7 +1920,7 @@ impl Editor<'_> {
                     continue;
                 }
                 let (node_t, want) = (self.stream(&self.info.comps[c])?, rids.len() + nodes.len());
-                node_t.scan_by_values(0, &nodes, &self.snap, |rid, t| {
+                node_t.scan_by_values(0, &nodes, self.snap, |rid, t| {
                     rids.insert(t.values[0].as_int()?, rid);
                     Ok(rids.len() < want)
                 })?;
@@ -1864,8 +1935,8 @@ impl Editor<'_> {
         Ok(())
     }
 
-    /// The edits, in [`apply_in_place`]'s phase order, without the ones a
-    /// removal voided; inserted nodes are renumbered densely.
+    /// The edits, without the ones a removal voided; inserted nodes are
+    /// renumbered densely, in the order of their `Insert` edits.
     fn finish(self) -> Vec<CoEdit> {
         let mut next = 0;
         let position: Vec<Option<usize>> = self
@@ -1914,18 +1985,15 @@ impl Editor<'_> {
     }
 }
 
-/// Write a commit's in-place edits in phase order — connection deletes,
-/// node deletes, node rewrites, node inserts, connection inserts — so that
-/// a concurrent reader's walk never reaches a subtree larger than its
-/// final shape.
+/// Write a commit's in-place edits as the committing transaction.
 fn apply_in_place(
-    db: &Database,
+    p: &mut Pass,
     plan: &MaintPlan,
     info: &XnfInfo,
     edits: Vec<CoEdit>,
     counters: &mut MaintCounters,
 ) -> Result<()> {
-    let mv = expect_matview(db, &plan.name)?;
+    let mv = expect_matview(p.db, &plan.name)?;
     let stream = |name: &str| backing_stream(&mv, name);
     let inserts = edits
         .iter()
@@ -1936,43 +2004,37 @@ fn apply_in_place(
         Node::Stored(s) => s,
         Node::New(at) => first + at as i64,
     };
+    let mut inserted = 0;
     for e in &edits {
-        if let CoEdit::Unlink { rel, rid } = e {
-            stream(&info.rels[*rel].name)?.delete(*rid)?;
-            counters.links_edited += 1;
-        }
-    }
-    for e in &edits {
-        if let CoEdit::Remove { comp, rid } = e {
-            stream(&info.comps[*comp])?.delete(*rid)?;
-            counters.nodes_rewritten += 1;
-        }
-    }
-    for e in &edits {
-        if let CoEdit::Rewrite { comp, rid, node } = e {
-            stream(&info.comps[*comp])?.update(*rid, node)?;
-            counters.nodes_rewritten += 1;
-        }
-    }
-    let new_rows = edits.iter().filter_map(|e| match e {
-        CoEdit::Insert { comp, row } => Some((comp, row)),
-        _ => None,
-    });
-    for (at, (comp, row)) in new_rows.enumerate() {
-        let mut values = Vec::with_capacity(row.len() + 1);
-        values.push(Value::Int(surrogate(Node::New(at))));
-        values.extend(row.iter().cloned());
-        stream(&info.comps[*comp])?.insert(&Tuple::new(values))?;
-        counters.nodes_rewritten += 1;
-    }
-    for e in &edits {
-        if let CoEdit::Link { rel, parent, child } = e {
-            let pair = vec![
-                Value::Int(surrogate(*parent)),
-                Value::Int(surrogate(*child)),
-            ];
-            stream(&info.rels[*rel].name)?.insert(&Tuple::new(pair))?;
-            counters.links_edited += 1;
+        match e {
+            CoEdit::Unlink { rel, rid } => {
+                p.delete(&stream(&info.rels[*rel].name)?, *rid)?;
+                counters.links_edited += 1;
+            }
+            CoEdit::Remove { comp, rid } => {
+                p.delete(&stream(&info.comps[*comp])?, *rid)?;
+                counters.nodes_rewritten += 1;
+            }
+            CoEdit::Rewrite { comp, rid, node } => {
+                p.update(&stream(&info.comps[*comp])?, *rid, node)?;
+                counters.nodes_rewritten += 1;
+            }
+            CoEdit::Insert { comp, row } => {
+                let mut values = Vec::with_capacity(row.len() + 1);
+                values.push(Value::Int(surrogate(Node::New(inserted))));
+                values.extend(row.iter().cloned());
+                p.insert(&stream(&info.comps[*comp])?, &Tuple::new(values))?;
+                inserted += 1;
+                counters.nodes_rewritten += 1;
+            }
+            CoEdit::Link { rel, parent, child } => {
+                let pair = vec![
+                    Value::Int(surrogate(*parent)),
+                    Value::Int(surrogate(*child)),
+                ];
+                p.insert(&stream(&info.rels[*rel].name)?, &Tuple::new(pair))?;
+                counters.links_edited += 1;
+            }
         }
     }
     Ok(())
@@ -2020,34 +2082,26 @@ fn rows_eq(a: &[Value], b: &[Value]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.total_cmp(y).is_eq())
 }
 
-/// Remove one stored row equal to `row`; `probe_col` drives the index probe.
-/// Returns whether a row was found.
-fn remove_row_by_value(backing: &Arc<Table>, row: &Row, probe_col: usize) -> Result<bool> {
-    let snap = backing.txns().snapshot_latest();
-    if !row.is_empty() && !row[probe_col].is_null() {
-        let hit = first_match(backing, probe_col, &row[probe_col], &snap, |_, t| {
-            Ok(rows_eq(&t.values, row))
-        })?;
-        if let Some((rid, _)) = hit {
-            backing.delete(rid)?;
-            return Ok(true);
-        }
-        // Fall through to a scan: the probe may have missed only because
-        // no index exists and sql_eq skipped NULLs elsewhere in the row.
-    }
+/// Remove one stored row equal to `row`, as the pass sees it, found
+/// through its first column. Returns whether there was one.
+fn remove_row_by_value(p: &mut Pass, backing: &Arc<Table>, row: &Row) -> Result<bool> {
     let mut target = None;
-    backing.for_each_visible(&snap, |rid, t| {
+    let find = |rid, t: Tuple| {
         if rows_eq(&t.values, row) {
             target = Some(rid);
             return Ok(false);
         }
         Ok(true)
-    })?;
-    match target {
-        Some(rid) => {
-            backing.delete(rid)?;
-            Ok(true)
+    };
+    match row.first() {
+        // `scan_by_values` matches with SQL equality, which NULL fails.
+        Some(v) if !v.is_null() => {
+            backing.scan_by_values(0, std::slice::from_ref(v), &p.snap, find)?
         }
+        _ => backing.for_each_visible(&p.snap, find)?,
+    }
+    match target {
+        Some(rid) => p.delete(backing, rid).map(|()| true),
         None => Ok(false),
     }
 }
@@ -2056,21 +2110,17 @@ fn remove_row_by_value(backing: &Arc<Table>, row: &Row, probe_col: usize) -> Res
 // serving: workspace loads from stored streams
 // ---------------------------------------------------------------------------
 
-/// Load a materialized CO view's full workspace straight from its backing
-/// streams (no extraction pipeline).
-pub(crate) fn fetch_co_materialized(db: &Database, name: &str) -> Result<CoCache> {
-    fetch_from_storage(db, name, None)
-}
-
-/// Serve one CO subtree (the root rows matching `key` plus everything
-/// reachable from them) from a keyed materialized CO view, in one pass over
-/// the stored streams (see [`point_rows`]).
-pub(crate) fn fetch_co_point(db: &Database, name: &str, key_value: &Value) -> Result<CoCache> {
-    fetch_from_storage(db, name, Some(key_value))
-}
-
-fn fetch_from_storage(db: &Database, name: &str, point_key: Option<&Value>) -> Result<CoCache> {
-    let (plan, result) = load_streams(db, name, point_key)?;
+/// Load a materialized CO view's workspace straight from its backing
+/// streams as `snap` sees them (no extraction pipeline): the whole view,
+/// or with `point_key` the subtree(s) rooted at that key value, in one
+/// pass over the stored streams (see [`point_rows`]).
+pub(crate) fn fetch_stored(
+    db: &Database,
+    name: &str,
+    point_key: Option<&Value>,
+    snap: &Snapshot,
+) -> Result<CoCache> {
+    let (plan, result) = load_streams(db, name, point_key, snap)?;
     let BodyPlan::Xnf(info) = &plan.body else {
         unreachable!("load_streams returns CO plans only");
     };
@@ -2083,14 +2133,15 @@ fn fetch_from_storage(db: &Database, name: &str, point_key: Option<&Value>) -> R
     })
 }
 
-/// Read stored streams into a [`QueryResult`]-shaped value under one
-/// snapshot, translating surrogates to stream positions. With `point_key`,
-/// only the subtree(s) rooted at that key value are read (requires a keyed
-/// view), in one pass: see [`point_rows`].
+/// Read stored streams into a [`QueryResult`]-shaped value under `snap`,
+/// translating surrogates to stream positions. With `point_key`, only the
+/// subtree(s) rooted at that key value are read (requires a keyed view),
+/// in one pass: see [`point_rows`].
 fn load_streams(
     db: &Database,
     name: &str,
     point_key: Option<&Value>,
+    snap: &Snapshot,
 ) -> Result<(Arc<MaintPlan>, QueryResult)> {
     let view = db
         .catalog()
@@ -2113,7 +2164,6 @@ fn load_streams(
     };
     let mv = expect_matview(db, &plan.name)?;
     let stream = |name: &str| backing_stream(&mv, name);
-    let snap = db.catalog().latest_snapshot();
 
     let (nodes, conns): StoredRows = match point_key {
         Some(k) => {
@@ -2122,12 +2172,12 @@ fn load_streams(
                     "'{name}' does not support point fetches (no root partition key)"
                 ))
             })?;
-            point_rows(&mv, info, key, k, &snap)?
+            point_rows(&mv, info, key, k, snap)?
         }
         None => {
             let all = |name: &str| -> Result<Vec<Tuple>> {
                 let mut rows = Vec::new();
-                stream(name)?.for_each_visible(&snap, |_, t| {
+                stream(name)?.for_each_visible(snap, |_, t| {
                     rows.push(t);
                     Ok(true)
                 })?;

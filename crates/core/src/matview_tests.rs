@@ -157,6 +157,50 @@ fn aggregate_matview_falls_back_to_full_recompute() {
     );
 }
 
+/// A grouped view's maintenance nets the delta per group and writes each
+/// changed group's row once, as one new version: an exact number of
+/// buffer-pool page accesses per statement, view maintenance included.
+/// A one-row raise costs 6 (3 without the view), a move between groups 9
+/// (3), and a raise of the 20 rows of one group 45 (42). Writing each
+/// image's change on its own, in place, cost 9, 9 and 162.
+#[test]
+fn grouped_maintenance_writes_each_group_once() {
+    let db = Database::new();
+    let s = db.session();
+    s.execute_batch(
+        "CREATE TABLE ITEMS (id INT NOT NULL, grp INT, val INT);
+         CREATE UNIQUE INDEX items_id ON ITEMS (id);",
+    )
+    .unwrap();
+    for i in 0..200 {
+        s.execute(
+            &format!("INSERT INTO ITEMS VALUES ({i}, {}, {i})", i % 10),
+            &[],
+        )
+        .unwrap();
+    }
+    let def = "SELECT grp, COUNT(*) AS n, SUM(val) AS total FROM ITEMS GROUP BY grp";
+    s.execute(&format!("CREATE MATERIALIZED VIEW per_grp AS {def}"), &[])
+        .unwrap();
+    let accesses = || {
+        let st = db.catalog().buffer_pool().stats();
+        st.hits + st.misses
+    };
+    let mut costs = Vec::new();
+    for stmt in [
+        "UPDATE ITEMS SET val = val + 1 WHERE id = 5",
+        "UPDATE ITEMS SET grp = 3 WHERE id = 6",
+        "UPDATE ITEMS SET val = val + 1 WHERE grp = 4",
+    ] {
+        let before = accesses();
+        s.execute(stmt, &[]).unwrap();
+        costs.push(accesses() - before);
+    }
+    assert_eq!(costs, [6, 9, 45]);
+    assert_eq!(rows_of(&db, "SELECT * FROM per_grp"), rows_of(&db, def));
+    assert_eq!(db.maint_stats().mv_recomputes, 0);
+}
+
 #[test]
 fn refresh_and_drop_matview() {
     let db = items_db();
@@ -289,6 +333,150 @@ fn matview_created_mid_transaction_sees_the_commit() {
     );
     s.execute("REFRESH MATERIALIZED VIEW small", &[]).unwrap();
     assert_eq!(rows_of(&db, "SELECT * FROM small"), committed);
+}
+
+/// Session A reads a view and its definition inside `begin`; session B
+/// then commits `write`. A's reads must stay what they were, and the view
+/// must equal its definition each time: a view is read under the reader's
+/// snapshot like a table. Once A's transaction ends, both show B's commit.
+fn assert_read_under_snapshot<T: PartialEq + std::fmt::Debug>(
+    db: &Database,
+    read: impl Fn(&crate::Session) -> (T, T),
+    write: &str,
+) {
+    let (a, b) = (db.session(), db.session());
+    let before = read(&a);
+    a.begin().unwrap();
+    let (view, definition) = read(&a);
+    assert_eq!(view, definition, "view != definition at begin");
+    b.execute(write, &[]).unwrap();
+    assert_eq!(
+        read(&a),
+        (view, definition),
+        "`{write}` committed by another session moved this transaction's reads"
+    );
+    a.commit().unwrap();
+    let (view, definition) = read(&a);
+    assert_eq!(view, definition, "view != definition after `{write}`");
+    assert_ne!((view, definition), before, "`{write}` changed nothing");
+}
+
+/// `SELECT` rows of `sql` in `session`'s scope, sorted.
+fn session_rows(session: &crate::Session, sql: &str) -> Vec<String> {
+    let mut rows: Vec<String> = session
+        .query(sql, &[])
+        .unwrap()
+        .try_table()
+        .unwrap()
+        .rows
+        .iter()
+        .map(|r| format!("{r:?}"))
+        .collect();
+    rows.sort();
+    rows
+}
+
+#[test]
+fn a_direct_view_reads_under_the_transactions_snapshot() {
+    let db = items_db();
+    let def = "SELECT id, val FROM ITEMS WHERE val < 20";
+    db.session()
+        .execute(&format!("CREATE MATERIALIZED VIEW small AS {def}"), &[])
+        .unwrap();
+    assert_read_under_snapshot(
+        &db,
+        |s| (session_rows(s, "SELECT * FROM small"), session_rows(s, def)),
+        "INSERT INTO ITEMS VALUES (700, 3, 1)",
+    );
+}
+
+#[test]
+fn a_grouped_view_reads_under_the_transactions_snapshot() {
+    let db = items_db();
+    let def = "SELECT grp, COUNT(*) AS n, SUM(val) AS total FROM ITEMS GROUP BY grp";
+    db.session()
+        .execute(&format!("CREATE MATERIALIZED VIEW per_grp AS {def}"), &[])
+        .unwrap();
+    assert_read_under_snapshot(
+        &db,
+        |s| {
+            (
+                session_rows(s, "SELECT * FROM per_grp"),
+                session_rows(s, def),
+            )
+        },
+        "INSERT INTO ITEMS VALUES (701, 10, 4)",
+    );
+}
+
+#[test]
+fn a_stored_co_fetch_reads_under_the_transactions_snapshot() {
+    let db = deps_db();
+    let def = db.catalog().view("deps").unwrap().text;
+    let emps = |s: &crate::Session, co: &str| {
+        let ws = s.fetch_co(co).unwrap().workspace;
+        let mut rows: Vec<String> = ws
+            .independent("xemp")
+            .unwrap()
+            .map(|t| format!("{:?}", t.values()))
+            .collect();
+        rows.sort();
+        rows
+    };
+    assert_read_under_snapshot(
+        &db,
+        |s| (emps(s, "deps"), emps(s, &def)),
+        "INSERT INTO EMP VALUES (4, 'zoe', 1, 400)",
+    );
+}
+
+/// A maintenance error fails the commit and rolls the whole transaction
+/// back: the base row, and the rows maintenance wrote to the views it
+/// reached before the error, are gone. `cheap` maintains in place before
+/// `quotients` recomputes and divides by zero. The next commit maintains
+/// both views.
+#[test]
+fn a_maintenance_error_aborts_the_committing_transaction() {
+    let db = items_db();
+    let s = db.session();
+    let cheap = "SELECT id, val FROM ITEMS WHERE val < 20";
+    let quotients = "SELECT id, 1000 / (val + 1) AS q FROM ITEMS";
+    for (name, def) in [("cheap", cheap), ("quotients", quotients)] {
+        s.execute(&format!("CREATE MATERIALIZED VIEW {name} AS {def}"), &[])
+            .unwrap();
+    }
+    let contents = || {
+        [
+            "SELECT * FROM ITEMS",
+            "SELECT * FROM cheap",
+            "SELECT * FROM quotients",
+        ]
+        .map(|q| rows_of(&db, q))
+    };
+    let before = contents();
+    let counters = db.maint_stats();
+
+    s.begin().unwrap();
+    s.execute("INSERT INTO ITEMS VALUES (300, 1, -1)", &[])
+        .unwrap();
+    let err = s.commit().unwrap_err().to_string();
+    assert!(err.contains("division by zero"), "{err}");
+    assert!(!s.in_transaction());
+    assert_eq!(contents(), before, "the failed commit left a trace");
+    assert_eq!(db.maint_stats().mv_recomputes, counters.mv_recomputes);
+
+    s.execute("INSERT INTO ITEMS VALUES (301, 1, 5)", &[])
+        .unwrap();
+    assert_eq!(rows_of(&db, "SELECT * FROM cheap"), rows_of(&db, cheap));
+    assert_eq!(
+        rows_of(&db, "SELECT * FROM quotients"),
+        rows_of(&db, quotients)
+    );
+    assert_eq!(
+        rows_of(&db, "SELECT * FROM ITEMS").len(),
+        before[0].len() + 1
+    );
+    assert_eq!(db.maint_stats().mv_recomputes, counters.mv_recomputes + 1);
 }
 
 #[test]
@@ -452,8 +640,8 @@ fn stored_emps(db: &Database) -> Vec<String> {
 }
 
 /// Run the `pending` statements in one open transaction, then
-/// `interposed` in autocommit, then `pending`'s commit: lock, stamp and
-/// `maintain`, as `Database::commit_active` runs them. Through the public
+/// `interposed` in autocommit, then `pending`'s commit: lock, `maintain`
+/// and stamp, as `Database::commit_active` runs them. Through the public
 /// API a commit's statements and its maintenance run back to back, so this
 /// is the one way to land a commit between them. The interposed commit
 /// must have written in place (`mv_nodes_rewritten` +1), and the stored
@@ -491,11 +679,8 @@ fn pending_extraction_outrun_by(
     );
 
     // The pending commit.
-    {
-        let _m = db.maintenance_lock().lock();
-        active.txn.commit();
-        maintain(db, &delta).unwrap();
-    }
+    db.commit_with(active.txn, |txn| maintain(db, txn, &delta))
+        .unwrap();
 
     let incremental = read(db);
     autocommit

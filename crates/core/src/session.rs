@@ -335,12 +335,14 @@ impl<'db> Session<'db> {
         Ok(())
     }
 
-    /// Commit this session's transaction: assign its commit stamp (all its
-    /// versions become visible to new snapshots atomically) and propagate
-    /// its accumulated deltas — coalesced to their net effect — to
-    /// dependent materialized views. Maintenance runs under the database's
-    /// maintenance lock, after the stamp, reading latest-committed data, so
-    /// views observe transactions in commit order.
+    /// Commit this session's transaction: propagate its accumulated deltas
+    /// — coalesced to their net effect — to dependent materialized views,
+    /// then assign its commit stamp, which makes its base and view versions
+    /// visible to new snapshots at once. Maintenance runs under the
+    /// database's maintenance lock, reading latest-committed data plus this
+    /// transaction's writes, so views observe transactions in commit order.
+    /// A maintenance error rolls the whole transaction back and is
+    /// returned.
     pub fn commit(&self) -> Result<()> {
         let active = self.txn.lock().take();
         match active {
@@ -461,9 +463,9 @@ impl<'db> Session<'db> {
     /// its own uncommitted writes included.
     ///
     /// A **materialized** CO view loads straight from its backing streams —
-    /// no extraction pipeline at all. That load is *not* snapshot-scoped:
-    /// inside a transaction it still shows the view's latest maintained
-    /// contents, not the state as of `begin`.
+    /// no extraction pipeline at all — under the same snapshot: inside a
+    /// transaction it shows the view as of `begin` (without the
+    /// transaction's own uncommitted writes, which reach views at commit).
     pub fn fetch_co(&self, query_or_view: &str) -> Result<CoCache> {
         let text = match self.db.catalog().view(query_or_view) {
             Some(view) if view.kind != ViewKind::Xnf => {
@@ -472,7 +474,10 @@ impl<'db> Session<'db> {
                 )))
             }
             Some(view) if view.materialized => {
-                return crate::matview::fetch_co_materialized(self.db, query_or_view)
+                let snap = self
+                    .snapshot()
+                    .unwrap_or_else(|| self.db.catalog().latest_snapshot());
+                return crate::matview::fetch_stored(self.db, query_or_view, None, &snap);
             }
             Some(view) => view.text,
             None => query_or_view.to_string(),
@@ -505,10 +510,10 @@ impl<'db> Session<'db> {
             }
             return Err(e);
         }
-        co.workspace.take_changes();
         if own {
             self.commit()?;
         }
+        co.workspace.take_changes();
         Ok(edits.len())
     }
 

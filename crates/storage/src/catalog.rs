@@ -260,46 +260,14 @@ impl Table {
         self.heap.clear_delete_mark(rid, xid)
     }
 
-    // -- frozen (unversioned) writes --------------------------------------
+    // -- frozen (unversioned) write -----------------------------------------
 
     /// Insert a frozen tuple: immediately visible to every snapshot and not
-    /// subject to rollback. Fixture loads and materialized-view backing
-    /// storage use this; transactional DML goes through
-    /// [`Table::insert_txn`].
+    /// subject to rollback. Fixture loads and the population of a new
+    /// materialized view use this; transactional DML and view maintenance
+    /// go through [`Table::insert_txn`].
     pub fn insert(&self, tuple: &Tuple) -> Result<Rid> {
         self.insert_txn(tuple, FROZEN)
-    }
-
-    /// Physically delete by RID, maintaining indexes. Returns the removed
-    /// tuple. Reserved for frozen storage (no snapshot can resurrect it).
-    pub fn delete(&self, rid: Rid) -> Result<Tuple> {
-        self.remove_version(rid)
-    }
-
-    /// Physically update by RID in place; relocation and key changes
-    /// re-point indexes. Returns `(old_tuple, new_rid)`. Reserved for
-    /// frozen storage.
-    pub fn update(&self, rid: Rid, new: &Tuple) -> Result<(Tuple, Rid)> {
-        self.schema.validate(&new.values)?;
-        let _w = self.write_latch.lock();
-        self.check_unique(new, FROZEN, Some(rid))?;
-        let (old, new_rid) = self.heap.update(rid, new)?;
-        if rid != new_rid {
-            // The relocation tombstoned the old slot.
-            self.gc.note_dead(1);
-        }
-        let indexes = self.indexes.read();
-        for entry in indexes.iter() {
-            let old_key = Self::key_of(&entry.def, &old);
-            let new_key = Self::key_of(&entry.def, new);
-            if old_key != new_key || rid != new_rid {
-                let mut tree = entry.tree.write();
-                tree.delete(&old_key, rid);
-                tree.insert(new_key, new_rid)
-                    .expect("non-unique tree insert cannot fail");
-            }
-        }
-        Ok((old, new_rid))
     }
 
     // -- reads -------------------------------------------------------------
@@ -682,7 +650,7 @@ pub struct MatViewStream {
 /// Backing storage of one materialized view: its stream tables, a
 /// freshness epoch, and the surrogate-id allocator for CO node rows.
 pub struct MatView {
-    streams: RwLock<Vec<MatViewStream>>,
+    streams: Vec<MatViewStream>,
     /// Bumped on every maintenance action (incremental or full refresh);
     /// lets clients detect that stored contents moved.
     epoch: std::sync::atomic::AtomicU64,
@@ -694,21 +662,20 @@ pub struct MatView {
 impl MatView {
     fn new(streams: Vec<MatViewStream>) -> Self {
         MatView {
-            streams: RwLock::new(streams),
+            streams,
             epoch: std::sync::atomic::AtomicU64::new(0),
             next_surrogate: std::sync::atomic::AtomicI64::new(0),
         }
     }
 
-    /// Snapshot of the current backing streams.
+    /// The backing streams.
     pub fn streams(&self) -> Vec<MatViewStream> {
-        self.streams.read().clone()
+        self.streams.clone()
     }
 
     /// Backing table of the named stream.
     pub fn stream(&self, name: &str) -> Option<Arc<Table>> {
         self.streams
-            .read()
             .iter()
             .find(|s| s.name.eq_ignore_ascii_case(name))
             .map(|s| Arc::clone(&s.table))
@@ -1045,23 +1012,6 @@ impl Catalog {
         self.matviews
             .write()
             .insert(Self::norm(name), Arc::clone(&mv));
-        Ok(mv)
-    }
-
-    /// Replace a materialized view's backing tables with fresh empty ones
-    /// (same names and schemas) — the truncate step of `REFRESH`. The
-    /// epoch and surrogate allocator carry over.
-    pub fn reset_matview_storage(&self, name: &str) -> Result<Arc<MatView>> {
-        let mv = self
-            .matview(name)
-            .ok_or_else(|| StorageError::UnknownTable(name.to_string()))?;
-        let old = mv.streams();
-        let single = old.len() == 1;
-        let fresh: Vec<MatViewStream> = old
-            .iter()
-            .map(|s| self.backing_table(name, &s.name, single, s.table.schema.clone()))
-            .collect();
-        *mv.streams.write() = fresh;
         Ok(mv)
     }
 
@@ -1404,13 +1354,17 @@ pub(crate) mod tests {
         assert_eq!(posted(&t, "emp_edno", 3).len(), 10);
 
         // Delete maintains both.
-        t.delete(rids[7]).unwrap();
+        t.remove_version(rids[7]).unwrap();
         assert!(posted(&t, "emp_eno", 7).is_empty());
         assert_eq!(posted(&t, "emp_edno", 2).len(), 9);
 
-        // Update that changes a key re-points the index.
-        let (_, nrid) = t.update(rids[8], &emp(8, 99)).unwrap();
+        // An update that changes a key posts the new version under it; the
+        // old version keeps its posting for older snapshots.
+        let (_, nrid) = t
+            .update_txn(rids[8], &emp(8, 99), t.txns().allocate())
+            .unwrap();
         assert_eq!(posted(&t, "emp_edno", 99), vec![nrid]);
+        assert_eq!(posted(&t, "emp_edno", 3).len(), 10);
     }
 
     #[test]
@@ -1615,7 +1569,7 @@ pub(crate) mod tests {
         t.create_index("emp_edno", vec![2], false).unwrap();
         t.insert(&emp(0, 6)).unwrap();
         let gone = t.insert(&emp(1, 5)).unwrap();
-        t.delete(gone).unwrap();
+        t.remove_version(gone).unwrap();
         let reused = t.insert(&emp(2, 6)).unwrap();
         assert_eq!(reused, gone, "the insert reuses the reclaimed slot");
         post_stale(&t, "emp_edno", 5, gone);
@@ -1624,7 +1578,7 @@ pub(crate) mod tests {
         // A stale posting to a slot that holds no record resolves to
         // nothing either.
         let empty = t.insert(&emp(3, 6)).unwrap();
-        t.delete(empty).unwrap();
+        t.remove_version(empty).unwrap();
         post_stale(&t, "emp_edno", 6, empty);
         let rows = scanned_by_values(&t, 2, &[6], &snap);
         let enos: Vec<&Value> = rows.iter().map(|(_, t)| &t.values[0]).collect();
@@ -1641,7 +1595,7 @@ pub(crate) mod tests {
         let live = t.insert(&emp(1, 6)).unwrap();
         let other = t.insert(&emp(2, 5)).unwrap();
         let empty = t.insert(&emp(3, 5)).unwrap();
-        t.delete(empty).unwrap();
+        t.remove_version(empty).unwrap();
         post_stale(&t, "emp_edno", 5, empty);
         post_stale(&t, "emp_edno", 5, live);
         let (def, snap) = (t.index_def("emp_edno").unwrap(), c.latest_snapshot());

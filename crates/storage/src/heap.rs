@@ -457,7 +457,7 @@ impl HeapFile {
     }
 
     /// Physically delete a record. Returns the old tuple (for index
-    /// maintenance). Reserved for frozen storage and rollback.
+    /// maintenance). Rollback and vacuum-style removal only.
     pub fn delete(&self, rid: Rid) -> Result<Tuple> {
         let old = self.get(rid)?;
         let freed = self.pool.with_page_mut(rid.page, |p| {
@@ -481,46 +481,6 @@ impl HeapFile {
             });
         }
         Ok(old)
-    }
-
-    /// Physically update a tuple in place when possible (preserving its
-    /// version header); relocates otherwise. Reserved for frozen storage.
-    ///
-    /// Returns `(old_tuple, new_rid)`; `new_rid == rid` unless relocated.
-    pub fn update(&self, rid: Rid, new: &Tuple) -> Result<(Tuple, Rid)> {
-        let (hdr, old) = self.get_versioned(rid)?;
-        let record = encode_record(hdr, new);
-        let updated = self.pool.with_page_mut(rid.page, |p| {
-            let updated = p.update(rid.slot, &record)?;
-            if updated {
-                self.log(
-                    p,
-                    WalRecord::Install {
-                        table: self.table_id,
-                        rid,
-                        record: record.clone(),
-                    },
-                );
-            }
-            Ok::<bool, StorageError>(updated)
-        })??;
-        if updated {
-            return Ok((old, rid));
-        }
-        // Relocate: delete here, insert elsewhere.
-        self.pool.with_page_mut(rid.page, |p| {
-            if p.delete(rid.slot) {
-                self.log(
-                    p,
-                    WalRecord::Tombstone {
-                        table: self.table_id,
-                        rid,
-                    },
-                );
-            }
-        })?;
-        let new_rid = self.insert_version(new, hdr.xmin)?;
-        Ok((old, new_rid))
     }
 
     /// Scan every tuple visible to the latest-committed snapshot. The
@@ -936,21 +896,22 @@ impl HeapFile {
             // `dead_bytes` covers space reclaimable only by compaction that
             // no version classification will find: records tombstoned by
             // rollback or physical deletes, and slack from shrunken
-            // in-place updates.
-            let (records, dead_bytes): (Vec<(u16, VersionHdr, Tuple)>, usize) =
+            // in-place updates. Only headers are decoded here: a tuple is
+            // decoded only when its version is reclaimed.
+            let (headers, dead_bytes): (Vec<(u16, VersionHdr)>, usize) =
                 self.pool.with_page(pid, |p| {
-                    let records = p
+                    let headers = p
                         .iter()
-                        .map(|(slot, rec)| decode_record(rec).map(|(h, t)| (slot, h, t)))
+                        .map(|(slot, rec)| split_record(rec).map(|(h, _)| (slot, h)))
                         .collect::<Result<Vec<_>>>()?;
-                    Ok::<_, StorageError>((records, p.dead_space()))
+                    Ok::<_, StorageError>((headers, p.dead_space()))
                 })??;
 
             // Classify outside the page lock (stamp lookups never nest
             // inside a page latch).
-            let mut remove: Vec<(u16, Tuple)> = Vec::new();
-            let mut freeze: Vec<(u16, VersionHdr, Tuple)> = Vec::new();
-            for (slot, hdr, tuple) in records {
+            let mut remove: Vec<u16> = Vec::new();
+            let mut freeze: Vec<(u16, VersionHdr)> = Vec::new();
+            for (slot, hdr) in headers {
                 let ended = hdr.xmax != 0
                     && self
                         .txns
@@ -959,14 +920,14 @@ impl HeapFile {
                         .unwrap_or(false);
                 if ended {
                     // Dead to every live and future snapshot: reclaim.
-                    remove.push((slot, tuple));
+                    remove.push(slot);
                     continue;
                 }
                 let xmin_frozen = match hdr.xmin {
                     crate::txn::FROZEN => true,
                     x => match self.txns.commit_stamp(x) {
                         Some(c) if c <= watermark => {
-                            freeze.push((slot, hdr, tuple));
+                            freeze.push((slot, hdr));
                             true
                         }
                         // Uncommitted, or committed above the watermark:
@@ -988,25 +949,37 @@ impl HeapFile {
             }
             out.frozen += freeze.len() as u64;
             let new_free = self.pool.with_page_mut(pid, |p| {
-                for (slot, _) in &remove {
-                    if p.delete(*slot) {
+                for &slot in &remove {
+                    let rec = p
+                        .get(slot)
+                        .ok_or(StorageError::InvalidRid { page: pid, slot })?;
+                    let (_, tuple) = decode_record(rec)?;
+                    if p.delete(slot) {
                         self.log(
                             p,
                             WalRecord::Tombstone {
                                 table: self.table_id,
-                                rid: Rid::new(pid, *slot),
+                                rid: Rid::new(pid, slot),
                             },
                         );
                     }
+                    out.removed.push((Rid::new(pid, slot), tuple));
                 }
-                for (slot, hdr, tuple) in &freeze {
-                    let rec = encode_record(
-                        VersionHdr {
-                            xmin: crate::txn::FROZEN,
-                            xmax: hdr.xmax,
-                        },
-                        tuple,
-                    );
+                for (slot, hdr) in &freeze {
+                    let mut rec = p
+                        .get(*slot)
+                        .ok_or(StorageError::InvalidRid {
+                            page: pid,
+                            slot: *slot,
+                        })?
+                        .to_vec();
+                    let mut frozen = Vec::with_capacity(VersionHdr::SIZE);
+                    VersionHdr {
+                        xmin: crate::txn::FROZEN,
+                        xmax: hdr.xmax,
+                    }
+                    .encode(&mut frozen);
+                    rec[..VersionHdr::SIZE].copy_from_slice(&frozen);
                     // Same record size (the header is fixed-width): the
                     // in-place rewrite cannot fail to fit.
                     if !p.update(*slot, &rec)? {
@@ -1029,8 +1002,6 @@ impl HeapFile {
                 out.pages_compacted += 1;
                 self.free.write()[idx] = new_free;
             }
-            out.removed
-                .extend(remove.into_iter().map(|(slot, t)| (Rid::new(pid, slot), t)));
         }
         Ok(out)
     }
@@ -1188,29 +1159,6 @@ mod tests {
         assert_eq!(old, row(5));
         assert!(h.get(rid).is_err());
         assert_eq!(h.count().unwrap(), 0);
-    }
-
-    #[test]
-    fn update_in_place_keeps_rid() {
-        let h = heap();
-        let rid = h.insert(&row(5)).unwrap();
-        let (_, new_rid) = h.update(rid, &row(6)).unwrap();
-        assert_eq!(rid, new_rid);
-        assert_eq!(h.get(rid).unwrap(), row(6));
-    }
-
-    #[test]
-    fn update_relocates_when_grown_past_page() {
-        let h = heap();
-        // Fill a page almost exactly.
-        let mut rids = vec![];
-        for i in 0..70 {
-            rids.push(h.insert(&row(i)).unwrap());
-        }
-        // Grow one tuple to 6KB: it may relocate; value must survive.
-        let big = Tuple::new(vec![Value::Int(0), Value::Str("x".repeat(6000))]);
-        let (_, new_rid) = h.update(rids[0], &big).unwrap();
-        assert_eq!(h.get(new_rid).unwrap(), big);
     }
 
     #[test]

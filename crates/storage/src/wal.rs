@@ -159,8 +159,7 @@ pub enum WalRecord {
         table: TableId,
         rid: Rid,
     },
-    /// Physically remove the version at `rid` (rollback, vacuum reclaim, or
-    /// frozen-path delete).
+    /// Physically remove the version at `rid` (rollback or vacuum reclaim).
     Tombstone {
         table: TableId,
         rid: Rid,

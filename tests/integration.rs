@@ -431,9 +431,11 @@ fn stored_point_fetch_reads_an_exact_page_count() {
 /// connections, and checks its three skills for a connection left in one
 /// batched read, stopping once each has one (all three are shared, so they
 /// stay). That costs an exact number of buffer-pool page accesses,
-/// statement included (22 when each skill was probed on its own, 20 when
-/// the employee's three skill connections were read under a pin each),
-/// below the 57 that extracting the
+/// statement included: 13 (18 when each of the five removals deleted its
+/// row physically, reading it first, rather than marking its version
+/// deleted; 22 when each skill was probed on its own; 20 when the
+/// employee's three skill connections were read under a pin each), below
+/// the 57 that extracting the
 /// employee's whole department costs; re-extracting and diff-splicing the
 /// department cost 432. The stored CO then equals a REFRESH.
 #[test]
@@ -471,7 +473,7 @@ fn stored_co_delete_edits_an_exact_page_count() {
         ),
         (1, 4, 0)
     );
-    assert_eq!(delete, 18);
+    assert_eq!(delete, 13);
     let stored = canon(&session.fetch_co("deps").unwrap().workspace);
     session
         .execute("REFRESH MATERIALIZED VIEW deps", &[])
@@ -484,10 +486,15 @@ fn stored_co_delete_edits_an_exact_page_count() {
 /// and 28; shared skills stay) and 105 connections wave by wave, each
 /// wave's orphan checks, rid lookups and reads of the removed nodes'
 /// outgoing connections batched through `Table::scan_by_values`. Each costs an exact number of buffer-pool page accesses,
-/// statement included: 288 and 282. Reading each removed node's outgoing
-/// connections with a read of its own, not one per wave and relationship,
-/// cost 311 and 305; under a pin each, 389 and 383; and probing one node
-/// at a time, 584 and 510. The stored CO then equals a REFRESH.
+/// statement included: 153 and 160. The second runs after a REFRESH,
+/// whose superseded versions stay in the streams below the auto-vacuum
+/// threshold, and its reads pass over them. Deleting each of the 135 and
+/// 133 removed rows physically, reading it first, rather than marking its
+/// version deleted, cost 288 and 282 (the REFRESH then left no old
+/// versions); reading each removed node's outgoing connections with a read
+/// of its own, not one per wave and relationship, 311 and 305; under a pin
+/// each, 389 and 383; and probing one node at a time, 584 and 510. The
+/// stored CO then equals a REFRESH.
 #[test]
 fn stored_co_department_exit_cascades_in_an_exact_page_count() {
     use xnf_core::{DbConfig, PlanOptions};
@@ -531,7 +538,7 @@ fn stored_co_department_exit_cascades_in_an_exact_page_count() {
             "{stmt}"
         );
     }
-    assert_eq!(costs, vec![(288, 30, 105, 0), (282, 28, 105, 0)]);
+    assert_eq!(costs, vec![(153, 30, 105, 0), (160, 28, 105, 0)]);
 }
 
 /// Writing back one raised salary from a fetched Fig. 1 department runs

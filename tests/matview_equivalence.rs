@@ -17,7 +17,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use xnf_core::{CoCache, Database, DbConfig, Value};
+use xnf_core::{CoCache, Database, DbConfig, Session, Value};
 use xnf_fixtures::{
     build_oo1_db_with, build_paper_db_with, build_uniform_paper_db_with, random_table, Oo1Config,
     PaperScale, RandomTableConfig, DEPS_ARC, OO1_CO,
@@ -39,8 +39,12 @@ fn config_with_batch(batch_size: usize) -> DbConfig {
 
 /// Sorted bag of a query's rows.
 fn rows_of(db: &Database, sql: &str) -> Vec<Vec<String>> {
-    let mut rows: Vec<Vec<String>> = db
-        .session()
+    rows_in(&db.session(), sql)
+}
+
+/// Sorted bag of a query's rows, read in `session`'s scope.
+fn rows_in(session: &Session, sql: &str) -> Vec<Vec<String>> {
+    let mut rows: Vec<Vec<String>> = session
         .query(sql, &[])
         .unwrap()
         .try_table()
@@ -944,8 +948,10 @@ fn random_fixture_randomized_stream_all_batch_sizes() {
 /// equal both its definition and a full REFRESH recompute. With `hires`,
 /// every other transaction of a session is instead a hire with one skill
 /// link plus a move of one of the session's own employees. A fifth
-/// session point-fetches `hot_deps` departments until the writers are
-/// done: no fetch may fail or return more than one department root.
+/// session reads until the writers are done: no point fetch of a
+/// `hot_deps` department may fail or return more than one department root,
+/// and inside each of its transactions every view equals its definition
+/// under that transaction's snapshot, mid-storm.
 fn concurrent_storm_matches_refresh(db: Database, hires: bool) -> Database {
     use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
     use xnf_core::run_sessions;
@@ -969,6 +975,7 @@ fn concurrent_storm_matches_refresh(db: Database, hires: bool) -> Database {
     let commits = AtomicU64::new(0);
     let writers_done = AtomicUsize::new(0);
     let fetches = AtomicU64::new(0);
+    let snapshots = AtomicU64::new(0);
     run_sessions(&db, WRITERS + 1, |i, session| {
         let mut rng = StdRng::seed_from_u64(0xD1CE ^ (i as u64).wrapping_mul(7919));
         if i == WRITERS {
@@ -981,6 +988,25 @@ fn concurrent_storm_matches_refresh(db: Database, hires: bool) -> Database {
                 let roots = co.workspace.component("xdept").unwrap().len();
                 assert!(roots <= 1, "point fetch of {dno:?} returned {roots} roots");
                 fetches.fetch_add(1, Ordering::Relaxed);
+                session.begin().unwrap();
+                for (name, def) in [
+                    ("arc_people", PAPER_SQL_VIEW),
+                    ("top_emps", PAPER_DIRECT_VIEW),
+                    ("head_count", PAPER_AGG_VIEW),
+                ] {
+                    assert_eq!(
+                        rows_in(session, &format!("SELECT * FROM {name}")),
+                        rows_in(session, def),
+                        "{name} != its definition under a mid-storm snapshot"
+                    );
+                }
+                assert_eq!(
+                    canon(&session.fetch_co("hot_deps").unwrap()),
+                    canon(&session.fetch_co(DEPS_ARC).unwrap()),
+                    "hot_deps != its definition under a mid-storm snapshot"
+                );
+                session.commit().unwrap();
+                snapshots.fetch_add(1, Ordering::Relaxed);
                 if done {
                     return;
                 }
@@ -1026,6 +1052,7 @@ fn concurrent_storm_matches_refresh(db: Database, hires: bool) -> Database {
         "storm committed too little to mean anything"
     );
     assert!(fetches.load(Ordering::Relaxed) > 0);
+    assert!(snapshots.load(Ordering::Relaxed) > 0);
 
     let ctx = "after concurrent multi-statement transactions";
     assert_co_matches(&db, "hot_deps", DEPS_ARC, ctx);

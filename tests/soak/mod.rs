@@ -1,5 +1,5 @@
-//! Oracle-checked load generators for the XNF engine, shared by the
-//! `soak`, `workload_smoke` and `workload_determinism` test targets.
+//! Oracle-checked load generators for the XNF engine, driven by the `soak`
+//! test target.
 //!
 //! Two deterministic, seeded generators exercise the public [`xnf_core`]
 //! `Session` API end to end:

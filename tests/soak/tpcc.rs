@@ -15,8 +15,9 @@
 //! interleaving-independent invariants: the conserved total
 //! `SUM(c_balance) + SUM(o_amount)` under a single snapshot, repeatable
 //! reads and read-your-writes inside transactions (including reading back
-//! a just-inserted order and a just-bumped `d_next_o_id`), and sane
-//! summary-matview contents.
+//! a just-inserted order and a just-bumped `d_next_o_id`), the summary
+//! matview equal to its base aggregation under one snapshot, and the exact
+//! subtree shape of every stored-CO point fetch.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -355,12 +356,10 @@ pub fn build_tpcc_db(cfg: &TpccConfig) -> (Database, Option<TempDir>) {
 pub struct TpccRun {
     /// Transactions the clients ran.
     pub ops: u64,
-    /// Write-conflict retries spent (read by the smoke tests only).
-    #[allow(dead_code)]
+    /// Write-conflict retries spent.
     pub retries: u64,
     pub violations: Arc<Violations>,
-    /// The model's final state (read by the determinism tests only).
-    #[allow(dead_code)]
+    /// The model's final state.
     pub model: TpccModel,
 }
 
@@ -373,19 +372,10 @@ pub fn run_tpcc(cfg: &TpccConfig) -> TpccRun {
     let ops = AtomicU64::new(0);
     let retries = AtomicU64::new(0);
 
-    // Replay the stream up front: the quiesce differential needs it, and
-    // the workers use the final per-district order summary as an upper
-    // bound for the continuous matview checks.
-    let model = TpccModel::replay(&stream);
-    let final_summary = model.summary();
-
     run_sessions(&db, cfg.clients, |client, session| {
         let mut worker = TpccWorker {
-            cfg,
             session,
             violations: &violations,
-            final_summary: &final_summary,
-            last_summary: BTreeMap::new(),
             seen: 0,
         };
         for txn in stream.iter().skip(client).step_by(cfg.clients) {
@@ -394,6 +384,7 @@ pub fn run_tpcc(cfg: &TpccConfig) -> TpccRun {
         }
     });
 
+    let model = TpccModel::replay(&stream);
     quiesce_check(&db, &model, &violations);
     TpccRun {
         ops: ops.into_inner(),
@@ -404,15 +395,8 @@ pub fn run_tpcc(cfg: &TpccConfig) -> TpccRun {
 }
 
 struct TpccWorker<'a, 'db> {
-    cfg: &'a TpccConfig,
     session: &'a Session<'db>,
     violations: &'a Violations,
-    /// Final per-district `(order count, amount sum)` from the replayed
-    /// model — the upper bound any mid-storm `ord_sum` observation may hit.
-    final_summary: &'a BTreeMap<i64, (i64, i64)>,
-    /// This worker's last `ord_sum` observation per district (the summary
-    /// history is append-only, so observations must be monotone).
-    last_summary: BTreeMap<i64, (i64, i64)>,
     seen: u64,
 }
 
@@ -591,7 +575,7 @@ impl TpccWorker<'_, '_> {
         0
     }
 
-    fn summary(&mut self, district: i64) -> u64 {
+    fn summary(&self, district: i64) -> u64 {
         let session = self.session;
         let v = self.violations;
         session.begin().expect("begin summary txn");
@@ -616,72 +600,28 @@ impl TpccWorker<'_, '_> {
             }
         };
         session.commit().expect("commit summary txn");
-        if self.cfg.clients == 1 {
-            // Single client: maintenance of every commit this thread made
-            // completed before the commit call returned, so the matview is
-            // exactly current.
-            v.check_eq(mv, base, || {
-                format!("summary(d{district}): ord_sum matview != base aggregation")
-            });
-        } else if let Some((n, total)) = mv {
-            // Concurrent clients: maintenance writes land outside the base
-            // commit's stamp, so a snapshot can catch the matview behind
-            // *or* ahead of its base tables — an exact comparison is only
-            // meaningful at quiesce. What must hold mid-storm is that any
-            // observed group row is a *complete* state on the district's
-            // append-only summary history: internally consistent (amounts
-            // are ≥ 1 each), never past the stream's final value, and
-            // monotone across this worker's observations.
-            let (fin_n, fin_total) = self.final_summary.get(&district).copied().unwrap_or((0, 0));
-            let (last_n, last_total) = self.last_summary.get(&district).copied().unwrap_or((0, 0));
-            v.check(
-                n >= 1 && total >= n && n <= fin_n && total <= fin_total,
-                || {
-                    format!(
-                        "summary(d{district}): ord_sum ({n}, {total}) is not a valid state \
-                         on the way to final ({fin_n}, {fin_total})"
-                    )
-                },
-            );
-            v.check(n >= last_n && total >= last_total, || {
-                format!(
-                    "summary(d{district}): ord_sum went backwards \
-                     (({last_n}, {last_total}) then ({n}, {total}))"
-                )
-            });
-            self.last_summary.insert(district, (n, total));
-        }
+        // Maintenance commits with its base writes, so one snapshot sees
+        // the matview exactly as current as the base tables.
+        v.check_eq(mv, base, || {
+            format!("summary(d{district}): ord_sum matview != base aggregation")
+        });
         0
     }
 
     fn co_fetch(&self, district: i64) -> u64 {
-        let session = self.session;
-        let v = self.violations;
-        let co = session
+        let co = self
+            .session
             .database()
             .fetch_co_point("dist_co", &Value::Int(district))
             .expect("co point fetch");
         let roots = co.workspace.component("xdist").expect("xdist").len();
         let custs = co.workspace.component("xcust").expect("xcust").len() as u64;
-        if self.cfg.clients == 1 {
-            // Single client: CO maintenance has fully caught up, so the
-            // subtree shape is exact (customers never move between
-            // districts in this workload).
-            v.check_eq((roots, custs), (1, CUSTOMERS_PER_D), || {
+        // A fetch reads one commit's view of the stored streams, and
+        // customers never move between districts in this workload.
+        self.violations
+            .check_eq((roots, custs), (1, CUSTOMERS_PER_D), || {
                 format!("co_fetch(d{district}): wrong (roots, customers) subtree shape")
             });
-        } else {
-            // Concurrent clients: in-place edits (removals before inserts)
-            // are piecemeal-visible, so a fetch can catch the subtree
-            // partially rebuilt — but never *larger* than its true shape.
-            // Exactness is asserted by the quiesce canon comparison.
-            v.check(roots <= 1 && custs <= CUSTOMERS_PER_D, || {
-                format!(
-                    "co_fetch(d{district}): subtree larger than its true shape \
-                     ({roots} roots, {custs} customers)"
-                )
-            });
-        }
         0
     }
 }
