@@ -438,9 +438,12 @@ fn fill_sql_backing(
     for row in rows {
         insert(&backing, &Tuple::new(row.clone()))?;
     }
-    // Group rows are located through their first grouping output.
-    if let SqlStrategy::GroupedAgg { groups, .. } = strategy {
-        ensure_index(&backing, "mv_key", groups[0].1)?;
+    // Group rows are located through their first grouping output, and
+    // direct rows removed by value through their first column.
+    match strategy {
+        SqlStrategy::GroupedAgg { groups, .. } => ensure_index(&backing, "mv_key", groups[0].1)?,
+        SqlStrategy::Direct { .. } => ensure_index(&backing, "mv_key", 0)?,
+        SqlStrategy::Full => {}
     }
     backing.analyze()?;
     Ok(())

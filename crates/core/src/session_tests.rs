@@ -581,6 +581,38 @@ fn vacuum_runs_inside_and_outside_transactions() {
     assert_eq!(report.try_table().unwrap().columns[0], "table");
 }
 
+/// A heap that only ever receives inserts builds no reclaim pressure, but
+/// its unfrozen headers pin the commit-stamp table; the opportunistic
+/// vacuum freezes it once the stamps it pins reach their share of the
+/// threshold, so the table stays bounded under a write storm elsewhere.
+/// Selecting heaps by dead versions alone left 2 002 stamps here.
+#[test]
+fn auto_vacuum_freezes_an_insert_only_heap() {
+    let db = Database::with_config(crate::db::DbConfig {
+        auto_vacuum_threshold: 8,
+        ..Default::default()
+    });
+    let session = db.session();
+    session
+        .execute_batch(
+            "CREATE TABLE T (a INT); CREATE TABLE U (k INT, v INT);
+             INSERT INTO U VALUES (1, 0); INSERT INTO T VALUES (1)",
+        )
+        .unwrap();
+    let mut update = session
+        .prepare("UPDATE U SET v = v + 1 WHERE k = 1")
+        .unwrap();
+    let mut most = 0;
+    for _ in 0..2_000 {
+        update.execute().unwrap();
+        most = most.max(db.catalog().txns().stamp_count());
+    }
+    // 16 stamps (`FREEZE_STAMPS_PER_PRESSURE`) per unit of the threshold.
+    assert_eq!(most, 16 * 8, "the stamp table's peak");
+    let t = db.catalog().table("T").unwrap();
+    assert_eq!(t.gc().unfrozen(), 0, "T's insert was frozen");
+}
+
 #[test]
 fn query_refuses_statements_without_rows_before_running_them() {
     let db = Database::new();

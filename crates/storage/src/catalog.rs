@@ -26,6 +26,12 @@ use crate::vacuum::{GcStats, GcTotals, TableGc, TableVacuumReport, VacuumReport,
 use crate::value::Value;
 use crate::wal::{IndexSnap, TableSnap, ViewSnap, Wal, WalRecord};
 
+/// Pinned commit stamps that count as one unit of a heap's vacuum
+/// pressure. A stamp-table entry costs a few bytes while a pass reads every
+/// page of the heap, so a heap that only needs freezing is passed over until
+/// it pins this many times the auto-vacuum threshold.
+const FREEZE_STAMPS_PER_PRESSURE: u64 = 16;
+
 /// Numeric table identifier.
 pub type TableId = u32;
 
@@ -148,7 +154,7 @@ impl Table {
         let indexes = self.indexes.read();
         for entry in indexes.iter().filter(|e| e.def.unique) {
             let key = Self::key_of(&entry.def, tuple);
-            for rid in entry.tree.read().get(&key) {
+            for &rid in entry.tree.read().get(&key) {
                 if skip == Some(rid) {
                     continue;
                 }
@@ -167,11 +173,7 @@ impl Table {
         let indexes = self.indexes.read();
         for entry in indexes.iter() {
             let key = Self::key_of(&entry.def, tuple);
-            entry
-                .tree
-                .write()
-                .insert(key, rid)
-                .expect("non-unique tree insert cannot fail");
+            entry.tree.write().insert(key, rid);
         }
     }
 
@@ -343,7 +345,7 @@ impl Table {
             columns,
             unique,
         };
-        let mut tree = BTreeIndex::new(false);
+        let mut tree = BTreeIndex::default();
         let latest = self.txns().snapshot_latest();
         let mut live_keys: HashSet<Key> = HashSet::new();
         let mut build_err = None;
@@ -353,7 +355,7 @@ impl Table {
                 build_err = Some(StorageError::UniqueViolation(format_key(&key)));
                 return Ok(false);
             }
-            tree.insert(key, rid)?;
+            tree.insert(key, rid);
             Ok(true)
         })?;
         if let Some(e) = build_err {
@@ -388,7 +390,7 @@ impl Table {
     pub(crate) fn restore_index_def(&self, def: IndexDef) {
         self.indexes.write().push(IndexEntry {
             def,
-            tree: RwLock::new(BTreeIndex::new(false)),
+            tree: RwLock::new(BTreeIndex::default()),
         });
     }
 
@@ -400,9 +402,9 @@ impl Table {
         let _w = self.write_latch.lock();
         let indexes = self.indexes.read();
         for entry in indexes.iter() {
-            let mut tree = BTreeIndex::new(false);
+            let mut tree = BTreeIndex::default();
             self.heap.for_each_version(|rid, _, t| {
-                tree.insert(Table::key_of(&entry.def, &t), rid)?;
+                tree.insert(Table::key_of(&entry.def, &t), rid);
                 Ok(true)
             })?;
             *entry.tree.write() = tree;
@@ -441,7 +443,7 @@ impl Table {
     pub fn gather_postings(&self, index_name: &str, mut keys: Vec<Key>) -> Result<Postings> {
         keys.retain(|k| !k.iter().any(Value::is_null));
         let mut entries: Vec<(Rid, usize)> = self.with_tree(index_name, |tree| {
-            let posted = |(i, key)| tree.get(key).into_iter().map(move |rid| (rid, i));
+            let posted = |(i, key): (usize, &Key)| tree.get(key).iter().map(move |&rid| (rid, i));
             keys.iter().enumerate().flat_map(posted).collect()
         })?;
         if entries.len() > 1 {
@@ -1278,17 +1280,26 @@ impl Catalog {
         self.gc_totals.snapshot()
     }
 
-    /// Heaps whose reclaim pressure reached `threshold` — the candidates an
-    /// opportunistic (post-commit) vacuum should scan. A table whose last
-    /// pass already ran at the current watermark is excluded: re-scanning
-    /// before the watermark moves (e.g. while a long transaction pins it)
-    /// cannot reclaim anything new, and triggering it per commit would turn
-    /// sustained writes quadratic.
+    /// Heaps whose reclaim pressure, or whose freeze pressure (the commit
+    /// stamps their unfrozen headers pin, see [`TableGc::pinned_stamps`],
+    /// over `FREEZE_STAMPS_PER_PRESSURE`), reached `threshold` — the
+    /// candidates an opportunistic (post-commit) vacuum should scan. Freeze
+    /// pressure is what selects a heap that only receives inserts, which
+    /// would otherwise pin the stamp table forever.
+    /// A table whose last pass already ran at the current watermark is
+    /// excluded: re-scanning before the watermark moves (e.g. while a long
+    /// transaction pins it) cannot reclaim or freeze anything new, and
+    /// triggering it per commit would turn sustained writes quadratic.
     pub fn gc_pressured_tables(&self, threshold: u64) -> Vec<Arc<Table>> {
         let watermark = self.txns.oldest_visible_stamp();
         self.storage_tables()
             .into_iter()
-            .filter(|t| t.gc().dead_hint() >= threshold && t.gc().last_pass_watermark() < watermark)
+            .filter(|t| {
+                let gc = t.gc();
+                let frozen = gc.pinned_stamps(watermark) / FREEZE_STAMPS_PER_PRESSURE;
+                let pressure = gc.dead_hint().max(frozen);
+                pressure >= threshold && gc.last_pass_watermark() < watermark
+            })
             .collect()
     }
 }
@@ -1523,11 +1534,7 @@ pub(crate) mod tests {
     fn post_stale(t: &Table, index: &str, key: i64, rid: Rid) {
         let indexes = t.indexes.read();
         let entry = indexes.iter().find(|e| e.def.name == index).unwrap();
-        entry
-            .tree
-            .write()
-            .insert(vec![Value::Int(key)], rid)
-            .unwrap();
+        entry.tree.write().insert(vec![Value::Int(key)], rid);
     }
 
     #[test]

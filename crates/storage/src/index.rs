@@ -1,9 +1,15 @@
 //! B+-tree indexes mapping (composite) key values to RID postings.
 //!
 //! The tree is an in-memory node-based B+-tree (fixed fan-out) over
-//! [`Value`] keys, supporting duplicates (a posting list per key), unique
-//! constraints, point lookups and range scans. Starburst-era links (direct
-//! tuple pointers) correspond to the RID postings here.
+//! [`Value`] keys, supporting duplicates (a posting list per key) and point
+//! lookups; uniqueness is enforced by [`crate::Table`] against live
+//! versions. Starburst-era links (direct tuple pointers) correspond to the
+//! RID postings here.
+//!
+//! Every key of one tree has the same width, the number of indexed columns,
+//! taken from the first key inserted. A node keeps its keys flat, in one
+//! contiguous `Vec<Value>` of `width` values per key, and binary-searches
+//! key slices in place, so a comparison never chases a per-key allocation.
 //!
 //! Deletion is *lazy*: removing the last RID of a key removes the key from
 //! its leaf but does not rebalance the tree; empty leaves are skipped by
@@ -11,9 +17,8 @@
 //! defer structural deletion) and bounded here because workloads rebuild
 //! indexes on bulk reorganisation.
 
-use std::ops::Bound;
+use std::cmp::Ordering;
 
-use crate::error::{Result, StorageError};
 use crate::tuple::Rid;
 use crate::value::Value;
 
@@ -23,20 +28,23 @@ const ORDER: usize = 32;
 /// A composite index key.
 pub type Key = Vec<Value>;
 
+/// A node's keys are `keys[i * width..(i + 1) * width]`: a leaf holds one
+/// per posting list, an internal node one fewer than its children.
 #[derive(Debug)]
 enum Node {
     Leaf {
-        keys: Vec<Key>,
+        keys: Vec<Value>,
         postings: Vec<Vec<Rid>>,
     },
     Internal {
-        keys: Vec<Key>,
+        keys: Vec<Value>,
         children: Vec<Node>,
     },
 }
 
-impl Node {
-    fn new_leaf() -> Node {
+/// An empty leaf.
+impl Default for Node {
+    fn default() -> Node {
         Node::Leaf {
             keys: Vec::new(),
             postings: Vec::new(),
@@ -44,29 +52,39 @@ impl Node {
     }
 }
 
-/// Result of inserting into a subtree: possibly a split (separator + right).
-enum InsertResult {
-    Done,
-    Split(Key, Box<Node>),
+/// Binary search the first `n` keys of width `w` packed in `keys`.
+fn search(keys: &[Value], w: usize, n: usize, key: &[Value]) -> Result<usize, usize> {
+    let (mut lo, mut hi) = (0, n);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        match keys[mid * w..(mid + 1) * w].cmp(key) {
+            Ordering::Less => lo = mid + 1,
+            Ordering::Greater => hi = mid,
+            Ordering::Equal => return Ok(mid),
+        }
+    }
+    Err(lo)
 }
 
-/// An ordered secondary index.
+/// The child of an internal node with `n` keys that may hold `key`: child
+/// `i` holds the keys in `[keys[i - 1], keys[i])`.
+fn route(keys: &[Value], w: usize, n: usize, key: &[Value]) -> usize {
+    match search(keys, w, n, key) {
+        Ok(i) => i + 1,
+        Err(i) => i,
+    }
+}
+
+/// An ordered secondary index; `default()` is an empty one.
+#[derive(Default)]
 pub struct BTreeIndex {
-    root: Box<Node>,
-    unique: bool,
+    root: Node,
+    /// Values per key, fixed by the first insert.
+    width: usize,
     len: usize,
 }
 
 impl BTreeIndex {
-    /// Create an empty index; `unique` enforces one RID per key.
-    pub fn new(unique: bool) -> Self {
-        BTreeIndex {
-            root: Box::new(Node::new_leaf()),
-            unique,
-            len: 0,
-        }
-    }
-
     /// Number of (key, rid) entries.
     pub fn len(&self) -> usize {
         self.len
@@ -76,236 +94,129 @@ impl BTreeIndex {
         self.len == 0
     }
 
-    /// Insert an entry. Fails with [`StorageError::UniqueViolation`] if the
-    /// index is unique and the key is already present.
-    pub fn insert(&mut self, key: Key, rid: Rid) -> Result<()> {
-        match Self::insert_rec(&mut self.root, key, rid, self.unique)? {
-            InsertResult::Done => {}
-            InsertResult::Split(sep, right) => {
-                // Grow the tree: new root with two children.
-                let old_root = std::mem::replace(&mut self.root, Box::new(Node::new_leaf()));
-                *self.root = Node::Internal {
-                    keys: vec![sep],
-                    children: vec![*old_root, *right],
-                };
-            }
+    /// Insert an entry; a key already present gains `rid` at the end of its
+    /// postings. Panics if `key`'s width differs from the tree's.
+    pub fn insert(&mut self, key: Key, rid: Rid) {
+        if self.len == 0 && self.height() == 1 {
+            self.width = key.len();
+        }
+        assert_eq!(key.len(), self.width, "index key width");
+        if let Some((sep, right)) = Self::insert_rec(&mut self.root, self.width, key, rid) {
+            // Grow the tree: new root with two children.
+            let left = std::mem::take(&mut self.root);
+            self.root = Node::Internal {
+                keys: sep,
+                children: vec![left, right],
+            };
         }
         self.len += 1;
-        Ok(())
     }
 
-    fn insert_rec(node: &mut Node, key: Key, rid: Rid, unique: bool) -> Result<InsertResult> {
+    /// Insert into a subtree; a split returns its separator and right half.
+    fn insert_rec(node: &mut Node, w: usize, key: Key, rid: Rid) -> Option<(Key, Node)> {
         match node {
             Node::Leaf { keys, postings } => {
-                match keys.binary_search(&key) {
-                    Ok(i) => {
-                        if unique {
-                            return Err(StorageError::UniqueViolation(format_key(&key)));
-                        }
-                        postings[i].push(rid);
-                    }
+                match search(keys, w, postings.len(), &key) {
+                    Ok(i) => postings[i].push(rid),
                     Err(i) => {
-                        keys.insert(i, key);
+                        keys.splice(i * w..i * w, key);
                         postings.insert(i, vec![rid]);
                     }
                 }
-                if keys.len() > ORDER {
-                    let mid = keys.len() / 2;
-                    let right_keys = keys.split_off(mid);
-                    let right_postings = postings.split_off(mid);
-                    let sep = right_keys[0].clone();
-                    Ok(InsertResult::Split(
-                        sep,
-                        Box::new(Node::Leaf {
-                            keys: right_keys,
-                            postings: right_postings,
-                        }),
-                    ))
-                } else {
-                    Ok(InsertResult::Done)
+                if postings.len() <= ORDER {
+                    return None;
                 }
+                let mid = postings.len() / 2;
+                let right_keys = keys.split_off(mid * w);
+                let sep = right_keys[..w].to_vec();
+                let right_postings = postings.split_off(mid);
+                Some((
+                    sep,
+                    Node::Leaf {
+                        keys: right_keys,
+                        postings: right_postings,
+                    },
+                ))
             }
             Node::Internal { keys, children } => {
-                let idx = match keys.binary_search(&key) {
-                    Ok(i) => i + 1,
-                    Err(i) => i,
-                };
-                match Self::insert_rec(&mut children[idx], key, rid, unique)? {
-                    InsertResult::Done => Ok(InsertResult::Done),
-                    InsertResult::Split(sep, right) => {
-                        keys.insert(idx, sep);
-                        children.insert(idx + 1, *right);
-                        if keys.len() > ORDER {
-                            let mid = keys.len() / 2;
-                            // Separator moves up; right node gets keys after mid.
-                            let sep_up = keys[mid].clone();
-                            let right_keys = keys.split_off(mid + 1);
-                            keys.pop(); // remove sep_up from left
-                            let right_children = children.split_off(mid + 1);
-                            Ok(InsertResult::Split(
-                                sep_up,
-                                Box::new(Node::Internal {
-                                    keys: right_keys,
-                                    children: right_children,
-                                }),
-                            ))
-                        } else {
-                            Ok(InsertResult::Done)
-                        }
-                    }
+                let idx = route(keys, w, children.len() - 1, &key);
+                let (sep, right) = Self::insert_rec(&mut children[idx], w, key, rid)?;
+                keys.splice(idx * w..idx * w, sep);
+                children.insert(idx + 1, right);
+                if children.len() - 1 <= ORDER {
+                    return None;
                 }
+                // The middle key moves up; the right node gets the keys after it.
+                let mid = (children.len() - 1) / 2;
+                let right_keys = keys.split_off((mid + 1) * w);
+                let sep_up = keys.split_off(mid * w);
+                let right_children = children.split_off(mid + 1);
+                Some((
+                    sep_up,
+                    Node::Internal {
+                        keys: right_keys,
+                        children: right_children,
+                    },
+                ))
             }
         }
     }
 
     /// Remove one (key, rid) entry. Returns whether it existed.
-    pub fn delete(&mut self, key: &Key, rid: Rid) -> bool {
-        let removed = Self::delete_rec(&mut self.root, key, rid);
-        if removed {
-            self.len -= 1;
-        }
-        removed
-    }
-
-    fn delete_rec(node: &mut Node, key: &Key, rid: Rid) -> bool {
-        match node {
-            Node::Leaf { keys, postings } => match keys.binary_search(key) {
-                Ok(i) => {
-                    let p = &mut postings[i];
-                    if let Some(pos) = p.iter().position(|r| *r == rid) {
-                        p.swap_remove(pos);
-                        if p.is_empty() {
-                            keys.remove(i);
-                            postings.remove(i);
-                        }
-                        true
-                    } else {
-                        false
-                    }
-                }
-                Err(_) => false,
-            },
-            Node::Internal { keys, children } => {
-                let idx = match keys.binary_search(key) {
-                    Ok(i) => i + 1,
-                    Err(i) => i,
-                };
-                Self::delete_rec(&mut children[idx], key, rid)
-            }
-        }
-    }
-
-    /// Exact-match lookup: all RIDs for `key`.
-    pub fn get(&self, key: &Key) -> Vec<Rid> {
-        let mut node = &*self.root;
+    pub fn delete(&mut self, key: &[Value], rid: Rid) -> bool {
+        let w = self.width;
+        let mut node = &mut self.root;
         loop {
             match node {
                 Node::Leaf { keys, postings } => {
-                    return match keys.binary_search(key) {
-                        Ok(i) => postings[i].clone(),
-                        Err(_) => Vec::new(),
+                    let Ok(i) = search(keys, w, postings.len(), key) else {
+                        return false;
+                    };
+                    let p = &mut postings[i];
+                    let Some(pos) = p.iter().position(|r| *r == rid) else {
+                        return false;
+                    };
+                    p.swap_remove(pos);
+                    if p.is_empty() {
+                        keys.drain(i * w..(i + 1) * w);
+                        postings.remove(i);
+                    }
+                    self.len -= 1;
+                    return true;
+                }
+                Node::Internal { keys, children } => {
+                    let idx = route(keys, w, children.len() - 1, key);
+                    node = &mut children[idx];
+                }
+            }
+        }
+    }
+
+    /// Exact-match lookup: all RIDs for `key`, borrowed from the tree. A key
+    /// of another width than the tree's matches nothing (no stored key
+    /// slice compares equal to it).
+    pub fn get(&self, key: &[Value]) -> &[Rid] {
+        let w = self.width;
+        let mut node = &self.root;
+        loop {
+            match node {
+                Node::Leaf { keys, postings } => {
+                    return match search(keys, w, postings.len(), key) {
+                        Ok(i) => &postings[i],
+                        Err(_) => &[],
                     };
                 }
                 Node::Internal { keys, children } => {
-                    let idx = match keys.binary_search(key) {
-                        Ok(i) => i + 1,
-                        Err(i) => i,
-                    };
-                    node = &children[idx];
+                    node = &children[route(keys, w, children.len() - 1, key)];
                 }
             }
         }
-    }
-
-    /// Range scan over keys with standard bounds; yields `(key, rid)` in key
-    /// order (RIDs within a key in insertion order).
-    pub fn range(&self, lo: Bound<&Key>, hi: Bound<&Key>) -> Vec<(Key, Rid)> {
-        let mut out = Vec::new();
-        Self::range_rec(&self.root, lo, hi, &mut out);
-        out
-    }
-
-    fn within_lo(key: &Key, lo: Bound<&Key>) -> bool {
-        match lo {
-            Bound::Unbounded => true,
-            Bound::Included(k) => key >= k,
-            Bound::Excluded(k) => key > k,
-        }
-    }
-
-    fn within_hi(key: &Key, hi: Bound<&Key>) -> bool {
-        match hi {
-            Bound::Unbounded => true,
-            Bound::Included(k) => key <= k,
-            Bound::Excluded(k) => key < k,
-        }
-    }
-
-    fn range_rec(node: &Node, lo: Bound<&Key>, hi: Bound<&Key>, out: &mut Vec<(Key, Rid)>) {
-        match node {
-            Node::Leaf { keys, postings } => {
-                for (k, p) in keys.iter().zip(postings) {
-                    if !Self::within_lo(k, lo) {
-                        continue;
-                    }
-                    if !Self::within_hi(k, hi) {
-                        break;
-                    }
-                    for rid in p {
-                        out.push((k.clone(), *rid));
-                    }
-                }
-            }
-            Node::Internal { keys, children } => {
-                // Child i holds keys in [keys[i-1], keys[i]); visit it only
-                // if that interval can intersect [lo, hi].
-                for (i, child) in children.iter().enumerate() {
-                    // Skip if everything in the child is below `lo`:
-                    // child keys < keys[i], so child is useless when
-                    // keys[i] <= lo (for both Included and Excluded lo).
-                    if i < keys.len() {
-                        let below_lo = match lo {
-                            Bound::Unbounded => false,
-                            Bound::Included(l) | Bound::Excluded(l) => &keys[i] <= l,
-                        };
-                        if below_lo {
-                            continue;
-                        }
-                    }
-                    // Skip if everything in the child is above `hi`:
-                    // child keys >= keys[i-1], so child is useless when
-                    // keys[i-1] > hi (Included) or >= hi (Excluded).
-                    if i > 0 {
-                        let above_hi = match hi {
-                            Bound::Unbounded => false,
-                            Bound::Included(h) => &keys[i - 1] > h,
-                            Bound::Excluded(h) => &keys[i - 1] >= h,
-                        };
-                        if above_hi {
-                            break;
-                        }
-                    }
-                    Self::range_rec(child, lo, hi, out);
-                }
-            }
-        }
-    }
-
-    /// Number of distinct keys (full traversal; used for ANALYZE).
-    pub fn distinct_keys(&self) -> usize {
-        fn rec(node: &Node) -> usize {
-            match node {
-                Node::Leaf { keys, .. } => keys.len(),
-                Node::Internal { children, .. } => children.iter().map(rec).sum(),
-            }
-        }
-        rec(&self.root)
     }
 
     /// Tree height (1 = just a leaf). Exposed for tests and cost modelling.
     pub fn height(&self) -> usize {
         let mut h = 1;
-        let mut node = &*self.root;
+        let mut node = &self.root;
         while let Node::Internal { children, .. } = node {
             h += 1;
             node = &children[0];
@@ -314,14 +225,10 @@ impl BTreeIndex {
     }
 }
 
-fn format_key(key: &Key) -> String {
-    let parts: Vec<String> = key.iter().map(|v| v.to_string()).collect();
-    format!("({})", parts.join(", "))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn k(i: i64) -> Key {
         vec![Value::Int(i)]
@@ -331,122 +238,198 @@ mod tests {
         Rid::new(i, 0)
     }
 
+    /// A seeded linear congruential generator.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (self.0 >> 33) % n
+        }
+
+        /// An INT, DOUBLE, VARCHAR or NULL value; `Int(v)` and `Double(v)`
+        /// are one key under `Value`'s order.
+        fn value(&mut self) -> Value {
+            let v = self.below(1500) as i64;
+            match self.below(5) {
+                0 => Value::Int(v),
+                1 => Value::Double(v as f64),
+                2 => Value::Double(v as f64 + 0.5),
+                3 => Value::Str(format!("s{v}")),
+                _ => Value::Null,
+            }
+        }
+    }
+
+    /// Every key with its postings, in leaf order.
+    fn entries(idx: &BTreeIndex) -> Vec<(Key, Vec<Rid>)> {
+        fn walk(node: &Node, w: usize, out: &mut Vec<(Key, Vec<Rid>)>) {
+            match node {
+                Node::Leaf { keys, postings } => {
+                    for (i, p) in postings.iter().enumerate() {
+                        out.push((keys[i * w..(i + 1) * w].to_vec(), p.clone()));
+                    }
+                }
+                Node::Internal { children, .. } => children.iter().for_each(|c| walk(c, w, out)),
+            }
+        }
+        let mut out = Vec::new();
+        walk(&idx.root, idx.width, &mut out);
+        out
+    }
+
     #[test]
     fn insert_and_lookup_small() {
-        let mut idx = BTreeIndex::new(false);
+        let mut idx = BTreeIndex::default();
         for i in 0..10 {
-            idx.insert(k(i), rid(i as u64)).unwrap();
+            idx.insert(k(i), rid(i as u64));
         }
-        assert_eq!(idx.get(&k(5)), vec![rid(5)]);
-        assert_eq!(idx.get(&k(99)), vec![]);
+        assert_eq!(idx.get(&k(5)), [rid(5)]);
+        assert_eq!(idx.get(&k(99)), []);
     }
 
     #[test]
     fn splits_maintain_order_large() {
-        let mut idx = BTreeIndex::new(false);
+        let mut idx = BTreeIndex::default();
         // Insert shuffled to force interior splits.
         let mut keys: Vec<i64> = (0..5000).collect();
-        // Deterministic shuffle.
-        let mut s = 12345u64;
+        let mut lcg = Lcg(12345);
         for i in (1..keys.len()).rev() {
-            s = s
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let j = (s % (i as u64 + 1)) as usize;
-            keys.swap(i, j);
+            keys.swap(i, lcg.below(i as u64 + 1) as usize);
         }
         for &i in &keys {
-            idx.insert(k(i), rid(i as u64)).unwrap();
+            idx.insert(k(i), rid(i as u64));
         }
-        assert!(idx.height() > 1, "5000 keys should split the root");
+        assert!(idx.height() > 2, "5000 keys should split an internal node");
         for i in 0..5000 {
-            assert_eq!(idx.get(&k(i)), vec![rid(i as u64)], "key {i}");
+            assert_eq!(idx.get(&k(i)), [rid(i as u64)], "key {i}");
         }
-        let all = idx.range(Bound::Unbounded, Bound::Unbounded);
+        let all = entries(&idx);
         assert_eq!(all.len(), 5000);
-        assert!(
-            all.windows(2).all(|w| w[0].0 <= w[1].0),
-            "range scan sorted"
-        );
+        assert!(all.windows(2).all(|w| w[0].0 < w[1].0), "leaves sorted");
     }
 
     #[test]
     fn duplicates_accumulate_postings() {
-        let mut idx = BTreeIndex::new(false);
-        idx.insert(k(1), rid(1)).unwrap();
-        idx.insert(k(1), rid(2)).unwrap();
-        idx.insert(k(1), rid(3)).unwrap();
-        let mut rids = idx.get(&k(1));
-        rids.sort();
-        assert_eq!(rids, vec![rid(1), rid(2), rid(3)]);
+        let mut idx = BTreeIndex::default();
+        for i in 1..=3 {
+            idx.insert(k(1), rid(i));
+        }
+        assert_eq!(idx.get(&k(1)), [rid(1), rid(2), rid(3)]);
         assert_eq!(idx.len(), 3);
-        assert_eq!(idx.distinct_keys(), 1);
-    }
-
-    #[test]
-    fn unique_index_rejects_duplicates() {
-        let mut idx = BTreeIndex::new(true);
-        idx.insert(k(1), rid(1)).unwrap();
-        assert!(matches!(
-            idx.insert(k(1), rid(2)),
-            Err(StorageError::UniqueViolation(_))
-        ));
+        assert_eq!(entries(&idx).len(), 1);
     }
 
     #[test]
     fn delete_entries() {
-        let mut idx = BTreeIndex::new(false);
+        let mut idx = BTreeIndex::default();
         for i in 0..100 {
-            idx.insert(k(i % 10), rid(i as u64)).unwrap();
+            idx.insert(k(i % 10), rid(i as u64));
         }
         assert!(idx.delete(&k(3), rid(3)));
         assert!(!idx.delete(&k(3), rid(3)), "double delete");
         assert!(!idx.delete(&k(55), rid(1)), "missing key");
         assert_eq!(idx.len(), 99);
         // Deleting all rids of key 4 removes the key.
-        for i in 0..100u64 {
-            if i % 10 == 4 {
-                assert!(idx.delete(&k(4), rid(i)));
-            }
+        for i in (4..100u64).step_by(10) {
+            assert!(idx.delete(&k(4), rid(i)));
         }
-        assert_eq!(idx.get(&k(4)), vec![]);
-    }
-
-    #[test]
-    fn range_bounds() {
-        let mut idx = BTreeIndex::new(false);
-        for i in 0..100 {
-            idx.insert(k(i), rid(i as u64)).unwrap();
-        }
-        let r = idx.range(Bound::Included(&k(10)), Bound::Excluded(&k(20)));
-        let got: Vec<i64> = r.iter().map(|(key, _)| key[0].as_int().unwrap()).collect();
-        assert_eq!(got, (10..20).collect::<Vec<_>>());
-        let r = idx.range(Bound::Excluded(&k(95)), Bound::Unbounded);
-        assert_eq!(r.len(), 4);
+        assert_eq!(idx.get(&k(4)), []);
+        assert_eq!(entries(&idx).len(), 9);
     }
 
     #[test]
     fn composite_keys_order_lexicographically() {
-        let mut idx = BTreeIndex::new(false);
-        idx.insert(vec![Value::Int(1), Value::Str("b".into())], rid(1))
-            .unwrap();
-        idx.insert(vec![Value::Int(1), Value::Str("a".into())], rid(2))
-            .unwrap();
-        idx.insert(vec![Value::Int(0), Value::Str("z".into())], rid(3))
-            .unwrap();
-        let all = idx.range(Bound::Unbounded, Bound::Unbounded);
-        let rids: Vec<Rid> = all.iter().map(|(_, r)| *r).collect();
+        let mut idx = BTreeIndex::default();
+        idx.insert(vec![Value::Int(1), Value::Str("b".into())], rid(1));
+        idx.insert(vec![Value::Int(1), Value::Str("a".into())], rid(2));
+        idx.insert(vec![Value::Int(0), Value::Str("z".into())], rid(3));
+        let rids: Vec<Rid> = entries(&idx).into_iter().flat_map(|(_, p)| p).collect();
         assert_eq!(rids, vec![rid(3), rid(2), rid(1)]);
     }
 
     #[test]
     fn string_keys() {
-        let mut idx = BTreeIndex::new(false);
+        let mut idx = BTreeIndex::default();
         for (i, name) in ["ARC", "HDC", "YKT", "ALM"].iter().enumerate() {
-            idx.insert(vec![Value::Str(name.to_string())], rid(i as u64))
-                .unwrap();
+            idx.insert(vec![Value::Str(name.to_string())], rid(i as u64));
         }
-        assert_eq!(idx.get(&vec![Value::Str("ARC".into())]), vec![rid(0)]);
-        assert_eq!(idx.get(&vec![Value::Str("SJC".into())]), vec![]);
+        assert_eq!(idx.get(&[Value::Str("ARC".into())]), [rid(0)]);
+        assert_eq!(idx.get(&[Value::Str("SJC".into())]), []);
+    }
+
+    /// Delete a random entry of `live` from the tree and the model.
+    fn delete_one(
+        idx: &mut BTreeIndex,
+        model: &mut BTreeMap<Key, Vec<Rid>>,
+        live: &mut Vec<(Key, Rid)>,
+        lcg: &mut Lcg,
+    ) {
+        let (key, r) = live.swap_remove(lcg.below(live.len() as u64) as usize);
+        assert!(idx.delete(&key, r));
+        let p = model.get_mut(&key).unwrap();
+        p.swap_remove(p.iter().position(|x| *x == r).unwrap());
+        if p.is_empty() {
+            model.remove(&key);
+            assert_eq!(idx.get(&key), [], "an emptied key");
+        }
+    }
+
+    /// Seeded random inserts, deletes and probes against a `BTreeMap`
+    /// model at key widths 1 to 3, until internal nodes split; then every
+    /// entry is deleted, emptying each key, and the emptied tree reused.
+    #[test]
+    fn random_operations_match_a_btreemap_model() {
+        for width in 1..=3 {
+            let mut lcg = Lcg(0x9e37_79b9_7f4a_7c15 ^ width as u64);
+            let (mut idx, mut model, mut live) = (
+                BTreeIndex::default(),
+                BTreeMap::<Key, Vec<Rid>>::new(),
+                Vec::new(),
+            );
+            let check = |idx: &BTreeIndex, model: &BTreeMap<Key, Vec<Rid>>| {
+                let want: Vec<_> = model.iter().map(|(k, p)| (k.clone(), p.clone())).collect();
+                assert_eq!(entries(idx), want, "width {width}");
+                assert_eq!(idx.len(), model.values().map(Vec::len).sum::<usize>());
+            };
+            for op in 0..12_000u64 {
+                let key: Key = (0..width).map(|_| lcg.value()).collect();
+                match lcg.below(10) {
+                    0..=5 => {
+                        idx.insert(key.clone(), rid(op));
+                        model.entry(key.clone()).or_default().push(rid(op));
+                        live.push((key.clone(), rid(op)));
+                    }
+                    6 | 7 if !live.is_empty() => {
+                        delete_one(&mut idx, &mut model, &mut live, &mut lcg)
+                    }
+                    8 => assert!(!idx.delete(&key, rid(u64::MAX))),
+                    _ => {}
+                }
+                let want = model.get(&key).map_or(&[][..], Vec::as_slice);
+                assert_eq!(idx.get(&key), want, "width {width}, op {op}");
+                assert_eq!(idx.get(&key[1..]), [], "a narrower probe");
+                let wide: Key = key.iter().cloned().chain([Value::Int(0)]).collect();
+                assert_eq!(idx.get(&wide), [], "a wider probe");
+                assert!(!idx.delete(&wide, rid(0)));
+                if op % 1000 == 999 {
+                    check(&idx, &model);
+                }
+            }
+            assert!(idx.height() >= 3, "width {width}: internal nodes split");
+            let (ints, doubles) = (vec![Value::Int(7); width], vec![Value::Double(7.0); width]);
+            assert_eq!(idx.get(&ints), idx.get(&doubles));
+            while !live.is_empty() {
+                delete_one(&mut idx, &mut model, &mut live, &mut lcg);
+            }
+            check(&idx, &model);
+            assert!(idx.is_empty());
+            let key = vec![Value::Str("back".into()); width];
+            idx.insert(key.clone(), rid(1));
+            assert_eq!(idx.get(&key), [rid(1)]);
+        }
     }
 }

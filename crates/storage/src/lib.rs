@@ -12,7 +12,8 @@
 //!   sequential scan brings in enter cold, and a miss refills its victim's
 //!   frame in place — enforcing WAL-before-data at eviction;
 //! - [`heap`]: RID-addressed heap files;
-//! - [`index`]: B+-tree secondary indexes (composite keys, range scans);
+//! - [`index`]: B+-tree secondary indexes (composite keys held flat per
+//!   node, point lookups that borrow their postings);
 //! - [`catalog`]: tables with maintained indexes + view definitions,
 //!   including materialized views' backing storage ([`MatView`]);
 //! - [`delta`]: before/after row images captured by DML for incremental

@@ -102,6 +102,16 @@ impl TableGc {
         self.frozen_through.load(Ordering::Acquire)
     }
 
+    /// Freeze pressure: the commit stamps at or below `watermark` that this
+    /// heap's unfrozen headers keep the stamp table from pruning (0 once
+    /// it is fully frozen, which a clean bump settles without a scan).
+    pub fn pinned_stamps(&self, watermark: u64) -> u64 {
+        if self.unfrozen() == 0 {
+            return 0;
+        }
+        watermark.saturating_sub(self.frozen_through())
+    }
+
     /// The watermark of the last vacuum pass over this table.
     pub fn last_pass_watermark(&self) -> u64 {
         self.last_pass_watermark.load(Ordering::Relaxed)

@@ -131,7 +131,8 @@ fn plan_of(db: &Database, sql: &str) -> String {
 /// The `analytic` workload's `q_range` shape: an index probe of one `day`,
 /// 22 rows on 22 pages. Postings resolve straight into the batch the probe
 /// emits; resolving each into a `Tuple` of its own first cost 100, about
-/// one more allocation per row.
+/// one more allocation per row, and cloning the probed key's postings out
+/// of the tree cost one more (79).
 #[test]
 fn index_probe_decodes_postings_into_its_batch() {
     let db = star();
@@ -139,12 +140,13 @@ fn index_probe_decodes_postings_into_its_batch() {
     assert!(plan_of(&db, sql).contains("IndexEq(SALES.sales_day)"));
     let (counts, rows) = counted(&db, sql, &[Value::Int(7)]);
     assert_eq!(rows, 22);
-    assert_eq!(counts, [79; 2], "an index probe of 22 rows");
+    assert_eq!(counts, [78; 2], "an index probe of 22 rows");
 }
 
 /// An index nested-loops join over that probe: each of its 22 rows probes
 /// `CUST` by key, and the matches land in one reused buffer. Resolving
-/// every posting of both probes into a `Tuple` of its own first cost 306.
+/// every posting of both probes into a `Tuple` of its own first cost 306;
+/// cloning each probed key's postings out of the tree cost 263.
 #[test]
 fn index_join_decodes_postings_into_its_batches() {
     let db = star();
@@ -155,5 +157,31 @@ fn index_join_decodes_postings_into_its_batches() {
     assert!(plan.contains("IndexEq(SALES.sales_day)"), "{plan}");
     let (counts, rows) = counted(&db, sql, &[Value::Int(7)]);
     assert_eq!(rows, 22);
-    assert_eq!(counts, [263; 2], "an index join of 22 rows");
+    assert_eq!(counts, [240; 2], "an index join of 22 rows");
+}
+
+/// A point fetch of one department from the materialized Fig. 1 CO
+/// (`DEPS_ARC` without its `loc` restriction): the department's node, its
+/// ~100 descendants and their connections, found through index probes of
+/// the backing streams. Cloning each probed key's postings out of the tree
+/// cost 1 479.
+#[test]
+fn stored_point_fetch_allocates_an_exact_count() {
+    let config = DbConfig {
+        plan: PlanOptions {
+            dop: 1,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let db = xnf_fixtures::build_uniform_paper_db_with(40, config);
+    let all = xnf_fixtures::DEPS_ARC.replace(" WHERE loc = 'ARC'", "");
+    db.session()
+        .execute(&format!("CREATE MATERIALIZED VIEW deps AS {all}"), &[])
+        .unwrap();
+    let fetch = || db.fetch_co_point("deps", &Value::Int(3)).unwrap();
+    let tuples = fetch().workspace.tuple_count();
+    let (count, co) = allocations(fetch);
+    assert_eq!(co.workspace.tuple_count(), tuples);
+    assert_eq!(count, 1_351, "a stored point fetch of one department");
 }

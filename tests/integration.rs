@@ -631,6 +631,59 @@ fn dml_with_a_residual_conjunct_costs_its_index_probe() {
     assert_eq!(costs, [3, 3, 2, 2]);
 }
 
+/// A direct (selection/projection) view removes a changed row's old image
+/// through its `mv_key` index on the view's first column, so an UPDATE of
+/// the table's last row under it costs the same buffer-pool page accesses
+/// over 200 rows as over 2 000. Without the index each removal scanned the
+/// backing table up to the old image: 6 and 15.
+#[test]
+fn direct_view_update_costs_the_same_at_any_size() {
+    use xnf_core::{DbConfig, PlanOptions};
+    let cost = |rows: i64| {
+        let config = DbConfig {
+            plan: PlanOptions {
+                dop: 1,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let db = xnf_core::Database::with_config(config);
+        let session = db.session();
+        for stmt in [
+            "CREATE TABLE T (id INT NOT NULL, v INT)",
+            "CREATE UNIQUE INDEX t_id ON T (id)",
+        ] {
+            session.execute(stmt, &[]).unwrap();
+        }
+        let mut insert = session.prepare("INSERT INTO T VALUES (?, ?)").unwrap();
+        for id in 0..rows {
+            insert.bind(&[Value::Int(id), Value::Int(id % 7)]).unwrap();
+            insert.execute().unwrap();
+        }
+        session
+            .execute(
+                "CREATE MATERIALIZED VIEW big AS SELECT id, v FROM T WHERE v >= 0",
+                &[],
+            )
+            .unwrap();
+        let accesses = || {
+            let s = db.catalog().buffer_pool().stats();
+            s.hits + s.misses
+        };
+        let before = accesses();
+        let stmt = "UPDATE T SET v = v + 1 WHERE id = ?";
+        let last = Value::Int(rows - 1);
+        let outcome = session.execute(stmt, std::slice::from_ref(&last)).unwrap();
+        assert_eq!(outcome.affected(), 1);
+        let cost = accesses() - before;
+        let view = session.query("SELECT v FROM big WHERE id = ?", &[last]);
+        let want = Value::Int((rows - 1) % 7 + 1);
+        assert_eq!(view.unwrap().try_table().unwrap().rows, vec![vec![want]]);
+        cost
+    };
+    assert_eq!([cost(200), cost(2_000)], [6, 6]);
+}
+
 /// A CO view whose component reads `FROM DEPT d WHERE d.loc = 'ARC'`
 /// compiles its filter from its own FROM, alias included: the view is
 /// created, an employee's raise and delete and a department's exit are
