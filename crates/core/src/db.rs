@@ -617,6 +617,7 @@ impl Database {
 
     /// Vacuum every heap whose reclaim pressure reached the configured
     /// threshold (no-op when the trigger is disabled or nothing qualifies).
+    /// A heap another committer's trigger has claimed is left to it.
     fn maybe_auto_vacuum(&self) {
         let threshold = self.config.auto_vacuum_threshold;
         if threshold == 0 {
@@ -627,8 +628,9 @@ impl Database {
             return;
         }
         // GC failure must never fail the commit that triggered it: the
-        // pressure counters survive, so the next trigger retries.
-        let _ = self.catalog.vacuum_tables(&pressured);
+        // pressure counters survive, and a failed pass releases its claim,
+        // so the next trigger retries.
+        let _ = self.catalog.vacuum_claimed(pressured);
     }
 
     // -- garbage collection -----------------------------------------------

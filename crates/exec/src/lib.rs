@@ -19,6 +19,11 @@
 //!   (`cols` on the scan node); its filter, and the probe of a
 //!   residual-free hash semijoin over it, decide each record on its slot
 //!   in the batch before the rest of it is decoded (the page read's gate);
+//! - hash aggregates fold their input into one flat group table: the
+//!   distinct group keys back to back in a `hash::KeyTable`, numbered in
+//!   insertion order, and every group's accumulators in one array indexed
+//!   by that number, so a group allocates nothing of its own; without
+//!   GROUP BY the grand total is group 0 from the start;
 //! - shared subplans (the multi-query "table queues" of Fig. 6) are
 //!   materialised once as `Vec<RowBatch>` and re-streamed chunk-at-a-time
 //!   by every consumer;

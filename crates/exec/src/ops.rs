@@ -3,7 +3,7 @@
 //! Sect. 3.1, with streams chunked into [`RowBatch`]es so per-tuple virtual
 //! dispatch amortises over a whole chunk).
 
-use std::collections::{BTreeSet, HashSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 
 use xnf_plan::{AggSpec, PhysExpr, PhysPlan, DEFAULT_BATCH_SIZE};
@@ -13,7 +13,7 @@ use xnf_storage::{Catalog, Gate, IndexDef, Postings, Table, Value};
 use crate::batch::RowBatch;
 use crate::error::{ExecError, Result};
 use crate::eval::{eval, filter_batch, passes, truthy, CompiledPreds, OuterCtx, Row};
-use crate::hash::{FxHashMap, FxHashSet};
+use crate::hash::{FxHashMap, FxHashSet, KeyTable};
 
 /// Execution statistics (per engine run).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -1596,202 +1596,163 @@ impl Acc {
     }
 }
 
-pub(crate) struct GroupState {
-    pub(crate) accs: Vec<Acc>,
-    pub(crate) distinct_seen: Vec<Option<HashSet<Value>>>,
-}
-
-/// Fold one input row into a group's accumulators.
-pub(crate) fn update_state(
-    state: &mut GroupState,
-    aggs: &[AggSpec],
-    row: &[Value],
-    outer: &OuterCtx,
-) -> Result<()> {
-    for (i, spec) in aggs.iter().enumerate() {
-        let arg_val = match &spec.arg {
-            None => Some(Value::Bool(true)), // COUNT(*): every row
-            Some(e) => {
-                let v = eval(e, row, outer, &[])?;
-                if v.is_null() {
-                    None
-                } else {
-                    Some(v)
-                }
-            }
-        };
-        let Some(v) = arg_val else { continue };
-        if let Some(seen) = &mut state.distinct_seen[i] {
-            if !seen.insert(v.clone()) {
-                continue;
-            }
-        }
-        state.accs[i].update(Some(&v))?;
-    }
-    Ok(())
-}
-
-/// Fresh accumulator state for one group.
-pub(crate) fn fresh_state(aggs: &[AggSpec]) -> GroupState {
-    GroupState {
-        accs: aggs.iter().map(|a| Acc::new(a.func)).collect(),
-        distinct_seen: aggs
-            .iter()
-            .map(|a| {
-                if a.distinct {
-                    Some(HashSet::new())
-                } else {
-                    None
-                }
-            })
-            .collect(),
-    }
-}
-
 /// Streaming group-by accumulator, shared by the serial
-/// [`HashAggregateOp`] and the parallel partial-aggregation workers
-/// (each worker folds its morsels into one of these; the coordinator
-/// merges the partials with [`merge_group_state`]).
+/// [`HashAggregateOp`] and the parallel partial-aggregation workers (each
+/// worker folds its morsels into one of these; the coordinator absorbs the
+/// partials in worker order with [`GroupAcc::absorb`]).
+///
+/// Groups are the ids of one [`KeyTable`], and group `g`'s accumulators
+/// are `accs[g * n..][..n]` for `n` aggregates. Without GROUP BY the grand
+/// total is group 0, the empty key, from the start, so an empty input
+/// still yields its row (COUNT = 0, SUM = NULL, ...).
 pub(crate) struct GroupAcc<'p> {
     group: &'p [PhysExpr],
     aggs: &'p [AggSpec],
-    groups: FxHashMap<Vec<Value>, GroupState>,
-    /// Grand-total fast path (no GROUP BY): one accumulator state, no
-    /// per-row key construction or hashing.
-    grand: Option<GroupState>,
+    keys: KeyTable,
+    accs: Vec<Acc>,
+    /// `(group, aggregate, value)` for each value a DISTINCT aggregate
+    /// has counted (never allocated when no aggregate is DISTINCT).
+    seen: FxHashSet<(usize, usize, Value)>,
+    /// The probe key, reused from row to row.
+    key: Vec<Value>,
     /// When every aggregate is a plain COUNT(*), whole batches fold in as
     /// a single length addition — the fully vectorized case.
     all_plain_counts: bool,
-    saw_input: bool,
 }
 
 impl<'p> GroupAcc<'p> {
     pub(crate) fn new(group: &'p [PhysExpr], aggs: &'p [AggSpec]) -> GroupAcc<'p> {
-        GroupAcc {
+        let mut acc = GroupAcc {
             group,
             aggs,
-            groups: FxHashMap::default(),
-            grand: if group.is_empty() {
-                Some(fresh_state(aggs))
-            } else {
-                None
-            },
+            keys: KeyTable::new(group.len()),
+            accs: Vec::new(),
+            seen: FxHashSet::default(),
+            key: Vec::with_capacity(group.len()),
             all_plain_counts: group.is_empty()
                 && aggs
                     .iter()
                     .all(|a| matches!(a.func, AggFunc::Count) && a.arg.is_none() && !a.distinct),
-            saw_input: false,
+        };
+        if group.is_empty() {
+            acc.group_of_key();
         }
+        acc
     }
 
-    /// Fold one input batch into the per-group states.
+    /// The group of the key in `self.key`, created with fresh
+    /// accumulators when new.
+    fn group_of_key(&mut self) -> usize {
+        let (g, new) = self.keys.intern(&mut self.key);
+        if new {
+            self.accs.extend(self.aggs.iter().map(|a| Acc::new(a.func)));
+        }
+        g
+    }
+
+    /// Fold one input batch into the per-group accumulators.
     pub(crate) fn fold(&mut self, batch: &RowBatch, outer: &OuterCtx) -> Result<()> {
-        self.saw_input = true;
-        if let Some(state) = self.grand.as_mut() {
+        if self.group.is_empty() {
             if self.all_plain_counts {
-                for acc in &mut state.accs {
+                for acc in &mut self.accs {
                     if let Acc::Count(n) = acc {
                         *n += batch.len() as i64;
                     }
                 }
             } else {
                 for row in batch.iter() {
-                    update_state(state, self.aggs, row, outer)?;
+                    self.update(0, row, outer)?;
                 }
             }
-        } else {
-            // Probe with one reused key buffer; only a new group keeps a
-            // copy of it.
-            let mut key = Vec::with_capacity(self.group.len());
-            for row in batch.iter() {
-                key.clear();
-                for g in self.group {
-                    key.push(eval(g, row, outer, &[])?);
-                }
-                if let Some(state) = self.groups.get_mut(&key) {
-                    update_state(state, self.aggs, row, outer)?;
-                } else {
-                    let mut state = fresh_state(self.aggs);
-                    update_state(&mut state, self.aggs, row, outer)?;
-                    self.groups.insert(key.clone(), state);
-                }
+            return Ok(());
+        }
+        for row in batch.iter() {
+            self.key.clear();
+            for g in self.group {
+                self.key.push(eval(g, row, outer, &[])?);
             }
+            let g = self.group_of_key();
+            self.update(g, row, outer)?;
         }
         Ok(())
     }
 
-    /// The accumulated per-group states plus whether any input arrived.
-    pub(crate) fn finish(self) -> (FxHashMap<Vec<Value>, GroupState>, bool) {
-        let mut groups = self.groups;
-        if let Some(state) = self.grand {
-            if self.saw_input {
-                groups.insert(Vec::new(), state);
+    /// Fold one input row into group `g`'s accumulators.
+    fn update(&mut self, g: usize, row: &[Value], outer: &OuterCtx) -> Result<()> {
+        let n = self.aggs.len();
+        for (i, spec) in self.aggs.iter().enumerate() {
+            let v = match &spec.arg {
+                None => Value::Bool(true), // COUNT(*): every row
+                Some(e) => match eval(e, row, outer, &[])? {
+                    Value::Null => continue,
+                    v => v,
+                },
+            };
+            if spec.distinct && !self.seen.insert((g, i, v.clone())) {
+                continue;
+            }
+            self.accs[g * n + i].update(Some(&v))?;
+        }
+        Ok(())
+    }
+
+    /// Absorb a worker's partial table. Its keys move in by their stored
+    /// hash; a group new here takes the partial's accumulators as they
+    /// are, and an existing one merges them. A DISTINCT aggregate instead
+    /// counts the partial's values this group has not seen: merging two
+    /// partial counts would count a value both workers saw twice.
+    pub(crate) fn absorb(&mut self, other: GroupAcc<'_>) -> Result<()> {
+        let n = self.aggs.len();
+        let ids = self.keys.absorb(other.keys);
+        let mut theirs = other.accs.into_iter();
+        for &(g, new) in &ids {
+            let part = theirs.by_ref().take(n);
+            if new {
+                self.accs.extend(part);
+                continue;
+            }
+            for ((i, spec), acc) in self.aggs.iter().enumerate().zip(part) {
+                if !spec.distinct {
+                    self.accs[g * n + i].merge(&acc);
+                }
             }
         }
-        (groups, self.saw_input)
+        for (o, i, v) in other.seen {
+            let (g, new) = ids[o];
+            let entry = (g, i, v);
+            if !new && !self.seen.contains(&entry) {
+                self.accs[g * n + i].update(Some(&entry.2))?;
+            }
+            self.seen.insert(entry);
+        }
+        Ok(())
     }
 }
 
-/// Merge a worker's partial group state into the final one. DISTINCT
-/// aggregates union the seen-value sets and rebuild the accumulator from
-/// the union — folding the two partial accumulators directly would
-/// double-count values both workers saw.
-pub(crate) fn merge_group_state(
-    into: &mut GroupState,
-    mut from: GroupState,
-    aggs: &[AggSpec],
-) -> Result<()> {
-    for (i, spec) in aggs.iter().enumerate() {
-        if spec.distinct {
-            let mut merged = into.distinct_seen[i].take().unwrap_or_default();
-            if let Some(theirs) = from.distinct_seen[i].take() {
-                merged.extend(theirs);
-            }
-            let mut acc = Acc::new(spec.func);
-            for v in &merged {
-                acc.update(Some(v))?;
-            }
-            into.accs[i] = acc;
-            into.distinct_seen[i] = Some(merged);
-        } else {
-            into.accs[i].merge(&from.accs[i]);
-        }
-    }
-    Ok(())
-}
-
-/// Final aggregation step shared by the serial and parallel paths: the
-/// empty-input grand-total row (COUNT = 0, SUM = NULL, ...), HAVING over
-/// [group values] with agg slots, the output expressions, and the
+/// Final aggregation step shared by the serial and parallel paths: HAVING
+/// over [group values] with agg slots, the output expressions, and the
 /// deterministic result sort.
 pub(crate) fn finalize_groups(
-    mut groups: FxHashMap<Vec<Value>, GroupState>,
-    saw_input: bool,
-    group_is_empty: bool,
-    aggs: &[AggSpec],
+    acc: GroupAcc<'_>,
     having: &[PhysExpr],
     output: &[PhysExpr],
     outer: &OuterCtx,
 ) -> Result<Vec<Row>> {
-    if groups.is_empty() && group_is_empty && !saw_input {
-        groups.insert(Vec::new(), fresh_state(aggs));
-    }
-    let mut rows = Vec::with_capacity(groups.len());
-    for (key, state) in groups {
-        let agg_vals: Vec<Value> = state.accs.iter().map(|a| a.finish()).collect();
-        let mut ok = true;
+    let n = acc.aggs.len();
+    let mut agg_vals = Vec::with_capacity(n);
+    let mut rows = Vec::with_capacity(acc.keys.len());
+    'groups: for g in 0..acc.keys.len() {
+        let key = acc.keys.key(g);
+        agg_vals.clear();
+        agg_vals.extend(acc.accs[g * n..(g + 1) * n].iter().map(Acc::finish));
         for h in having {
-            if !truthy(&eval(h, &key, outer, &agg_vals)?) {
-                ok = false;
-                break;
+            if !truthy(&eval(h, key, outer, &agg_vals)?) {
+                continue 'groups;
             }
-        }
-        if !ok {
-            continue;
         }
         let mut out = Vec::with_capacity(output.len());
         for e in output {
-            out.push(eval(e, &key, outer, &agg_vals)?);
+            out.push(eval(e, key, outer, &agg_vals)?);
         }
         rows.push(out);
     }
@@ -1818,16 +1779,7 @@ impl HashAggregateOp {
         while let Some(batch) = self.input.next_batch(rt)? {
             acc.fold(&batch, &rt.outer)?;
         }
-        let (groups, saw_input) = acc.finish();
-        finalize_groups(
-            groups,
-            saw_input,
-            self.group.is_empty(),
-            &self.aggs,
-            &self.having,
-            &self.output,
-            &rt.outer,
-        )
+        finalize_groups(acc, &self.having, &self.output, &rt.outer)
     }
 }
 

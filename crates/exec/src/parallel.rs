@@ -43,16 +43,14 @@ use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::Arc;
 
 use xnf_plan::{AggSpec, PhysExpr, PhysPlan};
-use xnf_storage::{MorselDispenser, Value};
+use xnf_storage::MorselDispenser;
 
 use crate::batch::RowBatch;
 use crate::error::{ExecError, Result};
 use crate::eval::Row;
-use crate::hash::FxHashMap;
 use crate::ops::{
-    build_operator, finalize_groups, merge_group_state, next_chunk, ExecStats, FilterOp,
-    FusedProbe, GroupAcc, GroupState, HashJoinOp, HashSemiJoinOp, JoinTable, Operator, ProbeTable,
-    ProjectOp, Runs, Runtime, Scan,
+    build_operator, finalize_groups, next_chunk, ExecStats, FilterOp, FusedProbe, GroupAcc,
+    HashJoinOp, HashSemiJoinOp, JoinTable, Operator, ProbeTable, ProjectOp, Runs, Runtime, Scan,
 };
 
 /// Bounded channel depth (in batches) between a worker and the gather.
@@ -401,28 +399,26 @@ pub(crate) fn run_gather_region(
 }
 
 /// Run an aggregate region to completion: `dop` workers fold their morsels
-/// into partial group tables; the coordinator merges the partials (in
-/// worker order) into the final table.
-#[allow(clippy::type_complexity)]
-fn run_agg_region(
+/// into partial group tables; the coordinator absorbs the partials, in
+/// worker order, into the first one.
+fn run_agg_region<'p>(
     rt: &mut Runtime<'_>,
     pipeline: &PhysPlan,
-    group: &[PhysExpr],
-    aggs: &[AggSpec],
+    group: &'p [PhysExpr],
+    aggs: &'p [AggSpec],
     dop: usize,
-) -> Result<(FxHashMap<Vec<Value>, GroupState>, bool)> {
+) -> Result<GroupAcc<'p>> {
     let dop = dop.max(1);
     let res = prepare_region(rt, pipeline)?;
     rt.stats.parallel_regions += 1;
     rt.stats.parallel_workers += dop as u64;
 
-    type Partial = (FxHashMap<Vec<Value>, GroupState>, bool, ExecStats);
-    let partials: Vec<Result<Partial>> = std::thread::scope(|scope| {
+    let partials: Vec<Result<(GroupAcc<'p>, ExecStats)>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..dop)
             .map(|_| {
                 let res = &res;
                 let mut wrt = worker_runtime(rt);
-                scope.spawn(move || -> Result<Partial> {
+                scope.spawn(move || -> Result<(GroupAcc<'p>, ExecStats)> {
                     let mut ctx = WorkerCtx {
                         res,
                         next_dispenser: 0,
@@ -434,8 +430,7 @@ fn run_agg_region(
                     while let Some(batch) = op.next_batch(&mut wrt)? {
                         acc.fold(&batch, &wrt.outer)?;
                     }
-                    let (groups, saw_input) = acc.finish();
-                    Ok((groups, saw_input, wrt.stats))
+                    Ok((acc, wrt.stats))
                 })
             })
             .collect();
@@ -445,24 +440,16 @@ fn run_agg_region(
             .collect()
     });
 
-    let mut groups: FxHashMap<Vec<Value>, GroupState> = FxHashMap::default();
-    let mut saw_input = false;
+    let mut merged: Option<GroupAcc<'p>> = None;
     for partial in partials {
-        let (worker_groups, worker_saw, stats) = partial?;
+        let (acc, stats) = partial?;
         rt.stats.merge(&stats);
-        saw_input |= worker_saw;
-        for (key, state) in worker_groups {
-            match groups.entry(key) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    merge_group_state(e.into_mut(), state, aggs)?;
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(state);
-                }
-            }
+        match merged.as_mut() {
+            Some(into) => into.absorb(acc)?,
+            None => merged = Some(acc),
         }
     }
-    Ok((groups, saw_input))
+    Ok(merged.expect("an aggregate region runs at least one worker"))
 }
 
 /// Region root operator for gather regions: runs the region to completion
@@ -531,17 +518,8 @@ impl ParallelHashAggregateOp {
 impl Operator for ParallelHashAggregateOp {
     fn next_batch(&mut self, rt: &mut Runtime<'_>) -> Result<Option<RowBatch>> {
         if self.results.is_none() {
-            let (groups, saw_input) =
-                run_agg_region(rt, &self.input, &self.group, &self.aggs, self.dop)?;
-            let rows = finalize_groups(
-                groups,
-                saw_input,
-                self.group.is_empty(),
-                &self.aggs,
-                &self.having,
-                &self.output,
-                &rt.outer,
-            )?;
+            let acc = run_agg_region(rt, &self.input, &self.group, &self.aggs, self.dop)?;
+            let rows = finalize_groups(acc, &self.having, &self.output, &rt.outer)?;
             self.results = Some(rows.into_iter());
         }
         let rows = self.results.as_mut().expect("finalized above");

@@ -1241,21 +1241,39 @@ impl Catalog {
         self.vacuum_tables(&targets)
     }
 
-    /// Vacuum exactly `tables` (plus clean bumps and stamp pruning): the
-    /// opportunistic path, fed by [`Catalog::gc_pressured_tables`].
+    /// Vacuum exactly `tables` (plus clean bumps and stamp pruning).
     /// Fully-frozen, pressure-free heaps are skipped — their horizon
     /// advances without a scan.
     pub fn vacuum_tables(&self, tables: &[Arc<Table>]) -> Result<VacuumReport> {
+        self.vacuum_each(tables, |_| ())
+    }
+
+    /// Vacuum the heaps [`Catalog::gc_pressured_tables`] claimed: the
+    /// opportunistic path. Each heap whose pass succeeds keeps its claim;
+    /// on a failed pass the error returns, and the failed heap and those
+    /// after it release theirs, so the next trigger retries them.
+    pub fn vacuum_claimed(&self, mut claims: Vec<GcClaim>) -> Result<VacuumReport> {
+        self.vacuum_each(&mut claims, |claim| claim.settled = true)
+    }
+
+    /// Pass over each of `tables` in order, calling `passed` after each
+    /// pass that succeeds, then bump the clean heaps and prune stamps.
+    fn vacuum_each<T: AsRef<Table>>(
+        &self,
+        tables: impl IntoIterator<Item = T>,
+        mut passed: impl FnMut(T),
+    ) -> Result<VacuumReport> {
         let watermark = self.txns.oldest_visible_stamp();
         let mut report = VacuumReport {
             watermark,
             ..VacuumReport::default()
         };
         for t in tables {
-            if t.gc().unfrozen() == 0 && t.gc().dead_hint() == 0 {
-                continue;
+            let table = t.as_ref();
+            if table.gc().unfrozen() != 0 || table.gc().dead_hint() != 0 {
+                report.tables.push(table.vacuum(watermark)?);
             }
-            report.tables.push(t.vacuum(watermark)?);
+            passed(t);
         }
         // Untouched-but-clean heaps advance their horizon for free, so a
         // table that merely *existed* during a write storm never pins the
@@ -1290,17 +1308,55 @@ impl Catalog {
     /// excluded: re-scanning before the watermark moves (e.g. while a long
     /// transaction pins it) cannot reclaim or freeze anything new, and
     /// triggering it per commit would turn sustained writes quadratic.
-    pub fn gc_pressured_tables(&self, threshold: u64) -> Vec<Arc<Table>> {
+    ///
+    /// Each heap returned is claimed at the current watermark (see
+    /// [`TableGc::claim_pass`]), so a concurrent trigger skips it instead
+    /// of vacuuming it a second time; [`Catalog::vacuum_claimed`] runs the
+    /// passes, and a claim dropped without a successful pass is released.
+    pub fn gc_pressured_tables(&self, threshold: u64) -> Vec<GcClaim> {
         let watermark = self.txns.oldest_visible_stamp();
         self.storage_tables()
             .into_iter()
-            .filter(|t| {
-                let gc = t.gc();
+            .filter_map(|table| {
+                let gc = table.gc();
                 let frozen = gc.pinned_stamps(watermark) / FREEZE_STAMPS_PER_PRESSURE;
-                let pressure = gc.dead_hint().max(frozen);
-                pressure >= threshold && gc.last_pass_watermark() < watermark
+                if gc.dead_hint().max(frozen) < threshold {
+                    return None;
+                }
+                let previous = gc.claim_pass(watermark)?;
+                Some(GcClaim {
+                    table,
+                    watermark,
+                    previous,
+                    settled: false,
+                })
             })
             .collect()
+    }
+}
+
+/// A heap [`Catalog::gc_pressured_tables`] selected, and claimed, for an
+/// opportunistic vacuum pass. Dropped before [`Catalog::vacuum_claimed`]
+/// passed over it (the pass failed, or never ran), it releases the heap,
+/// so the next trigger selects it again.
+pub struct GcClaim {
+    table: Arc<Table>,
+    watermark: u64,
+    previous: u64,
+    settled: bool,
+}
+
+impl AsRef<Table> for GcClaim {
+    fn as_ref(&self) -> &Table {
+        &self.table
+    }
+}
+
+impl Drop for GcClaim {
+    fn drop(&mut self) {
+        if !self.settled {
+            self.table.gc().release_pass(self.watermark, self.previous);
+        }
     }
 }
 

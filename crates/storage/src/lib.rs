@@ -70,7 +70,9 @@ pub mod value;
 pub mod wal;
 
 pub use buffer::{BufferPool, BufferStats};
-pub use catalog::{Catalog, IndexDef, MatView, MatViewStream, Table, TableId, ViewDef, ViewKind};
+pub use catalog::{
+    Catalog, GcClaim, IndexDef, MatView, MatViewStream, Table, TableId, ViewDef, ViewKind,
+};
 pub use delta::{DeltaBatch, DeltaRow};
 pub use disk::{DiskManager, DiskStats, FaultPlan, PageId};
 pub use error::{Result, StorageError};

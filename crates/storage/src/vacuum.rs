@@ -117,6 +117,32 @@ impl TableGc {
         self.last_pass_watermark.load(Ordering::Relaxed)
     }
 
+    /// Claim the opportunistic pass at `watermark`: move the last-pass
+    /// watermark from below `watermark` up to it by one compare-and-swap,
+    /// so a concurrent trigger at the same watermark skips this heap.
+    /// Returns the value it replaced, or `None` when a pass at `watermark`
+    /// already ran or is claimed.
+    pub fn claim_pass(&self, watermark: u64) -> Option<u64> {
+        let last = self.last_pass_watermark.load(Ordering::Acquire);
+        (last < watermark
+            && self
+                .last_pass_watermark
+                .compare_exchange(last, watermark, Ordering::AcqRel, Ordering::Acquire)
+                .is_ok())
+        .then_some(last)
+    }
+
+    /// Undo a [`TableGc::claim_pass`] whose pass did not run: restore
+    /// `previous`, unless a pass has since recorded a later watermark.
+    pub fn release_pass(&self, watermark: u64, previous: u64) {
+        let _ = self.last_pass_watermark.compare_exchange(
+            watermark,
+            previous,
+            Ordering::AcqRel,
+            Ordering::Relaxed,
+        );
+    }
+
     /// Reset counters to the exact remainders a vacuum pass observed and
     /// advance the freeze horizon. Must be called under the table's write
     /// latch.
@@ -260,6 +286,7 @@ mod tests {
     use crate::catalog::tests::{posted, scanned_by_values};
     use crate::catalog::{Catalog, Table};
     use crate::disk::DiskManager;
+    use crate::error::StorageError;
     use crate::schema::Schema;
     use crate::tuple::Tuple;
     use crate::txn::Transaction;
@@ -538,6 +565,49 @@ mod tests {
         assert_eq!(c.gc_pressured_tables(10).len(), 1);
         c.vacuum(None).unwrap();
         assert_eq!(t.version_census().unwrap().total_versions, 1);
+    }
+
+    /// Two selections at one watermark return a pressured heap once: the
+    /// first claims it, so a concurrent trigger skips it. A failed pass
+    /// releases the claim, and the next selection returns the heap again.
+    #[test]
+    fn a_pressured_heap_is_claimed_once_and_released_by_a_failed_pass() {
+        // One frame: a pass fails while this thread pins a page outside T.
+        let pool = Arc::new(BufferPool::new(Arc::new(DiskManager::new()), 1));
+        let c = Catalog::new(Arc::clone(&pool));
+        let t = c
+            .create_table(
+                "T",
+                Schema::from_pairs(&[("id", DataType::Int), ("v", DataType::Str)]),
+            )
+            .unwrap();
+        t.create_index("t_id", vec![0], true).unwrap();
+        t.insert(&row(1, 0)).unwrap();
+        for v in 1..=20 {
+            committed_update(&c, &t, 1, v);
+        }
+        let first = c.gc_pressured_tables(10);
+        assert_eq!(first.len(), 1, "pressure seen");
+        assert!(
+            c.gc_pressured_tables(10).is_empty(),
+            "a second selection at the same watermark skips the claimed heap"
+        );
+
+        let (scratch, _) = pool.new_page(|_, _| ()).unwrap();
+        let failed = pool
+            .with_page(scratch, |_| c.vacuum_claimed(first))
+            .unwrap();
+        assert!(matches!(failed, Err(StorageError::BufferPoolExhausted)));
+        let again = c.gc_pressured_tables(10);
+        assert_eq!(again.len(), 1, "the failed pass released its claim");
+
+        c.vacuum_claimed(again).unwrap();
+        assert_eq!(t.version_census().unwrap().total_versions, 1);
+        assert_eq!(
+            t.gc().last_pass_watermark(),
+            c.txns().oldest_visible_stamp(),
+            "a pass that succeeded keeps its claim"
+        );
     }
 
     #[test]

@@ -103,6 +103,10 @@ fn count_star_allocates_per_page_not_per_row() {
     assert_eq!(counts, [79; 2], "COUNT(*) over 8 000 rows");
 }
 
+/// The `analytic` workload's `q_topn` shape: about 200 groups. Group keys
+/// live in one flat key table and accumulators in one array, so a group
+/// costs its result row and nothing else; a key, an accumulator vector and
+/// a DISTINCT vector of its own per group cost 1 265.
 #[test]
 fn top_n_allocates_per_page_and_group_not_per_row() {
     let db = star();
@@ -110,9 +114,11 @@ fn top_n_allocates_per_page_and_group_not_per_row() {
                GROUP BY cust ORDER BY total DESC, cust LIMIT 10";
     let (counts, rows) = counted(&db, sql, &[Value::Int(180)]);
     assert_eq!(rows, 10);
-    assert_eq!(counts, [1_265; 2], "top-N over a filtered group-by");
+    assert_eq!(counts, [483; 2], "top-N over a filtered group-by");
 }
 
+/// The `q_join_group` shape: 40 groups over a hash join. Before its groups
+/// were flattened as above, it cost 832.
 #[test]
 fn join_group_allocates_per_page_not_per_row() {
     let db = star();
@@ -120,7 +126,7 @@ fn join_group_allocates_per_page_not_per_row() {
                WHERE s.item = i.item AND s.day >= ? GROUP BY i.cat";
     let (counts, rows) = counted(&db, sql, &[Value::Int(180)]);
     assert_eq!(rows, 40);
-    assert_eq!(counts, [832; 2], "a join feeding a group-by");
+    assert_eq!(counts, [685; 2], "a join feeding a group-by");
 }
 
 /// `sql` with `?` bound to `7`, as `EXPLAIN` needs it.
